@@ -110,8 +110,16 @@ class LieAlgebra:
         return np.einsum("ijk,i,j->k", self.structure, x, y)
 
     def bracket_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Row-wise brackets of two (n, dim) stacks. No validation."""
-        return np.einsum("ijk,ni,nj->nk", self.structure, xs, ys)
+        """Row-wise brackets of two (n, dim) stacks. No validation.
+
+        One matrix product of the row-wise outer products with the flattened
+        structure tensor.  For so(3) and so(4), whose structure constants are
+        0 and +-1, each component sums two rounded products, so the result is
+        bitwise that of ``bracket``.
+        """
+        d = self.dim
+        outer = (xs[:, :, None] * ys[:, None, :]).reshape(len(xs), d * d)
+        return outer @ self.structure.reshape(d * d, d)
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x = [x, .] acting on coefficient vectors."""

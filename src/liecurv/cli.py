@@ -13,9 +13,10 @@ Subcommands:
 Exit codes: 0 when every verdict is nonnegative and every residual passes,
 1 when a negative witness or failed residual appears, 2 on invalid input.
 
-Reports are JSON with sorted keys; for a fixed configuration and seed the
-output is byte-identical across runs and worker counts, except for the
-``wall_time_ms`` field.
+Reports are strict JSON (sorted keys, no NaN or infinity; non-finite input
+exits 2); for a fixed configuration and seed the output is byte-identical
+across runs, except for the ``wall_time_ms`` field.  ``--workers`` is
+deprecated and ignored: every search runs in one batch.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def parse_matrix(spec: str, allowed_dims=(3, 6)) -> np.ndarray:
                 f"expected diag: prefix or a square row-major list, got {len(vals)} entries"
             )
         arr = np.asarray(vals).reshape(side, side)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     if arr.shape[0] not in allowed_dims:
         raise ValueError(f"matrix must have dimension in {allowed_dims}, got {arr.shape[0]}")
     if np.abs(arr - arr.T).max() > _SYMMETRY_INPUT_TOL * max(1.0, np.abs(arr).max()):
@@ -146,8 +149,8 @@ def _budget(args) -> Budget:
 
 
 def _budget_config(args) -> dict:
-    # worker count and output destination are execution details, not part of
-    # the semantic configuration, so they stay out of the report
+    # the output destination is an execution detail, not part of the
+    # semantic configuration, so it stays out of the report
     return {
         "seed": args.seed,
         "samples": args.samples,
@@ -163,9 +166,7 @@ def _budget_config(args) -> dict:
 def _cmd_check(args) -> tuple[dict, bool]:
     mat, source = _metric_source(args)
     metric = LeftInvariantMetric(_algebra_for(mat.shape[0]), mat)
-    report = min_curvature(
-        metric, budget=_budget(args), tol=args.tol, seed=args.seed, workers=args.workers
-    )
+    report = min_curvature(metric, budget=_budget(args), tol=args.tol, seed=args.seed)
     config = {**_budget_config(args), **source}
     return (
         {"command": "check", "config": config, "results": [report.to_dict()]},
@@ -176,7 +177,7 @@ def _cmd_check(args) -> tuple[dict, bool]:
 def _cmd_infinitesimal(args) -> tuple[dict, bool]:
     psi, source = _psi_source(args, require_dim6=True)
     report = infinitesimal_check(
-        so4(), psi, budget=_budget(args), tol=args.tol, seed=args.seed, workers=args.workers
+        so4(), psi, budget=_budget(args), tol=args.tol, seed=args.seed
     )
     config = {**_budget_config(args), **source}
     return (
@@ -197,7 +198,6 @@ def _cmd_path(args) -> tuple[dict, bool]:
         budget=_budget(args),
         tol=args.tol,
         seed=args.seed,
-        workers=args.workers,
     )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -258,7 +258,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, default_seed: int):
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help="deprecated, ignored")
     p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
 
 
@@ -335,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, output: str):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(text: str, output: str):
     if output == "-":
         print(text)
     else:
@@ -350,13 +349,14 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         payload, failed = args.fn(args)
+        payload["schema_version"] = SCHEMA_VERSION
+        payload["version"] = __version__
+        payload["wall_time_ms"] = int(1000 * (time.monotonic() - start))
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except (LieCurvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["version"] = __version__
-    payload["wall_time_ms"] = int(1000 * (time.monotonic() - start))
-    _emit(payload, getattr(args, "output", "-"))
+    _emit(text, getattr(args, "output", "-"))
     return 1 if failed else 0
 
 

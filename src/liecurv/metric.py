@@ -13,9 +13,15 @@ bi-invariant inner product.  Curvature is computed two ways:
 Both return the unnormalized sectional curvature <R(z1, z2) z2, z1>_h;
 ``normalized_curvature`` divides by the h-Gram determinant of the plane so
 that the value depends only on span{z1, z2}.
+
+For searches, ``LeftInvariantMetric.curvature_operator`` assembles the
+curvature tensor once per metric as a quadratic form on bivectors, so the
+normalized curvature of a plane becomes a Rayleigh quotient.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -30,6 +36,8 @@ __all__ = [
     "koszul_oracle",
     "normalized_curvature",
     "normalized_curvature_many",
+    "wedge_many",
+    "wedge_pairs",
 ]
 
 _SYMMETRY_TOL = 1e-12
@@ -52,6 +60,8 @@ class LeftInvariantMetric:
             raise DimensionMismatch(
                 f"phi must be {algebra.dim}x{algebra.dim}, got {phi.shape}"
             )
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi has non-finite entries")
         if np.abs(phi - phi.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(phi).max()):
             raise ValueError("phi is not symmetric")
         phi = 0.5 * (phi + phi.T)
@@ -66,6 +76,7 @@ class LeftInvariantMetric:
         self.eigenvectors = v
         self.phi.setflags(write=False)
         self._gamma = None
+        self._operator = None
 
     def h(self, a, b) -> float:
         """Metric pairing h(a, b)."""
@@ -99,6 +110,35 @@ class LeftInvariantMetric:
             gamma = 0.5 * np.linalg.solve(g, rhs.reshape(d * d, d).T).T
             self._gamma = gamma.reshape(d, d, d)
         return self._gamma
+
+    def curvature_operator(self) -> tuple[np.ndarray, np.ndarray]:
+        """Curvature operator R and Gram matrix H = Lambda^2 phi on bivectors.
+
+        Both are symmetric d(d-1)/2 square matrices in the coordinates of
+        ``wedge_many``, so w = z1 ^ z2 gives w.Rw = <R(z1, z2) z2, z1>_h and
+        w.Hw = the h-Gram determinant of (z1, z2); the normalized curvature
+        of span{z1, z2} is the Rayleigh quotient w.Rw / w.Hw.  R is built
+        from ``connection()``.  Cached after first use.
+        """
+        if self._operator is None:
+            gamma = self.connection()
+            c = self.algebra.structure
+            # r[i, j, k, m]: e_m coefficient of R(e_i, e_j) e_k, where
+            # R(x, y) = D_x D_y - D_y D_x - D_[x,y]
+            dd = np.einsum("jkp,ipm->ijkm", gamma, gamma)
+            r = dd - dd.transpose(1, 0, 2, 3) - np.einsum("ijq,qkm->ijkm", c, gamma)
+            rm = r @ self.phi  # <R(e_i, e_j) e_k, e_l>_h
+            i, j = wedge_pairs(self.algebra.dim)
+            # entry (a, b) is <R(e_i, e_j) e_l, e_k>_h for the a-th pair
+            # (i, j) and the b-th pair (k, l)
+            op = rm[i, j][:, j, i]
+            op = 0.5 * (op + op.T)
+            p = self.phi
+            gram = p[np.ix_(i, i)] * p[np.ix_(j, j)] - p[np.ix_(i, j)] * p[np.ix_(j, i)]
+            op.setflags(write=False)
+            gram.setflags(write=False)
+            self._operator = (op, gram)
+        return self._operator
 
 
 def b_term(m: LeftInvariantMetric, z1, z2) -> np.ndarray:
@@ -169,6 +209,26 @@ def normalized_curvature_many(m: LeftInvariantMetric, z1s: np.ndarray, z2s: np.n
     g22 = np.einsum("nk,nk->n", pz2, z2s)
     g12 = np.einsum("nk,nk->n", pz1, z2s)
     return k / (g11 * g22 - g12 * g12)
+
+
+@functools.lru_cache(maxsize=None)
+def wedge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the bivector coordinates: the read-only
+    arrays ``np.triu_indices(dim, 1)``."""
+    i, j = np.triu_indices(dim, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def wedge_many(z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
+    """Row-wise bivector coordinates of z1 ^ z2 on (n, dim) stacks.
+
+    Coordinate k is z1[i] z2[j] - z1[j] z2[i] for the k-th pair (i, j) of
+    ``wedge_pairs(dim)``.
+    """
+    i, j = wedge_pairs(z1s.shape[1])
+    return z1s[:, i] * z2s[:, j] - z1s[:, j] * z2s[:, i]
 
 
 def normalized_curvature(m: LeftInvariantMetric, z1, z2) -> float:

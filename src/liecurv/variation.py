@@ -73,6 +73,8 @@ class InverseLinearPath:
             raise DimensionMismatch(
                 f"psi must be {algebra.dim}x{algebra.dim}, got {psi.shape}"
             )
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("psi has non-finite entries")
         if np.abs(psi - psi.T).max() > 1e-12 * max(1.0, np.abs(psi).max()):
             raise ValueError("psi is not symmetric")
         self.algebra = algebra

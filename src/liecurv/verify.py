@@ -8,27 +8,33 @@ Two search problems share the same engine shape:
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-Both run a coarse sampling stage followed by numeric-gradient descent with
-re-projection from the best starts.  A ``NegativeWitness`` verdict is
+Both run a coarse sampling stage followed by gradient descent with
+re-projection from the best starts.  The plane search uses exact-gradient
+descent on the Rayleigh quotient of the metric's curvature operator; the
+pair search uses central differences.  A ``NegativeWitness`` verdict is
 conclusive (the witness re-evaluates below -tol in isolation); a
 ``NonnegativeWithinBudget`` verdict is a bounded-search claim, not a proof.
 
-Determinism contract: all randomness is drawn up front from the given seed,
-refinement runs in fixed-size chunks whose boundaries do not depend on the
-worker count, and every array operation is row-independent, so reports are
-identical for any ``workers`` value.
+Determinism contract: all randomness is drawn up front from the given seed
+and all refined starts descend together in one batch, so reports are
+identical across runs for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import HorizonExceeded
-from .metric import LeftInvariantMetric, normalized_curvature_many
+from .metric import (
+    LeftInvariantMetric,
+    normalized_curvature_many,
+    wedge_many,
+    wedge_pairs,
+)
 from .variation import InverseLinearPath, kappa_of_t, kappa_third_deriv_many
 
 __all__ = [
@@ -52,10 +58,7 @@ VERDICT_NEGATIVE = "NegativeWitness"
 
 DEFAULT_TOL = 1e-9
 
-# refinement chunk size; fixed so that chunk boundaries (and therefore the
-# arrays fed to BLAS) do not depend on the worker count
-_CHUNK = 16
-_GRAD_DELTA = 1e-6
+_GRAD_DELTA = 1e-6  # central-difference step of the pair search
 _STEP_INIT = 0.05
 _STEP_STOP = 1e-10
 _MIX_GUARD = 0.1  # lower bound on |cos(phi - psi)| for sampled pairs
@@ -72,6 +75,22 @@ class Budget:
     def __post_init__(self):
         if min(self.samples, self.restarts, self.iters) <= 0:
             raise ValueError("budget fields must be positive")
+
+
+def _check_tol(tol) -> float:
+    tol = float(tol)
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    return tol
+
+
+def _warn_workers(workers):
+    if workers is not None:
+        warnings.warn(
+            "workers is deprecated and ignored: every search runs in one batch",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
 
 @dataclass(frozen=True)
@@ -167,37 +186,52 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
 # ---------------------------------------------------------------------------
 # plane search
 
-def _coordinate_planes(d: int) -> np.ndarray:
-    frames = []
-    eye = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            frames.append(np.stack([eye[i], eye[j]], axis=1))
-    return np.stack(frames)
+def _basis_planes(basis: np.ndarray) -> np.ndarray:
+    """Frames of the planes spanned by pairs of basis columns, in the order
+    of the bivector coordinates."""
+    i, j = wedge_pairs(basis.shape[1])
+    return np.stack([basis[:, i].T, basis[:, j].T], axis=2)
 
 
-def _eigenvector_planes(m: LeftInvariantMetric) -> np.ndarray:
-    v = m.eigenvectors
-    d = m.algebra.dim
-    frames = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            frames.append(np.stack([v[:, i], v[:, j]], axis=1))
-    return np.stack(frames)
+def _plane_values(op, frames: np.ndarray):
+    """Normalized curvature w.Rw / w.Hw of the planes of (n, d, 2) frames,
+    with Rw, Hw and w.Hw for the gradient."""
+    r, h = op
+    w = wedge_many(frames[:, :, 0], frames[:, :, 1])
+    rw, hw = w @ r, w @ h
+    wh = np.einsum("nk,nk->n", w, hw)
+    return np.einsum("nk,nk->n", w, rw) / wh, rw, hw, wh
 
 
-def _refine_planes(m: LeftInvariantMetric, frames: np.ndarray, iters: int):
+def _plane_gradient(op, frames: np.ndarray):
+    """Exact gradient of the normalized curvature of the planes of
+    orthonormal (n, d, 2) frames with respect to the two frame columns.
+
+    With v = 2 (Rw - f Hw) / w.Hw read as an antisymmetric matrix V, the
+    gradients are V z2 and -V z1; both are projected on the orthogonal
+    complement of the frame.
+    """
+    val, rw, hw, wh = _plane_values(op, frames)
+    v = 2.0 * (rw - val[:, None] * hw) / wh[:, None]
+    n, d, _ = frames.shape
+    i, j = wedge_pairs(d)
+    vm = np.zeros((n, d, d))
+    vm[:, i, j] = v
+    vm[:, j, i] = -v
+    grad = vm @ frames[:, :, ::-1]
+    grad[:, :, 1] *= -1.0
+    return grad - frames @ (frames.transpose(0, 2, 1) @ grad)
+
+
+def _refine_planes(op, frames: np.ndarray, iters: int):
     """Descend plane-normalized curvature from each start frame.
 
-    Chart at a frame: perturb each orthonormal column along the orthogonal
-    complement, orthonormalize, keep if the value drops.  All operations are
-    row-wise, so results do not depend on how starts are batched.
+    Each step moves the frame's columns along the unit steepest-descent
+    direction in the orthogonal complement, re-orthonormalizes by QR, and
+    keeps the result if the value drops.
     """
-    d = m.algebra.dim
-    kdim = d - 2
-    ncoord = 2 * kdim
     q = frames.copy()
-    val = normalized_curvature_many(m, q[:, :, 0], q[:, :, 1])
+    val = _plane_values(op, q)[0]
     step = np.full(len(q), _STEP_INIT)
     for _ in range(iters):
         active = step >= _STEP_STOP
@@ -205,30 +239,13 @@ def _refine_planes(m: LeftInvariantMetric, frames: np.ndarray, iters: int):
             break
         idx = np.nonzero(active)[0]
         qa = q[idx]
-        ra = len(idx)
-        comp = np.linalg.qr(qa, mode="complete")[0][:, :, 2:]
-        pert = np.repeat(qa[:, None], 2 * ncoord, axis=1)
-        for c in range(2):
-            for j in range(kdim):
-                k = c * kdim + j
-                pert[:, 2 * k, :, c] += _GRAD_DELTA * comp[:, :, j]
-                pert[:, 2 * k + 1, :, c] -= _GRAD_DELTA * comp[:, :, j]
-        flat = pert.reshape(ra * 2 * ncoord, d, 2)
-        fv = normalized_curvature_many(m, flat[:, :, 0], flat[:, :, 1])
-        fv = fv.reshape(ra, ncoord, 2)
-        grad = (fv[:, :, 0] - fv[:, :, 1]) / (2.0 * _GRAD_DELTA)
-        gnorm = np.linalg.norm(grad, axis=1)
+        grad = _plane_gradient(op, qa)
+        gnorm = np.sqrt(np.einsum("ndc,ndc->n", grad, grad))
         moving = gnorm > 1e-15
-        direction = np.zeros_like(grad)
-        direction[moving] = -grad[moving] / gnorm[moving, None]
-        move = np.empty_like(qa)
-        for c in range(2):
-            move[:, :, c] = np.einsum(
-                "rk,rdk->rd", direction[:, c * kdim:(c + 1) * kdim], comp
-            )
-        cand = qa + step[idx, None, None] * move
-        cq = np.linalg.qr(cand)[0]
-        cv = normalized_curvature_many(m, cq[:, :, 0], cq[:, :, 1])
+        move = np.zeros_like(grad)
+        move[moving] = -grad[moving] / gnorm[moving, None, None]
+        cq = np.linalg.qr(qa + step[idx, None, None] * move)[0]
+        cv = _plane_values(op, cq)[0]
         better = cv < val[idx]
         took = idx[better]
         q[took] = cq[better]
@@ -260,55 +277,38 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _map_chunks(fn, arrays: list, workers: int):
-    """Apply fn to fixed-size row chunks, optionally on a thread pool."""
-    n = len(arrays[0])
-    spans = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    jobs = [tuple(a[lo:hi] for a in arrays) for lo, hi in spans]
-    if workers <= 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
-
-
 def min_curvature(
     m: LeftInvariantMetric,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> CurvatureReport:
     """Search for the minimum plane-normalized curvature of a metric.
 
     Coarse stage: ``budget.samples`` random orthonormal frames plus the
-    coordinate and metric-eigenvector planes.  The best ``budget.restarts``
-    starts are refined by numeric-gradient descent.  The reported witness is
-    the canonicalized minimizing plane and ``min_value`` is the curvature
-    re-evaluated on it, so a negative verdict is reproducible in isolation.
+    coordinate and metric-eigenvector planes, scored by the Rayleigh
+    quotient of ``m.curvature_operator()``.  The best ``budget.restarts``
+    starts are refined together by exact-gradient descent.  The reported
+    witness is the canonicalized minimizing plane and ``min_value`` is the
+    closed-form curvature re-evaluated on it, so a negative verdict is
+    reproducible in isolation.  ``workers`` is deprecated and ignored.
     """
+    _warn_workers(workers)
+    tol = _check_tol(tol)
     budget = budget or Budget()
     d = m.algebra.dim
+    op = m.curvature_operator()
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((budget.samples, d, 2))
     pool = np.concatenate(
-        [np.linalg.qr(raw)[0], _coordinate_planes(d), _eigenvector_planes(m)]
+        [np.linalg.qr(raw)[0], _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)]
     )
-    vals = normalized_curvature_many(m, pool[:, :, 0], pool[:, :, 1])
+    vals = _plane_values(op, pool)[0]
     order = np.argsort(vals, kind="stable")
-    starts = pool[order[: budget.restarts]]
+    rv, rq = _refine_planes(op, pool[order[: budget.restarts]], budget.iters)
 
-    results = _map_chunks(
-        lambda f: _refine_planes(m, f, budget.iters), [starts], workers
-    )
-    best_val = np.inf
-    best_frame = starts[0]
-    for rv, rq in results:
-        k = int(np.argmin(rv))
-        if rv[k] < best_val:
-            best_val = float(rv[k])
-            best_frame = rq[k]
-
-    witness = _canonical_plane(best_frame)
+    witness = _canonical_plane(rq[int(np.argmin(rv))])
     final = float(
         normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0]
     )
@@ -421,7 +421,7 @@ def infinitesimal_check(
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> CurvatureReport:
     """Search for commuting pairs with negative kappa'''(0).
 
@@ -429,7 +429,10 @@ def infinitesimal_check(
     a nonnegative minimum is a bounded-search claim.  The report's witness is
     the orthonormal pair ((A, 0), (0, B)) spanning the worst plane, and
     ``small_t`` holds the twisted curvature at small times on that pair.
+    ``workers`` is deprecated and ignored.
     """
+    _warn_workers(workers)
+    tol = _check_tol(tol)
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
     psi = path.psi
@@ -449,21 +452,10 @@ def infinitesimal_check(
     order = np.argsort(vals, kind="stable")
     top = order[: budget.restarts]
 
-    results = _map_chunks(
-        lambda aa, bb, pp, qq: _refine_pairs(g, psi, aa, bb, pp, qq, budget.iters),
-        [a[top], b[top], p[top], q[top]],
-        workers,
-    )
-    best = np.inf
-    best_ab = (a[top][0], b[top][0])
-    for rv, ra, rb, _, _ in results:
-        k = int(np.argmin(rv))
-        if rv[k] < best:
-            best = float(rv[k])
-            best_ab = (ra[k], rb[k])
-
-    av = g.embed_factor(_sign_normalized(best_ab[0]), 1)
-    bv = g.embed_factor(_sign_normalized(best_ab[1]), 2)
+    rv, ra, rb, _, _ = _refine_pairs(g, psi, a[top], b[top], p[top], q[top], budget.iters)
+    k = int(np.argmin(rv))
+    av = g.embed_factor(_sign_normalized(ra[k]), 1)
+    bv = g.embed_factor(_sign_normalized(rb[k]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
     verdict = VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE
 
@@ -590,14 +582,17 @@ def path_scan(
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> list[CurvatureReport]:
     """Run ``min_curvature`` on the path metric at each grid time.
 
     All grid times are validated against the positive-definiteness horizon
     before any work starts.  Each time gets an independent derived seed, so
-    the scan is reproducible entry by entry.
+    the scan is reproducible entry by entry.  ``workers`` is deprecated and
+    ignored.
     """
+    _warn_workers(workers)
+    tol = _check_tol(tol)
     path = InverseLinearPath(g, psi)
     t_grid = [float(t) for t in t_grid]
     for t in t_grid:
@@ -606,9 +601,7 @@ def path_scan(
     reports = []
     for i, t in enumerate(t_grid):
         metric = path.metric_at(t)
-        rep = min_curvature(
-            metric, budget=budget, tol=tol, seed=derived_seed(seed, i), workers=workers
-        )
+        rep = min_curvature(metric, budget=budget, tol=tol, seed=derived_seed(seed, i))
         reports.append(
             CurvatureReport(
                 verdict=rep.verdict,

@@ -67,6 +67,15 @@ def test_bracket_dimension_mismatch(g4):
         g4.bracket(np.ones(3), np.ones(6))
 
 
+def test_bracket_many_is_bitwise_row_bracket(g3, g4):
+    rng = np.random.default_rng(5)
+    for g in (g3, g4):
+        for n in (1, 64, 4096):
+            xs, ys = rng.standard_normal((2, n, g.dim))
+            rows = np.array([g.bracket(x, y) for x, y in zip(xs, ys)])
+            assert np.array_equal(g.bracket_many(xs, ys), rows)
+
+
 def test_ad_matrix_matches_bracket(g4):
     rng = np.random.default_rng(2)
     x, y = rng.standard_normal((2, 6))

@@ -70,6 +70,24 @@ def test_invalid_inputs_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_inputs_exit_two(capsys, bad):
+    argvs = [
+        ["check", "--phi", f"diag:{bad},1,1,1,1,1"],
+        ["check", "--family", "s3-action", "--a", bad],
+        ["infinitesimal", "--psi", f"diag:{bad},0,0,0,0,0"],
+        ["infinitesimal", "--family", "torus", "--c", bad],
+        ["path", "--psi", f"diag:0.1,{bad},0,0,0,0", "--t-grid", "0.5"],
+        ["path", "--family", "s3-action", "--alpha", bad, "--t-grid", "0.5"],
+        ["check", "--phi", "diag:1.4,1,1,1,1,1", "--tol", bad],
+        ["infinitesimal", "--family", "torus", "--c", "0.5", "--tol", bad],
+        ["path", "--family", "torus", "--c", "0.5", "--t-grid", "0.5", "--tol", bad],
+    ]
+    for argv in argvs:
+        assert main(argv + LIGHT) == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -10,7 +10,7 @@ from liecurv import (
     normalized_curvature,
     puttmann_curvature,
 )
-from liecurv.metric import normalized_curvature_many
+from liecurv.metric import normalized_curvature_many, wedge_many
 
 from conftest import random_spd
 
@@ -119,3 +119,41 @@ def test_asymmetric_phi_rejected(g4):
     phi[0, 1] = 1e-6
     with pytest.raises(ValueError):
         LeftInvariantMetric(g4, phi)
+
+
+def test_non_finite_phi_rejected(g4):
+    for bad in (np.nan, np.inf, -np.inf):
+        phi = np.eye(6)
+        phi[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LeftInvariantMetric(g4, phi)
+
+
+def test_curvature_operator_matches_both_routes(g3, g4):
+    rng = np.random.default_rng(3)
+    for g in (g3, g4):
+        m = LeftInvariantMetric(g, random_spd(rng, g.dim))
+        r, h = m.curvature_operator()
+        npair = g.dim * (g.dim - 1) // 2
+        assert r.shape == h.shape == (npair, npair)
+        assert np.array_equal(r, r.T) and np.array_equal(h, h.T)
+        z1s, z2s = rng.standard_normal((2, 200, g.dim))
+        w = wedge_many(z1s, z2s)
+        wrw = np.einsum("nk,kl,nl->n", w, r, w)
+        wh = np.einsum("nk,kl,nl->n", w, h, w)
+        ref = normalized_curvature_many(m, z1s, z2s)
+        assert np.all(np.abs(wrw / wh - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        oracle = np.array([koszul_oracle(m, a, b) for a, b in zip(z1s, z2s)])
+        assert np.all(np.abs(wrw - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_curvature_operator_cached_per_metric(g4):
+    rng = np.random.default_rng(4)
+    phi = random_spd(rng, 6)
+    m = LeftInvariantMetric(g4, phi)
+    first = m.curvature_operator()
+    assert m.curvature_operator() is first
+    assert not first[0].flags.writeable and not first[1].flags.writeable
+    other = LeftInvariantMetric(g4, phi).curvature_operator()
+    assert other is not first
+    assert np.array_equal(other[0], first[0]) and np.array_equal(other[1], first[1])

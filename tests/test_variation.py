@@ -215,3 +215,11 @@ def test_derivative_report_consistency(g4):
     rep = derivative_report(g4, psi, pair.x, pair.y)
     assert abs(rep.fd_k2 - rep.k2) < 1e-5 * max(abs(rep.k2), 1e-3)
     assert abs(rep.fd_kappa3 - rep.kappa3) < 1e-4 * max(abs(rep.kappa3), 1e-3)
+
+
+def test_non_finite_psi_rejected(g4):
+    for bad in (np.nan, np.inf):
+        psi = np.zeros((6, 6))
+        psi[2, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            InverseLinearPath(g4, psi)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     Budget,
@@ -18,11 +20,13 @@ from liecurv import (
     s3_action_phi,
     s3_action_psi,
     sample_commuting_pairs,
+    so4,
     torus_psi,
 )
-from liecurv.verify import derived_seed
+from liecurv.metric import normalized_curvature_many, wedge_many
+from liecurv.verify import _basis_planes, _plane_gradient, derived_seed
 
-from conftest import random_symmetric
+from conftest import random_spd, random_symmetric
 
 LIGHT = Budget(samples=512, restarts=8, iters=60)
 
@@ -102,6 +106,100 @@ def test_min_curvature_deterministic_across_workers(g4):
     a = min_curvature(m, LIGHT, seed=7, workers=1)
     b = min_curvature(m, LIGHT, seed=7, workers=4)
     assert a == b
+
+
+def test_workers_is_deprecated_and_ignored(g4):
+    m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
+    with pytest.warns(DeprecationWarning, match="workers"):
+        rep = min_curvature(m, LIGHT, seed=7, workers=2)
+    assert rep == min_curvature(m, LIGHT, seed=7)
+    psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
+    with pytest.warns(DeprecationWarning, match="workers"):
+        infinitesimal_check(g4, psi, Budget(64, 2, 5), seed=1, workers=2)
+    with pytest.warns(DeprecationWarning, match="workers"):
+        path_scan(g4, psi, [0.1], budget=Budget(64, 2, 5), workers=2)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+def test_non_finite_tol_rejected(g4, tol):
+    m = LeftInvariantMetric(g4, np.eye(6))
+    psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
+    with pytest.raises(ValueError, match="tol"):
+        min_curvature(m, LIGHT, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        infinitesimal_check(g4, psi, LIGHT, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        path_scan(g4, psi, [0.1], budget=LIGHT, tol=tol)
+
+
+def test_basis_planes_follow_wedge_coordinates(g3, g4):
+    for g in (g3, g4):
+        frames = _basis_planes(np.eye(g.dim))
+        w = wedge_many(frames[:, :, 0], frames[:, :, 1])
+        assert np.array_equal(w, np.eye(len(w)))
+
+
+def test_plane_gradient_matches_central_differences(g3, g4):
+    rng = np.random.default_rng(40)
+    h = 1e-5
+    for g in (g3, g4):
+        m = LeftInvariantMetric(g, random_spd(rng, g.dim))
+        op = m.curvature_operator()
+        frames = np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0]
+        grad = _plane_gradient(op, frames)
+        # the gradient lies in the orthogonal complement of the plane
+        assert np.abs(frames.transpose(0, 2, 1) @ grad).max() < 1e-12
+        for c in range(2):
+            u = rng.standard_normal((20, g.dim))
+            u -= np.einsum("ndk,nk->nd", frames, np.einsum("ndk,nd->nk", frames, u))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            plus, minus = frames.copy(), frames.copy()
+            plus[:, :, c] += h * u
+            minus[:, :, c] -= h * u
+            fd = (
+                normalized_curvature_many(m, plus[:, :, 0], plus[:, :, 1])
+                - normalized_curvature_many(m, minus[:, :, 0], minus[:, :, 1])
+            ) / (2.0 * h)
+            exact = np.einsum("nd,nd->n", u, grad[:, :, c])
+            assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
+
+
+def _rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r=st.floats(1.4, 2.0),
+    s=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+    swap=st.booleans(),
+)
+def test_berger_excess_minimum_is_exact(r, s, seed, swap):
+    """A Berger-excess factor s Q diag(r, 1, 1) Q^T (r > 4/3) next to a
+    bi-invariant factor has minimum sectional curvature (1 - 3r/4)/s; an
+    automorphism diag(Q1, Q2), optionally with the factor swap, keeps it."""
+    rng = np.random.default_rng(seed)
+    q = _rotation(rng)
+    phi = np.eye(6)
+    phi[:3, :3] = s * q @ np.diag([r, 1.0, 1.0]) @ q.T
+    auto = np.zeros((6, 6))
+    auto[:3, :3] = _rotation(rng)
+    auto[3:, 3:] = _rotation(rng)
+    if swap:
+        auto = auto[[3, 4, 5, 0, 1, 2]]
+    phi = auto @ phi @ auto.T
+    m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
+    rep = min_curvature(m, seed=seed)
+    expected = (1.0 - 0.75 * r) / s
+    assert rep.verdict == VERDICT_NEGATIVE
+    assert abs(rep.min_value - expected) <= 1e-9 * abs(expected)
+    w = np.array(rep.witness)
+    assert normalized_curvature(m, w[0], w[1]) < -1e-9
 
 
 def test_infinitesimal_torus_flat(g4):
