@@ -38,4 +38,4 @@ class FamilyConstraintViolated(LieCurvError):
 
 
 class NormalFormUnavailable(LieCurvError):
-    """No invariant abelian plane was found within the search budget."""
+    """No invariant abelian plane reaches the invariance tolerance."""

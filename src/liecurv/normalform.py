@@ -14,14 +14,16 @@ In the ordered basis (A1, B1, A2, B2, A3, B3) the matrix is
     [ .  .  L  . c1 c3 ]
     [ .  .  .  M c3 c2 ]
 
-The plane is found by search when not supplied: eigenvector pairings of the
-two diagonal blocks seed a sphere-grid scan refined by tangent descent.  The
-in-plane angle for A2 is located by sign-change bisection of the quadratic
-form F below, whose antisymmetry under a quarter turn guarantees a root.
+Both steps are closed constructions.  When the plane is not supplied, it is
+read off the eigenspaces of the two diagonal blocks and one SVD of the
+cross-factor coupling restricted to each pairing of them.  The rest of the
+bases are the singular vectors of that coupling between the complements of
+A1 and B1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .errors import DimensionMismatch, NormalFormUnavailable
 from .variation import kappa_third_deriv
+from .verify import _unit_complement, eigenstructure
 
 __all__ = [
     "NormalFormBasis",
@@ -100,179 +103,114 @@ def invariant_plane_residual(psi, a, b) -> float:
     return float(_plane_residual_many(psi, a[None], b[None])[0])
 
 
-def _sphere_grid(n: int) -> np.ndarray:
-    """Deterministic golden-spiral points on the unit 2-sphere."""
-    i = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def _kernel(m: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the vectors x with |m x| <= tol."""
+    _, s, vh = np.linalg.svd(m)
+    return vh[int(np.sum(s > tol)):].T
 
 
-def _complement3(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    axis = int(np.argmin(np.abs(v)))
-    e = np.zeros(3)
-    e[axis] = 1.0
-    u1 = np.cross(v, e)
-    u1 /= np.linalg.norm(u1)
-    return u1, np.cross(v, u1)
+def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
+    """Largest subspaces A of span(e) and B of span(f) with C^T A in B and
+    C B in A, as orthonormal columns.
 
-
-def _polish_plane(psi, a, b, iters: int = 200):
-    """Tangent-chart descent on the invariance residual from one start."""
-    val = invariant_plane_residual(psi, a, b)
-    step = 0.1
-    delta = 1e-6
-    for _ in range(iters):
-        if step < 1e-12:
-            break
-        ua1, ua2 = _complement3(a)
-        ub1, ub2 = _complement3(b)
-        grad = np.zeros(4)
-        basis = (ua1, ua2, ub1, ub2)
-        for k in range(4):
-            da = delta * basis[k] if k < 2 else 0.0
-            db = delta * basis[k] if k >= 2 else 0.0
-            fp = invariant_plane_residual(psi, a + da, b + db)
-            fm = invariant_plane_residual(psi, a - da, b - db)
-            grad[k] = (fp - fm) / (2.0 * delta)
-        gn = np.linalg.norm(grad)
-        if gn < 1e-16:
-            break
-        d = -grad / gn * step
-        an = a + d[0] * ua1 + d[1] * ua2
-        bn = b + d[2] * ub1 + d[3] * ub2
-        an /= np.linalg.norm(an)
-        bn /= np.linalg.norm(bn)
-        cand = invariant_plane_residual(psi, an, bn)
-        if cand < val:
-            a, b, val = an, bn, cand
-            step *= 1.6
-        else:
-            step *= 0.5
-    return val, a, b
-
-
-def _find_invariant_plane(psi: np.ndarray, grid: int, iters: int):
-    p, q, _ = _blocks(psi)
-    _, vp = np.linalg.eigh(p)
-    _, vq = np.linalg.eigh(q)
-    cand_a = np.concatenate([vp.T, _sphere_grid(grid)])
-    cand_b = np.concatenate([vq.T, _sphere_grid(grid)])
-    na, nb = len(cand_a), len(cand_b)
-    aa = np.repeat(cand_a, nb, axis=0)
-    bb = np.tile(cand_b, (na, 1))
-    res = _plane_residual_many(psi, aa, bb)
-    order = np.argsort(res, kind="stable")
-    best = (np.inf, None, None)
-    for k in order[:8]:
-        val, a, b = _polish_plane(psi, aa[k], bb[k], iters)
-        if val < best[0]:
-            best = (val, a, b)
-    return best
-
-
-def _rot90(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
-
-
-def _bisect_mixing_angle(m2: np.ndarray) -> float:
-    """Root of F(theta) = <T a(theta), T a(theta + pi/2)> by bisection.
-
-    F flips sign under a quarter turn, so [0, pi/2] brackets a root.
+    One restriction to the kernels of the off-subspace couplings can leave
+    C^T A partly outside B; repeating it until neither space shrinks makes
+    every singular pair of B^T C^T A an exact plane.
     """
+    while True:
+        a = e @ _kernel(c.T @ e - f @ (f.T @ c.T @ e), tol)
+        b = f @ _kernel(c @ f - e @ (e.T @ c @ f), tol)
+        if a.shape == e.shape and b.shape == f.shape:
+            return e, f
+        e, f = a, b
 
-    def f(theta: float) -> float:
-        a = np.array([np.cos(theta), np.sin(theta)])
-        return float((m2 @ a) @ (m2 @ _rot90(a)))
 
-    scale = max(float(np.abs(m2).max()) ** 2, 1e-300)
-    lo, hi = 0.0, 0.5 * np.pi
-    flo = f(lo)
-    if abs(flo) <= 1e-16 * scale:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= 1e-16 * scale:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _candidate_planes(psi: np.ndarray, tol: float):
+    """Unit rows (a, b) pairing every right with every left singular vector
+    of the coupling restricted to each pair of eigenspaces of P and Q.
+
+    The plane is invariant iff P a = lambda a, Q b = mu b, C^T a = sigma b and
+    C b = sigma a, so when an invariant plane exists, one is a candidate.
+    """
+    p, q, c = _blocks(psi)
+    cand_a, cand_b = [], []
+    for e, f in itertools.product(eigenstructure(p).eigenspaces, eigenstructure(q).eigenspaces):
+        a, b = _coupled_subspaces(c, e, f, tol)
+        u, _, vh = np.linalg.svd(b.T @ c.T @ a)
+        rows_a, rows_b = vh @ a.T, u.T @ b.T
+        cand_a.append(np.repeat(rows_a, len(rows_b), axis=0))
+        cand_b.append(np.tile(rows_b, (len(rows_a), 1)))
+    return np.concatenate(cand_a), np.concatenate(cand_b)
+
+
+def _proper(basis: np.ndarray) -> np.ndarray:
+    """Flip the third row of an orthonormal basis with det -1.
+
+    Only bases of determinant +1 give an automorphism of so(4); the flip
+    changes signs inside the allowed pattern, not the pattern.
+    """
+    if np.linalg.det(basis) < 0.0:
+        basis[2] *= -1.0
+    return basis
 
 
 def psi_normal_form(
     g: LieAlgebra,
     psi,
     plane: tuple[np.ndarray, np.ndarray] | None = None,
-    grid: int = 96,
-    refine_iters: int = 200,
 ) -> NormalFormBasis:
     """Adapted bases in which psi takes the coupled-pairs normal form.
 
-    ``plane`` optionally supplies the invariant abelian plane as unit factor
-    vectors (a, b); otherwise the plane is searched for.  The off-pattern
-    entries of the returned matrix vanish exactly when the plane is truly
-    invariant; their size is bounded by the reported plane residual.
+    ``plane`` optionally supplies the invariant abelian plane as factor
+    vectors (a, b); otherwise it is constructed from the eigenspaces of the
+    diagonal blocks.  Both returned bases are proper rotations, so the
+    basis change is an automorphism of so(4).  The off-pattern entries of
+    the returned matrix vanish exactly when the plane is truly invariant;
+    their size is bounded by the reported plane residual.
 
     Raises:
+        ValueError: for non-finite psi or a zero or non-finite plane vector.
         NormalFormUnavailable: when no plane reaches the invariance
-            tolerance within the search budget.
+            tolerance.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (6, 6):
         raise DimensionMismatch("psi must be 6x6")
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("psi has non-finite entries")
     if np.abs(psi - psi.T).max() > 1e-12 * max(1.0, np.abs(psi).max()):
         raise ValueError("psi is not symmetric")
     psi = 0.5 * (psi + psi.T)
     tol = _INVARIANCE_TOL * max(1.0, float(np.abs(np.linalg.eigvalsh(psi)).max()))
 
     if plane is not None:
-        a1 = np.asarray(plane[0], dtype=float)
-        b1 = np.asarray(plane[1], dtype=float)
-        a1 /= np.linalg.norm(a1)
-        b1 /= np.linalg.norm(b1)
-        residual = invariant_plane_residual(psi, a1, b1)
+        ab = np.asarray(plane, dtype=float).reshape(2, 1, 3)
+        norms = np.linalg.norm(ab, axis=2, keepdims=True)
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise ValueError("plane vectors must be finite and nonzero")
+        aa, bb = ab / norms
     else:
-        residual, a1, b1 = _find_invariant_plane(psi, grid, refine_iters)
+        aa, bb = _candidate_planes(psi, tol)
+    res = _plane_residual_many(psi, aa, bb)
+    residual = float(res.min(initial=np.inf))
     if residual > tol:
         raise NormalFormUnavailable(
             f"best invariance residual {residual:.3e} exceeds tolerance {tol:.3e}"
         )
+    k = int(np.argmin(res))
+    a1, b1 = aa[k], bb[k]
 
-    ua1, ua2 = _complement3(a1)
-    ub1, ub2 = _complement3(b1)
-    v1 = np.stack([ua1, ua2], axis=1)  # factor-1 complement of A1, (3, 2)
-    v2 = np.stack([ub1, ub2], axis=1)
+    v1 = np.concatenate(_unit_complement(a1[None])).T  # factor-1 complement of A1, (3, 2)
+    v2 = np.concatenate(_unit_complement(b1[None])).T
     _, _, c = _blocks(psi)
-    # T1: complement of A1 -> complement of B1, in the (v1, v2) coordinates
+    # T1: complement of A1 -> complement of B1, in the (v1, v2) coordinates;
+    # its singular pairs couple A2 only to B2 and A3 only to B3
     m2 = v2.T @ c.T @ v1
-    svals = np.linalg.svd(m2, compute_uv=False)
+    u, svals, vh = np.linalg.svd(m2)
     singular = svals[-1] <= _SINGULAR_TOL * max(1.0, svals[0])
 
-    if singular:
-        if svals[0] <= _SINGULAR_TOL:
-            a2c = np.array([1.0, 0.0])
-            b2c = np.array([1.0, 0.0])
-        else:
-            u, _, vh = np.linalg.svd(m2)
-            a2c = vh[1]  # kernel of T1
-            b2c = u[:, 1]  # kernel of the adjoint
-        a3c = _rot90(a2c)
-        b3c = _rot90(b2c)
-    else:
-        theta = _bisect_mixing_angle(m2)
-        a2c = np.array([np.cos(theta), np.sin(theta)])
-        a3c = _rot90(a2c)
-        b2c = m2 @ a2c
-        b2c /= np.linalg.norm(b2c)
-        b3c = m2 @ a3c
-        b3c /= np.linalg.norm(b3c)
-
-    a_basis = np.stack([a1, v1 @ a2c, v1 @ a3c])
-    b_basis = np.stack([b1, v2 @ b2c, v2 @ b3c])
+    a_basis = _proper(np.stack([a1, v1 @ vh[1], v1 @ vh[0]]))
+    b_basis = _proper(np.stack([b1, v2 @ u[:, 1], v2 @ u[:, 0]]))
     cols = []
     for i in range(3):
         cols.append(g.embed_factor(a_basis[i], 1))

@@ -22,6 +22,7 @@ identical across runs for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,8 +74,11 @@ class Budget:
     iters: int = 200
 
     def __post_init__(self):
-        if min(self.samples, self.restarts, self.iters) <= 0:
-            raise ValueError("budget fields must be positive")
+        for name in ("samples", "restarts", "iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"budget field {name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers are not JSON values
 
 
 def _check_tol(tol) -> float:
@@ -494,9 +498,11 @@ def eigenstructure(psi, cluster_tol: float = 1e-8) -> EigenStructure:
     below ``cluster_tol``.
 
     The gap scale is the largest absolute eigenvalue, so a zero map yields a
-    single cluster.
+    single cluster.  Non-finite psi raises ValueError.
     """
     psi = np.asarray(psi, dtype=float)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("psi has non-finite entries")
     psi = 0.5 * (psi + psi.T)
     w, v = np.linalg.eigh(psi)
     scale = max(np.abs(w).max(), 1e-300)
@@ -533,7 +539,7 @@ def lemma_k_check(g: LieAlgebra, psi, n: int = 200, seed: int = 0) -> LemmaKRepo
     from the null space of ad(x)), measures the component of [x, psi y]
     orthogonal to that eigenspace, relative to the operator norm of psi.
     Infinitesimally nonnegative variations satisfy this with residual 0;
-    PASS means max residual below 1e-8.
+    PASS means max residual below 1e-8.  Non-finite psi raises ValueError.
     """
     psi = np.asarray(psi, dtype=float)
     psi = 0.5 * (psi + psi.T)

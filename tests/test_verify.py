@@ -26,9 +26,20 @@ from liecurv import (
 from liecurv.metric import normalized_curvature_many, wedge_many
 from liecurv.verify import _basis_planes, _plane_gradient, derived_seed
 
-from conftest import random_spd, random_symmetric
+from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
 
 LIGHT = Budget(samples=512, restarts=8, iters=60)
+
+
+@pytest.mark.parametrize(
+    "field", [{"samples": 2.5}, {"samples": float("nan")}, {"restarts": True},
+              {"iters": "60"}, {"iters": 0}, {"restarts": -3}],
+)
+def test_budget_fields_must_be_positive_integers(field):
+    with pytest.raises(ValueError, match=f"budget field {next(iter(field))}"):
+        Budget(**field)
+    samples = Budget(samples=np.int64(64), restarts=2, iters=5).samples
+    assert samples == 64 and type(samples) is int
 
 
 def test_sampling_empty_on_so3(g3):
@@ -164,14 +175,6 @@ def test_plane_gradient_matches_central_differences(g3, g4):
             assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
-def _rotation(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     r=st.floats(1.4, 2.0),
@@ -184,14 +187,10 @@ def test_berger_excess_minimum_is_exact(r, s, seed, swap):
     bi-invariant factor has minimum sectional curvature (1 - 3r/4)/s; an
     automorphism diag(Q1, Q2), optionally with the factor swap, keeps it."""
     rng = np.random.default_rng(seed)
-    q = _rotation(rng)
+    q = random_rotation(rng)
     phi = np.eye(6)
     phi[:3, :3] = s * q @ np.diag([r, 1.0, 1.0]) @ q.T
-    auto = np.zeros((6, 6))
-    auto[:3, :3] = _rotation(rng)
-    auto[3:, 3:] = _rotation(rng)
-    if swap:
-        auto = auto[[3, 4, 5, 0, 1, 2]]
+    auto = random_automorphism(rng, swap)
     phi = auto @ phi @ auto.T
     m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
     rep = min_curvature(m, seed=seed)
@@ -294,6 +293,22 @@ def test_eigenstructure_spaces_orthogonal_and_invariant(g4):
         assert np.abs(resid).max() < 1e-8
         for other in es.eigenspaces[i + 1:]:
             assert np.abs(space.T @ other).max() < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigenstructure_rejects_non_finite(bad):
+    psi = np.eye(6)
+    psi[2, 4] = psi[4, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenstructure(psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lemma_k_rejects_non_finite(g4, bad):
+    psi = torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4)
+    psi[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        lemma_k_check(g4, psi, n=10)
 
 
 def test_lemma_k_torus_and_scalar_pass(g4):
