@@ -56,12 +56,20 @@ def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
         raise ValueError(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(mat)
     if w[0] <= 0.0:
         raise NotPositiveDefinite(f"{name} has eigenvalue {w[0]:.3e}")
     return 0.5 * (mat + mat.T)
+
+
+def _require_finite(**values):
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} is non-finite: {value}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,7 @@ class TorusParams:
     tau_block: np.ndarray
 
     def __post_init__(self):
+        _require_finite(c=self.c, d=self.d)
         if self.c <= 0.0 or self.d <= 0.0:
             raise FamilyConstraintViolated("c and d must be positive")
         tau = _check_spd(self.tau_block, "tau_block")
@@ -182,6 +191,7 @@ class S3ActionParams:
         lam = np.asarray(self.lam, dtype=float)
         if lam.shape != (3,):
             raise DimensionMismatch("lam must have three entries")
+        _require_finite(a=self.a, b=self.b, lam=lam)
         if self.a <= 0.0 or self.b <= 0.0 or lam.min() <= 0.0:
             raise FamilyConstraintViolated("a, b and all lambda_i must be positive")
         lam = lam.copy()

@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import LieAlgebra
 from .errors import DimensionMismatch, NormalFormUnavailable
 from .variation import kappa_third_deriv
-from .verify import _unit_complement, eigenstructure
+from .verify import eigenstructure
 
 __all__ = [
     "NormalFormBasis",
@@ -76,6 +76,27 @@ def _blocks(psi: np.ndarray):
     return p, q, c
 
 
+def _unit_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal complement (u1, u2) of the unit rows of a, (r, 3) each."""
+    r = len(a)
+    axis = np.argmin(np.abs(a), axis=1)
+    e = np.zeros_like(a)
+    e[np.arange(r), axis] = 1.0
+    u1 = np.cross(a, e)
+    u1 /= np.linalg.norm(u1, axis=1)[:, None]
+    u2 = np.cross(a, u1)
+    return u1, u2
+
+
+def _unit_plane(plane) -> np.ndarray:
+    """The plane vectors (a, b) as unit rows, shape (2, 1, 3)."""
+    ab = np.asarray(plane, dtype=float).reshape(2, 1, 3)
+    norms = np.linalg.norm(ab, axis=2, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        raise ValueError("plane vectors must be finite and nonzero")
+    return ab / norms
+
+
 def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Invariance residual of span{(a, 0), (0, b)} for unit rows a, b."""
     p, q, c = _blocks(psi)
@@ -96,11 +117,12 @@ def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def invariant_plane_residual(psi, a, b) -> float:
-    """Invariance residual of a single candidate plane."""
+    """Invariance residual of a single candidate plane.
+
+    Raises ValueError for a zero or non-finite plane vector.
+    """
     psi = np.asarray(psi, dtype=float)
-    a = np.asarray(a, dtype=float) / np.linalg.norm(a)
-    b = np.asarray(b, dtype=float) / np.linalg.norm(b)
-    return float(_plane_residual_many(psi, a[None], b[None])[0])
+    return float(_plane_residual_many(psi, *_unit_plane((a, b)))[0])
 
 
 def _kernel(m: np.ndarray, tol: float) -> np.ndarray:
@@ -184,11 +206,7 @@ def psi_normal_form(
     tol = _INVARIANCE_TOL * max(1.0, float(np.abs(np.linalg.eigvalsh(psi)).max()))
 
     if plane is not None:
-        ab = np.asarray(plane, dtype=float).reshape(2, 1, 3)
-        norms = np.linalg.norm(ab, axis=2, keepdims=True)
-        if not np.all(np.isfinite(norms) & (norms > 0.0)):
-            raise ValueError("plane vectors must be finite and nonzero")
-        aa, bb = ab / norms
+        aa, bb = _unit_plane(plane)
     else:
         aa, bb = _candidate_planes(psi, tol)
     res = _plane_residual_many(psi, aa, bb)

@@ -8,11 +8,11 @@ Two search problems share the same engine shape:
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-Both run a coarse sampling stage followed by gradient descent with
-re-projection from the best starts.  The plane search uses exact-gradient
-descent on the Rayleigh quotient of the metric's curvature operator; the
-pair search uses central differences.  A ``NegativeWitness`` verdict is
-conclusive (the witness re-evaluates below -tol in isolation); a
+Both run a coarse sampling stage followed by one exact-gradient descent
+loop, ``_descend``, from the best starts: over orthonormal frames on the
+curvature operator's Rayleigh quotient, and over (A, B) in S^2 x S^2 on the
+biquadratic form ``_pair_form`` of kappa'''(0).  A ``NegativeWitness``
+verdict is conclusive (the witness re-evaluates below -tol in isolation); a
 ``NonnegativeWithinBudget`` verdict is a bounded-search claim, not a proof.
 
 Determinism contract: all randomness is drawn up front from the given seed
@@ -59,10 +59,8 @@ VERDICT_NEGATIVE = "NegativeWitness"
 
 DEFAULT_TOL = 1e-9
 
-_GRAD_DELTA = 1e-6  # central-difference step of the pair search
 _STEP_INIT = 0.05
 _STEP_STOP = 1e-10
-_MIX_GUARD = 0.1  # lower bound on |cos(phi - psi)| for sampled pairs
 
 
 @dataclass(frozen=True)
@@ -227,37 +225,37 @@ def _plane_gradient(op, frames: np.ndarray):
     return grad - frames @ (frames.transpose(0, 2, 1) @ grad)
 
 
-def _refine_planes(op, frames: np.ndarray, iters: int):
-    """Descend plane-normalized curvature from each start frame.
+def _descend(values, gradient, retract, x: np.ndarray, iters: int):
+    """Descend ``values`` from each start of the (n, d, 2) stack x.
 
-    Each step moves the frame's columns along the unit steepest-descent
-    direction in the orthogonal complement, re-orthonormalizes by QR, and
-    keeps the result if the value drops.
+    Each step moves both columns along the unit steepest-descent direction
+    of the (tangent) ``gradient``, maps the result back onto the search
+    manifold with ``retract``, and keeps it if the value drops.
     """
-    q = frames.copy()
-    val = _plane_values(op, q)[0]
-    step = np.full(len(q), _STEP_INIT)
+    x = x.copy()
+    val = values(x)
+    step = np.full(len(x), _STEP_INIT)
     for _ in range(iters):
         active = step >= _STEP_STOP
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        qa = q[idx]
-        grad = _plane_gradient(op, qa)
+        xa = x[idx]
+        grad = gradient(xa)
         gnorm = np.sqrt(np.einsum("ndc,ndc->n", grad, grad))
         moving = gnorm > 1e-15
         move = np.zeros_like(grad)
         move[moving] = -grad[moving] / gnorm[moving, None, None]
-        cq = np.linalg.qr(qa + step[idx, None, None] * move)[0]
-        cv = _plane_values(op, cq)[0]
+        cx = retract(xa + step[idx, None, None] * move)
+        cv = values(cx)
         better = cv < val[idx]
         took = idx[better]
-        q[took] = cq[better]
+        x[took] = cx[better]
         val[took] = cv[better]
         new_step = np.where(better, step[idx] * 1.6, step[idx] * 0.5)
         new_step[~moving] = 0.0
         step[idx] = new_step
-    return val, q
+    return val, x
 
 
 def _canonical_plane(frame: np.ndarray) -> np.ndarray:
@@ -310,7 +308,13 @@ def min_curvature(
     )
     vals = _plane_values(op, pool)[0]
     order = np.argsort(vals, kind="stable")
-    rv, rq = _refine_planes(op, pool[order[: budget.restarts]], budget.iters)
+    rv, rq = _descend(
+        lambda f: _plane_values(op, f)[0],
+        lambda f: _plane_gradient(op, f),
+        lambda f: np.linalg.qr(f)[0],
+        pool[order[: budget.restarts]],
+        budget.iters,
+    )
 
     witness = _canonical_plane(rq[int(np.argmin(rv))])
     final = float(
@@ -330,88 +334,43 @@ def min_curvature(
 # ---------------------------------------------------------------------------
 # commuting-pair search
 
-def _unit_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal complement (u1, u2) of the unit rows of a, (r, 3) each."""
-    r = len(a)
-    axis = np.argmin(np.abs(a), axis=1)
-    e = np.zeros_like(a)
-    e[np.arange(r), axis] = 1.0
-    u1 = np.cross(a, e)
-    u1 /= np.linalg.norm(u1, axis=1)[:, None]
-    u2 = np.cross(a, u1)
-    return u1, u2
+def _pair_form(g: LieAlgebra, psi: np.ndarray) -> np.ndarray:
+    """The 3x3x3x3 tensor T with kappa'''(0) on ((a, 0), (0, b)) equal to
+    a_i a_j T_ijkl b_k b_l, symmetric in (i, j) and in (k, l).
 
-
-def _pair_values(g, psi, a, b, p, q):
-    """Normalized kappa'''(0) of the pairs built from (a, b, angles)."""
-    r = len(a)
-    av = np.zeros((r, 6))
-    bv = np.zeros((r, 6))
-    av[:, :3] = a
-    bv[:, 3:] = b
-    x = np.cos(p)[:, None] * av + np.sin(p)[:, None] * bv
-    y = -np.sin(q)[:, None] * av + np.cos(q)[:, None] * bv
-    gram = np.cos(p - q) ** 2
-    vals = kappa_third_deriv_many(g, psi, x, y)
-    out = np.full(r, np.inf)
-    ok = gram >= _MIX_GUARD**2
-    out[ok] = vals[ok] / gram[ok]
-    return out
-
-
-def _refine_pairs(g, psi, a, b, p, q, iters: int):
-    """Descend normalized kappa'''(0) over (A, B, mixing angles).
-
-    The sphere directions use tangent-plane charts that are re-centered
-    after every accepted step; the two mixing angles are pure gauge for the
-    normalized objective but are kept in the parameter vector.
+    kappa'''(0) is biquadratic in the pair, so T is its polarization,
+    T_ijkl = sum over s, t = +-1 of s t f(e_i + s e_j, e_k + t e_l) / 16,
+    read off one batch of 324 closed-form evaluations.
     """
-    a, b, p, q = a.copy(), b.copy(), p.copy(), q.copy()
-    val = _pair_values(g, psi, a, b, p, q)
-    step = np.full(len(a), _STEP_INIT)
-    for _ in range(iters):
-        active = step >= _STEP_STOP
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        aa, bb, pp, qq = a[idx], b[idx], p[idx], q[idx]
-        ra = len(idx)
-        ua1, ua2 = _unit_complement(aa)
-        ub1, ub2 = _unit_complement(bb)
+    signs = np.array([1.0, -1.0])
+    e = np.eye(3)
+    u = (e[:, None, None, :] + signs[None, None, :, None] * e[None, :, None, :]).reshape(18, 3)
+    idx1, idx2 = (list(ix) for ix in g.factor_split)
+    xs, ys = np.zeros((2, 18, 18, g.dim))
+    xs[:, :, idx1] = u[:, None, :]
+    ys[:, :, idx2] = u[None, :, :]
+    f = kappa_third_deriv_many(g, psi, xs.reshape(-1, g.dim), ys.reshape(-1, g.dim))
+    return np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
 
-        def chart(ta1, ta2, tb1, tb2, dp, dq):
-            an = aa + ta1[:, None] * ua1 + ta2[:, None] * ua2
-            bn = bb + tb1[:, None] * ub1 + tb2[:, None] * ub2
-            an = an / np.linalg.norm(an, axis=1)[:, None]
-            bn = bn / np.linalg.norm(bn, axis=1)[:, None]
-            return an, bn, pp + dp, qq + dq
 
-        zero = np.zeros(ra)
-        grad = np.empty((ra, 6))
-        for k in range(6):
-            coords_plus = [zero.copy() for _ in range(6)]
-            coords_minus = [zero.copy() for _ in range(6)]
-            coords_plus[k] = coords_plus[k] + _GRAD_DELTA
-            coords_minus[k] = coords_minus[k] - _GRAD_DELTA
-            fp = _pair_values(g, psi, *chart(*coords_plus))
-            fm = _pair_values(g, psi, *chart(*coords_minus))
-            grad[:, k] = (fp - fm) / (2.0 * _GRAD_DELTA)
-        gnorm = np.linalg.norm(grad, axis=1)
-        moving = np.isfinite(gnorm) & (gnorm > 1e-15)
-        direction = np.zeros_like(grad)
-        direction[moving] = -grad[moving] / gnorm[moving, None]
-        mv = step[idx][:, None] * direction
-        an, bn, pn, qn = chart(mv[:, 0], mv[:, 1], mv[:, 2], mv[:, 3], mv[:, 4], mv[:, 5])
-        cv = _pair_values(g, psi, an, bn, pn, qn)
-        better = cv < val[idx]
-        took = idx[better]
-        a[took], b[took] = an[better], bn[better]
-        p[took], q[took] = pn[better], qn[better]
-        val[took] = cv[better]
-        new_step = np.where(better, step[idx] * 1.6, step[idx] * 0.5)
-        new_step[~moving] = 0.0
-        step[idx] = new_step
-    return val, a, b, p, q
+def _pair_values(form: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """kappa'''(0) on ((a, 0), (0, b)) for the (n, 3, 2) stacks [a, b]."""
+    a, b = ab[:, :, 0], ab[:, :, 1]
+    return np.einsum("ni,nj,ijkl,nk,nl->n", a, a, form, b, b)
+
+
+def _pair_gradient(form: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """Exact gradient of ``_pair_values`` on unit stacks [a, b], each column
+    projected on the tangent space of its sphere."""
+    a, b = ab[:, :, 0], ab[:, :, 1]
+    grad_a = np.einsum("ijkl,nj,nk,nl->ni", form, a, b, b)
+    grad_b = np.einsum("ijkl,ni,nj,nk->nl", form, a, a, b)
+    grad = 2.0 * np.stack([grad_a, grad_b], axis=2)
+    return grad - ab * np.einsum("ndc,ndc->nc", ab, grad)[:, None, :]
+
+
+def _unit_columns(ab: np.ndarray) -> np.ndarray:
+    return ab / np.linalg.norm(ab, axis=1, keepdims=True)
 
 
 def _sign_normalized(v: np.ndarray) -> np.ndarray:
@@ -433,33 +392,33 @@ def infinitesimal_check(
     a nonnegative minimum is a bounded-search claim.  The report's witness is
     the orthonormal pair ((A, 0), (0, B)) spanning the worst plane, and
     ``small_t`` holds the twisted curvature at small times on that pair.
-    ``workers`` is deprecated and ignored.
+    An algebra without a factor decomposition (so(3)) has no independent
+    commuting pairs and raises ValueError.  ``workers`` is deprecated and
+    ignored.
     """
     _warn_workers(workers)
     tol = _check_tol(tol)
+    g._require_split()
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
     psi = path.psi
+    form = _pair_form(g, psi)
     rng = np.random.default_rng(seed)
 
     a = rng.standard_normal((budget.samples, 3))
     b = rng.standard_normal((budget.samples, 3))
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    b /= np.linalg.norm(b, axis=1)[:, None]
-    p = rng.uniform(0.0, 2.0 * np.pi, budget.samples)
-    q = rng.uniform(0.0, 2.0 * np.pi, budget.samples)
-    # keep the coarse stage clear of the degenerate quarter turn
-    bad = np.abs(np.cos(p - q)) < _MIX_GUARD
-    p[bad] = 0.0
-    q[bad] = 0.0
-    vals = _pair_values(g, psi, a, b, p, q)
-    order = np.argsort(vals, kind="stable")
-    top = order[: budget.restarts]
-
-    rv, ra, rb, _, _ = _refine_pairs(g, psi, a[top], b[top], p[top], q[top], budget.iters)
+    pool = _unit_columns(np.stack([a, b], axis=2))
+    order = np.argsort(_pair_values(form, pool), kind="stable")
+    rv, rab = _descend(
+        lambda ab: _pair_values(form, ab),
+        lambda ab: _pair_gradient(form, ab),
+        _unit_columns,
+        pool[order[: budget.restarts]],
+        budget.iters,
+    )
     k = int(np.argmin(rv))
-    av = g.embed_factor(_sign_normalized(ra[k]), 1)
-    bv = g.embed_factor(_sign_normalized(rb[k]), 2)
+    av = g.embed_factor(_sign_normalized(rab[k, :, 0]), 1)
+    bv = g.embed_factor(_sign_normalized(rab[k, :, 1]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
     verdict = VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE
 

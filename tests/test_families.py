@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,30 @@ def test_berger_triples_are_valid_eigenvalue_sets():
         assert lam.min() > 0.0
         srt = np.sort(lam)
         assert srt[2] <= (4.0 / 3.0) * srt[1] + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_family_parameters_rejected(bad):
+    tau = np.eye(2)
+    broken_tau = tau.copy()
+    broken_tau[0, 0] = bad
+    broken_block = np.eye(3)
+    broken_block[1, 2] = broken_block[2, 1] = bad
+    lam = np.ones(3)
+    broken_lam = lam.copy()
+    broken_lam[1] = bad
+    makers = [
+        lambda: TorusParams(c=bad, d=1.0, tau_block=tau),
+        lambda: TorusParams(c=1.0, d=bad, tau_block=tau),
+        lambda: TorusParams(c=1.0, d=1.0, tau_block=broken_tau),
+        lambda: S3ActionParams(a=bad, b=1.0, lam=lam),
+        lambda: S3ActionParams(a=1.0, b=bad, lam=lam),
+        lambda: S3ActionParams(a=1.0, b=1.0, lam=broken_lam),
+        lambda: ProductParams(phi1=broken_block, phi2=np.eye(3)),
+        lambda: ProductParams(phi1=np.eye(3), phi2=broken_block),
+    ]
+    for make in makers:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                make()

@@ -242,3 +242,14 @@ def test_hostile_input_rejected(g4, bad):
     for plane in ((np.zeros(3), e1), (e1, np.array([bad, 0.0, 0.0]))):
         with pytest.raises(ValueError, match="plane"):
             psi_normal_form(g4, psi, plane=plane)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_invariant_plane_residual_rejects_degenerate_vectors(bad):
+    psi = torus_psi(0.2, 0.6, 0.1, 0.5, 0.3)
+    e1 = np.array([1.0, 0.0, 0.0])
+    for a, b in ((np.zeros(3), e1), (e1, np.zeros(3)), (e1, np.array([bad, 0.0, 0.0]))):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            invariant_plane_residual(np.eye(6), a, b)
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            invariant_plane_residual(psi, a, b)

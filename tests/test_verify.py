@@ -10,6 +10,7 @@ from liecurv import (
     S3ActionParams,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
+    diagonal_subalgebra,
     eigenstructure,
     infinitesimal_check,
     kappa_third_deriv,
@@ -24,7 +25,16 @@ from liecurv import (
     torus_psi,
 )
 from liecurv.metric import normalized_curvature_many, wedge_many
-from liecurv.verify import _basis_planes, _plane_gradient, derived_seed
+from liecurv.variation import kappa_third_deriv_many
+from liecurv.verify import (
+    _basis_planes,
+    _pair_form,
+    _pair_gradient,
+    _pair_values,
+    _plane_gradient,
+    _unit_columns,
+    derived_seed,
+)
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
 
@@ -266,6 +276,81 @@ def test_infinitesimal_witness_reproduces(g4):
     rep = infinitesimal_check(g4, psi, LIGHT, seed=11)
     w = np.array(rep.witness)
     assert abs(kappa_third_deriv(g4, psi, w[0], w[1]) - rep.min_value) < 1e-12
+
+
+def test_infinitesimal_check_rejects_so3(g3):
+    with pytest.raises(ValueError, match="no factor decomposition"):
+        infinitesimal_check(g3, 0.3 * np.eye(3), LIGHT)
+
+
+def _pair_rows(g, ab):
+    """Full-length vectors (a, 0) and (0, b) of the (n, 3, 2) stacks [a, b]."""
+    xs = np.zeros((len(ab), g.dim))
+    ys = np.zeros((len(ab), g.dim))
+    xs[:, :3] = ab[:, :, 0]
+    ys[:, 3:] = ab[:, :, 1]
+    return xs, ys
+
+
+@pytest.mark.parametrize("kind", ["torus", "quotient", "projector", "symmetric"])
+def test_pair_form_matches_closed_form(g4, kind):
+    rng = np.random.default_rng(41)
+    psi = {
+        "torus": torus_psi(0.9, -0.3, 0.2, 1.4, 0.6),
+        "quotient": s3_action_psi(0.2, -0.4, np.array([0.7, 1.0, 1.3])),
+        "projector": diagonal_subalgebra(g4).projector,
+        "symmetric": random_symmetric(rng, 6),
+    }[kind]
+    form = _pair_form(g4, psi)
+    assert np.array_equal(form, form.transpose(1, 0, 2, 3))
+    assert np.array_equal(form, form.transpose(0, 1, 3, 2))
+    ab = rng.standard_normal((250, 3, 2))
+    ref = kappa_third_deriv_many(g4, psi, *_pair_rows(g4, ab))
+    got = _pair_values(form, ab)
+    assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    p=st.floats(0.0, 2.0 * np.pi),
+    q=st.floats(0.0, 2.0 * np.pi),
+)
+def test_mixing_angles_are_gauge(seed, p, q):
+    """On x = cos p (a, 0) + sin p (0, b), y = -sin q (a, 0) + cos q (0, b)
+    the bivector is x^y = cos(p - q) (a, 0)^(0, b), so kappa'''(x, y) is
+    cos^2(p - q) kappa'''((a, 0), (0, b))."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    psi = random_symmetric(rng, 6)
+    av, bv = _pair_rows(g, _unit_columns(rng.standard_normal((1, 3, 2))))
+    x = np.cos(p) * av + np.sin(p) * bv
+    y = -np.sin(q) * av + np.cos(q) * bv
+    plain = kappa_third_deriv_many(g, psi, av, bv)[0]
+    mixed = kappa_third_deriv_many(g, psi, x, y)[0]
+    assert abs(mixed - np.cos(p - q) ** 2 * plain) <= 1e-12 * max(1.0, abs(plain))
+
+
+def test_pair_gradient_matches_central_differences(g4):
+    rng = np.random.default_rng(42)
+    h = 1e-5
+    form = _pair_form(g4, random_symmetric(rng, 6))
+    ab = _unit_columns(rng.standard_normal((20, 3, 2)))
+    grad = _pair_gradient(form, ab)
+    # each column lies in the tangent space of its sphere
+    assert np.abs(np.einsum("ndc,ndc->nc", ab, grad)).max() < 1e-12
+    for c in range(2):
+        u = rng.standard_normal((20, 3))
+        u -= np.einsum("nd,nd->n", ab[:, :, c], u)[:, None] * ab[:, :, c]
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        plus, minus = ab.copy(), ab.copy()
+        plus[:, :, c] += h * u
+        minus[:, :, c] -= h * u
+        fd = (
+            _pair_values(form, _unit_columns(plus)) - _pair_values(form, _unit_columns(minus))
+        ) / (2.0 * h)
+        exact = np.einsum("nd,nd->n", u, grad[:, :, c])
+        assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
 def test_eigenstructure_clustering():
