@@ -33,12 +33,32 @@ __all__ = [
     "regular_complement",
     "factor_subalgebra",
     "diagonal_subalgebra",
+    "symmetric_matrix",
 ]
 
 _STRUCTURE_TOL = 1e-12
 _SUBALGEBRA_SPAN_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-12
 _REGULAR_TOL = 1e-10
+_SYMMETRY_TOL = 1e-12
+
+
+def symmetric_matrix(m, name: str, dim: int | None = None) -> np.ndarray:
+    """Validated symmetric float copy of a square matrix (dim x dim if given).
+
+    Raises DimensionMismatch for a wrong shape, and ValueError for
+    non-finite entries or an asymmetry beyond 1e-12 relative to the largest
+    entry (at least 1); within that tolerance the matrix is symmetrized.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
+        want = "square" if dim is None else f"{dim}x{dim}"
+        raise DimensionMismatch(f"{name} must be {want}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.abs(m - m.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(m).max()):
+        raise ValueError(f"{name} is not symmetric")
+    return 0.5 * (m + m.T)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

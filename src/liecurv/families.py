@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import symmetric_matrix
 from .errors import (
     DimensionMismatch,
     FamilyConstraintViolated,
@@ -53,17 +54,11 @@ _BOUND_MARGIN = 1e-12
 
 
 def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.abs(mat - mat.T).max() > 1e-12 * max(1.0, np.abs(mat).max()):
-        raise ValueError(f"{name} is not symmetric")
+    mat = symmetric_matrix(mat, name)
     w = np.linalg.eigvalsh(mat)
     if w[0] <= 0.0:
         raise NotPositiveDefinite(f"{name} has eigenvalue {w[0]:.3e}")
-    return 0.5 * (mat + mat.T)
+    return mat
 
 
 def _require_finite(**values):
@@ -206,6 +201,7 @@ class S3ActionParams:
 
 def s3_quotient_eigenvalues(a: float, lam) -> np.ndarray:
     """Eigenvalues a * lambda_i / (1 + lambda_i) of the 3-dim quotient metric."""
+    _require_finite(a=a, lam=lam)
     lam = np.asarray(lam, dtype=float)
     if a <= 0.0 or lam.min() <= 0.0:
         raise FamilyConstraintViolated("a and all lambda_i must be positive")
@@ -221,6 +217,7 @@ def inverse_linear_eigs_s3(alpha: float, lam, t: float) -> np.ndarray:
     Raises:
         HorizonExceeded: if any denominator is nonpositive.
     """
+    _require_finite(alpha=alpha, lam=lam, t=t)
     lam = np.asarray(lam, dtype=float)
     if lam.min() <= 0.0:
         raise FamilyConstraintViolated("all lambda_i must be positive")

@@ -25,8 +25,8 @@ import functools
 
 import numpy as np
 
-from .algebra import LieAlgebra
-from .errors import DegeneratePlane, DimensionMismatch, NotPositiveDefinite
+from .algebra import LieAlgebra, symmetric_matrix
+from .errors import DegeneratePlane, NotPositiveDefinite
 
 __all__ = [
     "LeftInvariantMetric",
@@ -40,7 +40,6 @@ __all__ = [
     "wedge_pairs",
 ]
 
-_SYMMETRY_TOL = 1e-12
 # smallest eigenvalue must exceed this fraction of the largest
 _DEFINITENESS_GATE = 1e-12
 _GRAM_TOL = 1e-14
@@ -55,16 +54,7 @@ class LeftInvariantMetric:
     """
 
     def __init__(self, algebra: LieAlgebra, phi):
-        phi = np.asarray(phi, dtype=float)
-        if phi.shape != (algebra.dim, algebra.dim):
-            raise DimensionMismatch(
-                f"phi must be {algebra.dim}x{algebra.dim}, got {phi.shape}"
-            )
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi has non-finite entries")
-        if np.abs(phi - phi.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(phi).max()):
-            raise ValueError("phi is not symmetric")
-        phi = 0.5 * (phi + phi.T)
+        phi = symmetric_matrix(phi, "phi", algebra.dim)
         w, v = np.linalg.eigh(phi)
         if w[-1] <= 0.0 or w[0] <= _DEFINITENESS_GATE * w[-1]:
             raise NotPositiveDefinite(

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra
-from .errors import DimensionMismatch, NormalFormUnavailable
+from .algebra import LieAlgebra, symmetric_matrix
+from .errors import NormalFormUnavailable
 from .variation import kappa_third_deriv
 from .verify import eigenstructure
 
@@ -195,14 +195,7 @@ def psi_normal_form(
         NormalFormUnavailable: when no plane reaches the invariance
             tolerance.
     """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (6, 6):
-        raise DimensionMismatch("psi must be 6x6")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("psi has non-finite entries")
-    if np.abs(psi - psi.T).max() > 1e-12 * max(1.0, np.abs(psi).max()):
-        raise ValueError("psi is not symmetric")
-    psi = 0.5 * (psi + psi.T)
+    psi = symmetric_matrix(psi, "psi", 6)
     tol = _INVARIANCE_TOL * max(1.0, float(np.abs(np.linalg.eigvalsh(psi)).max()))
 
     if plane is not None:

@@ -151,6 +151,7 @@ def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
     """
     psi = -sub.projector
     path = InverseLinearPath(g, psi)
+    twists = [(np.eye(6) - t * psi, path.metric_at(t)) for t in (0.25, 0.5)]
     rng = np.random.default_rng(seed)
     mis = 0
     checked = 0
@@ -169,9 +170,7 @@ def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
         flat_expected = np.linalg.norm(g.bracket(xh, yh)) < 1e-8
         if not flat_expected and np.linalg.norm(g.bracket(xh, yh)) < 0.05:
             continue  # keep the nonzero class well separated
-        for t in (0.25, 0.5):
-            m = np.eye(6) - t * psi
-            metric = path.metric_at(t)
+        for m, metric in twists:
             val = normalized_curvature(metric, m @ x, m @ y)
             if (val < 1e-10) != flat_expected:
                 mis += 1
@@ -292,37 +291,20 @@ def family_scan_cases(rng, kind: str):
 def _suite_invariant_planes(seed: int) -> list[SuiteRow]:
     g = so4()
     rng = np.random.default_rng(seed)
+    cases = (
+        ("product", random_product_params, families.product_phi,
+         families.product_invariant_planes),
+        ("torus", random_torus_params, families.torus_phi, families.torus_invariant_planes),
+        ("quotient", random_s3_action_params, families.s3_action_phi,
+         lambda p: families.s3_action_invariant_planes()),
+    )
     rows = []
-    worst = 0.0
-    for _ in range(20):
-        p = random_product_params(rng)
-        worst = max(
-            worst,
-            families.invariant_abelian_residual(
-                g, families.product_phi(p), families.product_invariant_planes(p)
-            ),
-        )
-    rows.append(SuiteRow("product-planes", worst, 1e-12))
-    worst = 0.0
-    for _ in range(20):
-        p = random_torus_params(rng)
-        worst = max(
-            worst,
-            families.invariant_abelian_residual(
-                g, families.torus_phi(p), families.torus_invariant_planes(p)
-            ),
-        )
-    rows.append(SuiteRow("torus-planes", worst, 1e-12))
-    worst = 0.0
-    for _ in range(20):
-        p = random_s3_action_params(rng)
-        worst = max(
-            worst,
-            families.invariant_abelian_residual(
-                g, families.s3_action_phi(p), families.s3_action_invariant_planes()
-            ),
-        )
-    rows.append(SuiteRow("quotient-planes", worst, 1e-12))
+    for name, draw, phi, planes in cases:
+        worst = 0.0
+        for _ in range(20):
+            p = draw(rng)
+            worst = max(worst, families.invariant_abelian_residual(g, phi(p), planes(p)))
+        rows.append(SuiteRow(f"{name}-planes", worst, 1e-12))
     return rows
 
 

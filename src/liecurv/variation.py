@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra
-from .errors import DimensionMismatch, HorizonExceeded, NotCommuting
+from .algebra import LieAlgebra, symmetric_matrix
+from .errors import HorizonExceeded, NotCommuting
 from .metric import LeftInvariantMetric, puttmann_curvature
 
 __all__ = [
@@ -68,17 +68,8 @@ class InverseLinearPath:
     """
 
     def __init__(self, algebra: LieAlgebra, psi):
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != (algebra.dim, algebra.dim):
-            raise DimensionMismatch(
-                f"psi must be {algebra.dim}x{algebra.dim}, got {psi.shape}"
-            )
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("psi has non-finite entries")
-        if np.abs(psi - psi.T).max() > 1e-12 * max(1.0, np.abs(psi).max()):
-            raise ValueError("psi is not symmetric")
         self.algebra = algebra
-        self.psi = 0.5 * (psi + psi.T)
+        self.psi = symmetric_matrix(psi, "psi", algebra.dim)
         self.psi.setflags(write=False)
         self._eigs = np.linalg.eigvalsh(self.psi)
 

@@ -15,6 +15,7 @@ from liecurv import (
     so3,
     so4,
 )
+from liecurv.algebra import symmetric_matrix
 
 E3 = np.eye(3)
 E6 = np.eye(6)
@@ -163,3 +164,17 @@ def test_structure_validation_catches_bad_tensor():
     c[0, 1, 2] = 1.0  # missing the antisymmetric partner
     with pytest.raises(ValueError):
         so3().__class__(dim=3, structure=c)
+
+
+def test_symmetric_matrix_validates_then_symmetrizes():
+    m = np.array([[2.0, 1.0], [1.0 + 1e-13, 3.0]])
+    out = symmetric_matrix(m, "m", 2)
+    assert np.array_equal(out, out.T) and abs(out[0, 1] - 1.0) < 1e-12
+    with pytest.raises(DimensionMismatch, match="m must be square"):
+        symmetric_matrix(np.ones((2, 3)), "m")
+    with pytest.raises(DimensionMismatch, match="m must be 3x3"):
+        symmetric_matrix(m, "m", 3)
+    with pytest.raises(ValueError, match="m has non-finite entries"):
+        symmetric_matrix(np.full((2, 2), np.nan), "m")
+    with pytest.raises(ValueError, match="m is not symmetric"):
+        symmetric_matrix(np.array([[2.0, 1.0], [1.1, 3.0]]), "m")

@@ -236,6 +236,11 @@ def test_non_finite_family_parameters_rejected(bad):
         lambda: S3ActionParams(a=1.0, b=1.0, lam=broken_lam),
         lambda: ProductParams(phi1=broken_block, phi2=np.eye(3)),
         lambda: ProductParams(phi1=np.eye(3), phi2=broken_block),
+        lambda: s3_quotient_eigenvalues(bad, lam),
+        lambda: s3_quotient_eigenvalues(1.0, broken_lam),
+        lambda: inverse_linear_eigs_s3(bad, lam, 0.5),
+        lambda: inverse_linear_eigs_s3(0.5, broken_lam, 0.5),
+        lambda: inverse_linear_eigs_s3(0.5, lam, bad),
     ]
     for make in makers:
         with warnings.catch_warnings():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from liecurv import (
     Budget,
+    DimensionMismatch,
     HorizonExceeded,
     LeftInvariantMetric,
     S3ActionParams,
@@ -416,17 +417,55 @@ def test_lemma_k_projection_passes_despite_negative_variation(g4):
     assert infinitesimal_check(g4, proj, LIGHT, seed=23).verdict == VERDICT_NEGATIVE
 
 
-def test_lemma_k_detects_constructed_failure(g4):
-    # smallest eigenspace is span{A1}; psi maps its commuting partner B1 to
-    # 3 B1 + A2, and [A1, A2] = A3 escapes the eigenspace
-    psi = np.diag([0.0, 2.0, 2.0, 3.0, 3.0, 3.0])
-    psi[1, 3] = psi[3, 1] = 1.0
+def _constructed_failure(case):
+    if case == "factor":
+        # smallest eigenspace is span{A1}; psi maps its commuting partner B1
+        # to 3 B1 + A2, and [A1, A2] = A3 escapes the eigenspace
+        psi = np.diag([0.0, 2.0, 2.0, 3.0, 3.0, 3.0])
+        psi[1, 3] = psi[3, 1] = 1.0
+        return psi
+    # a generic smallest eigenspace of dimension 1 or 2
+    second = 5.0 if case == "generic-1d" else 0.0
+    q = np.linalg.qr(np.random.default_rng(24).standard_normal((6, 6)))[0]
+    return q @ np.diag([0.0, second, 1.0, 2.0, 3.0, 4.0]) @ q.T
+
+
+@pytest.mark.parametrize("case", ["factor", "generic-1d", "generic-2d"])
+def test_lemma_k_detects_constructed_failure(g4, case):
+    psi = _constructed_failure(case)
     rep = lemma_k_check(g4, psi, n=200, seed=15)
     assert not rep.passed
     assert rep.max_residual > 1e-3
+    assert rep.samples == 200
     # and consistently, the variation fails the infinitesimal test
     inf = infinitesimal_check(g4, psi, LIGHT, seed=15)
     assert inf.verdict == VERDICT_NEGATIVE
+
+
+def test_lemma_k_same_seed_same_report(g4):
+    psi = _constructed_failure("generic-2d")
+    assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=3)
+    assert lemma_k_check(g4, psi, seed=3) != lemma_k_check(g4, psi, seed=4)
+
+
+def test_lemma_k_rejects_malformed_psi(g4):
+    psi = torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4)
+    psi[0, 1] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        lemma_k_check(g4, psi, n=10)
+    with pytest.raises(DimensionMismatch):
+        lemma_k_check(g4, np.eye(3), n=10)
+
+
+@pytest.mark.parametrize("n", [-3, 2.5, True, np.float64(4.0)])
+def test_lemma_k_rejects_bad_sample_count(g4, n):
+    with pytest.raises(ValueError, match="n must be"):
+        lemma_k_check(g4, np.eye(6), n=n)
+
+
+def test_lemma_k_zero_samples_is_vacuous(g4):
+    rep = lemma_k_check(g4, _constructed_failure("factor"), n=np.int64(0))
+    assert rep.vacuous and rep.passed and rep.samples == 0
 
 
 def test_infinitesimal_pass_implies_lemma_k_pass(g4):
