@@ -15,8 +15,7 @@ Exit codes: 0 when every verdict is nonnegative and every residual passes,
 
 Reports are strict JSON (sorted keys, no NaN or infinity; non-finite input
 exits 2); for a fixed configuration and seed the output is byte-identical
-across runs, except for the ``wall_time_ms`` field.  ``--workers`` is
-deprecated and ignored: every search runs in one batch.
+across runs, except for the ``wall_time_ms`` field.
 """
 
 from __future__ import annotations
@@ -258,7 +257,6 @@ def _add_budget_flags(p: argparse.ArgumentParser, default_seed: int):
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, help="deprecated, ignored")
     p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
 
 

@@ -63,7 +63,7 @@ def _check_spd(mat: np.ndarray, name: str) -> np.ndarray:
 
 def _require_finite(**values):
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} is non-finite: {value}")
 
 
@@ -165,6 +165,7 @@ def torus_psi(c: float, d: float, a1: float, a2: float, a3: float) -> np.ndarray
     span{B2, B3}.  Any real parameters are allowed; this is a derivative,
     not a metric.
     """
+    _require_finite(c=c, d=d, a1=a1, a2=a2, a3=a3)
     m = np.zeros((6, 6))
     m[0, 0] = m[1, 1] = c
     m[2, 2] = a1
@@ -254,6 +255,7 @@ def s3_action_psi(alpha: float, beta: float, lam) -> np.ndarray:
     Block-diagonal over V_i with blocks diag(alpha, beta) minus the rank-one
     coupling (1 / (2 lambda_i)) * ones(2, 2).
     """
+    _require_finite(alpha=alpha, beta=beta, lam=lam)
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3,) or lam.min() <= 0.0:
         raise FamilyConstraintViolated("lam must be three positive reals")
@@ -295,6 +297,7 @@ def s3_action_phi_at_time(p: S3ActionParams, t: float) -> np.ndarray:
     mixing weights become lambda_i / (t + lambda_i).  At t=1 this is just
     ``s3_action_phi(p)``.
     """
+    _require_finite(t=t)
     if t <= 0.0:
         raise HorizonExceeded("t must be positive")
     return _s3_blocks(p.a, p.b, p.lam / (t + p.lam))

@@ -1,19 +1,22 @@
-"""Nonnegativity verification by seeded multistart minimization.
+"""Nonnegativity verification: closed form on so(3), seeded multistart
+minimization on so(4).
 
-Two search problems share the same engine shape:
-
-* ``min_curvature``       -- minimize plane-normalized sectional curvature
-  over 2-planes of the algebra;
-* ``infinitesimal_check`` -- minimize the twisted third derivative
+* ``min_curvature``       -- the minimum plane-normalized sectional
+  curvature over 2-planes of the algebra;
+* ``infinitesimal_check`` -- the minimum of the twisted third derivative
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-Both run a coarse sampling stage followed by one exact-gradient descent
-loop, ``_descend``, from the best starts: over orthonormal frames on the
+On a 3-dimensional algebra every bivector is a plane, so the minimum
+curvature is the smallest eigenvalue of the curvature operator's pencil
+(R, H), computed in closed form, and the report says ``exact``.  Otherwise
+a coarse sampling stage is followed by one exact-gradient descent loop,
+``_descend``, from the best starts: over orthonormal frames on the
 curvature operator's Rayleigh quotient, and over (A, B) in S^2 x S^2 on the
 biquadratic form ``_pair_form`` of kappa'''(0).  A ``NegativeWitness``
 verdict is conclusive (the witness re-evaluates below -tol in isolation); a
-``NonnegativeWithinBudget`` verdict is a bounded-search claim, not a proof.
+``NonnegativeWithinBudget`` verdict from a search is a bounded-search
+claim, not a proof.
 
 ``lemma_k_check`` samples the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths, in one batch.
@@ -26,8 +29,8 @@ configuration and seed.
 
 from __future__ import annotations
 
+import functools
 import numbers
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,13 +93,10 @@ def _check_tol(tol) -> float:
     return tol
 
 
-def _warn_workers(workers):
-    if workers is not None:
-        warnings.warn(
-            "workers is deprecated and ignored: every search runs in one batch",
-            DeprecationWarning,
-            stacklevel=3,
-        )
+def _check_count(n) -> int:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ class CommutingPair:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Outcome of a bounded search for negative curvature."""
+    """Outcome of a search for negative curvature; ``exact`` when the
+    minimum was computed in closed form rather than searched for."""
 
     verdict: str
     min_value: float
@@ -117,6 +118,7 @@ class CurvatureReport:
     samples: int
     restarts: int
     seed: int
+    exact: bool = False
     t: float | None = None
     small_t: tuple[tuple[float, float], ...] | None = None
 
@@ -132,6 +134,7 @@ class CurvatureReport:
             "samples": self.samples,
             "restarts": self.restarts,
             "seed": self.seed,
+            "exact": self.exact,
         }
         if self.t is not None:
             out["t"] = self.t
@@ -157,8 +160,10 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
     up to a factor-of-two quantization of its tangent.
 
     For an algebra without a factor decomposition (so(3)) there are no
-    independent commuting pairs and the list is empty.
+    independent commuting pairs and the list is empty.  n must be a
+    nonnegative integer (ValueError).
     """
+    n = _check_count(n)
     if g.factor_split is None:
         return []
     rng = np.random.default_rng(seed)
@@ -209,9 +214,23 @@ def _plane_values(op, frames: np.ndarray):
     return np.einsum("nk,nk->n", w, rw) / wh, rw, hw, wh
 
 
-def _plane_gradient(op, frames: np.ndarray):
-    """Exact gradient of the normalized curvature of the planes of
-    orthonormal (n, d, 2) frames with respect to the two frame columns.
+@functools.lru_cache(maxsize=None)
+def _incidence(d: int) -> np.ndarray:
+    """The (d(d-1)/2, d*d) matrix taking bivector coordinates v to the
+    flattened antisymmetric matrix V with V[i, j] = v_k = -V[j, i] for the
+    k-th pair (i, j) of ``wedge_pairs(d)``."""
+    i, j = wedge_pairs(d)
+    k = np.arange(len(i))
+    inc = np.zeros((len(i), d * d))
+    inc[k, i * d + j] = 1.0
+    inc[k, j * d + i] = -1.0
+    inc.setflags(write=False)
+    return inc
+
+
+def _plane_value_and_gradient(op, frames: np.ndarray):
+    """Normalized curvature of the planes of orthonormal (n, d, 2) frames
+    and its exact gradient with respect to the two frame columns.
 
     With v = 2 (Rw - f Hw) / w.Hw read as an antisymmetric matrix V, the
     gradients are V z2 and -V z1; both are projected on the orthogonal
@@ -220,42 +239,48 @@ def _plane_gradient(op, frames: np.ndarray):
     val, rw, hw, wh = _plane_values(op, frames)
     v = 2.0 * (rw - val[:, None] * hw) / wh[:, None]
     n, d, _ = frames.shape
-    i, j = wedge_pairs(d)
-    vm = np.zeros((n, d, d))
-    vm[:, i, j] = v
-    vm[:, j, i] = -v
-    grad = vm @ frames[:, :, ::-1]
+    grad = (v @ _incidence(d)).reshape(n, d, d) @ frames[:, :, ::-1]
     grad[:, :, 1] *= -1.0
-    return grad - frames @ (frames.transpose(0, 2, 1) @ grad)
+    return val, grad - frames @ (frames.transpose(0, 2, 1) @ grad)
 
 
-def _descend(values, gradient, retract, x: np.ndarray, iters: int):
-    """Descend ``values`` from each start of the (n, d, 2) stack x.
+def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
+    """Orthonormalized (n, d, 2) frames: the Q factor of each frame's QR
+    decomposition with a positive diagonal of R, in closed form."""
+    q1 = frames[:, :, 0] / np.linalg.norm(frames[:, :, 0], axis=1, keepdims=True)
+    z2 = frames[:, :, 1] - q1 * np.einsum("nd,nd->n", q1, frames[:, :, 1])[:, None]
+    q2 = z2 / np.linalg.norm(z2, axis=1, keepdims=True)
+    return np.stack([q1, q2], axis=2)
 
-    Each step moves both columns along the unit steepest-descent direction
-    of the (tangent) ``gradient``, maps the result back onto the search
-    manifold with ``retract``, and keeps it if the value drops.
+
+def _descend(evaluate, retract, x: np.ndarray, iters: int):
+    """Descend from each start of the (n, d, 2) stack x.
+
+    ``evaluate`` returns the values and (tangent) gradients of a stack.
+    Each step moves both columns along the unit steepest-descent direction,
+    maps the result back onto the search manifold with ``retract``, and
+    keeps it, with its gradient, if the value drops.
     """
     x = x.copy()
-    val = values(x)
+    val, grad = evaluate(x)
     step = np.full(len(x), _STEP_INIT)
     for _ in range(iters):
         active = step >= _STEP_STOP
         if not active.any():
             break
         idx = np.nonzero(active)[0]
-        xa = x[idx]
-        grad = gradient(xa)
-        gnorm = np.sqrt(np.einsum("ndc,ndc->n", grad, grad))
+        ga = grad[idx]
+        gnorm = np.sqrt(np.einsum("ndc,ndc->n", ga, ga))
         moving = gnorm > 1e-15
-        move = np.zeros_like(grad)
-        move[moving] = -grad[moving] / gnorm[moving, None, None]
-        cx = retract(xa + step[idx, None, None] * move)
-        cv = values(cx)
+        move = np.zeros_like(ga)
+        move[moving] = -ga[moving] / gnorm[moving, None, None]
+        cx = retract(x[idx] + step[idx, None, None] * move)
+        cv, cg = evaluate(cx)
         better = cv < val[idx]
         took = idx[better]
         x[took] = cx[better]
         val[took] = cv[better]
+        grad[took] = cg[better]
         new_step = np.where(better, step[idx] * 1.6, step[idx] * 0.5)
         new_step[~moving] = 0.0
         step[idx] = new_step
@@ -283,44 +308,64 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _least_curved_plane_3d(op) -> np.ndarray:
+    """Frame of a plane of least curvature on a 3-dimensional algebra.
+
+    Every bivector in dimension 3 is decomposable, so the minimum of
+    w.Rw / w.Hw over planes is the smallest eigenvalue of the pencil
+    (R, H).  With H = L L^T and v0 the eigenvector of L^-1 R L^-T for its
+    smallest eigenvalue, w = L^-T v0 is the minimizing bivector, and its
+    Hodge dual (w12, -w02, w01) is the plane's normal.
+    """
+    r, h = op
+    chol = np.linalg.cholesky(h)
+    v0 = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))[1][:, 0]
+    w = np.linalg.solve(chol.T, v0)
+    normal = np.array([w[2], -w[1], w[0]])
+    return np.linalg.svd(normal[None, :])[2][1:].T
+
+
 def min_curvature(
     m: LeftInvariantMetric,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int | None = None,
 ) -> CurvatureReport:
-    """Search for the minimum plane-normalized curvature of a metric.
+    """The minimum plane-normalized curvature of a metric.
 
-    Coarse stage: ``budget.samples`` random orthonormal frames plus the
-    coordinate and metric-eigenvector planes, scored by the Rayleigh
-    quotient of ``m.curvature_operator()``.  The best ``budget.restarts``
-    starts are refined together by exact-gradient descent.  The reported
-    witness is the canonicalized minimizing plane and ``min_value`` is the
-    closed-form curvature re-evaluated on it, so a negative verdict is
-    reproducible in isolation.  ``workers`` is deprecated and ignored.
+    On a 3-dimensional algebra the minimizing plane comes in closed form
+    from ``m.curvature_operator()`` and the report is ``exact``; the budget
+    and seed are only recorded.  Otherwise, coarse stage: ``budget.samples``
+    random orthonormal frames plus the coordinate and metric-eigenvector
+    planes, scored by the Rayleigh quotient of the curvature operator.  The
+    best ``budget.restarts`` starts are refined together by exact-gradient
+    descent.  The reported witness is the canonicalized minimizing plane and
+    ``min_value`` is the closed-form curvature re-evaluated on it, so a
+    negative verdict is reproducible in isolation.
     """
-    _warn_workers(workers)
     tol = _check_tol(tol)
     budget = budget or Budget()
     d = m.algebra.dim
     op = m.curvature_operator()
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((budget.samples, d, 2))
-    pool = np.concatenate(
-        [np.linalg.qr(raw)[0], _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)]
-    )
-    vals = _plane_values(op, pool)[0]
-    order = np.argsort(vals, kind="stable")
-    rv, rq = _descend(
-        lambda f: _plane_values(op, f)[0],
-        lambda f: _plane_gradient(op, f),
-        lambda f: np.linalg.qr(f)[0],
-        pool[order[: budget.restarts]],
-        budget.iters,
-    )
+    exact = d == 3
+    if exact:
+        best = _least_curved_plane_3d(op)
+    else:
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((budget.samples, d, 2))
+        pool = np.concatenate(
+            [_gram_schmidt(raw), _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)]
+        )
+        order = np.argsort(_plane_values(op, pool)[0], kind="stable")
+        rv, rq = _descend(
+            lambda f: _plane_value_and_gradient(op, f),
+            _gram_schmidt,
+            pool[order[: budget.restarts]],
+            budget.iters,
+        )
+        best = rq[int(np.argmin(rv))]
 
-    witness = _canonical_plane(rq[int(np.argmin(rv))])
+    witness = _canonical_plane(best)
     final = float(
         normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0]
     )
@@ -332,6 +377,7 @@ def min_curvature(
         samples=budget.samples,
         restarts=budget.restarts,
         seed=seed,
+        exact=exact,
     )
 
 
@@ -363,14 +409,18 @@ def _pair_values(form: np.ndarray, ab: np.ndarray) -> np.ndarray:
     return np.einsum("ni,nj,ijkl,nk,nl->n", a, a, form, b, b)
 
 
-def _pair_gradient(form: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """Exact gradient of ``_pair_values`` on unit stacks [a, b], each column
-    projected on the tangent space of its sphere."""
+def _pair_value_and_gradient(form: np.ndarray, ab: np.ndarray):
+    """``_pair_values`` on unit stacks [a, b] and its exact gradient, each
+    column projected on the tangent space of its sphere.
+
+    The value is a.grad_a / 2: the form is quadratic in a.
+    """
     a, b = ab[:, :, 0], ab[:, :, 1]
-    grad_a = np.einsum("ijkl,nj,nk,nl->ni", form, a, b, b)
-    grad_b = np.einsum("ijkl,ni,nj,nk->nl", form, a, a, b)
-    grad = 2.0 * np.stack([grad_a, grad_b], axis=2)
-    return grad - ab * np.einsum("ndc,ndc->nc", ab, grad)[:, None, :]
+    grad_a = 2.0 * np.einsum("ijkl,nj,nk,nl->ni", form, a, b, b)
+    grad_b = 2.0 * np.einsum("ijkl,ni,nj,nk->nl", form, a, a, b)
+    grad = np.stack([grad_a, grad_b], axis=2)
+    val = 0.5 * np.einsum("ni,ni->n", a, grad_a)
+    return val, grad - ab * np.einsum("ndc,ndc->nc", ab, grad)[:, None, :]
 
 
 def _unit_columns(ab: np.ndarray) -> np.ndarray:
@@ -388,7 +438,6 @@ def infinitesimal_check(
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int | None = None,
 ) -> CurvatureReport:
     """Search for commuting pairs with negative kappa'''(0).
 
@@ -397,10 +446,8 @@ def infinitesimal_check(
     the orthonormal pair ((A, 0), (0, B)) spanning the worst plane, and
     ``small_t`` holds the twisted curvature at small times on that pair.
     An algebra without a factor decomposition (so(3)) has no independent
-    commuting pairs and raises ValueError.  ``workers`` is deprecated and
-    ignored.
+    commuting pairs and raises ValueError.
     """
-    _warn_workers(workers)
     tol = _check_tol(tol)
     g._require_split()
     budget = budget or Budget()
@@ -414,8 +461,7 @@ def infinitesimal_check(
     pool = _unit_columns(np.stack([a, b], axis=2))
     order = np.argsort(_pair_values(form, pool), kind="stable")
     rv, rab = _descend(
-        lambda ab: _pair_values(form, ab),
-        lambda ab: _pair_gradient(form, ab),
+        lambda ab: _pair_value_and_gradient(form, ab),
         _unit_columns,
         pool[order[: budget.restarts]],
         budget.iters,
@@ -461,13 +507,10 @@ def eigenstructure(psi, cluster_tol: float = 1e-8) -> EigenStructure:
     below ``cluster_tol``.
 
     The gap scale is the largest absolute eigenvalue, so a zero map yields a
-    single cluster.  Non-finite psi raises ValueError.
+    single cluster.  psi must be square (DimensionMismatch), finite and
+    symmetric (ValueError).
     """
-    psi = np.asarray(psi, dtype=float)
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("psi has non-finite entries")
-    psi = 0.5 * (psi + psi.T)
-    w, v = np.linalg.eigh(psi)
+    w, v = np.linalg.eigh(symmetric_matrix(psi, "psi"))
     scale = max(np.abs(w).max(), 1e-300)
     cuts = np.nonzero(np.diff(w) > cluster_tol * scale)[0] + 1
     return EigenStructure(
@@ -502,8 +545,7 @@ def lemma_k_check(g: LieAlgebra, psi, n: int = 200, seed: int = 0) -> LemmaKRepo
     of the algebra's shape (DimensionMismatch); n must be a nonnegative
     integer (ValueError).
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    n = _check_count(n)
     psi = symmetric_matrix(psi, "psi", g.dim)
     basis = eigenstructure(psi).smallest
     scale = max(np.abs(np.linalg.eigvalsh(psi)).max(), 1e-300)
@@ -535,16 +577,13 @@ def path_scan(
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    workers: int | None = None,
 ) -> list[CurvatureReport]:
     """Run ``min_curvature`` on the path metric at each grid time.
 
     All grid times are validated against the positive-definiteness horizon
     before any work starts.  Each time gets an independent derived seed, so
-    the scan is reproducible entry by entry.  ``workers`` is deprecated and
-    ignored.
+    the scan is reproducible entry by entry.
     """
-    _warn_workers(workers)
     tol = _check_tol(tol)
     path = InverseLinearPath(g, psi)
     t_grid = [float(t) for t in t_grid]

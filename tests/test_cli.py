@@ -43,6 +43,7 @@ def test_check_family_exits_zero(capsys):
     assert code == 0
     assert payload["schema_version"] == 1
     assert payload["results"][0]["verdict"] == "NonnegativeWithinBudget"
+    assert payload["results"][0]["exact"] is False
 
 
 def test_check_negative_metric_exits_one(capsys):
@@ -59,6 +60,7 @@ def test_check_three_dimensional_metric(capsys):
     code, payload = run_cli(capsys, "check", "--phi", "diag:1.2,1,1", "--seed", "1", *LIGHT)
     assert code == 0
     assert payload["results"][0]["min_value"] >= -1e-9
+    assert payload["results"][0]["exact"] is True
 
 
 def test_invalid_inputs_exit_two(capsys):
@@ -174,11 +176,18 @@ def test_output_file_and_seed_env(tmp_path, capsys, monkeypatch):
 def test_reports_roundtrip_and_are_deterministic(tmp_path, capsys):
     argv = ["check", "--phi", "diag:1.4,1,1,1,1,1", "--seed", "11", *LIGHT]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    main(argv + ["--workers", "1", "-o", str(out1)])
-    main(argv + ["--workers", "4", "-o", str(out2)])
+    main(argv + ["-o", str(out1)])
+    main(argv + ["-o", str(out2)])
     capsys.readouterr()
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_workers_flag_is_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--phi", "diag:1,1,1", "--workers", "2"])
+    capsys.readouterr()
+    assert exc.value.code == 2

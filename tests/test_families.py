@@ -241,6 +241,12 @@ def test_non_finite_family_parameters_rejected(bad):
         lambda: inverse_linear_eigs_s3(bad, lam, 0.5),
         lambda: inverse_linear_eigs_s3(0.5, broken_lam, 0.5),
         lambda: inverse_linear_eigs_s3(0.5, lam, bad),
+        lambda: torus_psi(bad, 0.8, 0.1, 0.9, 0.4),
+        lambda: torus_psi(0.5, 0.8, 0.1, 0.9, bad),
+        lambda: s3_action_psi(bad, 0.0, lam),
+        lambda: s3_action_psi(0.0, bad, lam),
+        lambda: s3_action_psi(0.0, 0.0, broken_lam),
+        lambda: s3_action_phi_at_time(S3ActionParams(a=1.0, b=1.0, lam=lam), bad),
     ]
     for make in makers:
         with warnings.catch_warnings():

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liecurv import (
@@ -15,6 +17,7 @@ from liecurv import (
     eigenstructure,
     infinitesimal_check,
     kappa_third_deriv,
+    koszul_oracle,
     lemma_k_check,
     min_curvature,
     normalized_curvature,
@@ -22,6 +25,7 @@ from liecurv import (
     s3_action_phi,
     s3_action_psi,
     sample_commuting_pairs,
+    so3,
     so4,
     torus_psi,
 )
@@ -29,10 +33,13 @@ from liecurv.metric import normalized_curvature_many, wedge_many
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
     _basis_planes,
+    _descend,
+    _gram_schmidt,
     _pair_form,
-    _pair_gradient,
+    _pair_value_and_gradient,
     _pair_values,
-    _plane_gradient,
+    _plane_value_and_gradient,
+    _plane_values,
     _unit_columns,
     derived_seed,
 )
@@ -55,6 +62,13 @@ def test_budget_fields_must_be_positive_integers(field):
 
 def test_sampling_empty_on_so3(g3):
     assert sample_commuting_pairs(g3, 10, seed=0) == []
+
+
+@pytest.mark.parametrize("n", [-2, 2.5, True, np.float64(4.0)])
+def test_sampling_rejects_bad_count(g3, g4, n):
+    for g in (g3, g4):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_commuting_pairs(g, n, seed=0)
 
 
 def test_sampled_pairs_commute_exactly(g4):
@@ -123,22 +137,22 @@ def test_negative_witness_reproduces_in_isolation(g4):
     assert abs(again - rep.min_value) < 1e-10 * (1.0 + abs(rep.min_value))
 
 
-def test_min_curvature_deterministic_across_workers(g4):
+def test_min_curvature_same_seed_same_report(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
-    a = min_curvature(m, LIGHT, seed=7, workers=1)
-    b = min_curvature(m, LIGHT, seed=7, workers=4)
+    a = min_curvature(m, LIGHT, seed=7)
+    b = min_curvature(m, LIGHT, seed=7)
     assert a == b
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
-def test_workers_is_deprecated_and_ignored(g4):
+def test_workers_argument_is_removed(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
-    with pytest.warns(DeprecationWarning, match="workers"):
-        rep = min_curvature(m, LIGHT, seed=7, workers=2)
-    assert rep == min_curvature(m, LIGHT, seed=7)
     psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
-    with pytest.warns(DeprecationWarning, match="workers"):
+    with pytest.raises(TypeError, match="workers"):
+        min_curvature(m, LIGHT, seed=7, workers=2)
+    with pytest.raises(TypeError, match="workers"):
         infinitesimal_check(g4, psi, Budget(64, 2, 5), seed=1, workers=2)
-    with pytest.warns(DeprecationWarning, match="workers"):
+    with pytest.raises(TypeError, match="workers"):
         path_scan(g4, psi, [0.1], budget=Budget(64, 2, 5), workers=2)
 
 
@@ -168,7 +182,9 @@ def test_plane_gradient_matches_central_differences(g3, g4):
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
         op = m.curvature_operator()
         frames = np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0]
-        grad = _plane_gradient(op, frames)
+        val, grad = _plane_value_and_gradient(op, frames)
+        ref = _plane_values(op, frames)[0]
+        assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
         # the gradient lies in the orthogonal complement of the plane
         assert np.abs(frames.transpose(0, 2, 1) @ grad).max() < 1e-12
         for c in range(2):
@@ -184,6 +200,72 @@ def test_plane_gradient_matches_central_differences(g3, g4):
             ) / (2.0 * h)
             exact = np.einsum("nd,nd->n", u, grad[:, :, c])
             assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
+
+
+def test_descend_reaches_smallest_eigenvalue():
+    """On the unit sphere, x.Ax has minimum lambda_min(A); every start
+    must reach it, which needs the gradient of each accepted point."""
+    rng = np.random.default_rng(46)
+    for _ in range(3):
+        a = random_symmetric(rng, 6)
+
+        def evaluate(x):
+            grad = 2.0 * np.einsum("ij,njc->nic", a, x)
+            val = 0.5 * np.einsum("ndc,ndc->n", x, grad)
+            return val, grad - x * np.einsum("ndc,ndc->nc", x, grad)[:, None, :]
+
+        start = _unit_columns(rng.standard_normal((16, 6, 1)))
+        val, x = _descend(evaluate, _unit_columns, start, 200)
+        # a has unit spectral norm; a stale gradient stalls at O(1) errors
+        assert np.abs(val - np.linalg.eigvalsh(a)[0]).max() < 1e-6
+        assert np.allclose(evaluate(x)[0], val, rtol=0.0, atol=1e-15)
+
+
+def test_gram_schmidt_matches_qr_planes():
+    rng = np.random.default_rng(43)
+    frames = rng.standard_normal((500, 6, 2))
+    q = _gram_schmidt(frames)
+    gram = q.transpose(0, 2, 1) @ q
+    assert np.abs(gram - np.eye(2)).max() < 1e-14
+    ref = np.linalg.qr(frames)[0]
+    proj = q @ q.transpose(0, 2, 1)
+    assert np.abs(proj - ref @ ref.transpose(0, 2, 1)).max() < 1e-13
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    r=st.floats(0.2, 2.0),
+    s=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_so3_berger_minimum_is_exact(r, s, seed):
+    """On so(3), s Q diag(r, 1, 1) Q^T has minimum sectional curvature
+    min(r, 4 - 3r) / (4s), negative exactly when r > 4/3; the closed form
+    finds it, and a negative witness re-evaluates through the oracle."""
+    assume(abs(r - 4.0 / 3.0) > 1e-3)
+    rng = np.random.default_rng(seed)
+    q = random_rotation(rng)
+    phi = s * q @ np.diag([r, 1.0, 1.0]) @ q.T
+    m = LeftInvariantMetric(so3(), 0.5 * (phi + phi.T))
+    rep = min_curvature(m, seed=seed)
+    expected = min(r, 4.0 - 3.0 * r) / (4.0 * s)
+    assert rep.exact and rep.to_dict()["exact"] is True
+    assert abs(rep.min_value - expected) <= 1e-9 * abs(expected)
+    assert rep.verdict == (VERDICT_NEGATIVE if r > 4.0 / 3.0 else VERDICT_NONNEGATIVE)
+    if rep.negative:
+        z1, z2 = (np.array(v) for v in rep.witness)
+        gram = m.h(z1, z1) * m.h(z2, z2) - m.h(z1, z2) ** 2
+        assert koszul_oracle(m, z1, z2) / gram < -1e-9
+
+
+def test_so3_closed_form_is_below_every_sampled_plane(g3):
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        m = LeftInvariantMetric(g3, random_spd(rng, 3))
+        rep = min_curvature(m, seed=1)
+        z = rng.standard_normal((2, 20_000, 3))
+        sampled = normalized_curvature_many(m, z[0], z[1])
+        assert rep.min_value <= sampled.min() + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,6 +288,7 @@ def test_berger_excess_minimum_is_exact(r, s, seed, swap):
     m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
     rep = min_curvature(m, seed=seed)
     expected = (1.0 - 0.75 * r) / s
+    assert not rep.exact
     assert rep.verdict == VERDICT_NEGATIVE
     assert abs(rep.min_value - expected) <= 1e-9 * abs(expected)
     w = np.array(rep.witness)
@@ -337,7 +420,9 @@ def test_pair_gradient_matches_central_differences(g4):
     h = 1e-5
     form = _pair_form(g4, random_symmetric(rng, 6))
     ab = _unit_columns(rng.standard_normal((20, 3, 2)))
-    grad = _pair_gradient(form, ab)
+    val, grad = _pair_value_and_gradient(form, ab)
+    ref = _pair_values(form, ab)
+    assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
     # each column lies in the tangent space of its sphere
     assert np.abs(np.einsum("ndc,ndc->nc", ab, grad)).max() < 1e-12
     for c in range(2):
@@ -379,6 +464,11 @@ def test_eigenstructure_spaces_orthogonal_and_invariant(g4):
         assert np.abs(resid).max() < 1e-8
         for other in es.eigenspaces[i + 1:]:
             assert np.abs(space.T @ other).max() < 1e-10
+
+
+def test_eigenstructure_rejects_non_symmetric():
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigenstructure([[0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
