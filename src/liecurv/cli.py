@@ -53,7 +53,10 @@ def parse_matrix(spec: str, allowed_dims=(3, 6)) -> np.ndarray:
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        arr = np.asarray(data, dtype=float)
+        try:
+            arr = np.asarray(data, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"matrix file holds no number array: {exc}") from exc
         if arr.ndim == 1:
             side = int(round(np.sqrt(arr.size)))
             if side * side != arr.size:
@@ -69,6 +72,8 @@ def parse_matrix(spec: str, allowed_dims=(3, 6)) -> np.ndarray:
                 f"expected diag: prefix or a square row-major list, got {len(vals)} entries"
             )
         arr = np.asarray(vals).reshape(side, side)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"matrix must be a square 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
     if arr.shape[0] not in allowed_dims:

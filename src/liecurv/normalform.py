@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrix
 from .errors import NormalFormUnavailable
-from .variation import kappa_third_deriv
+from .variation import kappa_third_deriv_many
 from .verify import eigenstructure
 
 __all__ = [
@@ -119,9 +119,10 @@ def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 def invariant_plane_residual(psi, a, b) -> float:
     """Invariance residual of a single candidate plane.
 
-    Raises ValueError for a zero or non-finite plane vector.
+    Raises ValueError for a zero or non-finite plane vector and for a
+    non-finite or non-symmetric psi, DimensionMismatch unless psi is 6x6.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = symmetric_matrix(psi, "psi", 6)
     return float(_plane_residual_many(psi, *_unit_plane((a, b)))[0])
 
 
@@ -272,10 +273,11 @@ def normal_form_psi(p: NormalFormParams) -> np.ndarray:
 def normal_form_kappa3(g: LieAlgebra, p: NormalFormParams, x_coeffs, y_coeffs) -> float:
     """kappa'''(0) for x in factor 1 and y in factor 2 with given coefficients.
 
-    Such pairs commute exactly, so this evaluates the closed form directly;
-    it is the quantity whose sign constraints pin down the normal form.
+    Such pairs commute exactly and the normal-form matrix is symmetric by
+    construction, so this evaluates the closed form directly; it is the
+    quantity whose sign constraints pin down the normal form.
     """
     psi = normal_form_psi(p)
-    x = g.embed_factor(np.asarray(x_coeffs, dtype=float), 1)
-    y = g.embed_factor(np.asarray(y_coeffs, dtype=float), 2)
-    return kappa_third_deriv(g, psi, x, y)
+    x = g.check_vector(g.embed_factor(np.asarray(x_coeffs, dtype=float), 1))
+    y = g.check_vector(g.embed_factor(np.asarray(y_coeffs, dtype=float), 2))
+    return float(kappa_third_deriv_many(g, psi, x[None, :], y[None, :])[0])

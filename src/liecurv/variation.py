@@ -125,10 +125,12 @@ def kappa_of_t(path: InverseLinearPath, x, y, t: float) -> float:
 def k_second_deriv(g: LieAlgebra, psi, x, y) -> float:
     """Closed form (1/2)|[x, psi y] + [psi x, y]|^2 for k''(0).
 
-    Always nonnegative; the first derivative of k vanishes at 0.
+    Always nonnegative; the first derivative of k vanishes at 0.  psi must
+    be finite and symmetric (ValueError) of the algebra's shape
+    (DimensionMismatch).
     """
     x, y = require_commuting(g, x, y)
-    psi = np.asarray(psi, dtype=float)
+    psi = symmetric_matrix(psi, "psi", g.dim)
     w = g.bracket(x, psi @ y) + g.bracket(psi @ x, y)
     return 0.5 * float(w @ w)
 
@@ -138,9 +140,10 @@ def kappa_third_deriv(g: LieAlgebra, psi, x, y) -> float:
 
     Six times a five-term bracket expression in (x, y, psi); the factor of
     six is pinned against the finite-difference estimator in the test suite.
+    psi is validated as in ``k_second_deriv``.
     """
     x, y = require_commuting(g, x, y)
-    psi = np.asarray(psi, dtype=float)
+    psi = symmetric_matrix(psi, "psi", g.dim)
     return float(kappa_third_deriv_many(g, psi, x[None, :], y[None, :])[0])
 
 

@@ -7,14 +7,16 @@ minimization on so(4).
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-On a 3-dimensional algebra every bivector is a plane, so the minimum
-curvature is the smallest eigenvalue of the curvature operator's pencil
-(R, H), computed in closed form, and the report says ``exact``.  Otherwise
-a coarse sampling stage is followed by one exact-gradient descent loop,
-``_descend``, from the best starts: over orthonormal frames on the
-curvature operator's Rayleigh quotient, and over (A, B) in S^2 x S^2 on the
-biquadratic form ``_pair_form`` of kappa'''(0).  A ``NegativeWitness``
-verdict is conclusive (the witness re-evaluates below -tol in isolation); a
+Both minimize one Rayleigh quotient w.Rw / w.Hw over decomposable w =
+B vec(z1 z2^T), for an operator (R, H, B): w = z1 ^ z2 for planes, with
+the curvature operator's (R, H); w = a (x) b for pairs ((a, 0), (0, b)),
+with R the 9x9 form ``_pair_form`` of kappa'''(0) and H = B = I.  On a
+3-dimensional algebra every bivector is a plane, so the minimum curvature
+is the smallest eigenvalue of the pencil (R, H), computed in closed form,
+and the report says ``exact``.  Otherwise ``_search`` descends with
+``_descend`` from the best starts of a coarse pool: over orthonormal frames
+for planes, over S^2 x S^2 for pairs.  A ``NegativeWitness`` verdict is
+conclusive (the witness re-evaluates below -tol in isolation); a
 ``NonnegativeWithinBudget`` verdict from a search is a bounded-search
 claim, not a proof.
 
@@ -40,7 +42,6 @@ from .errors import HorizonExceeded
 from .metric import (
     LeftInvariantMetric,
     normalized_curvature_many,
-    wedge_many,
     wedge_pairs,
 )
 from .variation import InverseLinearPath, kappa_of_t, kappa_third_deriv_many
@@ -195,30 +196,14 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
 
 
 # ---------------------------------------------------------------------------
-# plane search
-
-def _basis_planes(basis: np.ndarray) -> np.ndarray:
-    """Frames of the planes spanned by pairs of basis columns, in the order
-    of the bivector coordinates."""
-    i, j = wedge_pairs(basis.shape[1])
-    return np.stack([basis[:, i].T, basis[:, j].T], axis=2)
-
-
-def _plane_values(op, frames: np.ndarray):
-    """Normalized curvature w.Rw / w.Hw of the planes of (n, d, 2) frames,
-    with Rw, Hw and w.Hw for the gradient."""
-    r, h = op
-    w = wedge_many(frames[:, :, 0], frames[:, :, 1])
-    rw, hw = w @ r, w @ h
-    wh = np.einsum("nk,nk->n", w, hw)
-    return np.einsum("nk,nk->n", w, rw) / wh, rw, hw, wh
-
+# the Rayleigh-quotient search shared by planes and pairs
 
 @functools.lru_cache(maxsize=None)
 def _incidence(d: int) -> np.ndarray:
-    """The (d(d-1)/2, d*d) matrix taking bivector coordinates v to the
-    flattened antisymmetric matrix V with V[i, j] = v_k = -V[j, i] for the
-    k-th pair (i, j) of ``wedge_pairs(d)``."""
+    """The B of the plane operator: the (d(d-1)/2, d*d) matrix taking
+    vec(z1 z2^T) to the bivector coordinates of z1 ^ z2, whose row k is +1
+    at (i, j) and -1 at (j, i) for the k-th pair (i, j) of
+    ``wedge_pairs(d)``."""
     i, j = wedge_pairs(d)
     k = np.arange(len(i))
     inc = np.zeros((len(i), d * d))
@@ -228,20 +213,31 @@ def _incidence(d: int) -> np.ndarray:
     return inc
 
 
-def _plane_value_and_gradient(op, frames: np.ndarray):
-    """Normalized curvature of the planes of orthonormal (n, d, 2) frames
-    and its exact gradient with respect to the two frame columns.
+def _quotient_values(op, x: np.ndarray):
+    """Rayleigh quotient w.Rw / w.Hw of the operator (R, H, B) on the
+    (n, d, 2) stacks x = [z1, z2], where w = B vec(z1 z2^T), with Rw, Hw
+    and w.Hw for the gradient."""
+    r, h, b = op
+    n, d, _ = x.shape
+    w = (x[:, :, :1] * x[:, None, :, 1]).reshape(n, d * d) @ b.T
+    rw, hw = w @ r, w @ h
+    wh = np.einsum("nk,nk->n", w, hw)
+    return np.einsum("nk,nk->n", w, rw) / wh, rw, hw, wh
 
-    With v = 2 (Rw - f Hw) / w.Hw read as an antisymmetric matrix V, the
-    gradients are V z2 and -V z1; both are projected on the orthogonal
-    complement of the frame.
+
+def _quotient_value_and_gradient(op, x: np.ndarray):
+    """``_quotient_values`` and its exact gradient with respect to z1 and z2.
+
+    With v = 2 (Rw - f Hw) / w.Hw mapped through B and read as a d x d
+    matrix V, the gradients are V z2 and V^T z1.  They need no tangent
+    projection: the quotient is homogeneous of degree 0 in each column, so
+    z1.V z2 = v.w = 0; for planes V is antisymmetric, so z2.V z2 = 0 too.
     """
-    val, rw, hw, wh = _plane_values(op, frames)
+    val, rw, hw, wh = _quotient_values(op, x)
+    n, d, _ = x.shape
     v = 2.0 * (rw - val[:, None] * hw) / wh[:, None]
-    n, d, _ = frames.shape
-    grad = (v @ _incidence(d)).reshape(n, d, d) @ frames[:, :, ::-1]
-    grad[:, :, 1] *= -1.0
-    return val, grad - frames @ (frames.transpose(0, 2, 1) @ grad)
+    vm = (v @ op[2]).reshape(n, d, d)
+    return val, np.stack([(vm @ x)[:, :, 1], (x.transpose(0, 2, 1) @ vm)[:, 0]], axis=2)
 
 
 def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
@@ -251,6 +247,10 @@ def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
     z2 = frames[:, :, 1] - q1 * np.einsum("nd,nd->n", q1, frames[:, :, 1])[:, None]
     q2 = z2 / np.linalg.norm(z2, axis=1, keepdims=True)
     return np.stack([q1, q2], axis=2)
+
+
+def _unit_columns(ab: np.ndarray) -> np.ndarray:
+    return ab / np.linalg.norm(ab, axis=1, keepdims=True)
 
 
 def _descend(evaluate, retract, x: np.ndarray, iters: int):
@@ -287,6 +287,29 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int):
     return val, x
 
 
+def _search(op, pool: np.ndarray, retract, budget: Budget) -> np.ndarray:
+    """The lowest stack reached on the quotient of op by descending from
+    the ``budget.restarts`` lowest stacks of the pool."""
+    order = np.argsort(_quotient_values(op, pool)[0], kind="stable")
+    val, x = _descend(
+        lambda s: _quotient_value_and_gradient(op, s),
+        retract,
+        pool[order[: budget.restarts]],
+        budget.iters,
+    )
+    return x[int(np.argmin(val))]
+
+
+# ---------------------------------------------------------------------------
+# plane search
+
+def _basis_planes(basis: np.ndarray) -> np.ndarray:
+    """Frames of the planes spanned by pairs of basis columns, in the order
+    of the bivector coordinates."""
+    i, j = wedge_pairs(basis.shape[1])
+    return np.stack([basis[:, i].T, basis[:, j].T], axis=2)
+
+
 def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     """Plane-intrinsic orthonormal frame with normalized signs.
 
@@ -317,7 +340,7 @@ def _least_curved_plane_3d(op) -> np.ndarray:
     smallest eigenvalue, w = L^-T v0 is the minimizing bivector, and its
     Hodge dual (w12, -w02, w01) is the plane's normal.
     """
-    r, h = op
+    r, h, _ = op
     chol = np.linalg.cholesky(h)
     v0 = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))[1][:, 0]
     w = np.linalg.solve(chol.T, v0)
@@ -346,7 +369,7 @@ def min_curvature(
     tol = _check_tol(tol)
     budget = budget or Budget()
     d = m.algebra.dim
-    op = m.curvature_operator()
+    op = (*m.curvature_operator(), _incidence(d))
     exact = d == 3
     if exact:
         best = _least_curved_plane_3d(op)
@@ -356,14 +379,7 @@ def min_curvature(
         pool = np.concatenate(
             [_gram_schmidt(raw), _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)]
         )
-        order = np.argsort(_plane_values(op, pool)[0], kind="stable")
-        rv, rq = _descend(
-            lambda f: _plane_value_and_gradient(op, f),
-            _gram_schmidt,
-            pool[order[: budget.restarts]],
-            budget.iters,
-        )
-        best = rq[int(np.argmin(rv))]
+        best = _search(op, pool, _gram_schmidt, budget)
 
     witness = _canonical_plane(best)
     final = float(
@@ -385,8 +401,9 @@ def min_curvature(
 # commuting-pair search
 
 def _pair_form(g: LieAlgebra, psi: np.ndarray) -> np.ndarray:
-    """The 3x3x3x3 tensor T with kappa'''(0) on ((a, 0), (0, b)) equal to
-    a_i a_j T_ijkl b_k b_l, symmetric in (i, j) and in (k, l).
+    """The symmetric 9x9 matrix G with kappa'''(0) on ((a, 0), (0, b))
+    equal to w.Gw for w = a (x) b, that is G[(i, k), (j, l)] = T_ijkl with
+    kappa'''(0) = a_i a_j T_ijkl b_k b_l.
 
     kappa'''(0) is biquadratic in the pair, so T is its polarization,
     T_ijkl = sum over s, t = +-1 of s t f(e_i + s e_j, e_k + t e_l) / 16,
@@ -400,31 +417,8 @@ def _pair_form(g: LieAlgebra, psi: np.ndarray) -> np.ndarray:
     xs[:, :, idx1] = u[:, None, :]
     ys[:, :, idx2] = u[None, :, :]
     f = kappa_third_deriv_many(g, psi, xs.reshape(-1, g.dim), ys.reshape(-1, g.dim))
-    return np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
-
-
-def _pair_values(form: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    """kappa'''(0) on ((a, 0), (0, b)) for the (n, 3, 2) stacks [a, b]."""
-    a, b = ab[:, :, 0], ab[:, :, 1]
-    return np.einsum("ni,nj,ijkl,nk,nl->n", a, a, form, b, b)
-
-
-def _pair_value_and_gradient(form: np.ndarray, ab: np.ndarray):
-    """``_pair_values`` on unit stacks [a, b] and its exact gradient, each
-    column projected on the tangent space of its sphere.
-
-    The value is a.grad_a / 2: the form is quadratic in a.
-    """
-    a, b = ab[:, :, 0], ab[:, :, 1]
-    grad_a = 2.0 * np.einsum("ijkl,nj,nk,nl->ni", form, a, b, b)
-    grad_b = 2.0 * np.einsum("ijkl,ni,nj,nk->nl", form, a, a, b)
-    grad = np.stack([grad_a, grad_b], axis=2)
-    val = 0.5 * np.einsum("ni,ni->n", a, grad_a)
-    return val, grad - ab * np.einsum("ndc,ndc->nc", ab, grad)[:, None, :]
-
-
-def _unit_columns(ab: np.ndarray) -> np.ndarray:
-    return ab / np.linalg.norm(ab, axis=1, keepdims=True)
+    t = np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
+    return t.transpose(0, 2, 1, 3).reshape(9, 9)
 
 
 def _sign_normalized(v: np.ndarray) -> np.ndarray:
@@ -453,22 +447,15 @@ def infinitesimal_check(
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
     psi = path.psi
-    form = _pair_form(g, psi)
+    eye = np.eye(9)
     rng = np.random.default_rng(seed)
 
     a = rng.standard_normal((budget.samples, 3))
     b = rng.standard_normal((budget.samples, 3))
     pool = _unit_columns(np.stack([a, b], axis=2))
-    order = np.argsort(_pair_values(form, pool), kind="stable")
-    rv, rab = _descend(
-        lambda ab: _pair_value_and_gradient(form, ab),
-        _unit_columns,
-        pool[order[: budget.restarts]],
-        budget.iters,
-    )
-    k = int(np.argmin(rv))
-    av = g.embed_factor(_sign_normalized(rab[k, :, 0]), 1)
-    bv = g.embed_factor(_sign_normalized(rab[k, :, 1]), 2)
+    best = _search((_pair_form(g, psi), eye, eye), pool, _unit_columns, budget)
+    av = g.embed_factor(_sign_normalized(best[:, 0]), 1)
+    bv = g.embed_factor(_sign_normalized(best[:, 1]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
     verdict = VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE
 

@@ -63,13 +63,30 @@ def test_check_three_dimensional_metric(capsys):
     assert payload["results"][0]["exact"] is True
 
 
-def test_invalid_inputs_exit_two(capsys):
+def test_invalid_inputs_exit_two(capsys, tmp_path):
     assert main(["check", "--phi", "diag:1,2"]) == 2
     assert main(["check", "--phi", "diag:1,1,1,1,1,-1"]) == 2  # not positive definite
     assert main(["check"]) == 2  # no metric given
     assert main(["reproduce", "--suite", "missing"]) == 2
     assert main(["path", "--family", "torus", "--c", "2", "--t-grid", "0.9"]) == 2
     capsys.readouterr()
+    # JSON files that hold no square matrix: a scalar, an object, a 3x6
+    # list and a 3-D list
+    bad_files = {
+        "scalar": 5,
+        "object": {"a": 1},
+        "wide": [[1.0] * 6] * 3,
+        "cube": [[[1.0] * 3] * 3] * 3,
+    }
+    for name, data in bad_files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        for argv in (["check", "--phi", f"@{path}"], ["infinitesimal", "--psi", f"@{path}"]):
+            assert main(argv + LIGHT) == 2, (name, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "", (name, argv)
+            expected = "number array" if name == "object" else str(np.shape(data))
+            assert expected in captured.err, (name, argv, captured.err)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -239,6 +239,11 @@ def test_hostile_input_rejected(g4, bad):
     with pytest.raises(ValueError, match="non-finite"):
         psi_normal_form(g4, broken)
     e1 = np.array([1.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        invariant_plane_residual(broken, e1, e2)
+    with pytest.raises(ValueError, match="not symmetric"):
+        invariant_plane_residual(np.triu(np.ones((6, 6))), e1, e2)
     for plane in ((np.zeros(3), e1), (e1, np.array([bad, 0.0, 0.0]))):
         with pytest.raises(ValueError, match="plane"):
             psi_normal_form(g4, psi, plane=plane)

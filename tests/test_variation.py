@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from liecurv import (
+    DimensionMismatch,
     HorizonExceeded,
     InverseLinearPath,
     NotCommuting,
@@ -218,8 +219,19 @@ def test_derivative_report_consistency(g4):
 
 
 def test_non_finite_psi_rejected(g4):
+    x, y = g4.embed_factor([1.0, 0.0, 0.0], 1), g4.embed_factor([0.0, 1.0, 0.0], 2)
     for bad in (np.nan, np.inf):
         psi = np.zeros((6, 6))
         psi[2, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             InverseLinearPath(g4, psi)
+        for closed_form in (k_second_deriv, kappa_third_deriv):
+            with pytest.raises(ValueError, match="non-finite"):
+                closed_form(g4, psi, x, y)
+    # the closed forms refuse a non-symmetric psi and a wrong shape instead
+    # of using them as given
+    for closed_form in (k_second_deriv, kappa_third_deriv):
+        with pytest.raises(ValueError, match="not symmetric"):
+            closed_form(g4, np.triu(np.ones((6, 6))), x, y)
+        with pytest.raises(DimensionMismatch, match="psi"):
+            closed_form(g4, np.eye(5), x, y)

@@ -35,11 +35,10 @@ from liecurv.verify import (
     _basis_planes,
     _descend,
     _gram_schmidt,
+    _incidence,
     _pair_form,
-    _pair_value_and_gradient,
-    _pair_values,
-    _plane_value_and_gradient,
-    _plane_values,
+    _quotient_value_and_gradient,
+    _quotient_values,
     _unit_columns,
     derived_seed,
 )
@@ -169,37 +168,61 @@ def test_non_finite_tol_rejected(g4, tol):
 
 
 def test_basis_planes_follow_wedge_coordinates(g3, g4):
+    rng = np.random.default_rng(44)
     for g in (g3, g4):
         frames = _basis_planes(np.eye(g.dim))
         w = wedge_many(frames[:, :, 0], frames[:, :, 1])
         assert np.array_equal(w, np.eye(len(w)))
+        # B = _incidence(d) takes vec(z1 z2^T) to the same coordinates
+        z = rng.standard_normal((50, g.dim, 2))
+        outer = np.einsum("ni,nj->nij", z[:, :, 0], z[:, :, 1]).reshape(50, -1)
+        assert np.array_equal(outer @ _incidence(g.dim).T, wedge_many(z[:, :, 0], z[:, :, 1]))
 
 
-def test_plane_gradient_matches_central_differences(g3, g4):
-    rng = np.random.default_rng(40)
+@pytest.mark.parametrize("case", ["so3-planes", "so4-planes", "so4-pairs"])
+def test_quotient_gradient_matches_central_differences(g3, g4, case):
+    """The gradient of the shared quotient against central differences of
+    an independent route: ``normalized_curvature_many`` for planes,
+    ``kappa_third_deriv_many`` on unit columns for pairs."""
     h = 1e-5
-    for g in (g3, g4):
+    if case == "so4-pairs":
+        rng = np.random.default_rng(42)
+        psi = random_symmetric(rng, 6)
+        eye = np.eye(9)
+        op = (_pair_form(g4, psi), eye, eye)
+        x = _unit_columns(rng.standard_normal((20, 3, 2)))
+
+        def reference(s):
+            return kappa_third_deriv_many(g4, psi, *_pair_rows(g4, _unit_columns(s)))
+
+        normals = [x[:, :, :1], x[:, :, 1:]]  # each column's own sphere point
+    else:
+        rng = np.random.default_rng(40)
+        g = g3 if case == "so3-planes" else g4
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
-        op = m.curvature_operator()
-        frames = np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0]
-        val, grad = _plane_value_and_gradient(op, frames)
-        ref = _plane_values(op, frames)[0]
-        assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
-        # the gradient lies in the orthogonal complement of the plane
-        assert np.abs(frames.transpose(0, 2, 1) @ grad).max() < 1e-12
-        for c in range(2):
-            u = rng.standard_normal((20, g.dim))
-            u -= np.einsum("ndk,nk->nd", frames, np.einsum("ndk,nd->nk", frames, u))
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            plus, minus = frames.copy(), frames.copy()
-            plus[:, :, c] += h * u
-            minus[:, :, c] -= h * u
-            fd = (
-                normalized_curvature_many(m, plus[:, :, 0], plus[:, :, 1])
-                - normalized_curvature_many(m, minus[:, :, 0], minus[:, :, 1])
-            ) / (2.0 * h)
-            exact = np.einsum("nd,nd->n", u, grad[:, :, c])
-            assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
+        op = (*m.curvature_operator(), _incidence(g.dim))
+        x = np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0]
+
+        def reference(s):
+            return normalized_curvature_many(m, s[:, :, 0], s[:, :, 1])
+
+        normals = [x, x]  # both columns move in the complement of the plane
+    val, grad = _quotient_value_and_gradient(op, x)
+    ref = _quotient_values(op, x)[0]
+    assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
+    d = x.shape[1]
+    for c, span in enumerate(normals):
+        # the unprojected gradient is already tangent
+        assert np.abs(span.transpose(0, 2, 1) @ grad[:, :, c : c + 1]).max() < 1e-12
+        u = rng.standard_normal((20, d, 1))
+        u = (u - span @ (span.transpose(0, 2, 1) @ u))[:, :, 0]
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        plus, minus = x.copy(), x.copy()
+        plus[:, :, c] += h * u
+        minus[:, :, c] -= h * u
+        fd = (reference(plus) - reference(minus)) / (2.0 * h)
+        exact = np.einsum("nd,nd->n", u, grad[:, :, c])
+        assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
 def test_descend_reaches_smallest_eigenvalue():
@@ -386,11 +409,16 @@ def test_pair_form_matches_closed_form(g4, kind):
         "symmetric": random_symmetric(rng, 6),
     }[kind]
     form = _pair_form(g4, psi)
-    assert np.array_equal(form, form.transpose(1, 0, 2, 3))
-    assert np.array_equal(form, form.transpose(0, 1, 3, 2))
-    ab = rng.standard_normal((250, 3, 2))
+    assert form.shape == (9, 9)
+    assert np.array_equal(form, form.T)
+    # G[(i, k), (j, l)] = T_ijkl with T symmetric in (i, j) and in (k, l)
+    t = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    assert np.array_equal(t, t.transpose(1, 0, 2, 3))
+    assert np.array_equal(t, t.transpose(0, 1, 3, 2))
+    ab = _unit_columns(rng.standard_normal((250, 3, 2)))
     ref = kappa_third_deriv_many(g4, psi, *_pair_rows(g4, ab))
-    got = _pair_values(form, ab)
+    eye = np.eye(9)
+    got = _quotient_values((form, eye, eye), ab)[0]
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -413,30 +441,6 @@ def test_mixing_angles_are_gauge(seed, p, q):
     plain = kappa_third_deriv_many(g, psi, av, bv)[0]
     mixed = kappa_third_deriv_many(g, psi, x, y)[0]
     assert abs(mixed - np.cos(p - q) ** 2 * plain) <= 1e-12 * max(1.0, abs(plain))
-
-
-def test_pair_gradient_matches_central_differences(g4):
-    rng = np.random.default_rng(42)
-    h = 1e-5
-    form = _pair_form(g4, random_symmetric(rng, 6))
-    ab = _unit_columns(rng.standard_normal((20, 3, 2)))
-    val, grad = _pair_value_and_gradient(form, ab)
-    ref = _pair_values(form, ab)
-    assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
-    # each column lies in the tangent space of its sphere
-    assert np.abs(np.einsum("ndc,ndc->nc", ab, grad)).max() < 1e-12
-    for c in range(2):
-        u = rng.standard_normal((20, 3))
-        u -= np.einsum("nd,nd->n", ab[:, :, c], u)[:, None] * ab[:, :, c]
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        plus, minus = ab.copy(), ab.copy()
-        plus[:, :, c] += h * u
-        minus[:, :, c] -= h * u
-        fd = (
-            _pair_values(form, _unit_columns(plus)) - _pair_values(form, _unit_columns(minus))
-        ) / (2.0 * h)
-        exact = np.einsum("nd,nd->n", u, grad[:, :, c])
-        assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
 def test_eigenstructure_clustering():
