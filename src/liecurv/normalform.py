@@ -24,6 +24,7 @@ A1 and B1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,7 +246,10 @@ def psi_normal_form(
 
 @dataclass(frozen=True)
 class NormalFormParams:
-    """Entries of the normal-form matrix displayed in the module docstring."""
+    """Entries of the normal-form matrix displayed in the module docstring.
+
+    Raises ValueError when any entry is not finite.
+    """
 
     a1: float
     a2: float
@@ -258,6 +262,11 @@ class NormalFormParams:
     c3: float
     lam: float = 0.0
     mu: float = 0.0
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            bad = [name for name, v in vars(self).items() if not math.isfinite(v)]
+            raise ValueError(f"NormalFormParams has non-finite fields: {', '.join(bad)}")
 
 
 def normal_form_psi(p: NormalFormParams) -> np.ndarray:

@@ -4,24 +4,33 @@ or behaviors numerically and reports one residual row per check.
 A row passes when its value is at or below its tolerance.  Suite names are
 stable CLI tokens; descriptions say what is being checked.  Budgets are
 sized so every suite finishes in well under a minute on one core.
+
+Suites evaluate in batches: the draws of a check are stacked and go through
+one call of a row kernel (``kappa_third_deriv_many``, ``bracket_many``,
+``normalized_curvature_many``), not one scalar call per draw.  A
+finite-difference curve is evaluated once per stencil time: the refined
+stencils at 0 of orders 1 to 3 share the times 0, +-h/2, +-h and +-2h.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
 from .algebra import diagonal_subalgebra, factor_subalgebra, so4
-from .metric import normalized_curvature
-from .normalform import NormalFormParams, normal_form_kappa3
+from .errors import DegeneratePlane
+from .metric import _GRAM_TOL, normalized_curvature_many
+from .normalform import NormalFormParams, normal_form_psi
 from .variation import (
     InverseLinearPath,
     k_of_t,
     k_second_deriv,
     kappa_of_t,
     kappa_third_deriv,
+    kappa_third_deriv_many,
     default_step,
     refined_derivative,
 )
@@ -71,6 +80,21 @@ def _rel(err: float, ref: float, floor: float = 1e-3) -> float:
     return err / max(abs(ref), floor)
 
 
+def _stencil_curve(curve, path: InverseLinearPath, pair):
+    """t -> curve(path, pair.x, pair.y, t), evaluated once per distinct t.
+
+    The refined stencils at 0 read 0, +-h/2, +-h and +-2h; 2 * (h/2) == h
+    exactly, so each time is computed once and every stencil sum reads the
+    same values in the same order as with the plain curve.
+    """
+    return functools.cache(lambda t: curve(path, pair.x, pair.y, t))
+
+
+def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y vectors of commuting pairs as two (n, dim) stacks."""
+    return np.stack([p.x for p in pairs]), np.stack([p.y for p in pairs])
+
+
 # ---------------------------------------------------------------------------
 # derivative-formula suites
 
@@ -85,8 +109,9 @@ def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
         psi = _unit_spectral(rng)
         path = InverseLinearPath(g, psi)
         h = default_step(path)
-        fd1 = refined_derivative(lambda t: k_of_t(path, pair.x, pair.y, t), 0.0, 1, h)
-        fd2 = refined_derivative(lambda t: k_of_t(path, pair.x, pair.y, t), 0.0, 2, h)
+        f = _stencil_curve(k_of_t, path, pair)
+        fd1 = refined_derivative(f, 0.0, 1, h)
+        fd2 = refined_derivative(f, 0.0, 2, h)
         closed = k_second_deriv(g, psi, pair.x, pair.y)
         worst_fd1 = max(worst_fd1, abs(fd1))
         worst_rel = max(worst_rel, _rel(abs(fd2 - closed), closed))
@@ -107,7 +132,7 @@ def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
         psi = _unit_spectral(rng)
         path = InverseLinearPath(g, psi)
         h = default_step(path)
-        f = lambda t: kappa_of_t(path, pair.x, pair.y, t)
+        f = _stencil_curve(kappa_of_t, path, pair)
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))
@@ -127,19 +152,56 @@ def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
 
 def _suite_shrink_subalgebra(seed: int) -> list[SuiteRow]:
     g = so4()
+    xs, ys = _stack(sample_commuting_pairs(g, 100, seed))
     rows = []
     for name, sub in (("factor", factor_subalgebra(g, 1)), ("diagonal", diagonal_subalgebra(g))):
-        psi = -sub.projector
-        worst = 0.0
-        for pair in sample_commuting_pairs(g, 100, seed):
-            xh = sub.projector @ pair.x
-            yh = sub.projector @ pair.y
-            target = 6.0 * float(np.dot(g.bracket(xh, yh), g.bracket(xh, yh)))
-            got = kappa_third_deriv(g, psi, pair.x, pair.y)
-            worst = max(worst, abs(got - target) / max(abs(target), 1e-9))
+        proj = sub.projector
+        lie = g.bracket_many(xs @ proj, ys @ proj)
+        target = 6.0 * np.einsum("nk,nk->n", lie, lie)
+        got = kappa_third_deriv_many(g, -proj, xs, ys)
+        worst = float(np.max(np.abs(got - target) / np.maximum(np.abs(target), 1e-9)))
         rows.append(SuiteRow(f"third-derivative-identity-{name}", worst, 1e-8))
         rows.append(_eschenburg_row(g, sub, name, seed))
     return rows
+
+
+def _normalized_curvature_rows(metric, z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
+    """``normalized_curvature`` on each row pair, with its DegeneratePlane
+    guard: raises when any row's h-Gram determinant is below 1e-14."""
+    p1 = metric.apply_rows(z1s)
+    gram = (
+        np.einsum("nk,nk->n", p1, z1s) * np.einsum("nk,nk->n", metric.apply_rows(z2s), z2s)
+        - np.einsum("nk,nk->n", p1, z2s) ** 2
+    )
+    if gram.min() < _GRAM_TOL:
+        raise DegeneratePlane(f"h-Gram determinant {gram.min():.3e}")
+    return normalized_curvature_many(metric, z1s, z2s)
+
+
+def _eschenburg_draws(g, sub, seed: int):
+    """200 factor pairs (x, y) with the subalgebra parts commuting on every
+    other draw, as (200, dim) stacks, and whether each twisted plane is
+    expected to be flat."""
+    proj = sub.projector
+    rng = np.random.default_rng(seed)
+    xs, ys, flat = [], [], []
+    while len(flat) < 200:
+        a = rng.standard_normal(3)
+        a /= np.linalg.norm(a)
+        if len(flat) % 2 == 0:
+            b = a.copy()  # forces the subalgebra parts to commute
+        else:
+            b = rng.standard_normal(3)
+            b /= np.linalg.norm(b)
+        x = g.embed_factor(a, 1)
+        y = g.embed_factor(b, 2)
+        lie = np.linalg.norm(g.bracket(proj @ x, proj @ y))
+        if lie >= 1e-8 and lie < 0.05:
+            continue  # keep the nonzero class well separated
+        xs.append(x)
+        ys.append(y)
+        flat.append(lie < 1e-8)
+    return np.stack(xs), np.stack(ys), np.array(flat)
 
 
 def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
@@ -151,30 +213,12 @@ def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
     """
     psi = -sub.projector
     path = InverseLinearPath(g, psi)
-    twists = [(np.eye(6) - t * psi, path.metric_at(t)) for t in (0.25, 0.5)]
-    rng = np.random.default_rng(seed)
+    xs, ys, flat = _eschenburg_draws(g, sub, seed)
     mis = 0
-    checked = 0
-    while checked < 200:
-        a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        if checked % 2 == 0:
-            b = a.copy()  # forces the subalgebra parts to commute
-        else:
-            b = rng.standard_normal(3)
-            b /= np.linalg.norm(b)
-        x = g.embed_factor(a, 1)
-        y = g.embed_factor(b, 2)
-        xh = sub.projector @ x
-        yh = sub.projector @ y
-        flat_expected = np.linalg.norm(g.bracket(xh, yh)) < 1e-8
-        if not flat_expected and np.linalg.norm(g.bracket(xh, yh)) < 0.05:
-            continue  # keep the nonzero class well separated
-        for m, metric in twists:
-            val = normalized_curvature(metric, m @ x, m @ y)
-            if (val < 1e-10) != flat_expected:
-                mis += 1
-        checked += 1
+    for t in (0.25, 0.5):
+        m = np.eye(6) - t * psi
+        val = _normalized_curvature_rows(path.metric_at(t), xs @ m, ys @ m)
+        mis += int(np.count_nonzero((val < 1e-10) != flat))
     return SuiteRow(f"flat-plane-classification-{name}", float(mis), 0.0)
 
 
@@ -198,9 +242,8 @@ def _suite_enlarge_subalgebra(seed: int) -> list[SuiteRow]:
     abelian = np.outer(g.embed_factor(a, 1), g.embed_factor(a, 1)) + np.outer(
         g.embed_factor(b, 2), g.embed_factor(b, 2)
     )
-    worst = 0.0
-    for pair in sample_commuting_pairs(g, 100, seed):
-        worst = max(worst, abs(kappa_third_deriv(g, abelian, pair.x, pair.y)))
+    xs, ys = _stack(sample_commuting_pairs(g, 100, seed))
+    worst = float(np.max(np.abs(kappa_third_deriv_many(g, abelian, xs, ys))))
     rows.append(SuiteRow("abelian-subalgebra-flat", worst, 1e-9))
     return rows
 
@@ -380,6 +423,22 @@ def _constrained_normal_form(rng) -> NormalFormParams:
     )
 
 
+def _normal_form_table(g, params, coeffs) -> np.ndarray:
+    """kappa'''(0) of each draw's normal form (rows) on each factor pair of
+    coefficients (columns), one ``kappa_third_deriv_many`` call per draw:
+    entry (i, j) is ``normal_form_kappa3(g, params[i], *coeffs[j])``."""
+    xs = np.stack([g.embed_factor(np.asarray(xc, dtype=float), 1) for xc, _ in coeffs])
+    ys = np.stack([g.embed_factor(np.asarray(yc, dtype=float), 2) for _, yc in coeffs])
+    return np.stack([kappa_third_deriv_many(g, normal_form_psi(p), xs, ys) for p in params])
+
+
+def _worst_fit(params, lhs, const: float, closed) -> float:
+    worst = 0.0
+    for p, value in zip(params, lhs):
+        worst = max(worst, abs(value - const * closed(p)) / max(1.0, abs(value)))
+    return worst
+
+
 def bracket_identity_rows(seed: int, draws: int = 100) -> list[SuiteRow]:
     """Check the commuting-pair third-derivative identities of the normal form.
 
@@ -391,36 +450,35 @@ def bracket_identity_rows(seed: int, draws: int = 100) -> list[SuiteRow]:
     g = so4()
     rng = np.random.default_rng(seed)
     params = [_random_normal_form(rng) for _ in range(draws)]
+    # columns: each identity case, then the two terms of each sum case
+    n_id = len(_IDENTITY_CASES)
+    table = _normal_form_table(
+        g,
+        params,
+        [(xc, yc) for _, xc, yc, _ in _IDENTITY_CASES]
+        + [term for _, *terms, _ in _SUM_CASES for term in terms],
+    )
 
     num = den = 0.0
-    name0, xc0, yc0, closed0 = _IDENTITY_CASES[0]
-    for p in params:
-        lhs = normal_form_kappa3(g, p, xc0, yc0)
+    closed0 = _IDENTITY_CASES[0][3]
+    for p, lhs in zip(params, table[:, 0]):
         rhs = closed0(p)
         num += lhs * rhs
         den += rhs * rhs
-    const = num / den
+    const = float(num / den)
 
     rows = [SuiteRow("constant-positive", max(0.0, -const), 0.0)]
-    for name, xc, yc, closed in _IDENTITY_CASES:
-        worst = 0.0
-        for p in params:
-            lhs = normal_form_kappa3(g, p, xc, yc)
-            worst = max(worst, abs(lhs - const * closed(p)) / max(1.0, abs(lhs)))
-        rows.append(SuiteRow(name, worst, 1e-10))
-    for name, (xc1, yc1), (xc2, yc2), closed in _SUM_CASES:
-        worst = 0.0
-        for p in params:
-            lhs = normal_form_kappa3(g, p, xc1, yc1) + normal_form_kappa3(g, p, xc2, yc2)
-            worst = max(worst, abs(lhs - const * closed(p)) / max(1.0, abs(lhs)))
-        rows.append(SuiteRow(name, worst, 1e-10))
+    for k, (name, _, _, closed) in enumerate(_IDENTITY_CASES):
+        rows.append(SuiteRow(name, _worst_fit(params, table[:, k], const, closed), 1e-10))
+    for k, (name, _, _, closed) in enumerate(_SUM_CASES):
+        lhs = table[:, n_id + 2 * k] + table[:, n_id + 2 * k + 1]
+        rows.append(SuiteRow(name, _worst_fit(params, lhs, const, closed), 1e-10))
     stratum = [_constrained_normal_form(rng) for _ in range(draws)]
-    for name, signs, closed in _ELIMINATION_CASES:
-        worst = 0.0
-        for p in stratum:
-            lhs = normal_form_kappa3(g, p, (1, 1, 1), signs)
-            worst = max(worst, abs(lhs - const * closed(p)) / max(1.0, abs(lhs)))
-        rows.append(SuiteRow(name, worst, 1e-10))
+    table = _normal_form_table(
+        g, stratum, [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]
+    )
+    for k, (name, _, closed) in enumerate(_ELIMINATION_CASES):
+        rows.append(SuiteRow(name, _worst_fit(stratum, table[:, k], const, closed), 1e-10))
     return rows
 
 

@@ -231,7 +231,7 @@ def test_plane_hidden_by_repeated_singular_value(g4):
     assert nf.off_pattern_residual() < 1e-10
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hostile_input_rejected(g4, bad):
     psi = torus_psi(0.2, 0.6, 0.1, 0.5, 0.3)
     broken = psi.copy()
@@ -247,6 +247,10 @@ def test_hostile_input_rejected(g4, bad):
     for plane in ((np.zeros(3), e1), (e1, np.array([bad, 0.0, 0.0]))):
         with pytest.raises(ValueError, match="plane"):
             psi_normal_form(g4, psi, plane=plane)
+    fields = dict(a1=0.1, a2=0.2, a3=0.3, b1=0.4, b2=0.5, b3=0.6, c1=0.7, c2=0.8, c3=0.9)
+    for name in (*fields, "lam", "mu"):
+        with pytest.raises(ValueError, match=f"non-finite fields: {name}"):
+            NormalFormParams(**{**fields, name: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,0 +1,116 @@
+"""The batched evaluation paths of the reproduce suites against the scalar
+calls they replace, on the suites' own draws."""
+
+import numpy as np
+import pytest
+
+from liecurv import (
+    DegeneratePlane,
+    InverseLinearPath,
+    diagonal_subalgebra,
+    factor_subalgebra,
+    k_of_t,
+    kappa_of_t,
+    kappa_third_deriv,
+    normal_form_kappa3,
+    normalized_curvature,
+    sample_commuting_pairs,
+)
+from liecurv import suites
+from liecurv.variation import default_step, kappa_third_deriv_many, refined_derivative
+
+from conftest import random_symmetric
+
+
+def _close(batched, scalar, rel=1e-14):
+    """Equal to rel times the largest scalar value; every input here is of
+    unit size, so values near zero are compared on that scale."""
+    scalar = np.asarray(scalar)
+    assert np.abs(batched - scalar).max() <= rel * max(np.abs(scalar).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "suite, curve, times", [("lemma-2.1-fd", "k_of_t", 5), ("lemma-2.2-fd", "kappa_of_t", 7)]
+)
+def test_fd_curve_evaluated_once_per_stencil_time(monkeypatch, suite, curve, times):
+    seen = {}
+    inner = getattr(suites, curve)
+
+    def counting(path, x, y, t):
+        seen.setdefault(path, []).append(t)  # keeps each path alive
+        return inner(path, x, y, t)
+
+    monkeypatch.setattr(suites, curve, counting)
+    assert suites.run_suite(suite, seed=7).passed
+    assert len(seen) == 60
+    for ts in seen.values():
+        assert len(ts) == len(set(ts)) == times
+
+
+@pytest.mark.parametrize("curve", [k_of_t, kappa_of_t])
+def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
+    rng = np.random.default_rng(21)
+    for pair in sample_commuting_pairs(g4, 5, seed=21):
+        path = InverseLinearPath(g4, random_symmetric(rng, 6))
+        h = default_step(path)
+        memo = suites._stencil_curve(curve, path, pair)
+        for order in (1, 2, 3):
+            plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
+            assert refined_derivative(memo, 0.0, order, h) == plain
+
+
+def test_subalgebra_rows_match_per_pair_calls(g4):
+    pairs = sample_commuting_pairs(g4, 100, seed=7)
+    xs, ys = suites._stack(pairs)
+    a = g4.embed_factor(np.array([1.0, 0.0, 0.0]), 1)
+    b = g4.embed_factor(np.array([0.0, 1.0, 0.0]), 2)
+    abelian = np.outer(a, a) + np.outer(b, b)
+    for sub in (factor_subalgebra(g4, 1), diagonal_subalgebra(g4)):
+        proj = sub.projector
+        for psi in (-proj, abelian):
+            _close(
+                kappa_third_deriv_many(g4, psi, xs, ys),
+                [kappa_third_deriv(g4, psi, p.x, p.y) for p in pairs],
+            )
+        lie = g4.bracket_many(xs @ proj, ys @ proj)
+        scalar = [g4.bracket(proj @ p.x, proj @ p.y) for p in pairs]
+        _close(np.einsum("nk,nk->n", lie, lie), [v @ v for v in scalar])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_eschenburg_rows_match_per_pair_calls(g4, seed):
+    for sub in (factor_subalgebra(g4, 1), diagonal_subalgebra(g4)):
+        psi = -sub.projector
+        path = InverseLinearPath(g4, psi)
+        xs, ys, flat = suites._eschenburg_draws(g4, sub, seed)
+        assert len(flat) == 200 and flat[::2].all()
+        for t in (0.25, 0.5):
+            m = np.eye(6) - t * psi
+            metric = path.metric_at(t)
+            scalar = [normalized_curvature(metric, m @ x, m @ y) for x, y in zip(xs, ys)]
+            batched = suites._normalized_curvature_rows(metric, xs @ m, ys @ m)
+            _close(batched, scalar)
+            assert np.array_equal(batched < 1e-10, flat)
+
+
+def test_degenerate_row_raises_through_batched_path(g4):
+    metric = InverseLinearPath(g4, -diagonal_subalgebra(g4).projector).metric_at(0.5)
+    xs, ys = suites._stack(sample_commuting_pairs(g4, 3, seed=1))
+    ys[1] = 2.0 * xs[1]
+    with pytest.raises(DegeneratePlane):
+        normalized_curvature(metric, xs[1], ys[1])
+    with pytest.raises(DegeneratePlane):
+        suites._normalized_curvature_rows(metric, xs, ys)
+
+
+def test_normal_form_table_matches_per_pair_calls(g4):
+    rng = np.random.default_rng(5)
+    params = [suites._random_normal_form(rng) for _ in range(10)]
+    params += [suites._constrained_normal_form(rng) for _ in range(10)]
+    coeffs = [(xc, yc) for _, xc, yc, _ in suites._IDENTITY_CASES]
+    coeffs += [term for _, *terms, _ in suites._SUM_CASES for term in terms]
+    coeffs += [((1, 1, 1), signs) for _, signs, _ in suites._ELIMINATION_CASES]
+    table = suites._normal_form_table(g4, params, coeffs)
+    assert table.shape == (20, 16)
+    for i, p in enumerate(params):
+        _close(table[i], [normal_form_kappa3(g4, p, xc, yc) for xc, yc in coeffs])
