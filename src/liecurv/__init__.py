@@ -72,7 +72,6 @@ from .variation import (
     k_second_deriv,
     kappa_of_t,
     kappa_third_deriv,
-    phi_at,
     refined_derivative,
 )
 from .verify import (

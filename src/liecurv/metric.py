@@ -10,9 +10,11 @@ bi-invariant inner product.  Curvature is computed two ways:
   the Levi-Civita connection on a left-invariant frame from the Koszul
   formula and contracts the curvature tensor.
 
-Both return the unnormalized sectional curvature <R(z1, z2) z2, z1>_h;
-``normalized_curvature`` divides by the h-Gram determinant of the plane so
-that the value depends only on span{z1, z2}.
+Both return the unnormalized sectional curvature <R(z1, z2) z2, z1>_h.
+``normalized_curvature_many`` divides it by the h-Gram determinant of each
+plane, so that the value depends only on span{z1, z2}; it is the one
+plane-curvature evaluator, with the one degeneracy rule, and the scalar
+``normalized_curvature`` is its single-row case.
 
 For searches, ``LeftInvariantMetric.curvature_operator`` assembles the
 curvature tensor once per metric as a quadratic form on bivectors, so the
@@ -42,6 +44,12 @@ __all__ = [
 
 # smallest eigenvalue must exceed this fraction of the largest
 _DEFINITENESS_GATE = 1e-12
+# A plane is degenerate when its h-Gram determinant is at most this fraction
+# of g11 g22, the squared h-sine of the angle between z1 and z2; the rule is
+# scale-free, so rescaling a vector or the metric never changes it.  It never
+# rejects a reference-orthonormal frame (the search witnesses): by
+# Wielandt's inequality such a frame has gram / (g11 g22) >= 4k / (k + 1)^2
+# for the condition number k of phi, about 4e-12 at the gate's k = 1e12.
 _GRAM_TOL = 1e-14
 
 
@@ -191,14 +199,28 @@ def koszul_oracle(m: LeftInvariantMetric, z1, z2) -> float:
 
 
 def normalized_curvature_many(m: LeftInvariantMetric, z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
-    """Plane-invariant curvature, row-vectorized. No degeneracy guard."""
-    k = puttmann_curvature_many(m, z1s, z2s)
+    """Sectional curvature of each plane span{z1, z2}, row-vectorized over
+    (n, dim) stacks.
+
+    Divides the unnormalized value by the h-Gram determinant, so the result
+    is invariant under change of basis of the plane.
+
+    Raises:
+        DegeneratePlane: if some row's h-Gram determinant is at most 1e-14
+            times g11 g22, as for a zero vector or a parallel pair.
+    """
     pz1 = m.apply_rows(z1s)
-    pz2 = m.apply_rows(z2s)
     g11 = np.einsum("nk,nk->n", pz1, z1s)
-    g22 = np.einsum("nk,nk->n", pz2, z2s)
+    g22 = np.einsum("nk,nk->n", m.apply_rows(z2s), z2s)
     g12 = np.einsum("nk,nk->n", pz1, z2s)
-    return k / (g11 * g22 - g12 * g12)
+    gram = g11 * g22 - g12 * g12
+    bad = np.nonzero(gram <= _GRAM_TOL * g11 * g22)[0]
+    if len(bad):
+        n = bad[0]
+        raise DegeneratePlane(
+            f"h-Gram determinant {gram[n]:.3e} of a plane with g11 g22 = {g11[n] * g22[n]:.3e}"
+        )
+    return puttmann_curvature_many(m, z1s, z2s) / gram
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,20 +244,8 @@ def wedge_many(z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
 
 
 def normalized_curvature(m: LeftInvariantMetric, z1, z2) -> float:
-    """Sectional curvature of the plane span{z1, z2}.
-
-    Divides the unnormalized value by the h-Gram determinant, so the result
-    is invariant under change of basis of the plane.
-
-    Raises:
-        DegeneratePlane: if the h-Gram determinant is below 1e-14.
-    """
+    """Sectional curvature of the plane span{z1, z2}: the single-row case of
+    ``normalized_curvature_many``, which raises DegeneratePlane."""
     z1 = m.algebra.check_vector(z1)
     z2 = m.algebra.check_vector(z2)
-    g11 = m.h(z1, z1)
-    g22 = m.h(z2, z2)
-    g12 = m.h(z1, z2)
-    gram = g11 * g22 - g12 * g12
-    if gram < _GRAM_TOL:
-        raise DegeneratePlane(f"h-Gram determinant {gram:.3e}")
-    return puttmann_curvature(m, z1, z2) / gram
+    return float(normalized_curvature_many(m, z1[None, :], z2[None, :])[0])

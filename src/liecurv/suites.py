@@ -8,21 +8,21 @@ sized so every suite finishes in well under a minute on one core.
 Suites evaluate in batches: the draws of a check are stacked and go through
 one call of a row kernel (``kappa_third_deriv_many``, ``bracket_many``,
 ``normalized_curvature_many``), not one scalar call per draw.  A
-finite-difference curve is evaluated once per stencil time: the refined
-stencils at 0 of orders 1 to 3 share the times 0, +-h/2, +-h and +-2h.
+finite-difference curve is read through ``variation.stencil_curve``, which
+evaluates it once per stencil time: the refined stencils at 0 of orders 1
+to 3 share the times 0, +-h/2, +-h and +-2h.  The two finite-difference
+suites share one draw loop, ``_fd_draws``.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
 from .algebra import diagonal_subalgebra, factor_subalgebra, so4
-from .errors import DegeneratePlane
-from .metric import _GRAM_TOL, normalized_curvature_many
+from .metric import normalized_curvature_many
 from .normalform import NormalFormParams, normal_form_psi
 from .variation import (
     InverseLinearPath,
@@ -33,6 +33,7 @@ from .variation import (
     kappa_third_deriv_many,
     default_step,
     refined_derivative,
+    stencil_curve,
 )
 from .verify import Budget, infinitesimal_check, path_scan, sample_commuting_pairs
 
@@ -80,16 +81,6 @@ def _rel(err: float, ref: float, floor: float = 1e-3) -> float:
     return err / max(abs(ref), floor)
 
 
-def _stencil_curve(curve, path: InverseLinearPath, pair):
-    """t -> curve(path, pair.x, pair.y, t), evaluated once per distinct t.
-
-    The refined stencils at 0 read 0, +-h/2, +-h and +-2h; 2 * (h/2) == h
-    exactly, so each time is computed once and every stencil sum reads the
-    same values in the same order as with the plain curve.
-    """
-    return functools.cache(lambda t: curve(path, pair.x, pair.y, t))
-
-
 def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The x and y vectors of commuting pairs as two (n, dim) stacks."""
     return np.stack([p.x for p in pairs]), np.stack([p.y for p in pairs])
@@ -98,22 +89,24 @@ def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # derivative-formula suites
 
-def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
+def _fd_draws(seed: int, curve):
+    """The draws of the finite-difference suites: for each of 60 seeded
+    commuting pairs, the path of a unit-spectral psi, the pair, the path's
+    default step and ``curve`` on the pair through ``stencil_curve``."""
     g = so4()
     rng = np.random.default_rng(seed)
-    pairs = sample_commuting_pairs(g, 60, seed)
-    worst_fd1 = 0.0
-    worst_rel = 0.0
+    for pair in sample_commuting_pairs(g, 60, seed):
+        path = InverseLinearPath(g, _unit_spectral(rng))
+        yield path, pair, default_step(path), stencil_curve(curve, path, pair.x, pair.y)
+
+
+def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
+    worst_fd1 = worst_rel = 0.0
     min_k2 = np.inf
-    for pair in pairs:
-        psi = _unit_spectral(rng)
-        path = InverseLinearPath(g, psi)
-        h = default_step(path)
-        f = _stencil_curve(k_of_t, path, pair)
-        fd1 = refined_derivative(f, 0.0, 1, h)
+    for path, pair, h, f in _fd_draws(seed, k_of_t):
+        worst_fd1 = max(worst_fd1, abs(refined_derivative(f, 0.0, 1, h)))
+        closed = k_second_deriv(path.algebra, path.psi, pair.x, pair.y)
         fd2 = refined_derivative(f, 0.0, 2, h)
-        closed = k_second_deriv(g, psi, pair.x, pair.y)
-        worst_fd1 = max(worst_fd1, abs(fd1))
         worst_rel = max(worst_rel, _rel(abs(fd2 - closed), closed))
         min_k2 = min(min_k2, closed)
     return [
@@ -124,19 +117,12 @@ def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
 
 
 def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
-    g = so4()
-    rng = np.random.default_rng(seed)
-    pairs = sample_commuting_pairs(g, 60, seed)
     worst0 = worst1 = worst2 = worst_rel = 0.0
-    for pair in pairs:
-        psi = _unit_spectral(rng)
-        path = InverseLinearPath(g, psi)
-        h = default_step(path)
-        f = _stencil_curve(kappa_of_t, path, pair)
+    for path, pair, h, f in _fd_draws(seed, kappa_of_t):
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))
-        closed = kappa_third_deriv(g, psi, pair.x, pair.y)
+        closed = kappa_third_deriv(path.algebra, path.psi, pair.x, pair.y)
         fd3 = refined_derivative(f, 0.0, 3, h)
         worst_rel = max(worst_rel, _rel(abs(fd3 - closed), closed))
     return [
@@ -163,19 +149,6 @@ def _suite_shrink_subalgebra(seed: int) -> list[SuiteRow]:
         rows.append(SuiteRow(f"third-derivative-identity-{name}", worst, 1e-8))
         rows.append(_eschenburg_row(g, sub, name, seed))
     return rows
-
-
-def _normalized_curvature_rows(metric, z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
-    """``normalized_curvature`` on each row pair, with its DegeneratePlane
-    guard: raises when any row's h-Gram determinant is below 1e-14."""
-    p1 = metric.apply_rows(z1s)
-    gram = (
-        np.einsum("nk,nk->n", p1, z1s) * np.einsum("nk,nk->n", metric.apply_rows(z2s), z2s)
-        - np.einsum("nk,nk->n", p1, z2s) ** 2
-    )
-    if gram.min() < _GRAM_TOL:
-        raise DegeneratePlane(f"h-Gram determinant {gram.min():.3e}")
-    return normalized_curvature_many(metric, z1s, z2s)
 
 
 def _eschenburg_draws(g, sub, seed: int):
@@ -217,7 +190,7 @@ def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
     mis = 0
     for t in (0.25, 0.5):
         m = np.eye(6) - t * psi
-        val = _normalized_curvature_rows(path.metric_at(t), xs @ m, ys @ m)
+        val = normalized_curvature_many(path.metric_at(t), xs @ m, ys @ m)
         mis += int(np.count_nonzero((val < 1e-10) != flat))
     return SuiteRow(f"flat-plane-classification-{name}", float(mis), 0.0)
 
@@ -439,8 +412,9 @@ def _worst_fit(params, lhs, const: float, closed) -> float:
     return worst
 
 
-def bracket_identity_rows(seed: int, draws: int = 100) -> list[SuiteRow]:
-    """Check the commuting-pair third-derivative identities of the normal form.
+def bracket_identity_rows(seed: int) -> list[SuiteRow]:
+    """Check the commuting-pair third-derivative identities of the normal form
+    on 100 draws.
 
     A single positive proportionality constant is fitted once from the first
     identity and then asserted across every identity and draw; the fit
@@ -449,7 +423,7 @@ def bracket_identity_rows(seed: int, draws: int = 100) -> list[SuiteRow]:
     """
     g = so4()
     rng = np.random.default_rng(seed)
-    params = [_random_normal_form(rng) for _ in range(draws)]
+    params = [_random_normal_form(rng) for _ in range(100)]
     # columns: each identity case, then the two terms of each sum case
     n_id = len(_IDENTITY_CASES)
     table = _normal_form_table(
@@ -473,17 +447,13 @@ def bracket_identity_rows(seed: int, draws: int = 100) -> list[SuiteRow]:
     for k, (name, _, _, closed) in enumerate(_SUM_CASES):
         lhs = table[:, n_id + 2 * k] + table[:, n_id + 2 * k + 1]
         rows.append(SuiteRow(name, _worst_fit(params, lhs, const, closed), 1e-10))
-    stratum = [_constrained_normal_form(rng) for _ in range(draws)]
+    stratum = [_constrained_normal_form(rng) for _ in range(100)]
     table = _normal_form_table(
         g, stratum, [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]
     )
     for k, (name, _, closed) in enumerate(_ELIMINATION_CASES):
         rows.append(SuiteRow(name, _worst_fit(stratum, table[:, k], const, closed), 1e-10))
     return rows
-
-
-def _suite_bracket_identities(seed: int) -> list[SuiteRow]:
-    return bracket_identity_rows(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +482,7 @@ SUITES: dict[str, tuple[str, callable]] = {
     ),
     "th1-identities": (
         "normal-form third-derivative identities with one fitted constant",
-        _suite_bracket_identities,
+        bracket_identity_rows,
     ),
     "obs-3.1-planes": (
         "each family metric preserves three orthogonal abelian planes",

@@ -11,11 +11,14 @@ Two curvature curves are tracked for a commuting pair (x, y):
   whose plane follows the path.
 
 Closed forms for k''(0) and kappa'''(0) are provided together with
-finite-difference estimators that pin their constants independently.
+finite-difference estimators that pin their constants independently;
+``stencil_curve`` evaluates such a curve once per stencil time, for
+``derivative_report`` and the finite-difference suites alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,6 @@ from .metric import LeftInvariantMetric, puttmann_curvature
 
 __all__ = [
     "InverseLinearPath",
-    "phi_at",
     "k_of_t",
     "kappa_of_t",
     "k_second_deriv",
@@ -34,6 +36,7 @@ __all__ = [
     "kappa_third_deriv_many",
     "finite_diff",
     "refined_derivative",
+    "stencil_curve",
     "DerivativeReport",
     "derivative_report",
     "require_commuting",
@@ -102,10 +105,6 @@ class InverseLinearPath:
         return LeftInvariantMetric(self.algebra, self.phi_at(t))
 
 
-def phi_at(path: InverseLinearPath, t: float) -> np.ndarray:
-    return path.phi_at(t)
-
-
 def k_of_t(path: InverseLinearPath, x, y, t: float) -> float:
     """Curvature of the fixed pair (x, y) under the metric at time t."""
     return puttmann_curvature(path.metric_at(t), x, y)
@@ -172,7 +171,6 @@ _STENCILS = {
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
     3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
 }
-_H_POWER = {1: 1, 2: 2, 3: 3}
 
 
 def finite_diff(f, t0: float, order: int, h: float) -> float:
@@ -189,7 +187,7 @@ def finite_diff(f, t0: float, order: int, h: float) -> float:
     acc = 0.0
     for offset, weight in _STENCILS[order]:
         acc += weight * f(t0 + offset * h)
-    return acc / h ** _H_POWER[order]
+    return acc / h ** order
 
 
 def refined_derivative(f, t0: float, order: int, h: float) -> float:
@@ -202,6 +200,16 @@ def refined_derivative(f, t0: float, order: int, h: float) -> float:
     d_h = finite_diff(f, t0, order, h)
     d_half = finite_diff(f, t0, order, h / 2.0)
     return (4.0 * d_half - d_h) / 3.0
+
+
+def stencil_curve(curve, path: InverseLinearPath, x, y):
+    """t -> curve(path, x, y, t), evaluated once per distinct t.
+
+    The refined stencils at 0 read 0, +-h/2, +-h and +-2h; 2 * (h/2) == h
+    exactly, so each time is computed once and every stencil sum reads the
+    same values in the same order as with the plain curve.
+    """
+    return functools.cache(lambda t: curve(path, x, y, t))
 
 
 @dataclass(frozen=True)
@@ -221,13 +229,14 @@ def default_step(path: InverseLinearPath) -> float:
 
 
 def derivative_report(g: LieAlgebra, psi, x, y, h: float | None = None) -> DerivativeReport:
-    """Closed forms for k''(0), kappa'''(0) and their Richardson estimates."""
+    """Closed forms for k''(0), kappa'''(0) and their Richardson estimates,
+    each curve read through ``stencil_curve``."""
     path = InverseLinearPath(g, psi)
     x, y = require_commuting(g, x, y)
     if h is None:
         h = default_step(path)
-    fd_k2 = refined_derivative(lambda t: k_of_t(path, x, y, t), 0.0, 2, h)
-    fd_kappa3 = refined_derivative(lambda t: kappa_of_t(path, x, y, t), 0.0, 3, h)
+    fd_k2 = refined_derivative(stencil_curve(k_of_t, path, x, y), 0.0, 2, h)
+    fd_kappa3 = refined_derivative(stencil_curve(kappa_of_t, path, x, y), 0.0, 3, h)
     return DerivativeReport(
         k2=k_second_deriv(g, path.psi, x, y),
         kappa3=kappa_third_deriv(g, path.psi, x, y),

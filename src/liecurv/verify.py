@@ -15,10 +15,11 @@ with R the 9x9 form ``_pair_form`` of kappa'''(0) and H = B = I.  On a
 is the smallest eigenvalue of the pencil (R, H), computed in closed form,
 and the report says ``exact``.  Otherwise ``_search`` descends with
 ``_descend`` from the best starts of a coarse pool: over orthonormal frames
-for planes, over S^2 x S^2 for pairs.  A ``NegativeWitness`` verdict is
-conclusive (the witness re-evaluates below -tol in isolation); a
-``NonnegativeWithinBudget`` verdict from a search is a bounded-search
-claim, not a proof.
+for planes, over S^2 x S^2 for pairs.  Both verdicts come from one rule,
+``_report``: negative exactly when the minimum lies below -tol.  A
+``NegativeWitness`` verdict is conclusive (the witness re-evaluates below
+-tol in isolation); a ``NonnegativeWithinBudget`` verdict from a search is
+a bounded-search claim, not a proof.
 
 ``lemma_k_check`` samples the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths, in one batch.
@@ -142,6 +143,20 @@ class CurvatureReport:
         if self.small_t is not None:
             out["small_t"] = [[t, v] for t, v in self.small_t]
         return out
+
+
+def _report(final: float, witness, tol: float, budget: Budget, seed: int, **extra) -> CurvatureReport:
+    """The report on a minimum ``final`` attained at ``witness`` (two
+    vectors): negative exactly when final < -tol."""
+    return CurvatureReport(
+        verdict=VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE,
+        min_value=final,
+        witness=tuple(tuple(v) for v in witness),
+        samples=budget.samples,
+        restarts=budget.restarts,
+        seed=seed,
+        **extra,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +325,12 @@ def _basis_planes(basis: np.ndarray) -> np.ndarray:
     return np.stack([basis[:, i].T, basis[:, j].T], axis=2)
 
 
+def _sign_normalized(v: np.ndarray) -> np.ndarray:
+    """v with its largest-magnitude entry made nonnegative."""
+    k = int(np.argmax(np.abs(v)))
+    return -v if v[k] < 0 else v
+
+
 def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     """Plane-intrinsic orthonormal frame with normalized signs.
 
@@ -323,10 +344,7 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     i2 = int(np.argmax(np.diag(p2)))
     v2 = p2[:, i2] - v1 * (v1 @ p2[:, i2])
     v2 /= np.linalg.norm(v2)
-    cols = []
-    for v in (v1, v2):
-        k = int(np.argmax(np.abs(v)))
-        cols.append(-v if v[k] < 0 else v)
+    cols = [_sign_normalized(v1), _sign_normalized(v2)]
     cols.sort(key=lambda v: tuple(v))
     return np.stack(cols, axis=1)
 
@@ -382,19 +400,8 @@ def min_curvature(
         best = _search(op, pool, _gram_schmidt, budget)
 
     witness = _canonical_plane(best)
-    final = float(
-        normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0]
-    )
-    verdict = VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE
-    return CurvatureReport(
-        verdict=verdict,
-        min_value=final,
-        witness=(tuple(witness[:, 0]), tuple(witness[:, 1])),
-        samples=budget.samples,
-        restarts=budget.restarts,
-        seed=seed,
-        exact=exact,
-    )
+    final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
+    return _report(final, witness.T, tol, budget, seed, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +426,6 @@ def _pair_form(g: LieAlgebra, psi: np.ndarray) -> np.ndarray:
     f = kappa_third_deriv_many(g, psi, xs.reshape(-1, g.dim), ys.reshape(-1, g.dim))
     t = np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
     return t.transpose(0, 2, 1, 3).reshape(9, 9)
-
-
-def _sign_normalized(v: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
 
 
 def infinitesimal_check(
@@ -457,21 +459,12 @@ def infinitesimal_check(
     av = g.embed_factor(_sign_normalized(best[:, 0]), 1)
     bv = g.embed_factor(_sign_normalized(best[:, 1]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
-    verdict = VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE
-
-    small_t = []
-    for t in (1e-4, 1e-3, 1e-2, 5e-2):
-        if path.admissible(t) and t < 0.5 * path.t_max:
-            small_t.append((t, kappa_of_t(path, av, bv, t)))
-    return CurvatureReport(
-        verdict=verdict,
-        min_value=final,
-        witness=(tuple(av), tuple(bv)),
-        samples=budget.samples,
-        restarts=budget.restarts,
-        seed=seed,
-        small_t=tuple(small_t),
+    small_t = tuple(
+        (t, kappa_of_t(path, av, bv, t))
+        for t in (1e-4, 1e-3, 1e-2, 5e-2)
+        if path.admissible(t) and t < 0.5 * path.t_max
     )
+    return _report(final, (av, bv), tol, budget, seed, small_t=small_t)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +482,9 @@ class EigenStructure:
         return self.eigenspaces[0]
 
 
-def eigenstructure(psi, cluster_tol: float = 1e-8) -> EigenStructure:
+def eigenstructure(psi) -> EigenStructure:
     """Symmetric eigendecomposition with eigenvalues merged at relative gaps
-    below ``cluster_tol``.
+    below 1e-8.
 
     The gap scale is the largest absolute eigenvalue, so a zero map yields a
     single cluster.  psi must be square (DimensionMismatch), finite and
@@ -499,7 +492,7 @@ def eigenstructure(psi, cluster_tol: float = 1e-8) -> EigenStructure:
     """
     w, v = np.linalg.eigh(symmetric_matrix(psi, "psi"))
     scale = max(np.abs(w).max(), 1e-300)
-    cuts = np.nonzero(np.diff(w) > cluster_tol * scale)[0] + 1
+    cuts = np.nonzero(np.diff(w) > 1e-8 * scale)[0] + 1
     return EigenStructure(
         eigenvalues=np.array([float(c.mean()) for c in np.split(w, cuts)]),
         eigenspaces=[b.copy() for b in np.split(v, cuts, axis=1)],

@@ -309,7 +309,7 @@ def test_criterion_09_family_scans_and_planes():
 
 
 def test_criterion_10_bracket_identity_suite():
-    rows = bracket_identity_rows(110, draws=100)
+    rows = bracket_identity_rows(110)
     worst = max(row.value for row in rows if row.tol == 1e-10)
     ok = all(row.passed for row in rows)
     _criterion(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     DegeneratePlane,
@@ -9,6 +11,7 @@ from liecurv import (
     koszul_oracle,
     normalized_curvature,
     puttmann_curvature,
+    so4,
 )
 from liecurv.metric import normalized_curvature_many, wedge_many
 
@@ -100,11 +103,32 @@ def test_normalized_curvature_identity_orthonormal(g4):
         assert abs(got - 0.25 * lie @ lie) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(e1=st.floats(-8.0, 8.0), e2=st.floats(-8.0, 8.0))
+def test_normalized_curvature_is_scale_free(e1, e2):
+    # the degeneracy rule is relative to g11 g22, so rescaled vectors of a
+    # non-degenerate plane never raise and give the same curvature
+    rng = np.random.default_rng(11)
+    m = LeftInvariantMetric(so4(), random_spd(rng, 6))
+    z1, z2 = rng.standard_normal((2, 6))
+    ref = normalized_curvature(m, z1, z2)
+    got = normalized_curvature(m, 10.0**e1 * z1, 10.0**e2 * z2)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 def test_degenerate_plane_rejected(g4):
-    m = LeftInvariantMetric(g4, np.eye(6))
+    # a zero vector, parallel vectors and a nearly parallel pair of large
+    # vectors, through the scalar and the row path
+    e = np.eye(6)
     z = np.arange(6.0)
-    with pytest.raises(DegeneratePlane):
-        normalized_curvature(m, z, z)
+    cases = [(z, z), (np.zeros(6), e[1]), (z, -3.0 * z), (1e8 * e[0], 1e8 * e[0] + 1e-3 * e[1])]
+    for phi in (np.eye(6), random_spd(np.random.default_rng(12), 6)):
+        m = LeftInvariantMetric(g4, phi)
+        for z1, z2 in cases:
+            with pytest.raises(DegeneratePlane):
+                normalized_curvature(m, z1, z2)
+            with pytest.raises(DegeneratePlane):
+                normalized_curvature_many(m, np.stack([e[0], z1]), np.stack([e[1], z2]))
 
 
 def test_non_positive_definite_rejected(g4):

@@ -1,5 +1,6 @@
 """The batched evaluation paths of the reproduce suites against the scalar
-calls they replace, on the suites' own draws."""
+calls they replace, on the suites' own draws, and ``stencil_curve``, which
+evaluates each finite-difference curve once per stencil time."""
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from liecurv import (
     normalized_curvature,
     sample_commuting_pairs,
 )
-from liecurv import suites
-from liecurv.variation import default_step, kappa_third_deriv_many, refined_derivative
+from liecurv import suites, variation
+from liecurv.metric import normalized_curvature_many
+from liecurv.variation import (
+    default_step,
+    derivative_report,
+    kappa_third_deriv_many,
+    refined_derivative,
+    stencil_curve,
+)
 
 from conftest import random_symmetric
 
@@ -29,18 +37,24 @@ def _close(batched, scalar, rel=1e-14):
     assert np.abs(batched - scalar).max() <= rel * max(np.abs(scalar).max(), 1.0)
 
 
-@pytest.mark.parametrize(
-    "suite, curve, times", [("lemma-2.1-fd", "k_of_t", 5), ("lemma-2.2-fd", "kappa_of_t", 7)]
-)
-def test_fd_curve_evaluated_once_per_stencil_time(monkeypatch, suite, curve, times):
+def _count_times(monkeypatch, module, curve):
+    """Wrap module.curve so each call records its time, per path."""
     seen = {}
-    inner = getattr(suites, curve)
+    inner = getattr(module, curve)
 
     def counting(path, x, y, t):
         seen.setdefault(path, []).append(t)  # keeps each path alive
         return inner(path, x, y, t)
 
-    monkeypatch.setattr(suites, curve, counting)
+    monkeypatch.setattr(module, curve, counting)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "suite, curve, times", [("lemma-2.1-fd", "k_of_t", 5), ("lemma-2.2-fd", "kappa_of_t", 7)]
+)
+def test_fd_curve_evaluated_once_per_stencil_time(monkeypatch, suite, curve, times):
+    seen = _count_times(monkeypatch, suites, curve)
     assert suites.run_suite(suite, seed=7).passed
     assert len(seen) == 60
     for ts in seen.values():
@@ -53,10 +67,32 @@ def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
     for pair in sample_commuting_pairs(g4, 5, seed=21):
         path = InverseLinearPath(g4, random_symmetric(rng, 6))
         h = default_step(path)
-        memo = suites._stencil_curve(curve, path, pair)
+        memo = stencil_curve(curve, path, pair.x, pair.y)
         for order in (1, 2, 3):
             plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
             assert refined_derivative(memo, 0.0, order, h) == plain
+
+
+def test_derivative_report_evaluates_each_stencil_time_once(g4, monkeypatch):
+    # the refined second-order stencil reads 5 distinct times, the
+    # third-order one 6, and the estimates are bitwise the plain ones
+    psi = random_symmetric(np.random.default_rng(4), 6)
+    pair = sample_commuting_pairs(g4, 1, seed=4)[0]
+    k_times = _count_times(monkeypatch, variation, "k_of_t")
+    kappa_times = _count_times(monkeypatch, variation, "kappa_of_t")
+    report = derivative_report(g4, psi, pair.x, pair.y)
+    for seen, times in ((k_times, 5), (kappa_times, 6)):
+        (ts,) = seen.values()
+        assert len(ts) == len(set(ts)) == times
+    monkeypatch.undo()
+    path = InverseLinearPath(g4, psi)
+    h = default_step(path)
+    plain = {
+        curve: lambda t, curve=curve: curve(path, pair.x, pair.y, t)
+        for curve in (k_of_t, kappa_of_t)
+    }
+    assert report.fd_k2 == refined_derivative(plain[k_of_t], 0.0, 2, h)
+    assert report.fd_kappa3 == refined_derivative(plain[kappa_of_t], 0.0, 3, h)
 
 
 def test_subalgebra_rows_match_per_pair_calls(g4):
@@ -88,7 +124,7 @@ def test_eschenburg_rows_match_per_pair_calls(g4, seed):
             m = np.eye(6) - t * psi
             metric = path.metric_at(t)
             scalar = [normalized_curvature(metric, m @ x, m @ y) for x, y in zip(xs, ys)]
-            batched = suites._normalized_curvature_rows(metric, xs @ m, ys @ m)
+            batched = normalized_curvature_many(metric, xs @ m, ys @ m)
             _close(batched, scalar)
             assert np.array_equal(batched < 1e-10, flat)
 
@@ -100,7 +136,7 @@ def test_degenerate_row_raises_through_batched_path(g4):
     with pytest.raises(DegeneratePlane):
         normalized_curvature(metric, xs[1], ys[1])
     with pytest.raises(DegeneratePlane):
-        suites._normalized_curvature_rows(metric, xs, ys)
+        normalized_curvature_many(metric, xs, ys)
 
 
 def test_normal_form_table_matches_per_pair_calls(g4):

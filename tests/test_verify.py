@@ -136,6 +136,15 @@ def test_negative_witness_reproduces_in_isolation(g4):
     assert abs(again - rep.min_value) < 1e-10 * (1.0 + abs(rep.min_value))
 
 
+def test_min_curvature_small_metric_scale(g4):
+    # the witness of 1e-8 * diag(1.4, 1, ...) has h-Gram determinant about
+    # 1.4e-16, which the plane-curvature evaluator must still accept
+    base = np.diag([1.4, 1.0, 1.0, 1.0, 1.0, 1.0])
+    ref = min_curvature(LeftInvariantMetric(g4, base), seed=7)
+    small = min_curvature(LeftInvariantMetric(g4, 1e-8 * base), seed=7)
+    assert abs(1e-8 * small.min_value - ref.min_value) <= 1e-9 * abs(ref.min_value)
+
+
 def test_min_curvature_same_seed_same_report(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
     a = min_curvature(m, LIGHT, seed=7)
