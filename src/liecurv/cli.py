@@ -11,7 +11,8 @@ Subcommands:
 * ``reproduce``     -- run a named verification suite
 
 Exit codes: 0 when every verdict is nonnegative and every residual passes,
-1 when a negative witness or failed residual appears, 2 on invalid input.
+1 when a negative witness or failed residual appears, 2 on invalid input
+(a bad seed or ``LIECURV_SEED`` and an unwritable output path included).
 
 Reports are strict JSON (sorted keys, no NaN or infinity; non-finite input
 exits 2); for a fixed configuration and seed the output is byte-identical
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -87,111 +89,112 @@ def _algebra_for(dim: int):
     return so3() if dim == 3 else so4()
 
 
-def _family_phi(args) -> tuple[np.ndarray, dict]:
-    name = args.family
-    if name == "product":
-        if not (args.phi1 and args.phi2):
-            raise ValueError("product family needs --phi1 and --phi2")
-        p = families.ProductParams(
-            phi1=parse_matrix(args.phi1, allowed_dims=(3,)),
-            phi2=parse_matrix(args.phi2, allowed_dims=(3,)),
-        )
-        return families.product_phi(p), {"family": name, "phi1": args.phi1, "phi2": args.phi2}
-    if name == "torus":
-        tau_vals = _parse_floats(args.tau)
-        if len(tau_vals) != 3:
-            raise ValueError("--tau expects t11,t12,t22")
-        tau = np.array([[tau_vals[0], tau_vals[1]], [tau_vals[1], tau_vals[2]]])
-        p = families.TorusParams(c=args.c, d=args.d, tau_block=tau)
-        return families.torus_phi(p), {"family": name, "c": args.c, "d": args.d, "tau": tau_vals}
-    if name == "s3-action":
-        lam = _parse_floats(args.lam)
-        p = families.S3ActionParams(a=args.a, b=args.b, lam=np.asarray(lam))
-        return families.s3_action_phi(p), {"family": name, "a": args.a, "b": args.b, "lambda": lam}
-    raise ValueError(f"unknown family: {args.family}")
+def _product_phi(v: dict) -> np.ndarray:
+    if not (v["phi1"] and v["phi2"]):
+        raise ValueError("product family needs --phi1 and --phi2")
+    blocks = (parse_matrix(v[k], allowed_dims=(3,)) for k in ("phi1", "phi2"))
+    return families.product_phi(families.ProductParams(*blocks))
 
 
-def _family_psi(args) -> tuple[np.ndarray, dict]:
-    name = args.family
-    if name == "torus":
-        psi = families.torus_psi(args.c, args.d, args.a1, args.a2, args.a3)
-        cfg = {"family": name, "c": args.c, "d": args.d,
-               "a1": args.a1, "a2": args.a2, "a3": args.a3}
-        return psi, cfg
-    if name == "s3-action":
-        lam = _parse_floats(args.lam)
-        psi = families.s3_action_psi(args.alpha, args.beta, np.asarray(lam))
-        cfg = {"family": name, "alpha": args.alpha, "beta": args.beta, "lambda": lam}
-        return psi, cfg
-    raise ValueError(f"unknown derivative family: {args.family}")
+def _torus_phi(v: dict) -> np.ndarray:
+    t = v["tau"]
+    if len(t) != 3:
+        raise ValueError("--tau expects t11,t12,t22")
+    tau = np.array([[t[0], t[1]], [t[1], t[2]]])
+    return families.torus_phi(families.TorusParams(c=v["c"], d=v["d"], tau_block=tau))
 
 
-def _metric_source(args) -> tuple[np.ndarray, dict]:
-    if args.phi and args.family:
-        raise ValueError("give either --phi or --family, not both")
-    if args.phi:
-        mat = parse_matrix(args.phi)
-        return mat, {"phi": args.phi}
+# kind -> family -> (its flags with their defaults, its builder).  The type
+# of a default says how the flag is read: a float is a number, a string a
+# comma-separated number list, and None (no default) a matrix spec that the
+# builder parses.  A builder maps the flag values, by flag name, to the
+# family's matrix.  A flag's default belongs to its kind: ``--c`` is 1 for
+# the torus metric and 0 for the torus derivative.
+_FAMILIES = {
+    "metric": {
+        "product": ({"phi1": None, "phi2": None}, _product_phi),
+        "torus": ({"c": 1.0, "d": 1.0, "tau": "1,0,1"}, _torus_phi),
+        "s3-action": (
+            {"a": 1.0, "b": 1.0, "lambda": "1,1,1"},
+            lambda v: families.s3_action_phi(
+                families.S3ActionParams(a=v["a"], b=v["b"], lam=np.asarray(v["lambda"]))
+            ),
+        ),
+    },
+    "derivative": {
+        "torus": (
+            {"c": 0.0, "d": 0.0, "a1": 0.0, "a2": 0.0, "a3": 0.0},
+            lambda v: families.torus_psi(**v),
+        ),
+        "s3-action": (
+            {"alpha": 0.0, "beta": 0.0, "lambda": "1,1,1"},
+            lambda v: families.s3_action_psi(v["alpha"], v["beta"], np.asarray(v["lambda"])),
+        ),
+    },
+}
+
+
+def _family(args, kind: str) -> tuple[np.ndarray, dict]:
+    """The ``--family`` matrix of this kind and its config entries."""
+    if args.family not in _FAMILIES[kind]:
+        raise ValueError(f"unknown {kind} family: {args.family}")
+    defaults, build = _FAMILIES[kind][args.family]
+    values = {}
+    for flag, default in defaults.items():
+        value = getattr(args, flag)
+        value = default if value is None else value
+        values[flag] = _parse_floats(value) if isinstance(default, str) else value
+    return build(values), {"family": args.family, **values}
+
+
+def _source(args, flag: str, kind: str, dims) -> tuple[np.ndarray, dict]:
+    """The input matrix, from ``--<flag>`` or from ``--family``."""
+    spec = getattr(args, flag)
+    if spec and args.family:
+        raise ValueError(f"give either --{flag} or --family, not both")
+    if spec:
+        return parse_matrix(spec, allowed_dims=dims), {flag: spec}
     if args.family:
-        return _family_phi(args)
-    raise ValueError("a metric is required: --phi or --family")
-
-
-def _psi_source(args, require_dim6: bool) -> tuple[np.ndarray, dict]:
-    if args.psi and args.family:
-        raise ValueError("give either --psi or --family, not both")
-    if args.psi:
-        dims = (6,) if require_dim6 else (3, 6)
-        return parse_matrix(args.psi, allowed_dims=dims), {"psi": args.psi}
-    if args.family:
-        return _family_psi(args)
-    raise ValueError("a variation derivative is required: --psi or --family")
+        return _family(args, kind)
+    noun = "metric" if kind == "metric" else "variation derivative"
+    raise ValueError(f"a {noun} is required: --{flag} or --family")
 
 
 def _budget(args) -> Budget:
     return Budget(samples=args.samples, restarts=args.restarts, iters=args.iters)
 
 
-def _budget_config(args) -> dict:
-    # the output destination is an execution detail, not part of the
-    # semantic configuration, so it stays out of the report
-    return {
-        "seed": args.seed,
-        "samples": args.samples,
-        "restarts": args.restarts,
-        "iters": args.iters,
-        "tol": args.tol,
-    }
+def _verdicts(args, command: str, source: dict, reports, **extra) -> tuple[dict, bool]:
+    """The payload of ``check``, ``infinitesimal`` and ``path``.
+
+    The output destination is an execution detail, not part of the semantic
+    configuration, so it stays out of the report.
+    """
+    config = {"seed": args.seed, **asdict(_budget(args)), "tol": args.tol, **source, **extra}
+    payload = {"command": command, "config": config, "results": [r.to_dict() for r in reports]}
+    return payload, any(r.negative for r in reports)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_check(args) -> tuple[dict, bool]:
-    mat, source = _metric_source(args)
+    mat, source = _source(args, "phi", "metric", (3, 6))
     metric = LeftInvariantMetric(_algebra_for(mat.shape[0]), mat)
     report = min_curvature(metric, budget=_budget(args), tol=args.tol, seed=args.seed)
-    config = {**_budget_config(args), **source}
-    return (
-        {"command": "check", "config": config, "results": [report.to_dict()]},
-        report.negative,
-    )
+    return _verdicts(args, "check", source, [report])
 
 
 def _cmd_infinitesimal(args) -> tuple[dict, bool]:
-    psi, source = _psi_source(args, require_dim6=True)
+    psi, source = _source(args, "psi", "derivative", (6,))
     report = infinitesimal_check(
         so4(), psi, budget=_budget(args), tol=args.tol, seed=args.seed
     )
-    config = {**_budget_config(args), **source}
-    return (
-        {"command": "infinitesimal", "config": config, "results": [report.to_dict()]},
-        report.negative,
-    )
+    return _verdicts(args, "infinitesimal", source, [report])
 
 
 def _cmd_path(args) -> tuple[dict, bool]:
-    psi, source = _psi_source(args, require_dim6=False)
+    psi, source = _source(args, "psi", "derivative", (3, 6))
     grid = _parse_floats(args.t_grid)
     if not grid:
         raise ValueError("--t-grid must list at least one time")
@@ -208,23 +211,14 @@ def _cmd_path(args) -> tuple[dict, bool]:
             fh.write("t,min_value,verdict\n")
             for rep in reports:
                 fh.write(f"{rep.t!r},{rep.min_value!r},{rep.verdict}\n")
-    config = {**_budget_config(args), **source, "t_grid": grid}
-    payload = {
-        "command": "path",
-        "config": config,
-        "results": [rep.to_dict() for rep in reports],
-    }
-    return payload, any(rep.negative for rep in reports)
+    return _verdicts(args, "path", source, reports, t_grid=grid)
 
 
 def _cmd_family(args) -> tuple[dict, bool]:
-    if args.kind == "metric":
-        mat, source = _family_phi(args)
-    else:
-        mat, source = _family_psi(args)
+    mat, source = _family(args, args.kind)
     payload = {
         "command": "family",
-        "config": {"kind": args.kind, **source, "seed": args.seed},
+        "config": {"kind": args.kind, **source},
         "results": [
             {
                 "matrix": [list(row) for row in mat],
@@ -256,41 +250,44 @@ def _cmd_reproduce(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_budget_flags(p: argparse.ArgumentParser, default_seed: int):
-    p.add_argument("--seed", type=int, default=default_seed)
+def _seed(text: str) -> int:
+    """argparse type of ``--seed`` and of ``LIECURV_SEED``: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer from --seed or LIECURV_SEED, got {text!r}"
+        )
+    return seed
+
+
+def _add_budget_flags(p: argparse.ArgumentParser, default_seed: str):
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--samples", type=int, default=Budget().samples)
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
 
 
-def _add_metric_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=("product", "torus", "s3-action"))
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", default="1,1,1")
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--tau", default="1,0,1")
-    p.add_argument("--phi1")
-    p.add_argument("--phi2")
+def _add_family_flags(p: argparse.ArgumentParser, *kinds: str):
+    """Declare ``--family`` and each flag of these kinds' families once.
 
-
-def _add_psi_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family", choices=("torus", "s3-action"))
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", default="1,1,1")
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--d", type=float, default=0.0)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=0.0)
-    p.add_argument("--a3", type=float, default=0.0)
+    The flags default to None, so ``_family`` can tell an omitted flag from
+    a given one and fill in the default of the kind it builds.
+    """
+    tables = [_FAMILIES[kind] for kind in kinds]
+    p.add_argument("--family", choices=tuple(dict.fromkeys(f for t in tables for f in t)))
+    flags = {f: d for t in tables for defaults, _ in t.values() for f, d in defaults.items()}
+    for flag, default in flags.items():
+        p.add_argument(f"--{flag}", type=float if isinstance(default, float) else str)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("LIECURV_SEED", "0"))
+    # a string default goes through the flag's type, so argparse rejects a
+    # bad LIECURV_SEED exactly as it rejects a bad --seed
+    default_seed = os.environ.get("LIECURV_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="liecurv",
         description="curvature checks for left-invariant metrics on so(3) and so(4)",
@@ -299,42 +296,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="search a metric for negative curvature")
     p.add_argument("--phi", help="diag:d1,..., row-major list, or @file.json")
-    _add_metric_family_flags(p)
+    _add_family_flags(p, "metric")
     _add_budget_flags(p, default_seed)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("infinitesimal", help="check a variation derivative")
     p.add_argument("--psi", help="diag:d1,..., row-major list, or @file.json")
-    _add_psi_family_flags(p)
+    _add_family_flags(p, "derivative")
     _add_budget_flags(p, default_seed)
     p.set_defaults(fn=_cmd_infinitesimal)
 
     p = sub.add_parser("path", help="scan an inverse-linear path over a time grid")
     p.add_argument("--psi", help="diag:d1,..., row-major list, or @file.json")
-    _add_psi_family_flags(p)
+    _add_family_flags(p, "derivative")
     p.add_argument("--t-grid", required=True, help="comma-separated times")
     p.add_argument("--csv", help="also write t,min_value,verdict rows here")
     _add_budget_flags(p, default_seed)
     p.set_defaults(fn=_cmd_path)
 
     p = sub.add_parser("family", help="emit a generated family matrix")
-    p.add_argument("--kind", choices=("metric", "derivative"), default="metric")
-    _add_metric_family_flags(p)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--a1", type=float, default=0.0)
-    p.add_argument("--a2", type=float, default=0.0)
-    p.add_argument("--a3", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--output", "-o", default="-")
+    p.add_argument("--kind", choices=tuple(_FAMILIES), default="metric")
+    _add_family_flags(p, *_FAMILIES)
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("reproduce", help="run a named verification suite")
     p.add_argument("--suite")
     p.add_argument("--list", action="store_true", help="list available suites")
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--output", "-o", default="-")
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.set_defaults(fn=_cmd_reproduce)
+
+    for p in sub.choices.values():
+        p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
     return parser
 
 
@@ -347,19 +339,17 @@ def _emit(text: str, output: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         payload, failed = args.fn(args)
         payload["schema_version"] = SCHEMA_VERSION
         payload["version"] = __version__
         payload["wall_time_ms"] = int(1000 * (time.monotonic() - start))
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.output)
     except (LieCurvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, getattr(args, "output", "-"))
     return 1 if failed else 0
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from liecurv import families
 from liecurv.cli import main, parse_matrix
 
 
@@ -211,3 +212,78 @@ def test_workers_flag_is_removed(capsys):
         main(["check", "--phi", "diag:1,1,1", "--workers", "2"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def test_unwritable_output_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    assert main(["reproduce", "--list", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--phi", "diag:1,1,1", "--seed", "-1"],  # so(3) closed form draws nothing
+        ["check", "--phi", "diag:1,1,1,1,1,1", "--seed", "-1"],
+        ["reproduce", "--suite", "eq-yy", "--seed", "1.5"],
+        ["family", "--family", "torus", "--seed", "3"],  # family builders draw nothing
+    ],
+)
+def test_bad_or_removed_seed_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_seed_env_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("LIECURV_SEED", value)
+    for argv in (["check", "--phi", "diag:1,1,1"], ["reproduce", "--list"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "LIECURV_SEED" in captured.err
+
+
+# (kind, family, flags without a default, the builder's matrix at the
+# defaults the README documents)
+FAMILY_DEFAULTS = [
+    (
+        "metric",
+        "product",
+        ["--phi1", "diag:1,2,3", "--phi2", "diag:2,2,1"],
+        lambda: families.product_phi(
+            families.ProductParams(np.diag([1.0, 2, 3]), np.diag([2.0, 2, 1]))
+        ),
+    ),
+    ("metric", "torus", [], lambda: families.torus_phi(families.TorusParams(1.0, 1.0, np.eye(2)))),
+    (
+        "metric",
+        "s3-action",
+        [],
+        lambda: families.s3_action_phi(families.S3ActionParams(1.0, 1.0, np.ones(3))),
+    ),
+    ("derivative", "torus", [], lambda: families.torus_psi(0.0, 0.0, 0.0, 0.0, 0.0)),
+    ("derivative", "s3-action", [], lambda: families.s3_action_psi(0.0, 0.0, np.ones(3))),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, family, required, expected", FAMILY_DEFAULTS, ids=[f"{k}-{f}" for k, f, *_ in FAMILY_DEFAULTS]
+)
+def test_family_defaults_agree_across_commands(capsys, kind, family, required, expected):
+    """``family`` emits the builder's matrix at the documented defaults, and
+    check/infinitesimal record the same family config for the same flags."""
+    code, payload = run_cli(capsys, "family", "--kind", kind, "--family", family, *required)
+    assert code == 0
+    assert np.array_equal(np.array(payload["results"][0]["matrix"]), expected())
+    source = {k: v for k, v in payload["config"].items() if k != "kind"}
+    command = "check" if kind == "metric" else "infinitesimal"
+    _, report = run_cli(capsys, command, "--family", family, *required, *LIGHT)
+    budget = {"seed", "samples", "restarts", "iters", "tol"}
+    assert {k: v for k, v in report["config"].items() if k not in budget} == source
