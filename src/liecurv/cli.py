@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 when every verdict is nonnegative and every residual passes,
 1 when a negative witness or failed residual appears, 2 on invalid input
-(a bad seed or ``LIECURV_SEED`` and an unwritable output path included).
+(a bad seed or ``LIECURV_SEED``, an unwritable output path, a missing
+``--family`` and a family flag the chosen family does not take included).
 
 Reports are strict JSON (sorted keys, no NaN or infinity; non-finite input
 exits 2); for a fixed configuration and seed the output is byte-identical
@@ -134,11 +135,29 @@ _FAMILIES = {
 }
 
 
+# every family flag, in table order
+_FAMILY_FLAGS = tuple(
+    dict.fromkeys(f for t in _FAMILIES.values() for defaults, _ in t.values() for f in defaults)
+)
+
+
+def _reject_stray_flags(args, allowed, where: str):
+    """A given family flag outside ``allowed`` is an error, never ignored."""
+    stray = [f"--{f}" for f in _FAMILY_FLAGS if getattr(args, f, None) is not None and f not in allowed]
+    if stray:
+        raise ValueError(f"{', '.join(stray)} not accepted {where}")
+
+
 def _family(args, kind: str) -> tuple[np.ndarray, dict]:
     """The ``--family`` matrix of this kind and its config entries."""
+    choices = ", ".join(_FAMILIES[kind])
+    if args.family is None:
+        raise ValueError(f"--family is required: one of {choices}")
     if args.family not in _FAMILIES[kind]:
-        raise ValueError(f"unknown {kind} family: {args.family}")
+        raise ValueError(f"unknown {kind} family: {args.family} (choices: {choices})")
     defaults, build = _FAMILIES[kind][args.family]
+    flags = ", ".join(f"--{f}" for f in defaults)
+    _reject_stray_flags(args, defaults, f"by the {kind} family {args.family} (its flags: {flags})")
     values = {}
     for flag, default in defaults.items():
         value = getattr(args, flag)
@@ -153,6 +172,7 @@ def _source(args, flag: str, kind: str, dims) -> tuple[np.ndarray, dict]:
     if spec and args.family:
         raise ValueError(f"give either --{flag} or --family, not both")
     if spec:
+        _reject_stray_flags(args, (), f"with --{flag}; family flags need --family")
         return parse_matrix(spec, allowed_dims=dims), {flag: spec}
     if args.family:
         return _family(args, kind)

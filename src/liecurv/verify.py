@@ -15,7 +15,19 @@ with R the 9x9 form ``_pair_form`` of kappa'''(0) and H = B = I.  On a
 is the smallest eigenvalue of the pencil (R, H), computed in closed form,
 and the report says ``exact``.  Otherwise ``_search`` descends with
 ``_descend`` from the best starts of a coarse pool: over orthonormal frames
-for planes, over S^2 x S^2 for pairs.  Both verdicts come from one rule,
+for planes, over S^2 x S^2 for pairs.
+
+The search works on restarts-last stacks of shape (T, 2, d, n): T
+operators (R and H stacked as (T, k, k)), the two columns z1 and z2, d
+coordinates and n restarts, so w = B (z1 (x) z2) and Rw, Hw are batched
+matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
+stopped restart by a mask; a restart's path depends on its own column only.
+``path_scan`` uses this: each grid time draws and scores its own pool as
+``min_curvature`` would, then every time descends together in one loop,
+and each entry still equals its standalone ``min_curvature`` report byte
+for byte, so the scan stays reproducible entry by entry.
+
+Both verdicts come from one rule,
 ``_report``: negative exactly when the minimum lies below -tol.  A
 ``NegativeWitness`` verdict is conclusive (the witness re-evaluates below
 -tol in isolation); a ``NonnegativeWithinBudget`` verdict from a search is
@@ -25,9 +37,9 @@ a bounded-search claim, not a proof.
 the rigidity theorems force on nonnegatively curved paths, in one batch.
 
 Determinism contract: all randomness is drawn up front from the given seed,
-all refined starts descend together in one batch and all lemma samples are
-checked together, so reports are identical across runs for a fixed
-configuration and seed.
+all refined starts (of every scan time) descend together in one batch and
+all lemma samples are checked together, so reports are identical across
+runs for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -230,99 +242,110 @@ def _incidence(d: int) -> np.ndarray:
 
 def _quotient_values(op, x: np.ndarray):
     """Rayleigh quotient w.Rw / w.Hw of the operator (R, H, B) on the
-    (n, d, 2) stacks x = [z1, z2], where w = B vec(z1 z2^T), with Rw, Hw
-    and w.Hw for the gradient."""
+    restarts-last stacks x of shape (T, 2, d, n): for each of T operators,
+    the columns z1 = x[:, 0] and z2 = x[:, 1] of n restarts, with w =
+    B (z1 (x) z2).  R and H are (T, k, k) stacks, or one (k, k) matrix for
+    every T; B is (k, d*d).  Returns the (T, n) values with Rw, Hw and w.Hw
+    for the gradient."""
     r, h, b = op
-    n, d, _ = x.shape
-    w = (x[:, :, :1] * x[:, None, :, 1]).reshape(n, d * d) @ b.T
-    rw, hw = w @ r, w @ h
-    wh = np.einsum("nk,nk->n", w, hw)
-    return np.einsum("nk,nk->n", w, rw) / wh, rw, hw, wh
+    t, _, d, n = x.shape
+    w = b @ (x[:, 0, :, None] * x[:, 1, None]).reshape(t, d * d, n)
+    rw, hw = r @ w, h @ w
+    wh = np.add.reduce(w * hw, axis=1)
+    return np.add.reduce(w * rw, axis=1) / wh, rw, hw, wh
 
 
 def _quotient_value_and_gradient(op, x: np.ndarray):
     """``_quotient_values`` and its exact gradient with respect to z1 and z2.
 
-    With v = 2 (Rw - f Hw) / w.Hw mapped through B and read as a d x d
+    With v = 2 (Rw - f Hw) / w.Hw mapped through B^T and read as a d x d
     matrix V, the gradients are V z2 and V^T z1.  They need no tangent
     projection: the quotient is homogeneous of degree 0 in each column, so
     z1.V z2 = v.w = 0; for planes V is antisymmetric, so z2.V z2 = 0 too.
     """
     val, rw, hw, wh = _quotient_values(op, x)
-    n, d, _ = x.shape
-    v = 2.0 * (rw - val[:, None] * hw) / wh[:, None]
-    vm = (v @ op[2]).reshape(n, d, d)
-    return val, np.stack([(vm @ x)[:, :, 1], (x.transpose(0, 2, 1) @ vm)[:, 0]], axis=2)
+    t, _, d, n = x.shape
+    v = (rw - val[:, None] * hw) * (2.0 / wh)[:, None]
+    vm = (op[2].T @ v).reshape(t, d, d, n)
+    grad = np.empty_like(x)
+    np.einsum("tijn,tjn->tin", vm, x[:, 1], out=grad[:, 0])
+    np.einsum("tijn,tin->tjn", vm, x[:, 0], out=grad[:, 1])
+    return val, grad
 
 
 def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
-    """Orthonormalized (n, d, 2) frames: the Q factor of each frame's QR
+    """Orthonormalized (T, 2, d, n) frames: the Q factor of each frame's QR
     decomposition with a positive diagonal of R, in closed form."""
-    q1 = frames[:, :, 0] / np.linalg.norm(frames[:, :, 0], axis=1, keepdims=True)
-    z2 = frames[:, :, 1] - q1 * np.einsum("nd,nd->n", q1, frames[:, :, 1])[:, None]
-    q2 = z2 / np.linalg.norm(z2, axis=1, keepdims=True)
-    return np.stack([q1, q2], axis=2)
+    z1, z2 = frames[:, 0], frames[:, 1]
+    q = np.empty_like(frames)
+    q1 = np.divide(z1, np.sqrt(np.add.reduce(z1 * z1, axis=1, keepdims=True)), out=q[:, 0])
+    z2 = z2 - q1 * np.add.reduce(q1 * z2, axis=1, keepdims=True)
+    np.divide(z2, np.sqrt(np.add.reduce(z2 * z2, axis=1, keepdims=True)), out=q[:, 1])
+    return q
 
 
 def _unit_columns(ab: np.ndarray) -> np.ndarray:
-    return ab / np.linalg.norm(ab, axis=1, keepdims=True)
+    """Each column of the (T, c, d, n) stack ab scaled to unit length."""
+    return ab / np.sqrt(np.add.reduce(ab * ab, axis=2, keepdims=True))
 
 
 def _descend(evaluate, retract, x: np.ndarray, iters: int):
-    """Descend from each start of the (n, d, 2) stack x.
+    """Descend from every start of the restarts-last stack x, (T, c, d, n).
 
-    ``evaluate`` returns the values and (tangent) gradients of a stack.
-    Each step moves both columns along the unit steepest-descent direction,
-    maps the result back onto the search manifold with ``retract``, and
-    keeps it, with its gradient, if the value drops.
+    ``evaluate`` returns the (T, n) values and the (tangent) gradients of a
+    stack.  Each step moves every column along the unit steepest-descent
+    direction, maps the result back onto the search manifold with
+    ``retract``, and keeps it, with its gradient, if the value drops.  The
+    whole stack is stepped at once; a start whose step has fallen below
+    ``_STEP_STOP`` is frozen by the mask ``active``, so each start's path
+    depends on its own column alone and on no other start or operator.
     """
-    x = x.copy()
+    # C order puts restarts innermost: faster, and bitwise independent of the
+    # layout the caller passes
+    x = np.ascontiguousarray(x)
     val, grad = evaluate(x)
-    step = np.full(len(x), _STEP_INIT)
+    step = np.full(val.shape, _STEP_INIT)
     for _ in range(iters):
         active = step >= _STEP_STOP
-        if not active.any():
+        if not np.count_nonzero(active):
             break
-        idx = np.nonzero(active)[0]
-        ga = grad[idx]
-        gnorm = np.sqrt(np.einsum("ndc,ndc->n", ga, ga))
+        gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2)))
         moving = gnorm > 1e-15
-        move = np.zeros_like(ga)
-        move[moving] = -ga[moving] / gnorm[moving, None, None]
-        cx = retract(x[idx] + step[idx, None, None] * move)
+        scale = np.divide(step, gnorm, out=np.zeros_like(step), where=moving)
+        cx = retract(x - scale[:, None, None] * grad)
         cv, cg = evaluate(cx)
-        better = cv < val[idx]
-        took = idx[better]
-        x[took] = cx[better]
-        val[took] = cv[better]
-        grad[took] = cg[better]
-        new_step = np.where(better, step[idx] * 1.6, step[idx] * 0.5)
-        new_step[~moving] = 0.0
-        step[idx] = new_step
+        better = active & (cv < val)
+        keep = better[:, None, None]
+        x = np.where(keep, cx, x)
+        grad = np.where(keep, cg, grad)
+        val = np.where(better, cv, val)
+        # a frozen start only shrinks its step, so it never wakes again
+        step = np.where(moving, np.where(better, 1.6, 0.5) * step, 0.0)
     return val, x
 
 
-def _search(op, pool: np.ndarray, retract, budget: Budget) -> np.ndarray:
-    """The lowest stack reached on the quotient of op by descending from
-    the ``budget.restarts`` lowest stacks of the pool."""
-    order = np.argsort(_quotient_values(op, pool)[0], kind="stable")
-    val, x = _descend(
-        lambda s: _quotient_value_and_gradient(op, s),
-        retract,
-        pool[order[: budget.restarts]],
-        budget.iters,
-    )
-    return x[int(np.argmin(val))]
+def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
+    """The ``restarts`` columns of the (1, c, d, P) pool lowest on the
+    quotient of op, in a stable order."""
+    order = np.argsort(_quotient_values(op, pool)[0][0], kind="stable")
+    return pool[..., order[:restarts]]
+
+
+def _search(op, starts: np.ndarray, retract, iters: int) -> np.ndarray:
+    """The (T, c, d) lowest frame per operator reached on the quotient of
+    op by descending from the (T, c, d, n) starts together."""
+    val, x = _descend(lambda s: _quotient_value_and_gradient(op, s), retract, starts, iters)
+    return x[np.arange(len(x)), :, :, np.argmin(val, axis=1)]
 
 
 # ---------------------------------------------------------------------------
 # plane search
 
 def _basis_planes(basis: np.ndarray) -> np.ndarray:
-    """Frames of the planes spanned by pairs of basis columns, in the order
-    of the bivector coordinates."""
+    """The (2, d, d(d-1)/2) frames of the planes spanned by pairs of basis
+    columns, in the order of the bivector coordinates."""
     i, j = wedge_pairs(basis.shape[1])
-    return np.stack([basis[:, i].T, basis[:, j].T], axis=2)
+    return np.stack([basis[:, i], basis[:, j]])
 
 
 def _sign_normalized(v: np.ndarray) -> np.ndarray:
@@ -349,8 +372,9 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _least_curved_plane_3d(op) -> np.ndarray:
-    """Frame of a plane of least curvature on a 3-dimensional algebra.
+def _least_curved_plane_3d(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (2, 3) frame of a plane of least curvature on a 3-dimensional
+    algebra.
 
     Every bivector in dimension 3 is decomposable, so the minimum of
     w.Rw / w.Hw over planes is the smallest eigenvalue of the pencil
@@ -358,12 +382,44 @@ def _least_curved_plane_3d(op) -> np.ndarray:
     smallest eigenvalue, w = L^-T v0 is the minimizing bivector, and its
     Hodge dual (w12, -w02, w01) is the plane's normal.
     """
-    r, h, _ = op
     chol = np.linalg.cholesky(h)
     v0 = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))[1][:, 0]
     w = np.linalg.solve(chol.T, v0)
     normal = np.array([w[2], -w[1], w[0]])
-    return np.linalg.svd(normal[None, :])[2][1:].T
+    return np.linalg.svd(normal[None, :])[2][1:]
+
+
+def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
+    """``min_curvature`` of each metric (all on one algebra) at its seed.
+
+    Each metric draws and scores its own pool, exactly as it would alone;
+    then the best starts of every metric descend together as one (T, 2, d,
+    n) stack.  A start's descent depends on its own column only, so each
+    report equals the one its metric gets alone, byte for byte.
+    """
+    d = metrics[0].algebra.dim
+    ops = [m.curvature_operator() for m in metrics]
+    if d == 3:
+        best = [_least_curved_plane_3d(r, h) for r, h in ops]
+    else:
+        inc = _incidence(d)
+        starts = []
+        for m, (r, h), seed in zip(metrics, ops, seeds):
+            raw = np.random.default_rng(seed).standard_normal((budget.samples, d, 2))
+            frames = _gram_schmidt(np.ascontiguousarray(raw.T)[None])[0]
+            pool = np.concatenate(
+                [frames, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)], axis=2
+            )
+            starts.append(_best_starts((r, h, inc), pool[None], budget.restarts))
+        r, h = (np.stack(mats) for mats in zip(*ops))
+        best = _search((r, h, inc), np.concatenate(starts), _gram_schmidt, budget.iters)
+
+    reports = []
+    for m, frame, seed in zip(metrics, best, seeds):
+        witness = _canonical_plane(frame.T)
+        final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
+        reports.append(_report(final, witness.T, tol, budget, seed, exact=d == 3))
+    return reports
 
 
 def min_curvature(
@@ -384,24 +440,7 @@ def min_curvature(
     ``min_value`` is the closed-form curvature re-evaluated on it, so a
     negative verdict is reproducible in isolation.
     """
-    tol = _check_tol(tol)
-    budget = budget or Budget()
-    d = m.algebra.dim
-    op = (*m.curvature_operator(), _incidence(d))
-    exact = d == 3
-    if exact:
-        best = _least_curved_plane_3d(op)
-    else:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((budget.samples, d, 2))
-        pool = np.concatenate(
-            [_gram_schmidt(raw), _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)]
-        )
-        best = _search(op, pool, _gram_schmidt, budget)
-
-    witness = _canonical_plane(best)
-    final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
-    return _report(final, witness.T, tol, budget, seed, exact=exact)
+    return _plane_reports([m], budget or Budget(), _check_tol(tol), [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +493,11 @@ def infinitesimal_check(
 
     a = rng.standard_normal((budget.samples, 3))
     b = rng.standard_normal((budget.samples, 3))
-    pool = _unit_columns(np.stack([a, b], axis=2))
-    best = _search((_pair_form(g, psi), eye, eye), pool, _unit_columns, budget)
-    av = g.embed_factor(_sign_normalized(best[:, 0]), 1)
-    bv = g.embed_factor(_sign_normalized(best[:, 1]), 2)
+    op = (_pair_form(g, psi), eye, eye)
+    starts = _best_starts(op, _unit_columns(np.stack([a.T, b.T])[None]), budget.restarts)
+    best = _search(op, starts, _unit_columns, budget.iters)[0]
+    av = g.embed_factor(_sign_normalized(best[0]), 1)
+    bv = g.embed_factor(_sign_normalized(best[1]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
     small_t = tuple(
         (t, kappa_of_t(path, av, bv, t))
@@ -558,11 +598,14 @@ def path_scan(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[CurvatureReport]:
-    """Run ``min_curvature`` on the path metric at each grid time.
+    """``min_curvature`` of the path metric at each grid time.
 
     All grid times are validated against the positive-definiteness horizon
-    before any work starts.  Each time gets an independent derived seed, so
-    the scan is reproducible entry by entry.
+    before any work starts.  Each time gets an independent derived seed and
+    its own pool; the best starts of every time then descend together as
+    one stack.  Entry i equals ``min_curvature(path.metric_at(t_i),
+    seed=derived_seed(seed, i))`` with ``t`` set, so the scan is
+    reproducible entry by entry.
     """
     tol = _check_tol(tol)
     path = InverseLinearPath(g, psi)
@@ -570,8 +613,7 @@ def path_scan(
     for t in t_grid:
         if not path.admissible(t):
             raise HorizonExceeded(f"grid time {t} is outside (..., {path.t_max:.6g})")
-    reports = []
-    for i, t in enumerate(t_grid):
-        rep = min_curvature(path.metric_at(t), budget=budget, tol=tol, seed=derived_seed(seed, i))
-        reports.append(replace(rep, t=t))
-    return reports
+    metrics = [path.metric_at(t) for t in t_grid]
+    seeds = [derived_seed(seed, i) for i in range(len(t_grid))]
+    reports = _plane_reports(metrics, budget or Budget(), tol, seeds) if t_grid else []
+    return [replace(rep, t=t) for rep, t in zip(reports, t_grid)]

@@ -287,3 +287,34 @@ def test_family_defaults_agree_across_commands(capsys, kind, family, required, e
     _, report = run_cli(capsys, command, "--family", family, *required, *LIGHT)
     budget = {"seed", "samples", "restarts", "iters", "tol"}
     assert {k: v for k, v in report["config"].items() if k not in budget} == source
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["family", "--family", "torus", "--a", "5", "--alpha", "3"], "--a, --alpha"),
+        (["family", "--kind", "derivative", "--family", "torus", "--tau", "1,0,1"], "--tau"),
+        (["check", "--family", "s3-action", "--c", "5"], "--c"),
+        (["infinitesimal", "--family", "s3-action", "--a1", "0.2"], "--a1"),
+        (["path", "--family", "torus", "--alpha", "0.1", "--t-grid", "0.1"], "--alpha"),
+        (["check", "--phi", "diag:1,1,1", "--d", "2"], "--d"),
+    ],
+)
+def test_stray_family_flags_exit_two(capsys, argv, named):
+    """A family flag that the chosen family (or a given matrix) does not
+    take is named and exits 2; it is never silently dropped."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {named} not accepted" in captured.err
+
+
+@pytest.mark.parametrize("kind, choices", [
+    ("metric", "product, torus, s3-action"),
+    ("derivative", "torus, s3-action"),
+])
+def test_family_without_family_flag_names_it(capsys, kind, choices):
+    assert main(["family", "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --family is required: one of {choices}" in captured.err

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from liecurv import (
     Budget,
     DimensionMismatch,
     HorizonExceeded,
+    InverseLinearPath,
     LeftInvariantMetric,
+    ProductParams,
     S3ActionParams,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
@@ -22,6 +25,7 @@ from liecurv import (
     min_curvature,
     normalized_curvature,
     path_scan,
+    product_phi,
     s3_action_phi,
     s3_action_psi,
     sample_commuting_pairs,
@@ -180,12 +184,12 @@ def test_basis_planes_follow_wedge_coordinates(g3, g4):
     rng = np.random.default_rng(44)
     for g in (g3, g4):
         frames = _basis_planes(np.eye(g.dim))
-        w = wedge_many(frames[:, :, 0], frames[:, :, 1])
+        w = wedge_many(frames[0].T, frames[1].T)
         assert np.array_equal(w, np.eye(len(w)))
-        # B = _incidence(d) takes vec(z1 z2^T) to the same coordinates
-        z = rng.standard_normal((50, g.dim, 2))
-        outer = np.einsum("ni,nj->nij", z[:, :, 0], z[:, :, 1]).reshape(50, -1)
-        assert np.array_equal(outer @ _incidence(g.dim).T, wedge_many(z[:, :, 0], z[:, :, 1]))
+        # B = _incidence(d) takes z1 (x) z2 to the same coordinates
+        z = rng.standard_normal((2, g.dim, 50))
+        outer = np.einsum("in,jn->ijn", z[0], z[1]).reshape(-1, 50)
+        assert np.array_equal((_incidence(g.dim) @ outer).T, wedge_many(z[0].T, z[1].T))
 
 
 @pytest.mark.parametrize("case", ["so3-planes", "so4-planes", "so4-pairs"])
@@ -199,69 +203,106 @@ def test_quotient_gradient_matches_central_differences(g3, g4, case):
         psi = random_symmetric(rng, 6)
         eye = np.eye(9)
         op = (_pair_form(g4, psi), eye, eye)
-        x = _unit_columns(rng.standard_normal((20, 3, 2)))
+        x = _unit_columns(rng.standard_normal((1, 2, 3, 20)))
 
         def reference(s):
             return kappa_third_deriv_many(g4, psi, *_pair_rows(g4, _unit_columns(s)))
 
-        normals = [x[:, :, :1], x[:, :, 1:]]  # each column's own sphere point
+        spans = [x[0, :1], x[0, 1:]]  # each column's own sphere point
     else:
         rng = np.random.default_rng(40)
         g = g3 if case == "so3-planes" else g4
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
         op = (*m.curvature_operator(), _incidence(g.dim))
-        x = np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0]
+        x = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0].T[None])
 
         def reference(s):
-            return normalized_curvature_many(m, s[:, :, 0], s[:, :, 1])
+            return normalized_curvature_many(m, s[0, 0].T, s[0, 1].T)
 
-        normals = [x, x]  # both columns move in the complement of the plane
+        spans = [x[0], x[0]]  # both columns move in the complement of the plane
     val, grad = _quotient_value_and_gradient(op, x)
     ref = _quotient_values(op, x)[0]
     assert np.all(np.abs(val - ref) <= 1e-13 * np.abs(ref))
-    d = x.shape[1]
-    for c, span in enumerate(normals):
+    d = x.shape[2]
+    for c, span in enumerate(spans):
         # the unprojected gradient is already tangent
-        assert np.abs(span.transpose(0, 2, 1) @ grad[:, :, c : c + 1]).max() < 1e-12
-        u = rng.standard_normal((20, d, 1))
-        u = (u - span @ (span.transpose(0, 2, 1) @ u))[:, :, 0]
-        u /= np.linalg.norm(u, axis=1)[:, None]
+        assert np.abs(np.einsum("sdn,dn->sn", span, grad[0, c])).max() < 1e-12
+        u = rng.standard_normal((d, 20))
+        u -= np.einsum("sdn,sn->dn", span, np.einsum("sdn,dn->sn", span, u))
+        u /= np.linalg.norm(u, axis=0)
         plus, minus = x.copy(), x.copy()
-        plus[:, :, c] += h * u
-        minus[:, :, c] -= h * u
+        plus[0, c] += h * u
+        minus[0, c] -= h * u
         fd = (reference(plus) - reference(minus)) / (2.0 * h)
-        exact = np.einsum("nd,nd->n", u, grad[:, :, c])
+        exact = np.einsum("dn,dn->n", u, grad[0, c])
         assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
 
 
 def test_descend_reaches_smallest_eigenvalue():
     """On the unit sphere, x.Ax has minimum lambda_min(A); every start
-    must reach it, which needs the gradient of each accepted point."""
+    of every stacked operator must reach it, which needs the gradient of
+    each accepted point."""
     rng = np.random.default_rng(46)
-    for _ in range(3):
-        a = random_symmetric(rng, 6)
+    a = np.stack([random_symmetric(rng, 6) for _ in range(3)])
 
-        def evaluate(x):
-            grad = 2.0 * np.einsum("ij,njc->nic", a, x)
-            val = 0.5 * np.einsum("ndc,ndc->n", x, grad)
-            return val, grad - x * np.einsum("ndc,ndc->nc", x, grad)[:, None, :]
+    def evaluate(x):
+        grad = 2.0 * (a[:, None] @ x)
+        val = 0.5 * np.einsum("tcdn,tcdn->tn", x, grad)
+        return val, grad - x * np.einsum("tcdn,tcdn->tcn", x, grad)[:, :, None]
 
-        start = _unit_columns(rng.standard_normal((16, 6, 1)))
-        val, x = _descend(evaluate, _unit_columns, start, 200)
-        # a has unit spectral norm; a stale gradient stalls at O(1) errors
-        assert np.abs(val - np.linalg.eigvalsh(a)[0]).max() < 1e-6
-        assert np.allclose(evaluate(x)[0], val, rtol=0.0, atol=1e-15)
+    start = _unit_columns(rng.standard_normal((3, 1, 6, 16)))
+    val, x = _descend(evaluate, _unit_columns, start, 200)
+    # a has unit spectral norm; a stale gradient stalls at O(1) errors
+    assert np.abs(val - np.linalg.eigvalsh(a)[:, :1]).max() < 1e-6
+    assert np.allclose(evaluate(x)[0], val, rtol=0.0, atol=1e-15)
+
+
+def test_stacked_descent_matches_each_slice_bitwise(g4):
+    """Descending T operators as one (T, 2, d, n) stack gives every row
+    bit for bit as descending its slice alone: the round and Berger
+    slices stop early on their own, and their rows stay frozen while the
+    product slice runs the whole budget."""
+    rng = np.random.default_rng(47)
+    phis = [
+        np.eye(6),
+        product_phi(ProductParams(np.diag([1.5, 1.0, 1.0]), np.eye(3))),
+        product_phi(ProductParams(np.diag([0.8, 1.0, 1.2]), np.diag([1.0, 1.1, 0.9]))),
+        random_spd(rng, 6),
+    ]
+    ops = [LeftInvariantMetric(g4, phi).curvature_operator() for phi in phis]
+    inc = _incidence(6)
+    starts = _gram_schmidt(rng.standard_normal((len(ops), 2, 6, 16)))
+    iters = 200
+
+    def descend(r, h, x):
+        calls = []
+
+        def evaluate(s):
+            calls.append(1)
+            return _quotient_value_and_gradient((r, h, inc), s)
+
+        return (*_descend(evaluate, _gram_schmidt, x, iters), len(calls))
+
+    r, h = (np.stack(mats) for mats in zip(*ops))
+    val, x, stacked_calls = descend(r, h, starts)
+    assert stacked_calls == iters + 1
+    early = 0
+    for k in range(len(ops)):
+        vk, xk, calls = descend(r[k : k + 1], h[k : k + 1], starts[k : k + 1])
+        assert np.array_equal(vk[0], val[k]) and np.array_equal(xk[0], x[k])
+        early += calls < iters + 1
+    assert early >= 2
 
 
 def test_gram_schmidt_matches_qr_planes():
     rng = np.random.default_rng(43)
-    frames = rng.standard_normal((500, 6, 2))
+    frames = rng.standard_normal((2, 2, 6, 250))
     q = _gram_schmidt(frames)
-    gram = q.transpose(0, 2, 1) @ q
+    gram = np.einsum("tcdn,tedn->tnce", q, q)
     assert np.abs(gram - np.eye(2)).max() < 1e-14
-    ref = np.linalg.qr(frames)[0]
-    proj = q @ q.transpose(0, 2, 1)
-    assert np.abs(proj - ref @ ref.transpose(0, 2, 1)).max() < 1e-13
+    ref = np.linalg.qr(frames.transpose(0, 3, 2, 1))[0]
+    proj = np.einsum("tcin,tcjn->tnij", q, q)
+    assert np.abs(proj - ref @ ref.transpose(0, 1, 3, 2)).max() < 1e-13
 
 
 @settings(max_examples=50, deadline=None)
@@ -400,11 +441,11 @@ def test_infinitesimal_check_rejects_so3(g3):
 
 
 def _pair_rows(g, ab):
-    """Full-length vectors (a, 0) and (0, b) of the (n, 3, 2) stacks [a, b]."""
-    xs = np.zeros((len(ab), g.dim))
-    ys = np.zeros((len(ab), g.dim))
-    xs[:, :3] = ab[:, :, 0]
-    ys[:, 3:] = ab[:, :, 1]
+    """Full-length vectors (a, 0) and (0, b) of the (1, 2, 3, n) stack [a, b]."""
+    xs = np.zeros((ab.shape[-1], g.dim))
+    ys = np.zeros((ab.shape[-1], g.dim))
+    xs[:, :3] = ab[0, 0].T
+    ys[:, 3:] = ab[0, 1].T
     return xs, ys
 
 
@@ -424,10 +465,10 @@ def test_pair_form_matches_closed_form(g4, kind):
     t = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
     assert np.array_equal(t, t.transpose(1, 0, 2, 3))
     assert np.array_equal(t, t.transpose(0, 1, 3, 2))
-    ab = _unit_columns(rng.standard_normal((250, 3, 2)))
+    ab = _unit_columns(rng.standard_normal((1, 2, 3, 250)))
     ref = kappa_third_deriv_many(g4, psi, *_pair_rows(g4, ab))
     eye = np.eye(9)
-    got = _quotient_values((form, eye, eye), ab)[0]
+    got = _quotient_values((form, eye, eye), ab)[0][0]
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -444,7 +485,7 @@ def test_mixing_angles_are_gauge(seed, p, q):
     g = so4()
     rng = np.random.default_rng(seed)
     psi = random_symmetric(rng, 6)
-    av, bv = _pair_rows(g, _unit_columns(rng.standard_normal((1, 3, 2))))
+    av, bv = _pair_rows(g, _unit_columns(rng.standard_normal((1, 2, 3, 1))))
     x = np.cos(p) * av + np.sin(p) * bv
     y = -np.sin(q) * av + np.cos(q) * bv
     plain = kappa_third_deriv_many(g, psi, av, bv)[0]
@@ -601,6 +642,32 @@ def test_path_scan_family_and_failure(g4):
     proj = diagonal_subalgebra(g4).projector
     reports = path_scan(g4, proj, [0.05, 0.2], budget=LIGHT, seed=21)
     assert any(r.verdict == VERDICT_NEGATIVE for r in reports)
+
+
+@pytest.mark.parametrize(
+    "case", ["so3", "so4-torus", "so4-projector", "so4-default-budget"]
+)
+def test_path_scan_entries_match_standalone_min_curvature(g3, g4, case):
+    """A scan descends every time at once, yet entry i is byte for byte
+    the report of ``min_curvature`` on the metric at t_i with the derived
+    seed, with ``t`` set."""
+    from liecurv import diagonal_subalgebra
+
+    budget = None if case == "so4-default-budget" else LIGHT
+    g, psi, grid = {
+        "so3": (g3, np.diag([0.4, -0.3, 0.9]), [0.1, 0.5, 1.0]),
+        "so4-torus": (g4, torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), [0.1, 0.4, 0.6, 0.85]),
+        "so4-projector": (g4, diagonal_subalgebra(g4).projector, [0.05, 0.2, 0.5]),
+        "so4-default-budget": (g4, torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), [0.2, 0.6]),
+    }[case]
+    path = InverseLinearPath(g, psi)
+    scan = path_scan(g, psi, grid, budget=budget, seed=23)
+    assert [r.t for r in scan] == grid
+    for i, (t, rep) in enumerate(zip(grid, scan)):
+        alone = min_curvature(path.metric_at(t), budget=budget, seed=derived_seed(23, i))
+        assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(
+            replace(alone, t=t).to_dict(), sort_keys=True
+        )
 
 
 def test_path_scan_rejects_out_of_horizon(g4):
