@@ -11,11 +11,8 @@ commuting pairs.
 from .algebra import (
     LieAlgebra,
     Subalgebra,
-    bracket,
     diagonal_subalgebra,
     factor_subalgebra,
-    project,
-    regular_complement,
     so3,
     so4,
 )
@@ -28,7 +25,6 @@ from .errors import (
     NormalFormUnavailable,
     NotCommuting,
     NotPositiveDefinite,
-    SingularVector,
 )
 from .families import (
     ProductParams,
@@ -51,7 +47,6 @@ from .families import (
 )
 from .metric import (
     LeftInvariantMetric,
-    b_term,
     koszul_oracle,
     normalized_curvature,
     puttmann_curvature,
@@ -64,9 +59,7 @@ from .normalform import (
     psi_normal_form,
 )
 from .variation import (
-    DerivativeReport,
     InverseLinearPath,
-    derivative_report,
     finite_diff,
     k_of_t,
     k_second_deriv,
@@ -82,6 +75,7 @@ from .verify import (
     LemmaKReport,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
+    derived_seed,
     eigenstructure,
     infinitesimal_check,
     lemma_k_check,

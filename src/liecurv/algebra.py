@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularVector
+from .errors import DimensionMismatch
 
 __all__ = [
     "LieAlgebra",
     "Subalgebra",
     "so3",
     "so4",
-    "bracket",
-    "project",
-    "regular_complement",
     "factor_subalgebra",
     "diagonal_subalgebra",
     "symmetric_matrix",
@@ -39,7 +36,6 @@ __all__ = [
 _STRUCTURE_TOL = 1e-12
 _SUBALGEBRA_SPAN_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-12
-_REGULAR_TOL = 1e-10
 _SYMMETRY_TOL = 1e-12
 
 
@@ -141,25 +137,11 @@ class LieAlgebra:
         outer = (xs[:, :, None] * ys[:, None, :]).reshape(len(xs), d * d)
         return outer @ self.structure.reshape(d * d, d)
 
-    def ad(self, x) -> np.ndarray:
-        """Matrix of ad_x = [x, .] acting on coefficient vectors."""
-        x = self.check_vector(x)
-        return np.einsum("ijk,i->kj", self.structure, x)
-
     # -- factor structure --------------------------------------------------
 
     def _require_split(self):
         if self.factor_split is None:
             raise ValueError("algebra has no factor decomposition")
-
-    def factor_part(self, x, which: int) -> np.ndarray:
-        """Projection of x onto factor 1 or 2, as a full-length vector."""
-        self._require_split()
-        x = self.check_vector(x)
-        out = np.zeros(self.dim)
-        idx = list(self.factor_split[which - 1])
-        out[idx] = x[idx]
-        return out
 
     def embed_factor(self, v, which: int) -> np.ndarray:
         """Embed factor coordinates into a full-length vector."""
@@ -194,14 +176,6 @@ class Subalgebra:
                 resid = w - b.T @ (b @ w)
                 if np.linalg.norm(resid) > _SUBALGEBRA_SPAN_TOL:
                     raise ValueError("subspace is not closed under the bracket")
-
-    @classmethod
-    def from_span(cls, algebra: LieAlgebra, vectors) -> "Subalgebra":
-        """Build from any spanning set; orthonormalizes before validation."""
-        m = np.atleast_2d(np.asarray(vectors, dtype=float))
-        q, r = np.linalg.qr(m.T)
-        keep = np.abs(np.diag(r)) > 1e-12
-        return cls(algebra, q.T[keep])
 
     @property
     def projector(self) -> np.ndarray:
@@ -240,38 +214,7 @@ def so4() -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# operations
-
-
-def bracket(g: LieAlgebra, x, y) -> np.ndarray:
-    """Lie bracket of coefficient vectors x, y in the algebra g."""
-    return g.bracket(x, y)
-
-
-def project(g: LieAlgebra, x, h: Subalgebra) -> tuple[np.ndarray, np.ndarray]:
-    """Split x into its components along and orthogonal to the subalgebra h."""
-    x = g.check_vector(x)
-    xh = h.basis.T @ (h.basis @ x)
-    return xh, x - xh
-
-
-def regular_complement(g: LieAlgebra, a) -> np.ndarray:
-    """The canonical commuting complement of a regular vector.
-
-    For a = (a1, a2) with nonzero components in both factors, returns
-    (|a2|/|a1| a1, -|a1|/|a2| a2), which commutes with a, is orthogonal
-    to it, and has the same norm.
-
-    Raises:
-        SingularVector: if either factor projection is below tolerance.
-    """
-    a = g.check_vector(a)
-    a1 = g.factor_part(a, 1)
-    a2 = g.factor_part(a, 2)
-    n1, n2 = np.linalg.norm(a1), np.linalg.norm(a2)
-    if min(n1, n2) < _REGULAR_TOL * np.linalg.norm(a):
-        raise SingularVector("vector has a (near-)zero factor projection")
-    return (n2 / n1) * a1 - (n1 / n2) * a2
+# subalgebras
 
 
 def factor_subalgebra(g: LieAlgebra, which: int) -> Subalgebra:

@@ -35,7 +35,7 @@ from . import __version__, families, suites
 from .algebra import so3, so4
 from .errors import LieCurvError
 from .metric import LeftInvariantMetric
-from .verify import Budget, infinitesimal_check, min_curvature, path_scan
+from .verify import DEFAULT_TOL, Budget, infinitesimal_check, min_curvature, path_scan
 
 SCHEMA_VERSION = 1
 _SYMMETRY_INPUT_TOL = 1e-10
@@ -288,7 +288,7 @@ def _add_budget_flags(p: argparse.ArgumentParser, default_seed: str):
     p.add_argument("--samples", type=int, default=Budget().samples)
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
 def _add_family_flags(p: argparse.ArgumentParser, *kinds: str):

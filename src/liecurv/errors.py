@@ -4,6 +4,17 @@ Everything derives from :class:`LieCurvError` so callers (and the CLI) can
 treat any domain failure as invalid input with a single except clause.
 """
 
+__all__ = [
+    "LieCurvError",
+    "DimensionMismatch",
+    "NotPositiveDefinite",
+    "DegeneratePlane",
+    "NotCommuting",
+    "HorizonExceeded",
+    "FamilyConstraintViolated",
+    "NormalFormUnavailable",
+]
+
 
 class LieCurvError(Exception):
     """Base class for library-specific errors."""
@@ -11,10 +22,6 @@ class LieCurvError(Exception):
 
 class DimensionMismatch(LieCurvError):
     """Vector or matrix shape does not match the algebra dimension."""
-
-
-class SingularVector(LieCurvError):
-    """A vector has a (near-)zero projection onto a required factor."""
 
 
 class NotPositiveDefinite(LieCurvError):

@@ -32,7 +32,6 @@ from .errors import DegeneratePlane, NotPositiveDefinite
 
 __all__ = [
     "LeftInvariantMetric",
-    "b_term",
     "puttmann_curvature",
     "puttmann_curvature_many",
     "koszul_oracle",
@@ -137,14 +136,6 @@ class LeftInvariantMetric:
             gram.setflags(write=False)
             self._operator = (op, gram)
         return self._operator
-
-
-def b_term(m: LeftInvariantMetric, z1, z2) -> np.ndarray:
-    """The symmetric bilinear term (1/2)([z1, phi z2] + [z2, phi z1])."""
-    g = m.algebra
-    z1 = g.check_vector(z1)
-    z2 = g.check_vector(z2)
-    return 0.5 * (g.bracket(z1, m.phi @ z2) + g.bracket(z2, m.phi @ z1))
 
 
 def puttmann_curvature_many(m: LeftInvariantMetric, z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:

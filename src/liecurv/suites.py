@@ -224,18 +224,23 @@ def _suite_enlarge_subalgebra(seed: int) -> list[SuiteRow]:
 # ---------------------------------------------------------------------------
 # family suites
 
+def _s3_action_horizon(alpha, beta) -> float:
+    """Time cap for an s3-action path: 1 - alpha t and 1 - beta t stay
+    positive below it, and it is at most 2."""
+    return min(
+        1.0 / alpha if alpha > 0 else np.inf,
+        1.0 / beta if beta > 0 else np.inf,
+        2.0,
+    )
+
+
 def _suite_family_consistency(seed: int) -> list[SuiteRow]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
         alpha, beta = rng.uniform(-1.5, 0.9, size=2)
         lam = rng.uniform(0.3, 3.0, size=3)
-        cap = min(
-            1.0 / alpha if alpha > 0 else np.inf,
-            1.0 / beta if beta > 0 else np.inf,
-            2.0,
-        )
-        t = rng.uniform(0.05, 0.95) * cap
+        t = rng.uniform(0.05, 0.95) * _s3_action_horizon(alpha, beta)
         worst = max(worst, families.s3_action_path_residual(alpha, beta, lam, t))
     return [SuiteRow("path-equals-family-member", worst, 1e-10)]
 
@@ -295,12 +300,7 @@ def family_scan_cases(rng, kind: str):
     if kind == "s3-action":
         alpha, beta = rng.uniform(-1.0, 0.9, size=2)
         lam = berger_triple(rng)
-        cap = min(
-            1.0 / alpha if alpha > 0 else np.inf,
-            1.0 / beta if beta > 0 else np.inf,
-            2.0,
-        )
-        return families.s3_action_psi(alpha, beta, lam), 0.9 * cap
+        return families.s3_action_psi(alpha, beta, lam), 0.9 * _s3_action_horizon(alpha, beta)
     raise ValueError(f"unknown family kind: {kind}")
 
 

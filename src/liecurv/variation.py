@@ -12,14 +12,13 @@ Two curvature curves are tracked for a commuting pair (x, y):
 
 Closed forms for k''(0) and kappa'''(0) are provided together with
 finite-difference estimators that pin their constants independently;
-``stencil_curve`` evaluates such a curve once per stencil time, for
-``derivative_report`` and the finite-difference suites alike.
+``stencil_curve`` evaluates such a curve once per stencil time, for the
+finite-difference suites.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +36,6 @@ __all__ = [
     "finite_diff",
     "refined_derivative",
     "stencil_curve",
-    "DerivativeReport",
-    "derivative_report",
     "require_commuting",
 ]
 
@@ -212,34 +209,7 @@ def stencil_curve(curve, path: InverseLinearPath, x, y):
     return functools.cache(lambda t: curve(path, x, y, t))
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
-    """Closed-form derivative values next to their finite-difference estimates."""
-
-    k2: float
-    kappa3: float
-    fd_k2: float
-    fd_kappa3: float
-
-
 def default_step(path: InverseLinearPath) -> float:
     """Step size 1e-2 * min(1, window/4) for two-sided stencils at 0."""
     window = min(path.t_max, -path.t_min)
     return 1e-2 * min(1.0, window / 4.0)
-
-
-def derivative_report(g: LieAlgebra, psi, x, y, h: float | None = None) -> DerivativeReport:
-    """Closed forms for k''(0), kappa'''(0) and their Richardson estimates,
-    each curve read through ``stencil_curve``."""
-    path = InverseLinearPath(g, psi)
-    x, y = require_commuting(g, x, y)
-    if h is None:
-        h = default_step(path)
-    fd_k2 = refined_derivative(stencil_curve(k_of_t, path, x, y), 0.0, 2, h)
-    fd_kappa3 = refined_derivative(stencil_curve(kappa_of_t, path, x, y), 0.0, 3, h)
-    return DerivativeReport(
-        k2=k_second_deriv(g, path.psi, x, y),
-        kappa3=kappa_third_deriv(g, path.psi, x, y),
-        fd_k2=fd_k2,
-        fd_kappa3=fd_kappa3,
-    )

@@ -73,6 +73,7 @@ __all__ = [
     "eigenstructure",
     "lemma_k_check",
     "path_scan",
+    "derived_seed",
 ]
 
 VERDICT_NONNEGATIVE = "NonnegativeWithinBudget"
@@ -102,8 +103,9 @@ class Budget:
 
 def _check_tol(tol) -> float:
     tol = float(tol)
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    # a negative tol would call a positive minimum a negative witness
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     return tol
 
 

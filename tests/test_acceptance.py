@@ -16,6 +16,7 @@ from liecurv import (
     LeftInvariantMetric,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
+    derived_seed,
     diagonal_subalgebra,
     factor_subalgebra,
     infinitesimal_check,
@@ -55,7 +56,6 @@ from liecurv.suites import (
     random_torus_params,
 )
 from liecurv.variation import default_step, refined_derivative
-from liecurv.verify import derived_seed
 
 from conftest import random_spd, random_symmetric
 

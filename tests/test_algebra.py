@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 from liecurv import (
     DimensionMismatch,
-    SingularVector,
     Subalgebra,
-    bracket,
     diagonal_subalgebra,
-    factor_subalgebra,
-    project,
-    regular_complement,
     so3,
     so4,
 )
@@ -77,12 +72,6 @@ def test_bracket_many_is_bitwise_row_bracket(g3, g4):
             assert np.array_equal(g.bracket_many(xs, ys), rows)
 
 
-def test_ad_matrix_matches_bracket(g4):
-    rng = np.random.default_rng(2)
-    x, y = rng.standard_normal((2, 6))
-    assert np.allclose(g4.ad(x) @ y, g4.bracket(x, y), atol=1e-14)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     coeffs=st.lists(st.floats(-10, 10), min_size=4, max_size=4),
@@ -101,47 +90,6 @@ def test_bracket_bilinear_antisymmetric(coeffs, seed):
     assert np.linalg.norm(g.bracket(x, x)) == 0.0
 
 
-def test_regular_complement_reference_case(g4):
-    a = 0.6 * E6[0] + 0.8 * E6[3]
-    abar = regular_complement(g4, a)
-    assert np.allclose(abar, 0.8 * E6[0] - 0.6 * E6[3], atol=1e-15)
-
-
-def test_regular_complement_properties(g4):
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        a = rng.standard_normal(6)
-        abar = regular_complement(g4, a)
-        assert np.linalg.norm(g4.bracket(a, abar)) < 1e-12
-        assert abs(np.dot(a, abar)) < 1e-12
-        assert abs(np.linalg.norm(abar) - np.linalg.norm(a)) < 1e-12
-        # applying the construction twice returns the vector, up to sign
-        again = regular_complement(g4, abar)
-        assert min(np.linalg.norm(again - a), np.linalg.norm(again + a)) < 1e-12
-
-
-def test_regular_complement_rejects_singular(g4):
-    with pytest.raises(SingularVector):
-        regular_complement(g4, E6[0])
-
-
-def test_project_inside_and_reconstruction(g4):
-    h = factor_subalgebra(g4, 1)
-    x = E6[0] + E6[3]
-    xh, xp = project(g4, x, h)
-    assert np.allclose(xh, E6[0])
-    assert np.allclose(xp, E6[3])
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        v = rng.standard_normal(6)
-        vh, vp = project(g4, v, h)
-        assert np.linalg.norm(v - vh - vp) < 1e-14
-        assert abs(np.dot(vh, vp)) < 1e-13
-    inside = E6[1] * 2.0
-    ih, ip = project(g4, inside, h)
-    assert np.allclose(ih, inside) and np.allclose(ip, 0.0)
-
-
 def test_subalgebra_validation(g4):
     with pytest.raises(ValueError):
         Subalgebra(g4, np.stack([E6[0], 2.0 * E6[1]]))  # not orthonormal
@@ -150,13 +98,6 @@ def test_subalgebra_validation(g4):
     d = diagonal_subalgebra(g4)
     assert d.k == 3
     assert np.allclose(d.projector @ d.projector, d.projector, atol=1e-14)
-
-
-def test_subalgebra_from_span_orthonormalizes(g4):
-    vectors = np.stack([2.0 * E6[0], E6[0] + E6[3]])
-    sub = Subalgebra.from_span(g4, vectors)
-    assert sub.k == 2
-    assert np.allclose(sub.basis @ sub.basis.T, np.eye(2), atol=1e-12)
 
 
 def test_structure_validation_catches_bad_tensor():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from liecurv import families
-from liecurv.cli import main, parse_matrix
+from liecurv.cli import build_parser, main, parse_matrix
+from liecurv.verify import DEFAULT_TOL, Budget
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +288,14 @@ def test_family_defaults_agree_across_commands(capsys, kind, family, required, e
     _, report = run_cli(capsys, command, "--family", family, *required, *LIGHT)
     budget = {"seed", "samples", "restarts", "iters", "tol"}
     assert {k: v for k, v in report["config"].items() if k not in budget} == source
+
+
+@pytest.mark.parametrize("argv", [["check"], ["infinitesimal"], ["path", "--t-grid", "0.1"]])
+def test_budget_flag_defaults_are_the_library_defaults(argv):
+    args = build_parser().parse_args(argv)
+    budget = Budget()
+    flags = (args.samples, args.restarts, args.iters, args.tol)
+    assert flags == (budget.samples, budget.restarts, budget.iters, DEFAULT_TOL)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Module layout: one module owns each rule.
+"""Module layout: one module owns each rule, and the public surface is
+exactly what the modules export.
 
 A module that imports an underscore name from a sibling module (or reads
 one off an imported sibling) restates or leans on a rule that another
@@ -6,7 +7,10 @@ module owns; the shared piece belongs in that module's public interface.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import liecurv
 
@@ -58,3 +62,54 @@ def test_no_module_imports_a_private_sibling_name():
         if (names := private_sibling_imports(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+# Names deleted because only their own unit tests used them, written
+# module.name or module.Class.method.
+DELETED = [
+    "algebra.bracket",
+    "algebra.project",
+    "algebra.regular_complement",
+    "algebra._REGULAR_TOL",
+    "algebra.LieAlgebra.ad",
+    "algebra.LieAlgebra.factor_part",
+    "algebra.Subalgebra.from_span",
+    "errors.SingularVector",
+    "metric.b_term",
+    "variation.DerivativeReport",
+    "variation.derivative_report",
+]
+
+
+@pytest.mark.parametrize("dotted", DELETED)
+def test_deleted_name_is_gone(dotted):
+    module, *owners, name = dotted.split(".")
+    owner = importlib.import_module(f"liecurv.{module}")
+    for attr in owners:
+        owner = getattr(owner, attr)
+    assert not hasattr(owner, name)
+    if not owners:
+        assert not hasattr(liecurv, name)
+        assert name not in owner.__all__
+
+
+def test_every_all_entry_exists():
+    missing = []
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"liecurv.{path.stem}")
+            names = getattr(module, "__all__", ())
+            missing += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    unexported = [
+        f"{node.module}.{alias.name}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"liecurv.{node.module}").__all__
+    ]
+    assert unexported == []

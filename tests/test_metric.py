@@ -7,7 +7,6 @@ from liecurv import (
     DegeneratePlane,
     LeftInvariantMetric,
     NotPositiveDefinite,
-    b_term,
     koszul_oracle,
     normalized_curvature,
     puttmann_curvature,
@@ -16,24 +15,6 @@ from liecurv import (
 from liecurv.metric import normalized_curvature_many, wedge_many
 
 from conftest import random_spd
-
-
-def test_identity_metric_b_term_vanishes(g4):
-    m = LeftInvariantMetric(g4, np.eye(6))
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        z1, z2 = rng.standard_normal((2, 6))
-        assert np.linalg.norm(b_term(m, z1, z2)) == 0.0
-
-
-def test_b_term_symmetric_and_diagonal(g4):
-    rng = np.random.default_rng(1)
-    m = LeftInvariantMetric(g4, random_spd(rng, 6))
-    for _ in range(20):
-        z1, z2 = rng.standard_normal((2, 6))
-        assert np.linalg.norm(b_term(m, z1, z2) - b_term(m, z2, z1)) < 1e-14
-        diag = b_term(m, z1, z1)
-        assert np.allclose(diag, g4.bracket(z1, m.phi @ z1), atol=1e-14)
 
 
 def test_bi_invariant_curvature_law(g4, g3):

@@ -17,11 +17,10 @@ from liecurv import (
     normalized_curvature,
     sample_commuting_pairs,
 )
-from liecurv import suites, variation
+from liecurv import suites
 from liecurv.metric import normalized_curvature_many
 from liecurv.variation import (
     default_step,
-    derivative_report,
     kappa_third_deriv_many,
     refined_derivative,
     stencil_curve,
@@ -71,28 +70,6 @@ def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
         for order in (1, 2, 3):
             plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
             assert refined_derivative(memo, 0.0, order, h) == plain
-
-
-def test_derivative_report_evaluates_each_stencil_time_once(g4, monkeypatch):
-    # the refined second-order stencil reads 5 distinct times, the
-    # third-order one 6, and the estimates are bitwise the plain ones
-    psi = random_symmetric(np.random.default_rng(4), 6)
-    pair = sample_commuting_pairs(g4, 1, seed=4)[0]
-    k_times = _count_times(monkeypatch, variation, "k_of_t")
-    kappa_times = _count_times(monkeypatch, variation, "kappa_of_t")
-    report = derivative_report(g4, psi, pair.x, pair.y)
-    for seen, times in ((k_times, 5), (kappa_times, 6)):
-        (ts,) = seen.values()
-        assert len(ts) == len(set(ts)) == times
-    monkeypatch.undo()
-    path = InverseLinearPath(g4, psi)
-    h = default_step(path)
-    plain = {
-        curve: lambda t, curve=curve: curve(path, pair.x, pair.y, t)
-        for curve in (k_of_t, kappa_of_t)
-    }
-    assert report.fd_k2 == refined_derivative(plain[k_of_t], 0.0, 2, h)
-    assert report.fd_kappa3 == refined_derivative(plain[kappa_of_t], 0.0, 3, h)
 
 
 def test_subalgebra_rows_match_per_pair_calls(g4):

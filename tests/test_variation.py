@@ -6,7 +6,6 @@ from liecurv import (
     HorizonExceeded,
     InverseLinearPath,
     NotCommuting,
-    derivative_report,
     diagonal_subalgebra,
     factor_subalgebra,
     finite_diff,
@@ -207,15 +206,6 @@ def test_finite_diff_propagates_horizon(g4):
     pair = sample_commuting_pairs(g4, 1, seed=14)[0]
     with pytest.raises(HorizonExceeded):
         finite_diff(lambda t: kappa_of_t(path, pair.x, pair.y, t), 0.9, 3, 0.1)
-
-
-def test_derivative_report_consistency(g4):
-    rng = np.random.default_rng(15)
-    psi = random_symmetric(rng, 6)
-    pair = sample_commuting_pairs(g4, 1, seed=16)[0]
-    rep = derivative_report(g4, psi, pair.x, pair.y)
-    assert abs(rep.fd_k2 - rep.k2) < 1e-5 * max(abs(rep.k2), 1e-3)
-    assert abs(rep.fd_kappa3 - rep.kappa3) < 1e-4 * max(abs(rep.kappa3), 1e-3)
 
 
 def test_non_finite_psi_rejected(g4):

@@ -16,6 +16,7 @@ from liecurv import (
     S3ActionParams,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
+    derived_seed,
     diagonal_subalgebra,
     eigenstructure,
     infinitesimal_check,
@@ -33,6 +34,7 @@ from liecurv import (
     so4,
     torus_psi,
 )
+from liecurv.cli import main as cli_main
 from liecurv.metric import normalized_curvature_many, wedge_many
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
@@ -44,7 +46,6 @@ from liecurv.verify import (
     _quotient_value_and_gradient,
     _quotient_values,
     _unit_columns,
-    derived_seed,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
@@ -178,6 +179,24 @@ def test_non_finite_tol_rejected(g4, tol):
         infinitesimal_check(g4, psi, LIGHT, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         path_scan(g4, psi, [0.1], budget=LIGHT, tol=tol)
+
+
+def test_negative_tol_rejected(g3, g4, capsys):
+    # every plane of the round so(3) metric has curvature 1/4; a tol of
+    # -0.5 would call that minimum a negative witness
+    round3 = LeftInvariantMetric(g3, np.eye(3))
+    psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
+    for tol in (-0.5, -1e-300):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            min_curvature(round3, LIGHT, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            infinitesimal_check(g4, psi, LIGHT, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            path_scan(g4, psi, [0.1], budget=LIGHT, tol=tol)
+    assert cli_main(["check", "--phi", "diag:1,1,1", "--tol", "-0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tol must be finite and nonnegative" in err
+    assert min_curvature(round3, LIGHT, tol=0.0).verdict == VERDICT_NONNEGATIVE
 
 
 def test_basis_planes_follow_wedge_coordinates(g3, g4):
