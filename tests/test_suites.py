@@ -72,6 +72,26 @@ def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
             assert refined_derivative(memo, 0.0, order, h) == plain
 
 
+def test_derivative_report_evaluates_each_stencil_time_once(g4):
+    # the refined second-order stencil reads 5 distinct times, the
+    # third-order one 6, and the estimates are bitwise the plain ones
+    psi = random_symmetric(np.random.default_rng(4), 6)
+    pair = sample_commuting_pairs(g4, 1, seed=4)[0]
+    path = InverseLinearPath(g4, psi)
+    h = default_step(path)
+    for curve, order, times in ((k_of_t, 2, 5), (kappa_of_t, 3, 6)):
+        seen = []
+
+        def counting(path, x, y, t, curve=curve, seen=seen):
+            seen.append(t)
+            return curve(path, x, y, t)
+
+        estimate = refined_derivative(stencil_curve(counting, path, pair.x, pair.y), 0.0, order, h)
+        assert len(seen) == len(set(seen)) == times
+        plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
+        assert estimate == plain
+
+
 def test_subalgebra_rows_match_per_pair_calls(g4):
     pairs = sample_commuting_pairs(g4, 100, seed=7)
     xs, ys = suites._stack(pairs)

@@ -17,7 +17,7 @@ from liecurv import (
     refined_derivative,
     torus_psi,
 )
-from liecurv.variation import default_step
+from liecurv.variation import default_step, stencil_curve
 from liecurv.verify import sample_commuting_pairs
 
 from conftest import random_symmetric
@@ -206,6 +206,22 @@ def test_finite_diff_propagates_horizon(g4):
     pair = sample_commuting_pairs(g4, 1, seed=14)[0]
     with pytest.raises(HorizonExceeded):
         finite_diff(lambda t: kappa_of_t(path, pair.x, pair.y, t), 0.9, 3, 0.1)
+
+
+def test_derivative_report_consistency(g4):
+    # closed forms for k''(0) and kappa'''(0) next to their Richardson
+    # estimates, each curve read through stencil_curve
+    rng = np.random.default_rng(15)
+    psi = random_symmetric(rng, 6)
+    pair = sample_commuting_pairs(g4, 1, seed=16)[0]
+    path = InverseLinearPath(g4, psi)
+    h = default_step(path)
+    k2 = k_second_deriv(g4, psi, pair.x, pair.y)
+    kappa3 = kappa_third_deriv(g4, psi, pair.x, pair.y)
+    fd_k2 = refined_derivative(stencil_curve(k_of_t, path, pair.x, pair.y), 0.0, 2, h)
+    fd_kappa3 = refined_derivative(stencil_curve(kappa_of_t, path, pair.x, pair.y), 0.0, 3, h)
+    assert abs(fd_k2 - k2) < 1e-5 * max(abs(k2), 1e-3)
+    assert abs(fd_kappa3 - kappa3) < 1e-4 * max(abs(kappa3), 1e-3)
 
 
 def test_non_finite_psi_rejected(g4):
