@@ -62,8 +62,10 @@ from .variation import (
     InverseLinearPath,
     finite_diff,
     k_of_t,
+    k_of_t_many,
     k_second_deriv,
     kappa_of_t,
+    kappa_of_t_many,
     kappa_third_deriv,
     refined_derivative,
 )

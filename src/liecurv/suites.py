@@ -9,9 +9,10 @@ Suites evaluate in batches: the draws of a check are stacked and go through
 one call of a row kernel (``kappa_third_deriv_many``, ``bracket_many``,
 ``normalized_curvature_many``), not one scalar call per draw.  A
 finite-difference curve is read through ``variation.stencil_curve``, which
-evaluates it once per stencil time: the refined stencils at 0 of orders 1
-to 3 share the times 0, +-h/2, +-h and +-2h.  The two finite-difference
-suites share one draw loop, ``_fd_draws``.
+evaluates every stencil time of a draw in one ``k_of_t_many`` or
+``kappa_of_t_many`` call: the refined stencils at 0 of orders 1 to 3 share
+the times 0, +-h/2, +-h and +-2h.  The two finite-difference suites share
+one draw loop, ``_fd_draws``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .metric import normalized_curvature_many
 from .normalform import NormalFormParams, normal_form_psi
 from .variation import (
     InverseLinearPath,
-    k_of_t,
+    k_of_t_many,
     k_second_deriv,
-    kappa_of_t,
+    kappa_of_t_many,
     kappa_third_deriv,
     kappa_third_deriv_many,
     default_step,
@@ -89,21 +90,23 @@ def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # derivative-formula suites
 
-def _fd_draws(seed: int, curve):
+def _fd_draws(seed: int, curve_many, orders):
     """The draws of the finite-difference suites: for each of 60 seeded
     commuting pairs, the path of a unit-spectral psi, the pair, the path's
-    default step and ``curve`` on the pair through ``stencil_curve``."""
+    default step h and ``curve_many`` on the pair through ``stencil_curve``,
+    read at the refined stencils' times for the given orders in one call."""
     g = so4()
     rng = np.random.default_rng(seed)
     for pair in sample_commuting_pairs(g, 60, seed):
         path = InverseLinearPath(g, _unit_spectral(rng))
-        yield path, pair, default_step(path), stencil_curve(curve, path, pair.x, pair.y)
+        h = default_step(path)
+        yield path, pair, h, stencil_curve(curve_many, path, pair.x, pair.y, h, orders)
 
 
 def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
     worst_fd1 = worst_rel = 0.0
     min_k2 = np.inf
-    for path, pair, h, f in _fd_draws(seed, k_of_t):
+    for path, pair, h, f in _fd_draws(seed, k_of_t_many, (1, 2)):
         worst_fd1 = max(worst_fd1, abs(refined_derivative(f, 0.0, 1, h)))
         closed = k_second_deriv(path.algebra, path.psi, pair.x, pair.y)
         fd2 = refined_derivative(f, 0.0, 2, h)
@@ -118,7 +121,7 @@ def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
 
 def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
     worst0 = worst1 = worst2 = worst_rel = 0.0
-    for path, pair, h, f in _fd_draws(seed, kappa_of_t):
+    for path, pair, h, f in _fd_draws(seed, kappa_of_t_many, (1, 2, 3)):
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))

@@ -3,6 +3,12 @@
 An inverse-linear path starts at the bi-invariant metric and is determined
 by a symmetric ``psi``: the metric endomorphism at time t is
 ``phi_t = (I - t psi)^{-1}``, so psi is the time derivative of phi_t at 0.
+Every time's phi_t comes from the one eigendecomposition psi = V diag(lam) V^T
+made when the path is built, in the resolvent form
+
+    phi_t = I + V diag(t lam / (1 - t lam)) V^T,
+
+which is exactly I at t = 0, while its inverse is the exact I - t psi.
 
 Two curvature curves are tracked for a commuting pair (x, y):
 
@@ -10,32 +16,36 @@ Two curvature curves are tracked for a commuting pair (x, y):
 * ``kappa_of_t`` -- curvature of the twisted pair ((I - t psi) x, (I - t psi) y),
   whose plane follows the path.
 
-Closed forms for k''(0) and kappa'''(0) are provided together with
-finite-difference estimators that pin their constants independently;
-``stencil_curve`` evaluates such a curve once per stencil time, for the
-finite-difference suites.
+``k_of_t_many`` and ``kappa_of_t_many`` evaluate a curve at a stack of
+times in one ``puttmann_curvature_many`` call, one row per time; the
+scalar curves are their one-time case, and each row is bitwise the
+one-time value.  Closed forms for k''(0) and kappa'''(0) are provided
+together with finite-difference estimators that pin their constants
+independently; ``stencil_curve`` reads every time of a set of refined
+stencils at 0 in one stacked call, for the finite-difference suites.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrix
 from .errors import HorizonExceeded, NotCommuting
-from .metric import LeftInvariantMetric, puttmann_curvature
+from .metric import LeftInvariantMetric, puttmann_curvature_many
 
 __all__ = [
     "InverseLinearPath",
     "k_of_t",
+    "k_of_t_many",
     "kappa_of_t",
+    "kappa_of_t_many",
     "k_second_deriv",
     "kappa_third_deriv",
     "kappa_third_deriv_many",
     "finite_diff",
     "refined_derivative",
     "stencil_curve",
+    "default_step",
     "require_commuting",
 ]
 
@@ -71,7 +81,12 @@ class InverseLinearPath:
         self.algebra = algebra
         self.psi = symmetric_matrix(psi, "psi", algebra.dim)
         self.psi.setflags(write=False)
+        # the window reads eigvalsh, whose eigenvalues can differ from eigh's
+        # in the last bit, so t_max, t_min and default_step stay as they were
         self._eigs = np.linalg.eigvalsh(self.psi)
+        self._lam, v = np.linalg.eigh(self.psi)
+        # v[i, k] v[j, k] is exactly symmetric in (i, j), and so is every phi_t
+        self._outer = v[:, None, :] * v[None, :, :]
 
     @property
     def t_max(self) -> float:
@@ -86,36 +101,109 @@ class InverseLinearPath:
     def admissible(self, t: float) -> bool:
         return (1.0 - t * self._eigs).min() > _HORIZON_GUARD
 
-    def phi_at(self, t: float) -> np.ndarray:
-        """(I - t psi)^{-1} for admissible t."""
-        d = self.algebra.dim
-        m = np.eye(d) - t * self.psi
-        if not self.admissible(t):
+    def _phis(self, ts: np.ndarray) -> np.ndarray:
+        """phi at each time of a 1-d float array, as an (n, dim, dim) stack.
+
+        Every time is checked first, and the first one outside the window
+        raises HorizonExceeded.  Row n is I + V diag(c) V^T with
+        c = t lam / (1 - t lam), each entry summed on its own, so a row does
+        not depend on the rest of the stack.
+        """
+        margin = (1.0 - ts[:, None] * self._eigs).min(axis=1)
+        bad = np.flatnonzero(~(margin > _HORIZON_GUARD))
+        if len(bad):
             raise HorizonExceeded(
-                f"t={t} outside the positive-definiteness window "
+                f"t={float(ts[bad[0]])} outside the positive-definiteness window "
                 f"({self.t_min:.6g}, {self.t_max:.6g})"
             )
-        w, v = np.linalg.eigh(m)
-        return (v / w) @ v.T
+        s = ts[:, None] * self._lam
+        c = s / (1.0 - s)
+        return np.eye(self.algebra.dim) + (self._outer * c[:, None, None, :]).sum(axis=-1)
+
+    def phi_at(self, t: float) -> np.ndarray:
+        """(I - t psi)^{-1} for admissible t; exactly I at t = 0."""
+        return self._phis(np.array([t], dtype=float))[0]
 
     def metric_at(self, t: float) -> LeftInvariantMetric:
         return LeftInvariantMetric(self.algebra, self.phi_at(t))
 
 
+def _rowwise(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """mats[n] @ xs[n] for each row n, each row summed on its own."""
+    return (mats * xs[:, None, :]).sum(axis=-1)
+
+
+class _PathRows:
+    """The path's metrics at a stack of times, one per row, as
+    ``puttmann_curvature_many`` reads a metric: row n of ``apply_rows``
+    applies phi at ts[n], and row n of ``inv_apply_rows`` its exact inverse
+    I - ts[n] psi."""
+
+    def __init__(self, path: InverseLinearPath, ts):
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"times must be a 1-d sequence, got shape {ts.shape}")
+        self.algebra = path.algebra
+        self.phis = path._phis(ts)
+        self.inverses = np.eye(path.algebra.dim) - ts[:, None, None] * path.psi
+
+    def __len__(self) -> int:
+        return len(self.phis)
+
+    def apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        return _rowwise(self.phis, xs)
+
+    def inv_apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        return _rowwise(self.inverses, xs)
+
+
+def _repeated(v: np.ndarray, n: int) -> np.ndarray:
+    return np.repeat(v[None, :], n, axis=0)
+
+
+def k_of_t_many(path: InverseLinearPath, x, y, ts) -> np.ndarray:
+    """k at each time of ts: entry n is the curvature of the fixed pair (x, y)
+    under the metric at ts[n], bitwise ``k_of_t(path, x, y, ts[n])``.
+
+    The pair and every time are validated before any evaluation; a time
+    outside the window raises HorizonExceeded naming it.
+    """
+    x = path.algebra.check_vector(x)
+    y = path.algebra.check_vector(y)
+    rows = _PathRows(path, ts)
+    return puttmann_curvature_many(rows, _repeated(x, len(rows)), _repeated(y, len(rows)))
+
+
+def kappa_of_t_many(path: InverseLinearPath, x, y, ts) -> np.ndarray:
+    """kappa at each time of ts: entry n is the curvature of the twisted pair
+    ((I - t psi) x, (I - t psi) y) at t = ts[n], bitwise
+    ``kappa_of_t(path, x, y, ts[n])``.
+
+    Requires [x, y] = 0 (NotCommuting); the times are validated as in
+    ``k_of_t_many``.
+    """
+    x, y = require_commuting(path.algebra, x, y)
+    rows = _PathRows(path, ts)
+    n = len(rows)
+    return puttmann_curvature_many(
+        rows, rows.inv_apply_rows(_repeated(x, n)), rows.inv_apply_rows(_repeated(y, n))
+    )
+
+
 def k_of_t(path: InverseLinearPath, x, y, t: float) -> float:
-    """Curvature of the fixed pair (x, y) under the metric at time t."""
-    return puttmann_curvature(path.metric_at(t), x, y)
+    """Curvature of the fixed pair (x, y) under the metric at time t: the
+    one-time case of ``k_of_t_many``."""
+    return float(k_of_t_many(path, x, y, [t])[0])
 
 
 def kappa_of_t(path: InverseLinearPath, x, y, t: float) -> float:
-    """Curvature of the twisted pair ((I-t psi) x, (I-t psi) y) at time t.
+    """Curvature of the twisted pair ((I-t psi) x, (I-t psi) y) at time t: the
+    one-time case of ``kappa_of_t_many``.
 
     Requires [x, y] = 0; this is the curve whose third derivative at 0 the
     closed form ``kappa_third_deriv`` computes.
     """
-    x, y = require_commuting(path.algebra, x, y)
-    m = np.eye(path.algebra.dim) - t * path.psi
-    return puttmann_curvature(path.metric_at(t), m @ x, m @ y)
+    return float(kappa_of_t_many(path, x, y, [t])[0])
 
 
 def k_second_deriv(g: LieAlgebra, psi, x, y) -> float:
@@ -199,14 +287,23 @@ def refined_derivative(f, t0: float, order: int, h: float) -> float:
     return (4.0 * d_half - d_h) / 3.0
 
 
-def stencil_curve(curve, path: InverseLinearPath, x, y):
-    """t -> curve(path, x, y, t), evaluated once per distinct t.
+def stencil_curve(curve_many, path: InverseLinearPath, x, y, h: float, orders):
+    """t -> curve value at the times ``refined_derivative(f, 0.0, k, h)``
+    reads for each k in orders, all evaluated in one
+    ``curve_many(path, x, y, times)`` call.
 
     The refined stencils at 0 read 0, +-h/2, +-h and +-2h; 2 * (h/2) == h
-    exactly, so each time is computed once and every stencil sum reads the
-    same values in the same order as with the plain curve.
+    exactly, so each distinct time is evaluated once, and with
+    ``k_of_t_many`` or ``kappa_of_t_many`` every stencil sum reads bitwise
+    the one-time values.  Reading any other time raises KeyError.
     """
-    return functools.cache(lambda t: curve(path, x, y, t))
+    times = list(dict.fromkeys(
+        0.0 + offset * step
+        for order in orders
+        for step in (h, h / 2.0)
+        for offset, _ in _STENCILS[order]
+    ))
+    return dict(zip(times, curve_many(path, x, y, times).tolist())).__getitem__
 
 
 def default_step(path: InverseLinearPath) -> float:

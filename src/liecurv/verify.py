@@ -57,7 +57,7 @@ from .metric import (
     normalized_curvature_many,
     wedge_pairs,
 )
-from .variation import InverseLinearPath, kappa_of_t, kappa_third_deriv_many
+from .variation import InverseLinearPath, kappa_of_t_many, kappa_third_deriv_many
 
 __all__ = [
     "VERDICT_NONNEGATIVE",
@@ -74,6 +74,7 @@ __all__ = [
     "lemma_k_check",
     "path_scan",
     "derived_seed",
+    "DEFAULT_TOL",
 ]
 
 VERDICT_NONNEGATIVE = "NonnegativeWithinBudget"
@@ -501,11 +502,8 @@ def infinitesimal_check(
     av = g.embed_factor(_sign_normalized(best[0]), 1)
     bv = g.embed_factor(_sign_normalized(best[1]), 2)
     final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
-    small_t = tuple(
-        (t, kappa_of_t(path, av, bv, t))
-        for t in (1e-4, 1e-3, 1e-2, 5e-2)
-        if path.admissible(t) and t < 0.5 * path.t_max
-    )
+    times = [t for t in (1e-4, 1e-3, 1e-2, 5e-2) if path.admissible(t) and t < 0.5 * path.t_max]
+    small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
     return _report(final, (av, bv), tol, budget, seed, small_t=small_t)
 
 

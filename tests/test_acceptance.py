@@ -49,7 +49,6 @@ from liecurv import (
 from liecurv.cli import main as cli_main
 from liecurv.suites import (
     bracket_identity_rows,
-    berger_triple,
     family_scan_cases,
     random_product_params,
     random_s3_action_params,

@@ -25,32 +25,52 @@ def _sibling(node: ast.ImportFrom) -> bool:
     return node.level > 0 or (node.module or "").split(".")[0] == "liecurv"
 
 
-def private_sibling_imports(source: str) -> list[str]:
-    """Underscore names a module's source takes from sibling modules."""
+def sibling_imports(source: str) -> list[tuple[str | None, str]]:
+    """(module, name) for each name a module's source takes from a sibling
+    module: ``from .module import name`` and ``module.name`` read off a
+    sibling imported by ``from . import module`` both give (module, name),
+    and ``from . import module`` itself gives (None, module)."""
     tree = ast.parse(source)
     found, modules = [], set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _sibling(node):
+            module = node.module and node.module.removeprefix("liecurv.")
             for alias in node.names:
-                if _private(alias.name):
-                    found.append(f"{node.module or '.'}.{alias.name}")
-                elif node.module is None:  # from . import families
+                found.append((module, alias.name))
+                if module is None:
                     modules.add(alias.asname or alias.name)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in modules
-            and _private(node.attr)
         ):
-            found.append(f"{node.value.id}.{node.attr}")
+            found.append((node.value.id, node.attr))
     return found
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names a module's source takes from sibling modules."""
+    return [f"{module or '.'}.{name}" for module, name in sibling_imports(source) if _private(name)]
 
 
 def test_checker_sees_both_forms():
     source = "from .metric import _GRAM_TOL\nfrom . import families\nfamilies._x\n"
     assert private_sibling_imports(source) == ["metric._GRAM_TOL", "families._x"]
     assert private_sibling_imports("from . import __version__\nfrom .a import b\n") == []
+
+
+def test_every_sibling_import_is_exported():
+    # a name one module takes from another is part of that module's public
+    # interface, so the owner lists it in __all__
+    unexported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, name in sibling_imports(path.read_text(encoding="utf-8")):
+            if module is not None:  # None: a sibling module, or the package's __version__
+                owner = importlib.import_module(f"liecurv.{module}")
+                if name not in getattr(owner, "__all__", ()):
+                    unexported.append(f"{path.stem} imports {module}.{name}")
+    assert unexported == []
 
 
 def test_no_module_imports_a_private_sibling_name():

@@ -1,6 +1,6 @@
 """The batched evaluation paths of the reproduce suites against the scalar
 calls they replace, on the suites' own draws, and ``stencil_curve``, which
-evaluates each finite-difference curve once per stencil time."""
+reads every stencil time of a finite-difference curve in one stacked call."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,9 @@ from liecurv import (
     diagonal_subalgebra,
     factor_subalgebra,
     k_of_t,
+    k_of_t_many,
     kappa_of_t,
+    kappa_of_t_many,
     kappa_third_deriv,
     normal_form_kappa3,
     normalized_curvature,
@@ -36,16 +38,17 @@ def _close(batched, scalar, rel=1e-14):
     assert np.abs(batched - scalar).max() <= rel * max(np.abs(scalar).max(), 1.0)
 
 
-def _count_times(monkeypatch, module, curve):
-    """Wrap module.curve so each call records its time, per path."""
+def _count_times(monkeypatch, module, curve_many):
+    """Wrap module.curve_many so each call records the times it receives,
+    per path."""
     seen = {}
-    inner = getattr(module, curve)
+    inner = getattr(module, curve_many)
 
-    def counting(path, x, y, t):
-        seen.setdefault(path, []).append(t)  # keeps each path alive
-        return inner(path, x, y, t)
+    def counting(path, x, y, ts):
+        seen.setdefault(path, []).append(list(ts))  # keeps each path alive
+        return inner(path, x, y, ts)
 
-    monkeypatch.setattr(module, curve, counting)
+    monkeypatch.setattr(module, curve_many, counting)
     return seen
 
 
@@ -53,43 +56,54 @@ def _count_times(monkeypatch, module, curve):
     "suite, curve, times", [("lemma-2.1-fd", "k_of_t", 5), ("lemma-2.2-fd", "kappa_of_t", 7)]
 )
 def test_fd_curve_evaluated_once_per_stencil_time(monkeypatch, suite, curve, times):
-    seen = _count_times(monkeypatch, suites, curve)
+    # one stacked call per path, holding each stencil time once
+    seen = _count_times(monkeypatch, suites, f"{curve}_many")
     assert suites.run_suite(suite, seed=7).passed
     assert len(seen) == 60
-    for ts in seen.values():
-        assert len(ts) == len(set(ts)) == times
+    for calls in seen.values():
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == times
 
 
 @pytest.mark.parametrize("curve", [k_of_t, kappa_of_t])
 def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
+    curve_many = {k_of_t: k_of_t_many, kappa_of_t: kappa_of_t_many}[curve]
     rng = np.random.default_rng(21)
     for pair in sample_commuting_pairs(g4, 5, seed=21):
         path = InverseLinearPath(g4, random_symmetric(rng, 6))
         h = default_step(path)
-        memo = stencil_curve(curve, path, pair.x, pair.y)
+        stacked = stencil_curve(curve_many, path, pair.x, pair.y, h, (1, 2, 3))
         for order in (1, 2, 3):
             plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
-            assert refined_derivative(memo, 0.0, order, h) == plain
+            assert refined_derivative(stacked, 0.0, order, h) == plain
 
 
 def test_derivative_report_evaluates_each_stencil_time_once(g4):
     # the refined second-order stencil reads 5 distinct times, the
-    # third-order one 6, and the estimates are bitwise the plain ones
+    # third-order one 6, all in one stacked call, and the estimates are
+    # bitwise the plain ones
     psi = random_symmetric(np.random.default_rng(4), 6)
     pair = sample_commuting_pairs(g4, 1, seed=4)[0]
     path = InverseLinearPath(g4, psi)
     h = default_step(path)
-    for curve, order, times in ((k_of_t, 2, 5), (kappa_of_t, 3, 6)):
-        seen = []
+    for curve, curve_many, order, times in (
+        (k_of_t, k_of_t_many, 2, 5),
+        (kappa_of_t, kappa_of_t_many, 3, 6),
+    ):
+        calls = []
 
-        def counting(path, x, y, t, curve=curve, seen=seen):
-            seen.append(t)
-            return curve(path, x, y, t)
+        def counting(path, x, y, ts, curve_many=curve_many, calls=calls):
+            calls.append(list(ts))
+            return curve_many(path, x, y, ts)
 
-        estimate = refined_derivative(stencil_curve(counting, path, pair.x, pair.y), 0.0, order, h)
-        assert len(seen) == len(set(seen)) == times
+        f = stencil_curve(counting, path, pair.x, pair.y, h, (order,))
+        estimate = refined_derivative(f, 0.0, order, h)
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == times
         plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
         assert estimate == plain
+        with pytest.raises(KeyError):
+            f(3.0 * h)
 
 
 def test_subalgebra_rows_match_per_pair_calls(g4):

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     DimensionMismatch,
@@ -10,8 +14,10 @@ from liecurv import (
     factor_subalgebra,
     finite_diff,
     k_of_t,
+    k_of_t_many,
     k_second_deriv,
     kappa_of_t,
+    kappa_of_t_many,
     kappa_third_deriv,
     normalized_curvature,
     refined_derivative,
@@ -28,7 +34,59 @@ E6 = np.eye(6)
 def test_phi_at_zero_is_identity(g4):
     rng = np.random.default_rng(0)
     path = InverseLinearPath(g4, random_symmetric(rng, 6))
-    assert np.allclose(path.phi_at(0.0), np.eye(6), atol=1e-14)
+    assert np.array_equal(path.phi_at(0.0), np.eye(6))
+    assert np.array_equal(path.metric_at(0.0).phi, np.eye(6))
+
+
+def _window_times(path, rng) -> list[float]:
+    """Admissible times across the window: 0, small and unit-size times of
+    both signs, and times near each finite end of the window."""
+    ts = [0.0, 1e-4, -1e-4, *rng.uniform(-1.0, 1.0, 4)]
+    for end in (path.t_max, path.t_min):
+        if np.isfinite(end):
+            ts += [end * (1.0 - 10.0 ** -k) for k in (1, 4, 8)]
+        else:
+            ts += [np.copysign(1e3, end)]
+    return [t for t in ts if path.admissible(t)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.1, 10.0))
+def test_many_curves_are_their_one_time_calls(g4, seed, scale):
+    rng = np.random.default_rng(seed)
+    psi = scale * random_symmetric(rng, 6)
+    path = InverseLinearPath(g4, psi)
+    pair = sample_commuting_pairs(g4, 1, seed=seed)[0]
+    ts = _window_times(path, rng)
+    rng.shuffle(ts)
+    for many, one in ((k_of_t_many, k_of_t), (kappa_of_t_many, kappa_of_t)):
+        rows = many(path, pair.x, pair.y, ts)
+        assert rows.shape == (len(ts),)
+        assert rows.tolist() == [one(path, pair.x, pair.y, t) for t in ts]
+    for t in ts:
+        # phi_t (I - t psi) = I up to rounding scaled by the condition
+        # number of I - t psi
+        s = 1.0 - t * np.linalg.eigvalsh(psi)
+        cond = np.abs(s).max() / np.abs(s).min()
+        err = np.abs(path.phi_at(t) @ (np.eye(6) - t * psi) - np.eye(6)).max()
+        assert err <= 64 * np.finfo(float).eps * cond
+    # one time outside the window fails the whole stack, naming that time
+    bad = 1.5 * path.t_max if np.isfinite(path.t_max) else 1.5 * path.t_min
+    at = int(rng.integers(len(ts) + 1))
+    for many in (k_of_t_many, kappa_of_t_many):
+        with pytest.raises(HorizonExceeded, match=re.escape(f"t={bad} ")):
+            many(path, pair.x, pair.y, ts[:at] + [bad] + ts[at:])
+
+
+def test_many_curves_take_an_empty_stack_and_refuse_a_2d_one(g4):
+    path = InverseLinearPath(g4, random_symmetric(np.random.default_rng(30), 6))
+    pair = sample_commuting_pairs(g4, 1, seed=30)[0]
+    for many in (k_of_t_many, kappa_of_t_many):
+        assert many(path, pair.x, pair.y, []).shape == (0,)
+        with pytest.raises(ValueError, match="1-d"):
+            many(path, pair.x, pair.y, [[0.0, 0.1]])
+    with pytest.raises(NotCommuting):
+        kappa_of_t_many(path, E6[0], E6[1], [0.0])
 
 
 def test_path_rejects_bad_psi(g4):
@@ -218,8 +276,10 @@ def test_derivative_report_consistency(g4):
     h = default_step(path)
     k2 = k_second_deriv(g4, psi, pair.x, pair.y)
     kappa3 = kappa_third_deriv(g4, psi, pair.x, pair.y)
-    fd_k2 = refined_derivative(stencil_curve(k_of_t, path, pair.x, pair.y), 0.0, 2, h)
-    fd_kappa3 = refined_derivative(stencil_curve(kappa_of_t, path, pair.x, pair.y), 0.0, 3, h)
+    k = stencil_curve(k_of_t_many, path, pair.x, pair.y, h, (2,))
+    kappa = stencil_curve(kappa_of_t_many, path, pair.x, pair.y, h, (3,))
+    fd_k2 = refined_derivative(k, 0.0, 2, h)
+    fd_kappa3 = refined_derivative(kappa, 0.0, 3, h)
     assert abs(fd_k2 - k2) < 1e-5 * max(abs(k2), 1e-3)
     assert abs(fd_kappa3 - kappa3) < 1e-4 * max(abs(kappa3), 1e-3)
 

@@ -20,6 +20,7 @@ from liecurv import (
     diagonal_subalgebra,
     eigenstructure,
     infinitesimal_check,
+    kappa_of_t,
     kappa_third_deriv,
     koszul_oracle,
     lemma_k_check,
@@ -402,6 +403,21 @@ def test_infinitesimal_enlarging_diagonal_negative(g4):
     assert rep.small_t is not None
     for t, val in rep.small_t:
         assert val < 0.0
+
+
+def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
+    # small_t is read in one kappa_of_t_many call over the times below half
+    # the horizon; each entry is bitwise kappa_of_t at its time
+    for psi, times in (
+        (diagonal_subalgebra(g4).projector, [1e-4, 1e-3, 1e-2, 5e-2]),
+        (20.0 * diagonal_subalgebra(g4).projector, [1e-4, 1e-3, 1e-2]),
+    ):
+        rep = infinitesimal_check(g4, psi, LIGHT, seed=9)
+        path = InverseLinearPath(g4, psi)
+        assert [t for t, _ in rep.small_t] == times
+        x, y = (np.array(v) for v in rep.witness)
+        for t, val in rep.small_t:
+            assert val == kappa_of_t(path, x, y, t)
 
 
 def test_infinitesimal_quotient_family_nonnegative(g4):
