@@ -342,10 +342,9 @@ def product_invariant_planes(p: ProductParams) -> np.ndarray:
     return np.stack(planes)
 
 
-def torus_invariant_planes(p: TorusParams, a_vec=None, b_vec=None) -> np.ndarray:
-    """tau = span{A, B} plus pairings of the complementary eigenvectors."""
-    a = _A1_DEFAULT if a_vec is None else _unit_factor_vector(a_vec, 1, "A")
-    b = _B1_DEFAULT if b_vec is None else _unit_factor_vector(b_vec, 2, "B")
+def torus_invariant_planes(p: TorusParams) -> np.ndarray:
+    """tau = span{A1, B1} plus pairings of the complementary eigenvectors."""
+    a, b = _A1_DEFAULT, _B1_DEFAULT
     comp1 = np.linalg.svd(np.eye(3) - np.outer(a[:3], a[:3]))[0][:, :2]
     comp2 = np.linalg.svd(np.eye(3) - np.outer(b[3:], b[3:]))[0][:, :2]
     planes = [_plane(a, b)]

@@ -31,6 +31,7 @@ from .algebra import LieAlgebra, symmetric_matrix
 from .errors import DegeneratePlane, NotPositiveDefinite
 
 __all__ = [
+    "DEFINITENESS_GATE",
     "LeftInvariantMetric",
     "puttmann_curvature",
     "puttmann_curvature_many",
@@ -41,8 +42,9 @@ __all__ = [
     "wedge_pairs",
 ]
 
-# smallest eigenvalue must exceed this fraction of the largest
-_DEFINITENESS_GATE = 1e-12
+# phi is a metric when its smallest eigenvalue exceeds this fraction of its
+# largest; inverse-linear paths apply the same rule to phi_t
+DEFINITENESS_GATE = 1e-12
 # A plane is degenerate when its h-Gram determinant is at most this fraction
 # of g11 g22, the squared h-sine of the angle between z1 and z2; the rule is
 # scale-free, so rescaling a vector or the metric never changes it.  It never
@@ -63,7 +65,7 @@ class LeftInvariantMetric:
     def __init__(self, algebra: LieAlgebra, phi):
         phi = symmetric_matrix(phi, "phi", algebra.dim)
         w, v = np.linalg.eigh(phi)
-        if w[-1] <= 0.0 or w[0] <= _DEFINITENESS_GATE * w[-1]:
+        if w[-1] <= 0.0 or w[0] <= DEFINITENESS_GATE * w[-1]:
             raise NotPositiveDefinite(
                 f"phi eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]"
             )

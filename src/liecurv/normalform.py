@@ -40,7 +40,6 @@ __all__ = [
     "psi_normal_form",
     "normal_form_psi",
     "normal_form_kappa3",
-    "invariant_plane_residual",
 ]
 
 _INVARIANCE_TOL = 1e-8
@@ -115,16 +114,6 @@ def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
         + np.einsum("nk,nk->n", r3, r3)
         + np.einsum("nk,nk->n", r4, r4)
     )
-
-
-def invariant_plane_residual(psi, a, b) -> float:
-    """Invariance residual of a single candidate plane.
-
-    Raises ValueError for a zero or non-finite plane vector and for a
-    non-finite or non-symmetric psi, DimensionMismatch unless psi is 6x6.
-    """
-    psi = symmetric_matrix(psi, "psi", 6)
-    return float(_plane_residual_many(psi, *_unit_plane((a, b)))[0])
 
 
 def _kernel(m: np.ndarray, tol: float) -> np.ndarray:

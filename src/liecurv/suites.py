@@ -30,7 +30,6 @@ from .variation import (
     k_of_t_many,
     k_second_deriv,
     kappa_of_t_many,
-    kappa_third_deriv,
     kappa_third_deriv_many,
     default_step,
     refined_derivative,
@@ -125,7 +124,8 @@ def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))
-        closed = kappa_third_deriv(path.algebra, path.psi, pair.x, pair.y)
+        # the pair and psi are already validated, by kappa_of_t_many and the path
+        closed = kappa_third_deriv_many(path.algebra, path.psi, pair.x[None], pair.y[None])[0]
         fd3 = refined_derivative(f, 0.0, 3, h)
         worst_rel = max(worst_rel, _rel(abs(fd3 - closed), closed))
     return [

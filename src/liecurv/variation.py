@@ -9,6 +9,12 @@ made when the path is built, in the resolvent form
     phi_t = I + V diag(t lam / (1 - t lam)) V^T,
 
 which is exactly I at t = 0, while its inverse is the exact I - t psi.
+One rule decides which times the path admits: phi_t has eigenvalues
+1 / (1 - t lam), so ``LeftInvariantMetric``'s definiteness gate reads
+min(1 - t lam) > DEFINITENESS_GATE * max(1 - t lam), which also requires
+every 1 - t lam > 0.  ``admissible``, the curves, ``phi_at``, ``metric_at``
+and ``verify.path_scan`` all read it, and a time that fails it raises
+HorizonExceeded naming that time.
 
 Two curvature curves are tracked for a commuting pair (x, y):
 
@@ -31,7 +37,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrix
 from .errors import HorizonExceeded, NotCommuting
-from .metric import LeftInvariantMetric, puttmann_curvature_many
+from .metric import DEFINITENESS_GATE, LeftInvariantMetric, puttmann_curvature_many
 
 __all__ = [
     "InverseLinearPath",
@@ -50,16 +56,13 @@ __all__ = [
 ]
 
 _COMMUTE_TOL = 1e-10
-# margin on the smallest eigenvalue of I - t psi before declaring the
-# horizon exceeded
-_HORIZON_GUARD = 1e-10
 
 
 def require_commuting(g: LieAlgebra, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Validate [x, y] = 0 within tolerance; returns the checked vectors."""
     x = g.check_vector(x)
     y = g.check_vector(y)
-    lie = g.bracket(x, y)
+    lie = g.bracket_many(x[None], y[None])[0]
     scale = np.linalg.norm(x) * np.linalg.norm(y)
     if np.linalg.norm(lie) > _COMMUTE_TOL * max(scale, 1e-300):
         raise NotCommuting(
@@ -69,52 +72,57 @@ def require_commuting(g: LieAlgebra, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 class InverseLinearPath:
-    """The metric path with phi_t = (I - t psi)^{-1}.
+    """The metric path with phi_t = (I - t psi)^{-1}, at the times where
+    phi_t passes the definiteness gate (see the module docstring).
 
-    ``t_max`` is the forward positive-definiteness horizon (1/lambda_max(psi)
-    when psi has a positive eigenvalue, else +inf).  The path is equally
-    well-defined for negative t down to ``t_min``; central finite-difference
-    stencils at 0 rely on that two-sided window.
+    ``t_max`` is 1/lambda_max(psi) when psi has a positive eigenvalue, else
+    +inf, and ``t_min`` the same at the other end; every admissible time
+    lies strictly between them.  Central finite-difference stencils at 0
+    rely on that two-sided window.
     """
 
     def __init__(self, algebra: LieAlgebra, psi):
         self.algebra = algebra
         self.psi = symmetric_matrix(psi, "psi", algebra.dim)
         self.psi.setflags(write=False)
-        # the window reads eigvalsh, whose eigenvalues can differ from eigh's
-        # in the last bit, so t_max, t_min and default_step stay as they were
-        self._eigs = np.linalg.eigvalsh(self.psi)
         self._lam, v = np.linalg.eigh(self.psi)
         # v[i, k] v[j, k] is exactly symmetric in (i, j), and so is every phi_t
         self._outer = v[:, None, :] * v[None, :, :]
 
     @property
     def t_max(self) -> float:
-        top = self._eigs[-1]
+        top = self._lam[-1]
         return 1.0 / top if top > 0.0 else np.inf
 
     @property
     def t_min(self) -> float:
-        bottom = self._eigs[0]
+        bottom = self._lam[0]
         return 1.0 / bottom if bottom < 0.0 else -np.inf
 
     def admissible(self, t: float) -> bool:
-        return (1.0 - t * self._eigs).min() > _HORIZON_GUARD
+        """Whether phi_t passes the gate: the one-time case of ``_phis``' check."""
+        return bool(self._admitted(np.array([t], dtype=float))[0])
 
-    def _phis(self, ts: np.ndarray) -> np.ndarray:
-        """phi at each time of a 1-d float array, as an (n, dim, dim) stack.
+    def _admitted(self, ts: np.ndarray) -> np.ndarray:
+        mu = 1.0 - ts[:, None] * self._lam
+        return mu.min(axis=1) > DEFINITENESS_GATE * mu.max(axis=1)
+
+    def _phis(self, ts) -> np.ndarray:
+        """phi at each time of a 1-d sequence, as an (n, dim, dim) stack.
 
         Every time is checked first, and the first one outside the window
         raises HorizonExceeded.  Row n is I + V diag(c) V^T with
         c = t lam / (1 - t lam), each entry summed on its own, so a row does
         not depend on the rest of the stack.
         """
-        margin = (1.0 - ts[:, None] * self._eigs).min(axis=1)
-        bad = np.flatnonzero(~(margin > _HORIZON_GUARD))
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"times must be a 1-d sequence, got shape {ts.shape}")
+        bad = np.flatnonzero(~self._admitted(ts))
         if len(bad):
             raise HorizonExceeded(
-                f"t={float(ts[bad[0]])} outside the positive-definiteness window "
-                f"({self.t_min:.6g}, {self.t_max:.6g})"
+                f"t={float(ts[bad[0]])} outside the path's window: phi_t fails the "
+                f"definiteness gate (horizons {self.t_min:.6g}, {self.t_max:.6g})"
             )
         s = ts[:, None] * self._lam
         c = s / (1.0 - s)
@@ -122,7 +130,7 @@ class InverseLinearPath:
 
     def phi_at(self, t: float) -> np.ndarray:
         """(I - t psi)^{-1} for admissible t; exactly I at t = 0."""
-        return self._phis(np.array([t], dtype=float))[0]
+        return self._phis([t])[0]
 
     def metric_at(self, t: float) -> LeftInvariantMetric:
         return LeftInvariantMetric(self.algebra, self.phi_at(t))
@@ -140,11 +148,9 @@ class _PathRows:
     I - ts[n] psi."""
 
     def __init__(self, path: InverseLinearPath, ts):
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise ValueError(f"times must be a 1-d sequence, got shape {ts.shape}")
         self.algebra = path.algebra
         self.phis = path._phis(ts)
+        ts = np.asarray(ts, dtype=float)
         self.inverses = np.eye(path.algebra.dim) - ts[:, None, None] * path.psi
 
     def __len__(self) -> int:
@@ -215,7 +221,7 @@ def k_second_deriv(g: LieAlgebra, psi, x, y) -> float:
     """
     x, y = require_commuting(g, x, y)
     psi = symmetric_matrix(psi, "psi", g.dim)
-    w = g.bracket(x, psi @ y) + g.bracket(psi @ x, y)
+    w = g.bracket_many(np.stack([x, psi @ x]), np.stack([psi @ y, y])).sum(axis=0)
     return 0.5 * float(w @ w)
 
 

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrix
-from .errors import HorizonExceeded
 from .metric import (
     LeftInvariantMetric,
     normalized_curvature_many,
@@ -600,19 +599,17 @@ def path_scan(
 ) -> list[CurvatureReport]:
     """``min_curvature`` of the path metric at each grid time.
 
-    All grid times are validated against the positive-definiteness horizon
-    before any work starts.  Each time gets an independent derived seed and
-    its own pool; the best starts of every time then descend together as
-    one stack.  Entry i equals ``min_curvature(path.metric_at(t_i),
-    seed=derived_seed(seed, i))`` with ``t`` set, so the scan is
-    reproducible entry by entry.
+    Every grid time's metric is built by ``path.metric_at`` before any work
+    starts, so the first time outside the path's window raises the path's
+    HorizonExceeded, naming that time.  Each time gets an independent
+    derived seed and its own pool; the best starts of every time then
+    descend together as one stack.  Entry i equals
+    ``min_curvature(path.metric_at(t_i), seed=derived_seed(seed, i))`` with
+    ``t`` set, so the scan is reproducible entry by entry.
     """
     tol = _check_tol(tol)
     path = InverseLinearPath(g, psi)
     t_grid = [float(t) for t in t_grid]
-    for t in t_grid:
-        if not path.admissible(t):
-            raise HorizonExceeded(f"grid time {t} is outside (..., {path.t_max:.6g})")
     metrics = [path.metric_at(t) for t in t_grid]
     seeds = [derived_seed(seed, i) for i in range(len(t_grid))]
     reports = _plane_reports(metrics, budget or Budget(), tol, seeds) if t_grid else []

@@ -84,8 +84,9 @@ def test_no_module_imports_a_private_sibling_name():
     assert offenders == {}
 
 
-# Names deleted because only their own unit tests used them, written
-# module.name or module.Class.method.
+# Names deleted because only their own unit tests used them, or because
+# their rule now lives in one other place, written module.name or
+# module.Class.method.
 DELETED = [
     "algebra.bracket",
     "algebra.project",
@@ -96,8 +97,11 @@ DELETED = [
     "algebra.Subalgebra.from_span",
     "errors.SingularVector",
     "metric.b_term",
+    "metric._DEFINITENESS_GATE",
+    "normalform.invariant_plane_residual",
     "variation.DerivativeReport",
     "variation.derivative_report",
+    "variation._HORIZON_GUARD",
 ]
 
 

@@ -13,7 +13,6 @@ from liecurv import (
     s3_action_psi,
     torus_psi,
 )
-from liecurv.normalform import invariant_plane_residual
 
 from conftest import random_automorphism, random_symmetric
 
@@ -89,9 +88,13 @@ def test_generic_psi_has_no_normal_form(g4):
 
 
 def test_invariant_plane_residual_zero_for_family(g4):
+    # a supplied plane: zero residual when it is invariant, no normal form
+    # when it is not
     psi = s3_action_psi(0.2, 0.5, np.array([1.0, 2.0, 3.0]))
-    assert invariant_plane_residual(psi, np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) < 1e-14
-    assert invariant_plane_residual(psi, np.array([1.0, 0, 0]), np.array([0.0, 1, 0])) > 0.01
+    e1, e2 = np.array([1.0, 0, 0]), np.array([0.0, 1, 0])
+    assert psi_normal_form(g4, psi, plane=(e1, e1)).plane_residual < 1e-14
+    with pytest.raises(NormalFormUnavailable, match="residual"):
+        psi_normal_form(g4, psi, plane=(e1, e2))
 
 
 def test_normal_form_psi_layout(g4):
@@ -241,9 +244,9 @@ def test_hostile_input_rejected(g4, bad):
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="non-finite"):
-        invariant_plane_residual(broken, e1, e2)
+        psi_normal_form(g4, broken, plane=(e1, e2))
     with pytest.raises(ValueError, match="not symmetric"):
-        invariant_plane_residual(np.triu(np.ones((6, 6))), e1, e2)
+        psi_normal_form(g4, np.triu(np.ones((6, 6))), plane=(e1, e2))
     for plane in ((np.zeros(3), e1), (e1, np.array([bad, 0.0, 0.0]))):
         with pytest.raises(ValueError, match="plane"):
             psi_normal_form(g4, psi, plane=plane)
@@ -254,11 +257,10 @@ def test_hostile_input_rejected(g4, bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_invariant_plane_residual_rejects_degenerate_vectors(bad):
+def test_invariant_plane_residual_rejects_degenerate_vectors(g4, bad):
     psi = torus_psi(0.2, 0.6, 0.1, 0.5, 0.3)
     e1 = np.array([1.0, 0.0, 0.0])
     for a, b in ((np.zeros(3), e1), (e1, np.zeros(3)), (e1, np.array([bad, 0.0, 0.0]))):
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            invariant_plane_residual(np.eye(6), a, b)
-        with pytest.raises(ValueError, match="finite and nonzero"):
-            invariant_plane_residual(psi, a, b)
+        for m in (np.eye(6), psi):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                psi_normal_form(g4, m, plane=(a, b))

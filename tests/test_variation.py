@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv import (
+    Budget,
     DimensionMismatch,
     HorizonExceeded,
     InverseLinearPath,
@@ -20,6 +21,7 @@ from liecurv import (
     kappa_of_t_many,
     kappa_third_deriv,
     normalized_curvature,
+    path_scan,
     refined_derivative,
     torus_psi,
 )
@@ -118,6 +120,48 @@ def test_enlarging_projection_hits_horizon(g4):
         path.phi_at(1.0)
     # two-sided window: negative times are admissible
     assert np.isfinite(path.phi_at(-0.5)).all()
+
+
+def _accepts(path, pair, t) -> dict:
+    """Whether each entry point of the path takes time t; the one refusal
+    allowed is HorizonExceeded."""
+    calls = {
+        "k_of_t": lambda: k_of_t(path, pair.x, pair.y, t),
+        "kappa_of_t": lambda: kappa_of_t(path, pair.x, pair.y, t),
+        "metric_at": lambda: path.metric_at(t),
+        "path_scan": lambda: path_scan(path.algebra, path.psi, [t], Budget(8, 1, 1)),
+    }
+    accepted = {"admissible": path.admissible(t)}
+    assert type(accepted["admissible"]) is bool
+    for name, call in calls.items():
+        try:
+            call()
+            accepted[name] = True
+        except HorizonExceeded:
+            accepted[name] = False
+    return accepted
+
+
+def test_one_rule_decides_every_path_time(g4):
+    # every entry point reads the metric's definiteness gate on the
+    # eigenvalues 1 / (1 - t lam) of phi_t, so they accept the same times:
+    # those close to the horizon, and not those where phi_t's condition
+    # number passes 1e12, as far out as t = -1e13 for psi >= 0
+    pair = sample_commuting_pairs(g4, 1, seed=41)[0]
+    projector = InverseLinearPath(g4, factor_subalgebra(g4, 1).projector)
+    generic = InverseLinearPath(g4, random_symmetric(np.random.default_rng(41), 6))
+    assert projector.t_max == 1.0 and np.isfinite([generic.t_min, generic.t_max]).all()
+    inside = {projector: (-0.5, 0.5), generic: (0.5 * generic.t_min, 0.5 * generic.t_max)}
+    for path in (projector, generic):
+        cases = dict.fromkeys(inside[path], True)
+        cases.update({(1 - 1e-9) * path.t_max: True, (1 - 5e-11) * path.t_max: True})
+        cases[path.t_max] = False
+        if path is projector:  # psi >= 0, so t_min = -inf
+            cases[-1e13] = False
+        for t, want in cases.items():
+            assert _accepts(path, pair, t) == dict.fromkeys(
+                ("admissible", "k_of_t", "kappa_of_t", "metric_at", "path_scan"), want
+            ), t
 
 
 def test_horizon_eigenvalue_decreases_monotonically(g4):
