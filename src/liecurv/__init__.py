@@ -64,6 +64,7 @@ from .variation import (
     k_of_t,
     k_of_t_many,
     k_second_deriv,
+    k_second_deriv_many,
     kappa_of_t,
     kappa_of_t_many,
     kappa_third_deriv,
@@ -83,6 +84,7 @@ from .verify import (
     lemma_k_check,
     min_curvature,
     path_scan,
+    path_scan_many,
     sample_commuting_pairs,
 )
 

@@ -23,6 +23,7 @@ across runs, except for the ``wall_time_ms`` field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -283,8 +284,8 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, default_seed: str):
-    p.add_argument("--seed", type=_seed, default=default_seed)
+def _add_budget_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--samples", type=int, default=Budget().samples)
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
@@ -304,10 +305,10 @@ def _add_family_flags(p: argparse.ArgumentParser, *kinds: str):
         p.add_argument(f"--{flag}", type=float if isinstance(default, float) else str)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # a string default goes through the flag's type, so argparse rejects a
-    # bad LIECURV_SEED exactly as it rejects a bad --seed
-    default_seed = os.environ.get("LIECURV_SEED", "0")
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The parser, built once per process, and its subcommand parsers that
+    take ``--seed``."""
     parser = argparse.ArgumentParser(
         prog="liecurv",
         description="curvature checks for left-invariant metrics on so(3) and so(4)",
@@ -317,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="search a metric for negative curvature")
     p.add_argument("--phi", help="diag:d1,..., row-major list, or @file.json")
     _add_family_flags(p, "metric")
-    _add_budget_flags(p, default_seed)
+    _add_budget_flags(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("infinitesimal", help="check a variation derivative")
     p.add_argument("--psi", help="diag:d1,..., row-major list, or @file.json")
     _add_family_flags(p, "derivative")
-    _add_budget_flags(p, default_seed)
+    _add_budget_flags(p)
     p.set_defaults(fn=_cmd_infinitesimal)
 
     p = sub.add_parser("path", help="scan an inverse-linear path over a time grid")
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p, "derivative")
     p.add_argument("--t-grid", required=True, help="comma-separated times")
     p.add_argument("--csv", help="also write t,min_value,verdict rows here")
-    _add_budget_flags(p, default_seed)
+    _add_budget_flags(p)
     p.set_defaults(fn=_cmd_path)
 
     p = sub.add_parser("family", help="emit a generated family matrix")
@@ -342,11 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a named verification suite")
     p.add_argument("--suite")
     p.add_argument("--list", action="store_true", help="list available suites")
-    p.add_argument("--seed", type=_seed, default=default_seed)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(fn=_cmd_reproduce)
 
     for p in sub.choices.values():
         p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
+    return parser, [sub.choices[c] for c in ("check", "infinitesimal", "path", "reproduce")]
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on the first call, not on import, and
+    shared by every later call.
+
+    Each call defaults every ``--seed`` to ``LIECURV_SEED`` as it is set
+    now.  A string default goes through the flag's type, so argparse
+    rejects a bad LIECURV_SEED exactly as it rejects a bad --seed.  Every
+    parse fills a new namespace, so no flag carries over to the next call.
+    """
+    parser, seeded = _parsers()
+    for p in seeded:
+        p.set_defaults(seed=os.environ.get("LIECURV_SEED", "0"))
     return parser
 
 

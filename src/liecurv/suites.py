@@ -5,14 +5,19 @@ A row passes when its value is at or below its tolerance.  Suite names are
 stable CLI tokens; descriptions say what is being checked.  Budgets are
 sized so every suite finishes in well under a minute on one core.
 
-Suites evaluate in batches: the draws of a check are stacked and go through
-one call of a row kernel (``kappa_third_deriv_many``, ``bracket_many``,
-``normalized_curvature_many``), not one scalar call per draw.  A
-finite-difference curve is read through ``variation.stencil_curve``, which
-evaluates every stencil time of a draw in one ``k_of_t_many`` or
-``kappa_of_t_many`` call: the refined stencils at 0 of orders 1 to 3 share
-the times 0, +-h/2, +-h and +-2h.  The two finite-difference suites share
-one draw loop, ``_fd_draws``.
+Suites draw exactly as a draw-by-draw loop would, then evaluate their draws
+in batches: the draws of a check are stacked and go through one call of a
+row kernel (``kappa_third_deriv_many``, ``k_second_deriv_many``,
+``bracket_many``, ``normalized_curvature_many``), not one scalar call per
+draw.  Where every draw has its own psi (the finite-difference suites, the
+normal-form identities), the closed-form kernel takes one psi per row, so a
+suite's closed forms are one call.  A finite-difference curve is read
+through ``variation.stencil_curve``, which evaluates every stencil time of a
+draw in one ``k_of_t_many`` or ``kappa_of_t_many`` call: the refined
+stencils at 0 of orders 1 to 3 share the times 0, +-h/2, +-h and +-2h.  The
+two finite-difference suites share one draw loop, ``_fd_draws``.  The six
+family paths of ``obs-3.2-paths`` are scanned in one ``path_scan_many``
+descent.
 """
 
 from __future__ import annotations
@@ -28,14 +33,14 @@ from .normalform import NormalFormParams, normal_form_psi
 from .variation import (
     InverseLinearPath,
     k_of_t_many,
-    k_second_deriv,
+    k_second_deriv_many,
     kappa_of_t_many,
     kappa_third_deriv_many,
     default_step,
     refined_derivative,
     stencil_curve,
 )
-from .verify import Budget, infinitesimal_check, path_scan, sample_commuting_pairs
+from .verify import Budget, infinitesimal_check, path_scan_many, sample_commuting_pairs
 
 __all__ = ["SuiteRow", "SuiteResult", "SUITES", "run_suite", "list_suites"]
 
@@ -102,12 +107,21 @@ def _fd_draws(seed: int, curve_many, orders):
         yield path, pair, h, stencil_curve(curve_many, path, pair.x, pair.y, h, orders)
 
 
+def _closed_forms(kernel, draws) -> list[float]:
+    """``kernel`` (a closed-form row kernel) on every draw's pair under its
+    own psi, in one call with one psi per row.  The pairs and the psis were
+    validated by the curves and the paths."""
+    paths, pairs, _, _ = zip(*draws)
+    psis = np.stack([path.psi for path in paths])
+    return kernel(paths[0].algebra, psis, *_stack(pairs)).tolist()
+
+
 def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
+    draws = list(_fd_draws(seed, k_of_t_many, (1, 2)))
     worst_fd1 = worst_rel = 0.0
     min_k2 = np.inf
-    for path, pair, h, f in _fd_draws(seed, k_of_t_many, (1, 2)):
+    for (_, _, h, f), closed in zip(draws, _closed_forms(k_second_deriv_many, draws)):
         worst_fd1 = max(worst_fd1, abs(refined_derivative(f, 0.0, 1, h)))
-        closed = k_second_deriv(path.algebra, path.psi, pair.x, pair.y)
         fd2 = refined_derivative(f, 0.0, 2, h)
         worst_rel = max(worst_rel, _rel(abs(fd2 - closed), closed))
         min_k2 = min(min_k2, closed)
@@ -119,13 +133,12 @@ def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
 
 
 def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
+    draws = list(_fd_draws(seed, kappa_of_t_many, (1, 2, 3)))
     worst0 = worst1 = worst2 = worst_rel = 0.0
-    for path, pair, h, f in _fd_draws(seed, kappa_of_t_many, (1, 2, 3)):
+    for (_, _, h, f), closed in zip(draws, _closed_forms(kappa_third_deriv_many, draws)):
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))
-        # the pair and psi are already validated, by kappa_of_t_many and the path
-        closed = kappa_third_deriv_many(path.algebra, path.psi, pair.x[None], pair.y[None])[0]
         fd3 = refined_derivative(f, 0.0, 3, h)
         worst_rel = max(worst_rel, _rel(abs(fd3 - closed), closed))
     return [
@@ -157,27 +170,37 @@ def _suite_shrink_subalgebra(seed: int) -> list[SuiteRow]:
 def _eschenburg_draws(g, sub, seed: int):
     """200 factor pairs (x, y) with the subalgebra parts commuting on every
     other draw, as (200, dim) stacks, and whether each twisted plane is
-    expected to be flat."""
+    expected to be flat.
+
+    Whether a draw takes a second vector depends on how many draws were
+    kept before it, so the draws stay sequential.  Each draw is written
+    into its row of the result stacks and tested there with a one-row
+    ``bracket_many``, bitwise ``bracket``; a rejected draw's row is
+    overwritten by the next draw.
+    """
     proj = sub.projector
+    idx1, idx2 = (np.array(ix) for ix in g.factor_split)
     rng = np.random.default_rng(seed)
-    xs, ys, flat = [], [], []
-    while len(flat) < 200:
+    xs, ys = np.zeros((2, 200, g.dim))
+    flat = np.zeros(200, dtype=bool)
+    kept = 0
+    while kept < 200:
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        if len(flat) % 2 == 0:
-            b = a.copy()  # forces the subalgebra parts to commute
+        if kept % 2 == 0:
+            b = a  # forces the subalgebra parts to commute
         else:
             b = rng.standard_normal(3)
             b /= np.linalg.norm(b)
-        x = g.embed_factor(a, 1)
-        y = g.embed_factor(b, 2)
-        lie = np.linalg.norm(g.bracket(proj @ x, proj @ y))
+        x, y = xs[kept], ys[kept]
+        x[idx1] = a
+        y[idx2] = b
+        lie = np.linalg.norm(g.bracket_many((proj @ x)[None], (proj @ y)[None])[0])
         if lie >= 1e-8 and lie < 0.05:
             continue  # keep the nonzero class well separated
-        xs.append(x)
-        ys.append(y)
-        flat.append(lie < 1e-8)
-    return np.stack(xs), np.stack(ys), np.array(flat)
+        flat[kept] = lie < 1e-8
+        kept += 1
+    return xs, ys, flat
 
 
 def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
@@ -330,17 +353,21 @@ def _suite_invariant_planes(seed: int) -> list[SuiteRow]:
 def _suite_family_paths(seed: int) -> list[SuiteRow]:
     g = so4()
     rng = np.random.default_rng(seed)
-    budget = Budget(samples=256, restarts=6, iters=60)
+    kinds = ("product", "torus", "s3-action")
+    cases = [family_scan_cases(rng, kind) for kind in kinds for _ in range(2)]
+    # the two draws of each kind, scanned at seeds seed and seed + 1, all in one descent
+    scans = path_scan_many(
+        g,
+        [psi for psi, _ in cases],
+        [np.array([0.25, 0.5, 0.75]) * cap for _, cap in cases],
+        budget=Budget(samples=256, restarts=6, iters=60),
+        seeds=[seed, seed + 1] * len(kinds),
+    )
     rows = []
-    for kind in ("product", "torus", "s3-action"):
-        lowest = np.inf
-        negatives = 0
-        for draw in range(2):
-            psi, cap = family_scan_cases(rng, kind)
-            grid = np.array([0.25, 0.5, 0.75]) * cap
-            for rep in path_scan(g, psi, grid, budget=budget, seed=seed + draw):
-                lowest = min(lowest, rep.min_value)
-                negatives += int(rep.negative)
+    for k, kind in enumerate(kinds):
+        reports = scans[2 * k] + scans[2 * k + 1]
+        lowest = min(rep.min_value for rep in reports)
+        negatives = sum(rep.negative for rep in reports)
         rows.append(SuiteRow(f"{kind}-negatives", float(negatives), 0.0))
         rows.append(SuiteRow(f"{kind}-min-curvature", max(0.0, -lowest), 1e-9))
     return rows
@@ -399,13 +426,26 @@ def _constrained_normal_form(rng) -> NormalFormParams:
     )
 
 
-def _normal_form_table(g, params, coeffs) -> np.ndarray:
-    """kappa'''(0) of each draw's normal form (rows) on each factor pair of
-    coefficients (columns), one ``kappa_third_deriv_many`` call per draw:
-    entry (i, j) is ``normal_form_kappa3(g, params[i], *coeffs[j])``."""
-    xs = np.stack([g.embed_factor(np.asarray(xc, dtype=float), 1) for xc, _ in coeffs])
-    ys = np.stack([g.embed_factor(np.asarray(yc, dtype=float), 2) for _, yc in coeffs])
-    return np.stack([kappa_third_deriv_many(g, normal_form_psi(p), xs, ys) for p in params])
+def _normal_form_tables(g, blocks) -> list[np.ndarray]:
+    """For each block (params, coeffs), kappa'''(0) of each draw's normal
+    form (rows) on each factor pair of coefficients (columns).  Every entry
+    of every block is one row of a single ``kappa_third_deriv_many`` call
+    with one psi per row, so entry (i, j) of a block is bitwise
+    ``normal_form_kappa3(g, params[i], *coeffs[j])``."""
+    psis, xs, ys = [], [], []
+    for params, coeffs in blocks:
+        x = [g.embed_factor(np.asarray(xc, dtype=float), 1) for xc, _ in coeffs]
+        y = [g.embed_factor(np.asarray(yc, dtype=float), 2) for _, yc in coeffs]
+        for psi in map(normal_form_psi, params):
+            psis += [psi] * len(coeffs)
+            xs += x
+            ys += y
+    values = kappa_third_deriv_many(g, np.array(psis), np.array(xs), np.array(ys))
+    ends = np.cumsum([len(params) * len(coeffs) for params, coeffs in blocks])
+    return [
+        v.reshape(len(params), len(coeffs))
+        for v, (params, coeffs) in zip(np.split(values, ends[:-1]), blocks)
+    ]
 
 
 def _worst_fit(params, lhs, const: float, closed) -> float:
@@ -427,14 +467,17 @@ def bracket_identity_rows(seed: int) -> list[SuiteRow]:
     g = so4()
     rng = np.random.default_rng(seed)
     params = [_random_normal_form(rng) for _ in range(100)]
+    stratum = [_constrained_normal_form(rng) for _ in range(100)]
     # columns: each identity case, then the two terms of each sum case
     n_id = len(_IDENTITY_CASES)
-    table = _normal_form_table(
-        g,
-        params,
-        [(xc, yc) for _, xc, yc, _ in _IDENTITY_CASES]
-        + [term for _, *terms, _ in _SUM_CASES for term in terms],
-    )
+    table, elimination = _normal_form_tables(g, [
+        (
+            params,
+            [(xc, yc) for _, xc, yc, _ in _IDENTITY_CASES]
+            + [term for _, *terms, _ in _SUM_CASES for term in terms],
+        ),
+        (stratum, [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]),
+    ])
 
     num = den = 0.0
     closed0 = _IDENTITY_CASES[0][3]
@@ -450,12 +493,8 @@ def bracket_identity_rows(seed: int) -> list[SuiteRow]:
     for k, (name, _, _, closed) in enumerate(_SUM_CASES):
         lhs = table[:, n_id + 2 * k] + table[:, n_id + 2 * k + 1]
         rows.append(SuiteRow(name, _worst_fit(params, lhs, const, closed), 1e-10))
-    stratum = [_constrained_normal_form(rng) for _ in range(100)]
-    table = _normal_form_table(
-        g, stratum, [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]
-    )
     for k, (name, _, closed) in enumerate(_ELIMINATION_CASES):
-        rows.append(SuiteRow(name, _worst_fit(stratum, table[:, k], const, closed), 1e-10))
+        rows.append(SuiteRow(name, _worst_fit(stratum, elimination[:, k], const, closed), 1e-10))
     return rows
 
 

@@ -25,10 +25,12 @@ Two curvature curves are tracked for a commuting pair (x, y):
 ``k_of_t_many`` and ``kappa_of_t_many`` evaluate a curve at a stack of
 times in one ``puttmann_curvature_many`` call, one row per time; the
 scalar curves are their one-time case, and each row is bitwise the
-one-time value.  Closed forms for k''(0) and kappa'''(0) are provided
-together with finite-difference estimators that pin their constants
-independently; ``stencil_curve`` reads every time of a set of refined
-stencils at 0 in one stacked call, for the finite-difference suites.
+one-time value.  Closed forms for k''(0) and kappa'''(0) are provided,
+as row kernels that take one psi for every row or one psi per row and as
+their validated one-row cases, together with finite-difference estimators
+that pin their constants independently; ``stencil_curve`` reads every time
+of a set of refined stencils at 0 in one stacked call, for the
+finite-difference suites.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrix
-from .errors import HorizonExceeded, NotCommuting
+from .errors import DimensionMismatch, HorizonExceeded, NotCommuting
 from .metric import DEFINITENESS_GATE, LeftInvariantMetric, puttmann_curvature_many
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "kappa_of_t",
     "kappa_of_t_many",
     "k_second_deriv",
+    "k_second_deriv_many",
     "kappa_third_deriv",
     "kappa_third_deriv_many",
     "finite_diff",
@@ -212,21 +215,48 @@ def kappa_of_t(path: InverseLinearPath, x, y, t: float) -> float:
     return float(kappa_of_t_many(path, x, y, [t])[0])
 
 
-def k_second_deriv(g: LieAlgebra, psi, x, y) -> float:
-    """Closed form (1/2)|[x, psi y] + [psi x, y]|^2 for k''(0).
+def _check_psi_rows(psi: np.ndarray, xs: np.ndarray):
+    """A row kernel's psi is one (d, d) matrix for every row, or an
+    (n, d, d) stack holding one matrix per row of xs (DimensionMismatch
+    otherwise)."""
+    if psi.ndim == 3 and len(psi) != len(xs):
+        raise DimensionMismatch(
+            f"psi stack of shape {psi.shape} does not match rows of shape {xs.shape}"
+        )
 
-    Always nonnegative; the first derivative of k vanishes at 0.  psi must
-    be finite and symmetric (ValueError) of the algebra's shape
-    (DimensionMismatch).
+
+def k_second_deriv_many(g: LieAlgebra, psi: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row-vectorized k''(0).  Assumes each row pair commutes and psi is
+    symmetric; only a psi stack's length is checked.
+
+    psi is one (d, d) matrix for every row or an (n, d, d) stack with one
+    per row; row n applies its psi as ``psi @ x`` and is bitwise
+    ``k_second_deriv(g, psi[n], xs[n], ys[n])``.
+    """
+    _check_psi_rows(psi, xs)
+    pxs = np.matmul(psi, xs[:, :, None])[:, :, 0]
+    pys = np.matmul(psi, ys[:, :, None])[:, :, 0]
+    w = g.bracket_many(xs, pys) + g.bracket_many(pxs, ys)
+    # a batched (1, d) @ (d, 1) product takes the dot routine of a 1-d w @ w
+    return 0.5 * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0]
+
+
+def k_second_deriv(g: LieAlgebra, psi, x, y) -> float:
+    """Closed form (1/2)|[x, psi y] + [psi x, y]|^2 for k''(0): the
+    validated one-row case of ``k_second_deriv_many``.
+
+    Always nonnegative; the first derivative of k vanishes at 0.  Requires
+    [x, y] = 0 (NotCommuting); psi must be finite and symmetric (ValueError)
+    of the algebra's shape (DimensionMismatch).
     """
     x, y = require_commuting(g, x, y)
     psi = symmetric_matrix(psi, "psi", g.dim)
-    w = g.bracket_many(np.stack([x, psi @ x]), np.stack([psi @ y, y])).sum(axis=0)
-    return 0.5 * float(w @ w)
+    return float(k_second_deriv_many(g, psi, x[None, :], y[None, :])[0])
 
 
 def kappa_third_deriv(g: LieAlgebra, psi, x, y) -> float:
-    """Closed form for kappa'''(0) on a commuting pair.
+    """Closed form for kappa'''(0) on a commuting pair: the validated
+    one-row case of ``kappa_third_deriv_many``.
 
     Six times a five-term bracket expression in (x, y, psi); the factor of
     six is pinned against the finite-difference estimator in the test suite.
@@ -238,19 +268,30 @@ def kappa_third_deriv(g: LieAlgebra, psi, x, y) -> float:
 
 
 def kappa_third_deriv_many(g: LieAlgebra, psi: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Row-vectorized kappa'''(0). Assumes each row pair commutes."""
-    pxs = xs @ psi
-    pys = ys @ psi
+    """Row-vectorized kappa'''(0).  Assumes each row pair commutes and psi
+    is symmetric; only a psi stack's length is checked.
+
+    psi is one (d, d) matrix for every row, applied as ``xs @ psi``, or an
+    (n, d, d) stack with one per row; row n of a stack is bitwise the
+    one-row call on psi[n].
+    """
+    _check_psi_rows(psi, xs)
+
+    def times_psi(vs):
+        return vs @ psi if psi.ndim == 2 else np.matmul(vs[:, None, :], psi)[:, 0]
+
+    pxs = times_psi(xs)
+    pys = times_psi(ys)
     br_x_py = g.bracket_many(xs, pys)
     br_px_y = g.bracket_many(pxs, ys)
     br_px_py = g.bracket_many(pxs, pys)
     br_px_x = g.bracket_many(pxs, xs)
     br_py_y = g.bracket_many(pys, ys)
     t1 = np.einsum("nk,nk->n", br_x_py + br_px_y, br_px_py)
-    t2 = np.einsum("nk,nk->n", br_px_x, br_py_y @ psi)
-    t3 = np.einsum("nk,nk->n", br_x_py, br_x_py @ psi)
-    t4 = np.einsum("nk,nk->n", br_x_py, br_px_y @ psi)
-    t5 = np.einsum("nk,nk->n", br_px_y, br_px_y @ psi)
+    t2 = np.einsum("nk,nk->n", br_px_x, times_psi(br_py_y))
+    t3 = np.einsum("nk,nk->n", br_x_py, times_psi(br_x_py))
+    t4 = np.einsum("nk,nk->n", br_x_py, times_psi(br_px_y))
+    t5 = np.einsum("nk,nk->n", br_px_y, times_psi(br_px_y))
     return 6.0 * (t1 + t2 - t3 - t4 - t5)
 
 

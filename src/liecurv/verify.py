@@ -25,7 +25,9 @@ stopped restart by a mask; a restart's path depends on its own column only.
 ``path_scan`` uses this: each grid time draws and scores its own pool as
 ``min_curvature`` would, then every time descends together in one loop,
 and each entry still equals its standalone ``min_curvature`` report byte
-for byte, so the scan stays reproducible entry by entry.
+for byte, so the scan stays reproducible entry by entry.  ``path_scan_many``
+does the same for the times of several paths at once, and ``path_scan`` is
+its one-path case.
 
 Both verdicts come from one rule,
 ``_report``: negative exactly when the minimum lies below -tol.  A
@@ -72,6 +74,7 @@ __all__ = [
     "eigenstructure",
     "lemma_k_check",
     "path_scan",
+    "path_scan_many",
     "derived_seed",
     "DEFAULT_TOL",
 ]
@@ -192,36 +195,47 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
     For an algebra without a factor decomposition (so(3)) there are no
     independent commuting pairs and the list is empty.  n must be a
     nonnegative integer (ValueError).
+
+    Attempts run in chunks: each attempt draws a, b and the two angles, in
+    that order, and the rejection tests and the construction then run on
+    the whole chunk at once, keeping the first n accepted attempts.  Each
+    kept pair is bitwise the one a draw-by-draw loop over the same stream
+    accepts; the stream is local, so the attempts drawn past the n-th
+    acceptance change nothing.
     """
     n = _check_count(n)
     if g.factor_split is None:
         return []
     rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < n:
-        a = rng.standard_normal(3)
-        b = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        p, q = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        c, s = np.cos(p), np.sin(p)
-        sq, cq = np.sin(q), np.cos(q)
-        if min(abs(c), abs(s), abs(sq), abs(cq)) < 0.05:
-            continue
-        m1 = -np.copysign(2.0 ** round(np.log2(abs(sq / c))), sq / c)
-        m2 = np.copysign(2.0 ** round(np.log2(abs(cq / s))), cq / s)
-        if m1 == m2:
-            continue  # proportional, not independent
-        x = c * g.embed_factor(a, 1) + s * g.embed_factor(b, 2)
-        idx1, idx2 = (list(ix) for ix in g.factor_split)
-        y = np.zeros(g.dim)
-        y[idx1] = m1 * x[idx1]
-        y[idx2] = m2 * x[idx2]
-        gram = (x @ x) * (y @ y) - (x @ y) ** 2
-        if gram < 1e-2 * (x @ x) * (y @ y):
-            continue
-        pairs.append(CommutingPair(x=x, y=y))
-    return pairs
+    idx1, idx2 = (list(ix) for ix in g.factor_split)
+    xs = ys = np.zeros((0, g.dim))
+    while (missing := n - len(xs)) > 0:
+        # about 4 in 5 attempts are accepted
+        draws = [
+            (rng.standard_normal(3), rng.standard_normal(3), rng.uniform(0.0, 2.0 * np.pi, size=2))
+            for _ in range(missing + missing // 4 + 1)
+        ]
+        p, q = np.array([pq for _, _, pq in draws]).T
+        c, s, sq, cq = np.cos(p), np.sin(p), np.sin(q), np.cos(q)
+        keep = np.flatnonzero(np.min(abs(np.stack([c, s, sq, cq])), axis=0) >= 0.05)
+        c, s, sq, cq = c[keep, None], s[keep, None], sq[keep, None], cq[keep, None]
+        m1 = -np.copysign(np.ldexp(1.0, np.rint(np.log2(abs(sq / c))).astype(int)), sq / c)
+        m2 = np.copysign(np.ldexp(1.0, np.rint(np.log2(abs(cq / s))).astype(int)), cq / s)
+        # each draw normalized on its own: a row-wise norm can differ by an ulp
+        unit = np.reshape([[v / np.linalg.norm(v) for v in draws[i][:2]] for i in keep],
+                          (len(keep), 2, len(idx1)))
+        ab = np.zeros((2, len(keep), g.dim))
+        ab[0][:, idx1], ab[1][:, idx2] = unit[:, 0], unit[:, 1]
+        x = c * ab[0] + s * ab[1]
+        y = np.zeros_like(x)
+        y[:, idx1] = m1 * x[:, idx1]
+        y[:, idx2] = m2 * x[:, idx2]
+        xx, yy, xy = (np.einsum("nk,nk->n", u, v) for u, v in ((x, x), (y, y), (x, y)))
+        # m1 == m2 makes y proportional to x, not independent
+        accepted = (m1[:, 0] != m2[:, 0]) & ~(xx * yy - xy**2 < 1e-2 * xx * yy)
+        xs = np.concatenate([xs, x[accepted][:missing]])
+        ys = np.concatenate([ys, y[accepted][:missing]])
+    return [CommutingPair(x=x, y=y) for x, y in zip(xs, ys)]
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +611,8 @@ def path_scan(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[CurvatureReport]:
-    """``min_curvature`` of the path metric at each grid time.
+    """``min_curvature`` of the path metric at each grid time: the one-path
+    case of ``path_scan_many``.
 
     Every grid time's metric is built by ``path.metric_at`` before any work
     starts, so the first time outside the path's window raises the path's
@@ -607,10 +622,36 @@ def path_scan(
     ``min_curvature(path.metric_at(t_i), seed=derived_seed(seed, i))`` with
     ``t`` set, so the scan is reproducible entry by entry.
     """
+    return path_scan_many(g, [psi], [t_grid], budget, tol, seeds=[seed])[0]
+
+
+def path_scan_many(
+    g: LieAlgebra,
+    psis,
+    t_grids,
+    budget: Budget | None = None,
+    tol: float = DEFAULT_TOL,
+    *,
+    seeds,
+) -> list[list[CurvatureReport]]:
+    """``path_scan`` of several paths on one algebra, in one descent.
+
+    Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol, seeds[k])``.
+    Every path and every grid time's metric is built before any pool is
+    drawn, so the first refused time, path by path, raises HorizonExceeded
+    naming it; then the best starts of every time of every path descend
+    together as one stack.  ``psis``, ``t_grids`` and ``seeds`` must have
+    one entry per path (ValueError).
+    """
     tol = _check_tol(tol)
-    path = InverseLinearPath(g, psi)
-    t_grid = [float(t) for t in t_grid]
-    metrics = [path.metric_at(t) for t in t_grid]
-    seeds = [derived_seed(seed, i) for i in range(len(t_grid))]
-    reports = _plane_reports(metrics, budget or Budget(), tol, seeds) if t_grid else []
-    return [replace(rep, t=t) for rep, t in zip(reports, t_grid)]
+    psis, seeds = list(psis), list(seeds)
+    t_grids = [[float(t) for t in grid] for grid in t_grids]
+    if not len(psis) == len(t_grids) == len(seeds):
+        raise ValueError(
+            f"one psi, t_grid and seed per path, got {len(psis)}, {len(t_grids)} and {len(seeds)}"
+        )
+    paths = [InverseLinearPath(g, psi) for psi in psis]
+    metrics = [path.metric_at(t) for path, grid in zip(paths, t_grids) for t in grid]
+    time_seeds = [derived_seed(s, i) for s, grid in zip(seeds, t_grids) for i in range(len(grid))]
+    reports = iter(_plane_reports(metrics, budget or Budget(), tol, time_seeds) if metrics else [])
+    return [[replace(next(reports), t=t) for t in grid] for grid in t_grids]

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liecurv
 from liecurv import families
 from liecurv.cli import build_parser, main, parse_matrix
 from liecurv.verify import DEFAULT_TOL, Budget
@@ -326,3 +332,58 @@ def test_family_without_family_flag_names_it(capsys, kind, choices):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: --family is required: one of {choices}" in captured.err
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
+    for value in ("3", "8"):
+        monkeypatch.setenv("LIECURV_SEED", value)
+        _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+        assert payload["config"]["seed"] == int(value)
+    monkeypatch.delenv("LIECURV_SEED")
+    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+    assert payload["config"]["seed"] == 0
+
+
+def test_no_flag_leaks_into_the_next_call(monkeypatch, capsys):
+    monkeypatch.delenv("LIECURV_SEED", raising=False)
+    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1", "--seed", "5", "--samples", "9")
+    assert (payload["config"]["seed"], payload["config"]["samples"]) == (5, 9)
+    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+    assert (payload["config"]["seed"], payload["config"]["samples"]) == (0, Budget().samples)
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    main(["reproduce", "--list"])  # the parser exists from here on
+    built = _count_parsers(monkeypatch)
+    main(["reproduce", "--list"])
+    main(["check", "--phi", "diag:1,1,1"])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import liecurv.cli\n"
+        "assert built == [], built\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(liecurv.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

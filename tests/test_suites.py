@@ -157,7 +157,63 @@ def test_normal_form_table_matches_per_pair_calls(g4):
     coeffs = [(xc, yc) for _, xc, yc, _ in suites._IDENTITY_CASES]
     coeffs += [term for _, *terms, _ in suites._SUM_CASES for term in terms]
     coeffs += [((1, 1, 1), signs) for _, signs, _ in suites._ELIMINATION_CASES]
-    table = suites._normal_form_table(g4, params, coeffs)
-    assert table.shape == (20, 16)
+    # one block, and the same entries split over two blocks of one call
+    (table,) = suites._normal_form_tables(g4, [(params, coeffs)])
+    head, tail = suites._normal_form_tables(g4, [(params[:7], coeffs[:5]), (params[7:], coeffs)])
+    assert table.shape == (20, 16) and head.shape == (7, 5) and tail.shape == (13, 16)
+    assert np.array_equal(head, table[:7, :5]) and np.array_equal(tail, table[7:])
     for i, p in enumerate(params):
-        _close(table[i], [normal_form_kappa3(g4, p, xc, yc) for xc, yc in coeffs])
+        assert table[i].tolist() == [normal_form_kappa3(g4, p, xc, yc) for xc, yc in coeffs]
+
+
+def _draw_by_draw_eschenburg(g, sub, seed):
+    """The draw loop that ``suites._eschenburg_draws`` runs on validated
+    stacks, on the scalar ``bracket`` and ``embed_factor`` path, kept as its
+    reference."""
+    proj = sub.projector
+    rng = np.random.default_rng(seed)
+    xs, ys, flat = [], [], []
+    while len(flat) < 200:
+        a = rng.standard_normal(3)
+        a /= np.linalg.norm(a)
+        if len(flat) % 2 == 0:
+            b = a.copy()
+        else:
+            b = rng.standard_normal(3)
+            b /= np.linalg.norm(b)
+        x = g.embed_factor(a, 1)
+        y = g.embed_factor(b, 2)
+        lie = np.linalg.norm(g.bracket(proj @ x, proj @ y))
+        if lie >= 1e-8 and lie < 0.05:
+            continue
+        xs.append(x)
+        ys.append(y)
+        flat.append(lie < 1e-8)
+    return np.stack(xs), np.stack(ys), np.array(flat)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eschenburg_draws_are_the_draw_by_draw_loop(g4, seed):
+    for sub in (factor_subalgebra(g4, 1), diagonal_subalgebra(g4)):
+        got = suites._eschenburg_draws(g4, sub, seed)
+        for a, b in zip(got, _draw_by_draw_eschenburg(g4, sub, seed)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("suite, kernel", [
+    ("lemma-2.1-fd", "k_second_deriv_many"),
+    ("lemma-2.2-fd", "kappa_third_deriv_many"),
+    ("th1-identities", "kappa_third_deriv_many"),
+    ("obs-3.2-paths", "path_scan_many"),
+])
+def test_suite_takes_its_closed_forms_or_scans_in_one_call(monkeypatch, suite, kernel):
+    calls = []
+    inner = getattr(suites, kernel)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(suites, kernel, counting)
+    assert suites.run_suite(suite, seed=3).passed
+    assert len(calls) == 1

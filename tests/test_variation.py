@@ -17,6 +17,7 @@ from liecurv import (
     k_of_t,
     k_of_t_many,
     k_second_deriv,
+    k_second_deriv_many,
     kappa_of_t,
     kappa_of_t_many,
     kappa_third_deriv,
@@ -25,7 +26,7 @@ from liecurv import (
     refined_derivative,
     torus_psi,
 )
-from liecurv.variation import default_step, stencil_curve
+from liecurv.variation import default_step, kappa_third_deriv_many, stencil_curve
 from liecurv.verify import sample_commuting_pairs
 
 from conftest import random_symmetric
@@ -345,3 +346,49 @@ def test_non_finite_psi_rejected(g4):
             closed_form(g4, np.triu(np.ones((6, 6))), x, y)
         with pytest.raises(DimensionMismatch, match="psi"):
             closed_form(g4, np.eye(5), x, y)
+
+
+def _stacked_rows(g4, n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = sample_commuting_pairs(g4, n, seed=seed)
+    psis = np.stack([random_symmetric(rng, 6) for _ in pairs])
+    return pairs, psis, np.stack([p.x for p in pairs]), np.stack([p.y for p in pairs])
+
+
+def test_per_row_psi_kernels_are_the_per_psi_calls_bitwise(g4):
+    pairs, psis, xs, ys = _stacked_rows(g4, 40, 31)
+    assert kappa_third_deriv_many(g4, psis, xs, ys).tolist() == [
+        kappa_third_deriv(g4, psi, p.x, p.y) for psi, p in zip(psis, pairs)
+    ]
+    assert k_second_deriv_many(g4, psis, xs, ys).tolist() == [
+        k_second_deriv(g4, psi, p.x, p.y) for psi, p in zip(psis, pairs)
+    ]
+    # one psi for every row gives each row's one-psi value as well
+    assert k_second_deriv_many(g4, psis[0], xs, ys).tolist() == [
+        k_second_deriv(g4, psis[0], p.x, p.y) for p in pairs
+    ]
+
+
+def test_k_second_deriv_is_the_stacked_pair_formula_bitwise(g4):
+    # the one-row kernel keeps the bits of (1/2)|w|^2 with w the sum of
+    # the two brackets of one stacked bracket_many call
+    pairs, psis, _, _ = _stacked_rows(g4, 40, 32)
+    for psi, p in zip(psis, pairs):
+        w = g4.bracket_many(np.stack([p.x, psi @ p.x]), np.stack([psi @ p.y, p.y])).sum(axis=0)
+        assert k_second_deriv(g4, psi, p.x, p.y) == 0.5 * float(w @ w)
+
+
+@pytest.mark.parametrize("kernel", [kappa_third_deriv_many, k_second_deriv_many])
+def test_psi_stack_of_another_length_is_refused(g4, kernel):
+    _, psis, xs, ys = _stacked_rows(g4, 4, 33)
+    named = re.escape("(3, 6, 6)") + ".*" + re.escape("(4, 6)")
+    with pytest.raises(DimensionMismatch, match=named):
+        kernel(g4, psis[:3], xs, ys)
+
+
+def test_k_second_deriv_validates_what_its_row_kernel_takes_as_given(g4):
+    # the row kernel assumes commuting rows; the one-row call checks them
+    x, y = E6[0], E6[1]
+    assert k_second_deriv_many(g4, np.eye(6), x[None], y[None]).shape == (1,)
+    with pytest.raises(NotCommuting):
+        k_second_deriv(g4, np.eye(6), x, y)

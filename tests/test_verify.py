@@ -28,6 +28,7 @@ from liecurv import (
     min_curvature,
     normalized_curvature,
     path_scan,
+    path_scan_many,
     product_phi,
     s3_action_phi,
     s3_action_psi,
@@ -720,3 +721,87 @@ def test_derived_seeds_are_stable():
     assert derived_seed(7, 0) == derived_seed(7, 0)
     assert derived_seed(7, 0) != derived_seed(7, 1)
     assert derived_seed(7, 3) == derived_seed(7, 3)
+
+
+def _draw_by_draw_pairs(g, n, seed):
+    """The one-attempt-at-a-time loop that ``sample_commuting_pairs`` now
+    runs in chunks, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        a = rng.standard_normal(3)
+        b = rng.standard_normal(3)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        p, q = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        c, s = np.cos(p), np.sin(p)
+        sq, cq = np.sin(q), np.cos(q)
+        if min(abs(c), abs(s), abs(sq), abs(cq)) < 0.05:
+            continue
+        m1 = -np.copysign(2.0 ** round(np.log2(abs(sq / c))), sq / c)
+        m2 = np.copysign(2.0 ** round(np.log2(abs(cq / s))), cq / s)
+        if m1 == m2:
+            continue
+        x = c * g.embed_factor(a, 1) + s * g.embed_factor(b, 2)
+        idx1, idx2 = (list(ix) for ix in g.factor_split)
+        y = np.zeros(g.dim)
+        y[idx1] = m1 * x[idx1]
+        y[idx2] = m2 * x[idx2]
+        gram = (x @ x) * (y @ y) - (x @ y) ** 2
+        if gram < 1e-2 * (x @ x) * (y @ y):
+            continue
+        pairs.append((x, y))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [0, 1, 60, 100])
+def test_chunked_sampler_is_the_draw_by_draw_loop(g4, n):
+    for seed in range(10):
+        got = sample_commuting_pairs(g4, n, seed)
+        want = _draw_by_draw_pairs(g4, n, seed)
+        assert len(got) == len(want) == n
+        for pair, (x, y) in zip(got, want):
+            assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+
+
+def test_path_scan_many_entries_are_single_path_scans(g3, g4):
+    """Entry k is ``path_scan`` of path k at seed k, byte for byte, for
+    grids of different lengths, an empty one included, on both algebras."""
+    cases = [
+        (
+            g4,
+            [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), diagonal_subalgebra(g4).projector,
+             s3_action_psi(0.2, -0.4, np.array([0.7, 1.0, 1.3]))],
+            [[0.1, 0.4, 0.6], [], [0.05, 0.2]],
+        ),
+        (g3, [np.diag([0.4, -0.3, 0.9]), np.diag([0.1, 0.2, 0.3])], [[0.5], [0.1, 1.0]]),
+    ]
+    for g, psis, grids in cases:
+        seeds = list(range(30, 30 + len(psis)))
+        scans = path_scan_many(g, psis, grids, budget=LIGHT, seeds=seeds)
+        assert len(scans) == len(psis)
+        for psi, grid, seed, scan in zip(psis, grids, seeds, scans):
+            alone = path_scan(g, psi, grid, budget=LIGHT, seed=seed)
+            assert [r.to_dict() for r in scan] == [r.to_dict() for r in alone]
+    assert path_scan_many(g4, [np.eye(6)], [[]], seeds=[0]) == [[]]
+
+
+def test_path_scan_many_refuses_a_time_before_drawing(g4, monkeypatch):
+    from liecurv import factor_subalgebra, verify
+
+    descents = []
+    monkeypatch.setattr(verify, "_plane_reports", lambda *args: descents.append(args))
+    proj = factor_subalgebra(g4, 1).projector
+    # the first refused time is in the second path; no pool is drawn
+    with pytest.raises(HorizonExceeded, match=re.escape("t=1.0 ")):
+        path_scan_many(g4, [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), proj],
+                       [[0.2, 0.4], [0.5, 1.0, 2.0]], budget=LIGHT, seeds=[1, 2])
+    assert descents == []
+
+
+@pytest.mark.parametrize("psis, grids, seeds", [
+    (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1),
+])
+def test_path_scan_many_needs_one_entry_per_path(g4, psis, grids, seeds):
+    with pytest.raises(ValueError, match="one psi, t_grid and seed per path"):
+        path_scan_many(g4, [np.eye(6)] * psis, [[0.1]] * grids, budget=LIGHT, seeds=[0] * seeds)
