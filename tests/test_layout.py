@@ -102,6 +102,7 @@ DELETED = [
     "variation.DerivativeReport",
     "variation.derivative_report",
     "variation._HORIZON_GUARD",
+    "verify._unit_columns",
 ]
 
 

@@ -44,16 +44,22 @@ from liecurv.verify import (
     _basis_planes,
     _descend,
     _gram_schmidt,
+    _hemisphere_grid,
     _incidence,
     _pair_form,
     _quotient_value_and_gradient,
     _quotient_values,
-    _unit_columns,
+    _smallest_eigenvalues,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
 
 LIGHT = Budget(samples=512, restarts=8, iters=60)
+
+
+def _unit_columns(ab):
+    """Each column of the (T, c, d, n) stack ab scaled to unit length."""
+    return ab / np.sqrt(np.add.reduce(ab * ab, axis=2, keepdims=True))
 
 
 @pytest.mark.parametrize(
@@ -407,6 +413,28 @@ def test_infinitesimal_enlarging_diagonal_negative(g4):
         assert val < 0.0
 
 
+def test_infinitesimal_diagonal_projector_default_budget(g4):
+    # the polish ends at a stationary pair, so the minimum meets -3/4 to
+    # rounding, not to a search tolerance
+    rep = infinitesimal_check(g4, diagonal_subalgebra(g4).projector, seed=9)
+    assert abs(rep.min_value + 0.75) <= 1e-12 * 0.75
+
+
+def test_infinitesimal_torus_stops_on_rounding_noise(g4, monkeypatch):
+    """A torus psi has a pair form made of rounding noise; the polish stops
+    on the scale of psi, not of that noise, so it ends after a few rounds
+    instead of running the whole budget."""
+    psi = torus_psi(0.5, -0.2, 0.3, 0.9, 0.4)
+    assert np.abs(_pair_form(g4, psi)).max() < 1e-12
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    rep = infinitesimal_check(g4, psi)
+    assert rep.verdict == VERDICT_NONNEGATIVE
+    assert abs(rep.min_value) < 1e-9
+    assert len(calls) <= 2 * 5  # one b and one a eigh per round
+
+
 def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
     # small_t is read in one kappa_of_t_many call over the times below half
     # the horizon; each entry is bitwise kappa_of_t at its time
@@ -528,6 +556,73 @@ def test_mixing_angles_are_gauge(seed, p, q):
     plain = kappa_third_deriv_many(g, psi, av, bv)[0]
     mixed = kappa_third_deriv_many(g, psi, x, y)[0]
     assert abs(mixed - np.cos(p - q) ** 2 * plain) <= 1e-12 * max(1.0, abs(plain))
+
+
+def test_hemisphere_grid_is_fixed_unit_upper_points():
+    grid = _hemisphere_grid(257)
+    assert grid.shape == (257, 3) and not grid.flags.writeable
+    assert np.abs(np.linalg.norm(grid, axis=1) - 1.0).max() < 1e-15
+    assert grid[:, 2].min() > 0.0
+    assert _hemisphere_grid(257) is grid  # built once per size
+
+
+def test_smallest_eigenvalues_closed_form():
+    rng = np.random.default_rng(48)
+    mats = [random_symmetric(rng, 3, unit_norm=False) for _ in range(200)]
+    got = _smallest_eigenvalues(np.reshape(mats, (-1, 9)))
+    ref = np.linalg.eigvalsh(mats)[:, 0]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(mats).max()
+    q = random_rotation(rng)
+    special = [
+        np.zeros((3, 3)),
+        -2.5 * np.eye(3),
+        q @ np.diag([-1.0, 3.0, 3.0]) @ q.T,  # double largest eigenvalue
+        q @ np.diag([-1.0, -1.0, 3.0]) @ q.T,  # double smallest eigenvalue
+        1e-16 * (q @ np.diag([-1.0, 0.5, 2.0]) @ q.T),  # rounding-noise scale
+    ]
+    got = _smallest_eigenvalues(np.reshape(special, (-1, 9)))
+    assert got[0] == 0.0 and got[1] == -2.5
+    assert abs(got[2] + 1.0) <= 1e-13 * 3.0
+    # a double smallest eigenvalue costs the arccos about half its digits
+    assert abs(got[3] + 1.0) <= 1e-7 * 3.0
+    assert abs(got[4] + 1e-16) <= 1e-13 * 2e-16
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_pair_minimum_is_a_stationary_lower_envelope(seed):
+    """The reported minimum lies below kappa'''(0) on random unit pairs, and
+    the witness is stationary: no b improves on it for its a, and no a for
+    its b."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    psi = random_symmetric(rng, 6, unit_norm=False)
+    scale = np.linalg.norm(psi, 2) ** 3
+    rep = infinitesimal_check(g, psi)
+    xs, ys = _pair_rows(g, _unit_columns(rng.standard_normal((1, 2, 3, 2000))))
+    assert rep.min_value <= kappa_third_deriv_many(g, psi, xs, ys).min() + 1e-12 * scale
+    x, y = (np.array(v) for v in rep.witness)
+    t = _pair_form(g, psi).reshape(3, 3, 3, 3)  # [i, k, j, l]
+    g_a = np.einsum("ikjl,i,j->kl", t, x[:3], x[:3])
+    g_b = np.einsum("ikjl,k,l->ij", t, y[3:], y[3:])
+    for lam in (np.linalg.eigvalsh(g_a)[0], np.linalg.eigvalsh(g_b)[0]):
+        assert abs(rep.min_value - lam) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), swap=st.booleans())
+def test_pair_minimum_is_automorphism_invariant_and_seed_free(seed, swap):
+    """The minimum is unchanged under psi -> S psi S^T for an automorphism
+    S = diag(Q1, Q2), optionally with the factor swap, and the search draws
+    no random number: reports at two seeds differ only in ``seed``."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    psi = random_symmetric(rng, 6, unit_norm=False)
+    s = random_automorphism(rng, swap)
+    rep = infinitesimal_check(g, psi, seed=0)
+    moved = infinitesimal_check(g, s @ psi @ s.T, seed=0)
+    assert abs(moved.min_value - rep.min_value) <= 1e-12 * np.linalg.norm(psi, 2) ** 3
+    assert infinitesimal_check(g, psi, seed=12345) == replace(rep, seed=12345)
 
 
 def test_eigenstructure_clustering():
