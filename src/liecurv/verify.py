@@ -1,5 +1,6 @@
-"""Nonnegativity verification: closed form on so(3), a seeded multistart
-plane search and a seed-free pair search on so(4).
+"""Nonnegativity verification: closed form on so(3); on so(4), plane
+verdicts closed on a lower bound or else a seeded multistart search, and a
+seed-free pair search.
 
 * ``min_curvature``       -- the minimum plane-normalized sectional
   curvature over 2-planes of the algebra;
@@ -8,11 +9,20 @@ plane search and a seed-free pair search on so(4).
   inverse-linear variation to stay nonnegatively curved.
 
 Planes minimize the Rayleigh quotient w.Rw / w.Hw of the curvature
-operator (R, H) over decomposable w = B vec(z1 z2^T) = z1 ^ z2.  On a
-3-dimensional algebra every bivector is a plane, so the minimum curvature
-is the smallest eigenvalue of the pencil (R, H), computed in closed form,
-and the report says ``exact``.  Otherwise ``_search`` descends with
-``_descend`` from the best starts of a coarse pool of orthonormal frames.
+operator (R, H) over decomposable w = B vec(z1 z2^T) = z1 ^ z2.  The
+smallest eigenvalue lambda_0 of the pencil over all bivectors bounds every
+plane from below, and each plane report carries ``lower_bound`` =
+lambda_0 - delta, with delta = 1e-12 times the pencil's spectral norm as a
+rounding margin.  On a 3-dimensional algebra every bivector is a plane, so
+the minimum curvature is lambda_0, computed in closed form, and the report
+says ``exact``.  On so(4) the pencil is whitened by the metric's own
+eigenpairs; when the lowest coordinate or metric-eigenvector plane attains
+the bound (its quotient and its re-evaluated curvature within delta of
+lambda_0 and of each other) that plane is the witness, no pool is drawn,
+and the report says ``exact``, with min_value - lower_bound <= 2 delta.
+Such a report does not depend on its seed.  Otherwise ``_search`` descends
+with ``_descend`` from the best starts of a coarse pool of orthonormal
+frames, and the same rule decides ``exact`` on the plane it reaches.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
@@ -28,24 +38,24 @@ operators (R and H stacked as (T, k, k)), the two columns z1 and z2, d
 coordinates and n restarts, so w = B (z1 (x) z2) and Rw, Hw are batched
 matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
 stopped restart by a mask; a restart's path depends on its own column only.
-``path_scan`` uses this: each grid time draws and scores its own pool as
-``min_curvature`` would, then every time descends together in one loop,
-and each entry still equals its standalone ``min_curvature`` report byte
-for byte, so the scan stays reproducible entry by entry.  ``path_scan_many``
-does the same for the times of several paths at once, and ``path_scan`` is
-its one-path case.
+``path_scan`` uses this: each grid time that does not close on its bound
+draws and scores its own pool as ``min_curvature`` would, then all those
+times descend together in one loop, and each entry still equals its
+standalone ``min_curvature`` report byte for byte, so the scan stays
+reproducible entry by entry.  ``path_scan_many`` does the same for the
+times of several paths at once, and ``path_scan`` is its one-path case.
 
 Both verdicts come from one rule,
 ``_report``: negative exactly when the minimum lies below -tol.  A
 ``NegativeWitness`` verdict is conclusive (the witness re-evaluates below
--tol in isolation); a ``NonnegativeWithinBudget`` verdict from a search is
-a bounded-search claim, not a proof.
+-tol in isolation); a ``NonnegativeWithinBudget`` verdict is a
+bounded-search claim, not a proof, unless the report is ``exact``.
 
 ``lemma_k_check`` samples the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths, in one batch.
 
 Determinism contract: all randomness is drawn up front from the given seed,
-all refined starts (of every scan time) descend together in one batch, the
+all refined starts (of every open scan time) descend together in one batch, the
 pair starts are polished together and all lemma samples are checked
 together, so reports are identical across runs for a fixed configuration
 and seed.
@@ -93,6 +103,9 @@ DEFAULT_TOL = 1e-9
 
 _STEP_INIT = 0.05
 _STEP_STOP = 1e-10
+# the rounding margin delta of a lower bound, relative to the spectral norm
+# of the whitened operator it comes from
+_BOUND_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,8 @@ class Budget:
     Planes: ``samples`` random frames in the pool, ``restarts`` best starts
     descended, at most ``iters`` descent steps.  Pairs: ``samples`` points
     of the RP^2 grid, ``restarts`` best points polished, at most ``iters``
-    alternating rounds.  On so(3) planes the budget is only recorded.
+    alternating rounds.  On so(3) planes, and on so(4) metrics whose basis
+    plane closes on the lower bound, the budget is only recorded.
     """
 
     samples: int = 4096
@@ -141,8 +155,15 @@ class CommutingPair:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Outcome of a search for negative curvature; ``exact`` when the
-    minimum was computed in closed form rather than searched for."""
+    """Outcome of a search for negative curvature.
+
+    A plane report carries ``lower_bound``: the smallest eigenvalue of the
+    curvature-operator pencil over all bivectors, less a rounding margin
+    delta, so no plane lies below it.  ``exact`` says the minimum is known:
+    on so(3) it comes in closed form; on so(4) the witness attains the
+    bound, min_value - lower_bound <= 2 delta.  Pair reports have no
+    ``lower_bound``.
+    """
 
     verdict: str
     min_value: float
@@ -151,6 +172,7 @@ class CurvatureReport:
     restarts: int
     seed: int
     exact: bool = False
+    lower_bound: float | None = None
     t: float | None = None
     small_t: tuple[tuple[float, float], ...] | None = None
 
@@ -168,6 +190,8 @@ class CurvatureReport:
             "seed": self.seed,
             "exact": self.exact,
         }
+        if self.lower_bound is not None:
+            out["lower_bound"] = self.lower_bound
         if self.t is not None:
             out["t"] = self.t
         if self.small_t is not None:
@@ -355,11 +379,13 @@ def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
     return pool[..., order[:restarts]]
 
 
-def _search(op, starts: np.ndarray, retract, iters: int) -> np.ndarray:
-    """The (T, c, d) lowest frame per operator reached on the quotient of
-    op by descending from the (T, c, d, n) starts together."""
+def _search(op, starts: np.ndarray, retract, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (T,) lowest values and their (T, c, d) frames per operator
+    reached on the quotient of op by descending from the (T, c, d, n)
+    starts together."""
     val, x = _descend(lambda s: _quotient_value_and_gradient(op, s), retract, starts, iters)
-    return x[np.arange(len(x)), :, :, np.argmin(val, axis=1)]
+    t, k = np.arange(len(x)), np.argmin(val, axis=1)
+    return val[t, k], x[t, :, :, k]
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +422,16 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _least_curved_plane_3d(r: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _lower_bound(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest eigenvalue lambda_0 and the rounding margin delta =
+    ``_BOUND_MARGIN`` times the spectral norm of each ascending spectrum in
+    the (..., k) stack eigs of a whitened operator."""
+    return eigs[..., 0], _BOUND_MARGIN * np.maximum(-eigs[..., 0], eigs[..., -1])
+
+
+def _least_curved_plane_3d(r: np.ndarray, h: np.ndarray):
     """The (2, 3) frame of a plane of least curvature on a 3-dimensional
-    algebra.
+    algebra, with ``_lower_bound`` of the pencil (R, H).
 
     Every bivector in dimension 3 is decomposable, so the minimum of
     w.Rw / w.Hw over planes is the smallest eigenvalue of the pencil
@@ -407,42 +440,91 @@ def _least_curved_plane_3d(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     Hodge dual (w12, -w02, w01) is the plane's normal.
     """
     chol = np.linalg.cholesky(h)
-    v0 = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))[1][:, 0]
-    w = np.linalg.solve(chol.T, v0)
+    eigs, vecs = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))
+    w = np.linalg.solve(chol.T, vecs[:, 0])
     normal = np.array([w[2], -w[1], w[0]])
-    return np.linalg.svd(normal[None, :])[2][1:]
+    return np.linalg.svd(normal[None, :])[2][1:], *_lower_bound(eigs)
+
+
+def _whitened_operators(metrics, r: np.ndarray) -> np.ndarray:
+    """The (T, k, k) stack C = D^-1/2 P^T R P D^-1/2 of the (T, k, k)
+    curvature operators r, in the frame of each metric's own eigenpairs
+    (lambda, V): P is the second compound of V, the 2x2 minors that take
+    bivector coordinates in V's frame to reference ones, and D = diag(lambda_i
+    lambda_j) is H = Lambda^2 phi in that frame.  The pencil (R, H) is the
+    matrix C, with no Cholesky factor of H (near the definiteness gate its
+    condition number reaches 1e24), and C's diagonal holds the quotients of
+    the metric-eigenvector planes."""
+    lam = np.stack([m.eigenvalues for m in metrics])
+    v = np.stack([m.eigenvectors for m in metrics])
+    i, j = wedge_pairs(v.shape[1])
+    p = v[:, i[:, None], i] * v[:, j[:, None], j] - v[:, i[:, None], j] * v[:, j[:, None], i]
+    scale = 1.0 / np.sqrt(lam[:, i] * lam[:, j])
+    return scale[:, :, None] * (p.transpose(0, 2, 1) @ r @ p) * scale[:, None, :]
+
+
+def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
+    """Whether a plane attains the lower bound lambda_0 - delta: its operator
+    quotient is at most lambda_0 + delta, and its re-evaluated curvature
+    ``final`` lies within delta of both that quotient and lambda_0."""
+    return bool(
+        quotient <= lam0 + delta and abs(final - quotient) <= delta and abs(final - lam0) <= delta
+    )
 
 
 def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
     """``min_curvature`` of each metric (all on one algebra) at its seed.
 
-    Each metric draws and scores its own pool, exactly as it would alone;
-    then the best starts of every metric descend together as one (T, 2, d,
-    n) stack.  A start's descent depends on its own column only, so each
-    report equals the one its metric gets alone, byte for byte.
+    On so(4), a metric whose lowest coordinate or metric-eigenvector plane
+    ``_closes`` on the bound of its ``_whitened_operators`` is reported from
+    that plane, with no pool and no descent.  Every other metric draws and
+    scores its own pool, exactly as it would alone; then the best starts of
+    all of them descend together as one (T, 2, d, n) stack.  A start's
+    descent depends on its own column only, so each report equals the one
+    its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
     ops = [m.curvature_operator() for m in metrics]
+
+    def report(k, frame, lam0, delta, quotient=None):
+        witness = _canonical_plane(frame.T)
+        m = metrics[k]
+        final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
+        exact = d == 3 or _closes(quotient, final, lam0, delta)
+        return _report(final, witness.T, tol, budget, seeds[k], exact=exact,
+                       lower_bound=float(lam0 - delta))
+
     if d == 3:
-        best = [_least_curved_plane_3d(r, h) for r, h in ops]
-    else:
+        return [report(k, *_least_curved_plane_3d(r, h)) for k, (r, h) in enumerate(ops)]
+    r, h = (np.stack(mats) for mats in zip(*ops))
+    c = _whitened_operators(metrics, r)
+    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    # the coordinate planes, then the metric-eigenvector planes, as in the pool
+    rd, hd, cd = (np.diagonal(a, axis1=1, axis2=2) for a in (r, h, c))
+    basis = np.concatenate([rd / hd, cd], axis=1)
+    n = basis.shape[1] // 2
+    reports = [None] * len(metrics)
+    for k in np.flatnonzero(basis.min(axis=1) <= lam0 + delta):
+        b = int(np.argmin(basis[k]))
+        frame = _basis_planes(np.eye(d) if b < n else metrics[k].eigenvectors)[:, :, b % n]
+        rep = report(k, frame, lam0[k], delta[k], basis[k, b])
+        reports[k] = rep if rep.exact else None
+    search = [k for k, rep in enumerate(reports) if rep is None]
+    if search:
         inc = _incidence(d)
         starts = []
-        for m, (r, h), seed in zip(metrics, ops, seeds):
-            raw = np.random.default_rng(seed).standard_normal((budget.samples, d, 2))
+        for k in search:
+            raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
             frames = _gram_schmidt(np.ascontiguousarray(raw.T)[None])[0]
             pool = np.concatenate(
-                [frames, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)], axis=2
+                [frames, _basis_planes(np.eye(d)), _basis_planes(metrics[k].eigenvectors)], axis=2
             )
-            starts.append(_best_starts((r, h, inc), pool[None], budget.restarts))
-        r, h = (np.stack(mats) for mats in zip(*ops))
-        best = _search((r, h, inc), np.concatenate(starts), _gram_schmidt, budget.iters)
-
-    reports = []
-    for m, frame, seed in zip(metrics, best, seeds):
-        witness = _canonical_plane(frame.T)
-        final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
-        reports.append(_report(final, witness.T, tol, budget, seed, exact=d == 3))
+            starts.append(_best_starts((r[k], h[k], inc), pool[None], budget.restarts))
+        vals, best = _search(
+            (r[search], h[search], inc), np.concatenate(starts), _gram_schmidt, budget.iters
+        )
+        for k, q, frame in zip(search, vals, best):
+            reports[k] = report(k, frame, lam0[k], delta[k], q)
     return reports
 
 
@@ -454,14 +536,21 @@ def min_curvature(
 ) -> CurvatureReport:
     """The minimum plane-normalized curvature of a metric.
 
-    On a 3-dimensional algebra the minimizing plane comes in closed form
-    from ``m.curvature_operator()`` and the report is ``exact``; the budget
-    and seed are only recorded.  Otherwise, coarse stage: ``budget.samples``
-    random orthonormal frames plus the coordinate and metric-eigenvector
-    planes, scored by the Rayleigh quotient of the curvature operator.  The
-    best ``budget.restarts`` starts are refined together by exact-gradient
-    descent.  The reported witness is the canonicalized minimizing plane and
-    ``min_value`` is the closed-form curvature re-evaluated on it, so a
+    ``lower_bound`` is the smallest eigenvalue of the curvature-operator
+    pencil over all bivectors less a rounding margin delta (1e-12 times the
+    pencil's spectral norm): no plane lies below it.  On a 3-dimensional
+    algebra the minimizing plane comes in closed form from
+    ``m.curvature_operator()`` and the report is ``exact``; the budget and
+    seed are only recorded.  On so(4), when the lowest coordinate or
+    metric-eigenvector plane attains the bound, that plane is reported with
+    ``exact`` true (min_value - lower_bound <= 2 delta), no pool is drawn,
+    and the report does not depend on the seed.  Otherwise, coarse stage:
+    ``budget.samples`` random orthonormal frames plus the coordinate and
+    metric-eigenvector planes, scored by the Rayleigh quotient of the
+    curvature operator.  The best ``budget.restarts`` starts are refined
+    together by exact-gradient descent, and the same rule decides
+    ``exact``.  The reported witness is the canonicalized minimizing plane
+    and ``min_value`` is the closed-form curvature re-evaluated on it, so a
     negative verdict is reproducible in isolation.
     """
     return _plane_reports([m], budget or Budget(), _check_tol(tol), [seed])[0]
@@ -700,8 +789,9 @@ def path_scan(
     Every grid time's metric is built by ``path.metric_at`` before any work
     starts, so the first time outside the path's window raises the path's
     HorizonExceeded, naming that time.  Each time gets an independent
-    derived seed and its own pool; the best starts of every time then
-    descend together as one stack.  Entry i equals
+    derived seed; a time that closes on its lower bound draws no pool, and
+    every other time draws its own, whose best starts then descend together
+    as one stack.  Entry i equals
     ``min_curvature(path.metric_at(t_i), seed=derived_seed(seed, i))`` with
     ``t`` set, so the scan is reproducible entry by entry.
     """
@@ -722,8 +812,9 @@ def path_scan_many(
     Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol, seeds[k])``.
     Every path and every grid time's metric is built before any pool is
     drawn, so the first refused time, path by path, raises HorizonExceeded
-    naming it; then the best starts of every time of every path descend
-    together as one stack.  ``psis``, ``t_grids`` and ``seeds`` must have
+    naming it; then the times that close on their bound are reported, and
+    the best starts of every other time of every path descend together as
+    one stack.  ``psis``, ``t_grids`` and ``seeds`` must have
     one entry per path (ValueError).
     """
     tol = _check_tol(tol)

@@ -13,6 +13,7 @@ from liecurv import (
     HorizonExceeded,
     InverseLinearPath,
     LeftInvariantMetric,
+    NotPositiveDefinite,
     ProductParams,
     S3ActionParams,
     VERDICT_NEGATIVE,
@@ -39,17 +40,21 @@ from liecurv import (
 )
 from liecurv.cli import main as cli_main
 from liecurv.metric import normalized_curvature_many, wedge_many
+from liecurv.suites import family_scan_cases
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
+    DEFAULT_TOL,
     _basis_planes,
     _descend,
     _gram_schmidt,
     _hemisphere_grid,
     _incidence,
+    _lower_bound,
     _pair_form,
     _quotient_value_and_gradient,
     _quotient_values,
     _smallest_eigenvalues,
+    _whitened_operators,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
@@ -389,17 +394,187 @@ def test_berger_excess_minimum_is_exact(r, s, seed, swap):
     m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
     rep = min_curvature(m, seed=seed)
     expected = (1.0 - 0.75 * r) / s
-    assert not rep.exact
+    assert rep.exact
     assert rep.verdict == VERDICT_NEGATIVE
     assert abs(rep.min_value - expected) <= 1e-9 * abs(expected)
     w = np.array(rep.witness)
     assert normalized_curvature(m, w[0], w[1]) < -1e-9
 
 
+def _pencil_bound(m):
+    """lambda_0 and delta = 1e-12 ||pencil||_2 of the pencil (R, H), from a
+    general eigensolver on H^-1 R: a route to ``lower_bound`` that shares
+    nothing with the whitening by the metric's eigenpairs."""
+    r, h = m.curvature_operator()
+    eigs = np.linalg.eigvals(np.linalg.solve(h, r)).real
+    return eigs.min(), 1e-12 * np.abs(eigs).max()
+
+
+def _closing_metric(kind, seed):
+    """An so(4) metric whose least curved plane is a coordinate or
+    metric-eigenvector plane, under a random automorphism, with its minimum
+    in closed form: a Berger-excess block s Q diag(r, 1, 1) Q^T (r in
+    [1.4, 2]) next to a bi-invariant one, gives (1 - 3r/4)/s; a product of
+    two random so(3) metrics gives the least of 0 and its factors' minima;
+    the bi-invariant metric gives 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "berger":
+        r, s = rng.uniform(1.4, 2.0), rng.uniform(0.5, 2.0)
+        q = random_rotation(rng)
+        blocks, expected = (s * q @ np.diag([r, 1.0, 1.0]) @ q.T, np.eye(3)), (1.0 - 0.75 * r) / s
+    elif kind == "product":
+        blocks = (random_spd(rng, 3), random_spd(rng, 3))
+        factors = (min_curvature(LeftInvariantMetric(so3(), b)).min_value for b in blocks)
+        expected = min(0.0, *factors)
+    else:
+        blocks, expected = (np.eye(3), np.eye(3)), 0.0
+    phi = product_phi(ProductParams(*(0.5 * (b + b.T) for b in blocks)))
+    auto = random_automorphism(rng, bool(rng.integers(2)))
+    phi = auto @ phi @ auto.T
+    return LeftInvariantMetric(so4(), 0.5 * (phi + phi.T)), expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["berger", "product", "bi-invariant"]), seed=st.integers(0, 2**31 - 1))
+def test_closed_reports_attain_the_bound(kind, seed):
+    """Products of so(3) metrics close on the bound: the report is exact,
+    lower_bound <= min_value <= lower_bound + 2 delta, min_value is the
+    closed form, and the report does not depend on the seed."""
+    m, expected = _closing_metric(kind, seed)
+    lam0, delta = _pencil_bound(m)
+    rep = min_curvature(m, seed=0)
+    assert rep.exact and rep.to_dict()["exact"] is True
+    assert abs(rep.lower_bound - (lam0 - delta)) <= 0.1 * delta
+    assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta * (1.0 + 1e-9)
+    assert abs(rep.min_value - expected) <= max(1e-12 * abs(expected), delta)
+    other = min_curvature(m, seed=12345).to_dict()
+    assert other.pop("seed") == 12345
+    assert other == {k: v for k, v in rep.to_dict().items() if k != "seed"}
+
+
+def test_product_path_times_close_and_torus_times_stay_open(g4):
+    """One ``path_scan_many`` over a product path, whose times close, and a
+    torus path, whose times do not: every entry still equals
+    ``min_curvature`` on its metric at its derived seed."""
+    rng = np.random.default_rng(52)
+    cases = [family_scan_cases(rng, kind) for kind in ("product", "torus")]
+    grid = [0.25, 0.5, 0.75]
+    scans = path_scan_many(g4, [psi for psi, _ in cases], [grid, grid], budget=LIGHT, seeds=[5, 6])
+    for (psi, _), seed, scan in zip(cases, (5, 6), scans):
+        path = InverseLinearPath(g4, psi)
+        for i, (t, rep) in enumerate(zip(grid, scan)):
+            alone = min_curvature(path.metric_at(t), budget=LIGHT, seed=derived_seed(seed, i))
+            assert rep.to_dict() == replace(alone, t=t).to_dict()
+            assert rep.lower_bound <= rep.min_value
+    assert [rep.exact for rep in scans[0]] == [True] * 3
+    assert [rep.exact for rep in scans[1]] == [False] * 3
+    # a product path stays a product of so(3) metrics: its times close on
+    # the least of 0 and the factors' minima, whatever the seed
+    path = InverseLinearPath(g4, cases[0][0])
+    reseeded = path_scan(g4, cases[0][0], grid, budget=LIGHT, seed=12345)
+    for i, (t, rep, other) in enumerate(zip(grid, scans[0], reseeded)):
+        m = path.metric_at(t)
+        lam0, delta = _pencil_bound(m)
+        assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta * (1.0 + 1e-9)
+        factors = (min_curvature(LeftInvariantMetric(so3(), m.phi[b, b])).min_value
+                   for b in (slice(0, 3), slice(3, 6)))
+        assert abs(rep.min_value - min(0.0, *factors)) <= delta
+        assert replace(other, seed=rep.seed) == rep
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(["berger", "product", "bi-invariant", "random"]),
+    seed=st.integers(0, 2**31 - 1),
+    log_c=st.floats(-6.0, 6.0),
+)
+def test_closure_is_scale_free(kind, seed, log_c):
+    """phi -> c phi keeps the closure decision and scales lower_bound by
+    1/c, as it scales every curvature."""
+    if kind == "random":
+        m = LeftInvariantMetric(so4(), random_spd(np.random.default_rng(seed), 6))
+    else:
+        m = _closing_metric(kind, seed)[0]
+    c = 10.0**log_c
+    rep = min_curvature(m, LIGHT, seed=1)
+    scaled = min_curvature(LeftInvariantMetric(so4(), c * m.phi), LIGHT, seed=1)
+    assert scaled.exact == rep.exact == (kind != "random")
+    assert abs(c * scaled.lower_bound - rep.lower_bound) <= 100.0 * _pencil_bound(m)[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 6]))
+def test_lower_bound_is_below_the_minimum(seed, dim):
+    rng = np.random.default_rng(seed)
+    g = so3() if dim == 3 else so4()
+    m = LeftInvariantMetric(g, random_spd(rng, dim))
+    rep = min_curvature(m, LIGHT, seed=seed)
+    lam0, delta = _pencil_bound(m)
+    assert rep.lower_bound <= rep.min_value
+    assert abs(rep.lower_bound - (lam0 - delta)) <= 0.1 * delta
+
+
+def test_forty_metric_set_never_closes_and_the_descent_detects(g4):
+    """The 40 rotated metrics Q diag(lambda) Q^T of ``default_rng(3)`` (even
+    draws near-round, odd ones wide), each at seed k and the default budget:
+    none attains the lower bound at a basis plane or after the descent, so
+    every report comes from the pool and ``_descend``; every wide draw has
+    a negative minimum, which the search finds."""
+    rng = np.random.default_rng(3)
+    for k in range(40):
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        lam = rng.uniform(0.7, 1.3, 6) if k % 2 == 0 else rng.uniform(0.3, 3.0, 6)
+        m = LeftInvariantMetric(g4, q @ np.diag(lam) @ q.T)
+        rep = min_curvature(m, seed=k)
+        assert not rep.exact
+        assert rep.lower_bound <= rep.min_value
+        if k % 2:
+            assert rep.verdict == VERDICT_NEGATIVE
+            w = np.array(rep.witness)
+            assert normalized_curvature(m, w[0], w[1]) < -DEFAULT_TOL
+
+
+def test_near_gate_metrics_close_only_where_the_routes_agree(g4):
+    """Rotated so(4) metrics with condition numbers 1e10 to 1e11.9, generic
+    and products: building the metric may raise NotPositiveDefinite, the
+    search raises nothing, and a report is exact only where the Puttmann
+    value at its witness and the operator's quotient there agree within
+    delta (near the gate the operator's rounding can break that)."""
+    rng = np.random.default_rng(53)
+    closed = 0
+    for k in range(24):
+        top = 10.0 ** rng.uniform(10.0, 11.9)
+        if k % 2:
+            q = random_rotation(rng)
+            blocks = (q @ np.diag([rng.uniform(1.4, 2.0), 1.0, 1.0]) @ q.T,
+                      top * np.diag(rng.uniform(0.5, 1.0, 3)))
+            phi = product_phi(ProductParams(*(0.5 * (b + b.T) for b in blocks)))
+            auto = random_automorphism(rng, bool(k % 4 == 1))
+            phi = auto @ phi @ auto.T
+        else:
+            q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+            lam = np.concatenate([[1.0, top], 10.0 ** rng.uniform(0.0, np.log10(top), 4)])
+            phi = q @ np.diag(lam) @ q.T
+        try:
+            m = LeftInvariantMetric(g4, 0.5 * (phi + phi.T))
+        except NotPositiveDefinite:
+            continue
+        rep = min_curvature(m, LIGHT, seed=k)
+        r, h = m.curvature_operator()
+        delta = _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
+        w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
+        if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > delta:
+            assert not rep.exact
+        closed += rep.exact
+    assert closed >= 1
+
+
 def test_infinitesimal_torus_flat(g4):
     rep = infinitesimal_check(g4, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6), LIGHT, seed=8)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert abs(rep.min_value) < 1e-9
+    # a pair report carries no plane bound
+    assert rep.lower_bound is None and "lower_bound" not in rep.to_dict()
 
 
 def test_infinitesimal_enlarging_diagonal_negative(g4):
