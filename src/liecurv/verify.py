@@ -22,7 +22,20 @@ lambda_0 and of each other) that plane is the witness, no pool is drawn,
 and the report says ``exact``, with min_value - lower_bound <= 2 delta.
 Such a report does not depend on its seed.  Otherwise ``_search`` descends
 with ``_descend`` from the best starts of a coarse pool of orthonormal
-frames, and the same rule decides ``exact`` on the plane it reaches.
+frames, and the same rule decides ``exact`` on the plane it reaches.  A
+restart stops once its gradient falls below 1e-3 delta, and the descent at
+the latest after ``Budget.iters`` steps.  Before it starts, a metric whose
+pool holds no plane below -floor, floor = min(tol, 1e-8 times the pencil's
+norm), tries ``_certified_above``, if its budget's stall stop can save
+more than ``_CERT_COST`` restart-steps: a combination W of the Pluecker
+quadrics, which vanish on planes, with lambda_min(C + W) above -floor
+proves that no plane lies below -floor (Thorpe's trick).  The verdict of a
+certified metric is then NonnegativeWithinBudget whatever the descent
+finds, and its descent stops once its best value has dropped by no more
+than delta over the last ``_STALL_STEPS`` (29) steps.  Quotient and torus
+family members, whose pool already holds a flat plane, certify and stop
+after 29 steps at the default budget; every other metric descends as if
+there were no stall stop.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
@@ -37,7 +50,8 @@ The plane search works on restarts-last stacks of shape (T, 2, d, n): T
 operators (R and H stacked as (T, k, k)), the two columns z1 and z2, d
 coordinates and n restarts, so w = B (z1 (x) z2) and Rw, Hw are batched
 matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
-stopped restart by a mask; a restart's path depends on its own column only.
+stopped restart by a mask; a restart's path depends on its own column and
+its own operator's certificate and best value only.
 ``path_scan`` uses this: each grid time that does not close on its bound
 draws and scores its own pool as ``min_curvature`` would, then all those
 times descend together in one loop, and each entry still equals its
@@ -64,6 +78,8 @@ and seed.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -103,9 +119,25 @@ DEFAULT_TOL = 1e-9
 
 _STEP_INIT = 0.05
 _STEP_STOP = 1e-10
+# the halvings that take a start's step from _STEP_INIT below _STEP_STOP: a
+# settled row of the plane descent whose best value drops by no more than its
+# margin over as many steps stops
+_STALL_STEPS = math.ceil(math.log2(_STEP_INIT / _STEP_STOP))
 # the rounding margin delta of a lower bound, relative to the spectral norm
 # of the whitened operator it comes from
 _BOUND_MARGIN = 1e-12
+# a plane descent may stop on a stall where no plane lies below -floor, with
+# floor the smaller of tol and this many margins delta (1e-8 of the spectral
+# norm), so the stop does not depend on the metric's scale unless tol binds
+_STALL_FLOOR = 1e4
+# the plane certificate's barrier parameter shrinks by this factor after a
+# short Newton step, and the certificate gives up after as many steps
+_CERT_SHRINK = 100.0
+_CERT_STEPS = 50
+# about the work of the certificate of one metric, in restart-steps of the
+# plane descent (some 15 Newton steps on a 15x15 pencil in 16 directions);
+# a budget whose stall stop can save fewer, restarts * (iters - 29), skips it
+_CERT_COST = 1000
 
 
 @dataclass(frozen=True)
@@ -113,8 +145,11 @@ class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
     Planes: ``samples`` random frames in the pool, ``restarts`` best starts
-    descended, at most ``iters`` descent steps.  Pairs: ``samples`` points
-    of the RP^2 grid, ``restarts`` best points polished, at most ``iters``
+    descended, at most ``iters`` descent steps; when restarts * (iters -
+    29) exceeds 1000, the descent of a metric certified to have no plane
+    below -tol stops earlier once its best value stalls within the rounding
+    margin of its lower bound for 29 steps.  Pairs: ``samples`` points of
+    the RP^2 grid, ``restarts`` best points polished, at most ``iters``
     alternating rounds.  On so(3) planes, and on so(4) metrics whose basis
     plane closes on the lower bound, the budget is only recorded.
     """
@@ -337,28 +372,38 @@ def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
     return q
 
 
-def _descend(evaluate, retract, x: np.ndarray, iters: int):
+def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, settled: np.ndarray):
     """Descend from every start of the restarts-last stack x, (T, c, d, n).
 
     ``evaluate`` returns the (T, n) values and the (tangent) gradients of a
     stack.  Each step moves every column along the unit steepest-descent
     direction, maps the result back onto the search manifold with
     ``retract``, and keeps it, with its gradient, if the value drops.  The
-    whole stack is stepped at once; a start whose step has fallen below
-    ``_STEP_STOP`` is frozen by the mask ``active``, so each start's path
-    depends on its own column alone and on no other start or operator.
+    whole stack is stepped at once, for at most ``iters`` steps, and a
+    stopped start is frozen by the mask ``active``.
+
+    ``margin`` holds the (T,) rounding margins of the operators' values, so
+    no rule depends on an operator's scale.  A start stops once its step
+    falls below ``_STEP_STOP`` or its gradient below 1e-3 of its margin.  A
+    row marked in the (T,) mask ``settled`` (one whose verdict a
+    certificate has already decided) also stops as a whole once its best
+    value has dropped by no more than its margin over the last
+    ``_STALL_STEPS`` steps.  A start's path so depends on its own column and
+    its own row's best value, and on no other operator.
     """
     # C order puts restarts innermost: faster, and bitwise independent of the
     # layout the caller passes
     x = np.ascontiguousarray(x)
     val, grad = evaluate(x)
     step = np.full(val.shape, _STEP_INIT)
+    flat = 1e-3 * margin[:, None]
+    best = [val.min(axis=1)]
     for _ in range(iters):
         active = step >= _STEP_STOP
         if not np.count_nonzero(active):
             break
         gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2)))
-        moving = gnorm > 1e-15
+        moving = gnorm > flat
         scale = np.divide(step, gnorm, out=np.zeros_like(step), where=moving)
         cx = retract(x - scale[:, None, None] * grad)
         cv, cg = evaluate(cx)
@@ -369,23 +414,113 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int):
         val = np.where(better, cv, val)
         # a frozen start only shrinks its step, so it never wakes again
         step = np.where(moving, np.where(better, 1.6, 0.5) * step, 0.0)
+        best.append(val.min(axis=1))
+        if len(best) > _STALL_STEPS:
+            step[settled & (best[-1 - _STALL_STEPS] - best[-1] <= margin)] = 0.0
     return val, x
 
 
-def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
+def _best_starts(op, pool: np.ndarray, restarts: int) -> tuple[np.ndarray, float]:
     """The ``restarts`` columns of the (1, c, d, P) pool lowest on the
-    quotient of op, in a stable order."""
-    order = np.argsort(_quotient_values(op, pool)[0][0], kind="stable")
-    return pool[..., order[:restarts]]
+    quotient of op, in a stable order, and the lowest value."""
+    values = _quotient_values(op, pool)[0][0]
+    order = np.argsort(values, kind="stable")
+    return pool[..., order[:restarts]], float(values[order[0]])
 
 
-def _search(op, starts: np.ndarray, retract, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (T,) lowest values and their (T, c, d) frames per operator
-    reached on the quotient of op by descending from the (T, c, d, n)
-    starts together."""
-    val, x = _descend(lambda s: _quotient_value_and_gradient(op, s), retract, starts, iters)
+def _search(op, starts: np.ndarray, iters: int, margin: np.ndarray, settled: np.ndarray):
+    """The (T,) lowest values and their (T, 2, d) frames per plane operator
+    reached on the quotient of op by descending from the (T, 2, d, n)
+    starts together, with the (T,) rounding margins of the operators and
+    the (T,) mask of the rows that may stop on a stall."""
+    val, x = _descend(
+        lambda s: _quotient_value_and_gradient(op, s), _gram_schmidt, starts, iters, margin, settled
+    )
     t, k = np.arange(len(x)), np.argmin(val, axis=1)
     return val[t, k], x[t, :, :, k]
+
+
+@functools.lru_cache(maxsize=None)
+def _plucker_forms(d: int) -> np.ndarray:
+    """The (C(d, 4), k, k) symmetric matrices of the Pluecker quadrics
+    w_ab w_ce - w_ac w_be + w_ae w_bc, one per a < b < c < e, in the
+    bivector coordinates of ``wedge_pairs(d)``: each vanishes on every
+    decomposable bivector z1 ^ z2, and together they vanish on no other."""
+    i, j = wedge_pairs(d)
+    pos = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
+    quads = list(itertools.combinations(range(d), 4))
+    forms = np.zeros((len(quads), len(i), len(i)))
+    for n, (a, b, c, e) in enumerate(quads):
+        for p, q, sign in (((a, b), (c, e), 0.5), ((a, c), (b, e), -0.5), ((a, e), (b, c), 0.5)):
+            forms[n, pos[p], pos[q]] = forms[n, pos[q], pos[p]] = sign
+    forms.setflags(write=False)
+    return forms
+
+
+def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Which of the (T, k, k) whitened plane operators c provably have no
+    plane below -floor, for the (T,) floors; ``eigenvalues`` are the (T, d)
+    metric eigenvalues of c's frame.
+
+    Every Pluecker quadric vanishes on planes, so the planes' quotients of
+    C equal those of C + W for every combination W of the quadrics
+    (whitened as C is) and lie at or above lambda_min(C + W): Thorpe's
+    trick (Thorpe, *The zeros of nonnegative curvature operators*, J. Diff.
+    Geom. 1972).  A log-barrier Newton method maximizes t over (W, t) with
+    C + W - t I positive definite: it maximizes t/mu + log det(C + W - t I)
+    by Newton steps with an exact line search inside the feasible set, and
+    divides mu by ``_CERT_SHRINK`` whenever a step's Newton decrement is at
+    most 1/2.  A row is certified once lambda_min(C + W) less the rounding
+    margin of C + W reaches -floor.  It is given up once t + k mu, the dual
+    bound of a centred point, falls below -floor, once k mu falls below the
+    rounding margin of C, or after ``_CERT_STEPS`` steps; a row given up
+    proves nothing either way.
+    """
+    t_rows, k, _ = c.shape
+    i, j = wedge_pairs(eigenvalues.shape[1])
+    s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
+    forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
+    # the last coordinate of y is t, entering as -t I
+    dirs = np.concatenate([forms, np.broadcast_to(-np.eye(k), (t_rows, 1, k, k))], axis=1)
+    flat = dirs.reshape(t_rows, -1, k * k)
+    base = c.reshape(t_rows, 1, k * k)
+    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    # mu starts at C's spectral norm, and t that far below lambda_0, at W = 0
+    mu = delta / _BOUND_MARGIN
+    y = np.zeros(flat.shape[:2])
+    y[:, -1] = lam0 - mu
+    proven = lam0 - delta >= -floor
+    live = ~proven
+    for _ in range(_CERT_STEPS):
+        if not np.count_nonzero(live):
+            break
+        # the directions whitened by M = C + W - t I = L L^T: P = L^-1 K L^-T,
+        # so the gradient of log det M is tr P and its Hessian -tr(P_a P_b)
+        inv = np.linalg.inv(np.linalg.cholesky((base + y[:, None] @ flat).reshape(t_rows, k, k)))
+        p = inv[:, None] @ dirs @ inv[:, None].transpose(0, 1, 3, 2)
+        grad = np.trace(p, axis1=2, axis2=3)
+        grad[:, -1] += 1.0 / mu
+        p = p.reshape(t_rows, -1, k * k)
+        dy = np.linalg.solve(p @ p.transpose(0, 2, 1), grad[..., None])[..., 0]
+        decrement = np.sqrt(np.maximum(np.add.reduce(grad * dy, axis=1), 0.0))
+        # log det(M + a dM) = log det M + sum log(1 + a e) over the eigenvalues
+        # e of the whitened move: an exact line search inside the feasible set
+        e = np.linalg.eigvalsh((dy[:, None] @ p).reshape(t_rows, k, k))
+        limit = np.where(e[:, 0] < 0.0, -1.0 / np.minimum(e[:, 0], -1e-300), np.inf)
+        a = np.minimum(1.0, 0.5 * limit)
+        for _ in range(4):
+            q = e / (1.0 + a[:, None] * e)
+            slope, curve = dy[:, -1] / mu + np.add.reduce(q, axis=1), np.add.reduce(q * q, axis=1)
+            a += np.divide(slope, curve, out=np.zeros_like(a), where=curve > 0.0)
+            a = np.clip(a, 0.0, 0.99 * limit)
+        y = np.where(live[:, None], y + a[:, None] * dy, y)
+        lifted = np.linalg.eigvalsh((base + y[:, None, :-1] @ flat[:, :-1]).reshape(t_rows, k, k))
+        lw0, dw = _lower_bound(lifted)
+        proven |= live & (lw0 - dw >= -floor)
+        centred = decrement <= 0.5
+        live &= ~proven & ~(centred & (y[:, -1] + k * mu < -floor)) & (k * mu >= delta)
+        mu = np.where(centred & live, mu / _CERT_SHRINK, mu)
+    return proven
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +613,13 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     On so(4), a metric whose lowest coordinate or metric-eigenvector plane
     ``_closes`` on the bound of its ``_whitened_operators`` is reported from
     that plane, with no pool and no descent.  Every other metric draws and
-    scores its own pool, exactly as it would alone; then the best starts of
-    all of them descend together as one (T, 2, d, n) stack.  A start's
-    descent depends on its own column only, so each report equals the one
-    its metric gets alone, byte for byte.
+    scores its own pool, exactly as it would alone, and a metric whose pool
+    holds no plane below -floor tries ``_certified_above`` when the budget
+    is worth it; then the best starts of all of them descend together as
+    one (T, 2, d, n) stack, and a certified metric's descent may stop on a
+    stall.  A start's descent depends on its own column and its own
+    operator's certificate and best value only, so each report equals the
+    one its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
     ops = [m.curvature_operator() for m in metrics]
@@ -512,17 +650,26 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     search = [k for k, rep in enumerate(reports) if rep is None]
     if search:
         inc = _incidence(d)
-        starts = []
+        starts, lowest = [], []
         for k in search:
             raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
             frames = _gram_schmidt(np.ascontiguousarray(raw.T)[None])[0]
             pool = np.concatenate(
                 [frames, _basis_planes(np.eye(d)), _basis_planes(metrics[k].eigenvectors)], axis=2
             )
-            starts.append(_best_starts((r[k], h[k], inc), pool[None], budget.restarts))
-        vals, best = _search(
-            (r[search], h[search], inc), np.concatenate(starts), _gram_schmidt, budget.iters
-        )
+            best_starts, low = _best_starts((r[k], h[k], inc), pool[None], budget.restarts)
+            starts.append(best_starts)
+            lowest.append(low)
+        # a pool plane below -floor already rules the certificate out
+        floor = np.minimum(tol, _STALL_FLOOR * delta[search])
+        settled = np.zeros(len(search), dtype=bool)
+        worth = budget.restarts * (budget.iters - _STALL_STEPS) > _CERT_COST
+        hopeful = np.flatnonzero((np.array(lowest) >= -floor) & worth)
+        if len(hopeful):
+            eigenvalues = np.stack([metrics[search[k]].eigenvalues for k in hopeful])
+            settled[hopeful] = _certified_above(c[search][hopeful], eigenvalues, floor[hopeful])
+        op = (r[search], h[search], inc)
+        vals, best = _search(op, np.concatenate(starts), budget.iters, delta[search], settled)
         for k, q, frame in zip(search, vals, best):
             reports[k] = report(k, frame, lam0[k], delta[k], q)
     return reports
@@ -548,10 +695,18 @@ def min_curvature(
     ``budget.samples`` random orthonormal frames plus the coordinate and
     metric-eigenvector planes, scored by the Rayleigh quotient of the
     curvature operator.  The best ``budget.restarts`` starts are refined
-    together by exact-gradient descent, and the same rule decides
-    ``exact``.  The reported witness is the canonicalized minimizing plane
-    and ``min_value`` is the closed-form curvature re-evaluated on it, so a
-    negative verdict is reproducible in isolation.
+    together by exact-gradient descent for at most ``budget.iters`` steps,
+    and the same rule decides ``exact``.  When the pool holds no plane
+    below -floor, floor = min(tol, 1e-8 times the pencil's norm), and the
+    stall stop could save more than 1000 restart-steps (restarts times
+    iters - 29), a Pluecker-quadric certificate may prove that no plane
+    lies below -floor; the verdict is then NonnegativeWithinBudget whatever
+    the descent finds, and the descent stops once its best value has
+    dropped by no more than delta over the last 29 steps.  A metric the
+    certificate does not reach descends the whole budget, so no verdict
+    depends on the stop.  The reported witness is the canonicalized
+    minimizing plane and ``min_value`` is the closed-form curvature
+    re-evaluated on it, so a negative verdict is reproducible in isolation.
     """
     return _plane_reports([m], budget or Budget(), _check_tol(tol), [seed])[0]
 
@@ -814,7 +969,9 @@ def path_scan_many(
     drawn, so the first refused time, path by path, raises HorizonExceeded
     naming it; then the times that close on their bound are reported, and
     the best starts of every other time of every path descend together as
-    one stack.  ``psis``, ``t_grids`` and ``seeds`` must have
+    one stack.  Each time's descent stops on its own certificate and best
+    value, as it would alone, so entries stay byte for byte those of
+    ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
     one entry per path (ValueError).
     """
     tol = _check_tol(tol)

@@ -1,10 +1,12 @@
+import functools
 import json
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liecurv import (
@@ -16,6 +18,7 @@ from liecurv import (
     NotPositiveDefinite,
     ProductParams,
     S3ActionParams,
+    TorusParams,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
     derived_seed,
@@ -36,21 +39,26 @@ from liecurv import (
     sample_commuting_pairs,
     so3,
     so4,
+    torus_phi,
     torus_psi,
 )
+from liecurv import verify
 from liecurv.cli import main as cli_main
 from liecurv.metric import normalized_curvature_many, wedge_many
 from liecurv.suites import family_scan_cases
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
     DEFAULT_TOL,
+    _STALL_STEPS,
     _basis_planes,
+    _certified_above,
     _descend,
     _gram_schmidt,
     _hemisphere_grid,
     _incidence,
     _lower_bound,
     _pair_form,
+    _plucker_forms,
     _quotient_value_and_gradient,
     _quotient_values,
     _smallest_eigenvalues,
@@ -284,7 +292,8 @@ def test_descend_reaches_smallest_eigenvalue():
         return val, grad - x * np.einsum("tcdn,tcdn->tcn", x, grad)[:, :, None]
 
     start = _unit_columns(rng.standard_normal((3, 1, 6, 16)))
-    val, x = _descend(evaluate, _unit_columns, start, 200)
+    margin = 1e-12 * np.abs(np.linalg.eigvalsh(a)).max(axis=1)
+    val, x = _descend(evaluate, _unit_columns, start, 200, margin, np.zeros(3, dtype=bool))
     # a has unit spectral norm; a stale gradient stalls at O(1) errors
     assert np.abs(val - np.linalg.eigvalsh(a)[:, :1]).max() < 1e-6
     assert np.allclose(evaluate(x)[0], val, rtol=0.0, atol=1e-15)
@@ -292,9 +301,10 @@ def test_descend_reaches_smallest_eigenvalue():
 
 def test_stacked_descent_matches_each_slice_bitwise(g4):
     """Descending T operators as one (T, 2, d, n) stack gives every row
-    bit for bit as descending its slice alone: the round and Berger
-    slices stop early on their own, and their rows stay frozen while the
-    product slice runs the whole budget."""
+    bit for bit as descending its slice alone: the round and product slices,
+    certified nonnegative, stop on a stall, the Berger slice stops when its
+    restarts do, each at its own step, and their rows stay frozen while the
+    random slice, still improving, runs the whole budget."""
     rng = np.random.default_rng(47)
     phis = [
         np.eye(6),
@@ -302,29 +312,284 @@ def test_stacked_descent_matches_each_slice_bitwise(g4):
         product_phi(ProductParams(np.diag([0.8, 1.0, 1.2]), np.diag([1.0, 1.1, 0.9]))),
         random_spd(rng, 6),
     ]
-    ops = [LeftInvariantMetric(g4, phi).curvature_operator() for phi in phis]
+    metrics = [LeftInvariantMetric(g4, phi) for phi in phis]
+    ops = [m.curvature_operator() for m in metrics]
     inc = _incidence(6)
     starts = _gram_schmidt(rng.standard_normal((len(ops), 2, 6, 16)))
     iters = 200
 
-    def descend(r, h, x):
+    def descend(r, h, x, margin, settled):
         calls = []
 
         def evaluate(s):
             calls.append(1)
             return _quotient_value_and_gradient((r, h, inc), s)
 
-        return (*_descend(evaluate, _gram_schmidt, x, iters), len(calls))
+        return (*_descend(evaluate, _gram_schmidt, x, iters, margin, settled), len(calls))
 
     r, h = (np.stack(mats) for mats in zip(*ops))
-    val, x, stacked_calls = descend(r, h, starts)
+    c = _whitened_operators(metrics, r)
+    delta = _lower_bound(np.linalg.eigvalsh(c))[1]
+    eigenvalues = np.stack([m.eigenvalues for m in metrics])
+    settled = _certified_above(c, eigenvalues, np.minimum(DEFAULT_TOL, 1e4 * delta))
+    assert settled.tolist() == [True, False, True, False]
+    val, x, stacked_calls = descend(r, h, starts, delta, settled)
     assert stacked_calls == iters + 1
-    early = 0
+    slice_calls = []
     for k in range(len(ops)):
-        vk, xk, calls = descend(r[k : k + 1], h[k : k + 1], starts[k : k + 1])
+        one = slice(k, k + 1)
+        vk, xk, calls = descend(r[one], h[one], starts[one], delta[one], settled[one])
         assert np.array_equal(vk[0], val[k]) and np.array_equal(xk[0], x[k])
-        early += calls < iters + 1
-    assert early >= 2
+        slice_calls.append(calls)
+    assert slice_calls[-1] == iters + 1
+    assert len(set(slice_calls[:-1])) == 3 and max(slice_calls[:-1]) < iters + 1
+
+
+def _unstopped_descend(evaluate, retract, x, iters):
+    """The plane descent without the stall stop, kept as its reference: every
+    start runs until its step falls below 1e-10, its gradient below an
+    absolute 1e-15, or ``iters`` steps have passed."""
+    x = np.ascontiguousarray(x)
+    val, grad = evaluate(x)
+    step = np.full(val.shape, 0.05)
+    for _ in range(iters):
+        active = step >= 1e-10
+        if not np.count_nonzero(active):
+            break
+        gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2)))
+        moving = gnorm > 1e-15
+        scale = np.divide(step, gnorm, out=np.zeros_like(step), where=moving)
+        cx = retract(x - scale[:, None, None] * grad)
+        cv, cg = evaluate(cx)
+        better = active & (cv < val)
+        keep = better[:, None, None]
+        x = np.where(keep, cx, x)
+        grad = np.where(keep, cg, grad)
+        val = np.where(better, cv, val)
+        step = np.where(moving, np.where(better, 1.6, 0.5) * step, 0.0)
+    return val, x
+
+
+def _unstopped(m, seed):
+    """``min_curvature`` of m at seed through ``_unstopped_descend``."""
+    def descend(evaluate, retract, x, iters, _margin, _settled):
+        return _unstopped_descend(evaluate, retract, x, iters)
+
+    with mock.patch.object(verify, "_descend", descend):
+        return min_curvature(m, seed=seed)
+
+
+def _delta(m):
+    """The rounding margin delta = 1e-12 ||C||_2 of m's whitened operator."""
+    r = m.curvature_operator()[0]
+    return _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
+
+
+@functools.lru_cache(maxsize=1)
+def _forty_metric_phis():
+    """The 40 rotated metrics Q diag(lambda) Q^T of ``default_rng(3)``, even
+    draws near-round, odd ones wide."""
+    rng = np.random.default_rng(3)
+    phis = []
+    for k in range(40):
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        lam = rng.uniform(0.7, 1.3, 6) if k % 2 == 0 else rng.uniform(0.3, 3.0, 6)
+        phis.append(q @ np.diag(lam) @ q.T)
+    return phis
+
+
+def _family_member(rng, kind):
+    """A nonnegatively curved so(4) metric with flat planes, under a random
+    automorphism: an S^3-action quotient with a Berger triple lambda, or a
+    torus quotient with tau_block inside its bound."""
+    if kind == "quotient":
+        lam = rng.uniform(0.5, 2.0) * np.array([rng.uniform(0.2, 4.0 / 3.0), 1.0, 1.0])
+        phi = s3_action_phi(S3ActionParams(*rng.uniform(0.5, 2.0, 2), rng.permutation(lam)))
+    else:
+        c, d = rng.uniform(0.5, 2.0, 2)
+        angle = rng.uniform(0.0, np.pi)
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        tau = rot @ np.diag(rng.uniform(0.2, 0.98, 2) * (4.0 / 3.0) * min(c, d)) @ rot.T
+        a, b = np.zeros((2, 6))
+        a[:3], b[3:] = random_rotation(rng)[:, 0], random_rotation(rng)[:, 0]
+        phi = torus_phi(TorusParams(c, d, 0.5 * (tau + tau.T)), a, b)
+    auto = random_automorphism(rng, bool(rng.integers(2)))
+    phi = auto @ phi @ auto.T
+    return 0.5 * (phi + phi.T)
+
+
+def _outside_quotient(rng):
+    """An S^3-action quotient with a general lambda in [0.3, 2]^3, mostly
+    just outside the nonnegative range, under a random automorphism."""
+    phi = s3_action_phi(S3ActionParams(*rng.uniform(0.5, 2.0, 2), rng.uniform(0.3, 2.0, 3)))
+    auto = random_automorphism(rng, bool(rng.integers(2)))
+    phi = auto @ phi @ auto.T
+    return 0.5 * (phi + phi.T)
+
+
+def _certified(m, tol=DEFAULT_TOL):
+    """Whether ``_certified_above`` proves every plane of m above the stall
+    floor min(tol, 1e4 delta) that ``min_curvature`` uses."""
+    r = m.curvature_operator()[0]
+    c = _whitened_operators([m], r[None])
+    floor = np.minimum(tol, 1e4 * _lower_bound(np.linalg.eigvalsh(c))[1])
+    return bool(_certified_above(c, m.eigenvalues[None], floor)[0])
+
+
+def _descent_values(m, seed):
+    """``min_curvature(m, seed=seed)`` and the lowest value of each call of
+    the plane descent's evaluator, in order."""
+    values = []
+    exact = verify._quotient_value_and_gradient
+
+    def evaluate(op, x):
+        val, grad = exact(op, x)
+        values.append(val.min())
+        return val, grad
+
+    with mock.patch.object(verify, "_quotient_value_and_gradient", evaluate):
+        return min_curvature(m, seed=seed), values
+
+
+@pytest.mark.parametrize("kind", ["quotient", "torus"])
+def test_family_descent_stops_within_stall_steps_of_its_last_drop(g4, kind):
+    """A family member's pool already holds a flat plane; its descent stops
+    at most ``_STALL_STEPS`` steps after its best value last dropped by more
+    than delta, long before the budget, and still reports the flat minimum."""
+    assert _STALL_STEPS == 29
+    rng = np.random.default_rng(61)
+    for seed in range(3):
+        m = LeftInvariantMetric(g4, _family_member(rng, kind))
+        rep, values = _descent_values(m, seed)
+        best, delta = np.minimum.accumulate(values), _delta(m)
+        steps = len(values) - 1
+        drops = [i for i in range(1, steps + 1) if best[i - 1] - best[i] > delta]
+        assert steps <= (drops[-1] if drops else 0) + _STALL_STEPS < Budget().iters
+        assert not rep.exact and abs(rep.min_value) <= delta
+
+
+def test_improving_near_round_draw_runs_the_whole_budget(g4):
+    """Draw 0 of the 40-metric set keeps improving: no stall stops it."""
+    rep, values = _descent_values(LeftInvariantMetric(g4, _forty_metric_phis()[0]), 0)
+    assert len(values) == Budget().iters + 1
+    assert not rep.exact
+
+
+def test_plucker_forms_vanish_on_planes_only():
+    """Each of the 15 quadrics is 0 on z1 ^ z2 to rounding; e0 ^ e1 + e2 ^ e3,
+    no plane, gives 1 on the quadric of (0, 1, 2, 3) and 0 on the others."""
+    forms = _plucker_forms(6)
+    assert forms.shape == (15, 15, 15) and np.array_equal(forms, forms.transpose(0, 2, 1))
+    rng = np.random.default_rng(71)
+    w = wedge_many(rng.standard_normal((50, 6)), rng.standard_normal((50, 6)))
+    values = np.einsum("nk,qkl,nl->nq", w, forms, w)
+    assert np.abs(values).max() <= 1e-14 * np.einsum("nk,nk->n", w, w).max()
+    v = np.zeros(15)
+    v[[0, 9]] = 1.0  # the pairs (0, 1) and (2, 3)
+    assert np.einsum("k,qkl,l->q", v, forms, v).tolist() == [1.0] + [0.0] * 14
+
+
+@pytest.mark.parametrize("kind", ["quotient", "torus"])
+def test_family_members_are_certified(g4, kind):
+    """Quotient and torus members have flat planes and no exact basis
+    plane; the Pluecker certificate proves them above -tol at the default
+    tol, and at tol 0 (no floor to reach) it proves nothing."""
+    rng = np.random.default_rng(73)
+    for _ in range(4):
+        m = LeftInvariantMetric(g4, _family_member(rng, kind))
+        assert _certified(m) and not _certified(m, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "params, seed",
+    [
+        (S3ActionParams(1.59, 0.53, (1.97, 1.53, 1.23)), 0),
+        (S3ActionParams(0.52, 0.86, (1.51, 1.0, 1.81)), 1),
+    ],
+)
+def test_quotients_just_outside_the_family_keep_their_negative_witness(g4, params, seed):
+    """Two S^3-action quotients just outside the nonnegative range whose
+    pools' best planes are flat: the certificate refuses them, so the descent
+    runs as without the stall stop and reaches the negative minimum (a stall
+    stop that did not ask for a certificate reported 0.0 on both)."""
+    m = LeftInvariantMetric(g4, s3_action_phi(params))
+    assert not _certified(m)
+    rep, ref = min_curvature(m, seed=seed), _unstopped(m, seed)
+    assert rep.verdict == ref.verdict == VERDICT_NEGATIVE
+    assert rep.min_value < -1e-5
+    assert abs(rep.min_value - ref.min_value) <= 1e-10 * _delta(m) / 1e-12
+
+
+def test_small_budget_skips_the_certificate(g4):
+    """At ``LIGHT`` (8 restarts, 60 steps) the stall stop could save at most
+    248 restart-steps, less than the certificate costs: a family member is
+    not certified and its report is the unstopped one, byte for byte."""
+    m = LeftInvariantMetric(g4, _family_member(np.random.default_rng(79), "quotient"))
+    with mock.patch.object(verify, "_certified_above", mock.Mock(side_effect=AssertionError)):
+        rep = min_curvature(m, LIGHT, seed=3)
+
+    def descend(evaluate, retract, x, iters, _margin, _settled):
+        return _unstopped_descend(evaluate, retract, x, iters)
+
+    with mock.patch.object(verify, "_descend", descend):
+        assert min_curvature(m, LIGHT, seed=3) == rep
+
+
+def test_cli_keeps_the_negative_witness_just_outside_the_family(capsys):
+    """The CLI on the first of those quotients exits 1 (negative)."""
+    args = ["check", "--family", "s3-action", "--a", "1.59", "--b", "0.53",
+            "--lambda", "1.97,1.53,1.23", "--seed", "0"]
+    assert cli_main(args) == 1
+    assert json.loads(capsys.readouterr().out)["results"][0]["verdict"] == VERDICT_NEGATIVE
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(0, 39), exponent=st.sampled_from([-8, -4, 4, 8]))
+@example(k=4, exponent=8)
+def test_descent_is_scale_free(k, exponent):
+    """phi -> c phi scales every curvature by 1/c; the descent's stops scale
+    with it, so c min_value agrees to 1e-13 and the witness plane to 1e-6 on
+    the 40-metric set (an absolute gradient threshold moved draw 4 at c =
+    1e8 by 1e-12)."""
+    c = 10.0**exponent
+    phi = _forty_metric_phis()[k]
+    rep = min_curvature(LeftInvariantMetric(so4(), phi), seed=k)
+    scaled = min_curvature(LeftInvariantMetric(so4(), c * phi), seed=k)
+    assert abs(c * scaled.min_value - rep.min_value) <= 1e-13 * abs(rep.min_value)
+    planes = [np.array(x.witness).T for x in (rep, scaled)]
+    projectors = [p @ np.linalg.pinv(p) for p in planes]
+    assert np.abs(projectors[0] - projectors[1]).max() <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["near-round", "wide", "log-uniform", "quotient", "torus", "outside"]),
+       seed=st.integers(0, 2**31 - 1))
+def test_stall_stop_keeps_the_unstopped_verdict(kind, seed):
+    """Against the descent without the stall stop, on random so(4) metrics,
+    on family members under automorphisms and on S^3-action quotients with
+    a general lambda (mostly just outside the family): the same verdict,
+    and a minimum within 1e-10 ||C||_2.  A certified metric has no plane
+    below the stall floor."""
+    rng = np.random.default_rng(seed)
+    if kind in ("quotient", "torus"):
+        phi = _family_member(rng, kind)
+    elif kind == "outside":
+        phi = _outside_quotient(rng)
+    else:
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        if kind == "near-round":
+            lam = rng.uniform(0.7, 1.3, 6)
+        elif kind == "wide":
+            lam = rng.uniform(0.3, 3.0, 6)
+        else:
+            lam = 10.0 ** rng.uniform(-2.0, 2.0, 6)
+        phi = q @ np.diag(lam) @ q.T
+    m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
+    rep, ref = min_curvature(m, seed=seed % 1000), _unstopped(m, seed % 1000)
+    assert rep.verdict == ref.verdict
+    assert abs(rep.min_value - ref.min_value) <= 1e-10 * _delta(m) / 1e-12
+    if _certified(m):
+        assert min(rep.min_value, ref.min_value) >= -min(DEFAULT_TOL, 1e4 * _delta(m)) - _delta(m)
 
 
 def test_gram_schmidt_matches_qr_planes():
@@ -515,16 +780,12 @@ def test_lower_bound_is_below_the_minimum(seed, dim):
 
 
 def test_forty_metric_set_never_closes_and_the_descent_detects(g4):
-    """The 40 rotated metrics Q diag(lambda) Q^T of ``default_rng(3)`` (even
-    draws near-round, odd ones wide), each at seed k and the default budget:
+    """The 40-metric set, each draw k at seed k and the default budget:
     none attains the lower bound at a basis plane or after the descent, so
     every report comes from the pool and ``_descend``; every wide draw has
     a negative minimum, which the search finds."""
-    rng = np.random.default_rng(3)
-    for k in range(40):
-        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        lam = rng.uniform(0.7, 1.3, 6) if k % 2 == 0 else rng.uniform(0.3, 3.0, 6)
-        m = LeftInvariantMetric(g4, q @ np.diag(lam) @ q.T)
+    for k, phi in enumerate(_forty_metric_phis()):
+        m = LeftInvariantMetric(g4, phi)
         rep = min_curvature(m, seed=k)
         assert not rep.exact
         assert rep.lower_bound <= rep.min_value
