@@ -16,26 +16,31 @@ lambda_0 - delta, with delta = 1e-12 times the pencil's spectral norm as a
 rounding margin.  On a 3-dimensional algebra every bivector is a plane, so
 the minimum curvature is lambda_0, computed in closed form, and the report
 says ``exact``.  On so(4) the pencil is whitened by the metric's own
-eigenpairs; when the lowest coordinate or metric-eigenvector plane attains
-the bound (its quotient and its re-evaluated curvature within delta of
-lambda_0 and of each other) that plane is the witness, no pool is drawn,
+eigenpairs into C; when the lowest coordinate or metric-eigenvector plane
+attains the bound (its quotient and its re-evaluated curvature within delta
+of lambda_0 and of each other) that plane is the witness, no pool is drawn,
 and the report says ``exact``, with min_value - lower_bound <= 2 delta.
-Such a report does not depend on its seed.  Otherwise ``_search`` descends
-with ``_descend`` from the best starts of a coarse pool of orthonormal
-frames, and the same rule decides ``exact`` on the plane it reaches.  A
-restart stops once its gradient falls below 1e-3 delta, and the descent at
-the latest after ``Budget.iters`` steps.  Before it starts, a metric whose
-pool holds no plane below -floor, floor = min(tol, 1e-8 times the pencil's
-norm), tries ``_certified_above``, if its budget's stall stop can save
-more than ``_CERT_COST`` restart-steps: a combination W of the Pluecker
-quadrics, which vanish on planes, with lambda_min(C + W) above -floor
-proves that no plane lies below -floor (Thorpe's trick).  The verdict of a
-certified metric is then NonnegativeWithinBudget whatever the descent
-finds, and its descent stops once its best value has dropped by no more
-than delta over the last ``_STALL_STEPS`` (29) steps.  Quotient and torus
-family members, whose pool already holds a flat plane, certify and stop
-after 29 steps at the default budget; every other metric descends as if
-there were no stall stop.
+Such a report does not depend on its seed.  A metric whose basis planes
+hold none below -floor, floor = min(tol, 1e-8 times the pencil's norm),
+then tries ``_certified_above``, if its budget's stall stop can save more
+than ``_CERT_COST`` restart-steps: the Pluecker quadrics vanish on planes,
+so lambda_min(C + W) bounds every plane for each combination W of them
+(Thorpe's trick), and the certificate lifts that bound towards the lowest
+basis plane.  Once it proves no plane below -floor and the plane attains
+the lifted bound by the same rule (delta now the margin of C + W), the
+plane is the witness, ``lower_bound`` is lambda_min(C + W) - delta, and
+again no pool is drawn: quotient and torus family members, whose lowest
+basis plane is flat, close this way and no longer depend on the seed.
+Otherwise ``_search`` descends with ``_descend`` from the best starts of a
+coarse pool of orthonormal frames, and the same rule decides ``exact`` on
+the plane it reaches, against lambda_0.  A restart stops once its gradient
+falls below 1e-3 delta, and the descent at the latest after
+``Budget.iters`` steps.  The verdict of a metric certified above -floor is
+NonnegativeWithinBudget whatever the descent finds, so the descent of a
+certified metric that does not close (a family member plus noise, a metric
+near the bi-invariant one) stops once its best value has dropped by no more
+than delta over the last ``_STALL_STEPS`` (29) steps; every other metric
+descends as if there were no stall stop.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
@@ -136,7 +141,8 @@ _CERT_SHRINK = 100.0
 _CERT_STEPS = 50
 # about the work of the certificate of one metric, in restart-steps of the
 # plane descent (some 15 Newton steps on a 15x15 pencil in 16 directions);
-# a budget whose stall stop can save fewer, restarts * (iters - 29), skips it
+# a budget whose stall stop can save fewer, restarts * (iters - 29), skips it,
+# and with it the closure of family members on the lifted bound
 _CERT_COST = 1000
 
 
@@ -145,13 +151,15 @@ class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
     Planes: ``samples`` random frames in the pool, ``restarts`` best starts
-    descended, at most ``iters`` descent steps; when restarts * (iters -
-    29) exceeds 1000, the descent of a metric certified to have no plane
-    below -tol stops earlier once its best value stalls within the rounding
-    margin of its lower bound for 29 steps.  Pairs: ``samples`` points of
-    the RP^2 grid, ``restarts`` best points polished, at most ``iters``
-    alternating rounds.  On so(3) planes, and on so(4) metrics whose basis
-    plane closes on the lower bound, the budget is only recorded.
+    descended, at most ``iters`` descent steps.  When restarts * (iters -
+    29) exceeds 1000, an so(4) metric whose basis planes hold none below
+    -floor first runs the Pluecker certificate: a family member closes on
+    its lifted bound with no pool, and the descent of a certified metric
+    that does not close stops once its best value stalls within the
+    rounding margin of its lower bound for 29 steps.  Pairs: ``samples``
+    points of the RP^2 grid, ``restarts`` best points polished, at most
+    ``iters`` alternating rounds.  On so(3) planes, and on so(4) metrics
+    whose basis plane closes on a lower bound, the budget is only recorded.
     """
 
     samples: int = 4096
@@ -194,10 +202,11 @@ class CurvatureReport:
 
     A plane report carries ``lower_bound``: the smallest eigenvalue of the
     curvature-operator pencil over all bivectors, less a rounding margin
-    delta, so no plane lies below it.  ``exact`` says the minimum is known:
-    on so(3) it comes in closed form; on so(4) the witness attains the
-    bound, min_value - lower_bound <= 2 delta.  Pair reports have no
-    ``lower_bound``.
+    delta, so no plane lies below it; on an so(4) metric that closes on the
+    Pluecker certificate it is the lifted bound lambda_min(C + W) less the
+    margin of C + W.  ``exact`` says the minimum is known: on so(3) it comes
+    in closed form; on so(4) the witness attains the bound, min_value -
+    lower_bound <= 2 delta.  Pair reports have no ``lower_bound``.
     """
 
     verdict: str
@@ -420,12 +429,11 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, s
     return val, x
 
 
-def _best_starts(op, pool: np.ndarray, restarts: int) -> tuple[np.ndarray, float]:
+def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
     """The ``restarts`` columns of the (1, c, d, P) pool lowest on the
-    quotient of op, in a stable order, and the lowest value."""
+    quotient of op, in a stable order."""
     values = _quotient_values(op, pool)[0][0]
-    order = np.argsort(values, kind="stable")
-    return pool[..., order[:restarts]], float(values[order[0]])
+    return pool[..., np.argsort(values, kind="stable")[:restarts]]
 
 
 def _search(op, starts: np.ndarray, iters: int, margin: np.ndarray, settled: np.ndarray):
@@ -457,10 +465,12 @@ def _plucker_forms(d: int) -> np.ndarray:
     return forms
 
 
-def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Which of the (T, k, k) whitened plane operators c provably have no
-    plane below -floor, for the (T,) floors; ``eigenvalues`` are the (T, d)
-    metric eigenvalues of c's frame.
+def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, target: np.ndarray):
+    """The Pluecker certificate of the (T, k, k) whitened plane operators c:
+    which provably have no plane below -floor, for the (T,) floors, and the
+    best lower bound lambda_min(C + W) found with its rounding margin, lifted
+    towards the (T,) targets; ``eigenvalues`` are the (T, d) metric
+    eigenvalues of c's frame.
 
     Every Pluecker quadric vanishes on planes, so the planes' quotients of
     C equal those of C + W for every combination W of the quadrics
@@ -470,11 +480,13 @@ def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray) 
     C + W - t I positive definite: it maximizes t/mu + log det(C + W - t I)
     by Newton steps with an exact line search inside the feasible set, and
     divides mu by ``_CERT_SHRINK`` whenever a step's Newton decrement is at
-    most 1/2.  A row is certified once lambda_min(C + W) less the rounding
-    margin of C + W reaches -floor.  It is given up once t + k mu, the dual
-    bound of a centred point, falls below -floor, once k mu falls below the
-    rounding margin of C, or after ``_CERT_STEPS`` steps; a row given up
-    proves nothing either way.
+    most 1/2.  Every bound comes from ``eigvalsh`` of C + W less the
+    rounding margin of C + W, and a row is proven once that reaches -floor.
+    A row stops lifting once its bound plus margin reaches its target, once
+    t + k mu, the dual bound of a centred point, falls below -floor, or,
+    when proven, below the target less the margin, once k mu falls below
+    the rounding margin of C, or after ``_CERT_STEPS`` steps.  A row not
+    proven proves nothing either way.
     """
     t_rows, k, _ = c.shape
     i, j = wedge_pairs(eigenvalues.shape[1])
@@ -484,13 +496,13 @@ def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray) 
     dirs = np.concatenate([forms, np.broadcast_to(-np.eye(k), (t_rows, 1, k, k))], axis=1)
     flat = dirs.reshape(t_rows, -1, k * k)
     base = c.reshape(t_rows, 1, k * k)
-    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    bound, margin = lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
     # mu starts at C's spectral norm, and t that far below lambda_0, at W = 0
     mu = delta / _BOUND_MARGIN
     y = np.zeros(flat.shape[:2])
     y[:, -1] = lam0 - mu
     proven = lam0 - delta >= -floor
-    live = ~proven
+    live = bound + margin < target
     for _ in range(_CERT_STEPS):
         if not np.count_nonzero(live):
             break
@@ -507,20 +519,25 @@ def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray) 
         # e of the whitened move: an exact line search inside the feasible set
         e = np.linalg.eigvalsh((dy[:, None] @ p).reshape(t_rows, k, k))
         limit = np.where(e[:, 0] < 0.0, -1.0 / np.minimum(e[:, 0], -1e-300), np.inf)
-        a = np.minimum(1.0, 0.5 * limit)
+        a, cap, slope = np.minimum(1.0, 0.5 * limit), 0.99 * limit, dy[:, -1] / mu
+        # four Newton steps on the slope, with as few small-array calls as
+        # they take; the curvature sum(q^2) is 0 only for a zero move
         for _ in range(4):
             q = e / (1.0 + a[:, None] * e)
-            slope, curve = dy[:, -1] / mu + np.add.reduce(q, axis=1), np.add.reduce(q * q, axis=1)
-            a += np.divide(slope, curve, out=np.zeros_like(a), where=curve > 0.0)
-            a = np.clip(a, 0.0, 0.99 * limit)
+            curve = np.maximum(np.add.reduce(q * q, axis=1), 1e-300)
+            a = np.minimum(np.maximum(a + (slope + np.add.reduce(q, axis=1)) / curve, 0.0), cap)
         y = np.where(live[:, None], y + a[:, None] * dy, y)
         lifted = np.linalg.eigvalsh((base + y[:, None, :-1] @ flat[:, :-1]).reshape(t_rows, k, k))
         lw0, dw = _lower_bound(lifted)
-        proven |= live & (lw0 - dw >= -floor)
+        better = live & (lw0 - dw > bound - margin)
+        bound, margin = np.where(better, lw0, bound), np.where(better, dw, margin)
+        proven |= better & (bound - margin >= -floor)
         centred = decrement <= 0.5
-        live &= ~proven & ~(centred & (y[:, -1] + k * mu < -floor)) & (k * mu >= delta)
+        dual = y[:, -1] + k * mu
+        short = centred & ((dual < -floor) | (proven & (dual < target - margin)))
+        live &= (bound + margin < target) & ~short & (k * mu >= delta)
         mu = np.where(centred & live, mu / _CERT_SHRINK, mu)
-    return proven
+    return proven, bound, margin
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +629,16 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
 
     On so(4), a metric whose lowest coordinate or metric-eigenvector plane
     ``_closes`` on the bound of its ``_whitened_operators`` is reported from
-    that plane, with no pool and no descent.  Every other metric draws and
-    scores its own pool, exactly as it would alone, and a metric whose pool
-    holds no plane below -floor tries ``_certified_above`` when the budget
-    is worth it; then the best starts of all of them descend together as
-    one (T, 2, d, n) stack, and a certified metric's descent may stop on a
-    stall.  A start's descent depends on its own column and its own
-    operator's certificate and best value only, so each report equals the
-    one its metric gets alone, byte for byte.
+    that plane, with no pool and no descent.  When the budget is worth it,
+    the metrics left whose basis planes hold none below -floor run
+    ``_certified_above`` together, lifted towards their lowest basis planes,
+    and one proven above -floor whose plane closes on its lifted bound is
+    reported the same way.  Every other metric draws and scores its own
+    pool, exactly as it would alone; then the best starts of all of them
+    descend together as one (T, 2, d, n) stack, and a certified metric's
+    descent may stop on a stall.  A metric's certificate and a start's
+    descent depend on that metric alone, so each report equals the one its
+    metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
     ops = [m.curvature_operator() for m in metrics]
@@ -641,35 +660,47 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     rd, hd, cd = (np.diagonal(a, axis1=1, axis2=2) for a in (r, h, c))
     basis = np.concatenate([rd / hd, cd], axis=1)
     n = basis.shape[1] // 2
-    reports = [None] * len(metrics)
-    for k in np.flatnonzero(basis.min(axis=1) <= lam0 + delta):
+    low = basis.min(axis=1)
+
+    def closed(k, bound, margin):
+        """The report from metric k's lowest basis plane if it closes on
+        bound - margin, else None."""
+        if low[k] > bound + margin:
+            return None
         b = int(np.argmin(basis[k]))
         frame = _basis_planes(np.eye(d) if b < n else metrics[k].eigenvectors)[:, :, b % n]
-        rep = report(k, frame, lam0[k], delta[k], basis[k, b])
-        reports[k] = rep if rep.exact else None
+        rep = report(k, frame, bound, margin, basis[k, b])
+        return rep if rep.exact else None
+
+    reports = [closed(k, lam0[k], delta[k]) for k in range(len(metrics))]
+    # a plane below -floor rules the certificate out; it runs where its stall
+    # stop could save more than it costs, and lifts the bound towards the
+    # lowest basis plane, so a metric that closes there draws no pool
+    floor = np.minimum(tol, _STALL_FLOOR * delta)
+    settled = np.zeros(len(metrics), dtype=bool)
+    worth = budget.restarts * (budget.iters - _STALL_STEPS) > _CERT_COST
+    hopeful = [k for k, rep in enumerate(reports) if rep is None and low[k] >= -floor[k] and worth]
+    if hopeful:
+        eigenvalues = np.stack([metrics[k].eigenvalues for k in hopeful])
+        settled[hopeful], bound, margin = _certified_above(
+            c[hopeful], eigenvalues, floor[hopeful], low[hopeful]
+        )
+        for k, lifted, dw in zip(hopeful, bound, margin):
+            reports[k] = closed(k, lifted, dw) if settled[k] else None
     search = [k for k, rep in enumerate(reports) if rep is None]
     if search:
         inc = _incidence(d)
-        starts, lowest = [], []
+        starts = []
         for k in search:
             raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
             frames = _gram_schmidt(np.ascontiguousarray(raw.T)[None])[0]
             pool = np.concatenate(
                 [frames, _basis_planes(np.eye(d)), _basis_planes(metrics[k].eigenvectors)], axis=2
             )
-            best_starts, low = _best_starts((r[k], h[k], inc), pool[None], budget.restarts)
-            starts.append(best_starts)
-            lowest.append(low)
-        # a pool plane below -floor already rules the certificate out
-        floor = np.minimum(tol, _STALL_FLOOR * delta[search])
-        settled = np.zeros(len(search), dtype=bool)
-        worth = budget.restarts * (budget.iters - _STALL_STEPS) > _CERT_COST
-        hopeful = np.flatnonzero((np.array(lowest) >= -floor) & worth)
-        if len(hopeful):
-            eigenvalues = np.stack([metrics[search[k]].eigenvalues for k in hopeful])
-            settled[hopeful] = _certified_above(c[search][hopeful], eigenvalues, floor[hopeful])
+            starts.append(_best_starts((r[k], h[k], inc), pool[None], budget.restarts))
         op = (r[search], h[search], inc)
-        vals, best = _search(op, np.concatenate(starts), budget.iters, delta[search], settled)
+        stack = np.concatenate(starts)
+        vals, best = _search(op, stack, budget.iters, delta[search], settled[search])
         for k, q, frame in zip(search, vals, best):
             reports[k] = report(k, frame, lam0[k], delta[k], q)
     return reports
@@ -691,20 +722,24 @@ def min_curvature(
     seed are only recorded.  On so(4), when the lowest coordinate or
     metric-eigenvector plane attains the bound, that plane is reported with
     ``exact`` true (min_value - lower_bound <= 2 delta), no pool is drawn,
-    and the report does not depend on the seed.  Otherwise, coarse stage:
+    and the report does not depend on the seed.  Next, when no basis plane
+    lies below -floor, floor = min(tol, 1e-8 times the pencil's norm), and
+    the stall stop could save more than 1000 restart-steps (restarts times
+    iters - 29), a Pluecker-quadric certificate lifts the bound towards the
+    lowest basis plane.  If it proves that no plane lies below -floor and
+    that plane attains the lifted bound, the report is built from it the
+    same way, with ``lower_bound`` the lifted bound less its margin: quotient
+    and torus family members close so.  Otherwise, coarse stage:
     ``budget.samples`` random orthonormal frames plus the coordinate and
     metric-eigenvector planes, scored by the Rayleigh quotient of the
     curvature operator.  The best ``budget.restarts`` starts are refined
     together by exact-gradient descent for at most ``budget.iters`` steps,
-    and the same rule decides ``exact``.  When the pool holds no plane
-    below -floor, floor = min(tol, 1e-8 times the pencil's norm), and the
-    stall stop could save more than 1000 restart-steps (restarts times
-    iters - 29), a Pluecker-quadric certificate may prove that no plane
-    lies below -floor; the verdict is then NonnegativeWithinBudget whatever
-    the descent finds, and the descent stops once its best value has
-    dropped by no more than delta over the last 29 steps.  A metric the
-    certificate does not reach descends the whole budget, so no verdict
-    depends on the stop.  The reported witness is the canonicalized
+    and the same rule decides ``exact``.  A metric the certificate proved
+    above -floor is NonnegativeWithinBudget whatever the descent finds, so
+    its descent stops once its best value has dropped by no more than delta
+    over the last 29 steps.  A metric the certificate does not reach
+    descends the whole budget, so no verdict depends on the stop.  The
+    reported witness is the canonicalized
     minimizing plane and ``min_value`` is the closed-form curvature
     re-evaluated on it, so a negative verdict is reproducible in isolation.
     """
