@@ -17,8 +17,13 @@ plane-curvature evaluator, with the one degeneracy rule, and the scalar
 ``normalized_curvature`` is its single-row case.
 
 For searches, ``LeftInvariantMetric.curvature_operator`` assembles the
-curvature tensor once per metric as a quadratic form on bivectors, so the
-normalized curvature of a plane becomes a Rayleigh quotient.
+curvature tensor once per metric as a quadratic form R on bivectors: w.Rw is
+the unnormalized curvature of the plane of w = z1 ^ z2.  It is the only
+operator a metric carries.  The searches whiten it by the metric's
+eigenpairs: in the metric-orthonormal coordinates x = Lambda^1/2 V^T z of
+phi = V Lambda V^T the h-Gram determinant of a plane is the plain Gram
+determinant of its frame, so a plane's normalized curvature is the Rayleigh
+quotient w.Cw / w.w of the whitened operator C at w = x1 ^ x2.
 """
 
 from __future__ import annotations
@@ -110,14 +115,13 @@ class LeftInvariantMetric:
             self._gamma = gamma.reshape(d, d, d)
         return self._gamma
 
-    def curvature_operator(self) -> tuple[np.ndarray, np.ndarray]:
-        """Curvature operator R and Gram matrix H = Lambda^2 phi on bivectors.
+    def curvature_operator(self) -> np.ndarray:
+        """Curvature operator R on bivectors.
 
-        Both are symmetric d(d-1)/2 square matrices in the coordinates of
-        ``wedge_many``, so w = z1 ^ z2 gives w.Rw = <R(z1, z2) z2, z1>_h and
-        w.Hw = the h-Gram determinant of (z1, z2); the normalized curvature
-        of span{z1, z2} is the Rayleigh quotient w.Rw / w.Hw.  R is built
-        from ``connection()``.  Cached after first use.
+        R is a symmetric d(d-1)/2 square matrix in the coordinates of
+        ``wedge_many``, so w = z1 ^ z2 gives w.Rw = <R(z1, z2) z2, z1>_h, the
+        unnormalized sectional curvature of span{z1, z2}.  R is built from
+        ``connection()``.  Cached after first use.
         """
         if self._operator is None:
             gamma = self.connection()
@@ -132,11 +136,8 @@ class LeftInvariantMetric:
             # (i, j) and the b-th pair (k, l)
             op = rm[i, j][:, j, i]
             op = 0.5 * (op + op.T)
-            p = self.phi
-            gram = p[np.ix_(i, i)] * p[np.ix_(j, j)] - p[np.ix_(i, j)] * p[np.ix_(j, i)]
             op.setflags(write=False)
-            gram.setflags(write=False)
-            self._operator = (op, gram)
+            self._operator = op
         return self._operator
 
 

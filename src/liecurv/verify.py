@@ -8,20 +8,23 @@ seed-free pair search.
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-Planes minimize the Rayleigh quotient w.Rw / w.Hw of the curvature
-operator (R, H) over decomposable w = B vec(z1 z2^T) = z1 ^ z2.  The
-smallest eigenvalue lambda_0 of the pencil over all bivectors bounds every
-plane from below, and each plane report carries ``lower_bound`` =
-lambda_0 - delta, with delta = 1e-12 times the pencil's spectral norm as a
-rounding margin.  On a 3-dimensional algebra every bivector is a plane, so
-the minimum curvature is lambda_0, computed in closed form, and the report
-says ``exact``.  On so(4) the pencil is whitened by the metric's own
-eigenpairs into C; when the lowest coordinate or metric-eigenvector plane
-attains the bound (its quotient and its re-evaluated curvature within delta
-of lambda_0 and of each other) that plane is the witness, no pool is drawn,
-and the report says ``exact``, with min_value - lower_bound <= 2 delta.
-Such a report does not depend on its seed.  A metric whose basis planes
-hold none below -floor, floor = min(tol, 1e-8 times the pencil's norm),
+Every plane search runs on one operator per metric.  In the
+metric-orthonormal coordinates x = Lambda^1/2 V^T z of phi = V Lambda V^T
+the h-Gram determinant of a plane is the plain Gram determinant of its
+frame, so a plane's curvature is the Rayleigh quotient w.Cw / w.w of the
+whitened curvature operator C (``_whitened_operators``) at the decomposable
+w = B vec(x1 x2^T) = x1 ^ x2.  The smallest eigenvalue lambda_0 of C over
+all bivectors bounds every plane from below, and each plane report carries
+``lower_bound`` = lambda_0 - delta, with delta = 1e-12 times C's spectral
+norm as a rounding margin.  On a 3-dimensional algebra every bivector is a
+plane, so the minimum curvature is lambda_0, attained on the plane whose
+normal in x is the Hodge dual of C's lowest eigenvector, and the report
+says ``exact``.  On so(4), when the lowest coordinate or metric-eigenvector
+plane attains the bound (its quotient and its re-evaluated curvature within
+delta of lambda_0 and of each other) that plane is the witness, no pool is
+drawn, and the report says ``exact``, with min_value - lower_bound <= 2
+delta.  Such a report does not depend on its seed.  A metric whose basis
+planes hold none below -floor, floor = min(tol, 1e-8 times C's norm),
 then tries ``_certified_above``, if its budget's stall stop can save more
 than ``_CERT_COST`` restart-steps: the Pluecker quadrics vanish on planes,
 so lambda_min(C + W) bounds every plane for each combination W of them
@@ -32,8 +35,9 @@ plane is the witness, ``lower_bound`` is lambda_min(C + W) - delta, and
 again no pool is drawn: quotient and torus family members, whose lowest
 basis plane is flat, close this way and no longer depend on the seed.
 Otherwise ``_search`` descends with ``_descend`` from the best starts of a
-coarse pool of orthonormal frames, and the same rule decides ``exact`` on
-the plane it reaches, against lambda_0.  A restart stops once its gradient
+coarse pool of frames, orthonormal in x, the plane it reaches is mapped back
+by z = V Lambda^-1/2 x and re-evaluated in closed form, and the same rule
+decides ``exact`` on it, against lambda_0.  A restart stops once its gradient
 falls below 1e-3 delta, and the descent at the latest after
 ``Budget.iters`` steps.  The verdict of a metric certified above -floor is
 NonnegativeWithinBudget whatever the descent finds, so the descent of a
@@ -52,8 +56,8 @@ exact alternating minimization over b and a.  It draws no random number,
 so a pair report does not depend on its seed, which is only recorded.
 
 The plane search works on restarts-last stacks of shape (T, 2, d, n): T
-operators (R and H stacked as (T, k, k)), the two columns z1 and z2, d
-coordinates and n restarts, so w = B (z1 (x) z2) and Rw, Hw are batched
+operators (C stacked as (T, k, k)), the two columns x1 and x2, d
+coordinates and n restarts, so w = B (x1 (x) x2) and Cw are batched
 matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
 stopped restart by a mask; a restart's path depends on its own column and
 its own operator's certificate and best value only.
@@ -182,9 +186,9 @@ def _check_tol(tol) -> float:
     return tol
 
 
-def _check_count(n) -> int:
+def _check_count(n, name: str = "n") -> int:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
     return int(n)
 
 
@@ -201,7 +205,7 @@ class CurvatureReport:
     """Outcome of a search for negative curvature.
 
     A plane report carries ``lower_bound``: the smallest eigenvalue of the
-    curvature-operator pencil over all bivectors, less a rounding margin
+    whitened curvature operator C over all bivectors, less a rounding margin
     delta, so no plane lies below it; on an so(4) metric that closes on the
     Pluecker certificate it is the lifted bound lambda_min(C + W) less the
     margin of C + W.  ``exact`` says the minimum is known: on so(3) it comes
@@ -338,32 +342,32 @@ def _incidence(d: int) -> np.ndarray:
 
 
 def _quotient_values(op, x: np.ndarray):
-    """Rayleigh quotient w.Rw / w.Hw of the operator (R, H, B) on the
+    """Rayleigh quotient w.Cw / w.w of the operator (C, B) on the
     restarts-last stacks x of shape (T, 2, d, n): for each of T operators,
-    the columns z1 = x[:, 0] and z2 = x[:, 1] of n restarts, with w =
-    B (z1 (x) z2).  R and H are (T, k, k) stacks, or one (k, k) matrix for
-    every T; B is (k, d*d).  Returns the (T, n) values with Rw, Hw and w.Hw
-    for the gradient."""
-    r, h, b = op
+    the columns x1 = x[:, 0] and x2 = x[:, 1] of n restarts, with w =
+    B (x1 (x) x2).  C is a (T, k, k) stack, or one (k, k) matrix for every
+    T; B is (k, d*d).  Returns the (T, n) values with Cw, w and w.w for the
+    gradient."""
+    c, b = op
     t, _, d, n = x.shape
     w = b @ (x[:, 0, :, None] * x[:, 1, None]).reshape(t, d * d, n)
-    rw, hw = r @ w, h @ w
-    wh = np.add.reduce(w * hw, axis=1)
-    return np.add.reduce(w * rw, axis=1) / wh, rw, hw, wh
+    cw = c @ w
+    ww = np.add.reduce(w * w, axis=1)
+    return np.add.reduce(w * cw, axis=1) / ww, cw, w, ww
 
 
 def _quotient_value_and_gradient(op, x: np.ndarray):
-    """``_quotient_values`` and its exact gradient with respect to z1 and z2.
+    """``_quotient_values`` and its exact gradient with respect to x1 and x2.
 
-    With v = 2 (Rw - f Hw) / w.Hw mapped through B^T and read as a d x d
-    matrix V, the gradients are V z2 and V^T z1.  They need no tangent
+    With v = 2 (Cw - f w) / w.w mapped through B^T and read as a d x d
+    matrix V, the gradients are V x2 and V^T x1.  They need no tangent
     projection: the quotient is homogeneous of degree 0 in each column, so
-    z1.V z2 = v.w = 0; for planes V is antisymmetric, so z2.V z2 = 0 too.
+    x1.V x2 = v.w = 0; for planes V is antisymmetric, so x2.V x2 = 0 too.
     """
-    val, rw, hw, wh = _quotient_values(op, x)
+    val, cw, w, ww = _quotient_values(op, x)
     t, _, d, n = x.shape
-    v = (rw - val[:, None] * hw) * (2.0 / wh)[:, None]
-    vm = (op[2].T @ v).reshape(t, d, d, n)
+    v = (cw - val[:, None] * w) * (2.0 / ww)[:, None]
+    vm = (op[1].T @ v).reshape(t, d, d, n)
     grad = np.empty_like(x)
     np.einsum("tijn,tjn->tin", vm, x[:, 1], out=grad[:, 0])
     np.einsum("tijn,tin->tjn", vm, x[:, 0], out=grad[:, 1])
@@ -581,32 +585,17 @@ def _lower_bound(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[..., 0], _BOUND_MARGIN * np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
-def _least_curved_plane_3d(r: np.ndarray, h: np.ndarray):
-    """The (2, 3) frame of a plane of least curvature on a 3-dimensional
-    algebra, with ``_lower_bound`` of the pencil (R, H).
-
-    Every bivector in dimension 3 is decomposable, so the minimum of
-    w.Rw / w.Hw over planes is the smallest eigenvalue of the pencil
-    (R, H).  With H = L L^T and v0 the eigenvector of L^-1 R L^-T for its
-    smallest eigenvalue, w = L^-T v0 is the minimizing bivector, and its
-    Hodge dual (w12, -w02, w01) is the plane's normal.
-    """
-    chol = np.linalg.cholesky(h)
-    eigs, vecs = np.linalg.eigh(np.linalg.solve(chol, np.linalg.solve(chol, r).T))
-    w = np.linalg.solve(chol.T, vecs[:, 0])
-    normal = np.array([w[2], -w[1], w[0]])
-    return np.linalg.svd(normal[None, :])[2][1:], *_lower_bound(eigs)
-
-
 def _whitened_operators(metrics, r: np.ndarray) -> np.ndarray:
     """The (T, k, k) stack C = D^-1/2 P^T R P D^-1/2 of the (T, k, k)
-    curvature operators r, in the frame of each metric's own eigenpairs
-    (lambda, V): P is the second compound of V, the 2x2 minors that take
-    bivector coordinates in V's frame to reference ones, and D = diag(lambda_i
-    lambda_j) is H = Lambda^2 phi in that frame.  The pencil (R, H) is the
-    matrix C, with no Cholesky factor of H (near the definiteness gate its
-    condition number reaches 1e24), and C's diagonal holds the quotients of
-    the metric-eigenvector planes."""
+    curvature operators r, in each metric's orthonormal coordinates x =
+    Lambda^1/2 V^T z from its own eigenpairs (lambda, V): P is the second
+    compound of V, the 2x2 minors that take bivector coordinates in V's
+    frame to reference ones, and D = diag(lambda_i lambda_j).  The plane of
+    z1 ^ z2 then has curvature u.Cu / u.u at u = x1 ^ x2, since the h-Gram
+    determinant of (z1, z2) is the plain one of (x1, x2), with no Cholesky
+    factor (near the definiteness gate the h-Gram form's condition number
+    reaches 1e24); C's diagonal holds the quotients of the
+    metric-eigenvector planes."""
     lam = np.stack([m.eigenvalues for m in metrics])
     v = np.stack([m.eigenvectors for m in metrics])
     i, j = wedge_pairs(v.shape[1])
@@ -627,21 +616,24 @@ def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
 def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
     """``min_curvature`` of each metric (all on one algebra) at its seed.
 
-    On so(4), a metric whose lowest coordinate or metric-eigenvector plane
-    ``_closes`` on the bound of its ``_whitened_operators`` is reported from
-    that plane, with no pool and no descent.  When the budget is worth it,
-    the metrics left whose basis planes hold none below -floor run
-    ``_certified_above`` together, lifted towards their lowest basis planes,
-    and one proven above -floor whose plane closes on its lifted bound is
-    reported the same way.  Every other metric draws and scores its own
-    pool, exactly as it would alone; then the best starts of all of them
-    descend together as one (T, 2, d, n) stack, and a certified metric's
-    descent may stop on a stall.  A metric's certificate and a start's
-    descent depend on that metric alone, so each report equals the one its
-    metric gets alone, byte for byte.
+    Every search runs on the ``_whitened_operators`` C, in each metric's
+    orthonormal coordinates x = Lambda^1/2 V^T z.  On so(3) the lowest
+    eigenvector of C is the least curved plane.  On so(4), a metric whose
+    lowest coordinate or metric-eigenvector plane ``_closes`` on the bound
+    of C is reported from that plane, with no pool and no descent.  When the
+    budget is worth it, the metrics left whose basis planes hold none below
+    -floor run ``_certified_above`` together, lifted towards their lowest
+    basis planes, and one proven above -floor whose plane closes on its
+    lifted bound is reported the same way.  Every other metric draws and
+    scores its own pool, exactly as it would alone; then the best starts of
+    all of them descend together as one (T, 2, d, n) stack, and a certified
+    metric's descent may stop on a stall.  A metric's certificate and a
+    start's descent depend on that metric alone, so each report equals the
+    one its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
-    ops = [m.curvature_operator() for m in metrics]
+    r = np.stack([m.curvature_operator() for m in metrics])
+    c = _whitened_operators(metrics, r)
 
     def report(k, frame, lam0, delta, quotient=None):
         witness = _canonical_plane(frame.T)
@@ -652,13 +644,21 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
                        lower_bound=float(lam0 - delta))
 
     if d == 3:
-        return [report(k, *_least_curved_plane_3d(r, h)) for k, (r, h) in enumerate(ops)]
-    r, h = (np.stack(mats) for mats in zip(*ops))
-    c = _whitened_operators(metrics, r)
+        # every bivector is a plane: the Hodge dual of C's lowest eigenvector
+        # y is the plane's normal in x, and V Lambda^1/2 takes it to z
+        eigs, vecs = np.linalg.eigh(c)
+        lam0, delta = _lower_bound(eigs)
+        normals = [m.eigenvectors @ (np.sqrt(m.eigenvalues) * y[::-1] * [1.0, -1.0, 1.0])
+                   for m, y in zip(metrics, vecs[:, :, 0])]
+        return [report(k, np.linalg.svd(normal[None])[2][1:], lam0[k], delta[k])
+                for k, normal in enumerate(normals)]
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    # the coordinate planes, then the metric-eigenvector planes, as in the pool
-    rd, hd, cd = (np.diagonal(a, axis1=1, axis2=2) for a in (r, h, c))
-    basis = np.concatenate([rd / hd, cd], axis=1)
+    # the coordinate planes, then the metric-eigenvector planes, as in the
+    # pool: diag(R) over the h-Gram determinants phi_ii phi_jj - phi_ij^2
+    i, j = wedge_pairs(d)
+    phi = np.stack([m.phi for m in metrics])
+    dets = phi[:, i, i] * phi[:, j, j] - phi[:, i, j] * phi[:, i, j]
+    basis = np.concatenate([r.diagonal(axis1=1, axis2=2) / dets, c.diagonal(axis1=1, axis2=2)], 1)
     n = basis.shape[1] // 2
     low = basis.min(axis=1)
 
@@ -692,16 +692,19 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         inc = _incidence(d)
         starts = []
         for k in search:
+            m = metrics[k]
             raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
-            frames = _gram_schmidt(np.ascontiguousarray(raw.T)[None])[0]
-            pool = np.concatenate(
-                [frames, _basis_planes(np.eye(d)), _basis_planes(metrics[k].eigenvectors)], axis=2
-            )
-            starts.append(_best_starts((r[k], h[k], inc), pool[None], budget.restarts))
-        op = (r[search], h[search], inc)
-        stack = np.concatenate(starts)
-        vals, best = _search(op, stack, budget.iters, delta[search], settled[search])
-        for k, q, frame in zip(search, vals, best):
+            pool = np.concatenate([raw.T, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)],
+                                  axis=2)
+            # each frame mapped to x = Lambda^1/2 V^T z, orthonormal there
+            pool = _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ pool)[None])
+            starts.append(_best_starts((c[k], inc), pool, budget.restarts))
+        vals, best = _search((c[search], inc), np.concatenate(starts), budget.iters,
+                             delta[search], settled[search])
+        # each best frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
+        back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in search])
+        frames = _gram_schmidt(back[:, None] @ best[..., None])[..., 0]
+        for k, q, frame in zip(search, vals, frames):
             reports[k] = report(k, frame, lam0[k], delta[k], q)
     return reports
 
@@ -714,36 +717,40 @@ def min_curvature(
 ) -> CurvatureReport:
     """The minimum plane-normalized curvature of a metric.
 
-    ``lower_bound`` is the smallest eigenvalue of the curvature-operator
-    pencil over all bivectors less a rounding margin delta (1e-12 times the
-    pencil's spectral norm): no plane lies below it.  On a 3-dimensional
-    algebra the minimizing plane comes in closed form from
-    ``m.curvature_operator()`` and the report is ``exact``; the budget and
-    seed are only recorded.  On so(4), when the lowest coordinate or
-    metric-eigenvector plane attains the bound, that plane is reported with
-    ``exact`` true (min_value - lower_bound <= 2 delta), no pool is drawn,
-    and the report does not depend on the seed.  Next, when no basis plane
-    lies below -floor, floor = min(tol, 1e-8 times the pencil's norm), and
-    the stall stop could save more than 1000 restart-steps (restarts times
-    iters - 29), a Pluecker-quadric certificate lifts the bound towards the
-    lowest basis plane.  If it proves that no plane lies below -floor and
+    Every search runs on C, the curvature operator ``m.curvature_operator()``
+    whitened by m's eigenpairs: in the metric-orthonormal coordinates x =
+    Lambda^1/2 V^T z a plane's curvature is the Rayleigh quotient of C at
+    x1 ^ x2.  ``lower_bound`` is the smallest eigenvalue of C over all
+    bivectors less a rounding margin delta (1e-12 times C's spectral norm):
+    no plane lies below it.  On a 3-dimensional algebra the minimizing plane
+    comes in closed form from C's lowest eigenvector and the report is
+    ``exact``; the budget and seed are only recorded.  On so(4), when the
+    lowest coordinate or metric-eigenvector plane attains the bound, that
+    plane is reported with ``exact`` true (min_value - lower_bound <= 2
+    delta), no pool is drawn, and the report does not depend on the seed.
+    Next, when no basis plane lies below -floor, floor = min(tol, 1e-8 times
+    C's norm), and the stall stop could save more than 1000 restart-steps
+    (restarts times iters - 29), a Pluecker-quadric certificate lifts the
+    bound towards the lowest basis plane.  If it proves that no plane lies below -floor and
     that plane attains the lifted bound, the report is built from it the
     same way, with ``lower_bound`` the lifted bound less its margin: quotient
     and torus family members close so.  Otherwise, coarse stage:
-    ``budget.samples`` random orthonormal frames plus the coordinate and
-    metric-eigenvector planes, scored by the Rayleigh quotient of the
-    curvature operator.  The best ``budget.restarts`` starts are refined
-    together by exact-gradient descent for at most ``budget.iters`` steps,
-    and the same rule decides ``exact``.  A metric the certificate proved
+    ``budget.samples`` random frames plus the coordinate and
+    metric-eigenvector planes, each orthonormalized in x and scored by the
+    quotient of C.  The best ``budget.restarts`` starts are refined together
+    by exact-gradient descent in x for at most ``budget.iters`` steps, and
+    the same rule decides ``exact``.  A metric the certificate proved
     above -floor is NonnegativeWithinBudget whatever the descent finds, so
     its descent stops once its best value has dropped by no more than delta
     over the last 29 steps.  A metric the certificate does not reach
     descends the whole budget, so no verdict depends on the stop.  The
-    reported witness is the canonicalized
-    minimizing plane and ``min_value`` is the closed-form curvature
-    re-evaluated on it, so a negative verdict is reproducible in isolation.
+    reported witness is the minimizing plane mapped back by z = V
+    Lambda^-1/2 x and canonicalized, and ``min_value`` is the closed-form
+    curvature re-evaluated on it, so a negative verdict is reproducible in
+    isolation.  ``seed`` must be a nonnegative integer (ValueError).
     """
-    return _plane_reports([m], budget or Budget(), _check_tol(tol), [seed])[0]
+    seeds = [_check_count(seed, "seed")]
+    return _plane_reports([m], budget or Budget(), _check_tol(tol), seeds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +864,8 @@ def infinitesimal_check(
     ``budget.restarts`` best points polished by exact alternating
     minimization for at most ``budget.iters`` rounds (``_least_pair``).  The
     search draws no random number, so the report does not depend on
-    ``seed``, which is only recorded.
+    ``seed``, which is only recorded; it must still be a nonnegative integer
+    (ValueError).
 
     A negative minimum refutes infinitesimal nonnegativity of the variation;
     a nonnegative minimum is a bounded-search claim.  The report's witness is
@@ -866,7 +874,7 @@ def infinitesimal_check(
     An algebra without a factor decomposition (so(3)) has no independent
     commuting pairs and raises ValueError.
     """
-    tol = _check_tol(tol)
+    tol, seed = _check_tol(tol), _check_count(seed, "seed")
     g._require_split()
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
@@ -1007,10 +1015,11 @@ def path_scan_many(
     one stack.  Each time's descent stops on its own certificate and best
     value, as it would alone, so entries stay byte for byte those of
     ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
-    one entry per path (ValueError).
+    one entry per path, and each seed must be a nonnegative integer, checked
+    before any path is built (ValueError).
     """
     tol = _check_tol(tol)
-    psis, seeds = list(psis), list(seeds)
+    psis, seeds = list(psis), [_check_count(s, "seed") for s in seeds]
     t_grids = [[float(t) for t in grid] for grid in t_grids]
     if not len(psis) == len(t_grids) == len(seeds):
         raise ValueError(

@@ -102,6 +102,7 @@ DELETED = [
     "variation.DerivativeReport",
     "variation.derivative_report",
     "variation._HORIZON_GUARD",
+    "verify._least_curved_plane_3d",
     "verify._unit_columns",
 ]
 

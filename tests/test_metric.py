@@ -138,16 +138,12 @@ def test_curvature_operator_matches_both_routes(g3, g4):
     rng = np.random.default_rng(3)
     for g in (g3, g4):
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
-        r, h = m.curvature_operator()
+        r = m.curvature_operator()
         npair = g.dim * (g.dim - 1) // 2
-        assert r.shape == h.shape == (npair, npair)
-        assert np.array_equal(r, r.T) and np.array_equal(h, h.T)
+        assert r.shape == (npair, npair) and np.array_equal(r, r.T)
         z1s, z2s = rng.standard_normal((2, 200, g.dim))
         w = wedge_many(z1s, z2s)
         wrw = np.einsum("nk,kl,nl->n", w, r, w)
-        wh = np.einsum("nk,kl,nl->n", w, h, w)
-        ref = normalized_curvature_many(m, z1s, z2s)
-        assert np.all(np.abs(wrw / wh - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         oracle = np.array([koszul_oracle(m, a, b) for a, b in zip(z1s, z2s)])
         assert np.all(np.abs(wrw - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
 
@@ -158,7 +154,7 @@ def test_curvature_operator_cached_per_metric(g4):
     m = LeftInvariantMetric(g4, phi)
     first = m.curvature_operator()
     assert m.curvature_operator() is first
-    assert not first[0].flags.writeable and not first[1].flags.writeable
+    assert not first.flags.writeable
     other = LeftInvariantMetric(g4, phi).curvature_operator()
     assert other is not first
-    assert np.array_equal(other[0], first[0]) and np.array_equal(other[1], first[1])
+    assert np.array_equal(other, first)

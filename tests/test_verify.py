@@ -44,7 +44,7 @@ from liecurv import (
 )
 from liecurv import verify
 from liecurv.cli import main as cli_main
-from liecurv.metric import normalized_curvature_many, wedge_many
+from liecurv.metric import normalized_curvature_many, wedge_many, wedge_pairs
 from liecurv.suites import family_scan_cases
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
@@ -73,6 +73,22 @@ LIGHT = Budget(samples=512, restarts=8, iters=60)
 def _unit_columns(ab):
     """Each column of the (T, c, d, n) stack ab scaled to unit length."""
     return ab / np.sqrt(np.add.reduce(ab * ab, axis=2, keepdims=True))
+
+
+def _gram(m):
+    """The h-Gram form H = Lambda^2 phi on bivectors: w.Hw is the h-Gram
+    determinant of (z1, z2) at w = z1 ^ z2.  The reference route to a plane's
+    quotient w.Rw / w.Hw, independent of the whitening by the metric's
+    eigenpairs."""
+    i, j = wedge_pairs(m.algebra.dim)
+    p = m.phi
+    return p[np.ix_(i, i)] * p[np.ix_(j, j)] - p[np.ix_(i, j)] * p[np.ix_(j, i)]
+
+
+def _to_reference(m, x):
+    """The frames z = V Lambda^-1/2 x of the (..., d, n) columns x given in
+    m's orthonormal coordinates."""
+    return (m.eigenvectors / np.sqrt(m.eigenvalues)) @ x
 
 
 @pytest.mark.parametrize(
@@ -203,6 +219,38 @@ def test_non_finite_tol_rejected(g4, tol):
         path_scan(g4, psi, [0.1], budget=LIGHT, tol=tol)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "x"])
+@pytest.mark.parametrize("entry, case", [
+    *((entry, case) for entry in ("min_curvature", "path_scan", "path_scan_many")
+      for case in ("closing", "so3", "searching")),
+    ("infinitesimal_check", "pair"),
+])
+def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
+    """Every verification entry point checks its seed first: a nonnegative
+    integer, else a ValueError naming ``seed``, whether the input closes on
+    its bound (a Berger-excess product, a diagonal path), is on so(3),
+    searches (a wide draw of the 40-metric set, a projector path), or is a
+    pair input, whose search draws no random number."""
+    g = g3 if case == "so3" else g4
+    phi, psi = {
+        "closing": (np.diag([1.4, 1, 1, 1, 1, 1.0]), np.diag([0.3, -0.2, 0.1, 0.4, 0.0, -0.5])),
+        "so3": (np.diag([1.5, 1.0, 1.0]), np.diag([0.4, -0.3, 0.9])),
+        "searching": (_forty_metric_phis()[1], diagonal_subalgebra(g4).projector),
+        "pair": (None, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)),
+    }[case]
+    call = {
+        "min_curvature": lambda: min_curvature(LeftInvariantMetric(g, phi), seed=seed),
+        "path_scan": lambda: path_scan(g, psi, [0.2], seed=seed),
+        "path_scan_many": lambda: path_scan_many(g, [psi], [[0.2]], seeds=[seed]),
+        "infinitesimal_check": lambda: infinitesimal_check(g, psi, seed=seed),
+    }[entry]
+    work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
+    with mock.patch.object(verify, "_plane_reports", work), \
+            mock.patch.object(verify, "_pair_form", work), \
+            pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        call()
+
+
 def test_negative_tol_rejected(g3, g4, capsys):
     # every plane of the round so(3) metric has curvature 1/4; a tol of
     # -0.5 would call that minimum a negative witness
@@ -242,8 +290,7 @@ def test_quotient_gradient_matches_central_differences(g3, g4, case):
     if case == "so4-pairs":
         rng = np.random.default_rng(42)
         psi = random_symmetric(rng, 6)
-        eye = np.eye(9)
-        op = (_pair_form(g4, psi), eye, eye)
+        op = (_pair_form(g4, psi), np.eye(9))
         x = _unit_columns(rng.standard_normal((1, 2, 3, 20)))
 
         def reference(s):
@@ -254,11 +301,12 @@ def test_quotient_gradient_matches_central_differences(g3, g4, case):
         rng = np.random.default_rng(40)
         g = g3 if case == "so3-planes" else g4
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
-        op = (*m.curvature_operator(), _incidence(g.dim))
+        op = (_whitened_operators([m], m.curvature_operator()[None])[0], _incidence(g.dim))
         x = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0].T[None])
 
         def reference(s):
-            return normalized_curvature_many(m, s[0, 0].T, s[0, 1].T)
+            z = _to_reference(m, s[0])
+            return normalized_curvature_many(m, z[0].T, z[1].T)
 
         spans = [x[0], x[0]]  # both columns move in the complement of the plane
     val, grad = _quotient_value_and_gradient(op, x)
@@ -277,6 +325,24 @@ def test_quotient_gradient_matches_central_differences(g3, g4, case):
         fd = (reference(plus) - reference(minus)) / (2.0 * h)
         exact = np.einsum("dn,dn->n", u, grad[0, c])
         assert np.all(np.abs(exact - fd) <= 1e-8 * np.maximum(1.0, np.abs(fd)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 6]))
+def test_whitened_quotient_is_the_plane_curvature(seed, dim):
+    """In a metric's orthonormal coordinates x = Lambda^1/2 V^T z, the
+    quotient of (C, B) at an orthonormal frame x is the normalized curvature
+    of the plane z = V Lambda^-1/2 x, to 1e-12 ||C||_2: C is the one
+    operator every plane search runs on."""
+    rng = np.random.default_rng(seed)
+    g = so3() if dim == 3 else so4()
+    m = LeftInvariantMetric(g, random_spd(rng, dim))
+    c = _whitened_operators([m], m.curvature_operator()[None])
+    x = _gram_schmidt(rng.standard_normal((1, 2, dim, 50)))
+    got = _quotient_values((c, _incidence(dim)), x)[0][0]
+    z = _to_reference(m, x[0])
+    ref = normalized_curvature_many(m, z[0].T, z[1].T)
+    assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(c[0], 2)
 
 
 def test_descend_reaches_smallest_eigenvalue():
@@ -302,44 +368,43 @@ def test_descend_reaches_smallest_eigenvalue():
 def test_stacked_descent_matches_each_slice_bitwise(g4):
     """Descending T operators as one (T, 2, d, n) stack gives every row
     bit for bit as descending its slice alone: the round and product slices,
-    certified nonnegative, stop on a stall, the Berger slice stops when its
-    restarts do, each at its own step, and their rows stay frozen while the
-    random slice, still improving, runs the whole budget."""
+    certified nonnegative, stop on a stall, the slice of wide draw 1 of the
+    40-metric set stops when its restarts do, each at its own step, and their
+    rows stay frozen while the slice of near-round draw 0, still improving,
+    runs the whole budget."""
     rng = np.random.default_rng(47)
     phis = [
         np.eye(6),
-        product_phi(ProductParams(np.diag([1.5, 1.0, 1.0]), np.eye(3))),
+        _forty_metric_phis()[1],
         product_phi(ProductParams(np.diag([0.8, 1.0, 1.2]), np.diag([1.0, 1.1, 0.9]))),
-        random_spd(rng, 6),
+        _forty_metric_phis()[0],
     ]
     metrics = [LeftInvariantMetric(g4, phi) for phi in phis]
-    ops = [m.curvature_operator() for m in metrics]
     inc = _incidence(6)
-    starts = _gram_schmidt(rng.standard_normal((len(ops), 2, 6, 16)))
+    starts = _gram_schmidt(rng.standard_normal((len(phis), 2, 6, 16)))
     iters = 200
 
-    def descend(r, h, x, margin, settled):
+    def descend(c, x, margin, settled):
         calls = []
 
         def evaluate(s):
             calls.append(1)
-            return _quotient_value_and_gradient((r, h, inc), s)
+            return _quotient_value_and_gradient((c, inc), s)
 
         return (*_descend(evaluate, _gram_schmidt, x, iters, margin, settled), len(calls))
 
-    r, h = (np.stack(mats) for mats in zip(*ops))
-    c = _whitened_operators(metrics, r)
+    c = _whitened_operators(metrics, np.stack([m.curvature_operator() for m in metrics]))
     delta = _lower_bound(np.linalg.eigvalsh(c))[1]
     eigenvalues = np.stack([m.eigenvalues for m in metrics])
     floor = np.minimum(DEFAULT_TOL, 1e4 * delta)
     settled = _certified_above(c, eigenvalues, floor, -floor)[0]
     assert settled.tolist() == [True, False, True, False]
-    val, x, stacked_calls = descend(r, h, starts, delta, settled)
+    val, x, stacked_calls = descend(c, starts, delta, settled)
     assert stacked_calls == iters + 1
     slice_calls = []
-    for k in range(len(ops)):
+    for k in range(len(phis)):
         one = slice(k, k + 1)
-        vk, xk, calls = descend(r[one], h[one], starts[one], delta[one], settled[one])
+        vk, xk, calls = descend(c[one], starts[one], delta[one], settled[one])
         assert np.array_equal(vk[0], val[k]) and np.array_equal(xk[0], x[k])
         slice_calls.append(calls)
     assert slice_calls[-1] == iters + 1
@@ -382,7 +447,7 @@ def _unstopped(m, seed):
 
 def _delta(m):
     """The rounding margin delta = 1e-12 ||C||_2 of m's whitened operator."""
-    r = m.curvature_operator()[0]
+    r = m.curvature_operator()
     return _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
 
 
@@ -433,7 +498,7 @@ def _certificate(m, tol=DEFAULT_TOL):
     proves every plane above the stall floor min(tol, 1e4 delta), and the
     bound lambda_min(C + W) and its margin, lifted towards the lowest
     coordinate or metric-eigenvector plane."""
-    r, h = m.curvature_operator()
+    r, h = m.curvature_operator(), _gram(m)
     c = _whitened_operators([m], r[None])
     floor = np.minimum(tol, 1e4 * _lower_bound(np.linalg.eigvalsh(c))[1])
     low = min(np.min(np.diag(r) / np.diag(h)), np.min(np.diag(c[0])))
@@ -724,6 +789,21 @@ def test_so3_closed_form_is_below_every_sampled_plane(g3):
         assert rep.min_value <= sampled.min() + 1e-12
 
 
+def test_so3_near_the_gate_raises_nothing(g3):
+    """40 rotations each of diag(1, 1e6, 9e11) and diag(1, 1e5, 1e10): every
+    report is finite and none raises (a Cholesky factor of the h-Gram form
+    raised LinAlgError on 6 of these 80).  The sign of the minimum still
+    flips under rotation there, from R's own rounding."""
+    rng = np.random.default_rng(0)
+    for spectrum in ([1.0, 1e6, 9e11], [1.0, 1e5, 1e10]):
+        for _ in range(40):
+            q = random_rotation(rng)
+            phi = q @ np.diag(spectrum) @ q.T
+            rep = min_curvature(LeftInvariantMetric(g3, 0.5 * (phi + phi.T)))
+            assert rep.exact and np.isfinite([rep.min_value, rep.lower_bound]).all()
+            assert np.isfinite(rep.witness).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     r=st.floats(1.4, 2.0),
@@ -755,8 +835,7 @@ def _pencil_bound(m):
     """lambda_0 and delta = 1e-12 ||pencil||_2 of the pencil (R, H), from a
     general eigensolver on H^-1 R: a route to ``lower_bound`` that shares
     nothing with the whitening by the metric's eigenpairs."""
-    r, h = m.curvature_operator()
-    eigs = np.linalg.eigvals(np.linalg.solve(h, r)).real
+    eigs = np.linalg.eigvals(np.linalg.solve(_gram(m), m.curvature_operator())).real
     return eigs.min(), 1e-12 * np.abs(eigs).max()
 
 
@@ -906,7 +985,7 @@ def test_near_gate_metrics_close_only_where_the_routes_agree(g4):
         except NotPositiveDefinite:
             continue
         rep = min_curvature(m, LIGHT, seed=k)
-        r, h = m.curvature_operator()
+        r, h = m.curvature_operator(), _gram(m)
         delta = _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > delta:
@@ -942,7 +1021,7 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
         except NotPositiveDefinite:
             continue
         rep = min_curvature(m, seed=k)
-        r, h = m.curvature_operator()
+        r, h = m.curvature_operator(), _gram(m)
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > _delta(m):
             assert not rep.exact
@@ -1090,8 +1169,7 @@ def test_pair_form_matches_closed_form(g4, kind):
     assert np.array_equal(t, t.transpose(0, 1, 3, 2))
     ab = _unit_columns(rng.standard_normal((1, 2, 3, 250)))
     ref = kappa_third_deriv_many(g4, psi, *_pair_rows(g4, ab))
-    eye = np.eye(9)
-    got = _quotient_values((form, eye, eye), ab)[0][0]
+    got = _quotient_values((form, np.eye(9)), ab)[0][0]
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
