@@ -17,13 +17,11 @@ plane-curvature evaluator, with the one degeneracy rule, and the scalar
 ``normalized_curvature`` is its single-row case.
 
 For searches, ``LeftInvariantMetric.curvature_operator`` assembles the
-curvature tensor once per metric as a quadratic form R on bivectors: w.Rw is
-the unnormalized curvature of the plane of w = z1 ^ z2.  It is the only
-operator a metric carries.  The searches whiten it by the metric's
-eigenpairs: in the metric-orthonormal coordinates x = Lambda^1/2 V^T z of
-phi = V Lambda V^T the h-Gram determinant of a plane is the plain Gram
-determinant of its frame, so a plane's normalized curvature is the Rayleigh
-quotient w.Cw / w.w of the whitened operator C at w = x1 ^ x2.
+curvature tensor once per metric as a quadratic form C on bivectors, in the
+coordinates x = Lambda^1/2 V^T z of the metric's h-orthonormal eigenframe
+(phi = V Lambda V^T), where a plane's h-Gram determinant is the plain Gram
+determinant of its frame: w.Cw / w.w at w = x1 ^ x2 is the normalized
+curvature of span{z1, z2}.  It is the only operator a metric carries.
 """
 
 from __future__ import annotations
@@ -116,25 +114,30 @@ class LeftInvariantMetric:
         return self._gamma
 
     def curvature_operator(self) -> np.ndarray:
-        """Curvature operator R on bivectors.
+        """Curvature operator C on bivectors, in the metric's own frame.
 
-        R is a symmetric d(d-1)/2 square matrix in the coordinates of
-        ``wedge_many``, so w = z1 ^ z2 gives w.Rw = <R(z1, z2) z2, z1>_h, the
-        unnormalized sectional curvature of span{z1, z2}.  R is built from
-        ``connection()``.  Cached after first use.
+        C is a symmetric d(d-1)/2 square matrix in the ``wedge_many``
+        coordinates of x = Lambda^1/2 V^T z, so w = x1 ^ x2 gives w.Cw =
+        <R(z1, z2) z2, z1>_h.  It is built in the h-orthonormal eigenframe f
+        = V Lambda^-1/2, by the Koszul formula with the identity metric, and
+        shares neither ``connection()`` nor a solve with the Koszul oracle.
+        Cached after first use.
         """
         if self._operator is None:
-            gamma = self.connection()
-            c = self.algebra.structure
-            # r[i, j, k, m]: e_m coefficient of R(e_i, e_j) e_k, where
+            f = self.eigenvectors / np.sqrt(self.eigenvalues)
+            # c[a, b, c]: f_c coefficient of [f_a, f_b]; f^-1 = Lambda^1/2 V^T
+            back = self.eigenvectors * np.sqrt(self.eigenvalues)
+            c = np.einsum("ia,ijc,jb->abc", f, self.algebra.structure @ back, f)
+            # gamma[a, b, c] with D_{f_a} f_b = gamma[a, b, c] f_c
+            gamma = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
+            # r[a, b, e, m]: f_m coefficient of R(f_a, f_b) f_e, where
             # R(x, y) = D_x D_y - D_y D_x - D_[x,y]
-            dd = np.einsum("jkp,ipm->ijkm", gamma, gamma)
-            r = dd - dd.transpose(1, 0, 2, 3) - np.einsum("ijq,qkm->ijkm", c, gamma)
-            rm = r @ self.phi  # <R(e_i, e_j) e_k, e_l>_h
+            dd = np.tensordot(gamma, gamma, (2, 1)).transpose(2, 0, 1, 3)
+            r = dd - dd.transpose(1, 0, 2, 3) - np.tensordot(c, gamma, (2, 0))
             i, j = wedge_pairs(self.algebra.dim)
-            # entry (a, b) is <R(e_i, e_j) e_l, e_k>_h for the a-th pair
-            # (i, j) and the b-th pair (k, l)
-            op = rm[i, j][:, j, i]
+            # entry (p, q) is <R(f_a, f_b) f_e, f_g>_h = r[a, b, e, g] for the
+            # p-th pair (a, b) and the q-th pair (g, e)
+            op = r[i, j][:, j, i]
             op = 0.5 * (op + op.T)
             op.setflags(write=False)
             self._operator = op

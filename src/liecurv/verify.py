@@ -8,37 +8,35 @@ seed-free pair search.
   kappa'''(0) over commuting pairs, the necessary condition for an
   inverse-linear variation to stay nonnegatively curved.
 
-Every plane search runs on one operator per metric.  In the
-metric-orthonormal coordinates x = Lambda^1/2 V^T z of phi = V Lambda V^T
-the h-Gram determinant of a plane is the plain Gram determinant of its
-frame, so a plane's curvature is the Rayleigh quotient w.Cw / w.w of the
-whitened curvature operator C (``_whitened_operators``) at the decomposable
-w = B vec(x1 x2^T) = x1 ^ x2.  The smallest eigenvalue lambda_0 of C over
-all bivectors bounds every plane from below, and each plane report carries
-``lower_bound`` = lambda_0 - delta, with delta = 1e-12 times C's spectral
-norm as a rounding margin.  On a 3-dimensional algebra every bivector is a
-plane, so the minimum curvature is lambda_0, attained on the plane whose
-normal in x is the Hodge dual of C's lowest eigenvector, and the report
-says ``exact``.  On so(4), when the lowest coordinate or metric-eigenvector
-plane attains the bound (its quotient and its re-evaluated curvature within
-delta of lambda_0 and of each other) that plane is the witness, no pool is
-drawn, and the report says ``exact``, with min_value - lower_bound <= 2
-delta.  Such a report does not depend on its seed.  A metric whose basis
-planes hold none below -floor, floor = min(tol, 1e-8 times C's norm),
-then tries ``_certified_above``, if its budget's stall stop can save more
-than ``_CERT_COST`` restart-steps: the Pluecker quadrics vanish on planes,
-so lambda_min(C + W) bounds every plane for each combination W of them
-(Thorpe's trick), and the certificate lifts that bound towards the lowest
-basis plane.  Once it proves no plane below -floor and the plane attains
-the lifted bound by the same rule (delta now the margin of C + W), the
-plane is the witness, ``lower_bound`` is lambda_min(C + W) - delta, and
-again no pool is drawn: quotient and torus family members, whose lowest
-basis plane is flat, close this way and no longer depend on the seed.
+On so(3) Milnor's closed form in phi's eigenvalues (``_milnor_curvatures``)
+gives the least curved metric-eigenvector plane, the minimum, and the report
+is ``exact``, with ``lower_bound`` the minimum less delta = max |K| (1e-12 +
+4 eps kappa(phi)) for the eigenvalues' rounding.  Every so(4) plane search
+runs on the one operator of each metric, ``curvature_operator()``: C, built
+in the coordinates x = Lambda^1/2 V^T z of phi = V Lambda V^T, where a
+plane's curvature is the Rayleigh quotient w.Cw / w.w at the decomposable w
+= B vec(x1 x2^T) = x1 ^ x2.  The smallest eigenvalue lambda_0 of C bounds
+every plane from below, and the report carries ``lower_bound`` = lambda_0 -
+delta, delta = 1e-12 times C's spectral norm.  When the lowest coordinate or
+metric-eigenvector plane, scored in x, attains the bound (its quotient and
+its re-evaluated curvature within delta of lambda_0 and of each other) that
+plane is the witness, no pool is drawn, and the report says ``exact``, with
+min_value - lower_bound <= 2 delta.  Such a report does not depend on its
+seed.  A metric whose basis planes hold none below -floor, floor = min(tol,
+1e-8 times C's norm), then tries ``_certified_above``, if its budget's stall
+stop can save more than ``_CERT_COST`` restart-steps: the Pluecker quadrics
+vanish on planes, so lambda_min(C + W) bounds every plane for each
+combination W of them (Thorpe's trick), and the certificate lifts that bound
+towards the lowest basis plane.  Once it proves no plane below -floor and
+the plane attains the lifted bound by the same rule (delta now the margin of
+C + W), the plane is the witness, ``lower_bound`` is lambda_min(C + W) -
+delta, and again no pool is drawn: quotient and torus family members, whose
+lowest basis plane is flat, close this way and no longer depend on the seed.
 Otherwise ``_search`` descends with ``_descend`` from the best starts of a
 coarse pool of frames, orthonormal in x, the plane it reaches is mapped back
 by z = V Lambda^-1/2 x and re-evaluated in closed form, and the same rule
-decides ``exact`` on it, against lambda_0.  A restart stops once its gradient
-falls below 1e-3 delta, and the descent at the latest after
+decides ``exact`` on it, against lambda_0.  A restart stops once its
+gradient falls below 1e-3 delta, and the descent at the latest after
 ``Budget.iters`` steps.  The verdict of a metric certified above -floor is
 NonnegativeWithinBudget whatever the descent finds, so the descent of a
 certified metric that does not close (a family member plus noise, a metric
@@ -133,8 +131,10 @@ _STEP_STOP = 1e-10
 # margin over as many steps stops
 _STALL_STEPS = math.ceil(math.log2(_STEP_INIT / _STEP_STOP))
 # the rounding margin delta of a lower bound, relative to the spectral norm
-# of the whitened operator it comes from
+# of the curvature operator it comes from
 _BOUND_MARGIN = 1e-12
+# the so(3) margin per unit of phi's condition number: eigh's error, with room
+_EIGH_ERROR = 4.0 * np.finfo(float).eps
 # a plane descent may stop on a stall where no plane lies below -floor, with
 # floor the smaller of tol and this many margins delta (1e-8 of the spectral
 # norm), so the stop does not depend on the metric's scale unless tol binds
@@ -204,13 +204,13 @@ class CommutingPair:
 class CurvatureReport:
     """Outcome of a search for negative curvature.
 
-    A plane report carries ``lower_bound``: the smallest eigenvalue of the
-    whitened curvature operator C over all bivectors, less a rounding margin
-    delta, so no plane lies below it; on an so(4) metric that closes on the
-    Pluecker certificate it is the lifted bound lambda_min(C + W) less the
-    margin of C + W.  ``exact`` says the minimum is known: on so(3) it comes
-    in closed form; on so(4) the witness attains the bound, min_value -
-    lower_bound <= 2 delta.  Pair reports have no ``lower_bound``.
+    A plane report carries ``lower_bound``, below which no plane lies: on
+    so(3) Milnor's closed-form minimum, on so(4) the smallest eigenvalue of
+    the curvature operator C (or, after the Pluecker certificate, the lifted
+    lambda_min(C + W)), less a rounding margin delta.  ``exact`` says the
+    minimum is known: on so(3) it comes in closed form; on so(4) the witness
+    attains the bound, min_value - lower_bound <= 2 delta.  Pair reports
+    have no ``lower_bound``.
     """
 
     verdict: str
@@ -278,8 +278,8 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
     up to a factor-of-two quantization of its tangent.
 
     For an algebra without a factor decomposition (so(3)) there are no
-    independent commuting pairs and the list is empty.  n must be a
-    nonnegative integer (ValueError).
+    independent commuting pairs and the list is empty.  n and seed must be
+    nonnegative integers (ValueError), on so(3) too.
 
     Attempts run in chunks: each attempt draws a, b and the two angles, in
     that order, and the rejection tests and the construction then run on
@@ -288,7 +288,7 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
     accepts; the stream is local, so the attempts drawn past the n-th
     acceptance change nothing.
     """
-    n = _check_count(n)
+    n, seed = _check_count(n), _check_count(seed, "seed")
     if g.factor_split is None:
         return []
     rng = np.random.default_rng(seed)
@@ -470,7 +470,7 @@ def _plucker_forms(d: int) -> np.ndarray:
 
 
 def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, target: np.ndarray):
-    """The Pluecker certificate of the (T, k, k) whitened plane operators c:
+    """The Pluecker certificate of the (T, k, k) plane operators c:
     which provably have no plane below -floor, for the (T,) floors, and the
     best lower bound lambda_min(C + W) found with its rounding margin, lifted
     towards the (T,) targets; ``eigenvalues`` are the (T, d) metric
@@ -478,7 +478,7 @@ def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, 
 
     Every Pluecker quadric vanishes on planes, so the planes' quotients of
     C equal those of C + W for every combination W of the quadrics
-    (whitened as C is) and lie at or above lambda_min(C + W): Thorpe's
+    (written in C's coordinates) and lie at or above lambda_min(C + W): Thorpe's
     trick (Thorpe, *The zeros of nonnegative curvature operators*, J. Diff.
     Geom. 1972).  A log-barrier Newton method maximizes t over (W, t) with
     C + W - t I positive definite: it maximizes t/mu + log det(C + W - t I)
@@ -581,27 +581,27 @@ def _canonical_plane(frame: np.ndarray) -> np.ndarray:
 def _lower_bound(eigs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smallest eigenvalue lambda_0 and the rounding margin delta =
     ``_BOUND_MARGIN`` times the spectral norm of each ascending spectrum in
-    the (..., k) stack eigs of a whitened operator."""
+    the (..., k) stack eigs of a curvature operator."""
     return eigs[..., 0], _BOUND_MARGIN * np.maximum(-eigs[..., 0], eigs[..., -1])
 
 
-def _whitened_operators(metrics, r: np.ndarray) -> np.ndarray:
-    """The (T, k, k) stack C = D^-1/2 P^T R P D^-1/2 of the (T, k, k)
-    curvature operators r, in each metric's orthonormal coordinates x =
-    Lambda^1/2 V^T z from its own eigenpairs (lambda, V): P is the second
-    compound of V, the 2x2 minors that take bivector coordinates in V's
-    frame to reference ones, and D = diag(lambda_i lambda_j).  The plane of
-    z1 ^ z2 then has curvature u.Cu / u.u at u = x1 ^ x2, since the h-Gram
-    determinant of (z1, z2) is the plain one of (x1, x2), with no Cholesky
-    factor (near the definiteness gate the h-Gram form's condition number
-    reaches 1e24); C's diagonal holds the quotients of the
-    metric-eigenvector planes."""
-    lam = np.stack([m.eigenvalues for m in metrics])
-    v = np.stack([m.eigenvectors for m in metrics])
-    i, j = wedge_pairs(v.shape[1])
-    p = v[:, i[:, None], i] * v[:, j[:, None], j] - v[:, i[:, None], j] * v[:, j[:, None], i]
-    scale = 1.0 / np.sqrt(lam[:, i] * lam[:, j])
-    return scale[:, :, None] * (p.transpose(0, 2, 1) @ r @ p) * scale[:, None, :]
+def _milnor_curvatures(k: float, lam: np.ndarray) -> np.ndarray:
+    """The (T, 3) curvatures of the metric-eigenvector planes, in the order
+    of ``wedge_pairs(3)``, for (T, 3) eigenvalues lam on an algebra with
+    structure constants k epsilon (Milnor, *Curvatures of left invariant
+    metrics on Lie groups*, Adv. Math. 1976): with mu_i = k sqrt(lambda_i /
+    (lambda_j lambda_k)) and m_i = sum(mu)/2 - mu_i, the plane (v_i, v_j) has
+    m_i m_k + m_j m_k - m_i m_j.  They are the eigenvalues of C."""
+    mu = k * np.sqrt(lam / (np.roll(lam, -1, axis=1) * np.roll(lam, -2, axis=1)))
+    m = 0.5 * mu.sum(axis=1, keepdims=True) - mu
+    i, j = wedge_pairs(3)
+    o = 3 - i - j
+    return m[:, i] * m[:, o] + m[:, j] * m[:, o] - m[:, i] * m[:, j]
+
+
+def _to_orthonormal(m: LeftInvariantMetric, frames: np.ndarray) -> np.ndarray:
+    """The (2, d, n) frames z mapped to x = Lambda^1/2 V^T z, orthonormal there: (1, 2, d, n)."""
+    return _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ frames)[None])
 
 
 def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
@@ -616,11 +616,12 @@ def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
 def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
     """``min_curvature`` of each metric (all on one algebra) at its seed.
 
-    Every search runs on the ``_whitened_operators`` C, in each metric's
-    orthonormal coordinates x = Lambda^1/2 V^T z.  On so(3) the lowest
-    eigenvector of C is the least curved plane.  On so(4), a metric whose
-    lowest coordinate or metric-eigenvector plane ``_closes`` on the bound
-    of C is reported from that plane, with no pool and no descent.  When the
+    On so(3) the least curved plane is the metric-eigenvector plane lowest
+    on ``_milnor_curvatures``.  On so(4) every search runs on each metric's
+    ``curvature_operator()`` C, in its orthonormal coordinates x =
+    Lambda^1/2 V^T z, and a metric whose lowest coordinate or
+    metric-eigenvector plane ``_closes`` on the bound of C is reported from
+    that plane, with no pool and no descent.  When the
     budget is worth it, the metrics left whose basis planes hold none below
     -floor run ``_certified_above`` together, lifted towards their lowest
     basis planes, and one proven above -floor whose plane closes on its
@@ -632,8 +633,6 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     one its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
-    r = np.stack([m.curvature_operator() for m in metrics])
-    c = _whitened_operators(metrics, r)
 
     def report(k, frame, lam0, delta, quotient=None):
         witness = _canonical_plane(frame.T)
@@ -644,21 +643,21 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
                        lower_bound=float(lam0 - delta))
 
     if d == 3:
-        # every bivector is a plane: the Hodge dual of C's lowest eigenvector
-        # y is the plane's normal in x, and V Lambda^1/2 takes it to z
-        eigs, vecs = np.linalg.eigh(c)
-        lam0, delta = _lower_bound(eigs)
-        normals = [m.eigenvectors @ (np.sqrt(m.eigenvalues) * y[::-1] * [1.0, -1.0, 1.0])
-                   for m, y in zip(metrics, vecs[:, :, 0])]
-        return [report(k, np.linalg.svd(normal[None])[2][1:], lam0[k], delta[k])
-                for k, normal in enumerate(normals)]
+        # phi's eigenvalues, and so the curvatures, carry eps kappa(phi) errors
+        lam = np.stack([m.eigenvalues for m in metrics])
+        curv = _milnor_curvatures(metrics[0].algebra.structure[0, 1, 2], lam)
+        delta = np.abs(curv).max(axis=1) * (_BOUND_MARGIN + _EIGH_ERROR * lam[:, -1] / lam[:, 0])
+        low = np.argmin(curv, axis=1)
+        i, j = wedge_pairs(3)
+        return [report(k, m.eigenvectors[:, [i[b], j[b]]].T, curv[k, b], delta[k])
+                for k, (m, b) in enumerate(zip(metrics, low))]
+    c = np.stack([m.curvature_operator() for m in metrics])
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    # the coordinate planes, then the metric-eigenvector planes, as in the
-    # pool: diag(R) over the h-Gram determinants phi_ii phi_jj - phi_ij^2
-    i, j = wedge_pairs(d)
-    phi = np.stack([m.phi for m in metrics])
-    dets = phi[:, i, i] * phi[:, j, j] - phi[:, i, j] * phi[:, i, j]
-    basis = np.concatenate([r.diagonal(axis1=1, axis2=2) / dets, c.diagonal(axis1=1, axis2=2)], 1)
+    # the coordinate planes, scored in x as the pool scores them, then the
+    # metric-eigenvector planes, the coordinate planes of x: C's diagonal
+    inc = _incidence(d)
+    coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
+    basis = np.concatenate([_quotient_values((c, inc), coords)[0], c.diagonal(axis1=1, axis2=2)], 1)
     n = basis.shape[1] // 2
     low = basis.min(axis=1)
 
@@ -689,16 +688,13 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
             reports[k] = closed(k, lifted, dw) if settled[k] else None
     search = [k for k, rep in enumerate(reports) if rep is None]
     if search:
-        inc = _incidence(d)
         starts = []
         for k in search:
             m = metrics[k]
             raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
             pool = np.concatenate([raw.T, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)],
                                   axis=2)
-            # each frame mapped to x = Lambda^1/2 V^T z, orthonormal there
-            pool = _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ pool)[None])
-            starts.append(_best_starts((c[k], inc), pool, budget.restarts))
+            starts.append(_best_starts((c[k], inc), _to_orthonormal(m, pool), budget.restarts))
         vals, best = _search((c[search], inc), np.concatenate(starts), budget.iters,
                              delta[search], settled[search])
         # each best frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
@@ -717,37 +713,38 @@ def min_curvature(
 ) -> CurvatureReport:
     """The minimum plane-normalized curvature of a metric.
 
-    Every search runs on C, the curvature operator ``m.curvature_operator()``
-    whitened by m's eigenpairs: in the metric-orthonormal coordinates x =
-    Lambda^1/2 V^T z a plane's curvature is the Rayleigh quotient of C at
-    x1 ^ x2.  ``lower_bound`` is the smallest eigenvalue of C over all
-    bivectors less a rounding margin delta (1e-12 times C's spectral norm):
-    no plane lies below it.  On a 3-dimensional algebra the minimizing plane
-    comes in closed form from C's lowest eigenvector and the report is
-    ``exact``; the budget and seed are only recorded.  On so(4), when the
-    lowest coordinate or metric-eigenvector plane attains the bound, that
-    plane is reported with ``exact`` true (min_value - lower_bound <= 2
-    delta), no pool is drawn, and the report does not depend on the seed.
-    Next, when no basis plane lies below -floor, floor = min(tol, 1e-8 times
-    C's norm), and the stall stop could save more than 1000 restart-steps
-    (restarts times iters - 29), a Pluecker-quadric certificate lifts the
-    bound towards the lowest basis plane.  If it proves that no plane lies below -floor and
-    that plane attains the lifted bound, the report is built from it the
-    same way, with ``lower_bound`` the lifted bound less its margin: quotient
-    and torus family members close so.  Otherwise, coarse stage:
-    ``budget.samples`` random frames plus the coordinate and
-    metric-eigenvector planes, each orthonormalized in x and scored by the
-    quotient of C.  The best ``budget.restarts`` starts are refined together
-    by exact-gradient descent in x for at most ``budget.iters`` steps, and
-    the same rule decides ``exact``.  A metric the certificate proved
-    above -floor is NonnegativeWithinBudget whatever the descent finds, so
-    its descent stops once its best value has dropped by no more than delta
-    over the last 29 steps.  A metric the certificate does not reach
-    descends the whole budget, so no verdict depends on the stop.  The
-    reported witness is the minimizing plane mapped back by z = V
-    Lambda^-1/2 x and canonicalized, and ``min_value`` is the closed-form
-    curvature re-evaluated on it, so a negative verdict is reproducible in
-    isolation.  ``seed`` must be a nonnegative integer (ValueError).
+    On a 3-dimensional algebra Milnor's formula in phi's eigenvalues gives
+    the least curved metric-eigenvector plane, and the report is ``exact``,
+    with ``lower_bound`` the minimum less delta = max |K| (1e-12 + 4 eps
+    kappa(phi)); the budget and seed are only recorded.  On so(4) every
+    search runs on C = ``m.curvature_operator()``: in the coordinates x =
+    Lambda^1/2 V^T z of m's eigenframe a plane's curvature is the Rayleigh
+    quotient of C at x1 ^ x2.  ``lower_bound`` is the smallest eigenvalue of
+    C less a rounding margin delta (1e-12 times C's spectral norm): no plane
+    lies below it.  When the lowest coordinate or metric-eigenvector plane,
+    scored in x, attains the bound, that plane is reported with ``exact``
+    true (min_value - lower_bound <= 2 delta), no pool is drawn, and the
+    report does not depend on the seed.  Next, when no basis plane lies
+    below -floor, floor = min(tol, 1e-8 times C's norm), and the stall stop
+    could save more than 1000 restart-steps (restarts times iters - 29), a
+    Pluecker-quadric certificate lifts the bound towards the lowest basis
+    plane.  If it proves that no plane lies below -floor and that plane
+    attains the lifted bound, the report is built from it the same way, with
+    ``lower_bound`` the lifted bound less its margin: quotient and torus
+    family members close so.  Otherwise, coarse stage: ``budget.samples``
+    random frames plus the coordinate and metric-eigenvector planes, each
+    orthonormalized in x and scored by the quotient of C.  The best
+    ``budget.restarts`` starts are refined together by exact-gradient
+    descent in x for at most ``budget.iters`` steps, and the same rule
+    decides ``exact``.  A metric the certificate proved above -floor is
+    NonnegativeWithinBudget whatever the descent finds, so its descent stops
+    once its best value has dropped by no more than delta over the last 29
+    steps.  A metric the certificate does not reach descends the whole
+    budget, so no verdict depends on the stop.  The reported witness is the
+    minimizing plane mapped back by z = V Lambda^-1/2 x and canonicalized,
+    and ``min_value`` is the closed-form curvature re-evaluated on it, so a
+    negative verdict is reproducible in isolation.  ``seed`` must be a
+    nonnegative integer (ValueError).
     """
     seeds = [_check_count(seed, "seed")]
     return _plane_reports([m], budget or Budget(), _check_tol(tol), seeds)[0]
@@ -945,10 +942,10 @@ def lemma_k_check(g: LieAlgebra, psi, n: int = 200, seed: int = 0) -> LemmaKRepo
     variations satisfy this with residual 0; PASS means max residual below
     1e-8.  All n samples are drawn up front and checked in one batch; n = 0
     gives a vacuous report.  psi must be finite and symmetric (ValueError)
-    of the algebra's shape (DimensionMismatch); n must be a nonnegative
-    integer (ValueError).
+    of the algebra's shape (DimensionMismatch); n and seed must be
+    nonnegative integers (ValueError).
     """
-    n = _check_count(n)
+    n, seed = _check_count(n), _check_count(seed, "seed")
     psi = symmetric_matrix(psi, "psi", g.dim)
     basis = eigenstructure(psi).smallest
     scale = max(np.abs(np.linalg.eigvalsh(psi)).max(), 1e-300)

@@ -104,6 +104,7 @@ DELETED = [
     "variation._HORIZON_GUARD",
     "verify._least_curved_plane_3d",
     "verify._unit_columns",
+    "verify._whitened_operators",
 ]
 
 

@@ -61,8 +61,8 @@ from liecurv.verify import (
     _plucker_forms,
     _quotient_value_and_gradient,
     _quotient_values,
+    _milnor_curvatures,
     _smallest_eigenvalues,
-    _whitened_operators,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
@@ -77,12 +77,25 @@ def _unit_columns(ab):
 
 def _gram(m):
     """The h-Gram form H = Lambda^2 phi on bivectors: w.Hw is the h-Gram
-    determinant of (z1, z2) at w = z1 ^ z2.  The reference route to a plane's
-    quotient w.Rw / w.Hw, independent of the whitening by the metric's
-    eigenpairs."""
+    determinant of (z1, z2) at w = z1 ^ z2.  With ``_reference_operator``,
+    the reference route to a plane's quotient w.Rw / w.Hw."""
     i, j = wedge_pairs(m.algebra.dim)
     p = m.phi
     return p[np.ix_(i, i)] * p[np.ix_(j, j)] - p[np.ix_(i, j)] * p[np.ix_(j, i)]
+
+
+def _reference_operator(m):
+    """The curvature operator R in reference bivector coordinates, built from
+    ``m.connection()``: w.Rw is the unnormalized curvature of span{z1, z2}
+    at w = z1 ^ z2.  It shares nothing with ``m.curvature_operator()``,
+    which the searches build in the metric's eigenframe."""
+    gamma = m.connection()
+    # r[i, j, k, m]: e_m coefficient of R(e_i, e_j) e_k
+    dd = np.einsum("jkp,ipm->ijkm", gamma, gamma)
+    r = dd - dd.transpose(1, 0, 2, 3) - np.einsum("ijq,qkm->ijkm", m.algebra.structure, gamma)
+    i, j = wedge_pairs(m.algebra.dim)
+    op = (r @ m.phi)[i, j][:, j, i]
+    return 0.5 * (op + op.T)
 
 
 def _to_reference(m, x):
@@ -224,13 +237,17 @@ def test_non_finite_tol_rejected(g4, tol):
     *((entry, case) for entry in ("min_curvature", "path_scan", "path_scan_many")
       for case in ("closing", "so3", "searching")),
     ("infinitesimal_check", "pair"),
+    ("lemma_k_check", "pair"),
+    ("sample_commuting_pairs", "pair"),
+    ("sample_commuting_pairs", "so3"),
 ])
 def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
-    """Every verification entry point checks its seed first: a nonnegative
-    integer, else a ValueError naming ``seed``, whether the input closes on
-    its bound (a Berger-excess product, a diagonal path), is on so(3),
-    searches (a wide draw of the 40-metric set, a projector path), or is a
-    pair input, whose search draws no random number."""
+    """Every verification entry point and both samplers check their seed
+    first: a nonnegative integer, else a ValueError naming ``seed``, whether
+    the input closes on its bound (a Berger-excess product, a diagonal
+    path), is on so(3) (where the commuting-pair sampler has nothing to
+    draw), searches (a wide draw of the 40-metric set, a projector path), or
+    is a pair input, whose search draws no random number."""
     g = g3 if case == "so3" else g4
     phi, psi = {
         "closing": (np.diag([1.4, 1, 1, 1, 1, 1.0]), np.diag([0.3, -0.2, 0.1, 0.4, 0.0, -0.5])),
@@ -243,10 +260,13 @@ def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
         "path_scan": lambda: path_scan(g, psi, [0.2], seed=seed),
         "path_scan_many": lambda: path_scan_many(g, [psi], [[0.2]], seeds=[seed]),
         "infinitesimal_check": lambda: infinitesimal_check(g, psi, seed=seed),
+        "lemma_k_check": lambda: lemma_k_check(g, psi, n=3, seed=seed),
+        "sample_commuting_pairs": lambda: sample_commuting_pairs(g, 3, seed),
     }[entry]
     work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
     with mock.patch.object(verify, "_plane_reports", work), \
             mock.patch.object(verify, "_pair_form", work), \
+            mock.patch.object(np.random, "default_rng", work), \
             pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         call()
 
@@ -301,7 +321,7 @@ def test_quotient_gradient_matches_central_differences(g3, g4, case):
         rng = np.random.default_rng(40)
         g = g3 if case == "so3-planes" else g4
         m = LeftInvariantMetric(g, random_spd(rng, g.dim))
-        op = (_whitened_operators([m], m.curvature_operator()[None])[0], _incidence(g.dim))
+        op = (m.curvature_operator(), _incidence(g.dim))
         x = np.ascontiguousarray(np.linalg.qr(rng.standard_normal((20, g.dim, 2)))[0].T[None])
 
         def reference(s):
@@ -333,16 +353,33 @@ def test_whitened_quotient_is_the_plane_curvature(seed, dim):
     """In a metric's orthonormal coordinates x = Lambda^1/2 V^T z, the
     quotient of (C, B) at an orthonormal frame x is the normalized curvature
     of the plane z = V Lambda^-1/2 x, to 1e-12 ||C||_2: C is the one
-    operator every plane search runs on."""
+    operator every so(4) plane search runs on."""
     rng = np.random.default_rng(seed)
     g = so3() if dim == 3 else so4()
     m = LeftInvariantMetric(g, random_spd(rng, dim))
-    c = _whitened_operators([m], m.curvature_operator()[None])
+    c = m.curvature_operator()[None]
     x = _gram_schmidt(rng.standard_normal((1, 2, dim, 50)))
     got = _quotient_values((c, _incidence(dim)), x)[0][0]
     z = _to_reference(m, x[0])
     ref = normalized_curvature_many(m, z[0].T, z[1].T)
     assert np.abs(got - ref).max() <= 1e-12 * np.linalg.norm(c[0], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(-3.0, 3.0))
+def test_so3_operator_is_milnors_diagonal(seed, scale):
+    """On so(3) the eigenframe curvature operator is diagonal to 1e-12
+    ||C||_2, and its diagonal holds Milnor's curvatures of the
+    metric-eigenvector planes to the same bound: the closed form the so(3)
+    reports read and the operator the so(4) searches run on agree."""
+    rng = np.random.default_rng(seed)
+    g = so3()
+    m = LeftInvariantMetric(g, 10.0**scale * random_spd(rng, 3))
+    c = m.curvature_operator()
+    norm = np.linalg.norm(c, 2)
+    assert np.abs(c - np.diag(np.diag(c))).max() <= 1e-12 * norm
+    milnor = _milnor_curvatures(g.structure[0, 1, 2], m.eigenvalues[None])[0]
+    assert np.abs(np.diag(c) - milnor).max() <= 1e-12 * norm
 
 
 def test_descend_reaches_smallest_eigenvalue():
@@ -393,7 +430,7 @@ def test_stacked_descent_matches_each_slice_bitwise(g4):
 
         return (*_descend(evaluate, _gram_schmidt, x, iters, margin, settled), len(calls))
 
-    c = _whitened_operators(metrics, np.stack([m.curvature_operator() for m in metrics]))
+    c = np.stack([m.curvature_operator() for m in metrics])
     delta = _lower_bound(np.linalg.eigvalsh(c))[1]
     eigenvalues = np.stack([m.eigenvalues for m in metrics])
     floor = np.minimum(DEFAULT_TOL, 1e4 * delta)
@@ -446,9 +483,8 @@ def _unstopped(m, seed):
 
 
 def _delta(m):
-    """The rounding margin delta = 1e-12 ||C||_2 of m's whitened operator."""
-    r = m.curvature_operator()
-    return _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
+    """The rounding margin delta = 1e-12 ||C||_2 of m's curvature operator."""
+    return float(_lower_bound(np.linalg.eigvalsh(m.curvature_operator()))[1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -498,8 +534,8 @@ def _certificate(m, tol=DEFAULT_TOL):
     proves every plane above the stall floor min(tol, 1e4 delta), and the
     bound lambda_min(C + W) and its margin, lifted towards the lowest
     coordinate or metric-eigenvector plane."""
-    r, h = m.curvature_operator(), _gram(m)
-    c = _whitened_operators([m], r[None])
+    r, h = _reference_operator(m), _gram(m)
+    c = m.curvature_operator()[None]
     floor = np.minimum(tol, 1e4 * _lower_bound(np.linalg.eigvalsh(c))[1])
     low = min(np.min(np.diag(r) / np.diag(h)), np.min(np.diag(c[0])))
     proven, bound, margin = _certified_above(c, m.eigenvalues[None], floor, np.array([low]))
@@ -790,18 +826,41 @@ def test_so3_closed_form_is_below_every_sampled_plane(g3):
 
 
 def test_so3_near_the_gate_raises_nothing(g3):
-    """40 rotations each of diag(1, 1e6, 9e11) and diag(1, 1e5, 1e10): every
-    report is finite and none raises (a Cholesky factor of the h-Gram form
-    raised LinAlgError on 6 of these 80).  The sign of the minimum still
-    flips under rotation there, from R's own rounding."""
+    """40 rotations each of diag(1, 1e6, 9e11) and diag(1, 1e5, 1e10), with
+    minima near -6.75e5 and -7.5e4: none raises (a Cholesky factor of the
+    h-Gram form raised LinAlgError on 6 of these 80), and every report is
+    an exact NegativeWitness, finite, with lower_bound <= min_value, whose
+    witness re-evaluates below -tol through the Koszul oracle."""
     rng = np.random.default_rng(0)
     for spectrum in ([1.0, 1e6, 9e11], [1.0, 1e5, 1e10]):
         for _ in range(40):
             q = random_rotation(rng)
             phi = q @ np.diag(spectrum) @ q.T
-            rep = min_curvature(LeftInvariantMetric(g3, 0.5 * (phi + phi.T)))
-            assert rep.exact and np.isfinite([rep.min_value, rep.lower_bound]).all()
-            assert np.isfinite(rep.witness).all()
+            m = LeftInvariantMetric(g3, 0.5 * (phi + phi.T))
+            rep = min_curvature(m)
+            assert rep.exact and rep.verdict == VERDICT_NEGATIVE
+            assert np.isfinite([rep.min_value, rep.lower_bound]).all()
+            assert rep.lower_bound <= rep.min_value
+            z1, z2 = (np.array(v) for v in rep.witness)
+            gram = m.h(z1, z1) * m.h(z2, z2) - m.h(z1, z2) ** 2
+            assert koszul_oracle(m, z1, z2) / gram < -DEFAULT_TOL
+
+
+def test_searches_never_call_the_connection(g3, g4):
+    """The plane verdicts build C in the metric's eigenframe and never call
+    ``connection()``, which stays the Koszul oracle's own: with it patched
+    to raise, so(3), an so(4) metric that closes on its bound, one that
+    searches (wide draw 1 of the 40-metric set) and a path scan all report."""
+    boom = mock.Mock(side_effect=AssertionError("connection() called"))
+    with mock.patch.object(LeftInvariantMetric, "connection", boom), \
+            mock.patch.object(verify, "_descend", wraps=verify._descend) as descend:
+        assert min_curvature(LeftInvariantMetric(g3, np.diag([1.5, 1.0, 1.0]))).exact
+        assert min_curvature(LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))).exact
+        assert descend.call_count == 0
+        min_curvature(LeftInvariantMetric(g4, _forty_metric_phis()[1]), LIGHT, seed=1)
+        assert descend.call_count == 1
+        assert len(path_scan(g4, diagonal_subalgebra(g4).projector, [0.1, 0.2], LIGHT)) == 2
+    boom.assert_not_called()
 
 
 @settings(max_examples=25, deadline=None)
@@ -834,8 +893,8 @@ def test_berger_excess_minimum_is_exact(r, s, seed, swap):
 def _pencil_bound(m):
     """lambda_0 and delta = 1e-12 ||pencil||_2 of the pencil (R, H), from a
     general eigensolver on H^-1 R: a route to ``lower_bound`` that shares
-    nothing with the whitening by the metric's eigenpairs."""
-    eigs = np.linalg.eigvals(np.linalg.solve(_gram(m), m.curvature_operator())).real
+    nothing with the operator built in the metric's eigenframe."""
+    eigs = np.linalg.eigvals(np.linalg.solve(_gram(m), _reference_operator(m))).real
     return eigs.min(), 1e-12 * np.abs(eigs).max()
 
 
@@ -985,8 +1044,8 @@ def test_near_gate_metrics_close_only_where_the_routes_agree(g4):
         except NotPositiveDefinite:
             continue
         rep = min_curvature(m, LIGHT, seed=k)
-        r, h = m.curvature_operator(), _gram(m)
-        delta = _lower_bound(np.linalg.eigvalsh(_whitened_operators([m], r[None])))[1][0]
+        r, h = _reference_operator(m), _gram(m)
+        delta = _delta(m)
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > delta:
             assert not rep.exact
@@ -1021,7 +1080,7 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
         except NotPositiveDefinite:
             continue
         rep = min_curvature(m, seed=k)
-        r, h = m.curvature_operator(), _gram(m)
+        r, h = _reference_operator(m), _gram(m)
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > _delta(m):
             assert not rep.exact
