@@ -27,7 +27,13 @@ seed.  A metric whose basis planes hold none below -floor, floor = min(tol,
 stop can save more than ``_CERT_COST`` restart-steps: the Pluecker quadrics
 vanish on planes, so lambda_min(C + W) bounds every plane for each
 combination W of them (Thorpe's trick), and the certificate lifts that bound
-towards the lowest basis plane.  Once it proves no plane below -floor and
+towards the lowest basis plane.  It first solves for W: where C + W - t I is
+semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W - t I)w = 0, so
+at t the lowest basis value each flat basis plane (one within delta of the
+lowest) gives linear equations in W, and one least-squares solve per metric
+takes W from them.  A torus family member, whose five flat basis planes fix
+W, is done there; a metric not done there lifts the bound from W = 0 by a
+log-barrier Newton method.  Once it proves no plane below -floor and
 the plane attains the lifted bound by the same rule (delta now the margin of
 C + W), the plane is the witness, ``lower_bound`` is lambda_min(C + W) -
 delta, and again no pool is drawn: quotient and torus family members, whose
@@ -143,8 +149,9 @@ _STALL_FLOOR = 1e4
 # short Newton step, and the certificate gives up after as many steps
 _CERT_SHRINK = 100.0
 _CERT_STEPS = 50
-# about the work of the certificate of one metric, in restart-steps of the
-# plane descent (some 15 Newton steps on a 15x15 pencil in 16 directions);
+# about the work of the certificate of one metric whose flat planes do not fix
+# W, in restart-steps of the plane descent (a least-squares solve, then some
+# 15 Newton steps on a 15x15 pencil in 16 directions);
 # a budget whose stall stop can save fewer, restarts * (iters - 29), skips it,
 # and with it the closure of family members on the lifted bound
 _CERT_COST = 1000
@@ -190,6 +197,20 @@ def _check_count(n, name: str = "n") -> int:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
     return int(n)
+
+
+def _grid_times(grid) -> list[float]:
+    """The times of one scan grid, a 1-d sequence of real numbers
+    (ValueError); a NaN time is left to the path's own check."""
+    try:
+        times = None if isinstance(grid, (str, bytes)) else list(grid)
+    except TypeError:
+        times = None
+    real = times is not None and all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                                     for t in times)
+    if not real:
+        raise ValueError(f"t_grid must be a 1-d sequence of real numbers, got {grid!r}")
+    return [float(t) for t in times]
 
 
 @dataclass(frozen=True)
@@ -469,44 +490,80 @@ def _plucker_forms(d: int) -> np.ndarray:
     return forms
 
 
-def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, target: np.ndarray):
+def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, target: np.ndarray,
+                     flats: list[np.ndarray]):
     """The Pluecker certificate of the (T, k, k) plane operators c:
     which provably have no plane below -floor, for the (T,) floors, and the
     best lower bound lambda_min(C + W) found with its rounding margin, lifted
     towards the (T,) targets; ``eigenvalues`` are the (T, d) metric
-    eigenvalues of c's frame.
+    eigenvalues of c's frame, and ``flats`` holds each row's (k, p) unit
+    bivectors of its flat basis planes.
 
     Every Pluecker quadric vanishes on planes, so the planes' quotients of
     C equal those of C + W for every combination W of the quadrics
     (written in C's coordinates) and lie at or above lambda_min(C + W): Thorpe's
     trick (Thorpe, *The zeros of nonnegative curvature operators*, J. Diff.
-    Geom. 1972).  A log-barrier Newton method maximizes t over (W, t) with
-    C + W - t I positive definite: it maximizes t/mu + log det(C + W - t I)
-    by Newton steps with an exact line search inside the feasible set, and
-    divides mu by ``_CERT_SHRINK`` whenever a step's Newton decrement is at
-    most 1/2.  Every bound comes from ``eigvalsh`` of C + W less the
+    Geom. 1972).  Every bound comes from ``eigvalsh`` of C + W less the
     rounding margin of C + W, and a row is proven once that reaches -floor.
-    A row stops lifting once its bound plus margin reaches its target, once
-    t + k mu, the dual bound of a centred point, falls below -floor, or,
-    when proven, below the target less the margin, once k mu falls below
-    the rounding margin of C, or after ``_CERT_STEPS`` steps.  A row not
-    proven proves nothing either way.
+    A row is done once its bound plus margin reaches its target.
+
+    If C + W - t I is positive semidefinite and w.(C + W - t I)w = 0, then
+    (C + W - t I)w = 0.  So at t = target each flat plane w gives k linear
+    equations in the weights of W, and each row not yet done first takes W
+    from them by least squares, one row at a time; it is done if that
+    bound is proven and reaches its target (a torus family member, whose
+    flat planes fix W).  Every other row runs a log-barrier Newton method
+    from W = 0, which maximizes t over (W, t) with C + W - t I positive
+    definite: it maximizes t/mu + log det(C + W - t I) by Newton steps with
+    an exact line search inside the feasible set, and divides mu by
+    ``_CERT_SHRINK`` whenever a step's Newton decrement is at most 1/2.  A
+    row stops lifting once it is done, once t + k mu, the dual bound of a
+    centred point, falls below -floor, or, when proven, below the target
+    less the margin, once k mu falls below the rounding margin of C, or
+    after ``_CERT_STEPS`` steps.  A row not proven proves nothing either
+    way.
     """
-    t_rows, k, _ = c.shape
+    k = c.shape[1]
     i, j = wedge_pairs(eigenvalues.shape[1])
     s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
     forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
+    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    bound, margin = lam0.copy(), delta.copy()
+    proven = lam0 - delta >= -floor
+    live = bound + margin < target
+    for r in np.flatnonzero(live):
+        # sum_a y_a K_a w = (t I - C) w for every flat w, one block of k rows each
+        w = flats[r]
+        lhs = (forms[r] @ w).transpose(2, 1, 0).reshape(-1, len(forms[r]))
+        y = np.linalg.lstsq(lhs, (target[r] * w - c[r] @ w).T.reshape(-1), rcond=None)[0]
+        lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + np.tensordot(y, forms[r], 1)))
+        if lw0 + dw >= target[r] and lw0 - dw >= -floor[r]:
+            bound[r], margin[r], proven[r], live[r] = lw0, dw, True, False
+    rows = np.flatnonzero(live)
+    if len(rows):
+        proven[rows], bound[rows], margin[rows] = _barrier(
+            c[rows], forms[rows], lam0[rows], delta[rows], floor[rows], target[rows]
+        )
+    return proven, bound, margin
+
+
+def _barrier(c, forms, lam0, delta, floor, target):
+    """The log-barrier Newton method of ``_certified_above`` on the (T, k, k)
+    operators c, not yet done, with the (T, q, k, k) quadrics ``forms`` in
+    their coordinates, from W = 0 and its bound lam0 with margin delta:
+    which rows are proven above -floor, and their best bounds and margins."""
+    t_rows, k, _ = c.shape
     # the last coordinate of y is t, entering as -t I
     dirs = np.concatenate([forms, np.broadcast_to(-np.eye(k), (t_rows, 1, k, k))], axis=1)
     flat = dirs.reshape(t_rows, -1, k * k)
     base = c.reshape(t_rows, 1, k * k)
-    bound, margin = lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    bound, margin = lam0, delta
     # mu starts at C's spectral norm, and t that far below lambda_0, at W = 0
     mu = delta / _BOUND_MARGIN
     y = np.zeros(flat.shape[:2])
     y[:, -1] = lam0 - mu
     proven = lam0 - delta >= -floor
-    live = bound + margin < target
+    live = np.ones(t_rows, dtype=bool)
     for _ in range(_CERT_STEPS):
         if not np.count_nonzero(live):
             break
@@ -604,6 +661,23 @@ def _to_orthonormal(m: LeftInvariantMetric, frames: np.ndarray) -> np.ndarray:
     return _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ frames)[None])
 
 
+def _scored_basis(metrics, c: np.ndarray, delta: np.ndarray):
+    """The quotients of the (T, k, k) operators c at each metric's basis
+    planes, (T, 2n): the coordinate planes, scored in x as the pool scores
+    them, then the metric-eigenvector planes, the coordinate planes of x (C's
+    diagonal).  With them, per metric, the (k, p) unit bivectors in x of its
+    flat basis planes: those within delta of its lowest."""
+    d = metrics[0].algebra.dim
+    coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
+    values, _, w, ww = _quotient_values((c, _incidence(d)), coords)
+    basis = np.concatenate([values, c.diagonal(axis1=1, axis2=2)], 1)
+    # in x the metric-eigenvector planes' unit bivectors are the unit vectors
+    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
+    planes = np.concatenate([w / np.sqrt(ww)[:, None], eye], axis=2)
+    flat = basis <= basis.min(axis=1, keepdims=True) + delta[:, None]
+    return basis, [p[:, f] for p, f in zip(planes, flat)]
+
+
 def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
     """Whether a plane attains the lower bound lambda_0 - delta: its operator
     quotient is at most lambda_0 + delta, and its re-evaluated curvature
@@ -624,8 +698,9 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     that plane, with no pool and no descent.  When the
     budget is worth it, the metrics left whose basis planes hold none below
     -floor run ``_certified_above`` together, lifted towards their lowest
-    basis planes, and one proven above -floor whose plane closes on its
-    lifted bound is reported the same way.  Every other metric draws and
+    basis planes from their flat ones (``_scored_basis``), and one proven
+    above -floor whose plane closes on its lifted bound is reported the
+    same way.  Every other metric draws and
     scores its own pool, exactly as it would alone; then the best starts of
     all of them descend together as one (T, 2, d, n) stack, and a certified
     metric's descent may stop on a stall.  A metric's certificate and a
@@ -653,11 +728,8 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
                 for k, (m, b) in enumerate(zip(metrics, low))]
     c = np.stack([m.curvature_operator() for m in metrics])
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    # the coordinate planes, scored in x as the pool scores them, then the
-    # metric-eigenvector planes, the coordinate planes of x: C's diagonal
     inc = _incidence(d)
-    coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
-    basis = np.concatenate([_quotient_values((c, inc), coords)[0], c.diagonal(axis1=1, axis2=2)], 1)
+    basis, flats = _scored_basis(metrics, c, delta)
     n = basis.shape[1] // 2
     low = basis.min(axis=1)
 
@@ -682,7 +754,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     if hopeful:
         eigenvalues = np.stack([metrics[k].eigenvalues for k in hopeful])
         settled[hopeful], bound, margin = _certified_above(
-            c[hopeful], eigenvalues, floor[hopeful], low[hopeful]
+            c[hopeful], eigenvalues, floor[hopeful], low[hopeful], [flats[k] for k in hopeful]
         )
         for k, lifted, dw in zip(hopeful, bound, margin):
             reports[k] = closed(k, lifted, dw) if settled[k] else None
@@ -728,7 +800,10 @@ def min_curvature(
     below -floor, floor = min(tol, 1e-8 times C's norm), and the stall stop
     could save more than 1000 restart-steps (restarts times iters - 29), a
     Pluecker-quadric certificate lifts the bound towards the lowest basis
-    plane.  If it proves that no plane lies below -floor and that plane
+    plane: first by one least-squares solve for the combination W of the
+    quadrics that the flat basis planes ask for, which settles torus family
+    members, then, where that falls short, by log-barrier Newton steps from
+    W = 0.  If it proves that no plane lies below -floor and that plane
     attains the lifted bound, the report is built from it the same way, with
     ``lower_bound`` the lifted bound less its margin: quotient and torus
     family members close so.  Otherwise, coarse stage: ``budget.samples``
@@ -1012,12 +1087,13 @@ def path_scan_many(
     one stack.  Each time's descent stops on its own certificate and best
     value, as it would alone, so entries stay byte for byte those of
     ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
-    one entry per path, and each seed must be a nonnegative integer, checked
-    before any path is built (ValueError).
+    one entry per path, each grid a 1-d sequence of real numbers and each
+    seed a nonnegative integer, checked before any path is built
+    (ValueError); a NaN time raises the path's HorizonExceeded.
     """
     tol = _check_tol(tol)
     psis, seeds = list(psis), [_check_count(s, "seed") for s in seeds]
-    t_grids = [[float(t) for t in grid] for grid in t_grids]
+    t_grids = [_grid_times(grid) for grid in t_grids]
     if not len(psis) == len(t_grids) == len(seeds):
         raise ValueError(
             f"one psi, t_grid and seed per path, got {len(psis)}, {len(t_grids)} and {len(seeds)}"

@@ -62,6 +62,7 @@ from liecurv.verify import (
     _quotient_value_and_gradient,
     _quotient_values,
     _milnor_curvatures,
+    _scored_basis,
     _smallest_eigenvalues,
 )
 
@@ -230,6 +231,35 @@ def test_non_finite_tol_rejected(g4, tol):
         infinitesimal_check(g4, psi, LIGHT, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         path_scan(g4, psi, [0.1], budget=LIGHT, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[[0.1]], np.array([[0.1, 0.2]]), 0.5, np.float64(0.5), "0.1", [0.1, "0.2"], [1j], [True]],
+)
+def test_bad_grid_rejected_before_any_path(g4, grid):
+    """A scan grid is a 1-d sequence of real numbers: a nested, scalar,
+    string, complex or boolean grid raises a ValueError naming t_grid, from
+    ``path_scan`` and from ``path_scan_many`` (here the second path's grid),
+    before any path is built."""
+    psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
+    work = mock.Mock(side_effect=AssertionError("a path was built before the grid check"))
+    with mock.patch.object(verify, "InverseLinearPath", work):
+        for call in (lambda: path_scan(g4, psi, grid),
+                     lambda: path_scan_many(g4, [psi, psi], [[0.1], grid], seeds=[0, 1])):
+            with pytest.raises(ValueError, match="t_grid must be a 1-d sequence of real numbers"):
+                call()
+
+
+def test_grid_of_real_numbers_accepted(g4):
+    """A tuple or 1-d array of numpy reals scans as the list of its floats;
+    a NaN time raises the path's HorizonExceeded, as ``metric_at`` does."""
+    psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
+    want = path_scan(g4, psi, [0.1, 0.25], LIGHT)
+    assert path_scan(g4, psi, (np.float64(0.1), 0.25), LIGHT) == want
+    assert path_scan(g4, psi, np.array([0.1, 0.25]), LIGHT) == want
+    with pytest.raises(HorizonExceeded):
+        path_scan(g4, psi, [0.1, np.nan], LIGHT)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "x"])
@@ -434,7 +464,8 @@ def test_stacked_descent_matches_each_slice_bitwise(g4):
     delta = _lower_bound(np.linalg.eigvalsh(c))[1]
     eigenvalues = np.stack([m.eigenvalues for m in metrics])
     floor = np.minimum(DEFAULT_TOL, 1e4 * delta)
-    settled = _certified_above(c, eigenvalues, floor, -floor)[0]
+    flats = _scored_basis(metrics, c, delta)[1]
+    settled = _certified_above(c, eigenvalues, floor, -floor, flats)[0]
     assert settled.tolist() == [True, False, True, False]
     val, x, stacked_calls = descend(c, starts, delta, settled)
     assert stacked_calls == iters + 1
@@ -531,15 +562,25 @@ def _outside_quotient(rng):
 
 def _certificate(m, tol=DEFAULT_TOL):
     """``_certified_above`` on m as ``min_curvature`` runs it: whether it
-    proves every plane above the stall floor min(tol, 1e4 delta), and the
-    bound lambda_min(C + W) and its margin, lifted towards the lowest
-    coordinate or metric-eigenvector plane."""
-    r, h = _reference_operator(m), _gram(m)
+    proves every plane above the stall floor min(tol, 1e4 delta), the bound
+    lambda_min(C + W) and its margin, lifted towards the lowest coordinate
+    or metric-eigenvector plane from the flat ones, and how many are flat."""
     c = m.curvature_operator()[None]
-    floor = np.minimum(tol, 1e4 * _lower_bound(np.linalg.eigvalsh(c))[1])
-    low = min(np.min(np.diag(r) / np.diag(h)), np.min(np.diag(c[0])))
-    proven, bound, margin = _certified_above(c, m.eigenvalues[None], floor, np.array([low]))
-    return bool(proven[0]), float(bound[0]), float(margin[0])
+    delta = _lower_bound(np.linalg.eigvalsh(c))[1]
+    basis, flats = _scored_basis([m], c, delta)
+    floor = np.minimum(tol, 1e4 * delta)
+    low = basis.min(axis=1)
+    proven, bound, margin = _certified_above(c, m.eigenvalues[None], floor, low, flats)
+    return bool(proven[0]), float(bound[0]), float(margin[0]), flats[0].shape[1]
+
+
+def _newton_batches(call):
+    """call()'s result and the number of operators in each Newton step of
+    the Pluecker barrier it took, read from ``np.linalg.cholesky`` as verify
+    sees it."""
+    with mock.patch.object(verify.np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol:
+        out = call()
+    return out, [len(args[0]) for args, _ in chol.call_args_list]
 
 
 def _certified(m, tol=DEFAULT_TOL):
@@ -675,13 +716,21 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     lower_bound is that bound less its margin delta, lower_bound <= min_value
     <= lower_bound + 2 delta and |min_value| <= delta, no random number is
     drawn, two seeds give the same report but for ``seed``, and no sampled
-    plane lies below lower_bound."""
+    plane lies below lower_bound.  A torus member's five flat basis planes
+    fix W (a near-flat one has more), so it closes on the least-squares
+    solve with no Newton step; a quotient member with one flat basis plane
+    runs the barrier (one in some 40 draws has three, whose equations fix W
+    as well)."""
     rng = np.random.default_rng(seed)
     m = LeftInvariantMetric(so4(), _family_member(rng, kind))
-    proven, bound, delta = _certificate(m)
+    proven, bound, delta, flats = _certificate(m)
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
-        rep = min_curvature(m, seed=0)
+        rep, steps = _newton_batches(lambda: min_curvature(m, seed=0))
         other = min_curvature(m, seed=12345).to_dict()
+    if kind == "torus":
+        assert flats >= 5 and not steps
+    elif flats == 1:
+        assert steps
     assert proven and rep.exact
     assert rep.lower_bound == bound - delta
     assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta
@@ -710,19 +759,25 @@ def test_path_scan_many_mixes_plucker_closed_and_open_times(g4):
     times close on the lifted bound, a path to a family member plus 1e-8
     noise, whose times certify but stay open, and a random path, whose time
     is negative: every entry equals ``min_curvature`` on its metric at its
-    derived seed, byte for byte."""
+    derived seed, byte for byte.  The torus times close on the
+    least-squares solve, alone and in the scan, so every Newton step of the
+    scan steps the other three times only."""
     rng = np.random.default_rng(91)
     torus = family_scan_cases(rng, "torus")[0]
     family_scan_cases(rng, "s3-action")
     noisy = _family_member(rng, "quotient") + 1e-8 * random_symmetric(rng, 6)
     psis = [torus, np.eye(6) - np.linalg.inv(noisy), 0.3 * random_symmetric(rng, 6)]
     grids, seeds = [[0.3, 0.6], [0.5, 1.0], [0.5]], [1, 2, 3]
-    scans = path_scan_many(g4, psis, grids, seeds=seeds)
+    scans, steps = _newton_batches(lambda: path_scan_many(g4, psis, grids, seeds=seeds))
+    assert steps and set(steps) == {3}
     for psi, grid, seed, scan in zip(psis, grids, seeds, scans):
         path = InverseLinearPath(g4, psi)
         for i, (t, rep) in enumerate(zip(grid, scan)):
-            alone = replace(min_curvature(path.metric_at(t), seed=derived_seed(seed, i)), t=t)
+            alone, steps = _newton_batches(
+                lambda: replace(min_curvature(path.metric_at(t), seed=derived_seed(seed, i)), t=t)
+            )
             assert json.dumps(rep.to_dict()) == json.dumps(alone.to_dict())
+            assert (len(steps) == 0) == (psi is torus)
     exact = [[rep.exact for rep in scan] for scan in scans]
     assert exact == [[True, True], [False, False], [False]]
     assert all(_certified(InverseLinearPath(g4, psis[1]).metric_at(t)) for t in grids[1])
