@@ -23,32 +23,27 @@ its re-evaluated curvature within delta of lambda_0 and of each other) that
 plane is the witness, no pool is drawn, and the report says ``exact``, with
 min_value - lower_bound <= 2 delta.  Such a report does not depend on its
 seed.  A metric whose basis planes hold none below -floor, floor = min(tol,
-1e-8 times C's norm), then tries ``_certified_above``, if its budget's stall
-stop can save more than ``_CERT_COST`` restart-steps: the Pluecker quadrics
-vanish on planes, so lambda_min(C + W) bounds every plane for each
-combination W of them (Thorpe's trick), and the certificate lifts that bound
-towards the lowest basis plane.  It first solves for W: where C + W - t I is
-semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W - t I)w = 0, so
-at t the lowest basis value each flat basis plane (one within delta of the
-lowest) gives linear equations in W, and one least-squares solve per metric
-takes W from them.  A torus family member, whose five flat basis planes fix
-W, is done there; a metric not done there lifts the bound from W = 0 by a
-log-barrier Newton method.  Once it proves no plane below -floor and
-the plane attains the lifted bound by the same rule (delta now the margin of
-C + W), the plane is the witness, ``lower_bound`` is lambda_min(C + W) -
-delta, and again no pool is drawn: quotient and torus family members, whose
-lowest basis plane is flat, close this way and no longer depend on the seed.
-Otherwise ``_search`` descends with ``_descend`` from the best starts of a
-coarse pool of frames, orthonormal in x, the plane it reaches is mapped back
-by z = V Lambda^-1/2 x and re-evaluated in closed form, and the same rule
-decides ``exact`` on it, against lambda_0.  A restart stops once its
-gradient falls below 1e-3 delta, and the descent at the latest after
-``Budget.iters`` steps.  The verdict of a metric certified above -floor is
-NonnegativeWithinBudget whatever the descent finds, so the descent of a
-certified metric that does not close (a family member plus noise, a metric
-near the bi-invariant one) stops once its best value has dropped by no more
-than delta over the last ``_STALL_STEPS`` (29) steps; every other metric
-descends as if there were no stall stop.
+1e-8 times C's norm), then tries ``_certified_above``, at every budget: the
+Pluecker quadrics vanish on planes, so lambda_min(C + W) bounds every plane
+for each combination W of them (Thorpe's trick), and the certificate lifts
+that bound towards the lowest basis plane.  It first solves for W: where C
++ W - t I is semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W -
+t I)w = 0, so at t the lowest basis value each flat basis plane (one within
+delta of the lowest) gives linear equations in W, and one least-squares
+solve per metric takes W from them.  A torus family member, whose five flat
+basis planes fix W, is done there; a metric not done there lifts the bound
+from W = 0 by a log-barrier Newton method.  When the lifted bound less its
+margin is at or above -floor and the plane attains it by the same rule
+(delta now the margin of C + W), the plane is the witness, ``lower_bound``
+is lambda_min(C + W) - delta, and again no pool is drawn: quotient and
+torus family members, whose lowest basis plane is flat, close this way, and
+whether a report is ``exact`` depends on the metric alone, not on its seed
+or budget.  Otherwise ``_search`` descends with ``_descend`` from the best
+starts of a coarse pool of frames, orthonormal in x, the plane it reaches
+is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed form, and
+the same rule decides ``exact`` on it, against lambda_0.  A restart stops
+once its step falls below 1e-10 or its gradient below 1e-3 delta, and the
+descent at the latest after ``Budget.iters`` steps.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
@@ -63,8 +58,7 @@ The plane search works on restarts-last stacks of shape (T, 2, d, n): T
 operators (C stacked as (T, k, k)), the two columns x1 and x2, d
 coordinates and n restarts, so w = B (x1 (x) x2) and Cw are batched
 matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
-stopped restart by a mask; a restart's path depends on its own column and
-its own operator's certificate and best value only.
+stopped restart by a mask; a restart's path depends on its own column only.
 ``path_scan`` uses this: each grid time that does not close on its bound
 draws and scores its own pool as ``min_curvature`` would, then all those
 times descend together in one loop, and each entry still equals its
@@ -92,7 +86,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -132,29 +125,21 @@ DEFAULT_TOL = 1e-9
 
 _STEP_INIT = 0.05
 _STEP_STOP = 1e-10
-# the halvings that take a start's step from _STEP_INIT below _STEP_STOP: a
-# settled row of the plane descent whose best value drops by no more than its
-# margin over as many steps stops
-_STALL_STEPS = math.ceil(math.log2(_STEP_INIT / _STEP_STOP))
 # the rounding margin delta of a lower bound, relative to the spectral norm
 # of the curvature operator it comes from
 _BOUND_MARGIN = 1e-12
 # the so(3) margin per unit of phi's condition number: eigh's error, with room
 _EIGH_ERROR = 4.0 * np.finfo(float).eps
-# a plane descent may stop on a stall where no plane lies below -floor, with
-# floor the smaller of tol and this many margins delta (1e-8 of the spectral
-# norm), so the stop does not depend on the metric's scale unless tol binds
-_STALL_FLOOR = 1e4
+# the plane certificate sets out to prove no plane below -floor, with floor
+# the smaller of tol and this many margins delta (1e-8 of the spectral norm),
+# so it does not depend on the metric's scale unless tol binds: a metric with
+# a basis plane below -floor does not try it, a metric closes on a lifted
+# bound only at or above -floor, and the barrier gives up below it
+_CERT_FLOOR = 1e4
 # the plane certificate's barrier parameter shrinks by this factor after a
 # short Newton step, and the certificate gives up after as many steps
 _CERT_SHRINK = 100.0
 _CERT_STEPS = 50
-# about the work of the certificate of one metric whose flat planes do not fix
-# W, in restart-steps of the plane descent (a least-squares solve, then some
-# 15 Newton steps on a 15x15 pencil in 16 directions);
-# a budget whose stall stop can save fewer, restarts * (iters - 29), skips it,
-# and with it the closure of family members on the lifted bound
-_CERT_COST = 1000
 
 
 @dataclass(frozen=True)
@@ -162,15 +147,11 @@ class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
     Planes: ``samples`` random frames in the pool, ``restarts`` best starts
-    descended, at most ``iters`` descent steps.  When restarts * (iters -
-    29) exceeds 1000, an so(4) metric whose basis planes hold none below
-    -floor first runs the Pluecker certificate: a family member closes on
-    its lifted bound with no pool, and the descent of a certified metric
-    that does not close stops once its best value stalls within the
-    rounding margin of its lower bound for 29 steps.  Pairs: ``samples``
-    points of the RP^2 grid, ``restarts`` best points polished, at most
-    ``iters`` alternating rounds.  On so(3) planes, and on so(4) metrics
-    whose basis plane closes on a lower bound, the budget is only recorded.
+    descended, at most ``iters`` descent steps.  Pairs: ``samples`` points
+    of the RP^2 grid, ``restarts`` best points polished, at most ``iters``
+    alternating rounds.  On so(3) planes, and on so(4) metrics that close
+    on a lower bound (at a basis plane, or on the Pluecker certificate's
+    lifted bound), the budget is only recorded.
     """
 
     samples: int = 4096
@@ -406,7 +387,7 @@ def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
     return q
 
 
-def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, settled: np.ndarray):
+def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray):
     """Descend from every start of the restarts-last stack x, (T, c, d, n).
 
     ``evaluate`` returns the (T, n) values and the (tangent) gradients of a
@@ -418,12 +399,8 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, s
 
     ``margin`` holds the (T,) rounding margins of the operators' values, so
     no rule depends on an operator's scale.  A start stops once its step
-    falls below ``_STEP_STOP`` or its gradient below 1e-3 of its margin.  A
-    row marked in the (T,) mask ``settled`` (one whose verdict a
-    certificate has already decided) also stops as a whole once its best
-    value has dropped by no more than its margin over the last
-    ``_STALL_STEPS`` steps.  A start's path so depends on its own column and
-    its own row's best value, and on no other operator.
+    falls below ``_STEP_STOP`` or its gradient below 1e-3 of its margin, so
+    its path depends on its own column alone.
     """
     # C order puts restarts innermost: faster, and bitwise independent of the
     # layout the caller passes
@@ -431,7 +408,6 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, s
     val, grad = evaluate(x)
     step = np.full(val.shape, _STEP_INIT)
     flat = 1e-3 * margin[:, None]
-    best = [val.min(axis=1)]
     for _ in range(iters):
         active = step >= _STEP_STOP
         if not np.count_nonzero(active):
@@ -448,9 +424,6 @@ def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray, s
         val = np.where(better, cv, val)
         # a frozen start only shrinks its step, so it never wakes again
         step = np.where(moving, np.where(better, 1.6, 0.5) * step, 0.0)
-        best.append(val.min(axis=1))
-        if len(best) > _STALL_STEPS:
-            step[settled & (best[-1 - _STALL_STEPS] - best[-1] <= margin)] = 0.0
     return val, x
 
 
@@ -461,14 +434,11 @@ def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
     return pool[..., np.argsort(values, kind="stable")[:restarts]]
 
 
-def _search(op, starts: np.ndarray, iters: int, margin: np.ndarray, settled: np.ndarray):
+def _search(op, starts: np.ndarray, iters: int, margin: np.ndarray):
     """The (T,) lowest values and their (T, 2, d) frames per plane operator
     reached on the quotient of op by descending from the (T, 2, d, n)
-    starts together, with the (T,) rounding margins of the operators and
-    the (T,) mask of the rows that may stop on a stall."""
-    val, x = _descend(
-        lambda s: _quotient_value_and_gradient(op, s), _gram_schmidt, starts, iters, margin, settled
-    )
+    starts together, with the (T,) rounding margins of the operators."""
+    val, x = _descend(lambda s: _quotient_value_and_gradient(op, s), _gram_schmidt, starts, iters, margin)
     t, k = np.arange(len(x)), np.argmin(val, axis=1)
     return val[t, k], x[t, :, :, k]
 
@@ -490,14 +460,16 @@ def _plucker_forms(d: int) -> np.ndarray:
     return forms
 
 
-def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, target: np.ndarray,
-                     flats: list[np.ndarray]):
-    """The Pluecker certificate of the (T, k, k) plane operators c:
-    which provably have no plane below -floor, for the (T,) floors, and the
-    best lower bound lambda_min(C + W) found with its rounding margin, lifted
-    towards the (T,) targets; ``eigenvalues`` are the (T, d) metric
-    eigenvalues of c's frame, and ``flats`` holds each row's (k, p) unit
-    bivectors of its flat basis planes.
+def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenvalues: np.ndarray,
+                     floor: np.ndarray, basis: np.ndarray, coords: np.ndarray):
+    """The Pluecker certificate of the (T, k, k) plane operators c, whose
+    bounds at W = 0 are the (T,) lam0 with margins delta: the best lower
+    bound lambda_min(C + W) found and its rounding margin, lifted towards
+    each row's target, its lowest basis plane.  ``basis`` and ``coords``
+    are a row's basis-plane values and its coordinate planes' unit
+    bivectors in x (``_scored_basis``), ``eigenvalues`` are the (T, d)
+    metric eigenvalues of c's frame, and -floor, for the (T,) floors, is
+    what a row sets out to prove no plane lies below.
 
     Every Pluecker quadric vanishes on planes, so the planes' quotients of
     C equal those of C + W for every combination W of the quadrics
@@ -508,50 +480,50 @@ def _certified_above(c: np.ndarray, eigenvalues: np.ndarray, floor: np.ndarray, 
     A row is done once its bound plus margin reaches its target.
 
     If C + W - t I is positive semidefinite and w.(C + W - t I)w = 0, then
-    (C + W - t I)w = 0.  So at t = target each flat plane w gives k linear
-    equations in the weights of W, and each row not yet done first takes W
-    from them by least squares, one row at a time; it is done if that
-    bound is proven and reaches its target (a torus family member, whose
-    flat planes fix W).  Every other row runs a log-barrier Newton method
-    from W = 0, which maximizes t over (W, t) with C + W - t I positive
-    definite: it maximizes t/mu + log det(C + W - t I) by Newton steps with
-    an exact line search inside the feasible set, and divides mu by
-    ``_CERT_SHRINK`` whenever a step's Newton decrement is at most 1/2.  A
-    row stops lifting once it is done, once t + k mu, the dual bound of a
-    centred point, falls below -floor, or, when proven, below the target
-    less the margin, once k mu falls below the rounding margin of C, or
-    after ``_CERT_STEPS`` steps.  A row not proven proves nothing either
-    way.
+    (C + W - t I)w = 0.  So at t = target each flat basis plane w (one
+    within delta of the target) gives k linear equations in the weights of
+    W, and each row not yet done first takes W from them by least squares,
+    one row at a time; it is done if that bound is proven and reaches its
+    target (a torus family member, whose flat planes fix W).  Every other
+    row runs a log-barrier Newton method from W = 0, which maximizes t over
+    (W, t) with C + W - t I positive definite: it maximizes t/mu + log
+    det(C + W - t I) by Newton steps with an exact line search inside the
+    feasible set, and divides mu by ``_CERT_SHRINK`` whenever a step's
+    Newton decrement is at most 1/2.  A row stops lifting once it is done,
+    once t + k mu, the dual bound of a centred point, falls below -floor,
+    or, when proven, below the target less the margin, once k mu falls
+    below the rounding margin of C, or after ``_CERT_STEPS`` steps.  A row
+    not proven proves nothing either way.
     """
     k = c.shape[1]
     i, j = wedge_pairs(eigenvalues.shape[1])
     s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
     forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
-    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    target = basis.min(axis=1)
     bound, margin = lam0.copy(), delta.copy()
-    proven = lam0 - delta >= -floor
     live = bound + margin < target
     for r in np.flatnonzero(live):
+        # in x the metric-eigenvector planes' unit bivectors are the unit vectors
+        w = np.concatenate([coords[r], np.eye(k)], axis=1)[:, basis[r] <= target[r] + delta[r]]
         # sum_a y_a K_a w = (t I - C) w for every flat w, one block of k rows each
-        w = flats[r]
         lhs = (forms[r] @ w).transpose(2, 1, 0).reshape(-1, len(forms[r]))
         y = np.linalg.lstsq(lhs, (target[r] * w - c[r] @ w).T.reshape(-1), rcond=None)[0]
         lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + np.tensordot(y, forms[r], 1)))
         if lw0 + dw >= target[r] and lw0 - dw >= -floor[r]:
-            bound[r], margin[r], proven[r], live[r] = lw0, dw, True, False
+            bound[r], margin[r], live[r] = lw0, dw, False
     rows = np.flatnonzero(live)
     if len(rows):
-        proven[rows], bound[rows], margin[rows] = _barrier(
+        bound[rows], margin[rows] = _barrier(
             c[rows], forms[rows], lam0[rows], delta[rows], floor[rows], target[rows]
         )
-    return proven, bound, margin
+    return bound, margin
 
 
 def _barrier(c, forms, lam0, delta, floor, target):
     """The log-barrier Newton method of ``_certified_above`` on the (T, k, k)
     operators c, not yet done, with the (T, q, k, k) quadrics ``forms`` in
     their coordinates, from W = 0 and its bound lam0 with margin delta:
-    which rows are proven above -floor, and their best bounds and margins."""
+    the rows' best bounds and margins."""
     t_rows, k, _ = c.shape
     # the last coordinate of y is t, entering as -t I
     dirs = np.concatenate([forms, np.broadcast_to(-np.eye(k), (t_rows, 1, k, k))], axis=1)
@@ -562,7 +534,6 @@ def _barrier(c, forms, lam0, delta, floor, target):
     mu = delta / _BOUND_MARGIN
     y = np.zeros(flat.shape[:2])
     y[:, -1] = lam0 - mu
-    proven = lam0 - delta >= -floor
     live = np.ones(t_rows, dtype=bool)
     for _ in range(_CERT_STEPS):
         if not np.count_nonzero(live):
@@ -592,13 +563,13 @@ def _barrier(c, forms, lam0, delta, floor, target):
         lw0, dw = _lower_bound(lifted)
         better = live & (lw0 - dw > bound - margin)
         bound, margin = np.where(better, lw0, bound), np.where(better, dw, margin)
-        proven |= better & (bound - margin >= -floor)
+        proven = bound - margin >= -floor
         centred = decrement <= 0.5
         dual = y[:, -1] + k * mu
         short = centred & ((dual < -floor) | (proven & (dual < target - margin)))
         live &= (bound + margin < target) & ~short & (k * mu >= delta)
         mu = np.where(centred & live, mu / _CERT_SHRINK, mu)
-    return proven, bound, margin
+    return bound, margin
 
 
 # ---------------------------------------------------------------------------
@@ -661,21 +632,16 @@ def _to_orthonormal(m: LeftInvariantMetric, frames: np.ndarray) -> np.ndarray:
     return _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ frames)[None])
 
 
-def _scored_basis(metrics, c: np.ndarray, delta: np.ndarray):
+def _scored_basis(metrics, c: np.ndarray):
     """The quotients of the (T, k, k) operators c at each metric's basis
     planes, (T, 2n): the coordinate planes, scored in x as the pool scores
     them, then the metric-eigenvector planes, the coordinate planes of x (C's
-    diagonal).  With them, per metric, the (k, p) unit bivectors in x of its
-    flat basis planes: those within delta of its lowest."""
+    diagonal).  With them the (T, k, n) unit bivectors in x of the
+    coordinate planes."""
     d = metrics[0].algebra.dim
     coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
     values, _, w, ww = _quotient_values((c, _incidence(d)), coords)
-    basis = np.concatenate([values, c.diagonal(axis1=1, axis2=2)], 1)
-    # in x the metric-eigenvector planes' unit bivectors are the unit vectors
-    eye = np.broadcast_to(np.eye(c.shape[1]), c.shape)
-    planes = np.concatenate([w / np.sqrt(ww)[:, None], eye], axis=2)
-    flat = basis <= basis.min(axis=1, keepdims=True) + delta[:, None]
-    return basis, [p[:, f] for p, f in zip(planes, flat)]
+    return np.concatenate([values, c.diagonal(axis1=1, axis2=2)], 1), w / np.sqrt(ww)[:, None]
 
 
 def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
@@ -695,17 +661,16 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     ``curvature_operator()`` C, in its orthonormal coordinates x =
     Lambda^1/2 V^T z, and a metric whose lowest coordinate or
     metric-eigenvector plane ``_closes`` on the bound of C is reported from
-    that plane, with no pool and no descent.  When the
-    budget is worth it, the metrics left whose basis planes hold none below
-    -floor run ``_certified_above`` together, lifted towards their lowest
-    basis planes from their flat ones (``_scored_basis``), and one proven
-    above -floor whose plane closes on its lifted bound is reported the
-    same way.  Every other metric draws and
-    scores its own pool, exactly as it would alone; then the best starts of
-    all of them descend together as one (T, 2, d, n) stack, and a certified
-    metric's descent may stop on a stall.  A metric's certificate and a
-    start's descent depend on that metric alone, so each report equals the
-    one its metric gets alone, byte for byte.
+    that plane, with no pool and no descent.  The metrics left whose basis
+    planes hold none below -floor run ``_certified_above`` together, at
+    every budget, lifted towards their lowest basis planes from their flat
+    ones (``_scored_basis``), and one whose lifted bound less its margin is
+    at or above -floor and whose plane closes on it is reported the same
+    way.  Every other metric draws and scores its own pool, exactly as it
+    would alone; then the best starts of all of them descend together as one
+    (T, 2, d, n) stack.  A metric's certificate and a start's descent depend
+    on that metric alone, so each report equals the one its metric gets
+    alone, byte for byte.
     """
     d = metrics[0].algebra.dim
 
@@ -729,7 +694,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     c = np.stack([m.curvature_operator() for m in metrics])
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
     inc = _incidence(d)
-    basis, flats = _scored_basis(metrics, c, delta)
+    basis, coords = _scored_basis(metrics, c)
     n = basis.shape[1] // 2
     low = basis.min(axis=1)
 
@@ -744,20 +709,20 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         return rep if rep.exact else None
 
     reports = [closed(k, lam0[k], delta[k]) for k in range(len(metrics))]
-    # a plane below -floor rules the certificate out; it runs where its stall
-    # stop could save more than it costs, and lifts the bound towards the
-    # lowest basis plane, so a metric that closes there draws no pool
-    floor = np.minimum(tol, _STALL_FLOOR * delta)
-    settled = np.zeros(len(metrics), dtype=bool)
-    worth = budget.restarts * (budget.iters - _STALL_STEPS) > _CERT_COST
-    hopeful = [k for k, rep in enumerate(reports) if rep is None and low[k] >= -floor[k] and worth]
+    # a basis plane below -floor rules the certificate out; it lifts the
+    # bound towards the lowest basis plane, so a metric that closes there
+    # draws no pool
+    floor = np.minimum(tol, _CERT_FLOOR * delta)
+    hopeful = [k for k, rep in enumerate(reports) if rep is None and low[k] >= -floor[k]]
     if hopeful:
         eigenvalues = np.stack([metrics[k].eigenvalues for k in hopeful])
-        settled[hopeful], bound, margin = _certified_above(
-            c[hopeful], eigenvalues, floor[hopeful], low[hopeful], [flats[k] for k in hopeful]
-        )
+        bound, margin = _certified_above(c[hopeful], lam0[hopeful], delta[hopeful], eigenvalues,
+                                         floor[hopeful], basis[hopeful], coords[hopeful])
         for k, lifted, dw in zip(hopeful, bound, margin):
-            reports[k] = closed(k, lifted, dw) if settled[k] else None
+            # only a bound that proves no plane below -floor closes (near the
+            # gate a looser one has closed a family member below -tol)
+            if lifted - dw >= -floor[k]:
+                reports[k] = closed(k, lifted, dw)
     search = [k for k, rep in enumerate(reports) if rep is None]
     if search:
         starts = []
@@ -767,8 +732,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
             pool = np.concatenate([raw.T, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)],
                                   axis=2)
             starts.append(_best_starts((c[k], inc), _to_orthonormal(m, pool), budget.restarts))
-        vals, best = _search((c[search], inc), np.concatenate(starts), budget.iters,
-                             delta[search], settled[search])
+        vals, best = _search((c[search], inc), np.concatenate(starts), budget.iters, delta[search])
         # each best frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
         back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in search])
         frames = _gram_schmidt(back[:, None] @ best[..., None])[..., 0]
@@ -797,25 +761,21 @@ def min_curvature(
     scored in x, attains the bound, that plane is reported with ``exact``
     true (min_value - lower_bound <= 2 delta), no pool is drawn, and the
     report does not depend on the seed.  Next, when no basis plane lies
-    below -floor, floor = min(tol, 1e-8 times C's norm), and the stall stop
-    could save more than 1000 restart-steps (restarts times iters - 29), a
-    Pluecker-quadric certificate lifts the bound towards the lowest basis
-    plane: first by one least-squares solve for the combination W of the
+    below -floor, floor = min(tol, 1e-8 times C's norm), a Pluecker-quadric
+    certificate lifts the bound towards the lowest basis plane, at every
+    budget: first by one least-squares solve for the combination W of the
     quadrics that the flat basis planes ask for, which settles torus family
     members, then, where that falls short, by log-barrier Newton steps from
-    W = 0.  If it proves that no plane lies below -floor and that plane
-    attains the lifted bound, the report is built from it the same way, with
-    ``lower_bound`` the lifted bound less its margin: quotient and torus
-    family members close so.  Otherwise, coarse stage: ``budget.samples``
-    random frames plus the coordinate and metric-eigenvector planes, each
-    orthonormalized in x and scored by the quotient of C.  The best
-    ``budget.restarts`` starts are refined together by exact-gradient
-    descent in x for at most ``budget.iters`` steps, and the same rule
-    decides ``exact``.  A metric the certificate proved above -floor is
-    NonnegativeWithinBudget whatever the descent finds, so its descent stops
-    once its best value has dropped by no more than delta over the last 29
-    steps.  A metric the certificate does not reach descends the whole
-    budget, so no verdict depends on the stop.  The reported witness is the
+    W = 0.  If the lifted bound less its margin proves that no plane lies
+    below -floor and that plane attains it, the report is built from it the
+    same way, with ``lower_bound`` the lifted bound less its margin:
+    quotient and torus family members close so, and whether a report is
+    ``exact`` depends on the metric, not on its seed or budget.  Otherwise,
+    coarse stage: ``budget.samples`` random frames plus the coordinate and
+    metric-eigenvector planes, each orthonormalized in x and scored by the
+    quotient of C.  The best ``budget.restarts`` starts are refined together
+    by exact-gradient descent in x for at most ``budget.iters`` steps, and
+    the same rule decides ``exact``.  The reported witness is the
     minimizing plane mapped back by z = V Lambda^-1/2 x and canonicalized,
     and ``min_value`` is the closed-form curvature re-evaluated on it, so a
     negative verdict is reproducible in isolation.  ``seed`` must be a
@@ -1084,9 +1044,8 @@ def path_scan_many(
     drawn, so the first refused time, path by path, raises HorizonExceeded
     naming it; then the times that close on their bound are reported, and
     the best starts of every other time of every path descend together as
-    one stack.  Each time's descent stops on its own certificate and best
-    value, as it would alone, so entries stay byte for byte those of
-    ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
+    one stack.  A start's descent depends on its own column alone, so
+    entries stay byte for byte those of ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
     one entry per path, each grid a 1-d sequence of real numbers and each
     seed a nonnegative integer, checked before any path is built
     (ValueError); a NaN time raises the path's HorizonExceeded.

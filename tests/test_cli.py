@@ -13,6 +13,8 @@ from liecurv import families
 from liecurv.cli import build_parser, main, parse_matrix
 from liecurv.verify import DEFAULT_TOL, Budget
 
+from test_verify import _certificate
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -43,14 +45,21 @@ def test_parse_matrix_forms(tmp_path):
 
 
 def test_check_family_exits_zero(capsys):
+    """A quotient member closes on the lifted Pluecker bound even at the
+    small budget: exact, with lower_bound <= min_value <= lower_bound + 2
+    delta for the margin delta of that bound."""
     code, payload = run_cli(
         capsys, "check", "--family", "s3-action", "--a", "1", "--b", "1",
         "--lambda", "1,1,1", "--seed", "7", *LIGHT,
     )
     assert code == 0
     assert payload["schema_version"] == 1
-    assert payload["results"][0]["verdict"] == "NonnegativeWithinBudget"
-    assert payload["results"][0]["exact"] is False
+    result = payload["results"][0]
+    assert result["verdict"] == "NonnegativeWithinBudget"
+    assert result["exact"] is True
+    phi = families.s3_action_phi(families.S3ActionParams(1.0, 1.0, (1.0, 1.0, 1.0)))
+    delta = _certificate(liecurv.LeftInvariantMetric(liecurv.so4(), phi))[2]
+    assert result["lower_bound"] <= result["min_value"] <= result["lower_bound"] + 2.0 * delta
 
 
 def test_check_negative_metric_exits_one(capsys):

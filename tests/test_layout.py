@@ -102,6 +102,9 @@ DELETED = [
     "variation.DerivativeReport",
     "variation.derivative_report",
     "variation._HORIZON_GUARD",
+    "verify._CERT_COST",
+    "verify._STALL_FLOOR",
+    "verify._STALL_STEPS",
     "verify._least_curved_plane_3d",
     "verify._unit_columns",
     "verify._whitened_operators",

@@ -49,7 +49,6 @@ from liecurv.suites import family_scan_cases
 from liecurv.variation import kappa_third_deriv_many
 from liecurv.verify import (
     DEFAULT_TOL,
-    _STALL_STEPS,
     _basis_planes,
     _certified_above,
     _descend,
@@ -426,7 +425,7 @@ def test_descend_reaches_smallest_eigenvalue():
 
     start = _unit_columns(rng.standard_normal((3, 1, 6, 16)))
     margin = 1e-12 * np.abs(np.linalg.eigvalsh(a)).max(axis=1)
-    val, x = _descend(evaluate, _unit_columns, start, 200, margin, np.zeros(3, dtype=bool))
+    val, x = _descend(evaluate, _unit_columns, start, 200, margin)
     # a has unit spectral norm; a stale gradient stalls at O(1) errors
     assert np.abs(val - np.linalg.eigvalsh(a)[:, :1]).max() < 1e-6
     assert np.allclose(evaluate(x)[0], val, rtol=0.0, atol=1e-15)
@@ -434,11 +433,10 @@ def test_descend_reaches_smallest_eigenvalue():
 
 def test_stacked_descent_matches_each_slice_bitwise(g4):
     """Descending T operators as one (T, 2, d, n) stack gives every row
-    bit for bit as descending its slice alone: the round and product slices,
-    certified nonnegative, stop on a stall, the slice of wide draw 1 of the
-    40-metric set stops when its restarts do, each at its own step, and their
-    rows stay frozen while the slice of near-round draw 0, still improving,
-    runs the whole budget."""
+    bit for bit as descending its slice alone: the slices of the round
+    metric and of wide draw 1 of the 40-metric set stop when their restarts
+    do, each at its own step, and their rows stay frozen while the product
+    slice and the slice of near-round draw 0 run the whole budget."""
     rng = np.random.default_rng(47)
     phis = [
         np.eye(6),
@@ -451,38 +449,33 @@ def test_stacked_descent_matches_each_slice_bitwise(g4):
     starts = _gram_schmidt(rng.standard_normal((len(phis), 2, 6, 16)))
     iters = 200
 
-    def descend(c, x, margin, settled):
+    def descend(c, x, margin):
         calls = []
 
         def evaluate(s):
             calls.append(1)
             return _quotient_value_and_gradient((c, inc), s)
 
-        return (*_descend(evaluate, _gram_schmidt, x, iters, margin, settled), len(calls))
+        return (*_descend(evaluate, _gram_schmidt, x, iters, margin), len(calls))
 
     c = np.stack([m.curvature_operator() for m in metrics])
     delta = _lower_bound(np.linalg.eigvalsh(c))[1]
-    eigenvalues = np.stack([m.eigenvalues for m in metrics])
-    floor = np.minimum(DEFAULT_TOL, 1e4 * delta)
-    flats = _scored_basis(metrics, c, delta)[1]
-    settled = _certified_above(c, eigenvalues, floor, -floor, flats)[0]
-    assert settled.tolist() == [True, False, True, False]
-    val, x, stacked_calls = descend(c, starts, delta, settled)
+    val, x, stacked_calls = descend(c, starts, delta)
     assert stacked_calls == iters + 1
     slice_calls = []
     for k in range(len(phis)):
         one = slice(k, k + 1)
-        vk, xk, calls = descend(c[one], starts[one], delta[one], settled[one])
+        vk, xk, calls = descend(c[one], starts[one], delta[one])
         assert np.array_equal(vk[0], val[k]) and np.array_equal(xk[0], x[k])
         slice_calls.append(calls)
-    assert slice_calls[-1] == iters + 1
-    assert len(set(slice_calls[:-1])) == 3 and max(slice_calls[:-1]) < iters + 1
+    assert slice_calls[2:] == [iters + 1] * 2
+    assert len(set(slice_calls[:2])) == 2 and max(slice_calls[:2]) < iters + 1
 
 
 def _unstopped_descend(evaluate, retract, x, iters):
-    """The plane descent without the stall stop, kept as its reference: every
-    start runs until its step falls below 1e-10, its gradient below an
-    absolute 1e-15, or ``iters`` steps have passed."""
+    """The plane descent with no stop scaled to the operator, kept as its
+    reference: every start runs until its step falls below 1e-10, its
+    gradient below an absolute 1e-15, or ``iters`` steps have passed."""
     x = np.ascontiguousarray(x)
     val, grad = evaluate(x)
     step = np.full(val.shape, 0.05)
@@ -506,7 +499,7 @@ def _unstopped_descend(evaluate, retract, x, iters):
 
 def _unstopped(m, seed):
     """``min_curvature`` of m at seed through ``_unstopped_descend``."""
-    def descend(evaluate, retract, x, iters, _margin, _settled):
+    def descend(evaluate, retract, x, iters, _margin):
         return _unstopped_descend(evaluate, retract, x, iters)
 
     with mock.patch.object(verify, "_descend", descend):
@@ -561,17 +554,18 @@ def _outside_quotient(rng):
 
 
 def _certificate(m, tol=DEFAULT_TOL):
-    """``_certified_above`` on m as ``min_curvature`` runs it: whether it
-    proves every plane above the stall floor min(tol, 1e4 delta), the bound
-    lambda_min(C + W) and its margin, lifted towards the lowest coordinate
-    or metric-eigenvector plane from the flat ones, and how many are flat."""
+    """``_certified_above`` on m as ``min_curvature`` runs it: whether its
+    lifted bound less its margin proves every plane above the certificate
+    floor min(tol, 1e4 delta), the bound lambda_min(C + W) and its margin,
+    lifted towards the lowest coordinate or metric-eigenvector plane from
+    the flat ones, and how many are flat."""
     c = m.curvature_operator()[None]
-    delta = _lower_bound(np.linalg.eigvalsh(c))[1]
-    basis, flats = _scored_basis([m], c, delta)
+    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    basis, coords = _scored_basis([m], c)
     floor = np.minimum(tol, 1e4 * delta)
-    low = basis.min(axis=1)
-    proven, bound, margin = _certified_above(c, m.eigenvalues[None], floor, low, flats)
-    return bool(proven[0]), float(bound[0]), float(margin[0]), flats[0].shape[1]
+    bound, margin = _certified_above(c, lam0, delta, m.eigenvalues[None], floor, basis, coords)
+    flats = np.count_nonzero(basis[0] <= basis[0].min() + delta[0])
+    return bool(bound[0] - margin[0] >= -floor[0]), float(bound[0]), float(margin[0]), flats
 
 
 def _newton_batches(call):
@@ -584,8 +578,8 @@ def _newton_batches(call):
 
 
 def _certified(m, tol=DEFAULT_TOL):
-    """Whether ``_certified_above`` proves every plane of m above the stall
-    floor min(tol, 1e4 delta) that ``min_curvature`` uses."""
+    """Whether ``_certified_above`` proves every plane of m above the
+    certificate floor min(tol, 1e4 delta) that ``min_curvature`` uses."""
     return _certificate(m, tol)[0]
 
 
@@ -605,16 +599,14 @@ def _descent_values(m, seed):
 
 
 @pytest.mark.parametrize("kind", ["quotient", "torus"])
-def test_family_descent_stops_within_stall_steps_of_its_last_drop(g4, kind):
+def test_certified_open_family_member_matches_the_unstopped_descent(g4, kind):
     """A family member plus symmetric noise of relative size 1e-9 to 1e-7 no
     longer attains its bound at a basis plane, but mostly still certifies
-    above the stall floor; such a metric's descent stops at the first step
-    whose best value has dropped by no more than delta over the last
-    ``_STALL_STEPS`` steps, long before the budget, and reports a minimum
-    above -floor."""
-    assert _STALL_STEPS == 29
+    above the certificate floor; such a metric does not close, and its
+    descent runs the whole budget, byte for byte as the reference descent
+    does, and reports a minimum above -floor."""
     rng = np.random.default_rng(61)
-    stopped = 0
+    certified = 0
     for seed in range(8):
         phi = _family_member(rng, kind)
         noise = random_symmetric(rng, 6)
@@ -623,18 +615,17 @@ def test_family_descent_stops_within_stall_steps_of_its_last_drop(g4, kind):
         if not _certified(m):
             continue
         rep, values = _descent_values(m, seed)
-        best, delta = np.minimum.accumulate(values), _delta(m)
-        steps = len(values) - 1
-        stalls = [i for i in range(_STALL_STEPS, steps + 1)
-                  if best[i - _STALL_STEPS] - best[i] <= delta]
-        assert steps == stalls[0] < Budget().iters
+        assert rep == _unstopped(m, seed)
+        assert len(values) == Budget().iters + 1
+        delta = _delta(m)
         assert not rep.exact and rep.min_value >= -min(DEFAULT_TOL, 1e4 * delta) - delta
-        stopped += 1
-    assert stopped >= 3
+        certified += 1
+    assert certified >= 3
 
 
 def test_improving_near_round_draw_runs_the_whole_budget(g4):
-    """Draw 0 of the 40-metric set keeps improving: no stall stops it."""
+    """Draw 0 of the 40-metric set keeps improving: its descent runs the
+    whole budget."""
     rep, values = _descent_values(LeftInvariantMetric(g4, _forty_metric_phis()[0]), 0)
     assert len(values) == Budget().iters + 1
     assert not rep.exact
@@ -674,9 +665,9 @@ def test_family_members_are_certified(g4, kind):
 )
 def test_quotients_just_outside_the_family_keep_their_negative_witness(g4, params, seed):
     """Two S^3-action quotients just outside the nonnegative range whose
-    pools' best planes are flat: the certificate refuses them, so the descent
-    runs as without the stall stop and reaches the negative minimum (a stall
-    stop that did not ask for a certificate reported 0.0 on both)."""
+    pools' best planes are flat: the certificate refuses them, and the
+    descent reaches the negative minimum of the reference descent (a stall
+    stop that did not ask for a certificate once reported 0.0 on both)."""
     m = LeftInvariantMetric(g4, s3_action_phi(params))
     assert not _certified(m)
     rep, ref = min_curvature(m, seed=seed), _unstopped(m, seed)
@@ -685,19 +676,24 @@ def test_quotients_just_outside_the_family_keep_their_negative_witness(g4, param
     assert abs(rep.min_value - ref.min_value) <= 1e-10 * _delta(m) / 1e-12
 
 
-def test_small_budget_skips_the_certificate(g4):
-    """At ``LIGHT`` (8 restarts, 60 steps) the stall stop could save at most
-    248 restart-steps, less than the certificate costs: a family member is
-    not certified and its report is the unstopped one, byte for byte."""
-    m = LeftInvariantMetric(g4, _family_member(np.random.default_rng(79), "quotient"))
-    with mock.patch.object(verify, "_certified_above", mock.Mock(side_effect=AssertionError)):
-        rep = min_curvature(m, LIGHT, seed=3)
-
-    def descend(evaluate, retract, x, iters, _margin, _settled):
-        return _unstopped_descend(evaluate, retract, x, iters)
-
-    with mock.patch.object(verify, "_descend", descend):
-        assert min_curvature(m, LIGHT, seed=3) == rep
+def test_certificate_closes_at_every_budget(g4):
+    """A quotient member, a torus member and a torus path time close on the
+    lifted bound at ``Budget(1, 1, 1)``, at ``LIGHT`` and at the default
+    budget, drawing no random number, and their reports agree but for the
+    recorded budget: whether a report is exact does not depend on it."""
+    rng = np.random.default_rng(79)
+    quotient = _family_member(rng, "quotient")
+    torus = _family_member(rng, "torus")
+    path = InverseLinearPath(g4, family_scan_cases(rng, "torus")[0])
+    for m in (LeftInvariantMetric(g4, quotient), LeftInvariantMetric(g4, torus), path.metric_at(0.5)):
+        reports = []
+        with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
+            for budget in (Budget(1, 1, 1), LIGHT, Budget()):
+                rep = min_curvature(m, budget, seed=3).to_dict()
+                assert rep.pop("samples") == budget.samples
+                assert rep.pop("restarts") == budget.restarts
+                reports.append(rep)
+        assert reports[0]["exact"] and reports[0] == reports[1] == reports[2]
 
 
 def test_cli_keeps_the_negative_witness_just_outside_the_family(capsys):
@@ -806,11 +802,11 @@ def test_descent_is_scale_free(k, exponent):
 @given(kind=st.sampled_from(["near-round", "wide", "log-uniform", "quotient", "torus", "outside"]),
        seed=st.integers(0, 2**31 - 1))
 def test_stall_stop_keeps_the_unstopped_verdict(kind, seed):
-    """Against the descent without the stall stop, on random so(4) metrics,
-    on family members under automorphisms and on S^3-action quotients with
-    a general lambda (mostly just outside the family): the same verdict,
-    and a minimum within 1e-10 ||C||_2.  A certified metric has no plane
-    below the stall floor."""
+    """Against the reference descent ``_unstopped_descend``, on random so(4)
+    metrics, on family members under automorphisms and on S^3-action
+    quotients with a general lambda (mostly just outside the family): the
+    same verdict, and a minimum within 1e-10 ||C||_2.  A certified metric
+    has no plane below the certificate floor."""
     rng = np.random.default_rng(seed)
     if kind in ("quotient", "torus"):
         phi = _family_member(rng, kind)
@@ -995,10 +991,11 @@ def test_closed_reports_attain_the_bound(kind, seed):
     assert other == {k: v for k, v in rep.to_dict().items() if k != "seed"}
 
 
-def test_product_path_times_close_and_torus_times_stay_open(g4):
-    """One ``path_scan_many`` over a product path, whose times close, and a
-    torus path, whose times do not: every entry still equals
-    ``min_curvature`` on its metric at its derived seed."""
+def test_product_and_torus_path_times_close(g4):
+    """One ``path_scan_many`` at ``LIGHT`` over a product path, whose times
+    close on the bound of C, and a torus path, whose times close on the
+    lifted bound: every entry equals ``min_curvature`` on its metric at its
+    derived seed."""
     rng = np.random.default_rng(52)
     cases = [family_scan_cases(rng, kind) for kind in ("product", "torus")]
     grid = [0.25, 0.5, 0.75]
@@ -1009,8 +1006,7 @@ def test_product_path_times_close_and_torus_times_stay_open(g4):
             alone = min_curvature(path.metric_at(t), budget=LIGHT, seed=derived_seed(seed, i))
             assert rep.to_dict() == replace(alone, t=t).to_dict()
             assert rep.lower_bound <= rep.min_value
-    assert [rep.exact for rep in scans[0]] == [True] * 3
-    assert [rep.exact for rep in scans[1]] == [False] * 3
+    assert [rep.exact for rep in scans[0] + scans[1]] == [True] * 6
     # a product path stays a product of so(3) metrics: its times close on
     # the least of 0 and the factors' minima, whatever the seed
     path = InverseLinearPath(g4, cases[0][0])
