@@ -30,10 +30,13 @@ that bound towards the lowest basis plane.  It first solves for W: where C
 + W - t I is semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W -
 t I)w = 0, so at t the lowest basis value each flat basis plane (one within
 delta of the lowest) gives linear equations in W, and one least-squares
-solve per metric takes W from them.  A torus family member, whose five flat
-basis planes fix W, is done there; a metric not done there lifts the bound
-from W = 0 by a log-barrier Newton method.  When the lifted bound less its
-margin is at or above -floor and the plane attains it by the same rule
+solve per metric takes W from them.  When they leave W free, the flat
+planes e_a ^ u inside phi's repeated eigenspaces, which eigh's arbitrary
+basis of an eigenspace misses, join them for one more solve.  Torus family
+members (five flat basis planes) and S^3-action quotients (these partner
+planes) are done there; a metric not done there lifts the bound from W = 0
+by a log-barrier Newton method.  When the lifted bound less its margin
+is at or above -floor and the plane attains it by the same rule
 (delta now the margin of C + W), the plane is the witness, ``lower_bound``
 is lambda_min(C + W) - delta, and again no pool is drawn: quotient and
 torus family members, whose lowest basis plane is flat, close this way, and
@@ -460,6 +463,53 @@ def _plucker_forms(d: int) -> np.ndarray:
     return forms
 
 
+@functools.lru_cache(maxsize=None)
+def _partner_blocks(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """For metric eigenvalues in consecutive clusters of the given sizes,
+    one (n, s) table per cluster size s >= 2: row (a, E) holds the bivector
+    coordinates of e_a ^ e_r for r in E, over every cluster E of size s
+    and every index a before it."""
+    i, j = wedge_pairs(sum(sizes))
+    pos = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
+    tables: dict[int, list] = {}
+    start = 0
+    for s in sizes:
+        if s > 1 and start:
+            tables.setdefault(s, []).extend([pos[a, r] for r in range(start, start + s)]
+                                            for a in range(start))
+        start += s
+    out = tuple(np.array(rows) for _, rows in sorted(tables.items()))
+    for table in out:
+        table.setflags(write=False)
+    return out
+
+
+def _partner_planes(c: np.ndarray, eigenvalues: np.ndarray, top: float) -> np.ndarray:
+    """The (k, n) unit bivectors e_a ^ u of the (k, k) operator c with
+    quotient at most top, for each metric eigenvector e_a and each later
+    cluster E of equal metric eigenvalues: u runs over the eigenvectors of
+    C's block on {e_a ^ e_r : r in E}.  eigh's basis of E is arbitrary, so a
+    flat plane e_a ^ u lies in no basis plane, but it is one of these."""
+    sizes = tuple(map(len, np.split(eigenvalues, _cluster_cuts(eigenvalues))))
+    planes = [np.zeros((len(c), 0))]
+    for table in _partner_blocks(sizes):
+        val, vec = np.linalg.eigh(c[table[:, :, None], table[:, None, :]])
+        block, col = np.nonzero(val <= top)
+        w = np.zeros((len(c), len(block)))
+        w[table[block], np.arange(len(block))[:, None]] = vec[block, :, col]
+        planes.append(w)
+    return np.concatenate(planes, axis=1)
+
+
+def _plucker_weights(forms: np.ndarray, c: np.ndarray, t: float, w: np.ndarray):
+    """The least-squares weights y of the (q, k, k) quadrics ``forms`` with
+    sum_a y_a K_a w = (t I - c) w for each column w of the (k, n) planes w,
+    one block of k equations each, and the rank of that system."""
+    lhs = (forms @ w).transpose(2, 1, 0).reshape(-1, len(forms))
+    y, _, rank, _ = np.linalg.lstsq(lhs, (t * w - c @ w).T.reshape(-1), rcond=None)
+    return y, rank
+
+
 def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenvalues: np.ndarray,
                      floor: np.ndarray, basis: np.ndarray, coords: np.ndarray):
     """The Pluecker certificate of the (T, k, k) plane operators c, whose
@@ -483,8 +533,14 @@ def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenva
     (C + W - t I)w = 0.  So at t = target each flat basis plane w (one
     within delta of the target) gives k linear equations in the weights of
     W, and each row not yet done first takes W from them by least squares,
-    one row at a time; it is done if that bound is proven and reaches its
-    target (a torus family member, whose flat planes fix W).  Every other
+    one row at a time.  Where those equations leave W free (their rank is
+    below the number of quadrics), the row adds its ``_partner_planes``
+    within delta of the target, the flat planes inside phi's repeated
+    eigenspaces that eigh's basis misses, and solves once more.  A row is
+    done if that bound is proven and reaches its target: torus family
+    members, whose flat basis planes fix W, and S^3-action quotients, whose
+    partner planes do.  Any W gives a valid bound, so the choice of planes
+    decides only how high it reaches.  Every other
     row runs a log-barrier Newton method from W = 0, which maximizes t over
     (W, t) with C + W - t I positive definite: it maximizes t/mu + log
     det(C + W - t I) by Newton steps with an exact line search inside the
@@ -504,10 +560,12 @@ def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenva
     live = bound + margin < target
     for r in np.flatnonzero(live):
         # in x the metric-eigenvector planes' unit bivectors are the unit vectors
-        w = np.concatenate([coords[r], np.eye(k)], axis=1)[:, basis[r] <= target[r] + delta[r]]
-        # sum_a y_a K_a w = (t I - C) w for every flat w, one block of k rows each
-        lhs = (forms[r] @ w).transpose(2, 1, 0).reshape(-1, len(forms[r]))
-        y = np.linalg.lstsq(lhs, (target[r] * w - c[r] @ w).T.reshape(-1), rcond=None)[0]
+        top = target[r] + delta[r]
+        w = np.concatenate([coords[r], np.eye(k)], axis=1)[:, basis[r] <= top]
+        y, rank = _plucker_weights(forms[r], c[r], target[r], w)
+        if rank < len(forms[r]):
+            w = np.concatenate([w, _partner_planes(c[r], eigenvalues[r], top)], axis=1)
+            y = _plucker_weights(forms[r], c[r], target[r], w)[0]
         lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + np.tensordot(y, forms[r], 1)))
         if lw0 + dw >= target[r] and lw0 - dw >= -floor[r]:
             bound[r], margin[r], live[r] = lw0, dw, False
@@ -664,13 +722,14 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     that plane, with no pool and no descent.  The metrics left whose basis
     planes hold none below -floor run ``_certified_above`` together, at
     every budget, lifted towards their lowest basis planes from their flat
-    ones (``_scored_basis``), and one whose lifted bound less its margin is
-    at or above -floor and whose plane closes on it is reported the same
-    way.  Every other metric draws and scores its own pool, exactly as it
-    would alone; then the best starts of all of them descend together as one
-    (T, 2, d, n) stack.  A metric's certificate and a start's descent depend
-    on that metric alone, so each report equals the one its metric gets
-    alone, byte for byte.
+    ones (``_scored_basis``) and, where those leave W free, from the flat
+    planes inside phi's repeated eigenspaces (``_partner_planes``), and one
+    whose lifted bound less its margin is at or above -floor and whose
+    plane closes on it is reported the same way.  Every other metric draws
+    and scores its own pool, exactly as it would alone; then the best starts
+    of all of them descend together as one (T, 2, d, n) stack.  A metric's
+    certificate and a start's descent depend on that metric alone, so each
+    report equals the one its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
 
@@ -764,13 +823,15 @@ def min_curvature(
     below -floor, floor = min(tol, 1e-8 times C's norm), a Pluecker-quadric
     certificate lifts the bound towards the lowest basis plane, at every
     budget: first by one least-squares solve for the combination W of the
-    quadrics that the flat basis planes ask for, which settles torus family
-    members, then, where that falls short, by log-barrier Newton steps from
-    W = 0.  If the lifted bound less its margin proves that no plane lies
-    below -floor and that plane attains it, the report is built from it the
-    same way, with ``lower_bound`` the lifted bound less its margin:
-    quotient and torus family members close so, and whether a report is
-    ``exact`` depends on the metric, not on its seed or budget.  Otherwise,
+    quadrics that the flat basis planes ask for, and, where those leave W
+    free, the flat planes inside phi's repeated eigenspaces too, which
+    settles torus and S^3-action quotient family members, then, where that
+    falls short, by log-barrier Newton steps from W = 0.  If the lifted
+    bound less its margin proves that no plane lies below -floor and that
+    plane attains it, the report is built from it the same way, with
+    ``lower_bound`` the lifted bound less its margin: quotient and torus
+    family members close so, and whether a report is ``exact`` depends on
+    the metric, not on its seed or budget.  Otherwise,
     coarse stage: ``budget.samples`` random frames plus the coordinate and
     metric-eigenvector planes, each orthonormalized in x and scored by the
     quotient of C.  The best ``budget.restarts`` starts are refined together
@@ -937,6 +998,14 @@ class EigenStructure:
         return self.eigenspaces[0]
 
 
+def _cluster_cuts(w: np.ndarray) -> np.ndarray:
+    """Where a new cluster of equal eigenvalues starts in the ascending w:
+    at each gap above 1e-8 of the largest absolute eigenvalue, so a zero
+    map is one cluster."""
+    scale = max(np.abs(w).max(), 1e-300)
+    return np.nonzero(np.diff(w) > 1e-8 * scale)[0] + 1
+
+
 def eigenstructure(psi) -> EigenStructure:
     """Symmetric eigendecomposition with eigenvalues merged at relative gaps
     below 1e-8.
@@ -946,8 +1015,7 @@ def eigenstructure(psi) -> EigenStructure:
     symmetric (ValueError).
     """
     w, v = np.linalg.eigh(symmetric_matrix(psi, "psi"))
-    scale = max(np.abs(w).max(), 1e-300)
-    cuts = np.nonzero(np.diff(w) > 1e-8 * scale)[0] + 1
+    cuts = _cluster_cuts(w)
     return EigenStructure(
         eigenvalues=np.array([float(c.mean()) for c in np.split(w, cuts)]),
         eigenspaces=[b.copy() for b in np.split(v, cuts, axis=1)],

@@ -712,21 +712,20 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     lower_bound is that bound less its margin delta, lower_bound <= min_value
     <= lower_bound + 2 delta and |min_value| <= delta, no random number is
     drawn, two seeds give the same report but for ``seed``, and no sampled
-    plane lies below lower_bound.  A torus member's five flat basis planes
-    fix W (a near-flat one has more), so it closes on the least-squares
-    solve with no Newton step; a quotient member with one flat basis plane
-    runs the barrier (one in some 40 draws has three, whose equations fix W
-    as well)."""
+    plane lies below lower_bound.  Both close on the least-squares solve
+    with no Newton step: a torus member's five flat basis planes fix W (a
+    near-flat one has more); a quotient member's flat basis planes (one, or
+    in some 40 draws three) do not, and its partner planes inside phi's
+    repeated eigenspaces do."""
     rng = np.random.default_rng(seed)
     m = LeftInvariantMetric(so4(), _family_member(rng, kind))
     proven, bound, delta, flats = _certificate(m)
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
         rep, steps = _newton_batches(lambda: min_curvature(m, seed=0))
         other = min_curvature(m, seed=12345).to_dict()
+    assert not steps
     if kind == "torus":
-        assert flats >= 5 and not steps
-    elif flats == 1:
-        assert steps
+        assert flats >= 5
     assert proven and rep.exact
     assert rep.lower_bound == bound - delta
     assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta
@@ -735,6 +734,47 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     assert other == {k: v for k, v in rep.to_dict().items() if k != "seed"}
     z = rng.standard_normal((2, 2000, 6))
     assert normalized_curvature_many(m, z[0], z[1]).min() >= rep.lower_bound
+
+
+def test_quotient_members_close_with_no_newton_step(g4):
+    """200 quotient members all close exactly on the least-squares solve:
+    no Newton step of the barrier is taken."""
+    rng = np.random.default_rng(97)
+    metrics = [LeftInvariantMetric(g4, _family_member(rng, "quotient")) for _ in range(200)]
+    reports, steps = _newton_batches(lambda: [min_curvature(m, seed=0) for m in metrics])
+    assert not steps
+    assert all(rep.exact and rep.verdict == VERDICT_NONNEGATIVE for rep in reports)
+
+
+def test_quotient_closes_whatever_basis_eigh_picks(g4):
+    """The route does not depend on eigh's basis of phi's repeated
+    eigenspaces: with the eigenvectors turned by a random orthogonal matrix
+    inside each repeated cluster before C is built, a quotient member still
+    closes exactly on the least-squares solve."""
+    rng = np.random.default_rng(101)
+    for _ in range(6):
+        phi = _family_member(rng, "quotient")
+        for _ in range(4):
+            m = LeftInvariantMetric(g4, phi)
+            v = m.eigenvectors.copy()
+            for cols in np.split(np.arange(6), verify._cluster_cuts(m.eigenvalues)):
+                if len(cols) > 1:
+                    v[:, cols] = v[:, cols] @ np.linalg.qr(rng.standard_normal((len(cols),) * 2))[0]
+            m.eigenvectors = v
+            rep, steps = _newton_batches(lambda: min_curvature(m, seed=0))
+            assert not steps and rep.exact
+            assert rep.lower_bound <= rep.min_value and abs(rep.min_value) <= 2.0 * _delta(m)
+
+
+def test_torus_members_build_no_partner_planes(g4):
+    """The flat basis planes of torus members and torus path times already
+    fix W, so the certificate never looks inside an eigenspace for more."""
+    rng = np.random.default_rng(103)
+    metrics = [LeftInvariantMetric(g4, _family_member(rng, "torus")) for _ in range(20)]
+    path = InverseLinearPath(g4, family_scan_cases(rng, "torus")[0])
+    metrics += [path.metric_at(t) for t in (0.25, 0.5, 0.75, 1.0)]
+    with mock.patch.object(verify, "_partner_planes", side_effect=AssertionError):
+        assert all(min_curvature(m, seed=0).exact for m in metrics)
 
 
 def test_quotients_just_outside_the_family_never_close(g4, capsys):
