@@ -30,15 +30,15 @@ from .families import (
     ProductParams,
     S3ActionParams,
     TorusParams,
-    barred_params,
     inverse_linear_eigs_s3,
     invariant_abelian_residual,
+    invariant_abelian_residual_many,
     product_invariant_planes,
     product_phi,
     s3_action_invariant_planes,
     s3_action_path_residual,
+    s3_action_path_residual_many,
     s3_action_phi,
-    s3_action_phi_at_time,
     s3_action_psi,
     s3_quotient_eigenvalues,
     torus_invariant_planes,

@@ -31,6 +31,7 @@ __all__ = [
     "factor_subalgebra",
     "diagonal_subalgebra",
     "symmetric_matrix",
+    "symmetric_matrices",
 ]
 
 _STRUCTURE_TOL = 1e-12
@@ -40,7 +41,8 @@ _SYMMETRY_TOL = 1e-12
 
 
 def symmetric_matrix(m, name: str, dim: int | None = None) -> np.ndarray:
-    """Validated symmetric float copy of a square matrix (dim x dim if given).
+    """Validated symmetric float copy of a square matrix (dim x dim if given):
+    the one-matrix case of ``symmetric_matrices``.
 
     Raises DimensionMismatch for a wrong shape, and ValueError for
     non-finite entries or an asymmetry beyond 1e-12 relative to the largest
@@ -50,11 +52,33 @@ def symmetric_matrix(m, name: str, dim: int | None = None) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
         want = "square" if dim is None else f"{dim}x{dim}"
         raise DimensionMismatch(f"{name} must be {want}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has non-finite entries")
-    if np.abs(m - m.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(m).max()):
-        raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (m + m.T)
+    return _symmetrized(m[None], lambda n: name)[0]
+
+
+def symmetric_matrices(ms, name: str, dim: int | None = None) -> np.ndarray:
+    """Validated symmetric float copy of an (n, d, d) stack (d = dim if
+    given), each matrix checked and symmetrized by ``symmetric_matrix``'s
+    rule, so row n is bitwise ``symmetric_matrix(ms[n], ...)``.  The first
+    matrix that fails is named ``name[n]``.
+    """
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2] or dim not in (None, ms.shape[1]):
+        want = "square" if dim is None else f"{dim}x{dim}"
+        raise DimensionMismatch(f"{name} must be a stack of {want} matrices, got {ms.shape}")
+    return _symmetrized(ms, lambda n: f"{name}[{n}]")
+
+
+def _symmetrized(ms: np.ndarray, label) -> np.ndarray:
+    """The rule of ``symmetric_matrices`` on an (n, d, d) stack; ``label(n)``
+    names matrix n in an error."""
+    if not np.isfinite(ms).all():
+        finite = np.isfinite(ms).all(axis=(1, 2))
+        raise ValueError(f"{label(np.argmin(finite))} has non-finite entries")
+    asym = np.abs(ms - ms.transpose(0, 2, 1)).max(axis=(1, 2))
+    skew = asym > _SYMMETRY_TOL * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))
+    if skew.any():
+        raise ValueError(f"{label(np.argmax(skew))} is not symmetric")
+    return 0.5 * (ms + ms.transpose(0, 2, 1))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

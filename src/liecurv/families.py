@@ -41,13 +41,13 @@ __all__ = [
     "torus_psi",
     "s3_action_phi",
     "s3_action_psi",
-    "barred_params",
-    "s3_action_phi_at_time",
     "s3_action_path_residual",
+    "s3_action_path_residual_many",
     "product_invariant_planes",
     "torus_invariant_planes",
     "s3_action_invariant_planes",
     "invariant_abelian_residual",
+    "invariant_abelian_residual_many",
 ]
 
 _BOUND_MARGIN = 1e-12
@@ -228,15 +228,17 @@ def inverse_linear_eigs_s3(alpha: float, lam, t: float) -> np.ndarray:
     return lam / denom
 
 
-def _s3_blocks(a: float, b: float, t_vals: np.ndarray) -> np.ndarray:
-    """6x6 block matrix over the planes V_i = span{A_i, B_i}."""
-    m = np.zeros((6, 6))
-    for i in range(3):
-        ti = t_vals[i]
-        ia, ib = i, i + 3
-        m[ia, ia] = a * (b + a * ti) / (a + b)
-        m[ib, ib] = b * (a + b * ti) / (a + b)
-        m[ia, ib] = m[ib, ia] = a * b * (ti - 1.0) / (a + b)
+def _s3_blocks(a, b, t_vals) -> np.ndarray:
+    """Block matrices over the planes V_i = span{A_i, B_i}: one 6x6 matrix
+    per row of t_vals (shape (..., 3)), with a and b of shape (...)."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    t_vals = np.asarray(t_vals, dtype=float)
+    m = np.zeros(t_vals.shape[:-1] + (6, 6))
+    i = np.arange(3)
+    m[..., i, i] = a * (b + a * t_vals) / (a + b)
+    m[..., i + 3, i + 3] = b * (a + b * t_vals) / (a + b)
+    m[..., i, i + 3] = m[..., i + 3, i] = a * b * (t_vals - 1.0) / (a + b)
     return m
 
 
@@ -259,64 +261,99 @@ def s3_action_psi(alpha: float, beta: float, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3,) or lam.min() <= 0.0:
         raise FamilyConstraintViolated("lam must be three positive reals")
-    m = np.zeros((6, 6))
-    for i in range(3):
-        s = 1.0 / (2.0 * lam[i])
-        ia, ib = i, i + 3
-        m[ia, ia] = alpha - s
-        m[ib, ib] = beta - s
-        m[ia, ib] = m[ib, ia] = -s
+    return _s3_psis(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float), lam)
+
+
+def _s3_psis(alpha, beta, lam) -> np.ndarray:
+    """``s3_action_psi`` of each row, unvalidated: alpha and beta of shape
+    (...) and lam of shape (..., 3)."""
+    s = 1.0 / (2.0 * lam)
+    m = np.zeros(lam.shape[:-1] + (6, 6))
+    i = np.arange(3)
+    m[..., i, i] = alpha[..., None] - s
+    m[..., i + 3, i + 3] = beta[..., None] - s
+    m[..., i, i + 3] = m[..., i + 3, i] = -s
     return m
 
 
-def barred_params(alpha: float, beta: float, lam, t: float) -> S3ActionParams:
-    """Family parameters that the inverse-linear path hits at time t.
+def _finite_rows(name: str, value, shape) -> np.ndarray:
+    """A float array of the given shape (DimensionMismatch) with finite
+    entries (ValueError), both errors naming the argument."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {value.shape}")
+    _require_finite(**{name: value})
+    return value
 
-    Returns (a_bar, b_bar, lam_bar) with a_bar = 1/(1 - alpha t),
-    b_bar = 1/(1 - beta t) and lam_bar the harmonic-type rescaling of lam;
-    lam_bar is always a positive multiple of lam.  The metric at time t is
-    recovered by ``s3_action_phi_at_time``, which feeds lam_bar / t through
-    the block formula.
 
-    Raises:
-        HorizonExceeded: if 1 - alpha t or 1 - beta t is nonpositive.
+def _barred(alphas, betas, lams, ts):
+    """The family parameters (a, b, lam) that the inverse-linear path hits
+    at each row's time: a = 1/u, b = 1/v and lam rescaled to
+    2 lam u v / (u + v), a positive multiple of lam, with u = 1 - alpha t
+    and v = 1 - beta t.  HorizonExceeded names the first row whose u or v
+    is nonpositive, and FamilyConstraintViolated the first whose parameters
+    are not finite and positive."""
+    u = 1.0 - alphas * ts
+    v = 1.0 - betas * ts
+    bad = np.flatnonzero((u <= 0.0) | (v <= 0.0))
+    if len(bad):
+        k = bad[0]
+        raise HorizonExceeded(f"1-alpha*t={u[k]:.3e}, 1-beta*t={v[k]:.3e} at t={ts[k]}")
+    a, b = 1.0 / u, 1.0 / v
+    lam_bar = 2.0 * lams * u[:, None] * v[:, None] / (u + v)[:, None]
+    params = np.column_stack([a, b, lam_bar])
+    bad = np.flatnonzero(~(np.isfinite(params) & (params > 0.0)).all(axis=1))
+    if len(bad):
+        raise FamilyConstraintViolated(
+            f"barred parameters {params[bad[0]]} at t={ts[bad[0]]} are not finite and positive"
+        )
+    return a, b, lam_bar
+
+
+def s3_action_path_residual_many(alphas, betas, lams, ts) -> np.ndarray:
+    """Max-norm gap between (I - t psi)^{-1} and the barred family metric,
+    one row per (alphas[n], betas[n], lams[n], ts[n]).
+
+    Zero (to roundoff) for every admissible row; this is the identity that
+    keeps the inverse-linear path inside the family.  The path at time t is
+    the family metric of the barred parameters with the right-invariant
+    factor scaled by 1/t, whose mixing weights are lam / (t + lam).
+
+    ts, alphas and betas are (n,) and lams (n, 3).  Each is checked for
+    shape (DimensionMismatch) and finiteness (ValueError naming it) before
+    any work, and lams for positivity (FamilyConstraintViolated).  Then
+    HorizonExceeded names the first row's time with t <= 0, then with
+    I - t psi not positive definite, then with 1 - alpha t or 1 - beta t
+    nonpositive.  Each row is computed on its own, so row n is bitwise the
+    one-row call.
     """
-    lam = np.asarray(lam, dtype=float)
-    u = 1.0 - alpha * t
-    v = 1.0 - beta * t
-    if u <= 0.0 or v <= 0.0:
-        raise HorizonExceeded(f"1-alpha*t={u:.3e}, 1-beta*t={v:.3e} at t={t}")
-    lam_bar = 2.0 * lam * u * v / (u + v)
-    return S3ActionParams(a=1.0 / u, b=1.0 / v, lam=lam_bar)
-
-
-def s3_action_phi_at_time(p: S3ActionParams, t: float) -> np.ndarray:
-    """Family metric with the right-invariant factor scaled by 1/t.
-
-    Scaling that factor replaces each lambda_i by lambda_i / t, so the
-    mixing weights become lambda_i / (t + lambda_i).  At t=1 this is just
-    ``s3_action_phi(p)``.
-    """
-    _require_finite(t=t)
-    if t <= 0.0:
-        raise HorizonExceeded("t must be positive")
-    return _s3_blocks(p.a, p.b, p.lam / (t + p.lam))
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise DimensionMismatch(f"t must be a 1-d sequence, got shape {ts.shape}")
+    alphas = _finite_rows("alpha", alphas, ts.shape)
+    betas = _finite_rows("beta", betas, ts.shape)
+    lams = _finite_rows("lam", lams, ts.shape + (3,))
+    ts = _finite_rows("t", ts, ts.shape)
+    if (lams <= 0.0).any():
+        raise FamilyConstraintViolated("lam must be three positive reals")
+    early = np.flatnonzero(ts <= 0.0)
+    if len(early):
+        raise HorizonExceeded(f"t must be positive, got t={ts[early[0]]}")
+    m = np.eye(6) - ts[:, None, None] * _s3_psis(alphas, betas, lams)
+    singular = np.flatnonzero(np.linalg.eigvalsh(m).min(axis=1) <= 0.0)
+    if len(singular):
+        raise HorizonExceeded(f"I - t psi not positive definite at t={ts[singular[0]]}")
+    a, b, lam_bar = _barred(alphas, betas, lams, ts)
+    rhs = _s3_blocks(a, b, lam_bar / (ts[:, None] + lam_bar))
+    return np.abs(np.linalg.inv(m) - rhs).max(axis=(1, 2))
 
 
 def s3_action_path_residual(alpha: float, beta: float, lam, t: float) -> float:
-    """Max-norm gap between (I - t psi)^{-1} and the barred family metric.
-
-    Zero (to roundoff) for every admissible (alpha, beta, lam, t); this is
-    the identity that keeps the inverse-linear path inside the family.
-    """
-    psi = s3_action_psi(alpha, beta, lam)
-    m = np.eye(6) - t * psi
-    w = np.linalg.eigvalsh(m)
-    if w.min() <= 0.0:
-        raise HorizonExceeded(f"I - t psi not positive definite at t={t}")
-    lhs = np.linalg.inv(m)
-    rhs = s3_action_phi_at_time(barred_params(alpha, beta, lam, t), t)
-    return float(np.abs(lhs - rhs).max())
+    """Max-norm gap between (I - t psi)^{-1} and the barred family metric:
+    the validated one-row case of ``s3_action_path_residual_many``, so
+    alpha, beta and t must be finite reals and lam three finite positive
+    reals."""
+    return float(s3_action_path_residual_many([alpha], [beta], [lam], [t])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,21 +404,57 @@ def s3_action_invariant_planes() -> np.ndarray:
     return np.stack(planes)
 
 
-def invariant_abelian_residual(g, phi: np.ndarray, planes: np.ndarray) -> float:
-    """Largest violation among: each plane abelian, planes mutually
-    orthogonal, and phi mapping each plane into itself.
+def invariant_abelian_residual_many(g, phis, planes) -> np.ndarray:
+    """For each row n, the largest violation among: each plane of planes[n]
+    abelian with orthonormal columns, the planes mutually orthogonal, and
+    phis[n] mapping each plane into itself.
 
-    ``planes`` has shape (3, dim, 2) with orthonormal columns.
+    phis is an (n, dim, dim) stack and planes an (n, k, dim, 2) stack.  A
+    wrong shape raises DimensionMismatch and a non-finite entry ValueError,
+    each naming the argument, before any work.  Every product is taken
+    matrix by matrix, so row n is bitwise the one-row call.
+    """
+    d = g.dim
+    phis = np.asarray(phis, dtype=float)
+    planes = np.asarray(planes, dtype=float)
+    if phis.ndim != 3 or phis.shape[1:] != (d, d):
+        raise DimensionMismatch(f"phis must be an (n, {d}, {d}) stack, got shape {phis.shape}")
+    if planes.ndim != 4 or planes.shape[2:] != (d, 2) or len(planes) != len(phis):
+        raise DimensionMismatch(
+            f"planes must be an ({len(phis)}, k, {d}, 2) stack, got shape {planes.shape}"
+        )
+    for name, value in (("phis", phis), ("planes", planes)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} has non-finite entries")
+    n, k = planes.shape[:2]
+    qt = np.swapaxes(planes, -1, -2)
+    gram = qt[:, :, None] @ planes[:, None]  # block (i, j) is q_i^T q_j
+    i, j = np.triu_indices(k, 1)
+    lie = g.bracket_many(planes[..., 0].reshape(-1, d), planes[..., 1].reshape(-1, d))
+    # a batched (1, d) @ (d, 1) product takes the dot routine of np.linalg.norm
+    lie_norm = np.sqrt(np.matmul(lie[:, None, :], lie[:, :, None]))
+    img = phis[:, None] @ planes
+    violations = (
+        np.abs(gram[:, np.arange(k), np.arange(k)] - np.eye(2)),
+        lie_norm.reshape(n, k),
+        np.abs(img - planes @ (qt @ img)),
+        np.abs(gram[:, i, j]),
+    )
+    return np.max([v.max(axis=tuple(range(1, v.ndim)), initial=0.0) for v in violations], axis=0)
+
+
+def invariant_abelian_residual(g, phi, planes) -> float:
+    """Largest violation among: each plane abelian, planes mutually
+    orthogonal, and phi mapping each plane into itself: the one-row case of
+    ``invariant_abelian_residual_many``.
+
+    ``planes`` has shape (k, dim, 2) with orthonormal columns; phi and
+    planes are validated as in the row kernel.
     """
     phi = np.asarray(phi, dtype=float)
-    worst = 0.0
-    for i in range(len(planes)):
-        q = planes[i]
-        worst = max(worst, np.abs(q.T @ q - np.eye(2)).max())
-        worst = max(worst, float(np.linalg.norm(g.bracket(q[:, 0], q[:, 1]))))
-        img = phi @ q
-        resid = img - q @ (q.T @ img)
-        worst = max(worst, np.abs(resid).max())
-        for j in range(i + 1, len(planes)):
-            worst = max(worst, np.abs(q.T @ planes[j]).max())
-    return worst
+    planes = np.asarray(planes, dtype=float)
+    if phi.ndim != 2:
+        raise DimensionMismatch(f"phi must be a matrix, got shape {phi.shape}")
+    if planes.ndim != 3:
+        raise DimensionMismatch(f"planes must be a (k, dim, 2) stack, got shape {planes.shape}")
+    return float(invariant_abelian_residual_many(g, phi[None], planes[None])[0])

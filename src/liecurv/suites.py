@@ -8,16 +8,20 @@ sized so every suite finishes in well under a minute on one core.
 Suites draw exactly as a draw-by-draw loop would, then evaluate their draws
 in batches: the draws of a check are stacked and go through one call of a
 row kernel (``kappa_third_deriv_many``, ``k_second_deriv_many``,
-``bracket_many``, ``normalized_curvature_many``), not one scalar call per
+``bracket_many``, ``normalized_curvature_many``,
+``families.s3_action_path_residual_many``,
+``families.invariant_abelian_residual_many``), not one scalar call per
 draw.  Where every draw has its own psi (the finite-difference suites, the
 normal-form identities), the closed-form kernel takes one psi per row, so a
-suite's closed forms are one call.  A finite-difference curve is read
-through ``variation.stencil_curve``, which evaluates every stencil time of a
-draw in one ``k_of_t_many`` or ``kappa_of_t_many`` call: the refined
-stencils at 0 of orders 1 to 3 share the times 0, +-h/2, +-h and +-2h.  The
-two finite-difference suites share one draw loop, ``_fd_draws``.  The six
-family paths of ``obs-3.2-paths`` are scanned in one ``path_scan_many``
-descent.
+suite's closed forms are one call.  The two finite-difference suites share
+one draw function, ``_fd_draws``: the 60 psis are one (60, 6, 6) block of
+the stream, their paths are built by ``InverseLinearPath.many``, and every
+stencil time of every path is a row of one ``variation.stencil_curves``
+call (the refined stencils at 0 of orders 1 to 3 share the times 0, +-h/2,
++-h and +-2h).  ``eq-yy`` draws its 200 rows one by one and checks them in
+one call; ``obs-3.1-planes`` draws 20 members of each family in turn and
+checks all 60 in one call.  The six family paths of ``obs-3.2-paths`` are
+scanned in one ``path_scan_many`` descent.
 """
 
 from __future__ import annotations
@@ -32,13 +36,11 @@ from .metric import normalized_curvature_many
 from .normalform import NormalFormParams, normal_form_psi
 from .variation import (
     InverseLinearPath,
-    k_of_t_many,
     k_second_deriv_many,
-    kappa_of_t_many,
     kappa_third_deriv_many,
     default_step,
     refined_derivative,
-    stencil_curve,
+    stencil_curves,
 )
 from .verify import Budget, infinitesimal_check, path_scan_many, sample_commuting_pairs
 
@@ -76,10 +78,12 @@ class SuiteResult:
         return {"suite": self.suite, "pass": self.passed, "rows": [r.to_dict() for r in self.rows]}
 
 
-def _unit_spectral(rng, d: int = 6) -> np.ndarray:
-    m = rng.standard_normal((d, d))
-    m = 0.5 * (m + m.T)
-    return m / np.abs(np.linalg.eigvalsh(m)).max()
+def _unit_spectral(rng, n: int, d: int = 6) -> np.ndarray:
+    """n symmetric matrices of spectral radius 1, drawn as one (n, d, d)
+    block of the stream: the same numbers as n draws of shape (d, d)."""
+    m = rng.standard_normal((n, d, d))
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    return m / np.abs(np.linalg.eigvalsh(m)).max(axis=1)[:, None, None]
 
 
 def _rel(err: float, ref: float, floor: float = 1e-3) -> float:
@@ -94,33 +98,29 @@ def _stack(pairs) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # derivative-formula suites
 
-def _fd_draws(seed: int, curve_many, orders):
+def _fd_draws(seed: int, twisted: bool, orders, closed_form):
     """The draws of the finite-difference suites: for each of 60 seeded
-    commuting pairs, the path of a unit-spectral psi, the pair, the path's
-    default step h and ``curve_many`` on the pair through ``stencil_curve``,
-    read at the refined stencils' times for the given orders in one call."""
+    commuting pairs and the path of a unit-spectral psi, the path's default
+    step h, the pair's curve on the path (kappa when twisted, else k) and
+    ``closed_form`` (a closed-form row kernel) on the pair under its psi.
+
+    The curves are read at the refined stencils' times for the given orders
+    in one ``stencil_curves`` call, and the closed forms take one call with
+    one psi per row.
+    """
     g = so4()
-    rng = np.random.default_rng(seed)
-    for pair in sample_commuting_pairs(g, 60, seed):
-        path = InverseLinearPath(g, _unit_spectral(rng))
-        h = default_step(path)
-        yield path, pair, h, stencil_curve(curve_many, path, pair.x, pair.y, h, orders)
-
-
-def _closed_forms(kernel, draws) -> list[float]:
-    """``kernel`` (a closed-form row kernel) on every draw's pair under its
-    own psi, in one call with one psi per row.  The pairs and the psis were
-    validated by the curves and the paths."""
-    paths, pairs, _, _ = zip(*draws)
-    psis = np.stack([path.psi for path in paths])
-    return kernel(paths[0].algebra, psis, *_stack(pairs)).tolist()
+    xs, ys = _stack(sample_commuting_pairs(g, 60, seed))
+    paths = InverseLinearPath.many(g, _unit_spectral(np.random.default_rng(seed), 60))
+    hs = [default_step(path) for path in paths]
+    curves = stencil_curves(paths, xs, ys, hs, orders, twisted=twisted)
+    closed = closed_form(g, np.array([path.psi for path in paths]), xs, ys)
+    return zip(hs, curves, closed.tolist())
 
 
 def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
-    draws = list(_fd_draws(seed, k_of_t_many, (1, 2)))
     worst_fd1 = worst_rel = 0.0
     min_k2 = np.inf
-    for (_, _, h, f), closed in zip(draws, _closed_forms(k_second_deriv_many, draws)):
+    for h, f, closed in _fd_draws(seed, False, (1, 2), k_second_deriv_many):
         worst_fd1 = max(worst_fd1, abs(refined_derivative(f, 0.0, 1, h)))
         fd2 = refined_derivative(f, 0.0, 2, h)
         worst_rel = max(worst_rel, _rel(abs(fd2 - closed), closed))
@@ -133,9 +133,8 @@ def _suite_k_derivatives(seed: int) -> list[SuiteRow]:
 
 
 def _suite_kappa_derivatives(seed: int) -> list[SuiteRow]:
-    draws = list(_fd_draws(seed, kappa_of_t_many, (1, 2, 3)))
     worst0 = worst1 = worst2 = worst_rel = 0.0
-    for (_, _, h, f), closed in zip(draws, _closed_forms(kappa_third_deriv_many, draws)):
+    for h, f, closed in _fd_draws(seed, True, (1, 2, 3), kappa_third_deriv_many):
         worst0 = max(worst0, abs(f(0.0)))
         worst1 = max(worst1, abs(refined_derivative(f, 0.0, 1, h)))
         worst2 = max(worst2, abs(refined_derivative(f, 0.0, 2, h)))
@@ -262,13 +261,14 @@ def _s3_action_horizon(alpha, beta) -> float:
 
 def _suite_family_consistency(seed: int) -> list[SuiteRow]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    draws = []
     for _ in range(200):
         alpha, beta = rng.uniform(-1.5, 0.9, size=2)
         lam = rng.uniform(0.3, 3.0, size=3)
         t = rng.uniform(0.05, 0.95) * _s3_action_horizon(alpha, beta)
-        worst = max(worst, families.s3_action_path_residual(alpha, beta, lam, t))
-    return [SuiteRow("path-equals-family-member", worst, 1e-10)]
+        draws.append((alpha, beta, lam, t))
+    residuals = families.s3_action_path_residual_many(*map(np.array, zip(*draws)))
+    return [SuiteRow("path-equals-family-member", residuals.max(), 1e-10)]
 
 
 def berger_triple(rng) -> np.ndarray:
@@ -340,14 +340,17 @@ def _suite_invariant_planes(seed: int) -> list[SuiteRow]:
         ("quotient", random_s3_action_params, families.s3_action_phi,
          lambda p: families.s3_action_invariant_planes()),
     )
-    rows = []
-    for name, draw, phi, planes in cases:
-        worst = 0.0
-        for _ in range(20):
-            p = draw(rng)
-            worst = max(worst, families.invariant_abelian_residual(g, phi(p), planes(p)))
-        rows.append(SuiteRow(f"{name}-planes", worst, 1e-12))
-    return rows
+    # 20 draws of each family in turn, then every draw's residual in one call
+    draws = [(phi, planes, draw(rng)) for _, draw, phi, planes in cases for _ in range(20)]
+    residuals = families.invariant_abelian_residual_many(
+        g,
+        np.array([phi(p) for phi, _, p in draws]),
+        np.array([planes(p) for _, planes, p in draws]),
+    )
+    return [
+        SuiteRow(f"{name}-planes", worst, 1e-12)
+        for (name, *_), worst in zip(cases, residuals.reshape(len(cases), 20).max(axis=1))
+    ]
 
 
 def _suite_family_paths(seed: int) -> list[SuiteRow]:

@@ -22,22 +22,28 @@ Two curvature curves are tracked for a commuting pair (x, y):
 * ``kappa_of_t`` -- curvature of the twisted pair ((I - t psi) x, (I - t psi) y),
   whose plane follows the path.
 
-``k_of_t_many`` and ``kappa_of_t_many`` evaluate a curve at a stack of
-times in one ``puttmann_curvature_many`` call, one row per time; the
-scalar curves are their one-time case, and each row is bitwise the
-one-time value.  Closed forms for k''(0) and kappa'''(0) are provided,
-as row kernels that take one psi for every row or one psi per row and as
-their validated one-row cases, together with finite-difference estimators
-that pin their constants independently; ``stencil_curve`` reads every time
-of a set of refined stencils at 0 in one stacked call, for the
-finite-difference suites.
+Both curves are read through one kind of row stack: (path, time)
+rows, from one path or many, whose metrics go through one
+``puttmann_curvature_many`` call.  ``k_of_t_many`` and ``kappa_of_t_many``
+are its one-path case, evaluating a curve at a stack of times; the scalar
+curves are their one-time case, and each row is bitwise the one-time value.
+``stencil_curves`` is its many-path case: it reads every time of a set of
+refined stencils at 0 on every path of a stack in one call, for the
+finite-difference suites, and ``InverseLinearPath.many`` builds those paths
+from a psi stack with one validation and one batched ``eigh``.  Closed
+forms for k''(0) and kappa'''(0) are provided, as row kernels that take one
+psi for every row or one psi per row and as their validated one-row cases,
+together with finite-difference estimators that pin their constants
+independently.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .algebra import LieAlgebra, symmetric_matrix
+from .algebra import LieAlgebra, symmetric_matrices, symmetric_matrix
 from .errors import DimensionMismatch, HorizonExceeded, NotCommuting
 from .metric import DEFINITENESS_GATE, LeftInvariantMetric, puttmann_curvature_many
 
@@ -53,7 +59,7 @@ __all__ = [
     "kappa_third_deriv_many",
     "finite_diff",
     "refined_derivative",
-    "stencil_curve",
+    "stencil_curves",
     "default_step",
     "require_commuting",
 ]
@@ -62,16 +68,37 @@ _COMMUTE_TOL = 1e-10
 
 
 def require_commuting(g: LieAlgebra, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate [x, y] = 0 within tolerance; returns the checked vectors."""
+    """Validate [x, y] = 0 within tolerance; returns the checked vectors.
+    The one-row case of the stacked check the many-path curves run."""
     x = g.check_vector(x)
     y = g.check_vector(y)
-    lie = g.bracket_many(x[None], y[None])[0]
-    scale = np.linalg.norm(x) * np.linalg.norm(y)
-    if np.linalg.norm(lie) > _COMMUTE_TOL * max(scale, 1e-300):
-        raise NotCommuting(
-            f"|[x, y]| = {np.linalg.norm(lie):.3e} exceeds tolerance"
-        )
+    _require_commuting_rows(g, x[None], y[None])
     return x, y
+
+
+def _require_commuting_rows(g: LieAlgebra, xs: np.ndarray, ys: np.ndarray):
+    """NotCommuting for the first row of two validated (n, dim) stacks whose
+    bracket exceeds the tolerance, relative to |x| |y|."""
+    lie = _row_norms(g.bracket_many(xs, ys))
+    bad = lie > _COMMUTE_TOL * np.maximum(_row_norms(xs) * _row_norms(ys), 1e-300)
+    if bad.any():
+        k = np.argmax(bad)
+        row = "" if len(xs) == 1 else f" in row {k}"
+        raise NotCommuting(f"|[x, y]| = {lie[k]:.3e} exceeds tolerance{row}")
+
+
+def _row_norms(vs: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("nk,nk->n", vs, vs))
+
+
+def _vector_rows(g: LieAlgebra, xs, name: str) -> np.ndarray:
+    """A validated (n, dim) stack of finite vectors."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != g.dim:
+        raise DimensionMismatch(f"{name} must be an (n, {g.dim}) stack, got {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return xs
 
 
 class InverseLinearPath:
@@ -85,10 +112,25 @@ class InverseLinearPath:
     """
 
     def __init__(self, algebra: LieAlgebra, psi):
+        psi = symmetric_matrix(psi, "psi", algebra.dim)
+        self._diagonalized(algebra, psi, *np.linalg.eigh(psi))
+
+    @classmethod
+    def many(cls, algebra: LieAlgebra, psis) -> list[InverseLinearPath]:
+        """One path per matrix of an (n, dim, dim) stack.  The stack is
+        validated by ``symmetric_matrices`` and takes one batched ``eigh``,
+        so path n is bitwise ``InverseLinearPath(algebra, psis[n])``."""
+        psis = symmetric_matrices(psis, "psis", algebra.dim)
+        paths = [cls.__new__(cls) for _ in psis]
+        for path, psi, lam, v in zip(paths, psis, *np.linalg.eigh(psis)):
+            path._diagonalized(algebra, psi, lam, v)
+        return paths
+
+    def _diagonalized(self, algebra: LieAlgebra, psi: np.ndarray, lam: np.ndarray, v: np.ndarray):
         self.algebra = algebra
-        self.psi = symmetric_matrix(psi, "psi", algebra.dim)
+        self.psi = psi
         self.psi.setflags(write=False)
-        self._lam, v = np.linalg.eigh(self.psi)
+        self._lam = lam
         # v[i, k] v[j, k] is exactly symmetric in (i, j), and so is every phi_t
         self._outer = v[:, None, :] * v[None, :, :]
 
@@ -103,40 +145,22 @@ class InverseLinearPath:
         return 1.0 / bottom if bottom < 0.0 else -np.inf
 
     def admissible(self, t: float) -> bool:
-        """Whether phi_t passes the gate: the one-time case of ``_phis``' check."""
-        return bool(self._admitted(np.array([t], dtype=float))[0])
-
-    def _admitted(self, ts: np.ndarray) -> np.ndarray:
-        mu = 1.0 - ts[:, None] * self._lam
-        return mu.min(axis=1) > DEFINITENESS_GATE * mu.max(axis=1)
-
-    def _phis(self, ts) -> np.ndarray:
-        """phi at each time of a 1-d sequence, as an (n, dim, dim) stack.
-
-        Every time is checked first, and the first one outside the window
-        raises HorizonExceeded.  Row n is I + V diag(c) V^T with
-        c = t lam / (1 - t lam), each entry summed on its own, so a row does
-        not depend on the rest of the stack.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise ValueError(f"times must be a 1-d sequence, got shape {ts.shape}")
-        bad = np.flatnonzero(~self._admitted(ts))
-        if len(bad):
-            raise HorizonExceeded(
-                f"t={float(ts[bad[0]])} outside the path's window: phi_t fails the "
-                f"definiteness gate (horizons {self.t_min:.6g}, {self.t_max:.6g})"
-            )
-        s = ts[:, None] * self._lam
-        c = s / (1.0 - s)
-        return np.eye(self.algebra.dim) + (self._outer * c[:, None, None, :]).sum(axis=-1)
+        """Whether phi_t passes the gate: the one-time case of ``_PathRows``' check."""
+        return bool(_admitted(np.array([t], dtype=float)[:, None] * self._lam)[0])
 
     def phi_at(self, t: float) -> np.ndarray:
         """(I - t psi)^{-1} for admissible t; exactly I at t = 0."""
-        return self._phis([t])[0]
+        return _PathRows([self], [[t]]).phis[0]
 
     def metric_at(self, t: float) -> LeftInvariantMetric:
         return LeftInvariantMetric(self.algebra, self.phi_at(t))
+
+
+def _admitted(s: np.ndarray) -> np.ndarray:
+    """Whether each row's phi passes the gate, from s = t lam, one row of
+    the path's eigenvalues times its time per row."""
+    mu = 1.0 - s
+    return mu.min(axis=1) > DEFINITENESS_GATE * mu.max(axis=1)
 
 
 def _rowwise(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -145,16 +169,48 @@ def _rowwise(mats: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 class _PathRows:
-    """The path's metrics at a stack of times, one per row, as
-    ``puttmann_curvature_many`` reads a metric: row n of ``apply_rows``
-    applies phi at ts[n], and row n of ``inv_apply_rows`` its exact inverse
-    I - ts[n] psi."""
+    """(path, time) rows of many paths, as ``puttmann_curvature_many`` reads
+    a metric: ``times`` is a (paths, k) array holding k times of each path,
+    and the rows run path after path.  Row n of ``apply_rows`` applies its
+    path's phi at its time, and row n of ``inv_apply_rows`` the exact
+    inverse I - t psi.
 
-    def __init__(self, path: InverseLinearPath, ts):
-        self.algebra = path.algebra
-        self.phis = path._phis(ts)
-        ts = np.asarray(ts, dtype=float)
-        self.inverses = np.eye(path.algebra.dim) - ts[:, None, None] * path.psi
+    Every time is checked first, and the first one outside its path's
+    window raises HorizonExceeded naming it.  Row n's phi is
+    I + V diag(c) V^T with c = t lam / (1 - t lam), each entry summed on its
+    own, so a row does not depend on the rest of the stack.  Each path's
+    eigenvectors broadcast over its times, with no per-row copy of them.
+    """
+
+    def __init__(self, paths, ts):
+        self.times = np.asarray(ts, dtype=float)
+        if self.times.ndim != 2 or len(self.times) != len(paths):
+            raise ValueError(
+                f"times must be a 1-d sequence for each of {len(paths)} paths, "
+                f"got shape {self.times.shape}"
+            )
+        self.algebra = paths[0].algebra
+        if any(path.algebra is not self.algebra for path in paths):
+            raise ValueError("the paths must share one algebra")
+        self._paths = paths
+        d = self.algebra.dim
+        s = self.times[:, :, None] * np.array([path._lam for path in paths])[:, None, :]
+        admitted = _admitted(s.reshape(-1, d))
+        if not admitted.all():
+            path, t = divmod(int(np.argmin(admitted)), self.times.shape[1])
+            raise HorizonExceeded(
+                f"t={float(self.times[path, t])} outside the path's window: phi_t fails the "
+                f"definiteness gate (horizons {paths[path].t_min:.6g}, {paths[path].t_max:.6g})"
+            )
+        c = s / (1.0 - s)
+        outers = np.array([path._outer for path in paths])[:, None]
+        self.phis = (np.eye(d) + (outers * c[:, :, None, None, :]).sum(axis=-1)).reshape(-1, d, d)
+
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        psis = np.array([path.psi for path in self._paths])[:, None]
+        d = self.algebra.dim
+        return (np.eye(d) - self.times[:, :, None, None] * psis).reshape(-1, d, d)
 
     def __len__(self) -> int:
         return len(self.phis)
@@ -166,21 +222,29 @@ class _PathRows:
         return _rowwise(self.inverses, xs)
 
 
-def _repeated(v: np.ndarray, n: int) -> np.ndarray:
-    return np.repeat(v[None, :], n, axis=0)
+def _curves(paths, xs: np.ndarray, ys: np.ndarray, ts, twisted: bool) -> np.ndarray:
+    """k, or kappa when twisted, of the validated pair (xs[k], ys[k]) on
+    paths[k] at each time of ts[k], path after path, as the rows of one
+    ``puttmann_curvature_many`` call."""
+    rows = _PathRows(paths, ts)
+    per_path = rows.times.shape[1]
+    xs, ys = np.repeat(xs, per_path, axis=0), np.repeat(ys, per_path, axis=0)
+    if twisted:
+        xs, ys = rows.inv_apply_rows(xs), rows.inv_apply_rows(ys)
+    return puttmann_curvature_many(rows, xs, ys)
 
 
 def k_of_t_many(path: InverseLinearPath, x, y, ts) -> np.ndarray:
     """k at each time of ts: entry n is the curvature of the fixed pair (x, y)
     under the metric at ts[n], bitwise ``k_of_t(path, x, y, ts[n])``.
 
-    The pair and every time are validated before any evaluation; a time
+    The one-path case of the many-path rows ``stencil_curves`` reads.  The
+    pair and every time are validated before any evaluation; a time
     outside the window raises HorizonExceeded naming it.
     """
     x = path.algebra.check_vector(x)
     y = path.algebra.check_vector(y)
-    rows = _PathRows(path, ts)
-    return puttmann_curvature_many(rows, _repeated(x, len(rows)), _repeated(y, len(rows)))
+    return _curves([path], x[None], y[None], [ts], twisted=False)
 
 
 def kappa_of_t_many(path: InverseLinearPath, x, y, ts) -> np.ndarray:
@@ -192,11 +256,7 @@ def kappa_of_t_many(path: InverseLinearPath, x, y, ts) -> np.ndarray:
     ``k_of_t_many``.
     """
     x, y = require_commuting(path.algebra, x, y)
-    rows = _PathRows(path, ts)
-    n = len(rows)
-    return puttmann_curvature_many(
-        rows, rows.inv_apply_rows(_repeated(x, n)), rows.inv_apply_rows(_repeated(y, n))
-    )
+    return _curves([path], x[None], y[None], [ts], twisted=True)
 
 
 def k_of_t(path: InverseLinearPath, x, y, t: float) -> float:
@@ -334,23 +394,41 @@ def refined_derivative(f, t0: float, order: int, h: float) -> float:
     return (4.0 * d_half - d_h) / 3.0
 
 
-def stencil_curve(curve_many, path: InverseLinearPath, x, y, h: float, orders):
-    """t -> curve value at the times ``refined_derivative(f, 0.0, k, h)``
-    reads for each k in orders, all evaluated in one
-    ``curve_many(path, x, y, times)`` call.
+def stencil_curves(paths, xs, ys, hs, orders, *, twisted: bool = False) -> list:
+    """For each path k, t -> the curve of the pair (xs[k], ys[k]) on
+    paths[k] at the times ``refined_derivative(f, 0.0, j, hs[k])`` reads
+    for each j in orders: ``kappa_of_t`` when twisted, else ``k_of_t``.
 
     The refined stencils at 0 read 0, +-h/2, +-h and +-2h; 2 * (h/2) == h
-    exactly, so each distinct time is evaluated once, and with
-    ``k_of_t_many`` or ``kappa_of_t_many`` every stencil sum reads bitwise
-    the one-time values.  Reading any other time raises KeyError.
+    exactly, so each distinct time of a path is one row, and every row of
+    every path is evaluated in one ``puttmann_curvature_many`` call, each
+    value bitwise the one-time value.  The pairs are validated as (n, dim)
+    stacks (and must commute when twisted, NotCommuting), then every time
+    is checked against its path's window.  Reading any other time raises
+    KeyError.
     """
-    times = list(dict.fromkeys(
-        0.0 + offset * step
-        for order in orders
-        for step in (h, h / 2.0)
-        for offset, _ in _STENCILS[order]
-    ))
-    return dict(zip(times, curve_many(path, x, y, times).tolist())).__getitem__
+    if not len(paths) == len(xs) == len(ys) == len(hs):
+        raise ValueError(
+            f"one pair and step per path, got {len(paths)} paths, {len(xs)} x, "
+            f"{len(ys)} y and {len(hs)} steps"
+        )
+    if not paths:
+        return []
+    g = paths[0].algebra
+    xs, ys = _vector_rows(g, xs, "xs"), _vector_rows(g, ys, "ys")
+    if twisted:
+        _require_commuting_rows(g, xs, ys)
+    times = [
+        list(dict.fromkeys(
+            0.0 + offset * step
+            for order in orders
+            for step in (h, h / 2.0)
+            for offset, _ in _STENCILS[order]
+        ))
+        for h in hs
+    ]
+    values = _curves(paths, xs, ys, times, twisted).reshape(len(paths), -1).tolist()
+    return [dict(zip(ts, row)).__getitem__ for ts, row in zip(times, values)]
 
 
 def default_step(path: InverseLinearPath) -> float:

@@ -10,7 +10,7 @@ from liecurv import (
     so3,
     so4,
 )
-from liecurv.algebra import symmetric_matrix
+from liecurv.algebra import symmetric_matrices, symmetric_matrix
 
 E3 = np.eye(3)
 E6 = np.eye(6)
@@ -119,3 +119,25 @@ def test_symmetric_matrix_validates_then_symmetrizes():
         symmetric_matrix(np.full((2, 2), np.nan), "m")
     with pytest.raises(ValueError, match="m is not symmetric"):
         symmetric_matrix(np.array([[2.0, 1.0], [1.1, 3.0]]), "m")
+
+
+def test_symmetric_matrices_is_symmetric_matrix_row_by_row():
+    rng = np.random.default_rng(6)
+    ms = rng.standard_normal((5, 3, 3))
+    ms = ms + ms.transpose(0, 2, 1)
+    ms[2, 0, 1] += 1e-13
+    out = symmetric_matrices(ms, "ms", 3)
+    for row, m in zip(out, ms):
+        assert np.array_equal(row, symmetric_matrix(m, "m", 3))
+    assert symmetric_matrices(np.zeros((0, 3, 3)), "ms").shape == (0, 3, 3)
+    with pytest.raises(DimensionMismatch, match="ms must be a stack of 3x3"):
+        symmetric_matrices(ms[0], "ms", 3)
+    with pytest.raises(DimensionMismatch, match="ms must be a stack of 2x2"):
+        symmetric_matrices(ms, "ms", 2)
+    broken = ms.copy()
+    broken[3, 1, 2] += 1e-3
+    with pytest.raises(ValueError, match=r"ms\[3\] is not symmetric"):
+        symmetric_matrices(broken, "ms")
+    broken[1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"ms\[1\] has non-finite entries"):
+        symmetric_matrices(broken, "ms")

@@ -10,21 +10,23 @@ from liecurv import (
     ProductParams,
     S3ActionParams,
     TorusParams,
-    barred_params,
+    DimensionMismatch,
     invariant_abelian_residual,
+    invariant_abelian_residual_many,
     inverse_linear_eigs_s3,
     product_invariant_planes,
     product_phi,
     s3_action_invariant_planes,
     s3_action_path_residual,
+    s3_action_path_residual_many,
     s3_action_phi,
-    s3_action_phi_at_time,
     s3_action_psi,
     s3_quotient_eigenvalues,
     torus_invariant_planes,
     torus_phi,
     torus_psi,
 )
+from liecurv import families
 from liecurv.suites import (
     berger_triple,
     random_product_params,
@@ -146,17 +148,28 @@ def test_s3_action_psi_reference_block():
     assert np.allclose(psi, 0.4 * np.eye(6), atol=1e-12)
 
 
+def _barred_row(alpha, beta, lam, t):
+    """The barred parameters of one row, as the path-residual kernel builds
+    them."""
+    a, b, lam_bar = families._barred(
+        np.array([alpha]), np.array([beta]), np.array([lam]), np.array([t])
+    )
+    return a[0], b[0], lam_bar[0]
+
+
 def test_barred_params_special_cases():
     lam = np.array([0.7, 1.3, 2.1])
-    p0 = barred_params(0.6, -0.4, lam, 0.0)
-    assert p0.a == 1.0 and p0.b == 1.0
-    assert np.allclose(p0.lam, lam, atol=1e-15)
+    a0, b0, lam0 = _barred_row(0.6, -0.4, lam, 0.0)
+    assert a0 == 1.0 and b0 == 1.0
+    assert np.allclose(lam0, lam, atol=1e-15)
     t = 0.45
     alpha = 0.8
-    peq = barred_params(alpha, alpha, lam, t)
-    assert np.allclose(peq.lam, lam * (1.0 - alpha * t), atol=1e-14)
+    _, _, lam_eq = _barred_row(alpha, alpha, lam, t)
+    assert np.allclose(lam_eq, lam * (1.0 - alpha * t), atol=1e-14)
     with pytest.raises(HorizonExceeded):
-        barred_params(2.0, 0.0, lam, 0.6)
+        _barred_row(2.0, 0.0, lam, 0.6)
+    with pytest.raises(HorizonExceeded):
+        s3_action_path_residual(2.0, 0.0, lam, 0.6)
 
 
 def test_barred_lambda_is_positive_multiple():
@@ -165,8 +178,8 @@ def test_barred_lambda_is_positive_multiple():
         lam = rng.uniform(0.2, 4.0, size=3)
         alpha, beta = rng.uniform(-1.5, 0.9, size=2)
         t = rng.uniform(0.0, 0.9)
-        p = barred_params(alpha, beta, lam, t)
-        ratios = p.lam / lam
+        _, _, lam_bar = _barred_row(alpha, beta, lam, t)
+        ratios = lam_bar / lam
         assert ratios.min() > 0.0
         assert np.abs(ratios - ratios[0]).max() < 1e-12 * ratios[0]
 
@@ -188,10 +201,16 @@ def test_path_consistency_residual():
 
 
 def test_phi_at_time_one_is_the_family_metric():
-    p = S3ActionParams(a=1.4, b=0.8, lam=np.array([0.5, 1.0, 2.0]))
-    assert np.allclose(s3_action_phi_at_time(p, 1.0), s3_action_phi(p), atol=1e-15)
-    with pytest.raises(HorizonExceeded):
-        s3_action_phi_at_time(p, 0.0)
+    # at t = 1 the path's metric is the family metric of the barred
+    # parameters, and the residual kernel refuses t <= 0
+    alpha, beta, lam = 0.3, -0.2, np.array([0.5, 1.0, 2.0])
+    a, b, lam_bar = _barred_row(alpha, beta, lam, 1.0)
+    member = s3_action_phi(S3ActionParams(a=a, b=b, lam=lam_bar))
+    path = np.linalg.inv(np.eye(6) - s3_action_psi(alpha, beta, lam))
+    assert np.allclose(member, path, atol=1e-15)
+    for t in (0.0, -0.1):
+        with pytest.raises(HorizonExceeded, match="t must be positive"):
+            s3_action_path_residual(alpha, beta, lam, t)
 
 
 def test_invariant_planes_all_families(g4):
@@ -246,10 +265,75 @@ def test_non_finite_family_parameters_rejected(bad):
         lambda: s3_action_psi(bad, 0.0, lam),
         lambda: s3_action_psi(0.0, bad, lam),
         lambda: s3_action_psi(0.0, 0.0, broken_lam),
-        lambda: s3_action_phi_at_time(S3ActionParams(a=1.0, b=1.0, lam=lam), bad),
+        lambda: s3_action_path_residual(bad, 0.2, lam, 0.5),
+        lambda: s3_action_path_residual(0.3, bad, lam, 0.5),
+        lambda: s3_action_path_residual(0.3, 0.2, broken_lam, 0.5),
+        lambda: s3_action_path_residual(0.3, 0.2, lam, bad),
     ]
     for make in makers:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="non-finite"):
                 make()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "lam", "t"])
+def test_path_residual_names_its_non_finite_argument(name, bad):
+    # a non-finite time used to reach eigvalsh and raise LinAlgError
+    args = {"alpha": 0.3, "beta": 0.2, "lam": np.ones(3), "t": 0.5}
+    args[name] = np.array([1.0, bad, 1.0]) if name == "lam" else bad
+    with pytest.raises(ValueError, match=f"{name} is non-finite"):
+        s3_action_path_residual(**args)
+    rows = {key: [value, value] for key, value in args.items()}
+    with pytest.raises(ValueError, match=f"{name} is non-finite"):
+        s3_action_path_residual_many(rows["alpha"], rows["beta"], rows["lam"], rows["t"])
+
+
+def test_path_residual_kernel_checks_shapes_and_lambda():
+    lam = np.ones((2, 3))
+    with pytest.raises(DimensionMismatch, match="t must be a 1-d"):
+        s3_action_path_residual_many([0.3], [0.2], [np.ones(3)], 0.5)
+    with pytest.raises(DimensionMismatch, match="beta must have shape"):
+        s3_action_path_residual_many([0.3, 0.3], [0.2], lam, [0.5, 0.5])
+    with pytest.raises(DimensionMismatch, match="lam must have shape"):
+        s3_action_path_residual_many([0.3, 0.3], [0.2, 0.2], np.ones((2, 2)), [0.5, 0.5])
+    with pytest.raises(FamilyConstraintViolated):
+        s3_action_path_residual_many([0.3, 0.3], [0.2, 0.2], [[1, 1, 1], [1, 0, 1]], [0.5, 0.5])
+    assert s3_action_path_residual_many([], [], np.zeros((0, 3)), []).shape == (0,)
+
+
+def test_abelian_residual_refuses_non_finite_phi_and_planes(g4):
+    # max(0.0, nan) kept 0.0, so a NaN or infinite phi read as a perfect fit
+    p = S3ActionParams(a=1.2, b=0.8, lam=np.array([0.5, 1.0, 2.0]))
+    planes = s3_action_invariant_planes()
+    nan_phi = s3_action_phi(p)
+    nan_phi[0, 0] = np.nan
+    inf_phi = s3_action_phi(p)
+    inf_phi[0, 3] = inf_phi[3, 0] = np.inf
+    for phi in (nan_phi, inf_phi):
+        with pytest.raises(ValueError, match="phis has non-finite entries"):
+            invariant_abelian_residual(g4, phi, planes)
+    broken = planes.copy()
+    broken[1, 4, 0] = np.nan
+    with pytest.raises(ValueError, match="planes has non-finite entries"):
+        invariant_abelian_residual(g4, s3_action_phi(p), broken)
+    with pytest.raises(ValueError, match="phis has non-finite entries"):
+        invariant_abelian_residual_many(g4, np.stack([s3_action_phi(p), nan_phi]), [planes] * 2)
+
+
+def test_abelian_residual_names_a_misshapen_argument(g4):
+    phi = np.eye(6)
+    planes = s3_action_invariant_planes()
+    with pytest.raises(DimensionMismatch, match="phi must be a matrix"):
+        invariant_abelian_residual(g4, np.ones(6), planes)
+    with pytest.raises(DimensionMismatch, match="planes must be"):
+        invariant_abelian_residual(g4, phi, planes[0])
+    with pytest.raises(DimensionMismatch, match="phis must be"):
+        invariant_abelian_residual(g4, np.eye(5), planes)
+    with pytest.raises(DimensionMismatch, match="planes must be"):
+        invariant_abelian_residual(g4, phi, planes[:, :5])
+    with pytest.raises(DimensionMismatch, match="planes must be"):
+        invariant_abelian_residual_many(g4, np.stack([phi, phi]), planes[None])
+    assert invariant_abelian_residual_many(g4, np.zeros((0, 6, 6)), np.zeros((0, 3, 6, 2))).shape == (0,)
+    assert invariant_abelian_residual(g4, phi, np.zeros((0, 6, 2))) == 0.0

@@ -96,12 +96,15 @@ DELETED = [
     "algebra.LieAlgebra.factor_part",
     "algebra.Subalgebra.from_span",
     "errors.SingularVector",
+    "families.barred_params",
+    "families.s3_action_phi_at_time",
     "metric.b_term",
     "metric._DEFINITENESS_GATE",
     "normalform.invariant_plane_residual",
     "variation.DerivativeReport",
     "variation.derivative_report",
     "variation._HORIZON_GUARD",
+    "variation.stencil_curve",
     "verify._CERT_COST",
     "verify._STALL_FLOOR",
     "verify._STALL_STEPS",

@@ -1,23 +1,34 @@
 """The batched evaluation paths of the reproduce suites against the scalar
-calls they replace, on the suites' own draws, and ``stencil_curve``, which
-reads every stencil time of a finite-difference curve in one stacked call."""
+calls they replace, on the suites' own draws; ``stencil_curves``, which
+reads every stencil time of every finite-difference curve in one stacked
+call; and the draw-by-draw loops the suites replaced, kept as references."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import (
     DegeneratePlane,
     InverseLinearPath,
     diagonal_subalgebra,
     factor_subalgebra,
+    families,
+    invariant_abelian_residual,
+    invariant_abelian_residual_many,
     k_of_t,
     k_of_t_many,
+    k_second_deriv,
     kappa_of_t,
     kappa_of_t_many,
     kappa_third_deriv,
     normal_form_kappa3,
     normalized_curvature,
+    s3_action_path_residual,
+    s3_action_path_residual_many,
     sample_commuting_pairs,
+    so4,
+    variation,
 )
 from liecurv import suites
 from liecurv.metric import normalized_curvature_many
@@ -25,7 +36,7 @@ from liecurv.variation import (
     default_step,
     kappa_third_deriv_many,
     refined_derivative,
-    stencil_curve,
+    stencil_curves,
 )
 
 from conftest import random_symmetric
@@ -38,47 +49,57 @@ def _close(batched, scalar, rel=1e-14):
     assert np.abs(batched - scalar).max() <= rel * max(np.abs(scalar).max(), 1.0)
 
 
-def _count_times(monkeypatch, module, curve_many):
-    """Wrap module.curve_many so each call records the times it receives,
-    per path."""
-    seen = {}
-    inner = getattr(module, curve_many)
+def _count_rows(monkeypatch):
+    """Wrap variation.puttmann_curvature_many so each call records its
+    (paths, k) array of row times."""
+    calls = []
+    inner = variation.puttmann_curvature_many
 
-    def counting(path, x, y, ts):
-        seen.setdefault(path, []).append(list(ts))  # keeps each path alive
-        return inner(path, x, y, ts)
+    def counting(rows, z1s, z2s):
+        calls.append(rows.times.copy())
+        return inner(rows, z1s, z2s)
 
-    monkeypatch.setattr(module, curve_many, counting)
-    return seen
+    monkeypatch.setattr(variation, "puttmann_curvature_many", counting)
+    return calls
 
 
 @pytest.mark.parametrize(
     "suite, curve, times", [("lemma-2.1-fd", "k_of_t", 5), ("lemma-2.2-fd", "kappa_of_t", 7)]
 )
 def test_fd_curve_evaluated_once_per_stencil_time(monkeypatch, suite, curve, times):
-    # one stacked call per path, holding each stencil time once
-    seen = _count_times(monkeypatch, suites, f"{curve}_many")
+    # the 60 paths' stencils are the rows of one curvature call, path after
+    # path, each path holding each of its stencil times once
+    calls = _count_rows(monkeypatch)
+    kinds = []
+    inner = suites.stencil_curves
+
+    def recording(*args, twisted):
+        kinds.append("kappa_of_t" if twisted else "k_of_t")
+        return inner(*args, twisted=twisted)
+
+    monkeypatch.setattr(suites, "stencil_curves", recording)
     assert suites.run_suite(suite, seed=7).passed
-    assert len(seen) == 60
-    for calls in seen.values():
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) == times
+    assert kinds == [curve] and len(calls) == 1
+    assert calls[0].shape == (60, times)
+    for path_times in calls[0]:
+        assert len(set(path_times.tolist())) == times
 
 
 @pytest.mark.parametrize("curve", [k_of_t, kappa_of_t])
 def test_fd_curve_refined_derivatives_bitwise_equal(g4, curve):
-    curve_many = {k_of_t: k_of_t_many, kappa_of_t: kappa_of_t_many}[curve]
     rng = np.random.default_rng(21)
-    for pair in sample_commuting_pairs(g4, 5, seed=21):
-        path = InverseLinearPath(g4, random_symmetric(rng, 6))
-        h = default_step(path)
-        stacked = stencil_curve(curve_many, path, pair.x, pair.y, h, (1, 2, 3))
+    pairs = sample_commuting_pairs(g4, 5, seed=21)
+    paths = [InverseLinearPath(g4, random_symmetric(rng, 6)) for _ in pairs]
+    hs = [default_step(path) for path in paths]
+    xs, ys = suites._stack(pairs)
+    stacked = stencil_curves(paths, xs, ys, hs, (1, 2, 3), twisted=curve is kappa_of_t)
+    for path, pair, h, f in zip(paths, pairs, hs, stacked):
         for order in (1, 2, 3):
             plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
-            assert refined_derivative(stacked, 0.0, order, h) == plain
+            assert refined_derivative(f, 0.0, order, h) == plain
 
 
-def test_derivative_report_evaluates_each_stencil_time_once(g4):
+def test_derivative_report_evaluates_each_stencil_time_once(g4, monkeypatch):
     # the refined second-order stencil reads 5 distinct times, the
     # third-order one 6, all in one stacked call, and the estimates are
     # bitwise the plain ones
@@ -86,24 +107,19 @@ def test_derivative_report_evaluates_each_stencil_time_once(g4):
     pair = sample_commuting_pairs(g4, 1, seed=4)[0]
     path = InverseLinearPath(g4, psi)
     h = default_step(path)
-    for curve, curve_many, order, times in (
-        (k_of_t, k_of_t_many, 2, 5),
-        (kappa_of_t, kappa_of_t_many, 3, 6),
-    ):
-        calls = []
-
-        def counting(path, x, y, ts, curve_many=curve_many, calls=calls):
-            calls.append(list(ts))
-            return curve_many(path, x, y, ts)
-
-        f = stencil_curve(counting, path, pair.x, pair.y, h, (order,))
+    for curve, order, times in ((k_of_t, 2, 5), (kappa_of_t, 3, 6)):
+        calls = _count_rows(monkeypatch)
+        (f,) = stencil_curves(
+            [path], [pair.x], [pair.y], [h], (order,), twisted=curve is kappa_of_t
+        )
         estimate = refined_derivative(f, 0.0, order, h)
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) == times
+        assert len(calls) == 1 and calls[0].shape == (1, times)
+        assert len(set(calls[0][0].tolist())) == times
         plain = refined_derivative(lambda t: curve(path, pair.x, pair.y, t), 0.0, order, h)
         assert estimate == plain
         with pytest.raises(KeyError):
             f(3.0 * h)
+        monkeypatch.undo()
 
 
 def test_subalgebra_rows_match_per_pair_calls(g4):
@@ -205,15 +221,179 @@ def test_eschenburg_draws_are_the_draw_by_draw_loop(g4, seed):
     ("lemma-2.2-fd", "kappa_third_deriv_many"),
     ("th1-identities", "kappa_third_deriv_many"),
     ("obs-3.2-paths", "path_scan_many"),
+    ("eq-yy", "families.s3_action_path_residual_many"),
+    ("obs-3.1-planes", "families.invariant_abelian_residual_many"),
 ])
 def test_suite_takes_its_closed_forms_or_scans_in_one_call(monkeypatch, suite, kernel):
     calls = []
-    inner = getattr(suites, kernel)
+    *owner, name = kernel.split(".")
+    owner = getattr(suites, owner[0]) if owner else suites
+    inner = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(suites, kernel, counting)
+    monkeypatch.setattr(owner, name, counting)
     assert suites.run_suite(suite, seed=3).passed
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the draw-by-draw loops the batched suites replaced, kept as references
+
+def _draw_by_draw_fd(seed, curve_many, closed_form, orders):
+    """The finite-difference suites' per-draw loop: for each of 60 pairs, a
+    path built alone from one (6, 6) draw, the pair's curve read at the
+    stencil times 0, +-h/2, +-h and +-2h in one call on that path alone,
+    the curve at 0, its refined derivatives at the given orders and the
+    scalar closed form."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    out = []
+    for pair in sample_commuting_pairs(g, 60, seed):
+        m = rng.standard_normal((6, 6))
+        m = 0.5 * (m + m.T)
+        path = InverseLinearPath(g, m / np.abs(np.linalg.eigvalsh(m)).max())
+        h = default_step(path)
+        times = [0.0 + offset * step for step in (h, h / 2.0) for offset in (-2, -1, 0, 1, 2)]
+        f = dict(zip(times, curve_many(path, pair.x, pair.y, times).tolist())).__getitem__
+        derivatives = [refined_derivative(f, 0.0, k, h) for k in orders]
+        out.append((f(0.0), derivatives, closed_form(g, path.psi, pair.x, pair.y)))
+    return out
+
+
+def _draw_by_draw_k(seed):
+    worst_fd1 = worst_rel = 0.0
+    min_k2 = np.inf
+    for _, (fd1, fd2), closed in _draw_by_draw_fd(seed, k_of_t_many, k_second_deriv, (1, 2)):
+        worst_fd1 = max(worst_fd1, abs(fd1))
+        worst_rel = max(worst_rel, suites._rel(abs(fd2 - closed), closed))
+        min_k2 = min(min_k2, closed)
+    return [worst_fd1, worst_rel, max(0.0, -min_k2)]
+
+
+def _draw_by_draw_kappa(seed):
+    worst = [0.0] * 4
+    draws = _draw_by_draw_fd(seed, kappa_of_t_many, kappa_third_deriv, (1, 2, 3))
+    for f0, (fd1, fd2, fd3), closed in draws:
+        values = (abs(f0), abs(fd1), abs(fd2), suites._rel(abs(fd3 - closed), closed))
+        worst = [max(w, v) for w, v in zip(worst, values)]
+    return worst
+
+
+def _loop_path_residual(alpha, beta, lam, t):
+    """inv(I - t psi) against the family block formula at the barred
+    parameters, entry by entry."""
+    psi = np.zeros((6, 6))
+    for i in range(3):
+        s = 1.0 / (2.0 * lam[i])
+        psi[i, i] = alpha - s
+        psi[i + 3, i + 3] = beta - s
+        psi[i, i + 3] = psi[i + 3, i] = -s
+    u, v = 1.0 - alpha * t, 1.0 - beta * t
+    a, b = 1.0 / u, 1.0 / v
+    lam_bar = 2.0 * lam * u * v / (u + v)
+    rhs = np.zeros((6, 6))
+    for i, ti in enumerate(lam_bar / (t + lam_bar)):
+        rhs[i, i] = a * (b + a * ti) / (a + b)
+        rhs[i + 3, i + 3] = b * (a + b * ti) / (a + b)
+        rhs[i, i + 3] = rhs[i + 3, i] = a * b * (ti - 1.0) / (a + b)
+    return np.abs(np.linalg.inv(np.eye(6) - t * psi) - rhs).max()
+
+
+def _draw_by_draw_eq_yy(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(200):
+        alpha, beta = rng.uniform(-1.5, 0.9, size=2)
+        lam = rng.uniform(0.3, 3.0, size=3)
+        t = rng.uniform(0.05, 0.95) * suites._s3_action_horizon(alpha, beta)
+        worst = max(worst, _loop_path_residual(alpha, beta, lam, t))
+    return [worst]
+
+
+def _loop_abelian_residual(g, phi, planes):
+    """The invariant-plane residual plane by plane, on the scalar bracket."""
+    worst = 0.0
+    for i in range(len(planes)):
+        q = planes[i]
+        worst = max(worst, np.abs(q.T @ q - np.eye(2)).max())
+        worst = max(worst, float(np.linalg.norm(g.bracket(q[:, 0], q[:, 1]))))
+        img = phi @ q
+        worst = max(worst, np.abs(img - q @ (q.T @ img)).max())
+        for j in range(i + 1, len(planes)):
+            worst = max(worst, np.abs(q.T @ planes[j]).max())
+    return worst
+
+
+def _draw_by_draw_planes(seed):
+    g = so4()
+    rng = np.random.default_rng(seed)
+    cases = (
+        (suites.random_product_params, families.product_phi, families.product_invariant_planes),
+        (suites.random_torus_params, families.torus_phi, families.torus_invariant_planes),
+        (suites.random_s3_action_params, families.s3_action_phi,
+         lambda p: families.s3_action_invariant_planes()),
+    )
+    rows = []
+    for draw, phi, planes in cases:
+        worst = 0.0
+        for _ in range(20):
+            p = draw(rng)
+            worst = max(worst, _loop_abelian_residual(g, phi(p), planes(p)))
+        rows.append(worst)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("suite, reference", [
+    ("lemma-2.1-fd", _draw_by_draw_k),
+    ("lemma-2.2-fd", _draw_by_draw_kappa),
+    ("eq-yy", _draw_by_draw_eq_yy),
+    ("obs-3.1-planes", _draw_by_draw_planes),
+])
+def test_batched_suite_rows_are_the_draw_by_draw_loop(suite, reference, seed):
+    assert [row.value for row in suites.run_suite(suite, seed).rows] == reference(seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 9))
+def test_many_kernel_rows_are_their_one_row_calls_after_a_shuffle(g4, seed, n):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+
+    alphas, betas = rng.uniform(-1.5, 0.9, size=(2, n))
+    lams = rng.uniform(0.3, 3.0, size=(n, 3))
+    caps = [suites._s3_action_horizon(a, b) for a, b in zip(alphas, betas)]
+    ts = rng.uniform(0.05, 0.95, size=n) * caps
+    rows = s3_action_path_residual_many(alphas, betas, lams, ts)
+    shuffled = s3_action_path_residual_many(alphas[perm], betas[perm], lams[perm], ts[perm])
+    assert shuffled.tolist() == rows[perm].tolist() == [
+        s3_action_path_residual(alphas[k], betas[k], lams[k], ts[k]) for k in perm
+    ]
+
+    # any finite input: phi need not preserve the planes, nor the planes be orthonormal
+    phis = rng.standard_normal((n, 6, 6))
+    planes = rng.standard_normal((n, int(rng.integers(0, 4)), 6, 2))
+    rows = invariant_abelian_residual_many(g4, phis, planes)
+    shuffled = invariant_abelian_residual_many(g4, phis[perm], planes[perm])
+    assert shuffled.tolist() == rows[perm].tolist() == [
+        invariant_abelian_residual(g4, phis[k], planes[k]) for k in perm
+    ]
+
+    paths = InverseLinearPath.many(g4, 3.0 * rng.standard_normal() * np.stack(
+        [random_symmetric(rng, 6) for _ in range(n)]
+    ))
+    xs, ys = suites._stack(sample_commuting_pairs(g4, n, seed))
+    hs = [default_step(path) for path in paths]
+    for twisted in (False, True):
+        curves = stencil_curves(
+            [paths[k] for k in perm], xs[perm], ys[perm], [hs[k] for k in perm], (1, 2, 3),
+            twisted=twisted,
+        )
+        for k, f in zip(perm, curves):
+            (one,) = stencil_curves([paths[k]], xs[k:k + 1], ys[k:k + 1], [hs[k]], (1, 2, 3),
+                                    twisted=twisted)
+            times = [0.0 + o * step for step in (hs[k], hs[k] / 2.0) for o in (-2, -1, 0, 1, 2)]
+            assert [f(t) for t in times] == [one(t) for t in times]

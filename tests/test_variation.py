@@ -26,7 +26,7 @@ from liecurv import (
     refined_derivative,
     torus_psi,
 )
-from liecurv.variation import default_step, kappa_third_deriv_many, stencil_curve
+from liecurv.variation import default_step, kappa_third_deriv_many, stencil_curves
 from liecurv.verify import sample_commuting_pairs
 
 from conftest import random_symmetric
@@ -313,7 +313,7 @@ def test_finite_diff_propagates_horizon(g4):
 
 def test_derivative_report_consistency(g4):
     # closed forms for k''(0) and kappa'''(0) next to their Richardson
-    # estimates, each curve read through stencil_curve
+    # estimates, each curve read through stencil_curves
     rng = np.random.default_rng(15)
     psi = random_symmetric(rng, 6)
     pair = sample_commuting_pairs(g4, 1, seed=16)[0]
@@ -321,8 +321,8 @@ def test_derivative_report_consistency(g4):
     h = default_step(path)
     k2 = k_second_deriv(g4, psi, pair.x, pair.y)
     kappa3 = kappa_third_deriv(g4, psi, pair.x, pair.y)
-    k = stencil_curve(k_of_t_many, path, pair.x, pair.y, h, (2,))
-    kappa = stencil_curve(kappa_of_t_many, path, pair.x, pair.y, h, (3,))
+    (k,) = stencil_curves([path], [pair.x], [pair.y], [h], (2,))
+    (kappa,) = stencil_curves([path], [pair.x], [pair.y], [h], (3,), twisted=True)
     fd_k2 = refined_derivative(k, 0.0, 2, h)
     fd_kappa3 = refined_derivative(kappa, 0.0, 3, h)
     assert abs(fd_k2 - k2) < 1e-5 * max(abs(k2), 1e-3)
@@ -392,3 +392,53 @@ def test_k_second_deriv_validates_what_its_row_kernel_takes_as_given(g4):
     assert k_second_deriv_many(g4, np.eye(6), x[None], y[None]).shape == (1,)
     with pytest.raises(NotCommuting):
         k_second_deriv(g4, np.eye(6), x, y)
+
+
+def test_paths_of_a_psi_stack_are_the_one_psi_paths_bitwise(g4):
+    rng = np.random.default_rng(34)
+    psis = np.stack([random_symmetric(rng, 6) for _ in range(12)])
+    for many, psi in zip(InverseLinearPath.many(g4, psis), psis):
+        one = InverseLinearPath(g4, psi)
+        assert np.array_equal(many.psi, one.psi) and not many.psi.flags.writeable
+        assert (many.t_min, many.t_max) == (one.t_min, one.t_max)
+        for t in (0.0, 0.3 * one.t_max, 0.3 * one.t_min):
+            assert np.array_equal(many.phi_at(t), one.phi_at(t))
+    assert InverseLinearPath.many(g4, np.zeros((0, 6, 6))) == []
+    # each matrix is checked by symmetric_matrix's rule, and the first bad one named
+    broken = psis.copy()
+    broken[4, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=re.escape("psis[4] is not symmetric")):
+        InverseLinearPath.many(g4, broken)
+    broken[2, 3, 3] = np.nan
+    with pytest.raises(ValueError, match=re.escape("psis[2] has non-finite entries")):
+        InverseLinearPath.many(g4, broken)
+    with pytest.raises(DimensionMismatch, match="psis"):
+        InverseLinearPath.many(g4, psis[0])
+
+
+def test_stencil_curves_check_pairs_then_every_window(g4):
+    rng = np.random.default_rng(35)
+    paths = InverseLinearPath.many(g4, np.stack([random_symmetric(rng, 6) for _ in range(3)]))
+    pairs = sample_commuting_pairs(g4, 3, seed=35)
+    xs, ys = np.stack([p.x for p in pairs]), np.stack([p.y for p in pairs])
+    hs = [default_step(path) for path in paths]
+    with pytest.raises(ValueError, match="one pair and step per path"):
+        stencil_curves(paths, xs[:2], ys, hs, (1,))
+    with pytest.raises(DimensionMismatch, match="ys"):
+        stencil_curves(paths, xs, ys[:, :5], hs, (1,))
+    bad = xs.copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="xs has non-finite entries"):
+        stencil_curves(paths, bad, ys, hs, (1,))
+    # k reads any pair; kappa needs every pair to commute
+    loose = ys.copy()
+    loose[2] = E6[0] if np.abs(xs[2, 1:3]).max() > 0.1 else E6[1]
+    assert len(stencil_curves(paths, xs, loose, hs, (1,))) == 3
+    with pytest.raises(NotCommuting, match="in row 2"):
+        stencil_curves(paths, xs, loose, hs, (1,), twisted=True)
+    # a step that leaves one path's window names that path's time
+    wide = list(hs)
+    wide[1] = paths[1].t_max
+    with pytest.raises(HorizonExceeded, match=re.escape(f"t={wide[1]} ")):
+        stencil_curves(paths, xs, ys, wide, (1,))
+    assert stencil_curves([], [], [], [], (1,)) == []
