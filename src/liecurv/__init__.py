@@ -4,8 +4,8 @@ Computes sectional curvature of left-invariant metrics (closed form plus an
 independent Koszul-formula oracle), evaluates curvature-variation
 derivatives along inverse-linear metric paths, generates the known
 nonnegatively curved metric families on so(4), and certifies or refutes
-nonnegativity by seeded multistart minimization over 2-planes and
-commuting pairs.
+nonnegativity over 2-planes (a Pluecker-quadric lower bound and exact
+alternating minimization) and over commuting pairs.
 """
 
 from .algebra import (
@@ -31,12 +31,10 @@ from .families import (
     S3ActionParams,
     TorusParams,
     inverse_linear_eigs_s3,
-    invariant_abelian_residual,
     invariant_abelian_residual_many,
     product_invariant_planes,
     product_phi,
     s3_action_invariant_planes,
-    s3_action_path_residual,
     s3_action_path_residual_many,
     s3_action_phi,
     s3_action_psi,

@@ -41,12 +41,10 @@ __all__ = [
     "torus_psi",
     "s3_action_phi",
     "s3_action_psi",
-    "s3_action_path_residual",
     "s3_action_path_residual_many",
     "product_invariant_planes",
     "torus_invariant_planes",
     "s3_action_invariant_planes",
-    "invariant_abelian_residual",
     "invariant_abelian_residual_many",
 ]
 
@@ -214,6 +212,8 @@ def inverse_linear_eigs_s3(alpha: float, lam, t: float) -> np.ndarray:
     inverse-linear path on the 3-dimensional factor.
 
     At t=0 this is (1, 1, 1); with alpha=1 the value at t=1 is lambda itself.
+    No code in the package calls it: it is kept as the closed-form
+    reference that the acceptance tests check.
 
     Raises:
         HorizonExceeded: if any denominator is nonpositive.
@@ -348,14 +348,6 @@ def s3_action_path_residual_many(alphas, betas, lams, ts) -> np.ndarray:
     return np.abs(np.linalg.inv(m) - rhs).max(axis=(1, 2))
 
 
-def s3_action_path_residual(alpha: float, beta: float, lam, t: float) -> float:
-    """Max-norm gap between (I - t psi)^{-1} and the barred family metric:
-    the validated one-row case of ``s3_action_path_residual_many``, so
-    alpha, beta and t must be finite reals and lam three finite positive
-    reals."""
-    return float(s3_action_path_residual_many([alpha], [beta], [lam], [t])[0])
-
-
 # ---------------------------------------------------------------------------
 # invariant abelian planes
 
@@ -379,8 +371,7 @@ def product_invariant_planes(p: ProductParams) -> np.ndarray:
     return np.stack(planes)
 
 
-def torus_invariant_planes(p: TorusParams) -> np.ndarray:
-    """tau = span{A1, B1} plus pairings of the complementary eigenvectors."""
+def _torus_planes() -> np.ndarray:
     a, b = _A1_DEFAULT, _B1_DEFAULT
     comp1 = np.linalg.svd(np.eye(3) - np.outer(a[:3], a[:3]))[0][:, :2]
     comp2 = np.linalg.svd(np.eye(3) - np.outer(b[3:], b[3:]))[0][:, :2]
@@ -392,16 +383,23 @@ def torus_invariant_planes(p: TorusParams) -> np.ndarray:
     return np.stack(planes)
 
 
+# both families fix their invariant planes whatever their parameters, so
+# each set is built once, read-only
+_TORUS_PLANES = _torus_planes()
+_S3_PLANES = np.stack([_plane(np.eye(6)[i], np.eye(6)[i + 3]) for i in range(3)])
+_TORUS_PLANES.setflags(write=False)
+_S3_PLANES.setflags(write=False)
+
+
+def torus_invariant_planes(p: TorusParams) -> np.ndarray:
+    """tau = span{A1, B1} plus pairings of the complementary eigenvectors:
+    the same read-only (3, 6, 2) planes for every torus metric p."""
+    return _TORUS_PLANES
+
+
 def s3_action_invariant_planes() -> np.ndarray:
-    """The fixed planes V_i = span{A_i, B_i}."""
-    planes = []
-    for i in range(3):
-        u = np.zeros(6)
-        u[i] = 1.0
-        w = np.zeros(6)
-        w[i + 3] = 1.0
-        planes.append(_plane(u, w))
-    return np.stack(planes)
+    """The fixed planes V_i = span{A_i, B_i}, read-only, (3, 6, 2)."""
+    return _S3_PLANES
 
 
 def invariant_abelian_residual_many(g, phis, planes) -> np.ndarray:
@@ -441,20 +439,3 @@ def invariant_abelian_residual_many(g, phis, planes) -> np.ndarray:
         np.abs(gram[:, i, j]),
     )
     return np.max([v.max(axis=tuple(range(1, v.ndim)), initial=0.0) for v in violations], axis=0)
-
-
-def invariant_abelian_residual(g, phi, planes) -> float:
-    """Largest violation among: each plane abelian, planes mutually
-    orthogonal, and phi mapping each plane into itself: the one-row case of
-    ``invariant_abelian_residual_many``.
-
-    ``planes`` has shape (k, dim, 2) with orthonormal columns; phi and
-    planes are validated as in the row kernel.
-    """
-    phi = np.asarray(phi, dtype=float)
-    planes = np.asarray(planes, dtype=float)
-    if phi.ndim != 2:
-        raise DimensionMismatch(f"phi must be a matrix, got shape {phi.shape}")
-    if planes.ndim != 3:
-        raise DimensionMismatch(f"planes must be a (k, dim, 2) stack, got shape {planes.shape}")
-    return float(invariant_abelian_residual_many(g, phi[None], planes[None])[0])

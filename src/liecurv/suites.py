@@ -21,7 +21,7 @@ call (the refined stencils at 0 of orders 1 to 3 share the times 0, +-h/2,
 +-h and +-2h).  ``eq-yy`` draws its 200 rows one by one and checks them in
 one call; ``obs-3.1-planes`` draws 20 members of each family in turn and
 checks all 60 in one call.  The six family paths of ``obs-3.2-paths`` are
-scanned in one ``path_scan_many`` descent.
+scanned in one ``path_scan_many`` call.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def _suite_family_paths(seed: int) -> list[SuiteRow]:
     rng = np.random.default_rng(seed)
     kinds = ("product", "torus", "s3-action")
     cases = [family_scan_cases(rng, kind) for kind in kinds for _ in range(2)]
-    # the two draws of each kind, scanned at seeds seed and seed + 1, all in one descent
+    # the two draws of each kind, scanned at seeds seed and seed + 1, all in one call
     scans = path_scan_many(
         g,
         [psi for psi, _ in cases],

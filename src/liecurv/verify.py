@@ -1,6 +1,5 @@
-"""Nonnegativity verification: closed form on so(3); on so(4), plane
-verdicts closed on a lower bound or else a seeded multistart search, and a
-seed-free pair search.
+"""Nonnegativity verification: closed form on so(3); on so(4), seed-free
+plane verdicts on a lifted lower bound, and a seed-free pair search.
 
 * ``min_curvature``       -- the minimum plane-normalized sectional
   curvature over 2-planes of the algebra;
@@ -16,55 +15,49 @@ runs on the one operator of each metric, ``curvature_operator()``: C, built
 in the coordinates x = Lambda^1/2 V^T z of phi = V Lambda V^T, where a
 plane's curvature is the Rayleigh quotient w.Cw / w.w at the decomposable w
 = B vec(x1 x2^T) = x1 ^ x2.  The smallest eigenvalue lambda_0 of C bounds
-every plane from below, and the report carries ``lower_bound`` = lambda_0 -
-delta, delta = 1e-12 times C's spectral norm.  When the lowest coordinate or
-metric-eigenvector plane, scored in x, attains the bound (its quotient and
-its re-evaluated curvature within delta of lambda_0 and of each other) that
-plane is the witness, no pool is drawn, and the report says ``exact``, with
-min_value - lower_bound <= 2 delta.  Such a report does not depend on its
-seed.  A metric whose basis planes hold none below -floor, floor = min(tol,
-1e-8 times C's norm), then tries ``_certified_above``, at every budget: the
-Pluecker quadrics vanish on planes, so lambda_min(C + W) bounds every plane
-for each combination W of them (Thorpe's trick), and the certificate lifts
-that bound towards the lowest basis plane.  It first solves for W: where C
-+ W - t I is semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W -
-t I)w = 0, so at t the lowest basis value each flat basis plane (one within
-delta of the lowest) gives linear equations in W, and one least-squares
-solve per metric takes W from them.  When they leave W free, the flat
-planes e_a ^ u inside phi's repeated eigenspaces, which eigh's arbitrary
-basis of an eigenspace misses, join them for one more solve.  Torus family
-members (five flat basis planes) and S^3-action quotients (these partner
-planes) are done there; a metric not done there lifts the bound from W = 0
-by a log-barrier Newton method.  When the lifted bound less its margin
-is at or above -floor and the plane attains it by the same rule
-(delta now the margin of C + W), the plane is the witness, ``lower_bound``
-is lambda_min(C + W) - delta, and again no pool is drawn: quotient and
-torus family members, whose lowest basis plane is flat, close this way, and
-whether a report is ``exact`` depends on the metric alone, not on its seed
-or budget.  Otherwise ``_search`` descends with ``_descend`` from the best
-starts of a coarse pool of frames, orthonormal in x, the plane it reaches
-is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed form, and
-the same rule decides ``exact`` on it, against lambda_0.  A restart stops
-once its step falls below 1e-10 or its gradient below 1e-3 delta, and the
-descent at the latest after ``Budget.iters`` steps.
+every plane from below, with margin delta = 1e-12 times C's spectral norm.
+When the lowest coordinate or metric-eigenvector plane, scored in x,
+attains the bound (its quotient and its re-evaluated curvature within delta
+of lambda_0 and of each other) that plane is the witness, the report says
+``exact``, and ``lower_bound`` = lambda_0 - delta <= min_value <=
+lower_bound + 2 delta.
+
+Every other so(4) metric runs ``_certified_above``: the Pluecker quadrics
+vanish on planes, so lambda_min(C + W) bounds every plane for each
+combination W of them (Thorpe's trick), and the certificate lifts that
+bound towards the lowest basis plane.  It first solves for W: where C + W -
+t I is semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W - t I)w
+= 0, so at t the lowest basis value each flat basis plane (one within delta
+of the lowest) gives linear equations in W, and one least-squares solve per
+metric takes W from them.  When they leave W free, the flat planes e_a ^ u
+inside phi's repeated eigenspaces, which eigh's arbitrary basis of an
+eigenspace misses, join them for one more solve.  Torus family members
+(five flat basis planes) and S^3-action quotients (these partner planes)
+are done there; a metric not done there lifts the bound from W = 0 by a
+log-barrier Newton method.  Its lowest basis plane is tried again on the
+lifted bound (delta now the margin of C + W).  A metric still open is
+polished by exact alternating minimization (``_alternate``) from
+deterministic starts: the basis planes, and the planes nearest the lowest
+eigenvectors of C + W and of C.  The plane it reaches is mapped back by z =
+V Lambda^-1/2 x and re-evaluated in closed form, and the same rule decides
+``exact`` on it against the lifted bound.  A closure on a lifted bound also
+needs that bound, within its margin, on one side of -floor, floor =
+min(tol, 1e-8 times C's norm).  An open report carries the lifted bound
+less its margin.  No so(4) plane report draws a random number, so none
+depends on its seed, which is only recorded.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
 unit b is the smallest eigenvalue of a 3x3 matrix G_a, and a and -a give
 the same value, so the pair search runs over RP^2: ``_least_pair`` scores
 a deterministic Fibonacci grid on the upper hemisphere by the closed-form
-smallest eigenvalue of each G_a, then polishes the best grid points by
-exact alternating minimization over b and a.  It draws no random number,
-so a pair report does not depend on its seed, which is only recorded.
+smallest eigenvalue of each G_a, then polishes the best grid points by the
+same ``_alternate``.  It draws no random number either.
 
-The plane search works on restarts-last stacks of shape (T, 2, d, n): T
-operators (C stacked as (T, k, k)), the two columns x1 and x2, d
-coordinates and n restarts, so w = B (x1 (x) x2) and Cw are batched
-matmuls over T.  ``_descend`` steps the whole stack at once and freezes a
-stopped restart by a mask; a restart's path depends on its own column only.
-``path_scan`` uses this: each grid time that does not close on its bound
-draws and scores its own pool as ``min_curvature`` would, then all those
-times descend together in one loop, and each entry still equals its
+``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
+each row on its own, so a row's rounds depend on its own form alone.
+``path_scan`` uses this: the times of a scan still open after the
+certificate are polished together, and each entry still equals its
 standalone ``min_curvature`` report byte for byte, so the scan stays
 reproducible entry by entry.  ``path_scan_many`` does the same for the
 times of several paths at once, and ``path_scan`` is its one-path case.
@@ -78,11 +71,11 @@ bounded-search claim, not a proof, unless the report is ``exact``.
 ``lemma_k_check`` samples the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths, in one batch.
 
-Determinism contract: all randomness is drawn up front from the given seed,
-all refined starts (of every open scan time) descend together in one batch, the
-pair starts are polished together and all lemma samples are checked
-together, so reports are identical across runs for a fixed configuration
-and seed.
+Determinism contract: plane and pair reports draw no random number, the
+lemma's samples are drawn up front from the given seed and checked
+together, and every batch of metrics, times or starts is computed row by
+row, so reports are identical across runs for a fixed configuration and
+seed.
 """
 
 from __future__ import annotations
@@ -126,21 +119,18 @@ VERDICT_NEGATIVE = "NegativeWitness"
 
 DEFAULT_TOL = 1e-9
 
-_STEP_INIT = 0.05
-_STEP_STOP = 1e-10
 # the rounding margin delta of a lower bound, relative to the spectral norm
 # of the curvature operator it comes from
 _BOUND_MARGIN = 1e-12
 # the so(3) margin per unit of phi's condition number: eigh's error, with room
 _EIGH_ERROR = 4.0 * np.finfo(float).eps
-# the plane certificate sets out to prove no plane below -floor, with floor
-# the smaller of tol and this many margins delta (1e-8 of the spectral norm),
-# so it does not depend on the metric's scale unless tol binds: a metric with
-# a basis plane below -floor does not try it, a metric closes on a lifted
-# bound only at or above -floor, and the barrier gives up below it
+# a report closes on a lifted bound only where that bound, plus or minus its
+# margin, lies wholly on one side of -floor, with floor the smaller of tol and
+# this many margins delta (1e-8 of the spectral norm), so the rule does not
+# depend on the metric's scale unless tol binds
 _CERT_FLOOR = 1e4
 # the plane certificate's barrier parameter shrinks by this factor after a
-# short Newton step, and the certificate gives up after as many steps
+# short Newton step, and the barrier stops lifting after as many steps
 _CERT_SHRINK = 100.0
 _CERT_STEPS = 50
 
@@ -149,12 +139,12 @@ _CERT_STEPS = 50
 class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
-    Planes: ``samples`` random frames in the pool, ``restarts`` best starts
-    descended, at most ``iters`` descent steps.  Pairs: ``samples`` points
-    of the RP^2 grid, ``restarts`` best points polished, at most ``iters``
-    alternating rounds.  On so(3) planes, and on so(4) metrics that close
-    on a lower bound (at a basis plane, or on the Pluecker certificate's
-    lifted bound), the budget is only recorded.
+    Pairs: ``samples`` points of the RP^2 grid, ``restarts`` best points
+    polished, at most ``iters`` alternating rounds.  so(4) planes: at most
+    ``iters`` alternating rounds of the polish from its fixed starts, with
+    ``samples`` and ``restarts`` only recorded.  On so(3) planes, and on
+    so(4) metrics that close before the polish, the whole budget is only
+    recorded.
     """
 
     samples: int = 4096
@@ -211,11 +201,12 @@ class CurvatureReport:
 
     A plane report carries ``lower_bound``, below which no plane lies: on
     so(3) Milnor's closed-form minimum, on so(4) the smallest eigenvalue of
-    the curvature operator C (or, after the Pluecker certificate, the lifted
-    lambda_min(C + W)), less a rounding margin delta.  ``exact`` says the
-    minimum is known: on so(3) it comes in closed form; on so(4) the witness
-    attains the bound, min_value - lower_bound <= 2 delta.  Pair reports
-    have no ``lower_bound``.
+    the curvature operator C or, for a metric not closed there, the
+    Pluecker certificate's lifted lambda_min(C + W), less a rounding margin
+    delta.  ``exact`` says the minimum is known: on so(3) it comes in closed
+    form; on so(4) the witness attains the bound, min_value - lower_bound
+    <= 2 delta.  Pair reports have no ``lower_bound``.  No report depends
+    on ``seed``, which is recorded with the budget.
     """
 
     verdict: str
@@ -347,36 +338,16 @@ def _incidence(d: int) -> np.ndarray:
 
 
 def _quotient_values(op, x: np.ndarray):
-    """Rayleigh quotient w.Cw / w.w of the operator (C, B) on the
-    restarts-last stacks x of shape (T, 2, d, n): for each of T operators,
-    the columns x1 = x[:, 0] and x2 = x[:, 1] of n restarts, with w =
-    B (x1 (x) x2).  C is a (T, k, k) stack, or one (k, k) matrix for every
-    T; B is (k, d*d).  Returns the (T, n) values with Cw, w and w.w for the
-    gradient."""
+    """Rayleigh quotient w.Cw / w.w of the operator (C, B) on the stacks x
+    of shape (T, 2, d, n): for each of T operators, the columns x1 = x[:, 0]
+    and x2 = x[:, 1] of n frames, with w = B (x1 (x) x2).  C is a (T, k, k)
+    stack, or one (k, k) matrix for every T; B is (k, d*d).  Returns the
+    (T, n) values with w and w.w."""
     c, b = op
     t, _, d, n = x.shape
     w = b @ (x[:, 0, :, None] * x[:, 1, None]).reshape(t, d * d, n)
-    cw = c @ w
     ww = np.add.reduce(w * w, axis=1)
-    return np.add.reduce(w * cw, axis=1) / ww, cw, w, ww
-
-
-def _quotient_value_and_gradient(op, x: np.ndarray):
-    """``_quotient_values`` and its exact gradient with respect to x1 and x2.
-
-    With v = 2 (Cw - f w) / w.w mapped through B^T and read as a d x d
-    matrix V, the gradients are V x2 and V^T x1.  They need no tangent
-    projection: the quotient is homogeneous of degree 0 in each column, so
-    x1.V x2 = v.w = 0; for planes V is antisymmetric, so x2.V x2 = 0 too.
-    """
-    val, cw, w, ww = _quotient_values(op, x)
-    t, _, d, n = x.shape
-    v = (cw - val[:, None] * w) * (2.0 / ww)[:, None]
-    vm = (op[1].T @ v).reshape(t, d, d, n)
-    grad = np.empty_like(x)
-    np.einsum("tijn,tjn->tin", vm, x[:, 1], out=grad[:, 0])
-    np.einsum("tijn,tin->tjn", vm, x[:, 0], out=grad[:, 1])
-    return val, grad
+    return np.add.reduce(w * (c @ w), axis=1) / ww, w, ww
 
 
 def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
@@ -390,60 +361,43 @@ def _gram_schmidt(frames: np.ndarray) -> np.ndarray:
     return q
 
 
-def _descend(evaluate, retract, x: np.ndarray, iters: int, margin: np.ndarray):
-    """Descend from every start of the restarts-last stack x, (T, c, d, n).
+def _outer_rows(v: np.ndarray) -> np.ndarray:
+    """The rows vec(v v^T), (..., d*d), of the (..., d) rows v."""
+    return (v[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
 
-    ``evaluate`` returns the (T, n) values and the (tangent) gradients of a
-    stack.  Each step moves every column along the unit steepest-descent
-    direction, maps the result back onto the search manifold with
-    ``retract``, and keeps it, with its gradient, if the value drops.  The
-    whole stack is stepped at once, for at most ``iters`` steps, and a
-    stopped start is frozen by the mask ``active``.
 
-    ``margin`` holds the (T,) rounding margins of the operators' values, so
-    no rule depends on an operator's scale.  A start stops once its step
-    falls below ``_STEP_STOP`` or its gradient below 1e-3 of its margin, so
-    its path depends on its own column alone.
+def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach: np.ndarray):
+    """Exact alternating minimization of T biquadratic forms f(a, b) =
+    vec(a a^T) M vec(b b^T) over unit a and b, M the (d*d, d*d) matrices of
+    the (T, d*d, d*d) stack m, from the (T, n, d) starts a.
+
+    For fixed a the minimum over b is the smallest eigenvalue of G_a, with
+    vec(G_a) = vec(a a^T) M; for fixed b, G^b reads M the other way.  Each
+    round takes every start's b as the lowest eigenvector of G_a, then its a
+    as the lowest eigenvector of G^b.  Row t stops once its best value falls
+    by no more than stop[t] in a round or reaches reach[t], or after
+    ``iters`` rounds.  A stopped row is not computed again, so each row's
+    result depends on its own form and starts alone.  Returns the (T,) best
+    values of each row's last round and their (T, d) a and b.
     """
-    # C order puts restarts innermost: faster, and bitwise independent of the
-    # layout the caller passes
-    x = np.ascontiguousarray(x)
-    val, grad = evaluate(x)
-    step = np.full(val.shape, _STEP_INIT)
-    flat = 1e-3 * margin[:, None]
+    t, n, d = a.shape
+    a = np.array(a)
+    val, best_a, best_b = np.empty(t), np.empty((t, d)), np.empty((t, d))
+    prev = np.full(t, np.inf)
+    rows = np.arange(t)
     for _ in range(iters):
-        active = step >= _STEP_STOP
-        if not np.count_nonzero(active):
+        mr = m[rows]
+        b = np.linalg.eigh((_outer_rows(a[rows]) @ mr).reshape(-1, n, d, d))[1][..., 0]
+        low, vec = np.linalg.eigh((_outer_rows(b) @ mr.transpose(0, 2, 1)).reshape(-1, n, d, d))
+        a[rows] = vec[..., 0]
+        k, r = np.argmin(low[..., 0], axis=1), np.arange(len(rows))
+        val[rows], best_a[rows], best_b[rows] = low[r, k, 0], vec[r, k, :, 0], b[r, k]
+        done = (prev[rows] - val[rows] <= stop[rows]) | (val[rows] <= reach[rows])
+        prev[rows] = val[rows]
+        rows = rows[~done]
+        if not len(rows):
             break
-        gnorm = np.sqrt(np.add.reduce(grad * grad, axis=(1, 2)))
-        moving = gnorm > flat
-        scale = np.divide(step, gnorm, out=np.zeros_like(step), where=moving)
-        cx = retract(x - scale[:, None, None] * grad)
-        cv, cg = evaluate(cx)
-        better = active & (cv < val)
-        keep = better[:, None, None]
-        x = np.where(keep, cx, x)
-        grad = np.where(keep, cg, grad)
-        val = np.where(better, cv, val)
-        # a frozen start only shrinks its step, so it never wakes again
-        step = np.where(moving, np.where(better, 1.6, 0.5) * step, 0.0)
-    return val, x
-
-
-def _best_starts(op, pool: np.ndarray, restarts: int) -> np.ndarray:
-    """The ``restarts`` columns of the (1, c, d, P) pool lowest on the
-    quotient of op, in a stable order."""
-    values = _quotient_values(op, pool)[0][0]
-    return pool[..., np.argsort(values, kind="stable")[:restarts]]
-
-
-def _search(op, starts: np.ndarray, iters: int, margin: np.ndarray):
-    """The (T,) lowest values and their (T, 2, d) frames per plane operator
-    reached on the quotient of op by descending from the (T, 2, d, n)
-    starts together, with the (T,) rounding margins of the operators."""
-    val, x = _descend(lambda s: _quotient_value_and_gradient(op, s), _gram_schmidt, starts, iters, margin)
-    t, k = np.arange(len(x)), np.argmin(val, axis=1)
-    return val[t, k], x[t, :, :, k]
+    return val, best_a, best_b
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,23 +465,22 @@ def _plucker_weights(forms: np.ndarray, c: np.ndarray, t: float, w: np.ndarray):
 
 
 def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenvalues: np.ndarray,
-                     floor: np.ndarray, basis: np.ndarray, coords: np.ndarray):
+                     basis: np.ndarray, coords: np.ndarray):
     """The Pluecker certificate of the (T, k, k) plane operators c, whose
     bounds at W = 0 are the (T,) lam0 with margins delta: the best lower
-    bound lambda_min(C + W) found and its rounding margin, lifted towards
-    each row's target, its lowest basis plane.  ``basis`` and ``coords``
-    are a row's basis-plane values and its coordinate planes' unit
-    bivectors in x (``_scored_basis``), ``eigenvalues`` are the (T, d)
-    metric eigenvalues of c's frame, and -floor, for the (T,) floors, is
-    what a row sets out to prove no plane lies below.
+    bound lambda_min(C + W) found, its rounding margin and the (T, k, k)
+    weights W that give it, lifted towards each row's target, its lowest
+    basis plane.  ``basis`` and ``coords`` are a row's basis-plane values
+    and its coordinate planes' unit bivectors in x (``_scored_basis``), and
+    ``eigenvalues`` are the (T, d) metric eigenvalues of c's frame.
 
     Every Pluecker quadric vanishes on planes, so the planes' quotients of
     C equal those of C + W for every combination W of the quadrics
     (written in C's coordinates) and lie at or above lambda_min(C + W): Thorpe's
     trick (Thorpe, *The zeros of nonnegative curvature operators*, J. Diff.
     Geom. 1972).  Every bound comes from ``eigvalsh`` of C + W less the
-    rounding margin of C + W, and a row is proven once that reaches -floor.
-    A row is done once its bound plus margin reaches its target.
+    rounding margin of C + W.  A row is done once its bound plus margin
+    reaches its target.
 
     If C + W - t I is positive semidefinite and w.(C + W - t I)w = 0, then
     (C + W - t I)w = 0.  So at t = target each flat basis plane w (one
@@ -537,26 +490,17 @@ def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenva
     below the number of quadrics), the row adds its ``_partner_planes``
     within delta of the target, the flat planes inside phi's repeated
     eigenspaces that eigh's basis misses, and solves once more.  A row is
-    done if that bound is proven and reaches its target: torus family
-    members, whose flat basis planes fix W, and S^3-action quotients, whose
-    partner planes do.  Any W gives a valid bound, so the choice of planes
-    decides only how high it reaches.  Every other
-    row runs a log-barrier Newton method from W = 0, which maximizes t over
-    (W, t) with C + W - t I positive definite: it maximizes t/mu + log
-    det(C + W - t I) by Newton steps with an exact line search inside the
-    feasible set, and divides mu by ``_CERT_SHRINK`` whenever a step's
-    Newton decrement is at most 1/2.  A row stops lifting once it is done,
-    once t + k mu, the dual bound of a centred point, falls below -floor,
-    or, when proven, below the target less the margin, once k mu falls
-    below the rounding margin of C, or after ``_CERT_STEPS`` steps.  A row
-    not proven proves nothing either way.
+    done if that bound reaches its target: torus family members, whose flat
+    basis planes fix W, and S^3-action quotients, whose partner planes do.
+    Any W gives a valid bound, so the choice of planes decides only how
+    high it reaches.  Every other row runs ``_barrier`` from W = 0.
     """
     k = c.shape[1]
     i, j = wedge_pairs(eigenvalues.shape[1])
     s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
     forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
     target = basis.min(axis=1)
-    bound, margin = lam0.copy(), delta.copy()
+    bound, margin, weights = lam0.copy(), delta.copy(), np.zeros_like(c)
     live = bound + margin < target
     for r in np.flatnonzero(live):
         # in x the metric-eigenvector planes' unit bivectors are the unit vectors
@@ -566,22 +510,32 @@ def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenva
         if rank < len(forms[r]):
             w = np.concatenate([w, _partner_planes(c[r], eigenvalues[r], top)], axis=1)
             y = _plucker_weights(forms[r], c[r], target[r], w)[0]
-        lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + np.tensordot(y, forms[r], 1)))
-        if lw0 + dw >= target[r] and lw0 - dw >= -floor[r]:
-            bound[r], margin[r], live[r] = lw0, dw, False
+        lifted = np.tensordot(y, forms[r], 1)
+        lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + lifted))
+        if lw0 + dw >= target[r]:
+            bound[r], margin[r], weights[r], live[r] = lw0, dw, lifted, False
     rows = np.flatnonzero(live)
     if len(rows):
-        bound[rows], margin[rows] = _barrier(
-            c[rows], forms[rows], lam0[rows], delta[rows], floor[rows], target[rows]
-        )
-    return bound, margin
+        bound[rows], margin[rows], y = _barrier(c[rows], forms[rows], lam0[rows], delta[rows],
+                                                target[rows])
+        weights[rows] = np.einsum("tq,tqkl->tkl", y, forms[rows])
+    return bound, margin, weights
 
 
-def _barrier(c, forms, lam0, delta, floor, target):
+def _barrier(c, forms, lam0, delta, target):
     """The log-barrier Newton method of ``_certified_above`` on the (T, k, k)
     operators c, not yet done, with the (T, q, k, k) quadrics ``forms`` in
-    their coordinates, from W = 0 and its bound lam0 with margin delta:
-    the rows' best bounds and margins."""
+    their coordinates, from W = 0 and its bound lam0 with margin delta: the
+    rows' best bounds, their margins and the (T, q) weights of the quadrics
+    that give them.
+
+    It maximizes t over (W, t) with C + W - t I positive definite: it
+    maximizes t/mu + log det(C + W - t I) by Newton steps with an exact line
+    search inside the feasible set, and divides mu by ``_CERT_SHRINK``
+    whenever a step's Newton decrement is at most 1/2.  A row stops lifting
+    once its bound plus margin reaches its target, once k mu falls below the
+    rounding margin of C, or after ``_CERT_STEPS`` steps.
+    """
     t_rows, k, _ = c.shape
     # the last coordinate of y is t, entering as -t I
     dirs = np.concatenate([forms, np.broadcast_to(-np.eye(k), (t_rows, 1, k, k))], axis=1)
@@ -592,6 +546,7 @@ def _barrier(c, forms, lam0, delta, floor, target):
     mu = delta / _BOUND_MARGIN
     y = np.zeros(flat.shape[:2])
     y[:, -1] = lam0 - mu
+    best = y[:, :-1]
     live = np.ones(t_rows, dtype=bool)
     for _ in range(_CERT_STEPS):
         if not np.count_nonzero(live):
@@ -621,13 +576,10 @@ def _barrier(c, forms, lam0, delta, floor, target):
         lw0, dw = _lower_bound(lifted)
         better = live & (lw0 - dw > bound - margin)
         bound, margin = np.where(better, lw0, bound), np.where(better, dw, margin)
-        proven = bound - margin >= -floor
-        centred = decrement <= 0.5
-        dual = y[:, -1] + k * mu
-        short = centred & ((dual < -floor) | (proven & (dual < target - margin)))
-        live &= (bound + margin < target) & ~short & (k * mu >= delta)
-        mu = np.where(centred & live, mu / _CERT_SHRINK, mu)
-    return bound, margin
+        best = np.where(better[:, None], y[:, :-1], best)
+        live &= (bound + margin < target) & (k * mu >= delta)
+        mu = np.where((decrement <= 0.5) & live, mu / _CERT_SHRINK, mu)
+    return bound, margin, best
 
 
 # ---------------------------------------------------------------------------
@@ -692,13 +644,13 @@ def _to_orthonormal(m: LeftInvariantMetric, frames: np.ndarray) -> np.ndarray:
 
 def _scored_basis(metrics, c: np.ndarray):
     """The quotients of the (T, k, k) operators c at each metric's basis
-    planes, (T, 2n): the coordinate planes, scored in x as the pool scores
-    them, then the metric-eigenvector planes, the coordinate planes of x (C's
+    planes, (T, 2n): the coordinate planes, scored in x as the polish
+    scores them, then the metric-eigenvector planes, the coordinate planes of x (C's
     diagonal).  With them the (T, k, n) unit bivectors in x of the
     coordinate planes."""
     d = metrics[0].algebra.dim
     coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
-    values, _, w, ww = _quotient_values((c, _incidence(d)), coords)
+    values, w, ww = _quotient_values((c, _incidence(d)), coords)
     return np.concatenate([values, c.diagonal(axis1=1, axis2=2)], 1), w / np.sqrt(ww)[:, None]
 
 
@@ -711,6 +663,35 @@ def _closes(quotient: float, final: float, lam0: float, delta: float) -> bool:
     )
 
 
+def _plane_forms(c: np.ndarray, delta: np.ndarray, d: int) -> np.ndarray:
+    """The (T, d*d, d*d) forms of ``_alternate`` for the planes of the (T, k,
+    k) operators c on d coordinates, with margins delta: vec(x1 x1^T) F
+    vec(x2 x2^T) is w.Cw
+    at w = x1 ^ x2 for F the entries of B^T C B read over ((i, k), (j, l)),
+    and s I, s = 4 ||C||_2, adds s (x1.x2)^2, so that each half-step's best
+    unit x2 is orthogonal to the unit x1, and w is then a unit bivector."""
+    inc = _incidence(d)
+    form = (inc.T @ c @ inc).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    s = 4.0 * delta / _BOUND_MARGIN
+    return form.reshape(len(c), d * d, d * d) + s[:, None, None] * np.eye(d * d)
+
+
+def _polish_starts(metrics, c: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """The (T, 36, d) unit starts x1 in x that ``_alternate`` polishes for
+    the metrics with (T, k, k) operators c and lifted operators C + W: the
+    first columns of the 30 coordinate and metric-eigenvector planes, then
+    the top singular vector of each of the three lowest eigenvectors of
+    C + W and of C, read as antisymmetric d x d matrices B^T w (the plane of
+    the top singular pair is the plane nearest w)."""
+    d = metrics[0].algebra.dim
+    planes = _basis_planes(np.eye(d))
+    coords = np.concatenate([_to_orthonormal(m, planes) for m in metrics])[:, 0].transpose(0, 2, 1)
+    lowest = np.concatenate([np.linalg.eigh(op)[1][..., :3] for op in (lifted, c)], axis=2)
+    bivectors = (_incidence(d).T @ lowest).transpose(0, 2, 1).reshape(len(c), -1, d, d)
+    tops = np.linalg.svd(bivectors)[0][..., 0]
+    return np.concatenate([coords, np.broadcast_to(planes[0].T, coords.shape), tops], axis=1)
+
+
 def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
     """``min_curvature`` of each metric (all on one algebra) at its seed.
 
@@ -719,27 +700,29 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     ``curvature_operator()`` C, in its orthonormal coordinates x =
     Lambda^1/2 V^T z, and a metric whose lowest coordinate or
     metric-eigenvector plane ``_closes`` on the bound of C is reported from
-    that plane, with no pool and no descent.  The metrics left whose basis
-    planes hold none below -floor run ``_certified_above`` together, at
-    every budget, lifted towards their lowest basis planes from their flat
-    ones (``_scored_basis``) and, where those leave W free, from the flat
-    planes inside phi's repeated eigenspaces (``_partner_planes``), and one
-    whose lifted bound less its margin is at or above -floor and whose
-    plane closes on it is reported the same way.  Every other metric draws
-    and scores its own pool, exactly as it would alone; then the best starts
-    of all of them descend together as one (T, 2, d, n) stack.  A metric's
-    certificate and a start's descent depend on that metric alone, so each
-    report equals the one its metric gets alone, byte for byte.
+    that plane.  Every other metric runs ``_certified_above``, lifted
+    towards its lowest basis plane from its flat ones (``_scored_basis``)
+    and, where those leave W free, from the flat planes inside phi's
+    repeated eigenspaces (``_partner_planes``), else by the barrier; its
+    lowest basis plane is tried again on the lifted bound.  The metrics
+    still open are polished together by ``_alternate`` from the deterministic
+    ``_polish_starts``: for fixed x1 the best x2 is the lowest eigenvector of
+    vec(x1 x1^T) F + s x1 x1^T, F the form of B^T C B, and s = 4 ||C||_2
+    keeps x2 orthogonal to x1.  A closure on a lifted bound needs that bound
+    within its margin on one side of -floor, floor = min(tol, 1e-8 ||C||_2).
+    A metric's certificate and polish depend on that metric alone, so each
+    report equals the one its metric gets alone, byte for byte, and no
+    report depends on its seed.
     """
     d = metrics[0].algebra.dim
 
-    def report(k, frame, lam0, delta, quotient=None):
+    def report(k, frame, bound, margin, quotient=None, settled=True):
         witness = _canonical_plane(frame.T)
         m = metrics[k]
         final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
-        exact = d == 3 or _closes(quotient, final, lam0, delta)
+        exact = d == 3 or (settled and _closes(quotient, final, bound, margin))
         return _report(final, witness.T, tol, budget, seeds[k], exact=exact,
-                       lower_bound=float(lam0 - delta))
+                       lower_bound=float(bound - margin))
 
     if d == 3:
         # phi's eigenvalues, and so the curvatures, carry eps kappa(phi) errors
@@ -752,7 +735,6 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
                 for k, (m, b) in enumerate(zip(metrics, low))]
     c = np.stack([m.curvature_operator() for m in metrics])
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    inc = _incidence(d)
     basis, coords = _scored_basis(metrics, c)
     n = basis.shape[1] // 2
     low = basis.min(axis=1)
@@ -768,35 +750,29 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         return rep if rep.exact else None
 
     reports = [closed(k, lam0[k], delta[k]) for k in range(len(metrics))]
-    # a basis plane below -floor rules the certificate out; it lifts the
-    # bound towards the lowest basis plane, so a metric that closes there
-    # draws no pool
-    floor = np.minimum(tol, _CERT_FLOOR * delta)
-    hopeful = [k for k, rep in enumerate(reports) if rep is None and low[k] >= -floor[k]]
-    if hopeful:
-        eigenvalues = np.stack([metrics[k].eigenvalues for k in hopeful])
-        bound, margin = _certified_above(c[hopeful], lam0[hopeful], delta[hopeful], eigenvalues,
-                                         floor[hopeful], basis[hopeful], coords[hopeful])
-        for k, lifted, dw in zip(hopeful, bound, margin):
-            # only a bound that proves no plane below -floor closes (near the
-            # gate a looser one has closed a family member below -tol)
-            if lifted - dw >= -floor[k]:
-                reports[k] = closed(k, lifted, dw)
-    search = [k for k, rep in enumerate(reports) if rep is None]
-    if search:
-        starts = []
-        for k in search:
-            m = metrics[k]
-            raw = np.random.default_rng(seeds[k]).standard_normal((budget.samples, d, 2))
-            pool = np.concatenate([raw.T, _basis_planes(np.eye(d)), _basis_planes(m.eigenvectors)],
-                                  axis=2)
-            starts.append(_best_starts((c[k], inc), _to_orthonormal(m, pool), budget.restarts))
-        vals, best = _search((c[search], inc), np.concatenate(starts), budget.iters, delta[search])
-        # each best frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
-        back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in search])
-        frames = _gram_schmidt(back[:, None] @ best[..., None])[..., 0]
-        for k, q, frame in zip(search, vals, frames):
-            reports[k] = report(k, frame, lam0[k], delta[k], q)
+    rows = [k for k, rep in enumerate(reports) if rep is None]
+    if not rows:
+        return reports
+    eigenvalues = np.stack([metrics[k].eigenvalues for k in rows])
+    bound, margin, weights = _certified_above(c[rows], lam0[rows], delta[rows], eigenvalues,
+                                              basis[rows], coords[rows])
+    # a lifted bound whose margin straddles -floor decides nothing (near the
+    # gate such bounds closed quotients at -2.3e-7 whose minimum was 0)
+    floor = np.minimum(tol, _CERT_FLOOR * delta[rows])
+    settled = (bound - margin >= -floor) | (bound + margin < -floor)
+    for r in np.flatnonzero(settled):
+        reports[rows[r]] = closed(rows[r], bound[r], margin[r])
+    rest = [r for r, k in enumerate(rows) if reports[k] is None]
+    if rest:
+        ks = [rows[r] for r in rest]
+        starts = _polish_starts([metrics[k] for k in ks], c[ks], c[ks] + weights[rest])
+        vals, x1, x2 = _alternate(_plane_forms(c[ks], delta[ks], d), starts, budget.iters,
+                                  1e-3 * delta[ks], (bound + margin)[rest])
+        # each frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
+        back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in ks])
+        frames = _gram_schmidt(back[:, None] @ np.stack([x1, x2], axis=1)[..., None])[..., 0]
+        for r, k, q, frame in zip(rest, ks, vals, frames):
+            reports[k] = report(k, frame, bound[r], margin[r], q, bool(settled[r]))
     return reports
 
 
@@ -814,33 +790,29 @@ def min_curvature(
     kappa(phi)); the budget and seed are only recorded.  On so(4) every
     search runs on C = ``m.curvature_operator()``: in the coordinates x =
     Lambda^1/2 V^T z of m's eigenframe a plane's curvature is the Rayleigh
-    quotient of C at x1 ^ x2.  ``lower_bound`` is the smallest eigenvalue of
-    C less a rounding margin delta (1e-12 times C's spectral norm): no plane
+    quotient of C at x1 ^ x2.  The smallest eigenvalue of C less a rounding
+    margin delta (1e-12 times C's spectral norm) is a lower bound: no plane
     lies below it.  When the lowest coordinate or metric-eigenvector plane,
     scored in x, attains the bound, that plane is reported with ``exact``
-    true (min_value - lower_bound <= 2 delta), no pool is drawn, and the
-    report does not depend on the seed.  Next, when no basis plane lies
-    below -floor, floor = min(tol, 1e-8 times C's norm), a Pluecker-quadric
-    certificate lifts the bound towards the lowest basis plane, at every
-    budget: first by one least-squares solve for the combination W of the
-    quadrics that the flat basis planes ask for, and, where those leave W
-    free, the flat planes inside phi's repeated eigenspaces too, which
-    settles torus and S^3-action quotient family members, then, where that
-    falls short, by log-barrier Newton steps from W = 0.  If the lifted
-    bound less its margin proves that no plane lies below -floor and that
-    plane attains it, the report is built from it the same way, with
-    ``lower_bound`` the lifted bound less its margin: quotient and torus
-    family members close so, and whether a report is ``exact`` depends on
-    the metric, not on its seed or budget.  Otherwise,
-    coarse stage: ``budget.samples`` random frames plus the coordinate and
-    metric-eigenvector planes, each orthonormalized in x and scored by the
-    quotient of C.  The best ``budget.restarts`` starts are refined together
-    by exact-gradient descent in x for at most ``budget.iters`` steps, and
-    the same rule decides ``exact``.  The reported witness is the
-    minimizing plane mapped back by z = V Lambda^-1/2 x and canonicalized,
-    and ``min_value`` is the closed-form curvature re-evaluated on it, so a
-    negative verdict is reproducible in isolation.  ``seed`` must be a
-    nonnegative integer (ValueError).
+    true (min_value - lower_bound <= 2 delta).  Otherwise a Pluecker-quadric
+    certificate lifts the bound towards the lowest basis plane: first by
+    one least-squares solve for the combination W of the quadrics that the
+    flat basis planes ask for, and, where those leave W free, the flat
+    planes inside phi's repeated eigenspaces too, which settles torus and
+    S^3-action quotient family members, then, where that falls short, by
+    log-barrier Newton steps from W = 0.  ``lower_bound`` is then the lifted
+    bound less its margin.  If the lowest basis plane attains it, that
+    plane is reported the same way; else at most ``budget.iters`` rounds of
+    exact alternating minimization polish fixed starts (the basis planes
+    and the planes nearest the lowest eigenvectors of C + W and of C), and
+    the same rule decides ``exact`` on the plane they reach.  A closure on
+    a lifted bound needs that bound, within its margin, on one side of
+    -floor, floor = min(tol, 1e-8 times C's norm).  The reported witness is
+    the minimizing plane mapped back by z = V Lambda^-1/2 x and
+    canonicalized, and ``min_value`` is the closed-form curvature
+    re-evaluated on it, so a negative verdict is reproducible in isolation.
+    No random number is drawn: the report does not depend on ``seed``,
+    which is only recorded, but must be a nonnegative integer (ValueError).
     """
     seeds = [_check_count(seed, "seed")]
     return _plane_reports([m], budget or Budget(), _check_tol(tol), seeds)[0]
@@ -884,11 +856,6 @@ def _hemisphere_grid(n: int) -> np.ndarray:
     return grid
 
 
-def _outer_rows(v: np.ndarray) -> np.ndarray:
-    """The (n, 9) rows vec(v_k v_k^T) of the (n, 3) rows v."""
-    return (v[:, :, None] * v[:, None, :]).reshape(len(v), 9)
-
-
 def _smallest_eigenvalues(m: np.ndarray) -> np.ndarray:
     """The smallest eigenvalue of each symmetric 3x3 matrix in the (n, 9)
     stack m of row-major entries, in closed form (Smith, *Eigenvalues of a
@@ -920,25 +887,17 @@ def _least_pair(form: np.ndarray, budget: Budget, stop: float) -> tuple[np.ndarr
     the other way.  Every point of ``_hemisphere_grid(budget.samples)`` is
     scored by the closed-form smallest eigenvalue of its G_a, and the
     ``budget.restarts`` lowest, in a stable order, are polished together by
-    exact alternating minimization: each round takes every start's b as the
-    lowest eigenvector of G_a, then its a as the lowest eigenvector of G^b.
-    The rounds stop after ``budget.iters``, or once the best value falls by
-    no more than ``stop`` in a round.
+    exact alternating minimization (``_alternate``): each round takes every
+    start's b as the lowest eigenvector of G_a, then its a as the lowest
+    eigenvector of G^b.  The rounds stop after ``budget.iters``, or once the
+    best value falls by no more than ``stop`` in a round.
     """
     m = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
     grid = _hemisphere_grid(budget.samples)
     order = np.argsort(_smallest_eigenvalues(_outer_rows(grid) @ m), kind="stable")
-    a = grid[order[: budget.restarts]]
-    best = np.inf
-    for _ in range(budget.iters):
-        b = np.linalg.eigh((_outer_rows(a) @ m).reshape(-1, 3, 3))[1][:, :, 0]
-        val, vec = np.linalg.eigh((_outer_rows(b) @ m.T).reshape(-1, 3, 3))
-        a = vec[:, :, 0]
-        k = int(np.argmin(val[:, 0]))
-        if best - val[k, 0] <= stop:
-            break
-        best = val[k, 0]
-    return a[k], b[k]
+    _, a, b = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters,
+                         np.array([stop]), np.array([-np.inf]))
+    return a[0], b[0]
 
 
 def infinitesimal_check(
@@ -1086,10 +1045,9 @@ def path_scan(
 
     Every grid time's metric is built by ``path.metric_at`` before any work
     starts, so the first time outside the path's window raises the path's
-    HorizonExceeded, naming that time.  Each time gets an independent
-    derived seed; a time that closes on its lower bound draws no pool, and
-    every other time draws its own, whose best starts then descend together
-    as one stack.  Entry i equals
+    HorizonExceeded, naming that time.  Each time records an independent
+    derived seed; the times still open after the certificate are polished
+    together as one stack.  Entry i equals
     ``min_curvature(path.metric_at(t_i), seed=derived_seed(seed, i))`` with
     ``t`` set, so the scan is reproducible entry by entry.
     """
@@ -1105,15 +1063,15 @@ def path_scan_many(
     *,
     seeds,
 ) -> list[list[CurvatureReport]]:
-    """``path_scan`` of several paths on one algebra, in one descent.
+    """``path_scan`` of several paths on one algebra, in one batch.
 
     Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol, seeds[k])``.
-    Every path and every grid time's metric is built before any pool is
-    drawn, so the first refused time, path by path, raises HorizonExceeded
-    naming it; then the times that close on their bound are reported, and
-    the best starts of every other time of every path descend together as
-    one stack.  A start's descent depends on its own column alone, so
-    entries stay byte for byte those of ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
+    Every path and every grid time's metric is built before any search
+    starts, so the first refused time, path by path, raises HorizonExceeded
+    naming it; then every time of every path goes through the bound, the
+    certificate and the polish together.  Each time's rows depend on its
+    own metric alone, so entries stay byte for byte those of
+    ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
     one entry per path, each grid a 1-d sequence of real numbers and each
     seed a nonnegative integer, checked before any path is built
     (ValueError); a NaN time raises the path's HorizonExceeded.

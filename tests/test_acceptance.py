@@ -21,7 +21,7 @@ from liecurv import (
     factor_subalgebra,
     infinitesimal_check,
     inverse_linear_eigs_s3,
-    invariant_abelian_residual,
+    invariant_abelian_residual_many,
     k_of_t,
     k_second_deriv,
     kappa_of_t,
@@ -35,7 +35,7 @@ from liecurv import (
     psi_normal_form,
     puttmann_curvature,
     s3_action_invariant_planes,
-    s3_action_path_residual,
+    s3_action_path_residual_many,
     s3_action_phi,
     s3_action_psi,
     s3_quotient_eigenvalues,
@@ -242,7 +242,7 @@ def test_criterion_07_path_family_consistency():
             2.0,
         )
         t = rng.uniform(0.05, 0.95) * cap
-        worst = max(worst, s3_action_path_residual(alpha, beta, lam, t))
+        worst = max(worst, s3_action_path_residual_many([alpha], [beta], [lam], [t])[0])
     _criterion(
         7,
         worst < 1e-10,
@@ -290,14 +290,13 @@ def test_criterion_09_family_scans_and_planes():
             lowest = min(lowest, min(r.min_value for r in reports))
     for _ in range(20):
         p = random_product_params(rng)
-        worst_plane = max(worst_plane, invariant_abelian_residual(
-            G4, product_phi(p), product_invariant_planes(p)))
         q = random_torus_params(rng)
-        worst_plane = max(worst_plane, invariant_abelian_residual(
-            G4, torus_phi(q), torus_invariant_planes(q)))
         s = random_s3_action_params(rng)
-        worst_plane = max(worst_plane, invariant_abelian_residual(
-            G4, s3_action_phi(s), s3_action_invariant_planes()))
+        worst_plane = max(worst_plane, *invariant_abelian_residual_many(
+            G4,
+            [product_phi(p), torus_phi(q), s3_action_phi(s)],
+            [product_invariant_planes(p), torus_invariant_planes(q), s3_action_invariant_planes()],
+        ))
     _criterion(
         9,
         negatives == 0 and lowest >= -1e-9 and worst_plane < 1e-12,

@@ -11,13 +11,11 @@ from liecurv import (
     S3ActionParams,
     TorusParams,
     DimensionMismatch,
-    invariant_abelian_residual,
     invariant_abelian_residual_many,
     inverse_linear_eigs_s3,
     product_invariant_planes,
     product_phi,
     s3_action_invariant_planes,
-    s3_action_path_residual,
     s3_action_path_residual_many,
     s3_action_phi,
     s3_action_psi,
@@ -169,7 +167,7 @@ def test_barred_params_special_cases():
     with pytest.raises(HorizonExceeded):
         _barred_row(2.0, 0.0, lam, 0.6)
     with pytest.raises(HorizonExceeded):
-        s3_action_path_residual(2.0, 0.0, lam, 0.6)
+        s3_action_path_residual_many([2.0], [0.0], [lam], [0.6])
 
 
 def test_barred_lambda_is_positive_multiple():
@@ -196,7 +194,7 @@ def test_path_consistency_residual():
             2.0,
         )
         t = rng.uniform(0.05, 0.95) * cap
-        worst = max(worst, s3_action_path_residual(alpha, beta, lam, t))
+        worst = max(worst, s3_action_path_residual_many([alpha], [beta], [lam], [t])[0])
     assert worst < 1e-10
 
 
@@ -210,21 +208,40 @@ def test_phi_at_time_one_is_the_family_metric():
     assert np.allclose(member, path, atol=1e-15)
     for t in (0.0, -0.1):
         with pytest.raises(HorizonExceeded, match="t must be positive"):
-            s3_action_path_residual(alpha, beta, lam, t)
+            s3_action_path_residual_many([alpha], [beta], [lam], [t])
 
 
 def test_invariant_planes_all_families(g4):
     rng = np.random.default_rng(4)
     for _ in range(10):
         p = random_product_params(rng)
-        res = invariant_abelian_residual(g4, product_phi(p), product_invariant_planes(p))
-        assert res < 1e-12
         q = random_torus_params(rng)
-        res = invariant_abelian_residual(g4, torus_phi(q), torus_invariant_planes(q))
-        assert res < 1e-12
         s = random_s3_action_params(rng)
-        res = invariant_abelian_residual(g4, s3_action_phi(s), s3_action_invariant_planes())
-        assert res < 1e-12
+        res = invariant_abelian_residual_many(
+            g4,
+            [product_phi(p), torus_phi(q), s3_action_phi(s)],
+            [product_invariant_planes(p), torus_invariant_planes(q), s3_action_invariant_planes()],
+        )
+        assert res.max() < 1e-12
+
+
+def test_fixed_invariant_planes_are_built_once():
+    """The torus and S^3-action planes do not depend on the parameters: each
+    call returns the same read-only array, equal to the planes built from
+    their definition."""
+    rng = np.random.default_rng(5)
+    planes = torus_invariant_planes(random_torus_params(rng))
+    assert planes is torus_invariant_planes(random_torus_params(rng))
+    assert s3_action_invariant_planes() is s3_action_invariant_planes()
+    e = np.eye(6)
+    assert np.array_equal(s3_action_invariant_planes(),
+                          np.stack([np.stack([e[i], e[i + 3]], axis=1) for i in range(3)]))
+    a, b = families._A1_DEFAULT, families._B1_DEFAULT
+    assert np.array_equal(planes[0], np.stack([a, b], axis=1))
+    for fixed in (planes, s3_action_invariant_planes()):
+        assert fixed.shape == (3, 6, 2) and not fixed.flags.writeable
+        with pytest.raises(ValueError):
+            fixed[0, 0, 0] = 1.0
 
 
 def test_berger_triples_are_valid_eigenvalue_sets():
@@ -265,10 +282,10 @@ def test_non_finite_family_parameters_rejected(bad):
         lambda: s3_action_psi(bad, 0.0, lam),
         lambda: s3_action_psi(0.0, bad, lam),
         lambda: s3_action_psi(0.0, 0.0, broken_lam),
-        lambda: s3_action_path_residual(bad, 0.2, lam, 0.5),
-        lambda: s3_action_path_residual(0.3, bad, lam, 0.5),
-        lambda: s3_action_path_residual(0.3, 0.2, broken_lam, 0.5),
-        lambda: s3_action_path_residual(0.3, 0.2, lam, bad),
+        lambda: s3_action_path_residual_many([bad], [0.2], [lam], [0.5]),
+        lambda: s3_action_path_residual_many([0.3], [bad], [lam], [0.5]),
+        lambda: s3_action_path_residual_many([0.3], [0.2], [broken_lam], [0.5]),
+        lambda: s3_action_path_residual_many([0.3], [0.2], [lam], [bad]),
     ]
     for make in makers:
         with warnings.catch_warnings():
@@ -283,11 +300,10 @@ def test_path_residual_names_its_non_finite_argument(name, bad):
     # a non-finite time used to reach eigvalsh and raise LinAlgError
     args = {"alpha": 0.3, "beta": 0.2, "lam": np.ones(3), "t": 0.5}
     args[name] = np.array([1.0, bad, 1.0]) if name == "lam" else bad
-    with pytest.raises(ValueError, match=f"{name} is non-finite"):
-        s3_action_path_residual(**args)
-    rows = {key: [value, value] for key, value in args.items()}
-    with pytest.raises(ValueError, match=f"{name} is non-finite"):
-        s3_action_path_residual_many(rows["alpha"], rows["beta"], rows["lam"], rows["t"])
+    for n in (1, 2):
+        rows = {key: [value] * n for key, value in args.items()}
+        with pytest.raises(ValueError, match=f"{name} is non-finite"):
+            s3_action_path_residual_many(rows["alpha"], rows["beta"], rows["lam"], rows["t"])
 
 
 def test_path_residual_kernel_checks_shapes_and_lambda():
@@ -313,11 +329,11 @@ def test_abelian_residual_refuses_non_finite_phi_and_planes(g4):
     inf_phi[0, 3] = inf_phi[3, 0] = np.inf
     for phi in (nan_phi, inf_phi):
         with pytest.raises(ValueError, match="phis has non-finite entries"):
-            invariant_abelian_residual(g4, phi, planes)
+            invariant_abelian_residual_many(g4, phi[None], planes[None])
     broken = planes.copy()
     broken[1, 4, 0] = np.nan
     with pytest.raises(ValueError, match="planes has non-finite entries"):
-        invariant_abelian_residual(g4, s3_action_phi(p), broken)
+        invariant_abelian_residual_many(g4, s3_action_phi(p)[None], broken[None])
     with pytest.raises(ValueError, match="phis has non-finite entries"):
         invariant_abelian_residual_many(g4, np.stack([s3_action_phi(p), nan_phi]), [planes] * 2)
 
@@ -325,15 +341,15 @@ def test_abelian_residual_refuses_non_finite_phi_and_planes(g4):
 def test_abelian_residual_names_a_misshapen_argument(g4):
     phi = np.eye(6)
     planes = s3_action_invariant_planes()
-    with pytest.raises(DimensionMismatch, match="phi must be a matrix"):
-        invariant_abelian_residual(g4, np.ones(6), planes)
-    with pytest.raises(DimensionMismatch, match="planes must be"):
-        invariant_abelian_residual(g4, phi, planes[0])
     with pytest.raises(DimensionMismatch, match="phis must be"):
-        invariant_abelian_residual(g4, np.eye(5), planes)
+        invariant_abelian_residual_many(g4, np.ones(6)[None], planes[None])
     with pytest.raises(DimensionMismatch, match="planes must be"):
-        invariant_abelian_residual(g4, phi, planes[:, :5])
+        invariant_abelian_residual_many(g4, phi[None], planes[0][None])
+    with pytest.raises(DimensionMismatch, match="phis must be"):
+        invariant_abelian_residual_many(g4, np.eye(5)[None], planes[None])
+    with pytest.raises(DimensionMismatch, match="planes must be"):
+        invariant_abelian_residual_many(g4, phi[None], planes[None, :, :5])
     with pytest.raises(DimensionMismatch, match="planes must be"):
         invariant_abelian_residual_many(g4, np.stack([phi, phi]), planes[None])
     assert invariant_abelian_residual_many(g4, np.zeros((0, 6, 6)), np.zeros((0, 3, 6, 2))).shape == (0,)
-    assert invariant_abelian_residual(g4, phi, np.zeros((0, 6, 2))) == 0.0
+    assert invariant_abelian_residual_many(g4, phi[None], np.zeros((1, 0, 6, 2))).tolist() == [0.0]

@@ -97,6 +97,8 @@ DELETED = [
     "algebra.Subalgebra.from_span",
     "errors.SingularVector",
     "families.barred_params",
+    "families.invariant_abelian_residual",
+    "families.s3_action_path_residual",
     "families.s3_action_phi_at_time",
     "metric.b_term",
     "metric._DEFINITENESS_GATE",
@@ -106,9 +108,15 @@ DELETED = [
     "variation._HORIZON_GUARD",
     "variation.stencil_curve",
     "verify._CERT_COST",
+    "verify._STEP_INIT",
+    "verify._STEP_STOP",
     "verify._STALL_FLOOR",
     "verify._STALL_STEPS",
+    "verify._best_starts",
+    "verify._descend",
     "verify._least_curved_plane_3d",
+    "verify._quotient_value_and_gradient",
+    "verify._search",
     "verify._unit_columns",
     "verify._whitened_operators",
 ]

@@ -14,7 +14,6 @@ from liecurv import (
     diagonal_subalgebra,
     factor_subalgebra,
     families,
-    invariant_abelian_residual,
     invariant_abelian_residual_many,
     k_of_t,
     k_of_t_many,
@@ -24,7 +23,6 @@ from liecurv import (
     kappa_third_deriv,
     normal_form_kappa3,
     normalized_curvature,
-    s3_action_path_residual,
     s3_action_path_residual_many,
     sample_commuting_pairs,
     so4,
@@ -370,7 +368,7 @@ def test_many_kernel_rows_are_their_one_row_calls_after_a_shuffle(g4, seed, n):
     rows = s3_action_path_residual_many(alphas, betas, lams, ts)
     shuffled = s3_action_path_residual_many(alphas[perm], betas[perm], lams[perm], ts[perm])
     assert shuffled.tolist() == rows[perm].tolist() == [
-        s3_action_path_residual(alphas[k], betas[k], lams[k], ts[k]) for k in perm
+        s3_action_path_residual_many([alphas[k]], [betas[k]], [lams[k]], [ts[k]])[0] for k in perm
     ]
 
     # any finite input: phi need not preserve the planes, nor the planes be orthonormal
@@ -379,7 +377,7 @@ def test_many_kernel_rows_are_their_one_row_calls_after_a_shuffle(g4, seed, n):
     rows = invariant_abelian_residual_many(g4, phis, planes)
     shuffled = invariant_abelian_residual_many(g4, phis[perm], planes[perm])
     assert shuffled.tolist() == rows[perm].tolist() == [
-        invariant_abelian_residual(g4, phis[k], planes[k]) for k in perm
+        invariant_abelian_residual_many(g4, phis[k][None], planes[k][None])[0] for k in perm
     ]
 
     paths = InverseLinearPath.many(g4, 3.0 * rng.standard_normal() * np.stack(
