@@ -291,12 +291,13 @@ def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
         "path_scan": lambda: path_scan(g, psi, [0.2], seed=seed),
         "path_scan_many": lambda: path_scan_many(g, [psi], [[0.2]], seeds=[seed]),
         "infinitesimal_check": lambda: infinitesimal_check(g, psi, seed=seed),
-        "lemma_k_check": lambda: lemma_k_check(g, psi, n=3, seed=seed),
+        "lemma_k_check": lambda: lemma_k_check(g, psi, seed=seed),
         "sample_commuting_pairs": lambda: sample_commuting_pairs(g, 3, seed),
     }[entry]
     work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
     with mock.patch.object(verify, "_plane_reports", work), \
             mock.patch.object(verify, "_pair_form", work), \
+            mock.patch.object(verify, "eigenstructure", work), \
             mock.patch.object(np.random, "default_rng", work), \
             pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         call()
@@ -602,7 +603,7 @@ def _certificate(m, tol=DEFAULT_TOL):
     the flat ones, and how many are flat."""
     c = m.curvature_operator()[None]
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    basis, coords = _scored_basis([m], c)
+    basis, coords, _ = _scored_basis([m], c)
     floor = min(tol, 1e4 * delta[0])
     bound, margin, _ = _certified_above(c, lam0, delta, m.eigenvalues[None], basis, coords)
     flats = np.count_nonzero(basis[0] <= basis[0].min() + delta[0])
@@ -1586,13 +1587,13 @@ def test_lemma_k_rejects_non_finite(g4, bad):
     psi = torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4)
     psi[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        lemma_k_check(g4, psi, n=10)
+        lemma_k_check(g4, psi)
 
 
 def test_lemma_k_torus_and_scalar_pass(g4):
-    rep = lemma_k_check(g4, torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4), n=100, seed=13)
-    assert rep.passed and rep.samples > 0
-    rep = lemma_k_check(g4, 0.7 * np.eye(6), n=50, seed=14)
+    rep = lemma_k_check(g4, torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4), seed=13)
+    assert rep.passed
+    rep = lemma_k_check(g4, 0.7 * np.eye(6), seed=14)
     assert rep.passed
     assert rep.max_residual < 1e-12
 
@@ -1605,7 +1606,7 @@ def test_lemma_k_projection_passes_despite_negative_variation(g4):
     from liecurv import diagonal_subalgebra
 
     proj = diagonal_subalgebra(g4).projector
-    assert lemma_k_check(g4, proj, n=100, seed=23).passed
+    assert lemma_k_check(g4, proj, seed=23).passed
     assert infinitesimal_check(g4, proj, LIGHT, seed=23).verdict == VERDICT_NEGATIVE
 
 
@@ -1625,39 +1626,161 @@ def _constructed_failure(case):
 @pytest.mark.parametrize("case", ["factor", "generic-1d", "generic-2d"])
 def test_lemma_k_detects_constructed_failure(g4, case):
     psi = _constructed_failure(case)
-    rep = lemma_k_check(g4, psi, n=200, seed=15)
+    rep = lemma_k_check(g4, psi, seed=15)
     assert not rep.passed
     assert rep.max_residual > 1e-3
-    assert rep.samples == 200
     # and consistently, the variation fails the infinitesimal test
     inf = infinitesimal_check(g4, psi, LIGHT, seed=15)
     assert inf.verdict == VERDICT_NEGATIVE
 
 
-def test_lemma_k_same_seed_same_report(g4):
+def _stratum_failure():
+    """psi whose smallest eigenspace E = span{A1, B1} fails only on a factor
+    stratum: psi B2 = A2 + 3 B2, and [A1, A2 + 3 B2] = A3 lies outside E,
+    though B2 commutes with A1 alone and no generic x of E sees it."""
+    psi = np.diag([0.0, 2.0, 2.0, 0.0, 3.0, 3.0])
+    psi[1, 4] = psi[4, 1] = 1.0
+    return psi
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lemma_k_fails_on_a_factor_stratum_at_every_seed(g4, seed):
+    """The sampled reference draws x generic in E, so it passes this psi
+    with residual 0.0 at seeds 0-4; the exact check fails it at every seed, with
+    residual |[A1, psi B2]| / ||psi|| = 2 / (5 + sqrt 5), and the variation
+    has a negative pair."""
+    psi = _stratum_failure()
+    assert _sampled_lemma_k(g4, psi, seed=seed) == (0.0, True)
+    rep = lemma_k_check(g4, psi, seed=seed)
+    assert not rep.passed
+    assert rep.max_residual > 0.1
+    assert rep.max_residual == pytest.approx(2.0 / (5.0 + np.sqrt(5.0)), rel=1e-12)
+    assert infinitesimal_check(g4, psi, seed=seed).verdict == VERDICT_NEGATIVE
+
+
+def test_lemma_k_does_not_depend_on_its_seed(g4):
     psi = _constructed_failure("generic-2d")
     assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=3)
-    assert lemma_k_check(g4, psi, seed=3) != lemma_k_check(g4, psi, seed=4)
+    assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=4)
 
 
 def test_lemma_k_rejects_malformed_psi(g4):
     psi = torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4)
     psi[0, 1] += 1e-6
     with pytest.raises(ValueError, match="symmetric"):
-        lemma_k_check(g4, psi, n=10)
+        lemma_k_check(g4, psi)
     with pytest.raises(DimensionMismatch):
-        lemma_k_check(g4, np.eye(3), n=10)
+        lemma_k_check(g4, np.eye(3))
 
 
-@pytest.mark.parametrize("n", [-3, 2.5, True, np.float64(4.0)])
-def test_lemma_k_rejects_bad_sample_count(g4, n):
-    with pytest.raises(ValueError, match="n must be"):
-        lemma_k_check(g4, np.eye(6), n=n)
+def _sampled_lemma_k(g, psi, n=200, seed=0):
+    """The reference: the sampled check that the exact ``lemma_k_check``
+    replaced, as (max residual, passed).  n unit x in the smallest
+    eigenspace of psi, each with a unit y drawn from the null space of
+    ad(x), and the component of [x, psi y] off that eigenspace relative to
+    psi's spectral radius."""
+    psi = np.asarray(psi, dtype=float)
+    basis = eigenstructure(psi).smallest
+    scale = max(np.abs(np.linalg.eigvalsh(psi)).max(), 1e-300)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, basis.shape[1])) @ basis.T
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    _, s, vh = np.linalg.svd(np.einsum("ijk,ni->nkj", g.structure, x))
+    null = s < 1e-10 * np.maximum(s.max(axis=1, keepdims=True), 1.0)
+    y = np.einsum("nk,nkj->nj", null * rng.standard_normal((n, g.dim)), vh)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    w = g.bracket_many(x, y @ psi)
+    worst = float((np.linalg.norm(w - (w @ basis) @ basis.T, axis=1) / scale).max(initial=0.0))
+    return worst, worst < 1e-8
 
 
-def test_lemma_k_zero_samples_is_vacuous(g4):
-    rep = lemma_k_check(g4, _constructed_failure("factor"), n=np.int64(0))
-    assert rep.vacuous and rep.passed and rep.samples == 0
+def _pair_verdict_psis(rng, n):
+    """n variation derivatives of the pair benchmark's kinds, in turn: the
+    enlarging and the shrinking projector onto the diagonal, torus and
+    S^3-action derivatives, each under a random automorphism."""
+    proj = diagonal_subalgebra(so4()).projector
+    psis = []
+    for k in range(n):
+        if k % 4 < 2:
+            psi = (1.0 - 2.0 * (k % 4)) * rng.uniform(0.5, 1.5) * proj
+        elif k % 4 == 2:
+            psi = torus_psi(*rng.uniform(-1.0, 1.0, 4), rng.uniform(0.2, 1.0))
+        else:
+            lam = rng.uniform(0.5, 2.0) * np.array([rng.uniform(0.2, 4.0 / 3.0), 1.0, 1.0])
+            psi = s3_action_psi(*rng.uniform(-1.0, 0.9, 2), lam[rng.permutation(3)])
+        auto = random_automorphism(rng, bool(rng.integers(2)))
+        psi = auto @ psi @ auto.T
+        psis.append(0.5 * (psi + psi.T))
+    return psis
+
+
+def _strata_psi(rng):
+    """psi with integer diagonal entries in 0..3 and one coupling of 0 or 1
+    between two basis vectors, under a random automorphism: repeated
+    eigenvalues make smallest eigenspaces that meet a factor, as in
+    ``_stratum_failure``."""
+    psi = np.diag(rng.integers(0, 4, 6).astype(float))
+    i, j = rng.choice(6, 2, replace=False)
+    psi[i, j] = psi[j, i] = float(rng.integers(2))
+    auto = random_automorphism(rng, bool(rng.integers(2)))
+    psi = auto @ psi @ auto.T
+    return 0.5 * (psi + psi.T)
+
+
+def test_lemma_k_agrees_with_the_sampler(g4):
+    """On 300 random symmetric psi, on the pair benchmark's kinds and on the
+    psi of the tests above, the exact check and the sampled reference agree
+    on PASS."""
+    rng = np.random.default_rng(16)
+    randoms = [m + m.T for m in rng.standard_normal((300, 6, 6))]
+    named = [
+        torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4),
+        0.7 * np.eye(6),
+        diagonal_subalgebra(g4).projector,
+        *(_constructed_failure(case) for case in ("factor", "generic-1d", "generic-2d")),
+        torus_psi(0.3, 0.6, 0.2, 0.5, 0.3),
+        s3_action_psi(0.2, -0.4, np.array([0.7, 1.0, 1.3])),
+    ]
+    outcomes = set()
+    for psi in [*randoms, *_pair_verdict_psis(np.random.default_rng(71), 80), *named]:
+        passed = lemma_k_check(g4, psi).passed
+        assert passed == _sampled_lemma_k(g4, psi)[1]
+        outcomes.add(passed)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lemma_k_fails_wherever_the_sampler_fails(g4, seed):
+    psi = _strata_psi(np.random.default_rng(seed))
+    if not _sampled_lemma_k(g4, psi, seed=seed % 7)[1]:
+        assert not lemma_k_check(g4, psi).passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), swap=st.booleans(), scale=st.floats(1e-3, 1e3),
+       stratum=st.booleans())
+def test_lemma_k_is_automorphism_and_scale_invariant(g4, seed, swap, scale, stratum):
+    """PASS does not change under diag(Q1, Q2), the factor swap, or psi ->
+    s psi, on ``_strata_psi`` draws and on the stratum failure."""
+    rng = np.random.default_rng(seed)
+    psi = _stratum_failure() if stratum else _strata_psi(rng)
+    auto = random_automorphism(rng, swap)
+    moved = scale * (auto @ psi @ auto.T)
+    assert lemma_k_check(g4, 0.5 * (moved + moved.T)).passed == lemma_k_check(g4, psi).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       repeats=st.sampled_from([(0, 1, 2), (0, 0, 1), (0, 1, 1), (0, 0, 0)]))
+def test_lemma_k_passes_every_so3_psi(g3, seed, repeats):
+    """On so(3) y commuting with x in E is a multiple of x, and psi x is a
+    multiple of x, so every psi passes with residual 0 up to rounding."""
+    rng = np.random.default_rng(seed)
+    q = random_rotation(rng)
+    eigs = rng.uniform(-2.0, 2.0, 3)[list(repeats)]
+    rep = lemma_k_check(g3, q @ np.diag(eigs) @ q.T)
+    assert rep.passed and rep.max_residual < 1e-12
 
 
 def test_infinitesimal_pass_implies_lemma_k_pass(g4):
@@ -1667,13 +1790,13 @@ def test_infinitesimal_pass_implies_lemma_k_pass(g4):
         psi = random_symmetric(rng, 6)
         rep = infinitesimal_check(g4, psi, Budget(256, 6, 40), seed=17)
         if rep.verdict == VERDICT_NONNEGATIVE:
-            assert lemma_k_check(g4, psi, n=60, seed=18).passed
+            assert lemma_k_check(g4, psi, seed=18).passed
             checked += 1
     for psi in (
         torus_psi(0.3, 0.6, 0.2, 0.5, 0.3),
         s3_action_psi(0.2, -0.4, np.array([0.7, 1.0, 1.3])),
     ):
-        assert lemma_k_check(g4, psi, n=100, seed=19).passed
+        assert lemma_k_check(g4, psi, seed=19).passed
         checked += 1
     assert checked >= 2
 
