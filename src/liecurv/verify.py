@@ -47,12 +47,22 @@ less its margin.  No so(4) plane report draws a random number, so none
 depends on its seed, which is only recorded.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
-with G the 9x9 ``_pair_form`` of kappa'''(0).  For fixed a its minimum over
-unit b is the smallest eigenvalue of a 3x3 matrix G_a, and a and -a give
-the same value, so the pair search runs over RP^2: ``_least_pair`` scores
-a deterministic Fibonacci grid on the upper hemisphere by the closed-form
-smallest eigenvalue of each G_a, then polishes the best grid points by the
-same ``_alternate``.  It draws no random number either.
+with G the 9x9 ``_pair_form`` of kappa'''(0), and ``_certified_pair`` runs
+the same certificate on it.  The Segre quadrics, the 2x2 minors of X = a
+b^T, vanish on every a (x) b, so lambda_min(G + W) bounds every pair, with
+margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3) (G carries rounding at
+the scale of psi^3).  The witness starts at the top singular vectors of G's
+three lowest eigenvectors read as 3x3 matrices and is polished by
+``_alternate``.  The bound closes at W = 0, else W comes from one
+least-squares solve on the polished pairs within delta of the best (with
+pairs polished from a 9-point grid added where those leave W free), else
+from the barrier, and the same ``_closes`` rule decides ``exact`` on the
+re-evaluated kappa'''.  A nonnegative biquadratic form need not be a sum of
+squares, so a pair still open runs the fallback ``_least_pair``: it scores
+a deterministic Fibonacci grid on the upper hemisphere (a and -a give one
+value, so the grid covers RP^2) by the closed-form smallest eigenvalue of
+each G_a, the minimum over b for that a, and polishes the best grid points
+by ``_alternate``.  Neither draws a random number.
 
 ``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
 each row on its own, so a row's rounds depend on its own form alone.
@@ -140,12 +150,14 @@ _CERT_STEPS = 50
 class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
-    Pairs: ``samples`` points of the RP^2 grid, ``restarts`` best points
-    polished, at most ``iters`` alternating rounds.  so(4) planes: at most
-    ``iters`` alternating rounds of the polish from its fixed starts, with
-    ``samples`` and ``restarts`` only recorded.  On so(3) planes, and on
-    so(4) metrics that close before the polish, the whole budget is only
-    recorded.
+    Pairs: at most ``iters`` alternating rounds for the certificate's
+    witness; only a pair the certificate leaves open scores ``samples``
+    points of the RP^2 grid and polishes the ``restarts`` best, again for
+    at most ``iters`` rounds.  so(4) planes: at most ``iters`` alternating
+    rounds of the polish from its fixed starts, with ``samples`` and
+    ``restarts`` only recorded.  On so(3) planes, and on so(4) metrics and
+    pairs that close before the polish or the grid, the rest of the budget
+    is only recorded.
     """
 
     samples: int = 4096
@@ -206,8 +218,10 @@ class CurvatureReport:
     Pluecker certificate's lifted lambda_min(C + W), less a rounding margin
     delta.  ``exact`` says the minimum is known: on so(3) it comes in closed
     form; on so(4) the witness attains the bound, min_value - lower_bound
-    <= 2 delta.  Pair reports have no ``lower_bound``.  No report depends
-    on ``seed``, which is recorded with the budget.
+    <= 2 delta.  A pair report carries the Segre certificate's lifted
+    lambda_min(G + W) less its margin, and ``exact`` says the same of its
+    witness pair.  No report depends on ``seed``, which is recorded with
+    the budget.
     """
 
     verdict: str
@@ -378,7 +392,10 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
     as the lowest eigenvector of G^b.  Row t stops once its best value falls
     by no more than stop[t] in a round or reaches reach[t], or after
     ``iters`` rounds.  A stopped row is not computed again, so each row's
-    result depends on its own form and starts alone.  Returns the (T,) best
+    result depends on its own form and starts alone.  A row that runs all
+    ``iters`` rounds can still be creeping along a flat valley, where each
+    half-step gains a fixed fraction of what is left, so its best pair then
+    takes the Newton steps of ``_newton_pairs``.  Returns the (T,) best
     values of each row's last round and their (T, d) a and b.
     """
     t, n, d = a.shape
@@ -398,7 +415,52 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
         rows = rows[~done]
         if not len(rows):
             break
+    if len(rows):
+        val[rows], best_a[rows], best_b[rows] = _newton_pairs(m[rows], best_a[rows], best_b[rows],
+                                                              val[rows], iters)
     return val, best_a, best_b
+
+
+def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, iters: int):
+    """At most ``iters`` Newton steps on f(a, b) = vec(a a^T) M
+    vec(b b^T) over unit a and b for the (T, d*d, d*d) stack m, from the
+    (T, d) pairs a, b of values val, each step kept only where it lowers f;
+    the steps end once none does.
+
+    With N the entries of M read over (i, j, k, l), symmetrized in (i, j)
+    and in (k, l), G_a = N(a, a, ., .) and G^b = N(., ., b, b): the
+    gradient on the two spheres is 2 (G^b a - f a, G_a b - f b), and the
+    Hessian has the blocks 2 (G^b - f I) and 2 (G_a - f I), joined by 4
+    N(., a, ., b), each projected off a and b.  Its pseudo-inverse, with
+    singular values below 1e-10 of the largest dropped (the planes' turn
+    within the plane leaves f fixed), gives the step, and a and b are
+    renormalized."""
+    t, d = a.shape
+    n = m.reshape(t, d, d, d, d)
+    n = n + n.transpose(0, 2, 1, 3, 4)
+    n = 0.25 * (n + n.transpose(0, 1, 2, 4, 3))
+    eye = np.eye(d)
+    for _ in range(iters):
+        g_a = np.einsum("tijkl,ti,tj->tkl", n, a, a)
+        g_b = np.einsum("tijkl,tk,tl->tij", n, b, b)
+        f = np.einsum("tkl,tk,tl->t", g_a, b, b)[:, None]
+        p_a, p_b = eye - a[:, :, None] * a[:, None], eye - b[:, :, None] * b[:, None]
+        cross = 2.0 * p_a @ np.einsum("tijkl,tj,tl->tik", n, a, b) @ p_b
+        h = np.block([[p_a @ (g_b - f[..., None] * eye) @ p_a, cross],
+                      [cross.transpose(0, 2, 1), p_b @ (g_a - f[..., None] * eye) @ p_b]])
+        grad = np.concatenate([(g_b @ a[..., None])[..., 0] - f * a,
+                               (g_a @ b[..., None])[..., 0] - f * b], axis=1)
+        step = -(np.linalg.pinv(h, rcond=1e-10) @ grad[..., None])[..., 0]
+        na, nb = a + step[:, :d], b + step[:, d:]
+        na /= np.linalg.norm(na, axis=1, keepdims=True)
+        nb /= np.linalg.norm(nb, axis=1, keepdims=True)
+        nf = np.einsum("tijkl,ti,tj,tk,tl->t", n, na, na, nb, nb)
+        better = nf < val
+        if not np.count_nonzero(better):
+            break
+        a, b = np.where(better[:, None], na, a), np.where(better[:, None], nb, b)
+        val = np.where(better, nf, val)
+    return val, a, b
 
 
 @functools.lru_cache(maxsize=None)
@@ -879,9 +941,16 @@ def _smallest_eigenvalues(m: np.ndarray) -> np.ndarray:
     return q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
 
 
-def _least_pair(form: np.ndarray, budget: Budget, stop: float) -> tuple[np.ndarray, np.ndarray]:
-    """The unit (a, b) lowest found on (a (x) b).G(a (x) b) for the 9x9
-    ``_pair_form`` G.
+def _biquadratic(form: np.ndarray) -> np.ndarray:
+    """The 9x9 M of ``_alternate`` for the ``_pair_form`` G: its entries
+    T_ijkl read over (ij, kl), so that vec(a a^T) M vec(b b^T) = (a (x)
+    b).G(a (x) b)."""
+    return form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+
+
+def _least_pair(form: np.ndarray, budget: Budget, stop: float):
+    """The lowest value found on (a (x) b).G(a (x) b) for the 9x9
+    ``_pair_form`` G, over unit a and b, and its (a, b).
 
     For fixed a the minimum over unit b is the smallest eigenvalue of G_a =
     (a^T (x) I) G (a (x) I), with vec(G_a) = vec(a a^T) M for M the form's
@@ -894,12 +963,91 @@ def _least_pair(form: np.ndarray, budget: Budget, stop: float) -> tuple[np.ndarr
     eigenvector of G^b.  The rounds stop after ``budget.iters``, or once the
     best value falls by no more than ``stop`` in a round.
     """
-    m = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    m = _biquadratic(form)
     grid = _hemisphere_grid(budget.samples)
     order = np.argsort(_smallest_eigenvalues(_outer_rows(grid) @ m), kind="stable")
-    _, a, b = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters,
-                         np.array([stop]), np.array([-np.inf]))
-    return a[0], b[0]
+    val, a, b = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters,
+                           np.array([stop]), np.array([-np.inf]))
+    return float(val[0]), a[0], b[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _segre_forms() -> np.ndarray:
+    """The (9, 9, 9) symmetric matrices of the Segre quadrics X_ik X_jl -
+    X_il X_jk, one per i < j and k < l, in the coordinates w[3i + k] = X_ik
+    of a 3x3 matrix X: the 2x2 minors of X, which vanish exactly where X =
+    a b^T, that is on every w = a (x) b."""
+    forms = np.zeros((9, 9, 9))
+    minors = itertools.product(itertools.combinations(range(3), 2), repeat=2)
+    for n, ((i, j), (k, l)) in enumerate(minors):
+        for p, q, sign in ((3 * i + k, 3 * j + l, 0.5), (3 * i + l, 3 * j + k, -0.5)):
+            forms[n, p, q] = forms[n, q, p] = sign
+    forms.setflags(write=False)
+    return forms
+
+
+def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float):
+    """The lowest pair value the certificate finds on the 9x9 ``_pair_form``
+    G, its unit (a, b), and the best lower bound on every pair with its
+    rounding margin delta = 1e-12 max(||G + W||_2, scale), scale = ||psi||^3
+    (G carries rounding at that scale: a torus G, exactly 0, measures up to
+    2.2e-15 ||psi||^3).
+
+    The starts are the top singular vectors of the three lowest eigenvectors
+    of G read as 3x3 matrices X, w[3i + k] = X_ik, each polished alone by
+    ``_alternate`` (at most ``budget.iters`` rounds, a row stopping once its
+    value falls by no more than ``stop`` in a round or reaches the bound of
+    W = 0, lambda_min(G), plus its margin).  The Segre quadrics vanish on
+    every a (x) b, so lambda_min(G + W) bounds every pair for each
+    combination W of them (Thorpe's trick, as for planes).  Where the best
+    pair lies above the bound of W = 0 plus its margin, W comes from one
+    least-squares solve, ``_plucker_weights`` at t = the best value on every
+    pair within delta of it (one pair alone leaves W too free to close a
+    symmetric form).  Where that bound falls short and the pairs leave W
+    free (their equations' rank is below the number of quadrics), pairs
+    polished from as many points of ``_hemisphere_grid`` join them for one
+    more solve: eigh's basis of a repeated eigenspace of G can be aligned
+    with the axes, and its pairs then coincide.  Where the bound still falls
+    short, ``_barrier`` lifts it.  The bound reported is the best of those
+    tried, less its margin.  A nonnegative biquadratic form need not be a
+    sum of squares (Choi, *Positive semidefinite biquadratic forms*, Linear
+    Algebra Appl. 1975), so a bound can stay below the minimum.
+    """
+    eigs, vecs = np.linalg.eigh(form)
+    floor = _BOUND_MARGIN * scale
+    bound, margin = eigs[0], max(_lower_bound(eigs)[1], floor)
+    m, forms = _biquadratic(form), _segre_forms()
+
+    def polished(starts):
+        n = len(starts)
+        return _alternate(np.broadcast_to(m, (n, 9, 9)), starts[:, None], budget.iters,
+                          np.full(n, stop), np.full(n, bound + margin))
+
+    def solved(vals, a, b):
+        near = vals <= vals.min() + margin
+        w = (a[near, :, None] * b[near, None, :]).reshape(-1, 9).T
+        y, rank = _plucker_weights(forms, form, vals.min(), w)
+        lw0, dw = _lower_bound(np.linalg.eigvalsh(form + np.tensordot(y, forms, 1)))
+        return (lw0, max(dw, floor)), rank
+
+    vals, a, b = polished(np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0])
+    tried = [(bound, margin)]
+    if bound + margin < vals.min():
+        lifted, rank = solved(vals, a, b)
+        if sum(lifted) < vals.min() and rank < len(forms):
+            grid = polished(_hemisphere_grid(len(forms)))
+            vals, a, b = (np.concatenate(pair) for pair in zip((vals, a, b), grid))
+            lifted = solved(vals, a, b)[0]
+        tried.append(lifted)
+        if max(sum(bm) for bm in tried) < vals.min():
+            lw, dl, _ = _barrier(form[None], forms[None], np.array([bound]), np.array([margin]),
+                                 vals.min(keepdims=True))
+            # the barrier's own margin does not see the scale of psi
+            tried.append((lw[0], max(dl[0], floor)))
+    k = int(np.argmin(vals))
+    # a bound that closes first, then the highest
+    bound, margin = max(tried, key=lambda bm: (sum(bm) >= vals[k], bm[0] - bm[1]))
+    return float(vals[k]), a[k], b[k], float(bound), float(margin)
 
 
 def infinitesimal_check(
@@ -912,17 +1060,28 @@ def infinitesimal_check(
     """Search for commuting pairs with negative kappa'''(0).
 
     The pairs ((a, 0), (0, b)) with unit a and b span every commuting
-    plane, and a and -a give the same value, so the search runs over RP^2:
-    a deterministic Fibonacci grid of ``budget.samples`` points on the upper
-    hemisphere, each scored by its exact minimum over b, then the
-    ``budget.restarts`` best points polished by exact alternating
-    minimization for at most ``budget.iters`` rounds (``_least_pair``).  The
-    search draws no random number, so the report does not depend on
-    ``seed``, which is only recorded; it must still be a nonnegative integer
-    (ValueError).
+    plane, and kappa'''(0) on them is the biquadratic form (a (x) b).G(a (x)
+    b) of the 9x9 ``_pair_form`` G.  ``_certified_pair`` first polishes
+    three pairs read off G's lowest eigenvectors by exact alternating
+    minimization (at most ``budget.iters`` rounds), and bounds every pair
+    from below by lambda_min(G + W), W a combination of the Segre quadrics
+    (the 2x2 minors of a b^T), less a margin delta = 1e-12 max(||G + W||_2,
+    ||psi||_2^3): at W = 0, else with W from one least-squares solve on the
+    best pairs (joined by pairs polished from a 9-point grid where they
+    leave W free), else from the barrier.  ``lower_bound`` is that bound, and
+    the report is ``exact`` when the witness's re-evaluated kappa''' meets
+    it (``_closes``: min_value - lower_bound <= 2 delta).  Otherwise a
+    deterministic Fibonacci grid of ``budget.samples`` points on the upper
+    hemisphere (a and -a give one value) is scored by each point's exact
+    minimum over b, its ``budget.restarts`` best points are polished for at
+    most ``budget.iters`` rounds (``_least_pair``), and the lower of the two
+    pairs is reported, tried again on the same rule.  No random number is
+    drawn, so the report does not depend on ``seed``, which is only
+    recorded; it must still be a nonnegative integer (ValueError).
 
     A negative minimum refutes infinitesimal nonnegativity of the variation;
-    a nonnegative minimum is a bounded-search claim.  The report's witness is
+    a nonnegative minimum is proven when the report is ``exact`` and is a
+    bounded-search claim otherwise.  The report's witness is
     the orthonormal pair ((A, 0), (0, B)) spanning the worst plane, and
     ``small_t`` holds the twisted curvature at small times on that pair.
     An algebra without a factor decomposition (so(3)) has no independent
@@ -933,15 +1092,29 @@ def infinitesimal_check(
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
     psi = path.psi
+    form = _pair_form(g, psi)
     # kappa''' is cubic in psi: a round that gains less than rounding at
-    # that scale ends the polish, even when G itself is rounding noise
-    a, b = _least_pair(_pair_form(g, psi), budget, 1e-15 * np.linalg.norm(psi, 2) ** 3)
-    av = g.embed_factor(_sign_normalized(a), 1)
-    bv = g.embed_factor(_sign_normalized(b), 2)
-    final = float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
+    # that scale ends a polish, even when G itself is rounding noise
+    scale = np.linalg.norm(psi, 2) ** 3
+    stop = 1e-15 * scale
+
+    def evaluated(a, b):
+        av = g.embed_factor(_sign_normalized(a), 1)
+        bv = g.embed_factor(_sign_normalized(b), 2)
+        return av, bv, float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
+
+    value, a, b, bound, margin = _certified_pair(form, budget, stop, scale)
+    av, bv, final = evaluated(a, b)
+    exact = _closes(value, final, bound, margin)
+    if not exact:
+        grid_value, a, b = _least_pair(form, budget, stop)
+        if grid_value < value:
+            value, (av, bv, final) = grid_value, evaluated(a, b)
+            exact = _closes(value, final, bound, margin)
     times = [t for t in (1e-4, 1e-3, 1e-2, 5e-2) if path.admissible(t) and t < 0.5 * path.t_max]
     small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
-    return _report(final, (av, bv), tol, budget, seed, small_t=small_t)
+    return _report(final, (av, bv), tol, budget, seed, exact=exact,
+                   lower_bound=bound - margin, small_t=small_t)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from liecurv.verify import (
     _alternate,
     _basis_planes,
     _certified_above,
+    _certified_pair,
     _gram_schmidt,
     _hemisphere_grid,
     _incidence,
@@ -956,13 +957,16 @@ def _kind_phi(kind, rng):
 
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31 - 1))
+@example(kind="outside", seed=1538258)
 def test_polished_verdict_keeps_the_unstopped_verdict(kind, seed):
     """Against the reference search ``_unstopped`` on random so(4) metrics,
     family members and quotients just outside the family: the minimum is
     never above the reference's by more than delta, and a verdict differs
     only where the report is exact and its witness re-evaluates below -tol
     through the Koszul oracle.  A certified metric has no plane below the
-    certificate floor."""
+    certificate floor.  The example's polish once ran out of rounds in a
+    flat valley, 1.26e-12 above the reference (delta 1.21e-12); Newton
+    steps now finish it, exactly, 2.35e-11 below."""
     m = LeftInvariantMetric(so4(), _kind_phi(kind, np.random.default_rng(seed)))
     rep, ref = min_curvature(m, seed=seed % 1000), _unstopped(m, seed % 1000)[0]
     delta = _delta(m)
@@ -1313,11 +1317,13 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
 
 
 def test_infinitesimal_torus_flat(g4):
+    """A torus derivative is flat on its pairs: the pair report carries a
+    lower bound at or below its minimum and is exact."""
     rep = infinitesimal_check(g4, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6), LIGHT, seed=8)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert abs(rep.min_value) < 1e-9
-    # a pair report carries no plane bound
-    assert rep.lower_bound is None and "lower_bound" not in rep.to_dict()
+    assert rep.exact and rep.lower_bound <= rep.min_value
+    assert rep.to_dict()["lower_bound"] == rep.lower_bound
 
 
 def test_infinitesimal_enlarging_diagonal_negative(g4):
@@ -1339,18 +1345,32 @@ def test_infinitesimal_diagonal_projector_default_budget(g4):
 
 
 def test_infinitesimal_torus_stops_on_rounding_noise(g4, monkeypatch):
-    """A torus psi has a pair form made of rounding noise; the polish stops
-    on the scale of psi, not of that noise, so it ends after a few rounds
-    instead of running the whole budget."""
+    """A torus psi has a pair form made of rounding noise.  The margin of
+    its bound scales with psi, not with that noise, so the cheap witness
+    closes on lambda_min(G) at W = 0: no Segre solve, no barrier and no
+    grid runs."""
     psi = torus_psi(0.5, -0.2, 0.3, 0.9, 0.4)
-    assert np.abs(_pair_form(g4, psi)).max() < 1e-12
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    form = _pair_form(g4, psi)
+    assert np.abs(form).max() < 1e-12
+    for name in ("_plucker_weights", "_barrier", "_hemisphere_grid"):
+        monkeypatch.setattr(verify, name, mock.Mock(side_effect=AssertionError(name)))
     rep = infinitesimal_check(g4, psi)
-    assert rep.verdict == VERDICT_NONNEGATIVE
+    assert rep.verdict == VERDICT_NONNEGATIVE and rep.exact
     assert abs(rep.min_value) < 1e-9
-    assert len(calls) <= 2 * 5  # one b and one a eigh per round
+    margin = 1e-12 * np.linalg.norm(psi, 2) ** 3
+    assert rep.lower_bound == np.linalg.eigh(form)[0][0] - margin
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7, -1.3])
+def test_axis_aligned_projector_closes_without_the_barrier(g4, monkeypatch, c):
+    """c times the diagonal projector, unconjugated: eigh's basis of G's
+    repeated lowest eigenspace is aligned with the axes, so its three
+    polished pairs leave the Segre weights free.  Pairs polished from the
+    small grid join them, and the solve closes without the barrier."""
+    monkeypatch.setattr(verify, "_barrier", mock.Mock(side_effect=AssertionError("_barrier")))
+    rep = infinitesimal_check(g4, c * diagonal_subalgebra(g4).projector)
+    assert rep.exact and rep.lower_bound <= rep.min_value
+    assert abs(rep.min_value - min(-0.75 * c**3, 0.0)) <= 1e-12
 
 
 def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
@@ -1540,6 +1560,87 @@ def test_pair_minimum_is_automorphism_invariant_and_seed_free(seed, swap):
     moved = infinitesimal_check(g, s @ psi @ s.T, seed=0)
     assert abs(moved.min_value - rep.min_value) <= 1e-12 * np.linalg.norm(psi, 2) ** 3
     assert infinitesimal_check(g, psi, seed=12345) == replace(rep, seed=12345)
+
+
+def _grid_pair_reference(form, budget=Budget()):
+    """The pair search that ``infinitesimal_check`` ran alone before the
+    Segre certificate, kept as the reference: the ``budget.samples`` points
+    of the RP^2 grid scored by the smallest eigenvalue of G_a, the
+    ``budget.restarts`` lowest polished by ``budget.iters`` alternating
+    rounds with no stop.  Returns the lowest value reached."""
+    m = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    grid = _hemisphere_grid(budget.samples)
+
+    def outer(v):
+        return (v[:, :, None] * v[:, None, :]).reshape(len(v), 9)
+
+    a = grid[np.argsort(_smallest_eigenvalues(outer(grid) @ m), kind="stable")[: budget.restarts]]
+    for _ in range(budget.iters):
+        b = np.linalg.eigh((outer(a) @ m).reshape(-1, 3, 3))[1][..., 0]
+        low, vec = np.linalg.eigh((outer(b) @ m.T).reshape(-1, 3, 3))
+        a = vec[..., 0]
+    return float(low[:, 0].min())
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["random", "family"]), seed=st.integers(0, 2**31 - 1))
+def test_pair_lower_bound_holds_and_closes_on_the_reference(kind, seed):
+    """On random symmetric psi and on conjugated family derivatives (the
+    pair benchmark's kinds), ``lower_bound`` lies below kappa'''(0) on 2000
+    random unit pairs, it is the certificate's bound less its margin delta,
+    an exact report meets it within 2 delta, and the minimum is never above
+    the grid reference's by more than delta."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        psi = random_symmetric(rng, 6, unit_norm=False)
+    else:
+        psi = _pair_verdict_psis(rng, 4)[seed % 4]
+    rep = infinitesimal_check(g, psi)
+    form, scale = _pair_form(g, psi), np.linalg.norm(psi, 2) ** 3
+    *_, bound, margin = _certified_pair(form, Budget(), 1e-15 * scale, scale)
+    assert rep.lower_bound == bound - margin
+    xs, ys = _pair_rows(g, _unit_columns(rng.standard_normal((1, 2, 3, 2000))))
+    assert rep.lower_bound <= kappa_third_deriv_many(g, psi, xs, ys).min()
+    if rep.exact:
+        assert rep.min_value - rep.lower_bound <= 2.0 * margin
+    assert rep.min_value <= _grid_pair_reference(form) + margin
+
+
+def _choi_form():
+    """The 9x9 G of Choi's biquadratic form, sum x_i^2 y_i^2 + 2 (x1^2 y2^2 +
+    x2^2 y3^2 + x3^2 y1^2) - 2 (x1 x2 y1 y2 + x2 x3 y2 y3 + x3 x1 y3 y1):
+    nonnegative, zero at (e1, e3), and no sum of squares (Choi, *Positive
+    semidefinite biquadratic forms*, Linear Algebra Appl. 1975)."""
+    t = np.zeros((3, 3, 3, 3))  # [i, j, k, l] of x_i x_j y_k y_l
+    for i in range(3):
+        j = (i + 1) % 3
+        t[i, i, i, i] = 1.0
+        t[i, i, j, j] = 2.0
+        for p, q in ((i, j), (j, i)):
+            t[p, q, i, j] = t[p, q, j, i] = -0.5
+    return t.transpose(0, 2, 1, 3).reshape(9, 9)
+
+
+def test_choi_form_stays_open_and_searches_the_grid(g4, monkeypatch):
+    """Choi's nonnegative form has no Segre certificate.  Fed in as the pair
+    form, and as kappa''' itself, its lifted bound stays below the minimum
+    0, the report is open, and the grid fallback runs and finds 0."""
+    form = _choi_form()
+
+    def choi(g, psi, xs, ys):
+        w = (xs[:, :3, None] * ys[:, None, 3:]).reshape(-1, 9)
+        return np.einsum("ni,ij,nj->n", w, form, w)
+
+    monkeypatch.setattr(verify, "_pair_form", lambda g, psi: form)
+    monkeypatch.setattr(verify, "kappa_third_deriv_many", choi)
+    grid = mock.Mock(wraps=_hemisphere_grid)
+    monkeypatch.setattr(verify, "_hemisphere_grid", grid)
+    rep = infinitesimal_check(g4, np.eye(6))
+    grid.assert_called_with(Budget().samples)
+    assert not rep.exact and rep.verdict == VERDICT_NONNEGATIVE
+    assert abs(rep.min_value) <= 1e-12
+    assert rep.lower_bound < rep.min_value - 1e-3
 
 
 def test_eigenstructure_clustering():
