@@ -38,9 +38,10 @@ log-barrier Newton method.  Its lowest basis plane is tried again on the
 lifted bound (delta now the margin of C + W).  A metric still open is
 polished by exact alternating minimization (``_alternate``) from
 deterministic starts: the basis planes, and the planes nearest the lowest
-eigenvectors of C + W and of C.  The plane it reaches is mapped back by z =
-V Lambda^-1/2 x and re-evaluated in closed form, and the same rule decides
-``exact`` on it against the lifted bound.  A closure on a lifted bound also
+eigenvectors of C + W and of C; where the rounds end above the lifted
+bound, damped Newton steps go on from the best pair.  The plane it reaches
+is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed form, and
+the same rule decides ``exact`` on it against the lifted bound.  A closure on a lifted bound also
 needs that bound, within its margin, on one side of -floor, floor =
 min(tol, 1e-8 times C's norm).  An open report carries the lifted bound
 less its margin.  No so(4) plane report draws a random number, so none
@@ -155,9 +156,10 @@ class Budget:
     points of the RP^2 grid and polishes the ``restarts`` best, again for
     at most ``iters`` rounds.  so(4) planes: at most ``iters`` alternating
     rounds of the polish from its fixed starts, with ``samples`` and
-    ``restarts`` only recorded.  On so(3) planes, and on so(4) metrics and
-    pairs that close before the polish or the grid, the rest of the budget
-    is only recorded.
+    ``restarts`` only recorded.  A plane polish left above its target then
+    takes at most ``iters`` damped Newton steps.  On so(3) planes, and on
+    so(4) metrics and pairs that close before the polish or the grid, the
+    rest of the budget is only recorded.
     """
 
     samples: int = 4096
@@ -381,7 +383,8 @@ def _outer_rows(v: np.ndarray) -> np.ndarray:
     return (v[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
 
 
-def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach: np.ndarray):
+def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach: np.ndarray,
+               stalled: bool = False):
     """Exact alternating minimization of T biquadratic forms f(a, b) =
     vec(a a^T) M vec(b b^T) over unit a and b, M the (d*d, d*d) matrices of
     the (T, d*d, d*d) stack m, from the (T, n, d) starts a.
@@ -392,11 +395,16 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
     as the lowest eigenvector of G^b.  Row t stops once its best value falls
     by no more than stop[t] in a round or reaches reach[t], or after
     ``iters`` rounds.  A stopped row is not computed again, so each row's
-    result depends on its own form and starts alone.  A row that runs all
-    ``iters`` rounds can still be creeping along a flat valley, where each
-    half-step gains a fixed fraction of what is left, so its best pair then
-    takes the Newton steps of ``_newton_pairs``.  Returns the (T,) best
-    values of each row's last round and their (T, d) a and b.
+    result depends on its own form and starts alone.  Alternation can end
+    short of a minimum where both half-steps are optimal but f falls along
+    a direction that moves a and b together.  A row that runs all ``iters``
+    rounds can still be creeping along a flat valley, each half-step
+    gaining a fixed fraction of what is left, so its best pair then takes
+    the damped Newton steps of ``_newton_pairs``.  With ``stalled``, every
+    row that ends above reach[t] takes them: one that stopped on stop[t]
+    can be zig-zagging by a saddle, where the value falls by less than a
+    round's rounding while a step of a and b together still gains.
+    Returns the (T,) best values of each row and their (T, d) a and b.
     """
     t, n, d = a.shape
     a = np.array(a)
@@ -415,51 +423,86 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
         rows = rows[~done]
         if not len(rows):
             break
+    if stalled:
+        rows = np.flatnonzero(val > reach)
     if len(rows):
-        val[rows], best_a[rows], best_b[rows] = _newton_pairs(m[rows], best_a[rows], best_b[rows],
-                                                              val[rows], iters)
+        val[rows], best_a[rows], best_b[rows] = _newton_pairs(
+            m[rows], best_a[rows], best_b[rows], val[rows], iters, stop[rows], reach[rows])
     return val, best_a, best_b
 
 
-def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, iters: int):
-    """At most ``iters`` Newton steps on f(a, b) = vec(a a^T) M
+def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, iters: int,
+                  stop: np.ndarray, reach: np.ndarray):
+    """At most ``iters`` damped Newton steps on f(a, b) = vec(a a^T) M
     vec(b b^T) over unit a and b for the (T, d*d, d*d) stack m, from the
-    (T, d) pairs a, b of values val, each step kept only where it lowers f;
-    the steps end once none does.
+    (T, d) pairs a, b of values val, each step kept only where it lowers f.
 
     With N the entries of M read over (i, j, k, l), symmetrized in (i, j)
     and in (k, l), G_a = N(a, a, ., .) and G^b = N(., ., b, b): the
     gradient on the two spheres is 2 (G^b a - f a, G_a b - f b), and the
-    Hessian has the blocks 2 (G^b - f I) and 2 (G_a - f I), joined by 4
-    N(., a, ., b), each projected off a and b.  Its pseudo-inverse, with
-    singular values below 1e-10 of the largest dropped (the planes' turn
-    within the plane leaves f fixed), gives the step, and a and b are
-    renormalized."""
+    Hessian H has the blocks 2 (G^b - f I) and 2 (G_a - f I), joined by 4
+    N(., a, ., b), each projected off a and b.  The step solves (H + sI) p
+    = -gradient in H's eigenbasis, s = max(0, -lambda_min(H)) + mu, with
+    the eigenvalues below 1e-10 of the largest dropped (the normals a and
+    b, and the planes' turn within the plane, leave f fixed), and a and b
+    are renormalized.  mu starts at 1e-8 of H's largest eigenvalue and is
+    divided by 4 after a kept step, multiplied by 4 after a dropped one, so
+    the steps follow a curved valley and leave a saddle, where a negative
+    eigenvalue's step has at least the length it would have at the gradient
+    1e-3 |lambda_min|.  Row t ends once the step's predicted fall is at
+    most stop[t] or its value reaches reach[t]."""
     t, d = a.shape
+    a, b, val = np.array(a), np.array(b), np.array(val)
     n = m.reshape(t, d, d, d, d)
     n = n + n.transpose(0, 2, 1, 3, 4)
     n = 0.25 * (n + n.transpose(0, 1, 2, 4, 3))
     eye = np.eye(d)
+    mu, moved = None, np.zeros(t, bool)
+    rows = np.arange(t)
     for _ in range(iters):
-        g_a = np.einsum("tijkl,ti,tj->tkl", n, a, a)
-        g_b = np.einsum("tijkl,tk,tl->tij", n, b, b)
-        f = np.einsum("tkl,tk,tl->t", g_a, b, b)[:, None]
-        p_a, p_b = eye - a[:, :, None] * a[:, None], eye - b[:, :, None] * b[:, None]
-        cross = 2.0 * p_a @ np.einsum("tijkl,tj,tl->tik", n, a, b) @ p_b
-        h = np.block([[p_a @ (g_b - f[..., None] * eye) @ p_a, cross],
-                      [cross.transpose(0, 2, 1), p_b @ (g_a - f[..., None] * eye) @ p_b]])
-        grad = np.concatenate([(g_b @ a[..., None])[..., 0] - f * a,
-                               (g_a @ b[..., None])[..., 0] - f * b], axis=1)
-        step = -(np.linalg.pinv(h, rcond=1e-10) @ grad[..., None])[..., 0]
-        na, nb = a + step[:, :d], b + step[:, d:]
+        nr, ar, br = n[rows], a[rows], b[rows]
+        g_a = np.einsum("tijkl,ti,tj->tkl", nr, ar, ar)
+        g_b = np.einsum("tijkl,tk,tl->tij", nr, br, br)
+        f = np.einsum("tkl,tk,tl->t", g_a, br, br)[:, None, None]
+        p_a, p_b = eye - ar[:, :, None] * ar[:, None], eye - br[:, :, None] * br[:, None]
+        cross = 2.0 * p_a @ np.einsum("tijkl,tj,tl->tik", nr, ar, br) @ p_b
+        h = np.block([[p_a @ (g_b - f * eye) @ p_a, cross],
+                      [cross.transpose(0, 2, 1), p_b @ (g_a - f * eye) @ p_b]])
+        lam, vec = np.linalg.eigh(h)
+        grad = np.concatenate([((g_b - f * eye) @ ar[..., None])[..., 0],
+                               ((g_a - f * eye) @ br[..., None])[..., 0]], axis=1)
+        top = np.abs(lam).max(axis=1)
+        if mu is None:
+            mu = 1e-8 * top
+        g = np.einsum("tji,tj->ti", vec, grad)
+        g[:, 0] = np.where(lam[:, 0] < 0, np.where(g[:, 0] > 0, 1.0, -1.0)
+                           * np.maximum(np.abs(g[:, 0]), -1e-3 * lam[:, 0]), g[:, 0])
+        shift = np.maximum(0.0, -lam[:, 0]) + mu[rows]
+        coef = np.where(np.abs(lam) > 1e-10 * top[:, None], -g / (lam + shift[:, None]), 0.0)
+        fall = -np.einsum("ti,ti->t", coef, g + 0.5 * lam * coef)
+        step = np.einsum("tji,ti->tj", vec, coef)
+        na, nb = ar + step[:, :d], br + step[:, d:]
         na /= np.linalg.norm(na, axis=1, keepdims=True)
         nb /= np.linalg.norm(nb, axis=1, keepdims=True)
-        nf = np.einsum("tijkl,ti,tj,tk,tl->t", n, na, na, nb, nb)
-        better = nf < val
-        if not np.count_nonzero(better):
+        nf = np.einsum("tijkl,ti,tj,tk,tl->t", nr, na, na, nb, nb)
+        better = nf < val[rows]
+        kept = rows[better]
+        a[kept], b[kept], val[kept] = na[better], nb[better], nf[better]
+        moved[kept] = True
+        mu[rows] *= np.where(better, 0.25, 4.0)
+        rows = rows[(fall > stop[rows]) & (val[rows] > reach[rows])]
+        if not len(rows):
             break
-        a, b = np.where(better[:, None], na, a), np.where(better[:, None], nb, b)
-        val = np.where(better, nf, val)
+    # a pair that the steps moved takes one more alternating round, which
+    # puts b on a best reply to a and a on one to b: a plane's x1 and x2
+    # are then orthonormal again, and its value is its quotient
+    rows = np.flatnonzero(moved)
+    if len(rows):
+        mr = m[rows]
+        b[rows] = np.linalg.eigh((_outer_rows(a[rows, None]) @ mr).reshape(-1, d, d))[1][..., 0]
+        low, vec = np.linalg.eigh((_outer_rows(b[rows, None]) @ mr.transpose(0, 2, 1))
+                                  .reshape(-1, d, d))
+        a[rows], val[rows] = vec[..., 0], low[:, 0]
     return val, a, b
 
 
@@ -772,8 +815,11 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     still open are polished together by ``_alternate`` from the deterministic
     ``_polish_starts``: for fixed x1 the best x2 is the lowest eigenvector of
     vec(x1 x1^T) F + s x1 x1^T, F the form of B^T C B, and s = 4 ||C||_2
-    keeps x2 orthogonal to x1.  A closure on a lifted bound needs that bound
-    within its margin on one side of -floor, floor = min(tol, 1e-8 ||C||_2).
+    keeps x2 orthogonal to x1.  A metric whose polish ends above its lifted
+    bound plus margin goes on with damped Newton steps from its best pair
+    (``_alternate`` with ``stalled``).  A closure on a lifted bound needs
+    that bound within its margin on one side of -floor, floor = min(tol,
+    1e-8 ||C||_2).
     A metric's certificate and polish depend on that metric alone, so each
     report equals the one its metric gets alone, byte for byte, and no
     report depends on its seed.
@@ -831,7 +877,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         ks = [rows[r] for r in rest]
         starts = _polish_starts(frames[ks], c[ks], c[ks] + weights[rest])
         vals, x1, x2 = _alternate(_plane_forms(c[ks], delta[ks], d), starts, budget.iters,
-                                  1e-3 * delta[ks], (bound + margin)[rest])
+                                  1e-3 * delta[ks], (bound + margin)[rest], stalled=True)
         # each frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
         back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in ks])
         frames = _gram_schmidt(back[:, None] @ np.stack([x1, x2], axis=1)[..., None])[..., 0]
@@ -868,10 +914,11 @@ def min_curvature(
     bound less its margin.  If the lowest basis plane attains it, that
     plane is reported the same way; else at most ``budget.iters`` rounds of
     exact alternating minimization polish fixed starts (the basis planes
-    and the planes nearest the lowest eigenvectors of C + W and of C), and
-    the same rule decides ``exact`` on the plane they reach.  A closure on
-    a lifted bound needs that bound, within its margin, on one side of
-    -floor, floor = min(tol, 1e-8 times C's norm).  The reported witness is
+    and the planes nearest the lowest eigenvectors of C + W and of C), then
+    at most ``budget.iters`` damped Newton steps where the rounds end above
+    the bound, and the same rule decides ``exact`` on the plane they reach.
+    A closure on a lifted bound needs that bound, within its margin, on one
+    side of -floor, floor = min(tol, 1e-8 times C's norm).  The reported witness is
     the minimizing plane mapped back by z = V Lambda^-1/2 x and
     canonicalized, and ``min_value`` is the closed-form curvature
     re-evaluated on it, so a negative verdict is reproducible in isolation.
