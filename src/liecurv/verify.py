@@ -54,7 +54,8 @@ b^T, vanish on every a (x) b, so lambda_min(G + W) bounds every pair, with
 margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3) (G carries rounding at
 the scale of psi^3).  The witness starts at the top singular vectors of G's
 three lowest eigenvectors read as 3x3 matrices and is polished by
-``_alternate``.  The bound closes at W = 0, else W comes from one
+``_alternate``, with damped Newton steps where the rounds end above the
+bound of W = 0.  The bound closes at W = 0, else W comes from one
 least-squares solve on the polished pairs within delta of the best (with
 pairs polished from a 9-point grid added where those leave W free), else
 from the barrier, and the same ``_closes`` rule decides ``exact`` on the
@@ -156,8 +157,8 @@ class Budget:
     points of the RP^2 grid and polishes the ``restarts`` best, again for
     at most ``iters`` rounds.  so(4) planes: at most ``iters`` alternating
     rounds of the polish from its fixed starts, with ``samples`` and
-    ``restarts`` only recorded.  A plane polish left above its target then
-    takes at most ``iters`` damped Newton steps.  On so(3) planes, and on
+    ``restarts`` only recorded.  A plane or pair polish left above its
+    target then takes at most ``iters`` damped Newton steps.  On so(3) planes, and on
     so(4) metrics and pairs that close before the polish or the grid, the
     rest of the budget is only recorded.
     """
@@ -383,8 +384,7 @@ def _outer_rows(v: np.ndarray) -> np.ndarray:
     return (v[..., :, None] * v[..., None, :]).reshape(*v.shape[:-1], -1)
 
 
-def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach: np.ndarray,
-               stalled: bool = False):
+def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach: np.ndarray):
     """Exact alternating minimization of T biquadratic forms f(a, b) =
     vec(a a^T) M vec(b b^T) over unit a and b, M the (d*d, d*d) matrices of
     the (T, d*d, d*d) stack m, from the (T, n, d) starts a.
@@ -397,14 +397,13 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
     ``iters`` rounds.  A stopped row is not computed again, so each row's
     result depends on its own form and starts alone.  Alternation can end
     short of a minimum where both half-steps are optimal but f falls along
-    a direction that moves a and b together.  A row that runs all ``iters``
-    rounds can still be creeping along a flat valley, each half-step
-    gaining a fixed fraction of what is left, so its best pair then takes
-    the damped Newton steps of ``_newton_pairs``.  With ``stalled``, every
-    row that ends above reach[t] takes them: one that stopped on stop[t]
-    can be zig-zagging by a saddle, where the value falls by less than a
-    round's rounding while a step of a and b together still gains.
-    Returns the (T,) best values of each row and their (T, d) a and b.
+    a direction that moves a and b together: a row can creep along a flat
+    valley, each half-step gaining a fixed fraction of what is left, or
+    zig-zag by a saddle, where the value falls by less than a round's
+    rounding while a step of a and b together still gains.  So every row
+    that ends above reach[t] goes on from its best pair with the damped
+    Newton steps of ``_newton_pairs``.  Returns the (T,) best values of
+    each row and their (T, d) a and b.
     """
     t, n, d = a.shape
     a = np.array(a)
@@ -423,8 +422,7 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
         rows = rows[~done]
         if not len(rows):
             break
-    if stalled:
-        rows = np.flatnonzero(val > reach)
+    rows = np.flatnonzero(val > reach)
     if len(rows):
         val[rows], best_a[rows], best_b[rows] = _newton_pairs(
             m[rows], best_a[rows], best_b[rows], val[rows], iters, stop[rows], reach[rows])
@@ -449,8 +447,9 @@ def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, 
     divided by 4 after a kept step, multiplied by 4 after a dropped one, so
     the steps follow a curved valley and leave a saddle, where a negative
     eigenvalue's step has at least the length it would have at the gradient
-    1e-3 |lambda_min|.  Row t ends once the step's predicted fall is at
-    most stop[t] or its value reaches reach[t]."""
+    1e-3 |lambda_min|.  Row t ends, without that step, once the step's
+    predicted fall is at most stop[t], and once its value reaches
+    reach[t]."""
     t, d = a.shape
     a, b, val = np.array(a), np.array(b), np.array(val)
     n = m.reshape(t, d, d, d, d)
@@ -465,12 +464,13 @@ def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, 
         g_b = np.einsum("tijkl,tk,tl->tij", nr, br, br)
         f = np.einsum("tkl,tk,tl->t", g_a, br, br)[:, None, None]
         p_a, p_b = eye - ar[:, :, None] * ar[:, None], eye - br[:, :, None] * br[:, None]
-        cross = 2.0 * p_a @ np.einsum("tijkl,tj,tl->tik", nr, ar, br) @ p_b
-        h = np.block([[p_a @ (g_b - f * eye) @ p_a, cross],
-                      [cross.transpose(0, 2, 1), p_b @ (g_a - f * eye) @ p_b]])
+        g_b, g_a = g_b - f * eye, g_a - f * eye
+        h = np.empty((len(rows), 2 * d, 2 * d))
+        h[:, :d, :d], h[:, d:, d:] = p_a @ g_b @ p_a, p_b @ g_a @ p_b
+        h[:, :d, d:] = 2.0 * p_a @ np.einsum("tijkl,tj,tl->tik", nr, ar, br) @ p_b
+        h[:, d:, :d] = h[:, :d, d:].transpose(0, 2, 1)
         lam, vec = np.linalg.eigh(h)
-        grad = np.concatenate([((g_b - f * eye) @ ar[..., None])[..., 0],
-                               ((g_a - f * eye) @ br[..., None])[..., 0]], axis=1)
+        grad = np.concatenate([g_b @ ar[..., None], g_a @ br[..., None]], axis=1)[..., 0]
         top = np.abs(lam).max(axis=1)
         if mu is None:
             mu = 1e-8 * top
@@ -480,29 +480,30 @@ def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, 
         shift = np.maximum(0.0, -lam[:, 0]) + mu[rows]
         coef = np.where(np.abs(lam) > 1e-10 * top[:, None], -g / (lam + shift[:, None]), 0.0)
         fall = -np.einsum("ti,ti->t", coef, g + 0.5 * lam * coef)
+        go = fall > stop[rows]
+        if not go.any():
+            break
         step = np.einsum("tji,ti->tj", vec, coef)
         na, nb = ar + step[:, :d], br + step[:, d:]
         na /= np.linalg.norm(na, axis=1, keepdims=True)
         nb /= np.linalg.norm(nb, axis=1, keepdims=True)
         nf = np.einsum("tijkl,ti,tj,tk,tl->t", nr, na, na, nb, nb)
-        better = nf < val[rows]
+        better = go & (nf < val[rows])
         kept = rows[better]
         a[kept], b[kept], val[kept] = na[better], nb[better], nf[better]
         moved[kept] = True
         mu[rows] *= np.where(better, 0.25, 4.0)
-        rows = rows[(fall > stop[rows]) & (val[rows] > reach[rows])]
+        rows = rows[go & (val[rows] > reach[rows])]
         if not len(rows):
             break
-    # a pair that the steps moved takes one more alternating round, which
-    # puts b on a best reply to a and a on one to b: a plane's x1 and x2
-    # are then orthonormal again, and its value is its quotient
+    # a pair that the steps moved takes one more alternating round (reach
+    # +inf ends it there), which puts b on a best reply to a and a on one
+    # to b: a plane's x1 and x2 are then orthonormal again, and its value
+    # is its quotient
     rows = np.flatnonzero(moved)
     if len(rows):
-        mr = m[rows]
-        b[rows] = np.linalg.eigh((_outer_rows(a[rows, None]) @ mr).reshape(-1, d, d))[1][..., 0]
-        low, vec = np.linalg.eigh((_outer_rows(b[rows, None]) @ mr.transpose(0, 2, 1))
-                                  .reshape(-1, d, d))
-        a[rows], val[rows] = vec[..., 0], low[:, 0]
+        val[rows], a[rows], b[rows] = _alternate(m[rows], a[rows, None], 1, stop[rows],
+                                                 np.full(len(rows), np.inf))
     return val, a, b
 
 
@@ -817,7 +818,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     vec(x1 x1^T) F + s x1 x1^T, F the form of B^T C B, and s = 4 ||C||_2
     keeps x2 orthogonal to x1.  A metric whose polish ends above its lifted
     bound plus margin goes on with damped Newton steps from its best pair
-    (``_alternate`` with ``stalled``).  A closure on a lifted bound needs
+    (``_newton_pairs``).  A closure on a lifted bound needs
     that bound within its margin on one side of -floor, floor = min(tol,
     1e-8 ||C||_2).
     A metric's certificate and polish depend on that metric alone, so each
@@ -877,7 +878,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         ks = [rows[r] for r in rest]
         starts = _polish_starts(frames[ks], c[ks], c[ks] + weights[rest])
         vals, x1, x2 = _alternate(_plane_forms(c[ks], delta[ks], d), starts, budget.iters,
-                                  1e-3 * delta[ks], (bound + margin)[rest], stalled=True)
+                                  1e-3 * delta[ks], (bound + margin)[rest])
         # each frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
         back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in ks])
         frames = _gram_schmidt(back[:, None] @ np.stack([x1, x2], axis=1)[..., None])[..., 0]
@@ -1008,7 +1009,8 @@ def _least_pair(form: np.ndarray, budget: Budget, stop: float):
     exact alternating minimization (``_alternate``): each round takes every
     start's b as the lowest eigenvector of G_a, then its a as the lowest
     eigenvector of G^b.  The rounds stop after ``budget.iters``, or once the
-    best value falls by no more than ``stop`` in a round.
+    best value falls by no more than ``stop`` in a round, and the best pair
+    then goes on with damped Newton steps (no reach stops them early).
     """
     m = _biquadratic(form)
     grid = _hemisphere_grid(budget.samples)
@@ -1044,7 +1046,8 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     of G read as 3x3 matrices X, w[3i + k] = X_ik, each polished alone by
     ``_alternate`` (at most ``budget.iters`` rounds, a row stopping once its
     value falls by no more than ``stop`` in a round or reaches the bound of
-    W = 0, lambda_min(G), plus its margin).  The Segre quadrics vanish on
+    W = 0, lambda_min(G), plus its margin, then damped Newton steps from a
+    row above it).  The Segre quadrics vanish on
     every a (x) b, so lambda_min(G + W) bounds every pair for each
     combination W of them (Thorpe's trick, as for planes).  Where the best
     pair lies above the bound of W = 0 plus its margin, W comes from one
@@ -1110,7 +1113,9 @@ def infinitesimal_check(
     plane, and kappa'''(0) on them is the biquadratic form (a (x) b).G(a (x)
     b) of the 9x9 ``_pair_form`` G.  ``_certified_pair`` first polishes
     three pairs read off G's lowest eigenvectors by exact alternating
-    minimization (at most ``budget.iters`` rounds), and bounds every pair
+    minimization (at most ``budget.iters`` rounds, then as many damped
+    Newton steps where the rounds end above the bound of W = 0), and
+    bounds every pair
     from below by lambda_min(G + W), W a combination of the Segre quadrics
     (the 2x2 minors of a b^T), less a margin delta = 1e-12 max(||G + W||_2,
     ||psi||_2^3): at W = 0, else with W from one least-squares solve on the

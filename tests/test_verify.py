@@ -460,14 +460,16 @@ def test_polish_leaves_an_exact_saddle():
     a, b in R^2: from a = e1 each half-step's best reply is e1 again, so
     the rounds stall at f = 0 with zero gradient, although f falls along
     a = (cos s, sin s), b = (cos s, -sin s).  The damped Newton steps that
-    stalled rows take leave that saddle, for the minimum of a fine grid."""
+    a row above its reach takes leave that saddle, for the minimum of a
+    fine grid."""
     m = np.zeros((2, 2, 2, 2))
     m[0, 0, 1, 1] = m[1, 1, 0, 0] = m[1, 1, 1, 1] = 1.0
     m[0, 1, 0, 1] = m[0, 1, 1, 0] = m[1, 0, 0, 1] = m[1, 0, 1, 0] = 1.0
     m = m.reshape(1, 4, 4)
     args = (m, np.array([[[1.0, 0.0]]]), 50, np.zeros(1), np.full(1, -np.inf))
-    assert _alternate(*args)[0][0] == 0.0
-    val, a, b = _alternate(*args, stalled=True)
+    with mock.patch.object(verify, "_newton_pairs", lambda m, a, b, val, *rest: (val, a, b)):
+        assert _alternate(*args)[0][0] == 0.0
+    val, a, b = _alternate(*args)
     theta = np.linspace(0.0, np.pi, 721)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     grid = np.einsum("pi,qj,ij->pq", _outer_rows(circle), _outer_rows(circle), m[0])
@@ -649,9 +651,11 @@ def _certified(m, tol=DEFAULT_TOL):
 
 def _round_eighs(eigh):
     """The calls of a mocked ``np.linalg.eigh`` that alternating rounds
-    make: two a round, each on a (rows, starts, d, d) stack, where the
-    Newton steps after the rounds take one (rows, 2d, 2d) stack a step."""
-    return sum(call.args[0].ndim == 4 for call in eigh.call_args_list)
+    from many starts make: two a round, each on a (rows, starts, d, d)
+    stack, where the Newton steps after the rounds take one (rows, 2d, 2d)
+    stack a step and the round that ends them a (rows, 1, d, d) one."""
+    return sum(call.args[0].ndim == 4 and call.args[0].shape[1] > 1
+               for call in eigh.call_args_list)
 
 
 def _polish_rounds(m, seed):
