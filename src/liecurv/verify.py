@@ -48,23 +48,26 @@ less its margin.  No so(4) plane report draws a random number, so none
 depends on its seed, which is only recorded.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
-with G the 9x9 ``_pair_form`` of kappa'''(0), and ``_certified_pair`` runs
-the same certificate on it.  The Segre quadrics, the 2x2 minors of X = a
-b^T, vanish on every a (x) b, so lambda_min(G + W) bounds every pair, with
+with G the 9x9 ``_pair_form`` of kappa'''(0), built in closed form from
+the brackets of psi and the factor bases, and ``_certified_pair`` runs the
+same certificate on it.  The Segre quadrics, the 2x2 minors of X = a b^T,
+vanish on every a (x) b, so lambda_min(G + W) bounds every pair, with
 margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3) (G carries rounding at
 the scale of psi^3).  The witness starts at the top singular vectors of G's
-three lowest eigenvectors read as 3x3 matrices and is polished by
-``_alternate``, with damped Newton steps where the rounds end above the
-bound of W = 0.  The bound closes at W = 0, else W comes from one
-least-squares solve on the polished pairs within delta of the best (with
-pairs polished from a 9-point grid added where those leave W free), else
-from the barrier, and the same ``_closes`` rule decides ``exact`` on the
-re-evaluated kappa'''.  A nonnegative biquadratic form need not be a sum of
-squares, so a pair still open runs the fallback ``_least_pair``: it scores
-a deterministic Fibonacci grid on the upper hemisphere (a and -a give one
-value, so the grid covers RP^2) by the closed-form smallest eigenvalue of
-each G_a, the minimum over b for that a, and polishes the best grid points
-by ``_alternate``.  Neither draws a random number.
+three lowest eigenvectors read as 3x3 matrices and is polished by the
+rounds of ``_alternate``.  The bound closes at W = 0, else W comes from
+one least-squares solve on the polished pairs within delta of the best.
+Only where the certificate is still open do the pairs above the bound of
+W = 0 take the damped Newton steps of ``_newton_pairs``; W is then solved
+again (with pairs polished from a 9-point grid added where those leave W
+free), else comes from the barrier, and the same ``_closes`` rule decides
+``exact`` on the re-evaluated kappa'''.  A nonnegative biquadratic form
+need not be a sum of squares, so a pair still open runs the fallback
+``_least_pair``: it scores a deterministic Fibonacci grid on the upper
+hemisphere (a and -a give one value, so the grid covers RP^2) by the
+closed-form smallest eigenvalue of each G_a, the minimum over b for that
+a, and polishes the best grid points by ``_alternate``, then
+``_newton_pairs``.  Neither draws a random number.
 
 ``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
 each row on its own, so a row's rounds depend on its own form alone.
@@ -153,14 +156,16 @@ class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
     Pairs: at most ``iters`` alternating rounds for the certificate's
-    witness; only a pair the certificate leaves open scores ``samples``
-    points of the RP^2 grid and polishes the ``restarts`` best, again for
-    at most ``iters`` rounds.  so(4) planes: at most ``iters`` alternating
-    rounds of the polish from its fixed starts, with ``samples`` and
-    ``restarts`` only recorded.  A plane or pair polish left above its
-    target then takes at most ``iters`` damped Newton steps.  On so(3) planes, and on
-    so(4) metrics and pairs that close before the polish or the grid, the
-    rest of the budget is only recorded.
+    witness, then at most ``iters`` damped Newton steps where its first
+    solve leaves the certificate open; only a pair the certificate leaves
+    open scores ``samples`` points of the RP^2 grid and polishes the
+    ``restarts`` best, again for at most ``iters`` rounds and ``iters``
+    Newton steps.  so(4) planes: at most ``iters`` alternating rounds of
+    the polish from its fixed starts, then at most ``iters`` damped Newton
+    steps where the rounds end above the lifted bound, with ``samples`` and
+    ``restarts`` only recorded.  On so(3) planes, and on so(4) metrics and
+    pairs that close before the polish or the grid, the rest of the budget
+    is only recorded.
     """
 
     samples: int = 4096
@@ -395,15 +400,17 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
     as the lowest eigenvector of G^b.  Row t stops once its best value falls
     by no more than stop[t] in a round or reaches reach[t], or after
     ``iters`` rounds.  A stopped row is not computed again, so each row's
-    result depends on its own form and starts alone.  Alternation can end
-    short of a minimum where both half-steps are optimal but f falls along
-    a direction that moves a and b together: a row can creep along a flat
-    valley, each half-step gaining a fixed fraction of what is left, or
-    zig-zag by a saddle, where the value falls by less than a round's
-    rounding while a step of a and b together still gains.  So every row
-    that ends above reach[t] goes on from its best pair with the damped
-    Newton steps of ``_newton_pairs``.  Returns the (T,) best values of
-    each row and their (T, d) a and b.
+    result depends on its own form and starts alone.  Returns the (T,) best
+    values of each row and their (T, d) a and b.
+
+    Alternation can end short of a minimum where both half-steps are
+    optimal but f falls along a direction that moves a and b together: a
+    row can creep along a flat valley, each half-step gaining a fixed
+    fraction of what is left, or zig-zag by a saddle, where the value falls
+    by less than a round's rounding while a step of a and b together still
+    gains.  So a caller whose rows must reach their target passes the
+    result on to ``_newton_pairs``: the plane polish and ``_least_pair``
+    always, ``_certified_pair`` only while its certificate is open.
     """
     t, n, d = a.shape
     a = np.array(a)
@@ -422,18 +429,16 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
         rows = rows[~done]
         if not len(rows):
             break
-    rows = np.flatnonzero(val > reach)
-    if len(rows):
-        val[rows], best_a[rows], best_b[rows] = _newton_pairs(
-            m[rows], best_a[rows], best_b[rows], val[rows], iters, stop[rows], reach[rows])
     return val, best_a, best_b
 
 
-def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, iters: int,
+def _newton_pairs(m: np.ndarray, val: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int,
                   stop: np.ndarray, reach: np.ndarray):
     """At most ``iters`` damped Newton steps on f(a, b) = vec(a a^T) M
     vec(b b^T) over unit a and b for the (T, d*d, d*d) stack m, from the
-    (T, d) pairs a, b of values val, each step kept only where it lowers f.
+    (T,) values val at the (T, d) pairs a, b that ``_alternate`` returns,
+    each step kept only where it lowers f.  Only the rows above reach[t]
+    take steps; the others are returned as they came.
 
     With N the entries of M read over (i, j, k, l), symmetrized in (i, j)
     and in (k, l), G_a = N(a, a, ., .) and G^b = N(., ., b, b): the
@@ -452,13 +457,15 @@ def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, 
     reach[t]."""
     t, d = a.shape
     a, b, val = np.array(a), np.array(b), np.array(val)
+    rows = np.flatnonzero(val > reach)
+    if not len(rows):
+        return val, a, b
     n = m.reshape(t, d, d, d, d)
     n = n + n.transpose(0, 2, 1, 3, 4)
     n = 0.25 * (n + n.transpose(0, 1, 2, 4, 3))
     eye = np.eye(d)
-    mu, moved = None, np.zeros(t, bool)
-    rows = np.arange(t)
-    for _ in range(iters):
+    mu, moved = np.zeros(t), np.zeros(t, bool)
+    for k in range(iters):
         nr, ar, br = n[rows], a[rows], b[rows]
         g_a = np.einsum("tijkl,ti,tj->tkl", nr, ar, ar)
         g_b = np.einsum("tijkl,tk,tl->tij", nr, br, br)
@@ -472,8 +479,8 @@ def _newton_pairs(m: np.ndarray, a: np.ndarray, b: np.ndarray, val: np.ndarray, 
         lam, vec = np.linalg.eigh(h)
         grad = np.concatenate([g_b @ ar[..., None], g_a @ br[..., None]], axis=1)[..., 0]
         top = np.abs(lam).max(axis=1)
-        if mu is None:
-            mu = 1e-8 * top
+        if k == 0:
+            mu[rows] = 1e-8 * top
         g = np.einsum("tji,tj->ti", vec, grad)
         g[:, 0] = np.where(lam[:, 0] < 0, np.where(g[:, 0] > 0, 1.0, -1.0)
                            * np.maximum(np.abs(g[:, 0]), -1e-3 * lam[:, 0]), g[:, 0])
@@ -877,8 +884,10 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     if rest:
         ks = [rows[r] for r in rest]
         starts = _polish_starts(frames[ks], c[ks], c[ks] + weights[rest])
-        vals, x1, x2 = _alternate(_plane_forms(c[ks], delta[ks], d), starts, budget.iters,
-                                  1e-3 * delta[ks], (bound + margin)[rest])
+        forms, stop = _plane_forms(c[ks], delta[ks], d), 1e-3 * delta[ks]
+        reach = (bound + margin)[rest]
+        rounds = _alternate(forms, starts, budget.iters, stop, reach)
+        vals, x1, x2 = _newton_pairs(forms, *rounds, budget.iters, stop, reach)
         # each frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
         back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in ks])
         frames = _gram_schmidt(back[:, None] @ np.stack([x1, x2], axis=1)[..., None])[..., 0]
@@ -938,20 +947,34 @@ def _pair_form(g: LieAlgebra, psi: np.ndarray) -> np.ndarray:
     equal to w.Gw for w = a (x) b, that is G[(i, k), (j, l)] = T_ijkl with
     kappa'''(0) = a_i a_j T_ijkl b_k b_l.
 
-    kappa'''(0) is biquadratic in the pair, so T is its polarization,
-    T_ijkl = sum over s, t = +-1 of s t f(e_i + s e_j, e_k + t e_l) / 16,
-    read off one batch of 324 closed-form evaluations.
+    kappa'''(0) (``kappa_third_deriv_many``) is a sum of dot products of
+    brackets, each bilinear in x = a_i e_i and y = b_k f_k, e and f the two
+    factors' bases.  With B_ik = [e_i, psi f_k], C_ik = [psi e_i, f_k], D_ik
+    = [psi e_i, psi f_k], E_ij = [psi e_i, e_j] and F_kl = [psi f_k, f_l],
+    its coefficients are
+
+        T_ijkl = 6 ((B + C)_ik.D_jl + E_ij.psi F_kl - B_ik.psi (B + C)_jl
+                    - C_ik.psi C_jl),
+
+    symmetrized in (i, j) and in (k, l), which makes G exactly symmetric.
+    B, C, E and F are blocks of the one table [psi u, v] over basis vectors
+    u and v, and the three terms paired over ((i, k), (j, l)) are one
+    product of two 9 x 18 matrices.
     """
-    signs = np.array([1.0, -1.0])
-    e = np.eye(3)
-    u = (e[:, None, None, :] + signs[None, None, :, None] * e[None, :, None, :]).reshape(18, 3)
-    idx1, idx2 = (list(ix) for ix in g.factor_split)
-    xs, ys = np.zeros((2, 18, 18, g.dim))
-    xs[:, :, idx1] = u[:, None, :]
-    ys[:, :, idx2] = u[None, :, :]
-    f = kappa_third_deriv_many(g, psi, xs.reshape(-1, g.dim), ys.reshape(-1, g.dim))
-    t = np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
-    return t.transpose(0, 2, 1, 3).reshape(9, 9)
+    i1, i2 = (list(ix) for ix in g.factor_split)
+    d = g.dim
+    table = (psi @ g.structure.reshape(d, d * d)).reshape(d, d, d)  # [psi u, v]
+    split = table[np.ix_(i1 + i2, i1 + i2)]  # its rows and columns e, then f
+    b, c = -split[3:, :3].transpose(1, 0, 2), split[:3, 3:]
+    bc = b + c
+    # the terms paired over ((i, k), (j, l)) as one product, then E.psi F
+    x = np.concatenate([bc, b, c], axis=2).reshape(9, 3 * d)
+    y = np.concatenate([psi[i2] @ table[i1], -bc @ psi, -c @ psi], axis=2).reshape(9, 3 * d)
+    e, f = split[:3, :3].reshape(9, d), (split[3:, 3:] @ psi).reshape(9, d)
+    t = (x @ y.T).reshape(3, 3, 3, 3)
+    t += (e @ f.T).reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    t = t + t.transpose(2, 1, 0, 3)
+    return (1.5 * (t + t.transpose(0, 3, 2, 1))).reshape(9, 9)
 
 
 @functools.lru_cache(maxsize=8)
@@ -1010,13 +1033,15 @@ def _least_pair(form: np.ndarray, budget: Budget, stop: float):
     start's b as the lowest eigenvector of G_a, then its a as the lowest
     eigenvector of G^b.  The rounds stop after ``budget.iters``, or once the
     best value falls by no more than ``stop`` in a round, and the best pair
-    then goes on with damped Newton steps (no reach stops them early).
+    then goes on with the damped Newton steps of ``_newton_pairs`` (no
+    reach stops them early).
     """
     m = _biquadratic(form)
     grid = _hemisphere_grid(budget.samples)
     order = np.argsort(_smallest_eigenvalues(_outer_rows(grid) @ m), kind="stable")
-    val, a, b = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters,
-                           np.array([stop]), np.array([-np.inf]))
+    stop, reach = np.array([stop]), np.array([-np.inf])
+    rounds = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters, stop, reach)
+    val, a, b = _newton_pairs(m[None], *rounds, budget.iters, stop, reach)
     return float(val[0]), a[0], b[0]
 
 
@@ -1040,38 +1065,47 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     G, its unit (a, b), and the best lower bound on every pair with its
     rounding margin delta = 1e-12 max(||G + W||_2, scale), scale = ||psi||^3
     (G carries rounding at that scale: a torus G, exactly 0, measures up to
-    2.2e-15 ||psi||^3).
+    2.3e-15 ||psi||^3).
 
     The starts are the top singular vectors of the three lowest eigenvectors
     of G read as 3x3 matrices X, w[3i + k] = X_ik, each polished alone by
-    ``_alternate`` (at most ``budget.iters`` rounds, a row stopping once its
-    value falls by no more than ``stop`` in a round or reaches the bound of
-    W = 0, lambda_min(G), plus its margin, then damped Newton steps from a
-    row above it).  The Segre quadrics vanish on
-    every a (x) b, so lambda_min(G + W) bounds every pair for each
+    the rounds of ``_alternate`` (at most ``budget.iters``, a row stopping
+    once its value falls by no more than ``stop`` in a round or reaches the
+    bound of W = 0, lambda_min(G), plus its margin).  The Segre quadrics
+    vanish on every a (x) b, so lambda_min(G + W) bounds every pair for each
     combination W of them (Thorpe's trick, as for planes).  Where the best
     pair lies above the bound of W = 0 plus its margin, W comes from one
     least-squares solve, ``_plucker_weights`` at t = the best value on every
     pair within delta of it (one pair alone leaves W too free to close a
-    symmetric form).  Where that bound falls short and the pairs leave W
-    free (their equations' rank is below the number of quadrics), pairs
-    polished from as many points of ``_hemisphere_grid`` join them for one
-    more solve: eigh's basis of a repeated eigenspace of G can be aligned
-    with the axes, and its pairs then coincide.  Where the bound still falls
-    short, ``_barrier`` lifts it.  The bound reported is the best of those
-    tried, less its margin.  A nonnegative biquadratic form need not be a
-    sum of squares (Choi, *Positive semidefinite biquadratic forms*, Linear
-    Algebra Appl. 1975), so a bound can stay below the minimum.
+    symmetric form).  Only where that bound falls short do the pairs above
+    the bound of W = 0 go on with the damped Newton steps of
+    ``_newton_pairs`` (at most ``budget.iters``), and W is solved again on
+    the pairs they reach.  Where the bound still falls short and the pairs
+    leave W free (their equations' rank is below the number of quadrics),
+    pairs polished from as many points of ``_hemisphere_grid``, rounds then
+    Newton steps, join them for one more solve: eigh's basis of a repeated
+    eigenspace of G can be aligned with the axes, and its pairs then
+    coincide.  Where the bound still falls short, ``_barrier`` lifts it.
+    The bound reported is the best of those tried, less its margin.  A
+    nonnegative biquadratic form need not be a sum of squares (Choi,
+    *Positive semidefinite biquadratic forms*, Linear Algebra Appl. 1975),
+    so a bound can stay below the minimum.
     """
     eigs, vecs = np.linalg.eigh(form)
     floor = _BOUND_MARGIN * scale
     bound, margin = eigs[0], max(_lower_bound(eigs)[1], floor)
     m, forms = _biquadratic(form), _segre_forms()
 
-    def polished(starts):
-        n = len(starts)
-        return _alternate(np.broadcast_to(m, (n, 9, 9)), starts[:, None], budget.iters,
-                          np.full(n, stop), np.full(n, bound + margin))
+    def stack(n):
+        return np.broadcast_to(m, (n, 9, 9)), np.full(n, stop), np.full(n, bound + margin)
+
+    def rounds(starts):
+        m_n, stop_n, reach_n = stack(len(starts))
+        return _alternate(m_n, starts[:, None], budget.iters, stop_n, reach_n)
+
+    def newton(vals, a, b):
+        m_n, stop_n, reach_n = stack(len(vals))
+        return _newton_pairs(m_n, vals, a, b, budget.iters, stop_n, reach_n)
 
     def solved(vals, a, b):
         near = vals <= vals.min() + margin
@@ -1080,12 +1114,15 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
         lw0, dw = _lower_bound(np.linalg.eigvalsh(form + np.tensordot(y, forms, 1)))
         return (lw0, max(dw, floor)), rank
 
-    vals, a, b = polished(np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0])
+    vals, a, b = rounds(np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0])
     tried = [(bound, margin)]
     if bound + margin < vals.min():
         lifted, rank = solved(vals, a, b)
+        if sum(lifted) < vals.min():
+            vals, a, b = newton(vals, a, b)
+            lifted, rank = solved(vals, a, b)
         if sum(lifted) < vals.min() and rank < len(forms):
-            grid = polished(_hemisphere_grid(len(forms)))
+            grid = newton(*rounds(_hemisphere_grid(len(forms))))
             vals, a, b = (np.concatenate(pair) for pair in zip((vals, a, b), grid))
             lifted = solved(vals, a, b)[0]
         tried.append(lifted)
@@ -1111,25 +1148,27 @@ def infinitesimal_check(
 
     The pairs ((a, 0), (0, b)) with unit a and b span every commuting
     plane, and kappa'''(0) on them is the biquadratic form (a (x) b).G(a (x)
-    b) of the 9x9 ``_pair_form`` G.  ``_certified_pair`` first polishes
-    three pairs read off G's lowest eigenvectors by exact alternating
-    minimization (at most ``budget.iters`` rounds, then as many damped
-    Newton steps where the rounds end above the bound of W = 0), and
-    bounds every pair
-    from below by lambda_min(G + W), W a combination of the Segre quadrics
-    (the 2x2 minors of a b^T), less a margin delta = 1e-12 max(||G + W||_2,
-    ||psi||_2^3): at W = 0, else with W from one least-squares solve on the
-    best pairs (joined by pairs polished from a 9-point grid where they
-    leave W free), else from the barrier.  ``lower_bound`` is that bound, and
-    the report is ``exact`` when the witness's re-evaluated kappa''' meets
-    it (``_closes``: min_value - lower_bound <= 2 delta).  Otherwise a
+    b) of the 9x9 ``_pair_form`` G, built in closed form.
+    ``_certified_pair`` first polishes three pairs read off G's lowest
+    eigenvectors by at most ``budget.iters`` rounds of exact alternating
+    minimization, and bounds every pair from below by lambda_min(G + W), W
+    a combination of the Segre quadrics (the 2x2 minors of a b^T), less a
+    margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3): at W = 0, else with
+    W from one least-squares solve on the best pairs.  Only if that leaves
+    the bound short of the best pair do the pairs above the bound of W = 0
+    take at most ``budget.iters`` damped Newton steps, and W is solved again
+    on them (joined by pairs polished from a 9-point grid where they leave
+    W free), else comes from the barrier.  ``lower_bound`` is that bound,
+    and the report is ``exact`` when the witness's re-evaluated kappa'''
+    meets it (``_closes``: min_value - lower_bound <= 2 delta).  Otherwise a
     deterministic Fibonacci grid of ``budget.samples`` points on the upper
     hemisphere (a and -a give one value) is scored by each point's exact
     minimum over b, its ``budget.restarts`` best points are polished for at
-    most ``budget.iters`` rounds (``_least_pair``), and the lower of the two
-    pairs is reported, tried again on the same rule.  No random number is
-    drawn, so the report does not depend on ``seed``, which is only
-    recorded; it must still be a nonnegative integer (ValueError).
+    most ``budget.iters`` rounds, then Newton steps (``_least_pair``), and
+    the lower of the two pairs is reported, tried again on the same rule.
+    kappa''' itself is evaluated only on these witness pairs.  No random
+    number is drawn, so the report does not depend on ``seed``, which is
+    only recorded; it must still be a nonnegative integer (ValueError).
 
     A negative minimum refutes infinitesimal nonnegativity of the variation;
     a nonnegative minimum is proven when the report is ``exact`` and is a

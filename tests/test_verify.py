@@ -57,6 +57,7 @@ from liecurv.verify import (
     _hemisphere_grid,
     _incidence,
     _lower_bound,
+    _newton_pairs,
     _outer_rows,
     _pair_form,
     _plane_forms,
@@ -460,16 +461,16 @@ def test_polish_leaves_an_exact_saddle():
     a, b in R^2: from a = e1 each half-step's best reply is e1 again, so
     the rounds stall at f = 0 with zero gradient, although f falls along
     a = (cos s, sin s), b = (cos s, -sin s).  The damped Newton steps that
-    a row above its reach takes leave that saddle, for the minimum of a
-    fine grid."""
+    a row above its reach takes from the rounds' pair leave that saddle,
+    for the minimum of a fine grid."""
     m = np.zeros((2, 2, 2, 2))
     m[0, 0, 1, 1] = m[1, 1, 0, 0] = m[1, 1, 1, 1] = 1.0
     m[0, 1, 0, 1] = m[0, 1, 1, 0] = m[1, 0, 0, 1] = m[1, 0, 1, 0] = 1.0
     m = m.reshape(1, 4, 4)
-    args = (m, np.array([[[1.0, 0.0]]]), 50, np.zeros(1), np.full(1, -np.inf))
-    with mock.patch.object(verify, "_newton_pairs", lambda m, a, b, val, *rest: (val, a, b)):
-        assert _alternate(*args)[0][0] == 0.0
-    val, a, b = _alternate(*args)
+    stop, reach = np.zeros(1), np.full(1, -np.inf)
+    rounds = _alternate(m, np.array([[[1.0, 0.0]]]), 50, stop, reach)
+    assert rounds[0][0] == 0.0
+    val, a, b = _newton_pairs(m, *rounds, 50, stop, reach)
     theta = np.linspace(0.0, np.pi, 721)
     circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     grid = np.einsum("pi,qj,ij->pq", _outer_rows(circle), _outer_rows(circle), m[0])
@@ -1399,6 +1400,34 @@ def test_infinitesimal_torus_stops_on_rounding_noise(g4, monkeypatch):
     assert rep.lower_bound == np.linalg.eigh(form)[0][0] - margin
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_shrink_projector_closes_on_the_segre_solve_alone(g4, swap):
+    """-c S P S^T, P the diagonal projector under an automorphism S, has
+    minimum 0 on commuting pairs, but lambda_min(G) lies below it, so W = 0
+    does not close.  The Segre solve on the rounds' pairs does: no Newton
+    step is built, no grid runs, and kappa''' is evaluated on one row, the
+    witness's, as G comes in closed form."""
+    rng = np.random.default_rng(62)
+    s = random_automorphism(rng, swap)
+    psi = -rng.uniform(0.5, 1.5) * s @ diagonal_subalgebra(g4).projector @ s.T
+    assert np.linalg.eigvalsh(_pair_form(g4, psi))[0] < -1e-3
+    rows = []
+
+    def third(g, psi, xs, ys):
+        rows.append(len(xs))
+        return kappa_third_deriv_many(g, psi, xs, ys)
+
+    with mock.patch.object(verify, "_newton_pairs", side_effect=AssertionError("_newton_pairs")), \
+            mock.patch.object(verify, "_least_pair", side_effect=AssertionError("_least_pair")), \
+            mock.patch.object(verify, "_barrier", side_effect=AssertionError("_barrier")), \
+            mock.patch.object(verify, "kappa_third_deriv_many", third), \
+            mock.patch.object(verify, "_plucker_weights", wraps=verify._plucker_weights) as solve:
+        rep = infinitesimal_check(g4, psi)
+    assert rep.exact and rep.verdict == VERDICT_NONNEGATIVE
+    assert rep.lower_bound <= rep.min_value and abs(rep.min_value) <= 1e-12
+    assert solve.call_count == 1 and rows == [1]
+
+
 @pytest.mark.parametrize("c", [1.0, 0.7, -1.3])
 def test_axis_aligned_projector_closes_without_the_barrier(g4, monkeypatch, c):
     """c times the diagonal projector, unconjugated: eigh's basis of G's
@@ -1490,6 +1519,37 @@ def _pair_rows(g, ab):
     return xs, ys
 
 
+def _polarized_pair_form(g, psi):
+    """The reference G: kappa'''(0) is biquadratic in the pair, so T is its
+    polarization, T_ijkl = sum over s, t = +-1 of s t f(e_i + s e_j, e_k +
+    t e_l) / 16, read off one batch of 324 closed-form evaluations."""
+    signs = np.array([1.0, -1.0])
+    e = np.eye(3)
+    u = (e[:, None, None, :] + signs[None, None, :, None] * e[None, :, None, :]).reshape(18, 3)
+    idx1, idx2 = (list(ix) for ix in g.factor_split)
+    xs, ys = np.zeros((2, 18, 18, g.dim))
+    xs[:, :, idx1] = u[:, None, :]
+    ys[:, :, idx2] = u[None, :, :]
+    f = kappa_third_deriv_many(g, psi, xs.reshape(-1, g.dim), ys.reshape(-1, g.dim))
+    t = np.einsum("ijsklt,s,t->ijkl", f.reshape(3, 3, 2, 3, 3, 2), signs, signs) / 16.0
+    return t.transpose(0, 2, 1, 3).reshape(9, 9)
+
+
+def _checked_pair_form(g, psi):
+    """``_pair_form(g, psi)``, checked to be exactly symmetric and to match
+    the polarization entrywise to 1e-14 max(1, ||psi||_2^3)."""
+    form = _pair_form(g, psi)
+    assert form.shape == (9, 9)
+    assert np.array_equal(form, form.T)
+    # G[(i, k), (j, l)] = T_ijkl with T symmetric in (i, j) and in (k, l)
+    t = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
+    assert np.array_equal(t, t.transpose(1, 0, 2, 3))
+    assert np.array_equal(t, t.transpose(0, 1, 3, 2))
+    scale = max(1.0, np.linalg.norm(psi, 2) ** 3)
+    assert np.abs(form - _polarized_pair_form(g, psi)).max() <= 1e-14 * scale
+    return form
+
+
 @pytest.mark.parametrize("kind", ["torus", "quotient", "projector", "symmetric"])
 def test_pair_form_matches_closed_form(g4, kind):
     rng = np.random.default_rng(41)
@@ -1499,17 +1559,20 @@ def test_pair_form_matches_closed_form(g4, kind):
         "projector": diagonal_subalgebra(g4).projector,
         "symmetric": random_symmetric(rng, 6),
     }[kind]
-    form = _pair_form(g4, psi)
-    assert form.shape == (9, 9)
-    assert np.array_equal(form, form.T)
-    # G[(i, k), (j, l)] = T_ijkl with T symmetric in (i, j) and in (k, l)
-    t = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3)
-    assert np.array_equal(t, t.transpose(1, 0, 2, 3))
-    assert np.array_equal(t, t.transpose(0, 1, 3, 2))
+    form = _checked_pair_form(g4, psi)
     ab = _unit_columns(rng.standard_normal((1, 2, 3, 250)))
     ref = kappa_third_deriv_many(g4, psi, *_pair_rows(g4, ab))
     got = _quotient_values((form, np.eye(9)), ab)[0][0]
     assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 1e3))
+def test_pair_form_matches_the_polarization(seed, scale):
+    """The closed-form G equals the polarization of 324 kappa''' rows to
+    rounding at the scale of psi^3, and is exactly symmetric, on random
+    symmetric psi of any size."""
+    _checked_pair_form(so4(), scale * random_symmetric(np.random.default_rng(seed), 6))
 
 
 @settings(max_examples=50, deadline=None)
