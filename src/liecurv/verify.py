@@ -1097,6 +1097,7 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     m, forms = _biquadratic(form), _segre_forms()
 
     def stack(n):
+        # n rows of the one form, each with the stop and the reach of W = 0
         return np.broadcast_to(m, (n, 9, 9)), np.full(n, stop), np.full(n, bound + margin)
 
     def rounds(starts):
