@@ -456,10 +456,10 @@ def _newton_pairs(m: np.ndarray, val: np.ndarray, a: np.ndarray, b: np.ndarray, 
     predicted fall is at most stop[t], and once its value reaches
     reach[t]."""
     t, d = a.shape
-    a, b, val = np.array(a), np.array(b), np.array(val)
     rows = np.flatnonzero(val > reach)
     if not len(rows):
         return val, a, b
+    a, b, val = np.array(a), np.array(b), np.array(val)
     n = m.reshape(t, d, d, d, d)
     n = n + n.transpose(0, 2, 1, 3, 4)
     n = 0.25 * (n + n.transpose(0, 1, 2, 4, 3))
@@ -1080,7 +1080,7 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     symmetric form).  Only where that bound falls short do the pairs above
     the bound of W = 0 go on with the damped Newton steps of
     ``_newton_pairs`` (at most ``budget.iters``), and W is solved again on
-    the pairs they reach.  Where the bound still falls short and the pairs
+    the pairs they reach if a step moved one.  Where the bound still falls short and the pairs
     leave W free (their equations' rank is below the number of quadrics),
     pairs polished from as many points of ``_hemisphere_grid``, rounds then
     Newton steps, join them for one more solve: eigh's basis of a repeated
@@ -1120,8 +1120,11 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     if bound + margin < vals.min():
         lifted, rank = solved(vals, a, b)
         if sum(lifted) < vals.min():
-            vals, a, b = newton(vals, a, b)
-            lifted, rank = solved(vals, a, b)
+            stepped = newton(vals, a, b)
+            # a row the steps left is returned as it came, a moved row lower
+            if not np.array_equal(stepped[0], vals):
+                vals, a, b = stepped
+                lifted, rank = solved(vals, a, b)
         if sum(lifted) < vals.min() and rank < len(forms):
             grid = newton(*rounds(_hemisphere_grid(len(forms))))
             vals, a, b = (np.concatenate(pair) for pair in zip((vals, a, b), grid))

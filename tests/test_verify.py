@@ -479,12 +479,14 @@ def test_polish_leaves_an_exact_saddle():
 
 
 def test_stacked_polish_matches_each_slice_bitwise(g4):
-    """Polishing T forms as one stack gives every row bit for bit as
-    polishing its slice alone: the round metric and a wide draw of the
-    40-metric set stop when their best values stall (at 1e-3 delta, the
-    plane polish's stop), each at its own round, and their rows stay frozen
-    while the product row and the near-round draw run the whole budget (no
-    stall stop)."""
+    """Polishing T forms as one stack, the rounds of ``_alternate`` then
+    the Newton steps of ``_newton_pairs`` and their closing round, gives
+    every row bit for bit as polishing its slice alone: the round metric and
+    a wide draw of the 40-metric set stop when their best values stall (at
+    1e-3 delta, the plane polish's stop), each at its own round, and their
+    rows stay frozen while the product row and the near-round draw run the
+    whole budget of rounds (no stall stop).  The Newton steps carry the
+    near-round draw on from -8.246e-4, where its rounds end, to -8.589e-4."""
     rng = np.random.default_rng(47)
     phis = [
         np.eye(6),
@@ -503,15 +505,18 @@ def test_stacked_polish_matches_each_slice_bitwise(g4):
     iters = 40
 
     def polish(rows):
+        args = form[rows], starts[rows], iters, stop[rows], reach[rows]
         with mock.patch.object(verify.np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            out = _alternate(form[rows], starts[rows], iters, stop[rows], reach[rows])
-        return out, _round_eighs(eigh)
+            ends = _alternate(*args)
+            out = _newton_pairs(form[rows], *ends, *args[2:])
+        return out, _round_eighs(eigh), ends[0]
 
-    (val, a, b), stacked = polish(slice(None))
+    (val, a, b), stacked, ends = polish(slice(None))
     assert stacked == 2 * iters
+    assert np.array_equal(val[:3], ends[:3]) and val[3] < ends[3] - 3e-5
     rounds = []
     for k in range(len(phis)):
-        (vk, ak, bk), calls = polish(slice(k, k + 1))
+        (vk, ak, bk), calls, _ = polish(slice(k, k + 1))
         assert vk[0] == val[k] and np.array_equal(ak[0], a[k]) and np.array_equal(bk[0], b[k])
         rounds.append(calls // 2)
     assert rounds[2:] == [iters] * 2
@@ -651,10 +656,11 @@ def _certified(m, tol=DEFAULT_TOL):
 
 
 def _round_eighs(eigh):
-    """The calls of a mocked ``np.linalg.eigh`` that alternating rounds
-    from many starts make: two a round, each on a (rows, starts, d, d)
-    stack, where the Newton steps after the rounds take one (rows, 2d, 2d)
-    stack a step and the round that ends them a (rows, 1, d, d) one."""
+    """The calls of a mocked ``np.linalg.eigh`` that the alternating rounds
+    of ``_alternate`` from many starts make: two a round, each on a (rows,
+    starts, d, d) stack.  The Newton steps of ``_newton_pairs`` after them
+    take one (rows, 2d, 2d) stack a step and their closing round a (rows, 1,
+    d, d) one, and neither is counted."""
     return sum(call.args[0].ndim == 4 and call.args[0].shape[1] > 1
                for call in eigh.call_args_list)
 
