@@ -76,23 +76,15 @@ def _blocks(psi: np.ndarray):
     return p, q, c
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The row-wise cross products u x v of (r, 3) rows, from their
-    component products (the products and differences of ``np.cross``)."""
-    u0, u1, u2 = u.T
-    v0, v1, v2 = v.T
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=1)
-
-
 def _unit_complement(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal complement (u1, u2) of the unit rows of a, (r, 3) each."""
     r = len(a)
     axis = np.argmin(np.abs(a), axis=1)
     e = np.zeros_like(a)
     e[np.arange(r), axis] = 1.0
-    u1 = _cross(a, e)
+    u1 = np.cross(a, e)
     u1 /= np.linalg.norm(u1, axis=1)[:, None]
-    u2 = _cross(a, u1)
+    u2 = np.cross(a, u1)
     return u1, u2
 
 

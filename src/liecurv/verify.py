@@ -59,15 +59,15 @@ rounds of ``_alternate``.  The bound closes at W = 0, else W comes from
 one least-squares solve on the polished pairs within delta of the best.
 Only where the certificate is still open do the pairs above the bound of
 W = 0 take the damped Newton steps of ``_newton_pairs``; W is then solved
-again (with pairs polished from a 9-point grid added where those leave W
-free), else comes from the barrier, and the same ``_closes`` rule decides
-``exact`` on the re-evaluated kappa'''.  A nonnegative biquadratic form
-need not be a sum of squares, so a pair still open runs the fallback
-``_least_pair``: it scores a deterministic Fibonacci grid on the upper
-hemisphere (a and -a give one value, so the grid covers RP^2) by the
-closed-form smallest eigenvalue of each G_a, the minimum over b for that
-a, and polishes the best grid points by ``_alternate``, then
-``_newton_pairs``.  Neither draws a random number.
+again if a step moved one (with pairs polished from a 9-point grid added
+where those leave W free), else comes from the barrier, and the same
+``_closes`` rule decides ``exact`` on the re-evaluated kappa'''.  A
+nonnegative biquadratic form need not be a sum of squares, so a pair
+still open runs the fallback ``_least_pair``: it scores a deterministic
+Fibonacci grid on the upper hemisphere (a and -a give one value, so the
+grid covers RP^2) by the closed-form smallest eigenvalue of each G_a, the
+minimum over b for that a, and polishes the best grid points by
+``_alternate``, then ``_newton_pairs``.  Neither draws a random number.
 
 ``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
 each row on its own, so a row's rounds depend on its own form alone.
@@ -1161,15 +1161,16 @@ def infinitesimal_check(
     W from one least-squares solve on the best pairs.  Only if that leaves
     the bound short of the best pair do the pairs above the bound of W = 0
     take at most ``budget.iters`` damped Newton steps, and W is solved again
-    on them (joined by pairs polished from a 9-point grid where they leave
-    W free), else comes from the barrier.  ``lower_bound`` is that bound,
-    and the report is ``exact`` when the witness's re-evaluated kappa'''
-    meets it (``_closes``: min_value - lower_bound <= 2 delta).  Otherwise a
-    deterministic Fibonacci grid of ``budget.samples`` points on the upper
-    hemisphere (a and -a give one value) is scored by each point's exact
-    minimum over b, its ``budget.restarts`` best points are polished for at
-    most ``budget.iters`` rounds, then Newton steps (``_least_pair``), and
-    the lower of the two pairs is reported, tried again on the same rule.
+    on them if a step moved one (joined by pairs polished from a 9-point
+    grid where they leave W free), else comes from the barrier.
+    ``lower_bound`` is that bound, and the report is ``exact`` when the
+    witness's re-evaluated kappa''' meets it (``_closes``: min_value -
+    lower_bound <= 2 delta).  Otherwise a deterministic Fibonacci grid of
+    ``budget.samples`` points on the upper hemisphere (a and -a give one
+    value) is scored by each point's exact minimum over b, its
+    ``budget.restarts`` best points are polished for at most
+    ``budget.iters`` rounds, then Newton steps (``_least_pair``), and the
+    lower of the two pairs is reported, tried again on the same rule.
     kappa''' itself is evaluated only on these witness pairs.  No random
     number is drawn, so the report does not depend on ``seed``, which is
     only recorded; it must still be a nonnegative integer (ValueError).
