@@ -15,10 +15,15 @@ In the ordered basis (A1, B1, A2, B2, A3, B3) the matrix is
     [ .  .  .  M c3 c2 ]
 
 Both steps are closed constructions.  When the plane is not supplied, it is
-read off the eigenspaces of the two diagonal blocks and one SVD of the
-cross-factor coupling restricted to each pairing of them.  The rest of the
-bases are the singular vectors of that coupling between the complements of
-A1 and B1.
+read off the eigenspaces of the two diagonal blocks (one stacked ``eigh``
+of the validated psi's blocks) and the singular vectors of the
+cross-factor coupling restricted to each pairing of them.  Most pairings
+need no SVD: one whose off-pairing couplings both lie within the tolerance
+keeps its eigenspaces as they are, a one-column kernel is a norm test, and
+a 1x1 coupling k = f.C^T e gives the candidate (e, copysign(1, k) f), as
+LAPACK's 1x1 SVD does.  The rest of the bases are the singular vectors
+of that coupling between the complements of A1 and B1.  A torus or
+S^3-action quotient psi takes 3 small SVDs in all.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .algebra import LieAlgebra, symmetric_matrix
 from .errors import NormalFormUnavailable
 from .variation import kappa_third_deriv_many
-from .verify import eigenstructure
+from .verify import EigenStructure
 
 __all__ = [
     "NormalFormBasis",
@@ -117,25 +122,51 @@ def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _kernel(m: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the vectors x with |m x| <= tol."""
+    """Orthonormal columns spanning the vectors x with |m x| <= tol.
+
+    One column is a norm test: LAPACK's SVD of a single column has Vh =
+    [[1]], so the kernel is [[1]] when |m| <= tol and empty otherwise.
+    """
+    if m.shape[1] == 1:
+        return np.ones((1, int(np.linalg.norm(m) <= tol)))
     _, s, vh = np.linalg.svd(m)
     return vh[int(np.sum(s > tol)):].T
 
 
 def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
     """Largest subspaces A of span(e) and B of span(f) with C^T A in B and
-    C B in A, as orthonormal columns.
+    C B in A, as orthonormal columns, or None when either is zero.
 
     One restriction to the kernels of the off-subspace couplings can leave
     C^T A partly outside B; repeating it until neither space shrinks makes
-    every singular pair of B^T C^T A an exact plane.
+    every singular pair of B^T C^T A an exact plane.  Both couplings within
+    tol in Frobenius norm (so in every singular value) keep (e, f) with no
+    SVD; a one-column kernel is a norm test (``_kernel``), and the first
+    empty kernel ends the restriction, as the spaces only shrink.
     """
     while True:
-        a = e @ _kernel(c.T @ e - f @ (f.T @ c.T @ e), tol)
-        b = f @ _kernel(c @ f - e @ (e.T @ c @ f), tol)
+        off_a = c.T @ e - f @ (f.T @ c.T @ e)
+        off_b = c @ f - e @ (e.T @ c @ f)
+        if np.linalg.norm(off_a) <= tol and np.linalg.norm(off_b) <= tol:
+            return e, f
+        a = e @ _kernel(off_a, tol)
+        if not a.shape[1]:
+            return None
+        b = f @ _kernel(off_b, tol)
+        if not b.shape[1]:
+            return None
         if a.shape == e.shape and b.shape == f.shape:
             return e, f
         e, f = a, b
+
+
+def _singular_vectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and Vh of m's SVD.  A 1x1 m = [[k]] needs none: LAPACK returns U =
+    [[copysign(1, k)]] and Vh = [[1]]."""
+    if m.shape == (1, 1):
+        return np.copysign(np.ones((1, 1)), m), np.ones((1, 1))
+    u, _, vh = np.linalg.svd(m)
+    return u, vh
 
 
 def _candidate_planes(psi: np.ndarray, tol: float):
@@ -144,12 +175,18 @@ def _candidate_planes(psi: np.ndarray, tol: float):
 
     The plane is invariant iff P a = lambda a, Q b = mu b, C^T a = sigma b and
     C b = sigma a, so when an invariant plane exists, one is a candidate.
+    P and Q take one stacked ``eigh``; psi is validated by the caller.
     """
     p, q, c = _blocks(psi)
-    cand_a, cand_b = [], []
-    for e, f in itertools.product(eigenstructure(p).eigenspaces, eigenstructure(q).eigenspaces):
-        a, b = _coupled_subspaces(c, e, f, tol)
-        u, _, vh = np.linalg.svd(b.T @ c.T @ a)
+    ws, vs = np.linalg.eigh(np.stack([p, q]))
+    spaces = [EigenStructure.from_eigh(w, v).eigenspaces for w, v in zip(ws, vs)]
+    cand_a, cand_b = [np.zeros((0, 3))], [np.zeros((0, 3))]
+    for e, f in itertools.product(*spaces):
+        coupled = _coupled_subspaces(c, e, f, tol)
+        if coupled is None:
+            continue
+        a, b = coupled
+        u, vh = _singular_vectors(b.T @ c.T @ a)
         rows_a, rows_b = vh @ a.T, u.T @ b.T
         cand_a.append(np.repeat(rows_a, len(rows_b), axis=0))
         cand_b.append(np.tile(rows_b, (len(rows_a), 1)))

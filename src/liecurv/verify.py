@@ -85,7 +85,8 @@ bounded-search claim, not a proof, unless the report is ``exact``.
 
 ``lemma_k_check`` checks the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths exactly, on the
-eigenspace's basis pairs and its factor strata.
+eigenspace's basis pairs and its factor strata, from one validation and one
+``eigh`` of psi.
 
 Determinism contract: no verdict or lemma report draws a random number
 (``sample_commuting_pairs``, the suites' draw, is the one random routine
@@ -1207,7 +1208,8 @@ def infinitesimal_check(
         if grid_value < value:
             value, (av, bv, final) = grid_value, evaluated(a, b)
             exact = _closes(value, final, bound, margin)
-    times = [t for t in (1e-4, 1e-3, 1e-2, 5e-2) if path.admissible(t) and t < 0.5 * path.t_max]
+    small = np.array([1e-4, 1e-3, 1e-2, 5e-2])
+    times = small[path.admissible_many(small) & (small < 0.5 * path.t_max)].tolist()
     small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
     return _report(final, (av, bv), tol, budget, seed, exact=exact,
                    lower_bound=bound - margin, small_t=small_t)
@@ -1227,6 +1229,18 @@ class EigenStructure:
     def smallest(self) -> np.ndarray:
         return self.eigenspaces[0]
 
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> EigenStructure:
+        """The clusters of ``np.linalg.eigh``'s (w, v) of a symmetric map,
+        for callers that validated and decomposed it themselves: each
+        cluster's mean eigenvalue and a copy of its eigenvector columns."""
+        bounds = [0, *_cluster_cuts(w).tolist(), len(w)]
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        return cls(
+            eigenvalues=np.array([w[i:j].sum() / (j - i) for i, j in spans]),
+            eigenspaces=[v[:, i:j].copy() for i, j in spans],
+        )
+
 
 def _cluster_cuts(w: np.ndarray) -> np.ndarray:
     """Where a new cluster of equal eigenvalues starts in the ascending w:
@@ -1244,12 +1258,17 @@ def eigenstructure(psi) -> EigenStructure:
     single cluster.  psi must be square (DimensionMismatch), finite and
     symmetric (ValueError).
     """
-    w, v = np.linalg.eigh(symmetric_matrix(psi, "psi"))
-    cuts = _cluster_cuts(w)
-    return EigenStructure(
-        eigenvalues=np.array([float(c.mean()) for c in np.split(w, cuts)]),
-        eigenspaces=[b.copy() for b in np.split(v, cuts, axis=1)],
-    )
+    return EigenStructure.from_eigh(*np.linalg.eigh(symmetric_matrix(psi, "psi")))
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k)``, built once per k: the index pairs a <= b of
+    the polarized checks on E's basis pairs."""
+    pairs = np.triu_indices(k)
+    for ix in pairs:
+        ix.setflags(write=False)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -1272,16 +1291,19 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
     and for each factor i the bilinear map (x, c) -> Pi[x, psi c] vanishes
     on (E within factor i) x (the other factor), checked on their bases.
     Both read one tensor Pi[e_a, psi f_j], e_a E's orthonormal basis and f_j
-    the algebra's.  ``max_residual`` is the largest checked norm relative to
-    psi's spectral radius; PASS means below 1e-8.  Infinitesimally
-    nonnegative variations pass with residual 0.  psi must be finite and
-    symmetric (ValueError) of the algebra's shape (DimensionMismatch).  No
-    random number is drawn: ``seed`` is unused, but must be a nonnegative
-    integer (ValueError).
+    the algebra's.  psi is validated once and decomposed once: E and the
+    clustered spectrum come from one ``eigh`` of the validated psi
+    (``EigenStructure.from_eigh``), and the basis pairs' index table is
+    built once per dim E.  ``max_residual`` is the largest checked norm
+    relative to psi's spectral radius; PASS means below 1e-8.
+    Infinitesimally nonnegative variations pass with residual 0.  psi must
+    be finite and symmetric (ValueError) of the algebra's shape
+    (DimensionMismatch).  No random number is drawn: ``seed`` is unused, but
+    must be a nonnegative integer (ValueError).
     """
     _check_count(seed, "seed")
     psi = symmetric_matrix(psi, "psi", g.dim)
-    spectrum = eigenstructure(psi)
+    spectrum = EigenStructure.from_eigh(*np.linalg.eigh(psi))
     e = spectrum.smallest
     t = np.einsum("ia,lj,ilm->ajm", e, psi, g.structure)
     t -= (t @ e) @ e.T
@@ -1289,7 +1311,7 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
     checked = []
     for own, other in zip(factors, factors[::-1]):
         m = np.einsum("jb,ajm->abm", e[own], t[:, own])
-        checked.append(0.5 * (m + m.transpose(1, 0, 2))[np.triu_indices(e.shape[1])])
+        checked.append(0.5 * (m + m.transpose(1, 0, 2))[_upper_pairs(e.shape[1])])
         if other is not own:
             # E within factor `own`: the null space of e's rows in `other`,
             # whose singular values are at most 1, as e's columns are orthonormal

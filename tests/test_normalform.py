@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from liecurv import (
     NormalFormParams,
     NormalFormUnavailable,
+    eigenstructure,
     kappa_third_deriv,
     normal_form_kappa3,
     normal_form_psi,
@@ -13,8 +17,10 @@ from liecurv import (
     s3_action_psi,
     torus_psi,
 )
+from liecurv import normalform, verify
+from liecurv.algebra import symmetric_matrix
 
-from conftest import random_automorphism, random_symmetric
+from conftest import random_automorphism, random_rotation, random_symmetric
 
 
 def test_quotient_family_already_block_diagonal(g4):
@@ -217,21 +223,163 @@ def test_closed_construction_on_hard_inputs(g4, kind, seed, swap):
     assert np.allclose(got, couplings, rtol=0.0, atol=1e-10)
 
 
-def test_plane_hidden_by_repeated_singular_value(g4):
-    """P = 0.3 I, Q = diag(0.8, 0.8, -0.5), and the coupling C below leave
-    (A1, B1) as the only invariant plane.  Restricted once to the kernels of
-    the off-eigenspace couplings, C has the repeated singular value
-    1/sqrt(2), whose singular vectors need not contain the plane; the
-    restriction is repeated until it stops shrinking."""
+def _hidden_plane_psi():
+    """P = 0.3 I, Q = diag(0.8, 0.8, -0.5) and a coupling whose plane only
+    a repeated restriction finds (``test_plane_hidden_by_repeated_singular_value``)."""
     c = np.array([[np.sqrt(0.5), 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
     psi = np.zeros((6, 6))
     psi[:3, :3] = 0.3 * np.eye(3)
     psi[3:, 3:] = np.diag([0.8, 0.8, -0.5])
     psi[:3, 3:] = c
     psi[3:, :3] = c.T
-    nf = psi_normal_form(g4, _conjugate(random_automorphism(np.random.default_rng(9)), psi))
+    return _conjugate(random_automorphism(np.random.default_rng(9)), psi)
+
+
+def test_plane_hidden_by_repeated_singular_value(g4):
+    """P = 0.3 I, Q = diag(0.8, 0.8, -0.5), and the coupling C of
+    ``_hidden_plane_psi`` leave (A1, B1) as the only invariant plane.  Restricted once to the kernels of
+    the off-eigenspace couplings, C has the repeated singular value
+    1/sqrt(2), whose singular vectors need not contain the plane; the
+    restriction is repeated until it stops shrinking."""
+    nf = psi_normal_form(g4, _hidden_plane_psi())
     assert nf.plane_residual < 1e-12
     assert nf.off_pattern_residual() < 1e-10
+
+
+def _reference_kernel(m, tol):
+    _, s, vh = np.linalg.svd(m)
+    return vh[int(np.sum(s > tol)):].T
+
+
+def _reference_candidate_planes(psi, tol):
+    """The loop construction with one SVD per kernel and per pairing: each
+    pair of eigenspaces of P and Q is restricted to the kernels of its
+    off-pairing couplings until neither shrinks, and every right singular
+    vector of the restricted coupling is paired with every left one."""
+    p, q, c = psi[:3, :3], psi[3:, 3:], psi[:3, 3:]
+    cand_a, cand_b = [], []
+    for e, f in itertools.product(eigenstructure(p).eigenspaces, eigenstructure(q).eigenspaces):
+        while True:
+            a = e @ _reference_kernel(c.T @ e - f @ (f.T @ c.T @ e), tol)
+            b = f @ _reference_kernel(c @ f - e @ (e.T @ c @ f), tol)
+            if a.shape == e.shape and b.shape == f.shape:
+                break
+            e, f = a, b
+        u, _, vh = np.linalg.svd(f.T @ c.T @ e)
+        rows_a, rows_b = vh @ e.T, u.T @ f.T
+        cand_a.append(np.repeat(rows_a, len(rows_b), axis=0))
+        cand_b.append(np.tile(rows_b, (len(rows_a), 1)))
+    return np.concatenate(cand_a), np.concatenate(cand_b)
+
+
+def _assert_matches_reference(g4, psi):
+    """psi_normal_form gives bitwise the reference construction's bases and
+    matrix, or raises NormalFormUnavailable where the reference does."""
+    with mock.patch.object(normalform, "_candidate_planes", _reference_candidate_planes):
+        try:
+            want = psi_normal_form(g4, psi)
+        except NormalFormUnavailable:
+            want = None
+    if want is None:
+        with pytest.raises(NormalFormUnavailable):
+            psi_normal_form(g4, psi)
+        return
+    got = psi_normal_form(g4, psi)
+    for name in ("a_basis", "b_basis", "transformed"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("lambda_coupling", "mu_coupling", "plane_residual", "singular_branch"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+# eigenvalue multiplicities of a 3x3 block, in ascending order of the values
+_SHAPES = [(1, 1, 1), (1, 2), (2, 1), (3,)]
+
+
+def _block_spectrum_psi(rng, shape_p, shape_q, coupling):
+    """psi with P and Q of the given eigenspace shapes in rotated bases, and
+    a coupling C that is zero, diagonal between the two eigenbases (every
+    eigenvector pair an invariant plane, some uncoupled), rank one, or
+    generic."""
+    def block(shape):
+        values = np.sort(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0, len(shape)))
+        values = np.repeat(values, shape)
+        rot = random_rotation(rng)
+        return rot @ np.diag(values) @ rot.T, rot
+
+    p, rot_p = block(shape_p)
+    q, rot_q = block(shape_q)
+    if coupling == "zero":
+        c = np.zeros((3, 3))
+    elif coupling == "diagonal":
+        c = rot_p @ np.diag(rng.uniform(-1.0, 1.0, 3) * (rng.random(3) < 0.7)) @ rot_q.T
+    elif coupling == "rank-one":
+        c = np.outer(rot_p[:, rng.integers(3)], rot_q[:, rng.integers(3)]) * rng.uniform(0.2, 1.0)
+    else:
+        c = rng.standard_normal((3, 3))
+    psi = np.block([[p, c], [c.T, q]])
+    return 0.5 * (psi + psi.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["torus", "quotient", "scalar", "normal-form", "generic"]),
+    seed=st.integers(0, 2**31 - 1),
+    swap=st.booleans(),
+)
+def test_closed_forms_match_the_svd_construction_on_hard_inputs(g4, kind, seed, swap):
+    """The closed-form pairings (no SVD for 1x1 couplings, norm-test
+    kernels, whole kernels kept) give the per-pair SVD construction's
+    output bit for bit on the hard inputs and their automorphic images."""
+    rng = np.random.default_rng(seed)
+    psi = _conjugate(random_automorphism(rng, swap), _hard_psi(kind, rng)[0])
+    _assert_matches_reference(g4, psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape_p=st.sampled_from(_SHAPES),
+    shape_q=st.sampled_from(_SHAPES),
+    coupling=st.sampled_from(["zero", "diagonal", "rank-one", "generic"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_closed_forms_match_the_svd_construction_on_every_eigenspace_shape(
+    g4, shape_p, shape_q, coupling, seed
+):
+    """Every pairing of eigenspace shapes (1,1,1), (1,2), (2,1) and (3) on
+    both blocks, under zero, diagonal, rank-one and generic couplings."""
+    rng = np.random.default_rng(seed)
+    _assert_matches_reference(g4, _block_spectrum_psi(rng, shape_p, shape_q, coupling))
+
+
+def test_closed_forms_match_the_svd_construction_on_the_hidden_plane(g4):
+    _assert_matches_reference(g4, _hidden_plane_psi())
+
+
+# The normal form of a torus or S^3-action quotient psi (eigenspace shapes
+# (1, 2) or (2, 1) on both blocks) makes at most this many SVDs: the
+# coupling between the two 2-dim eigenspaces, the 2-column kernel of a
+# (2-dim, 1-dim) pairing, and the coupling between the complements of A1
+# and B1.  The other pairings are closed forms.
+_FAMILY_NORMAL_FORM_SVDS = 3
+
+
+def test_normal_form_validates_once_and_decomposes_blocks_once(g4):
+    """psi is validated once; its blocks take one stacked (2, 3, 3) eigh and
+    the tolerance one eigvalsh of psi; at most _FAMILY_NORMAL_FORM_SVDS
+    small SVDs follow."""
+    rng = np.random.default_rng(6)
+    for i in range(20):
+        psi = _conjugate(random_automorphism(rng, i % 4 >= 2), _family_psi(rng, i % 2))
+        with mock.patch.object(normalform, "symmetric_matrix", wraps=symmetric_matrix) as sym, \
+                mock.patch.object(verify, "symmetric_matrix", wraps=symmetric_matrix) as sym_v, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            psi_normal_form(g4, psi)
+        assert sym.call_count + sym_v.call_count == 1
+        assert [c.args[0].shape for c in eigh.call_args_list] == [(2, 3, 3)]
+        assert [c.args[0].shape for c in eigvalsh.call_args_list] == [(6, 6)]
+        assert svd.call_count <= _FAMILY_NORMAL_FORM_SVDS
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

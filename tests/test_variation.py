@@ -134,6 +134,8 @@ def _accepts(path, pair, t) -> dict:
     }
     accepted = {"admissible": path.admissible(t)}
     assert type(accepted["admissible"]) is bool
+    # one row of a stack of times decides on its own time alone
+    accepted["admissible_many"] = bool(path.admissible_many([0.0, t, -t])[1])
     for name, call in calls.items():
         try:
             call()
@@ -160,9 +162,9 @@ def test_one_rule_decides_every_path_time(g4):
         if path is projector:  # psi >= 0, so t_min = -inf
             cases[-1e13] = False
         for t, want in cases.items():
-            assert _accepts(path, pair, t) == dict.fromkeys(
-                ("admissible", "k_of_t", "kappa_of_t", "metric_at", "path_scan"), want
-            ), t
+            entries = ("admissible", "admissible_many", "k_of_t", "kappa_of_t", "metric_at",
+                       "path_scan")
+            assert _accepts(path, pair, t) == dict.fromkeys(entries, want), t
 
 
 def test_horizon_eigenvalue_decreases_monotonically(g4):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from liecurv import (
     Budget,
     DimensionMismatch,
+    EigenStructure,
     HorizonExceeded,
     InverseLinearPath,
     LeftInvariantMetric,
@@ -53,6 +54,7 @@ from liecurv.verify import (
     _basis_planes,
     _certified_above,
     _certified_pair,
+    _cluster_cuts,
     _gram_schmidt,
     _hemisphere_grid,
     _incidence,
@@ -281,7 +283,9 @@ def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
     path), is on so(3) (where the commuting-pair sampler has nothing to
     draw), is lifted and polished (a wide draw of the 40-metric set, a
     projector path), or is a pair input, whose search draws no random
-    number."""
+    number.  A control call with seed 0 under the same patches reaches the
+    work, so each patch still guards its entry; the so(3) sampler has
+    nothing to draw and returns no pair."""
     g = g3 if case == "so3" else g4
     phi, psi = {
         "closing": (np.diag([1.4, 1, 1, 1, 1, 1.0]), np.diag([0.3, -0.2, 0.1, 0.4, 0.0, -0.5])),
@@ -290,20 +294,26 @@ def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
         "pair": (None, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)),
     }[case]
     call = {
-        "min_curvature": lambda: min_curvature(LeftInvariantMetric(g, phi), seed=seed),
-        "path_scan": lambda: path_scan(g, psi, [0.2], seed=seed),
-        "path_scan_many": lambda: path_scan_many(g, [psi], [[0.2]], seeds=[seed]),
-        "infinitesimal_check": lambda: infinitesimal_check(g, psi, seed=seed),
-        "lemma_k_check": lambda: lemma_k_check(g, psi, seed=seed),
-        "sample_commuting_pairs": lambda: sample_commuting_pairs(g, 3, seed),
+        "min_curvature": lambda s: min_curvature(LeftInvariantMetric(g, phi), seed=s),
+        "path_scan": lambda s: path_scan(g, psi, [0.2], seed=s),
+        "path_scan_many": lambda s: path_scan_many(g, [psi], [[0.2]], seeds=[s]),
+        "infinitesimal_check": lambda s: infinitesimal_check(g, psi, seed=s),
+        "lemma_k_check": lambda s: lemma_k_check(g, psi, seed=s),
+        "sample_commuting_pairs": lambda s: sample_commuting_pairs(g, 3, s),
     }[entry]
     work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
     with mock.patch.object(verify, "_plane_reports", work), \
             mock.patch.object(verify, "_pair_form", work), \
-            mock.patch.object(verify, "eigenstructure", work), \
-            mock.patch.object(np.random, "default_rng", work), \
-            pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        call()
+            mock.patch.object(verify, "symmetric_matrix", work), \
+            mock.patch.object(np.random, "default_rng", work):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            call(seed)
+        assert not work.called
+        if (entry, case) == ("sample_commuting_pairs", "so3"):
+            assert call(0) == []
+        else:
+            with pytest.raises(AssertionError, match="work started"):
+                call(0)
 
 
 def test_negative_tol_rejected(g3, g4, capsys):
@@ -1777,6 +1787,26 @@ def test_eigenstructure_spaces_orthogonal_and_invariant(g4):
             assert np.abs(space.T @ other).max() < 1e-10
 
 
+def test_eigenstructure_clusters_match_split_and_mean():
+    """``EigenStructure.from_eigh`` slices each cluster and divides its sum
+    by its size: bit for bit ``np.split``'s blocks and each block's
+    ``mean()``, on spectra with repeated, rounded-apart and zero values."""
+    rng = np.random.default_rng(17)
+    for n in range(300):
+        d = (3, 6)[n % 2]
+        vals = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=d) * 10.0 ** rng.integers(-3, 4)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        m = q @ np.diag(vals) @ q.T
+        w, v = np.linalg.eigh(0.5 * (m + m.T))
+        es = EigenStructure.from_eigh(w, v)
+        cuts = _cluster_cuts(w)
+        want = np.array([float(c.mean()) for c in np.split(w, cuts)])
+        assert es.eigenvalues.tobytes() == want.tobytes()
+        assert [b.tobytes() for b in es.eigenspaces] == [
+            b.tobytes() for b in np.split(v, cuts, axis=1)
+        ]
+
+
 def test_eigenstructure_rejects_non_symmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         eigenstructure([[0.0, 1.0], [0.0, 0.0]])
@@ -1870,6 +1900,25 @@ def test_lemma_k_does_not_depend_on_its_seed(g4):
     psi = _constructed_failure("generic-2d")
     assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=3)
     assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=4)
+
+
+@pytest.mark.parametrize("case", ["torus", "projector", "generic"])
+def test_lemma_k_validates_and_decomposes_psi_once(g4, case):
+    """One lemma_k_check validates psi once and takes one 6x6 eigh, from
+    which E and the spectrum's scale are both read."""
+    psi = {
+        "torus": torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4),
+        "projector": -diagonal_subalgebra(g4).projector,
+        "generic": random_symmetric(np.random.default_rng(8), 6),
+    }[case]
+    with mock.patch.object(verify, "symmetric_matrix", wraps=verify.symmetric_matrix) as sym, \
+            mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        report = lemma_k_check(g4, psi)
+    assert report == lemma_k_check(g4, psi)
+    assert sym.call_count == 1
+    assert [c.args[0].shape for c in eigh.call_args_list] == [(6, 6)]
+    assert not eigvalsh.called
 
 
 def test_lemma_k_rejects_malformed_psi(g4):
