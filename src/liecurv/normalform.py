@@ -23,7 +23,7 @@ keeps its eigenspaces as they are, a one-column kernel is a norm test, and
 a 1x1 coupling k = f.C^T e gives the candidate (e, copysign(1, k) f), as
 LAPACK's 1x1 SVD does.  The rest of the bases are the singular vectors
 of that coupling between the complements of A1 and B1.  A torus or
-S^3-action quotient psi takes 3 small SVDs in all.
+S^3-action quotient psi takes 2 small SVDs in all.
 """
 
 from __future__ import annotations
@@ -142,19 +142,20 @@ def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
     every singular pair of B^T C^T A an exact plane.  Both couplings within
     tol in Frobenius norm (so in every singular value) keep (e, f) with no
     SVD; a one-column kernel is a norm test (``_kernel``), and the first
-    empty kernel ends the restriction, as the spaces only shrink.
+    empty kernel ends the restriction, as the spaces only shrink.  The
+    narrower side's kernel comes first, so a one-column side that empties
+    spares the other side's SVD.
     """
     while True:
-        off_a = c.T @ e - f @ (f.T @ c.T @ e)
-        off_b = c @ f - e @ (e.T @ c @ f)
-        if np.linalg.norm(off_a) <= tol and np.linalg.norm(off_b) <= tol:
+        off = (c.T @ e - f @ (f.T @ c.T @ e), c @ f - e @ (e.T @ c @ f))
+        if np.linalg.norm(off[0]) <= tol and np.linalg.norm(off[1]) <= tol:
             return e, f
-        a = e @ _kernel(off_a, tol)
-        if not a.shape[1]:
-            return None
-        b = f @ _kernel(off_b, tol)
-        if not b.shape[1]:
-            return None
+        spaces = [e, f]
+        for i in sorted((0, 1), key=lambda i: spaces[i].shape[1]):
+            spaces[i] = spaces[i] @ _kernel(off[i], tol)
+            if not spaces[i].shape[1]:
+                return None
+        a, b = spaces
         if a.shape == e.shape and b.shape == f.shape:
             return e, f
         e, f = a, b
@@ -220,8 +221,9 @@ def psi_normal_form(
 
     Raises:
         ValueError: for non-finite psi or a zero or non-finite plane vector.
-        NormalFormUnavailable: when no plane reaches the invariance
-            tolerance.
+        NormalFormUnavailable: when no pairing of the diagonal blocks'
+            eigenspaces has a coupled plane, or when no plane reaches the
+            invariance tolerance.
     """
     psi = symmetric_matrix(psi, "psi", 6)
     tol = _INVARIANCE_TOL * max(1.0, float(np.abs(np.linalg.eigvalsh(psi)).max()))
@@ -230,8 +232,12 @@ def psi_normal_form(
         aa, bb = _unit_plane(plane)
     else:
         aa, bb = _candidate_planes(psi, tol)
+    if not len(aa):
+        raise NormalFormUnavailable(
+            "no pairing of the diagonal blocks' eigenspaces has a coupled plane"
+        )
     res = _plane_residual_many(psi, aa, bb)
-    residual = float(res.min(initial=np.inf))
+    residual = float(res.min())
     if residual > tol:
         raise NormalFormUnavailable(
             f"best invariance residual {residual:.3e} exceeds tolerance {tol:.3e}"

@@ -22,52 +22,53 @@ of lambda_0 and of each other) that plane is the witness, the report says
 ``exact``, and ``lower_bound`` = lambda_0 - delta <= min_value <=
 lower_bound + 2 delta.
 
-Every other so(4) metric runs ``_certified_above``: the Pluecker quadrics
-vanish on planes, so lambda_min(C + W) bounds every plane for each
-combination W of them (Thorpe's trick), and the certificate lifts that
-bound towards the lowest basis plane.  It first solves for W: where C + W -
-t I is semidefinite, a plane w with w.(C + W - t I)w = 0 has (C + W - t I)w
-= 0, so at t the lowest basis value each flat basis plane (one within delta
-of the lowest) gives linear equations in W, and one least-squares solve per
-metric takes W from them.  When they leave W free, the flat planes e_a ^ u
-inside phi's repeated eigenspaces, which eigh's arbitrary basis of an
-eigenspace misses, join them for one more solve.  Torus family members
-(five flat basis planes) and S^3-action quotients (these partner planes)
-are done there; a metric not done there lifts the bound from W = 0 by a
-log-barrier Newton method.  Its lowest basis plane is tried again on the
-lifted bound (delta now the margin of C + W).  A metric still open is
-polished by exact alternating minimization (``_alternate``) from
-deterministic starts: the basis planes, and the planes nearest the lowest
-eigenvectors of C + W and of C; where the rounds end above the lifted
-bound, damped Newton steps go on from the best pair.  The plane it reaches
-is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed form, and
-the same rule decides ``exact`` on it against the lifted bound.  A closure on a lifted bound also
-needs that bound, within its margin, on one side of -floor, floor =
-min(tol, 1e-8 times C's norm).  An open report carries the lifted bound
-less its margin.  No so(4) plane report draws a random number, so none
-depends on its seed, which is only recorded.
+Every other so(4) metric runs Thorpe's certificate, ``_certify``, which
+the planes and the pairs share: quadrics that vanish on the search set
+leave every point's value unchanged, so lambda_min(C + W) bounds every
+point for each combination W of them (Thorpe's trick), and the certificate
+lifts that bound towards its target, the lowest value found on the search
+set.  Where C + W - t I is semidefinite, a point w with w.(C + W - t I)w =
+0 has (C + W - t I)w = 0, so at t = the target each flat point (one within
+delta of the target) gives linear equations in W, and one least-squares
+solve per row takes W from them; where they leave W free, further flat
+points join them for one more solve.  A row that solve leaves short of its
+target takes the bound of a log-barrier Newton method from W = 0 instead.
+For planes (``_certified_above``) the quadrics are the Pluecker quadrics,
+the target is the lowest basis plane, the flat points are the flat basis
+planes, and the further ones are the flat planes e_a ^ u inside phi's
+repeated eigenspaces, which eigh's arbitrary basis of an eigenspace misses.
+Torus family members (five flat basis planes) and S^3-action quotients
+(these partner planes) close on the solve.  The lowest basis plane is
+tried again on the lifted bound (delta now the margin of C + W).  A metric
+still open is polished by exact alternating minimization (``_alternate``)
+from deterministic starts: the basis planes, and the planes nearest the
+lowest eigenvectors of C + W and of C; where the rounds end above the
+lifted bound, damped Newton steps go on from the best pair.  The plane it
+reaches is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed
+form, and the same rule decides ``exact`` on it against the lifted bound.
+A closure on a lifted bound also needs that bound, within its margin, on
+one side of -floor, floor = min(tol, 1e-8 times C's norm).  An open report
+carries the lifted bound less its margin.  No so(4) plane report draws a
+random number, so none depends on its seed, which is only recorded.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0), built in closed form from
-the brackets of psi and the factor bases, and ``_certified_pair`` runs the
-same certificate on it.  The Segre quadrics, the 2x2 minors of X = a b^T,
-vanish on every a (x) b, so lambda_min(G + W) bounds every pair, with
-margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3) (G carries rounding at
-the scale of psi^3).  The witness starts at the top singular vectors of G's
-three lowest eigenvectors read as 3x3 matrices and is polished by the
-rounds of ``_alternate``.  The bound closes at W = 0, else W comes from
-one least-squares solve on the polished pairs within delta of the best.
-Only where the certificate is still open do the pairs above the bound of
-W = 0 take the damped Newton steps of ``_newton_pairs``; W is then solved
-again if a step moved one (with pairs polished from a 9-point grid added
-where those leave W free), else comes from the barrier, and the same
-``_closes`` rule decides ``exact`` on the re-evaluated kappa'''.  A
-nonnegative biquadratic form need not be a sum of squares, so a pair
-still open runs the fallback ``_least_pair``: it scores a deterministic
-Fibonacci grid on the upper hemisphere (a and -a give one value, so the
-grid covers RP^2) by the closed-form smallest eigenvalue of each G_a, the
-minimum over b for that a, and polishes the best grid points by
-``_alternate``, then ``_newton_pairs``.  Neither draws a random number.
+the brackets of psi and the factor bases.  The Segre quadrics, the 2x2
+minors of X = a b^T, vanish on every a (x) b, so lambda_min(G + W) bounds
+every pair, with margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3) (G
+carries rounding at the scale of psi^3).  ``_certified_pair`` polishes
+three pairs, the top singular vectors of G's three lowest eigenvectors
+read as 3x3 matrices, by the rounds of ``_alternate``, and runs
+``_certify`` towards the best of them: W = 0, then one least-squares solve
+on the polished pairs within delta of the best, then the barrier, each
+only where the one before leaves the bound short.  The same ``_closes``
+rule decides ``exact`` on the re-evaluated kappa'''.  A nonnegative
+biquadratic form need not be a sum of squares, so a pair still open runs
+the fallback ``_least_pair``: it scores a deterministic Fibonacci grid on
+the upper hemisphere (a and -a give one value, so the grid covers RP^2) by
+the closed-form smallest eigenvalue of each G_a, the minimum over b for
+that a, and polishes the best grid points by ``_alternate``, then
+``_newton_pairs``.  Neither draws a random number.
 
 ``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
 each row on its own, so a row's rounds depend on its own form alone.
@@ -157,16 +158,14 @@ class Budget:
     """Search budget: coarse samples, refined starts, refinement iterations.
 
     Pairs: at most ``iters`` alternating rounds for the certificate's
-    witness, then at most ``iters`` damped Newton steps where its first
-    solve leaves the certificate open; only a pair the certificate leaves
-    open scores ``samples`` points of the RP^2 grid and polishes the
-    ``restarts`` best, again for at most ``iters`` rounds and ``iters``
-    Newton steps.  so(4) planes: at most ``iters`` alternating rounds of
-    the polish from its fixed starts, then at most ``iters`` damped Newton
-    steps where the rounds end above the lifted bound, with ``samples`` and
-    ``restarts`` only recorded.  On so(3) planes, and on so(4) metrics and
-    pairs that close before the polish or the grid, the rest of the budget
-    is only recorded.
+    witness; only a pair the certificate leaves open scores ``samples``
+    points of the RP^2 grid and polishes the ``restarts`` best for at most
+    ``iters`` rounds and ``iters`` damped Newton steps.  so(4) planes: at
+    most ``iters`` alternating rounds of the polish from its fixed starts,
+    then at most ``iters`` damped Newton steps where the rounds end above
+    the lifted bound, with ``samples`` and ``restarts`` only recorded.  On
+    so(3) planes, and on so(4) metrics and pairs that close before the
+    polish or the grid, the rest of the budget is only recorded.
     """
 
     samples: int = 4096
@@ -227,10 +226,10 @@ class CurvatureReport:
     Pluecker certificate's lifted lambda_min(C + W), less a rounding margin
     delta.  ``exact`` says the minimum is known: on so(3) it comes in closed
     form; on so(4) the witness attains the bound, min_value - lower_bound
-    <= 2 delta.  A pair report carries the Segre certificate's lifted
-    lambda_min(G + W) less its margin, and ``exact`` says the same of its
-    witness pair.  No report depends on ``seed``, which is recorded with
-    the budget.
+    <= 2 delta.  A pair report carries the same certificate's lifted
+    lambda_min(G + W), W a combination of the Segre quadrics, less its
+    margin, and ``exact`` says the same of its witness pair.  No report
+    depends on ``seed``, which is recorded with the budget.
     """
 
     verdict: str
@@ -410,8 +409,9 @@ def _alternate(m: np.ndarray, a: np.ndarray, iters: int, stop: np.ndarray, reach
     fraction of what is left, or zig-zag by a saddle, where the value falls
     by less than a round's rounding while a step of a and b together still
     gains.  So a caller whose rows must reach their target passes the
-    result on to ``_newton_pairs``: the plane polish and ``_least_pair``
-    always, ``_certified_pair`` only while its certificate is open.
+    result on to ``_newton_pairs``: the plane polish and ``_least_pair``.
+    ``_certified_pair`` does not: its rounds give the certificate its
+    target, and a pair the certificate leaves open runs ``_least_pair``.
     """
     t, n, d = a.shape
     a = np.array(a)
@@ -579,66 +579,86 @@ def _plucker_weights(forms: np.ndarray, c: np.ndarray, t: float, w: np.ndarray):
     return y, rank
 
 
-def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenvalues: np.ndarray,
-                     basis: np.ndarray, coords: np.ndarray):
-    """The Pluecker certificate of the (T, k, k) plane operators c, whose
-    bounds at W = 0 are the (T,) lam0 with margins delta: the best lower
-    bound lambda_min(C + W) found, its rounding margin and the (T, k, k)
-    weights W that give it, lifted towards each row's target, its lowest
-    basis plane.  ``basis`` and ``coords`` are a row's basis-plane values
-    and its coordinate planes' unit bivectors in x (``_scored_basis``), and
-    ``eigenvalues`` are the (T, d) metric eigenvalues of c's frame.
+def _certify(c: np.ndarray, forms: np.ndarray, lam0: np.ndarray, delta: np.ndarray,
+             points: np.ndarray, values: np.ndarray, more=None, floor: float = 0.0):
+    """Thorpe's certificate on the (T, k, k) operators c, whose bounds at W
+    = 0 are the (T,) lam0 with margins delta, for the (T, q, k, k) quadrics
+    ``forms`` in c's coordinates, which vanish on the search set: the best
+    lower bound lambda_min(C + W) found, its rounding margin and the (T, k,
+    k) weights W that give it, lifted towards each row's target, the lowest
+    of its (T, n) ``values`` at the (T, k, n) unit points of the search set.
 
-    Every Pluecker quadric vanishes on planes, so the planes' quotients of
-    C equal those of C + W for every combination W of the quadrics
-    (written in C's coordinates) and lie at or above lambda_min(C + W): Thorpe's
-    trick (Thorpe, *The zeros of nonnegative curvature operators*, J. Diff.
-    Geom. 1972).  Every bound comes from ``eigvalsh`` of C + W less the
-    rounding margin of C + W.  A row is done once its bound plus margin
-    reaches its target.
+    The quadrics vanish on the search set, so each point's value there is
+    the same on C and on C + W, and lies at or above lambda_min(C + W), for
+    every combination W of them (Thorpe, *The zeros of nonnegative
+    curvature operators*, J. Diff. Geom. 1972).  Every bound comes from
+    ``eigvalsh`` of C + W less the rounding margin of C + W, at least
+    ``floor``.  A row is done once its bound plus margin reaches its target.
 
     If C + W - t I is positive semidefinite and w.(C + W - t I)w = 0, then
-    (C + W - t I)w = 0.  So at t = target each flat basis plane w (one
-    within delta of the target) gives k linear equations in the weights of
-    W, and each row not yet done first takes W from them by least squares,
-    one row at a time.  Where those equations leave W free (their rank is
-    below the number of quadrics), the row adds its ``_partner_planes``
-    within delta of the target, the flat planes inside phi's repeated
-    eigenspaces that eigh's basis misses, and solves once more.  A row is
-    done if that bound reaches its target: torus family members, whose flat
-    basis planes fix W, and S^3-action quotients, whose partner planes do.
-    Any W gives a valid bound, so the choice of planes decides only how
-    high it reaches.  Every other row runs ``_barrier`` from W = 0.
+    (C + W - t I)w = 0.  So at t = target each flat point w (one within
+    delta of the target) gives k linear equations in the weights of W, and
+    each row not yet done takes W from them by one least-squares solve, a
+    row at a time.  Where those equations leave W free (their rank is below
+    the number of quadrics), ``more(r, top)``, if given, adds row r's
+    further flat points with value at most top = target + delta, and the
+    row solves once more.  Any W gives a valid bound, so the choice of
+    points decides only how high it reaches.  A row whose solve does not
+    reach its target takes the bound of ``_barrier`` from W = 0 instead.
     """
-    k = c.shape[1]
-    i, j = wedge_pairs(eigenvalues.shape[1])
-    s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
-    forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
-    target = basis.min(axis=1)
+    target = values.min(axis=1)
     bound, margin, weights = lam0.copy(), delta.copy(), np.zeros_like(c)
     live = bound + margin < target
     for r in np.flatnonzero(live):
-        # in x the metric-eigenvector planes' unit bivectors are the unit vectors
         top = target[r] + delta[r]
-        w = np.concatenate([coords[r], np.eye(k)], axis=1)[:, basis[r] <= top]
+        w = points[r][:, values[r] <= top]
         y, rank = _plucker_weights(forms[r], c[r], target[r], w)
-        if rank < len(forms[r]):
-            w = np.concatenate([w, _partner_planes(c[r], eigenvalues[r], top)], axis=1)
+        if rank < len(forms[r]) and more is not None:
+            w = np.concatenate([w, more(r, top)], axis=1)
             y = _plucker_weights(forms[r], c[r], target[r], w)[0]
         lifted = np.tensordot(y, forms[r], 1)
         lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + lifted))
+        dw = max(dw, floor)
         if lw0 + dw >= target[r]:
             bound[r], margin[r], weights[r], live[r] = lw0, dw, lifted, False
     rows = np.flatnonzero(live)
     if len(rows):
         bound[rows], margin[rows], y = _barrier(c[rows], forms[rows], lam0[rows], delta[rows],
                                                 target[rows])
+        # the barrier's own margins are those of C + W alone
+        margin[rows] = np.maximum(margin[rows], floor)
         weights[rows] = np.einsum("tq,tqkl->tkl", y, forms[rows])
     return bound, margin, weights
 
 
+def _certified_above(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, eigenvalues: np.ndarray,
+                     basis: np.ndarray, coords: np.ndarray):
+    """``_certify`` on the (T, k, k) plane operators c with the Pluecker
+    quadrics, whose bounds at W = 0 are the (T,) lam0 with margins delta,
+    lifted towards each row's lowest basis plane.  ``basis`` and ``coords``
+    are a row's basis-plane values and its coordinate planes' unit
+    bivectors in x (``_scored_basis``), and ``eigenvalues`` are the (T, d)
+    metric eigenvalues of c's frame.  The quadrics are written in C's
+    coordinates x = Lambda^1/2 V^T z, where they scale by 1/sqrt(lambda_i
+    lambda_j) per bivector coordinate (i, j).
+
+    The flat basis planes fix W on torus family members.  Where they leave W
+    free, the row adds its ``_partner_planes``, the flat planes inside phi's
+    repeated eigenspaces that eigh's basis misses, which fix W on S^3-action
+    quotients.  Every other row runs the barrier.
+    """
+    k = c.shape[1]
+    i, j = wedge_pairs(eigenvalues.shape[1])
+    s = 1.0 / np.sqrt(eigenvalues[:, i] * eigenvalues[:, j])
+    forms = s[:, None, :, None] * _plucker_forms(eigenvalues.shape[1]) * s[:, None, None, :]
+    # in x the metric-eigenvector planes' unit bivectors are the unit vectors
+    points = np.concatenate([coords, np.broadcast_to(np.eye(k), (len(c), k, k))], axis=2)
+    return _certify(c, forms, lam0, delta, points, basis,
+                    lambda r, top: _partner_planes(c[r], eigenvalues[r], top))
+
+
 def _barrier(c, forms, lam0, delta, target):
-    """The log-barrier Newton method of ``_certified_above`` on the (T, k, k)
+    """The log-barrier Newton method of ``_certify`` on the (T, k, k)
     operators c, not yet done, with the (T, q, k, k) quadrics ``forms`` in
     their coordinates, from W = 0 and its bound lam0 with margin delta: the
     rows' best bounds, their margins and the (T, q) weights of the quadrics
@@ -648,8 +668,8 @@ def _barrier(c, forms, lam0, delta, target):
     maximizes t/mu + log det(C + W - t I) by Newton steps with an exact line
     search inside the feasible set, and divides mu by ``_CERT_SHRINK``
     whenever a step's Newton decrement is at most 1/2.  A row stops lifting
-    once its bound plus margin reaches its target, once k mu falls below the
-    rounding margin of C, or after ``_CERT_STEPS`` steps.
+    once its bound plus margin reaches its target, once k mu falls below
+    delta, or after ``_CERT_STEPS`` steps.
     """
     t_rows, k, _ = c.shape
     # the last coordinate of y is t, entering as -t I
@@ -657,7 +677,8 @@ def _barrier(c, forms, lam0, delta, target):
     flat = dirs.reshape(t_rows, -1, k * k)
     base = c.reshape(t_rows, 1, k * k)
     bound, margin = lam0, delta
-    # mu starts at C's spectral norm, and t that far below lambda_0, at W = 0
+    # mu starts at delta / _BOUND_MARGIN (C's spectral norm, unless a pair's
+    # margin floor binds), and t that far below lambda_0, at W = 0
     mu = delta / _BOUND_MARGIN
     y = np.zeros(flat.shape[:2])
     y[:, -1] = lam0 - mu
@@ -816,10 +837,11 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     ``curvature_operator()`` C, in its orthonormal coordinates x =
     Lambda^1/2 V^T z, and a metric whose lowest coordinate or
     metric-eigenvector plane ``_closes`` on the bound of C is reported from
-    that plane.  Every other metric runs ``_certified_above``, lifted
-    towards its lowest basis plane from its flat ones (``_scored_basis``)
-    and, where those leave W free, from the flat planes inside phi's
-    repeated eigenspaces (``_partner_planes``), else by the barrier; its
+    that plane.  Every other metric runs ``_certified_above``, the shared
+    certificate ``_certify`` lifted towards its lowest basis plane from its
+    flat ones (``_scored_basis``) and, where those leave W free, from the
+    flat planes inside phi's repeated eigenspaces (``_partner_planes``),
+    else by the barrier; its
     lowest basis plane is tried again on the lifted bound.  The metrics
     still open are polished together by ``_alternate`` from the deterministic
     ``_polish_starts``: for fixed x1 the best x2 is the lowest eigenvector of
@@ -1073,73 +1095,26 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     the rounds of ``_alternate`` (at most ``budget.iters``, a row stopping
     once its value falls by no more than ``stop`` in a round or reaches the
     bound of W = 0, lambda_min(G), plus its margin).  The Segre quadrics
-    vanish on every a (x) b, so lambda_min(G + W) bounds every pair for each
-    combination W of them (Thorpe's trick, as for planes).  Where the best
-    pair lies above the bound of W = 0 plus its margin, W comes from one
-    least-squares solve, ``_plucker_weights`` at t = the best value on every
-    pair within delta of it (one pair alone leaves W too free to close a
-    symmetric form).  Only where that bound falls short do the pairs above
-    the bound of W = 0 go on with the damped Newton steps of
-    ``_newton_pairs`` (at most ``budget.iters``), and W is solved again on
-    the pairs they reach if a step moved one.  Where the bound still falls short and the pairs
-    leave W free (their equations' rank is below the number of quadrics),
-    pairs polished from as many points of ``_hemisphere_grid``, rounds then
-    Newton steps, join them for one more solve: eigh's basis of a repeated
-    eigenspace of G can be aligned with the axes, and its pairs then
-    coincide.  Where the bound still falls short, ``_barrier`` lifts it.
-    The bound reported is the best of those tried, less its margin.  A
-    nonnegative biquadratic form need not be a sum of squares (Choi,
-    *Positive semidefinite biquadratic forms*, Linear Algebra Appl. 1975),
-    so a bound can stay below the minimum.
+    vanish on every a (x) b, so ``_certify`` lifts lambda_min(G + W) towards
+    the best polished value: the bound of W = 0 if that closes, else W from
+    one least-squares solve on every polished pair within delta of the best
+    (one pair alone leaves W too free to close a symmetric form), else the
+    barrier's.  A nonnegative biquadratic form need not be a sum of squares
+    (Choi, *Positive semidefinite biquadratic forms*, Linear Algebra Appl.
+    1975), so a bound can stay below the minimum.
     """
     eigs, vecs = np.linalg.eigh(form)
     floor = _BOUND_MARGIN * scale
-    bound, margin = eigs[0], max(_lower_bound(eigs)[1], floor)
-    m, forms = _biquadratic(form), _segre_forms()
-
-    def stack(n):
-        # n rows of the one form, each with the stop and the reach of W = 0
-        return np.broadcast_to(m, (n, 9, 9)), np.full(n, stop), np.full(n, bound + margin)
-
-    def rounds(starts):
-        m_n, stop_n, reach_n = stack(len(starts))
-        return _alternate(m_n, starts[:, None], budget.iters, stop_n, reach_n)
-
-    def newton(vals, a, b):
-        m_n, stop_n, reach_n = stack(len(vals))
-        return _newton_pairs(m_n, vals, a, b, budget.iters, stop_n, reach_n)
-
-    def solved(vals, a, b):
-        near = vals <= vals.min() + margin
-        w = (a[near, :, None] * b[near, None, :]).reshape(-1, 9).T
-        y, rank = _plucker_weights(forms, form, vals.min(), w)
-        lw0, dw = _lower_bound(np.linalg.eigvalsh(form + np.tensordot(y, forms, 1)))
-        return (lw0, max(dw, floor)), rank
-
-    vals, a, b = rounds(np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0])
-    tried = [(bound, margin)]
-    if bound + margin < vals.min():
-        lifted, rank = solved(vals, a, b)
-        if sum(lifted) < vals.min():
-            stepped = newton(vals, a, b)
-            # a row the steps left is returned as it came, a moved row lower
-            if not np.array_equal(stepped[0], vals):
-                vals, a, b = stepped
-                lifted, rank = solved(vals, a, b)
-        if sum(lifted) < vals.min() and rank < len(forms):
-            grid = newton(*rounds(_hemisphere_grid(len(forms))))
-            vals, a, b = (np.concatenate(pair) for pair in zip((vals, a, b), grid))
-            lifted = solved(vals, a, b)[0]
-        tried.append(lifted)
-        if max(sum(bm) for bm in tried) < vals.min():
-            lw, dl, _ = _barrier(form[None], forms[None], np.array([bound]), np.array([margin]),
-                                 vals.min(keepdims=True))
-            # the barrier's own margin does not see the scale of psi
-            tried.append((lw[0], max(dl[0], floor)))
+    lam0, delta = _lower_bound(eigs[None])
+    delta = np.maximum(delta, floor)
+    starts = np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0]
+    vals, a, b = _alternate(np.broadcast_to(_biquadratic(form), (3, 9, 9)), starts[:, None],
+                            budget.iters, np.full(3, stop), np.full(3, lam0[0] + delta[0]))
+    points = (a[:, :, None] * b[:, None, :]).reshape(-1, 9).T
+    bound, margin, _ = _certify(form[None], _segre_forms()[None], lam0, delta, points[None],
+                                vals[None], floor=floor)
     k = int(np.argmin(vals))
-    # a bound that closes first, then the highest
-    bound, margin = max(tried, key=lambda bm: (sum(bm) >= vals[k], bm[0] - bm[1]))
-    return float(vals[k]), a[k], b[k], float(bound), float(margin)
+    return float(vals[k]), a[k], b[k], float(bound[0]), float(margin[0])
 
 
 def infinitesimal_check(
@@ -1159,11 +1134,8 @@ def infinitesimal_check(
     minimization, and bounds every pair from below by lambda_min(G + W), W
     a combination of the Segre quadrics (the 2x2 minors of a b^T), less a
     margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3): at W = 0, else with
-    W from one least-squares solve on the best pairs.  Only if that leaves
-    the bound short of the best pair do the pairs above the bound of W = 0
-    take at most ``budget.iters`` damped Newton steps, and W is solved again
-    on them if a step moved one (joined by pairs polished from a 9-point
-    grid where they leave W free), else comes from the barrier.
+    W from one least-squares solve on the best pairs, else from the
+    log-barrier Newton method, the certificate the plane search runs too.
     ``lower_bound`` is that bound, and the report is ``exact`` when the
     witness's re-evaluated kappa''' meets it (``_closes``: min_value -
     lower_bound <= 2 delta).  Otherwise a deterministic Fibonacci grid of

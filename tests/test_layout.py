@@ -155,3 +155,46 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"liecurv.{node.module}").__all__
     ]
     assert unexported == []
+
+
+def _module_private_names(tree: ast.Module) -> list[str]:
+    """The private functions, classes and constants a module defines at its
+    top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if _private(name)]
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module's code reads, as a bare name or an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_private_helper_has_a_caller():
+    # a stage helper that lost its last caller in a refactor is dead code,
+    # even when its own unit tests still import it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*map(_referenced_names, trees.values()))
+    orphans = [f"{stem}.{name}" for stem, tree in trees.items()
+               for name in _module_private_names(tree) if name not in used]
+    assert orphans == []
+
+
+def test_orphan_checker_sees_definitions_and_uses():
+    tree = ast.parse("_A = 1\n_b: int = 2\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+                     "def g():\n    return obj._C\n")
+    assert _module_private_names(tree) == ["_A", "_b", "_f", "_C"]
+    assert {"_A", "_C"} <= _referenced_names(tree)
+    assert not {"_b", "_f"} & _referenced_names(tree)

@@ -1445,15 +1445,20 @@ def test_shrink_projector_closes_on_the_segre_solve_alone(g4, swap):
 
 
 @pytest.mark.parametrize("c", [1.0, 0.7, -1.3])
-def test_axis_aligned_projector_closes_without_the_barrier(g4, monkeypatch, c):
+def test_axis_aligned_projector_closes_on_the_certificate(g4, monkeypatch, c):
     """c times the diagonal projector, unconjugated: eigh's basis of G's
-    repeated lowest eigenspace is aligned with the axes, so its three
-    polished pairs leave the Segre weights free.  Pairs polished from the
-    small grid join them, and the solve closes without the barrier."""
-    monkeypatch.setattr(verify, "_barrier", mock.Mock(side_effect=AssertionError("_barrier")))
+    repeated lowest eigenspace is aligned with the axes, so at c = 1 its
+    three polished pairs leave the Segre weights free, the solve falls
+    short and the barrier closes.  The certificate takes no Newton step
+    and polishes no grid, and the report is exact at min(-3/4 c^3, 0)."""
+    for name in ("_newton_pairs", "_hemisphere_grid", "_least_pair"):
+        monkeypatch.setattr(verify, name, mock.Mock(side_effect=AssertionError(name)))
+    barrier = mock.Mock(wraps=verify._barrier)
+    monkeypatch.setattr(verify, "_barrier", barrier)
     rep = infinitesimal_check(g4, c * diagonal_subalgebra(g4).projector)
     assert rep.exact and rep.lower_bound <= rep.min_value
     assert abs(rep.min_value - min(-0.75 * c**3, 0.0)) <= 1e-12
+    assert barrier.call_count == (c == 1.0)
 
 
 def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
