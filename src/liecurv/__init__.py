@@ -76,11 +76,10 @@ from .verify import (
     LemmaKReport,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
-    derived_seed,
-    eigenstructure,
     infinitesimal_check,
     lemma_k_check,
     min_curvature,
+    null_space,
     path_scan,
     path_scan_many,
     sample_commuting_pairs,

@@ -12,12 +12,15 @@ Subcommands:
 
 Exit codes: 0 when every verdict is nonnegative and every residual passes,
 1 when a negative witness or failed residual appears, 2 on invalid input
-(a bad seed or ``LIECURV_SEED``, an unwritable output path, a missing
-``--family`` and a family flag the chosen family does not take included).
+(a bad ``reproduce`` seed or ``LIECURV_SEED``, an unwritable output path, a
+missing ``--family``, a family flag the chosen family does not take, and
+``--seed`` on a command that draws nothing included).
 
+Only ``reproduce`` draws random numbers, from ``--seed`` or, when that is
+not given, ``LIECURV_SEED`` (default 0); the verdict commands take no seed.
 Reports are strict JSON (sorted keys, no NaN or infinity; non-finite input
-exits 2); for a fixed configuration and seed the output is byte-identical
-across runs, except for the ``wall_time_ms`` field.
+exits 2); for a fixed configuration the output is byte-identical across
+runs, except for the ``wall_time_ms`` field.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import LieCurvError
 from .metric import LeftInvariantMetric
 from .verify import DEFAULT_TOL, Budget, infinitesimal_check, min_curvature, path_scan
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _SYMMETRY_INPUT_TOL = 1e-10
 
 
@@ -191,7 +194,7 @@ def _verdicts(args, command: str, source: dict, reports, **extra) -> tuple[dict,
     The output destination is an execution detail, not part of the semantic
     configuration, so it stays out of the report.
     """
-    config = {"seed": args.seed, **asdict(_budget(args)), "tol": args.tol, **source, **extra}
+    config = {**asdict(_budget(args)), "tol": args.tol, **source, **extra}
     payload = {"command": command, "config": config, "results": [r.to_dict() for r in reports]}
     return payload, any(r.negative for r in reports)
 
@@ -202,15 +205,13 @@ def _verdicts(args, command: str, source: dict, reports, **extra) -> tuple[dict,
 def _cmd_check(args) -> tuple[dict, bool]:
     mat, source = _source(args, "phi", "metric", (3, 6))
     metric = LeftInvariantMetric(_algebra_for(mat.shape[0]), mat)
-    report = min_curvature(metric, budget=_budget(args), tol=args.tol, seed=args.seed)
+    report = min_curvature(metric, budget=_budget(args), tol=args.tol)
     return _verdicts(args, "check", source, [report])
 
 
 def _cmd_infinitesimal(args) -> tuple[dict, bool]:
     psi, source = _source(args, "psi", "derivative", (6,))
-    report = infinitesimal_check(
-        so4(), psi, budget=_budget(args), tol=args.tol, seed=args.seed
-    )
+    report = infinitesimal_check(so4(), psi, budget=_budget(args), tol=args.tol)
     return _verdicts(args, "infinitesimal", source, [report])
 
 
@@ -219,14 +220,8 @@ def _cmd_path(args) -> tuple[dict, bool]:
     grid = _parse_floats(args.t_grid)
     if not grid:
         raise ValueError("--t-grid must list at least one time")
-    reports = path_scan(
-        _algebra_for(psi.shape[0]),
-        psi,
-        grid,
-        budget=_budget(args),
-        tol=args.tol,
-        seed=args.seed,
-    )
+    g = _algebra_for(psi.shape[0])
+    reports = path_scan(g, psi, grid, budget=_budget(args), tol=args.tol)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,min_value,verdict\n")
@@ -285,7 +280,6 @@ def _seed(text: str) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=_seed)
     p.add_argument("--samples", type=int, default=Budget().samples)
     p.add_argument("--restarts", type=int, default=Budget().restarts)
     p.add_argument("--iters", type=int, default=Budget().iters)
@@ -306,9 +300,9 @@ def _add_family_flags(p: argparse.ArgumentParser, *kinds: str):
 
 
 @functools.lru_cache(maxsize=None)
-def _parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    """The parser, built once per process, and its subcommand parsers that
-    take ``--seed``."""
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The parser, built once per process, and its ``reproduce`` parser, the
+    one that takes ``--seed``."""
     parser = argparse.ArgumentParser(
         prog="liecurv",
         description="curvature checks for left-invariant metrics on so(3) and so(4)",
@@ -348,21 +342,20 @@ def _parsers() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
 
     for p in sub.choices.values():
         p.add_argument("--output", "-o", default="-", help="report path, or - for stdout")
-    return parser, [sub.choices[c] for c in ("check", "infinitesimal", "path", "reproduce")]
+    return parser, sub.choices["reproduce"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser: built on the first call, not on import, and
     shared by every later call.
 
-    Each call defaults every ``--seed`` to ``LIECURV_SEED`` as it is set
-    now.  A string default goes through the flag's type, so argparse
+    Each call defaults ``reproduce --seed`` to ``LIECURV_SEED`` as it is
+    set now.  A string default goes through the flag's type, so argparse
     rejects a bad LIECURV_SEED exactly as it rejects a bad --seed.  Every
     parse fills a new namespace, so no flag carries over to the next call.
     """
-    parser, seeded = _parsers()
-    for p in seeded:
-        p.set_defaults(seed=os.environ.get("LIECURV_SEED", "0"))
+    parser, reproduce = _parsers()
+    reproduce.set_defaults(seed=os.environ.get("LIECURV_SEED", "0"))
     return parser
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import LieAlgebra, symmetric_matrix
 from .errors import NormalFormUnavailable
 from .variation import kappa_third_deriv_many
-from .verify import EigenStructure
+from .verify import EigenStructure, null_space
 
 __all__ = [
     "NormalFormBasis",
@@ -121,18 +121,6 @@ def _plane_residual_many(psi: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nd
     )
 
 
-def _kernel(m: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal columns spanning the vectors x with |m x| <= tol.
-
-    One column is a norm test: LAPACK's SVD of a single column has Vh =
-    [[1]], so the kernel is [[1]] when |m| <= tol and empty otherwise.
-    """
-    if m.shape[1] == 1:
-        return np.ones((1, int(np.linalg.norm(m) <= tol)))
-    _, s, vh = np.linalg.svd(m)
-    return vh[int(np.sum(s > tol)):].T
-
-
 def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
     """Largest subspaces A of span(e) and B of span(f) with C^T A in B and
     C B in A, as orthonormal columns, or None when either is zero.
@@ -141,7 +129,7 @@ def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
     C^T A partly outside B; repeating it until neither space shrinks makes
     every singular pair of B^T C^T A an exact plane.  Both couplings within
     tol in Frobenius norm (so in every singular value) keep (e, f) with no
-    SVD; a one-column kernel is a norm test (``_kernel``), and the first
+    SVD; a one-column kernel is a norm test (``null_space``), and the first
     empty kernel ends the restriction, as the spaces only shrink.  The
     narrower side's kernel comes first, so a one-column side that empties
     spares the other side's SVD.
@@ -152,7 +140,7 @@ def _coupled_subspaces(c: np.ndarray, e: np.ndarray, f: np.ndarray, tol: float):
             return e, f
         spaces = [e, f]
         for i in sorted((0, 1), key=lambda i: spaces[i].shape[1]):
-            spaces[i] = spaces[i] @ _kernel(off[i], tol)
+            spaces[i] = spaces[i] @ null_space(off[i], tol)
             if not spaces[i].shape[1]:
                 return None
         a, b = spaces

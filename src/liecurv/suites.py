@@ -224,7 +224,7 @@ def _suite_enlarge_subalgebra(seed: int) -> list[SuiteRow]:
     g = so4()
     sub = diagonal_subalgebra(g)
     psi = sub.projector
-    report = infinitesimal_check(g, psi, budget=Budget(1024, 16, 120), seed=seed)
+    report = infinitesimal_check(g, psi, budget=Budget(1024, 16, 120))
     # the worst commuting pair has orthogonal unit factor parts, giving
     # |[x^h, y^h]|^2 = 1/8 and a third derivative of -6/8
     target = -0.75
@@ -358,13 +358,12 @@ def _suite_family_paths(seed: int) -> list[SuiteRow]:
     rng = np.random.default_rng(seed)
     kinds = ("product", "torus", "s3-action")
     cases = [family_scan_cases(rng, kind) for kind in kinds for _ in range(2)]
-    # the two draws of each kind, scanned at seeds seed and seed + 1, all in one call
+    # the two draws of each kind, all scanned in one call
     scans = path_scan_many(
         g,
         [psi for psi, _ in cases],
         [np.array([0.25, 0.5, 0.75]) * cap for _, cap in cases],
         budget=Budget(samples=256, restarts=6, iters=60),
-        seeds=[seed, seed + 1] * len(kinds),
     )
     rows = []
     for k, kind in enumerate(kinds):

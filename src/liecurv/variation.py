@@ -12,9 +12,9 @@ which is exactly I at t = 0, while its inverse is the exact I - t psi.
 One rule decides which times the path admits: phi_t has eigenvalues
 1 / (1 - t lam), so ``LeftInvariantMetric``'s definiteness gate reads
 min(1 - t lam) > DEFINITENESS_GATE * max(1 - t lam), which also requires
-every 1 - t lam > 0.  ``admissible_many`` (and ``admissible``, its one-time
-case), the curves, ``phi_at``, ``metric_at`` and ``verify.path_scan`` all
-read it, and a time that fails it raises HorizonExceeded naming that time.
+every 1 - t lam > 0.  ``admissible_many``, the curves, ``phi_at``,
+``metric_at`` and ``verify.path_scan`` all read it, and a time that fails
+it raises HorizonExceeded naming that time.
 
 Two curvature curves are tracked for a commuting pair (x, y):
 
@@ -143,10 +143,6 @@ class InverseLinearPath:
     def t_min(self) -> float:
         bottom = self._lam[0]
         return 1.0 / bottom if bottom < 0.0 else -np.inf
-
-    def admissible(self, t: float) -> bool:
-        """Whether phi_t passes the gate: the one-time case of ``admissible_many``."""
-        return bool(self.admissible_many([t])[0])
 
     def admissible_many(self, ts) -> np.ndarray:
         """Whether phi_t passes the gate at each time of a 1-d sequence, as

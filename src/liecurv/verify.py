@@ -1,5 +1,5 @@
-"""Nonnegativity verification: closed form on so(3); on so(4), seed-free
-plane verdicts on a lifted lower bound, and a seed-free pair search.
+"""Nonnegativity verification: closed form on so(3); on so(4), plane
+verdicts on a lifted lower bound, and a certified pair search.
 
 * ``min_curvature``       -- the minimum plane-normalized sectional
   curvature over 2-planes of the algebra;
@@ -48,8 +48,7 @@ reaches is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed
 form, and the same rule decides ``exact`` on it against the lifted bound.
 A closure on a lifted bound also needs that bound, within its margin, on
 one side of -floor, floor = min(tol, 1e-8 times C's norm).  An open report
-carries the lifted bound less its margin.  No so(4) plane report draws a
-random number, so none depends on its seed, which is only recorded.
+carries the lifted bound less its margin.
 
 Pairs ((a, 0), (0, b)) minimize the biquadratic form (a (x) b).G(a (x) b),
 with G the 9x9 ``_pair_form`` of kappa'''(0), built in closed form from
@@ -87,13 +86,13 @@ bounded-search claim, not a proof, unless the report is ``exact``.
 ``lemma_k_check`` checks the smallest-eigenspace generation property that
 the rigidity theorems force on nonnegatively curved paths exactly, on the
 eigenspace's basis pairs and its factor strata, from one validation and one
-``eigh`` of psi.
+``eigh`` of psi; ``null_space`` gives each factor stratum, as it gives the
+normal form's kernels.
 
 Determinism contract: no verdict or lemma report draws a random number
 (``sample_commuting_pairs``, the suites' draw, is the one random routine
 here), and every batch of metrics, times or starts is computed row by row,
-so reports are identical across runs for a fixed configuration and do not
-depend on their seed.
+so reports are identical across runs for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -121,14 +120,13 @@ __all__ = [
     "CurvatureReport",
     "EigenStructure",
     "LemmaKReport",
+    "null_space",
     "sample_commuting_pairs",
     "min_curvature",
     "infinitesimal_check",
-    "eigenstructure",
     "lemma_k_check",
     "path_scan",
     "path_scan_many",
-    "derived_seed",
     "DEFAULT_TOL",
 ]
 
@@ -155,17 +153,17 @@ _CERT_STEPS = 50
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budget: coarse samples, refined starts, refinement iterations.
+    """Search budget: grid samples, polished grid points, refinement iterations.
 
-    Pairs: at most ``iters`` alternating rounds for the certificate's
-    witness; only a pair the certificate leaves open scores ``samples``
+    ``samples`` and ``restarts`` have one use, the pair fallback
+    ``_least_pair``: a pair the certificate leaves open scores ``samples``
     points of the RP^2 grid and polishes the ``restarts`` best for at most
-    ``iters`` rounds and ``iters`` damped Newton steps.  so(4) planes: at
-    most ``iters`` alternating rounds of the polish from its fixed starts,
-    then at most ``iters`` damped Newton steps where the rounds end above
-    the lifted bound, with ``samples`` and ``restarts`` only recorded.  On
-    so(3) planes, and on so(4) metrics and pairs that close before the
-    polish or the grid, the rest of the budget is only recorded.
+    ``iters`` rounds and ``iters`` damped Newton steps.  Elsewhere they are
+    only recorded.  ``iters`` bounds the alternating rounds of the pair
+    certificate's witness and of the so(4) plane polish, and the plane
+    polish's damped Newton steps where the rounds end above the lifted
+    bound.  On so(3) planes, and on so(4) metrics that close before the
+    polish, the budget is only recorded.
     """
 
     samples: int = 4096
@@ -228,8 +226,7 @@ class CurvatureReport:
     form; on so(4) the witness attains the bound, min_value - lower_bound
     <= 2 delta.  A pair report carries the same certificate's lifted
     lambda_min(G + W), W a combination of the Segre quadrics, less its
-    margin, and ``exact`` says the same of its witness pair.  No report
-    depends on ``seed``, which is recorded with the budget.
+    margin, and ``exact`` says the same of its witness pair.
     """
 
     verdict: str
@@ -237,7 +234,6 @@ class CurvatureReport:
     witness: tuple[tuple[float, ...], ...] | None
     samples: int
     restarts: int
-    seed: int
     exact: bool = False
     lower_bound: float | None = None
     t: float | None = None
@@ -254,7 +250,6 @@ class CurvatureReport:
             "witness": None if self.witness is None else [list(v) for v in self.witness],
             "samples": self.samples,
             "restarts": self.restarts,
-            "seed": self.seed,
             "exact": self.exact,
         }
         if self.lower_bound is not None:
@@ -266,7 +261,7 @@ class CurvatureReport:
         return out
 
 
-def _report(final: float, witness, tol: float, budget: Budget, seed: int, **extra) -> CurvatureReport:
+def _report(final: float, witness, tol: float, budget: Budget, **extra) -> CurvatureReport:
     """The report on a minimum ``final`` attained at ``witness`` (two
     vectors): negative exactly when final < -tol."""
     return CurvatureReport(
@@ -275,7 +270,6 @@ def _report(final: float, witness, tol: float, budget: Budget, seed: int, **extr
         witness=tuple(tuple(v) for v in witness),
         samples=budget.samples,
         restarts=budget.restarts,
-        seed=seed,
         **extra,
     )
 
@@ -829,8 +823,8 @@ def _polish_starts(frames: np.ndarray, c: np.ndarray, lifted: np.ndarray) -> np.
     return np.concatenate([coords, np.broadcast_to(planes[0].T, coords.shape), tops], axis=1)
 
 
-def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[CurvatureReport]:
-    """``min_curvature`` of each metric (all on one algebra) at its seed.
+def _plane_reports(metrics, budget: Budget, tol: float) -> list[CurvatureReport]:
+    """``min_curvature`` of each metric (all on one algebra).
 
     On so(3) the least curved plane is the metric-eigenvector plane lowest
     on ``_milnor_curvatures``.  On so(4) every search runs on each metric's
@@ -852,8 +846,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
     that bound within its margin on one side of -floor, floor = min(tol,
     1e-8 ||C||_2).
     A metric's certificate and polish depend on that metric alone, so each
-    report equals the one its metric gets alone, byte for byte, and no
-    report depends on its seed.
+    report equals the one its metric gets alone, byte for byte.
     """
     d = metrics[0].algebra.dim
 
@@ -862,7 +855,7 @@ def _plane_reports(metrics, budget: Budget, tol: float, seeds) -> list[Curvature
         m = metrics[k]
         final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
         exact = d == 3 or (settled and _closes(quotient, final, bound, margin))
-        return _report(final, witness.T, tol, budget, seeds[k], exact=exact,
+        return _report(final, witness.T, tol, budget, exact=exact,
                        lower_bound=float(bound - margin))
 
     if d == 3:
@@ -923,14 +916,15 @@ def min_curvature(
     m: LeftInvariantMetric,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    *,
+    seed=None,
 ) -> CurvatureReport:
     """The minimum plane-normalized curvature of a metric.
 
     On a 3-dimensional algebra Milnor's formula in phi's eigenvalues gives
     the least curved metric-eigenvector plane, and the report is ``exact``,
     with ``lower_bound`` the minimum less delta = max |K| (1e-12 + 4 eps
-    kappa(phi)); the budget and seed are only recorded.  On so(4) every
+    kappa(phi)); the budget is only recorded.  On so(4) every
     search runs on C = ``m.curvature_operator()``: in the coordinates x =
     Lambda^1/2 V^T z of m's eigenframe a plane's curvature is the Rayleigh
     quotient of C at x1 ^ x2.  The smallest eigenvalue of C less a rounding
@@ -955,11 +949,9 @@ def min_curvature(
     the minimizing plane mapped back by z = V Lambda^-1/2 x and
     canonicalized, and ``min_value`` is the closed-form curvature
     re-evaluated on it, so a negative verdict is reproducible in isolation.
-    No random number is drawn: the report does not depend on ``seed``,
-    which is only recorded, but must be a nonnegative integer (ValueError).
+    ``seed`` is accepted and ignored, only because verdictbench still passes it.
     """
-    seeds = [_check_count(seed, "seed")]
-    return _plane_reports([m], budget or Budget(), _check_tol(tol), seeds)[0]
+    return _plane_reports([m], budget or Budget(), _check_tol(tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1114,8 @@ def infinitesimal_check(
     psi,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    *,
+    seed=None,
 ) -> CurvatureReport:
     """Search for commuting pairs with negative kappa'''(0).
 
@@ -1145,8 +1138,8 @@ def infinitesimal_check(
     ``budget.iters`` rounds, then Newton steps (``_least_pair``), and the
     lower of the two pairs is reported, tried again on the same rule.
     kappa''' itself is evaluated only on these witness pairs.  No random
-    number is drawn, so the report does not depend on ``seed``, which is
-    only recorded; it must still be a nonnegative integer (ValueError).
+    number is drawn.  ``seed`` is accepted and ignored, only because
+    verdictbench still passes it.
 
     A negative minimum refutes infinitesimal nonnegativity of the variation;
     a nonnegative minimum is proven when the report is ``exact`` and is a
@@ -1156,7 +1149,7 @@ def infinitesimal_check(
     An algebra without a factor decomposition (so(3)) has no independent
     commuting pairs and raises ValueError.
     """
-    tol, seed = _check_tol(tol), _check_count(seed, "seed")
+    tol = _check_tol(tol)
     g._require_split()
     budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
@@ -1183,7 +1176,7 @@ def infinitesimal_check(
     small = np.array([1e-4, 1e-3, 1e-2, 5e-2])
     times = small[path.admissible_many(small) & (small < 0.5 * path.t_max)].tolist()
     small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
-    return _report(final, (av, bv), tol, budget, seed, exact=exact,
+    return _report(final, (av, bv), tol, budget, exact=exact,
                    lower_bound=bound - margin, small_t=small_t)
 
 
@@ -1222,15 +1215,17 @@ def _cluster_cuts(w: np.ndarray) -> np.ndarray:
     return np.nonzero(np.diff(w) > 1e-8 * scale)[0] + 1
 
 
-def eigenstructure(psi) -> EigenStructure:
-    """Symmetric eigendecomposition with eigenvalues merged at relative gaps
-    below 1e-8.
+def null_space(m: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the vectors x with |m x| <= tol: the
+    right singular vectors of m whose singular values are at most tol.
 
-    The gap scale is the largest absolute eigenvalue, so a zero map yields a
-    single cluster.  psi must be square (DimensionMismatch), finite and
-    symmetric (ValueError).
+    One column is a norm test: LAPACK's SVD of a single column has Vh =
+    [[1]], so the null space is [[1]] when |m| <= tol and empty otherwise.
     """
-    return EigenStructure.from_eigh(*np.linalg.eigh(symmetric_matrix(psi, "psi")))
+    if m.shape[1] == 1:
+        return np.ones((1, int(np.linalg.norm(m) <= tol)))
+    _, s, vh = np.linalg.svd(m)
+    return vh[np.count_nonzero(s > tol):].T
 
 
 @functools.lru_cache(maxsize=None)
@@ -1251,7 +1246,7 @@ class LemmaKReport:
     passed: bool
 
 
-def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
+def lemma_k_check(g: LieAlgebra, psi, *, seed=None) -> LemmaKReport:
     """Check exactly that [x, psi y] lies in the smallest eigenspace E of
     psi for every x in E and every y commuting with x.
 
@@ -1261,7 +1256,8 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
     each factor projector P_i (P = I on so(3)) the quadratic map x -> Pi[x,
     psi P_i x] vanishes on E, checked by polarization on E's basis pairs,
     and for each factor i the bilinear map (x, c) -> Pi[x, psi c] vanishes
-    on (E within factor i) x (the other factor), checked on their bases.
+    on (E within factor i) x (the other factor), checked on their bases:
+    E within factor i is the ``null_space`` of E's rows in the other factor.
     Both read one tensor Pi[e_a, psi f_j], e_a E's orthonormal basis and f_j
     the algebra's.  psi is validated once and decomposed once: E and the
     clustered spectrum come from one ``eigh`` of the validated psi
@@ -1270,10 +1266,9 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
     relative to psi's spectral radius; PASS means below 1e-8.
     Infinitesimally nonnegative variations pass with residual 0.  psi must
     be finite and symmetric (ValueError) of the algebra's shape
-    (DimensionMismatch).  No random number is drawn: ``seed`` is unused, but
-    must be a nonnegative integer (ValueError).
+    (DimensionMismatch).  No random number is drawn.  ``seed`` is accepted
+    and ignored, only because verdictbench still passes it.
     """
-    _check_count(seed, "seed")
     psi = symmetric_matrix(psi, "psi", g.dim)
     spectrum = EigenStructure.from_eigh(*np.linalg.eigh(psi))
     e = spectrum.smallest
@@ -1285,10 +1280,9 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
         m = np.einsum("jb,ajm->abm", e[own], t[:, own])
         checked.append(0.5 * (m + m.transpose(1, 0, 2))[_upper_pairs(e.shape[1])])
         if other is not own:
-            # E within factor `own`: the null space of e's rows in `other`,
-            # whose singular values are at most 1, as e's columns are orthonormal
-            _, s, vh = np.linalg.svd(e[other])
-            inside = vh[np.count_nonzero(s >= 1e-10):]
+            # E within factor `own`: e[other]'s singular values are at most
+            # 1, as e's columns are orthonormal, so 1e-10 is a relative cut
+            inside = null_space(e[other], 1e-10).T
             checked.append(np.einsum("la,ajm->ljm", inside, t[:, other]).reshape(-1, g.dim))
     scale = max(np.abs(spectrum.eigenvalues).max(), 1e-300)
     worst = float(np.linalg.norm(np.concatenate(checked), axis=1).max() / scale)
@@ -1298,31 +1292,27 @@ def lemma_k_check(g: LieAlgebra, psi, seed: int = 0) -> LemmaKReport:
 # ---------------------------------------------------------------------------
 # path scans
 
-def derived_seed(seed: int, index: int) -> int:
-    """Per-task seed derived from (seed, task index), stable across runs."""
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
-
-
 def path_scan(
     g: LieAlgebra,
     psi,
     t_grid,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    *,
+    seed=None,
 ) -> list[CurvatureReport]:
     """``min_curvature`` of the path metric at each grid time: the one-path
     case of ``path_scan_many``.
 
     Every grid time's metric is built by ``path.metric_at`` before any work
     starts, so the first time outside the path's window raises the path's
-    HorizonExceeded, naming that time.  Each time records an independent
-    derived seed; the times still open after the certificate are polished
-    together as one stack.  Entry i equals
-    ``min_curvature(path.metric_at(t_i), seed=derived_seed(seed, i))`` with
-    ``t`` set, so the scan is reproducible entry by entry.
+    HorizonExceeded, naming that time.  The times still open after the
+    certificate are polished together as one stack.  Entry i equals
+    ``min_curvature(path.metric_at(t_i))`` with ``t`` set, so the scan is
+    reproducible entry by entry.  ``seed`` is accepted and ignored, only
+    because verdictbench still passes it.
     """
-    return path_scan_many(g, [psi], [t_grid], budget, tol, seeds=[seed])[0]
+    return path_scan_many(g, [psi], [t_grid], budget, tol)[0]
 
 
 def path_scan_many(
@@ -1331,31 +1321,24 @@ def path_scan_many(
     t_grids,
     budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
-    *,
-    seeds,
 ) -> list[list[CurvatureReport]]:
     """``path_scan`` of several paths on one algebra, in one batch.
 
-    Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol, seeds[k])``.
+    Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol)``.
     Every path and every grid time's metric is built before any search
     starts, so the first refused time, path by path, raises HorizonExceeded
     naming it; then every time of every path goes through the bound, the
     certificate and the polish together.  Each time's rows depend on its
     own metric alone, so entries stay byte for byte those of
-    ``min_curvature``.  ``psis``, ``t_grids`` and ``seeds`` must have
-    one entry per path, each grid a 1-d sequence of real numbers and each
-    seed a nonnegative integer, checked before any path is built
-    (ValueError); a NaN time raises the path's HorizonExceeded.
+    ``min_curvature``.  ``psis`` and ``t_grids`` must have one entry per
+    path, each grid a 1-d sequence of real numbers, checked before any path
+    is built (ValueError); a NaN time raises the path's HorizonExceeded.
     """
     tol = _check_tol(tol)
-    psis, seeds = list(psis), [_check_count(s, "seed") for s in seeds]
-    t_grids = [_grid_times(grid) for grid in t_grids]
-    if not len(psis) == len(t_grids) == len(seeds):
-        raise ValueError(
-            f"one psi, t_grid and seed per path, got {len(psis)}, {len(t_grids)} and {len(seeds)}"
-        )
+    psis, t_grids = list(psis), [_grid_times(grid) for grid in t_grids]
+    if len(psis) != len(t_grids):
+        raise ValueError(f"one psi and t_grid per path, got {len(psis)} and {len(t_grids)}")
     paths = [InverseLinearPath(g, psi) for psi in psis]
     metrics = [path.metric_at(t) for path, grid in zip(paths, t_grids) for t in grid]
-    time_seeds = [derived_seed(s, i) for s, grid in zip(seeds, t_grids) for i in range(len(grid))]
-    reports = iter(_plane_reports(metrics, budget or Budget(), tol, time_seeds) if metrics else [])
+    reports = iter(_plane_reports(metrics, budget or Budget(), tol) if metrics else [])
     return [[replace(next(reports), t=t) for t in grid] for grid in t_grids]

@@ -16,7 +16,6 @@ from liecurv import (
     LeftInvariantMetric,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
-    derived_seed,
     diagonal_subalgebra,
     factor_subalgebra,
     infinitesimal_check,
@@ -195,7 +194,7 @@ def test_criterion_05_subalgebra_variations():
         checked += 1
 
     # enlarging the diagonal subalgebra: worst pair has third derivative -3/4
-    rep = infinitesimal_check(G4, sub.projector, Budget(1024, 16, 150), seed=105)
+    rep = infinitesimal_check(G4, sub.projector, Budget(1024, 16, 150))
     enlarge_err = abs(rep.min_value + 0.75) / 0.75
 
     a = G4.embed_factor(np.array([1.0, 0, 0]), 1)
@@ -253,23 +252,20 @@ def test_criterion_07_path_family_consistency():
 def test_criterion_08_berger_threshold():
     boundary = LeftInvariantMetric(G4, np.diag([4.0 / 3.0, 1, 1, 1, 1, 1.0]))
     start = time.monotonic()
-    rep = min_curvature(boundary, seed=108)
+    rep = min_curvature(boundary)
     boundary_time = time.monotonic() - start
     boundary_ok = rep.verdict == VERDICT_NONNEGATIVE and rep.min_value >= -1e-9
 
+    # the plane search draws no random number, so one run decides
     over = LeftInvariantMetric(G4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
-    detected = 0
-    slowest = 0.0
-    for seed in range(100):
-        start = time.monotonic()
-        rep = min_curvature(over, seed=seed)
-        slowest = max(slowest, time.monotonic() - start)
-        detected += int(rep.verdict == VERDICT_NEGATIVE)
+    start = time.monotonic()
+    detected = min_curvature(over).verdict == VERDICT_NEGATIVE
+    over_time = time.monotonic() - start
     _criterion(
         8,
-        boundary_ok and detected >= 99 and slowest < 30.0 and boundary_time < 30.0,
-        f"4/3 boundary accepted ({boundary_ok}); r=1.4 detected {detected}/100 "
-        f"seeds at default budget (need >= 99); slowest run {slowest:.1f}s (limit 30s)",
+        boundary_ok and detected and over_time < 30.0 and boundary_time < 30.0,
+        f"4/3 boundary accepted ({boundary_ok}); r=1.4 detected ({detected}) at the "
+        f"default budget; run {over_time:.1f}s (limit 30s)",
     )
 
 
@@ -281,11 +277,9 @@ def test_criterion_09_family_scans_and_planes():
     negatives = 0
     worst_plane = 0.0
     for kind in ("product", "torus", "s3-action"):
-        for draw in range(20):
+        for _ in range(20):
             psi, cap = family_scan_cases(rng, kind)
-            reports = path_scan(
-                G4, psi, fractions * cap, budget=budget, seed=derived_seed(109, draw)
-            )
+            reports = path_scan(G4, psi, fractions * cap, budget=budget)
             negatives += sum(r.verdict == VERDICT_NEGATIVE for r in reports)
             lowest = min(lowest, min(r.min_value for r in reports))
     for _ in range(20):
@@ -351,7 +345,7 @@ def test_criterion_11_normal_form():
 
 def test_criterion_12_deterministic_reports(tmp_path):
     argv = [
-        "check", "--phi", "diag:1.4,1,1,1,1,1", "--seed", "11",
+        "check", "--phi", "diag:1.4,1,1,1,1,1",
         "--samples", "512", "--restarts", "16", "--iters", "80",
     ]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -366,6 +360,6 @@ def test_criterion_12_deterministic_reports(tmp_path):
     _criterion(
         12,
         sa == sb,
-        "reports byte-identical across two same-seed runs "
+        "reports byte-identical across two runs "
         "(wall_time_ms excluded): " + str(sa == sb),
     )

@@ -50,10 +50,10 @@ def test_check_family_exits_zero(capsys):
     delta for the margin delta of that bound."""
     code, payload = run_cli(
         capsys, "check", "--family", "s3-action", "--a", "1", "--b", "1",
-        "--lambda", "1,1,1", "--seed", "7", *LIGHT,
+        "--lambda", "1,1,1", *LIGHT,
     )
     assert code == 0
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     result = payload["results"][0]
     assert result["verdict"] == "NonnegativeWithinBudget"
     assert result["exact"] is True
@@ -64,7 +64,7 @@ def test_check_family_exits_zero(capsys):
 
 def test_check_negative_metric_exits_one(capsys):
     code, payload = run_cli(
-        capsys, "check", "--phi", "diag:1.4,1,1,1,1,1", "--seed", "7", *LIGHT,
+        capsys, "check", "--phi", "diag:1.4,1,1,1,1,1", *LIGHT,
     )
     assert code == 1
     result = payload["results"][0]
@@ -73,7 +73,7 @@ def test_check_negative_metric_exits_one(capsys):
 
 
 def test_check_three_dimensional_metric(capsys):
-    code, payload = run_cli(capsys, "check", "--phi", "diag:1.2,1,1", "--seed", "1", *LIGHT)
+    code, payload = run_cli(capsys, "check", "--phi", "diag:1.2,1,1", *LIGHT)
     assert code == 0
     assert payload["results"][0]["min_value"] >= -1e-9
     assert payload["results"][0]["exact"] is True
@@ -132,7 +132,7 @@ def test_unknown_subcommand_exits_two():
 def test_infinitesimal_family_flags(capsys):
     code, payload = run_cli(
         capsys, "infinitesimal", "--family", "torus", "--c", "0.5", "--d", "-0.2",
-        "--a1", "0.3", "--a2", "0.9", "--a3", "0.4", "--seed", "2", *LIGHT,
+        "--a1", "0.3", "--a2", "0.9", "--a3", "0.4", *LIGHT,
     )
     assert code == 0
     assert abs(payload["results"][0]["min_value"]) < 1e-9
@@ -142,8 +142,7 @@ def test_path_scan_with_csv(capsys, tmp_path):
     csv = tmp_path / "scan.csv"
     code, payload = run_cli(
         capsys, "path", "--family", "s3-action", "--alpha", "0", "--beta", "0",
-        "--lambda", "1,1,1.2", "--t-grid", "0.3,0.6", "--csv", str(csv),
-        "--seed", "3", *LIGHT,
+        "--lambda", "1,1,1.2", "--t-grid", "0.3,0.6", "--csv", str(csv), *LIGHT,
     )
     assert code == 0
     lines = csv.read_text().strip().splitlines()
@@ -200,17 +199,20 @@ def test_every_suite_passes_within_time_budget():
 
 
 def test_output_file_and_seed_env(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "report.json"
+    """``reproduce`` records LIECURV_SEED; ``check`` draws nothing, so its
+    report holds no seed."""
     monkeypatch.setenv("LIECURV_SEED", "123")
-    code = main(["check", "--phi", "diag:1,1,1,1,1,1", "-o", str(out), *LIGHT])
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["seed"] == 123
+    for argv in (["check", "--phi", "diag:1,1,1,1,1,1", *LIGHT], ["reproduce", "--suite", "eq-yy"]):
+        out = tmp_path / "report.json"
+        code = main([*argv, "-o", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"].get("seed") == (123 if argv[0] == "reproduce" else None)
 
 
 def test_reports_roundtrip_and_are_deterministic(tmp_path, capsys):
-    argv = ["check", "--phi", "diag:1.4,1,1,1,1,1", "--seed", "11", *LIGHT]
+    argv = ["check", "--phi", "diag:1.4,1,1,1,1,1", *LIGHT]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(argv + ["-o", str(out1)])
     main(argv + ["-o", str(out2)])
@@ -240,29 +242,55 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "--phi", "diag:1,1,1", "--seed", "-1"],  # so(3) closed form draws nothing
+        # only reproduce draws, so only reproduce takes --seed
+        ["check", "--phi", "diag:1,1,1", "--seed", "-1"],
         ["check", "--phi", "diag:1,1,1,1,1,1", "--seed", "-1"],
         ["reproduce", "--suite", "eq-yy", "--seed", "1.5"],
-        ["family", "--family", "torus", "--seed", "3"],  # family builders draw nothing
+        ["family", "--family", "torus", "--seed", "3"],
+        ["check", "--phi", "diag:1,1,1,1,1,1", "--seed", "7"],
+        ["infinitesimal", "--family", "torus", "--seed", "7"],
+        ["path", "--family", "torus", "--t-grid", "0.1", "--seed", "7"],
     ],
 )
 def test_bad_or_removed_seed_exits_two(capsys, argv):
+    """A bad seed, and a seed given to a command that draws nothing, exit 2:
+    a removed flag is refused, never ignored."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if argv[0] != "reproduce":
+        assert "unrecognized arguments: --seed" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "-3"])
 def test_bad_seed_env_exits_two(capsys, monkeypatch, value):
+    """``reproduce`` refuses a bad LIECURV_SEED; ``check`` never reads it."""
     monkeypatch.setenv("LIECURV_SEED", value)
-    for argv in (["check", "--phi", "diag:1,1,1"], ["reproduce", "--list"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "LIECURV_SEED" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--list"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "LIECURV_SEED" in captured.err
+    code, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+    assert code == 0 and "seed" not in payload["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--phi", "diag:1.4,1,1,1,1,1"],
+    ["check", "--phi", "diag:1.2,1,1"],
+    ["infinitesimal", "--family", "torus", "--c", "0.5", "--a1", "0.3"],
+    ["path", "--family", "torus", "--c", "0.5", "--t-grid", "0.1,0.2"],
+])
+def test_verdict_payloads_hold_no_seed(capsys, argv):
+    """The verdict commands draw nothing: neither the config nor any result
+    of their schema-2 payload holds a seed."""
+    _, payload = run_cli(capsys, *argv, *LIGHT)
+    assert payload["schema_version"] == 2
+    assert "seed" not in payload["config"]
+    assert payload["results"] and all("seed" not in r for r in payload["results"])
 
 
 # (kind, family, flags without a default, the builder's matrix at the
@@ -300,7 +328,7 @@ def test_family_defaults_agree_across_commands(capsys, kind, family, required, e
     source = {k: v for k, v in payload["config"].items() if k != "kind"}
     command = "check" if kind == "metric" else "infinitesimal"
     _, report = run_cli(capsys, command, "--family", family, *required, *LIGHT)
-    budget = {"seed", "samples", "restarts", "iters", "tol"}
+    budget = {"samples", "restarts", "iters", "tol"}
     assert {k: v for k, v in report["config"].items() if k not in budget} == source
 
 
@@ -346,19 +374,23 @@ def test_family_without_family_flag_names_it(capsys, kind, choices):
 def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
     for value in ("3", "8"):
         monkeypatch.setenv("LIECURV_SEED", value)
-        _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+        _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy")
         assert payload["config"]["seed"] == int(value)
     monkeypatch.delenv("LIECURV_SEED")
-    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
+    _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy")
     assert payload["config"]["seed"] == 0
 
 
 def test_no_flag_leaks_into_the_next_call(monkeypatch, capsys):
     monkeypatch.delenv("LIECURV_SEED", raising=False)
-    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1", "--seed", "5", "--samples", "9")
-    assert (payload["config"]["seed"], payload["config"]["samples"]) == (5, 9)
+    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1", "--samples", "9")
+    assert payload["config"]["samples"] == 9
     _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
-    assert (payload["config"]["seed"], payload["config"]["samples"]) == (0, Budget().samples)
+    assert payload["config"]["samples"] == Budget().samples
+    _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy", "--seed", "5")
+    assert payload["config"]["seed"] == 5
+    _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy")
+    assert payload["config"]["seed"] == 0
 
 
 def _count_parsers(monkeypatch) -> list:

@@ -102,12 +102,16 @@ DELETED = [
     "families.s3_action_phi_at_time",
     "metric.b_term",
     "metric._DEFINITENESS_GATE",
+    "normalform._kernel",
     "normalform.invariant_plane_residual",
     "variation.DerivativeReport",
+    "variation.InverseLinearPath.admissible",
     "variation.derivative_report",
     "variation._HORIZON_GUARD",
     "variation.stencil_curve",
     "verify.LemmaKReport.vacuous",
+    "verify.derived_seed",
+    "verify.eigenstructure",
     "verify._CERT_COST",
     "verify._STEP_INIT",
     "verify._STEP_STOP",

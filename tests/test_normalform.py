@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv import (
+    EigenStructure,
     NormalFormParams,
     NormalFormUnavailable,
-    eigenstructure,
     kappa_third_deriv,
     normal_form_kappa3,
     normal_form_psi,
@@ -262,7 +262,8 @@ def _reference_candidate_planes(psi, tol):
     vector of the restricted coupling is paired with every left one."""
     p, q, c = psi[:3, :3], psi[3:, 3:], psi[:3, 3:]
     cand_a, cand_b = [], []
-    for e, f in itertools.product(eigenstructure(p).eigenspaces, eigenstructure(q).eigenspaces):
+    spaces = [EigenStructure.from_eigh(*np.linalg.eigh(m)).eigenspaces for m in (p, q)]
+    for e, f in itertools.product(*spaces):
         while True:
             a = e @ _reference_kernel(c.T @ e - f @ (f.T @ c.T @ e), tol)
             b = f @ _reference_kernel(c @ f - e @ (e.T @ c @ f), tol)

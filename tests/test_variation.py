@@ -50,7 +50,7 @@ def _window_times(path, rng) -> list[float]:
             ts += [end * (1.0 - 10.0 ** -k) for k in (1, 4, 8)]
         else:
             ts += [np.copysign(1e3, end)]
-    return [t for t in ts if path.admissible(t)]
+    return [t for t, ok in zip(ts, path.admissible_many(ts)) if ok]
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,10 +132,10 @@ def _accepts(path, pair, t) -> dict:
         "metric_at": lambda: path.metric_at(t),
         "path_scan": lambda: path_scan(path.algebra, path.psi, [t], Budget(8, 1, 1)),
     }
-    accepted = {"admissible": path.admissible(t)}
-    assert type(accepted["admissible"]) is bool
     # one row of a stack of times decides on its own time alone
-    accepted["admissible_many"] = bool(path.admissible_many([0.0, t, -t])[1])
+    alone, stacked = path.admissible_many([t]), path.admissible_many([0.0, t, -t])
+    assert alone.dtype == bool and alone.shape == (1,)
+    accepted = {"admissible_many": bool(alone[0]), "admissible_stacked": bool(stacked[1])}
     for name, call in calls.items():
         try:
             call()
@@ -162,8 +162,8 @@ def test_one_rule_decides_every_path_time(g4):
         if path is projector:  # psi >= 0, so t_min = -inf
             cases[-1e13] = False
         for t, want in cases.items():
-            entries = ("admissible", "admissible_many", "k_of_t", "kappa_of_t", "metric_at",
-                       "path_scan")
+            entries = ("admissible_many", "admissible_stacked", "k_of_t", "kappa_of_t",
+                       "metric_at", "path_scan")
             assert _accepts(path, pair, t) == dict.fromkeys(entries, want), t
 
 
@@ -225,7 +225,7 @@ def test_torus_variation_twisted_curvature_identically_zero(g4):
     path = InverseLinearPath(g4, psi)
     for pair in sample_commuting_pairs(g4, 20, seed=8):
         for t in (0.05, 0.4, 0.8):
-            if path.admissible(t):
+            if path.admissible_many([t])[0]:
                 assert abs(kappa_of_t(path, pair.x, pair.y, t)) < 1e-12
 
 

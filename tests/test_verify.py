@@ -22,9 +22,7 @@ from liecurv import (
     TorusParams,
     VERDICT_NEGATIVE,
     VERDICT_NONNEGATIVE,
-    derived_seed,
     diagonal_subalgebra,
-    eigenstructure,
     infinitesimal_check,
     kappa_of_t,
     kappa_third_deriv,
@@ -167,7 +165,7 @@ def test_every_commuting_pair_splits_across_factors(g4):
 
 def test_min_curvature_identity_metric(g4):
     m = LeftInvariantMetric(g4, np.eye(6))
-    rep = min_curvature(m, LIGHT, seed=3)
+    rep = min_curvature(m, LIGHT)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert -1e-12 <= rep.min_value <= 1e-12
     w = np.array(rep.witness)
@@ -176,21 +174,21 @@ def test_min_curvature_identity_metric(g4):
 
 def test_min_curvature_detects_berger_excess(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
-    rep = min_curvature(m, LIGHT, seed=4)
+    rep = min_curvature(m, LIGHT)
     assert rep.verdict == VERDICT_NEGATIVE
     assert rep.min_value < -1e-3
 
 
 def test_min_curvature_known_family_nonnegative(g4):
     p = S3ActionParams(a=1.0, b=1.0, lam=np.array([1.0, 1.0, 1.0]))
-    rep = min_curvature(LeftInvariantMetric(g4, s3_action_phi(p)), LIGHT, seed=5)
+    rep = min_curvature(LeftInvariantMetric(g4, s3_action_phi(p)), LIGHT)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert rep.min_value >= -1e-9
 
 
 def test_negative_witness_reproduces_in_isolation(g4):
     m = LeftInvariantMetric(g4, np.diag([1.5, 1, 1, 1, 1, 1.0]))
-    rep = min_curvature(m, LIGHT, seed=6)
+    rep = min_curvature(m, LIGHT)
     assert rep.verdict == VERDICT_NEGATIVE
     w = np.array(rep.witness)
     again = normalized_curvature(m, w[0], w[1])
@@ -202,15 +200,15 @@ def test_min_curvature_small_metric_scale(g4):
     # the witness of 1e-8 * diag(1.4, 1, ...) has h-Gram determinant about
     # 1.4e-16, which the plane-curvature evaluator must still accept
     base = np.diag([1.4, 1.0, 1.0, 1.0, 1.0, 1.0])
-    ref = min_curvature(LeftInvariantMetric(g4, base), seed=7)
-    small = min_curvature(LeftInvariantMetric(g4, 1e-8 * base), seed=7)
+    ref = min_curvature(LeftInvariantMetric(g4, base))
+    small = min_curvature(LeftInvariantMetric(g4, 1e-8 * base))
     assert abs(1e-8 * small.min_value - ref.min_value) <= 1e-9 * abs(ref.min_value)
 
 
-def test_min_curvature_same_seed_same_report(g4):
+def test_min_curvature_same_call_same_report(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
-    a = min_curvature(m, LIGHT, seed=7)
-    b = min_curvature(m, LIGHT, seed=7)
+    a = min_curvature(m, LIGHT)
+    b = min_curvature(m, LIGHT)
     assert a == b
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
@@ -219,9 +217,9 @@ def test_workers_argument_is_removed(g4):
     m = LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))
     psi = torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)
     with pytest.raises(TypeError, match="workers"):
-        min_curvature(m, LIGHT, seed=7, workers=2)
+        min_curvature(m, LIGHT, workers=2)
     with pytest.raises(TypeError, match="workers"):
-        infinitesimal_check(g4, psi, Budget(64, 2, 5), seed=1, workers=2)
+        infinitesimal_check(g4, psi, Budget(64, 2, 5), workers=2)
     with pytest.raises(TypeError, match="workers"):
         path_scan(g4, psi, [0.1], budget=Budget(64, 2, 5), workers=2)
 
@@ -251,7 +249,7 @@ def test_bad_grid_rejected_before_any_path(g4, grid):
     work = mock.Mock(side_effect=AssertionError("a path was built before the grid check"))
     with mock.patch.object(verify, "InverseLinearPath", work):
         for call in (lambda: path_scan(g4, psi, grid),
-                     lambda: path_scan_many(g4, [psi, psi], [[0.1], grid], seeds=[0, 1])):
+                     lambda: path_scan_many(g4, [psi, psi], [[0.1], grid])):
             with pytest.raises(ValueError, match="t_grid must be a 1-d sequence of real numbers"):
                 call()
 
@@ -269,23 +267,42 @@ def test_grid_of_real_numbers_accepted(g4):
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "x"])
 @pytest.mark.parametrize("entry, case", [
-    *((entry, case) for entry in ("min_curvature", "path_scan", "path_scan_many")
-      for case in ("closing", "so3", "searching")),
-    ("infinitesimal_check", "pair"),
-    ("lemma_k_check", "pair"),
     ("sample_commuting_pairs", "pair"),
     ("sample_commuting_pairs", "so3"),
 ])
 def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
-    """Every verification entry point and both samplers check their seed
-    first: a nonnegative integer, else a ValueError naming ``seed``, whether
-    the input closes on its bound (a Berger-excess product, a diagonal
-    path), is on so(3) (where the commuting-pair sampler has nothing to
-    draw), is lifted and polished (a wide draw of the 40-metric set, a
-    projector path), or is a pair input, whose search draws no random
-    number.  A control call with seed 0 under the same patches reaches the
-    work, so each patch still guards its entry; the so(3) sampler has
-    nothing to draw and returns no pair."""
+    """The commuting-pair sampler, the one seeded routine, checks its seed
+    first: a nonnegative integer, else a ValueError naming ``seed``, on
+    so(4) and on so(3), where it has nothing to draw.  A control call with
+    seed 0 under the same patch reaches the draw on so(4) and returns no
+    pair on so(3)."""
+    g = g3 if case == "so3" else g4
+    work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
+    with mock.patch.object(np.random, "default_rng", work):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            sample_commuting_pairs(g, 3, seed)
+        assert not work.called
+        if case == "so3":
+            assert sample_commuting_pairs(g, 3, 0) == []
+        else:
+            with pytest.raises(AssertionError, match="work started"):
+                sample_commuting_pairs(g, 3, 0)
+
+
+@pytest.mark.parametrize("seed", [7, 12345, -1, 2.5, True, "x"])
+@pytest.mark.parametrize("entry, case", [
+    *((entry, case) for entry in ("min_curvature", "path_scan")
+      for case in ("closing", "so3", "searching")),
+    ("infinitesimal_check", "pair"),
+    ("lemma_k_check", "pair"),
+])
+def test_benchmark_seed_keyword_is_accepted_and_ignored(g3, g4, entry, case, seed):
+    """verdictbench's workloads still pass ``seed=`` to these four
+    functions, so each keeps the keyword: any value, a valid seed or one
+    that the seeded API once refused, is ignored, and the report equals the
+    one of the call without it.  The plane entries are tried on an input
+    that closes on its bound, on so(3) and on one that is lifted and
+    polished; lemma K on a psi that fails on a factor stratum."""
     g = g3 if case == "so3" else g4
     phi, psi = {
         "closing": (np.diag([1.4, 1, 1, 1, 1, 1.0]), np.diag([0.3, -0.2, 0.1, 0.4, 0.0, -0.5])),
@@ -294,26 +311,12 @@ def test_bad_seed_rejected_before_any_work(g3, g4, entry, case, seed):
         "pair": (None, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6)),
     }[case]
     call = {
-        "min_curvature": lambda s: min_curvature(LeftInvariantMetric(g, phi), seed=s),
-        "path_scan": lambda s: path_scan(g, psi, [0.2], seed=s),
-        "path_scan_many": lambda s: path_scan_many(g, [psi], [[0.2]], seeds=[s]),
-        "infinitesimal_check": lambda s: infinitesimal_check(g, psi, seed=s),
-        "lemma_k_check": lambda s: lemma_k_check(g, psi, seed=s),
-        "sample_commuting_pairs": lambda s: sample_commuting_pairs(g, 3, s),
+        "min_curvature": lambda **kw: min_curvature(LeftInvariantMetric(g, phi), LIGHT, **kw),
+        "path_scan": lambda **kw: path_scan(g, psi, [0.2], LIGHT, **kw),
+        "infinitesimal_check": lambda **kw: infinitesimal_check(g, psi, LIGHT, **kw),
+        "lemma_k_check": lambda **kw: lemma_k_check(g, _stratum_failure(), **kw),
     }[entry]
-    work = mock.Mock(side_effect=AssertionError("work started before the seed check"))
-    with mock.patch.object(verify, "_plane_reports", work), \
-            mock.patch.object(verify, "_pair_form", work), \
-            mock.patch.object(verify, "symmetric_matrix", work), \
-            mock.patch.object(np.random, "default_rng", work):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-            call(seed)
-        assert not work.called
-        if (entry, case) == ("sample_commuting_pairs", "so3"):
-            assert call(0) == []
-        else:
-            with pytest.raises(AssertionError, match="work started"):
-                call(0)
+    assert call(seed=seed) == call()
 
 
 def test_negative_tol_rejected(g3, g4, capsys):
@@ -675,8 +678,8 @@ def _round_eighs(eigh):
                for call in eigh.call_args_list)
 
 
-def _polish_rounds(m, seed):
-    """``min_curvature(m, seed=seed)`` and the rounds of each call of the
+def _polish_rounds(m):
+    """``min_curvature(m)`` and the rounds of each call of the
     plane polish ``_alternate``, read from ``np.linalg.eigh`` (two calls a
     round) as verify sees it."""
     rounds = []
@@ -688,7 +691,7 @@ def _polish_rounds(m, seed):
         return out
 
     with mock.patch.object(verify, "_alternate", alternate):
-        return min_curvature(m, seed=seed), rounds
+        return min_curvature(m), rounds
 
 
 @pytest.mark.parametrize("kind", ["quotient", "torus"])
@@ -698,8 +701,7 @@ def test_noisy_family_member_closes_below_the_reference_search(g4, kind):
     bound, the polish reaches it, and the report is exact on most of them:
     its minimum is never above the reference search's by more than delta,
     a verdict differs from the reference only on an exact report whose
-    witness the Koszul oracle puts below -tol, and the report does not
-    depend on its seed."""
+    witness the Koszul oracle puts below -tol."""
     rng = np.random.default_rng(61)
     exact = 0
     for seed in range(8):
@@ -707,12 +709,11 @@ def test_noisy_family_member_closes_below_the_reference_search(g4, kind):
         noise = random_symmetric(rng, 6)
         noise *= 10.0 ** rng.uniform(-9.0, -7.0) / np.linalg.norm(noise, 2)
         m = LeftInvariantMetric(g4, phi + noise)
-        rep = min_curvature(m, seed=seed)
+        rep = min_curvature(m)
         ref = _unstopped(m, seed)[0]
         assert rep.lower_bound <= rep.min_value <= ref + _delta(m)
         if rep.negative != (ref < -DEFAULT_TOL):
             assert rep.exact and rep.negative and _koszul_value(m, rep.witness) < -DEFAULT_TOL
-        assert min_curvature(m, seed=seed + 100) == replace(rep, seed=seed + 100)
         exact += rep.exact
     assert exact >= 6
 
@@ -722,7 +723,7 @@ def test_near_round_draw_closes_below_the_descent(g4):
     its whole budget, at -7.76e-4.  Its certificate and one polish round
     close it exactly, lower, at -8.589e-4."""
     m = LeftInvariantMetric(g4, _forty_metric_phis()[0])
-    rep, rounds = _polish_rounds(m, 0)
+    rep, rounds = _polish_rounds(m)
     assert rep.exact and rounds == [1]
     assert abs(rep.min_value + 8.58902e-4) <= 1e-9
     assert rep.min_value < _unstopped(m, 0)[0] - 1e-5
@@ -769,7 +770,7 @@ def test_quotients_just_outside_the_family_close_on_their_negative_witness(g4, p
     oracle confirms."""
     m = LeftInvariantMetric(g4, s3_action_phi(params))
     assert not _certified(m)
-    rep = min_curvature(m, seed=seed)
+    rep = min_curvature(m)
     assert rep.exact and rep.verdict == VERDICT_NEGATIVE
     assert rep.min_value < -1e-5 and rep.lower_bound <= rep.min_value
     assert rep.min_value <= _unstopped(m, seed)[0] + _delta(m)
@@ -789,7 +790,7 @@ def test_certificate_closes_at_every_budget(g4):
         reports = []
         with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
             for budget in (Budget(1, 1, 1), LIGHT, Budget()):
-                rep = min_curvature(m, budget, seed=3).to_dict()
+                rep = min_curvature(m, budget).to_dict()
                 assert rep.pop("samples") == budget.samples
                 assert rep.pop("restarts") == budget.restarts
                 reports.append(rep)
@@ -799,7 +800,7 @@ def test_certificate_closes_at_every_budget(g4):
 def test_cli_keeps_the_negative_witness_just_outside_the_family(capsys):
     """The CLI on the first of those quotients exits 1 (negative)."""
     args = ["check", "--family", "s3-action", "--a", "1.59", "--b", "0.53",
-            "--lambda", "1.97,1.53,1.23", "--seed", "0"]
+            "--lambda", "1.97,1.53,1.23"]
     assert cli_main(args) == 1
     assert json.loads(capsys.readouterr().out)["results"][0]["verdict"] == VERDICT_NEGATIVE
 
@@ -811,8 +812,8 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     bound lambda_min(C + W) at the default budget: the report is exact, its
     lower_bound is that bound less its margin delta, lower_bound <= min_value
     <= lower_bound + 2 delta and |min_value| <= delta, no random number is
-    drawn, two seeds give the same report but for ``seed``, and no sampled
-    plane lies below lower_bound.  Both close on the least-squares solve
+    drawn, a second call gives the same report, and no sampled plane lies
+    below lower_bound.  Both close on the least-squares solve
     with no Newton step: a torus member's five flat basis planes fix W (a
     near-flat one has more); a quotient member's flat basis planes (one, or
     in some 40 draws three) do not, and its partner planes inside phi's
@@ -821,8 +822,8 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     m = LeftInvariantMetric(so4(), _family_member(rng, kind))
     proven, bound, delta, flats = _certificate(m)
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
-        rep, steps = _newton_batches(lambda: min_curvature(m, seed=0))
-        other = min_curvature(m, seed=12345).to_dict()
+        rep, steps = _newton_batches(lambda: min_curvature(m))
+        other = min_curvature(m)
     assert not steps
     if kind == "torus":
         assert flats >= 5
@@ -830,8 +831,7 @@ def test_family_members_close_on_the_plucker_bound(kind, seed):
     assert rep.lower_bound == bound - delta
     assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta
     assert abs(rep.min_value) <= delta
-    assert other.pop("seed") == 12345
-    assert other == {k: v for k, v in rep.to_dict().items() if k != "seed"}
+    assert other == rep
     z = rng.standard_normal((2, 2000, 6))
     assert normalized_curvature_many(m, z[0], z[1]).min() >= rep.lower_bound
 
@@ -841,7 +841,7 @@ def test_quotient_members_close_with_no_newton_step(g4):
     no Newton step of the barrier is taken."""
     rng = np.random.default_rng(97)
     metrics = [LeftInvariantMetric(g4, _family_member(rng, "quotient")) for _ in range(200)]
-    reports, steps = _newton_batches(lambda: [min_curvature(m, seed=0) for m in metrics])
+    reports, steps = _newton_batches(lambda: [min_curvature(m) for m in metrics])
     assert not steps
     assert all(rep.exact and rep.verdict == VERDICT_NONNEGATIVE for rep in reports)
 
@@ -861,7 +861,7 @@ def test_quotient_closes_whatever_basis_eigh_picks(g4):
                 if len(cols) > 1:
                     v[:, cols] = v[:, cols] @ np.linalg.qr(rng.standard_normal((len(cols),) * 2))[0]
             m.eigenvectors = v
-            rep, steps = _newton_batches(lambda: min_curvature(m, seed=0))
+            rep, steps = _newton_batches(lambda: min_curvature(m))
             assert not steps and rep.exact
             assert rep.lower_bound <= rep.min_value and abs(rep.min_value) <= 2.0 * _delta(m)
 
@@ -874,29 +874,28 @@ def test_torus_members_build_no_partner_planes(g4):
     path = InverseLinearPath(g4, family_scan_cases(rng, "torus")[0])
     metrics += [path.metric_at(t) for t in (0.25, 0.5, 0.75, 1.0)]
     with mock.patch.object(verify, "_partner_planes", side_effect=AssertionError):
-        assert all(min_curvature(m, seed=0).exact for m in metrics)
+        assert all(min_curvature(m).exact for m in metrics)
 
 
 def test_quotients_just_outside_the_family_close_in_the_cli(capsys):
     """The CLI on the first quotient just outside the family exits 1 with
     an exact report."""
     args = ["check", "--family", "s3-action", "--a", "1.59", "--b", "0.53",
-            "--lambda", "1.97,1.53,1.23", "--seed", "0"]
+            "--lambda", "1.97,1.53,1.23"]
     assert cli_main(args) == 1
     assert json.loads(capsys.readouterr().out)["results"][0]["exact"] is True
 
 
-def test_seed_dependent_quotient_is_a_negative_witness_at_every_seed(g4):
+def test_once_seed_dependent_quotient_is_a_negative_witness(g4):
     """S3ActionParams(2, 0.5, (1, 1.40002, 1)), whose lowest eigenvalue of
     C + W is triple: the seeded search called it nonnegative, with minimum
-    0.0, at seeds 0 and 3 and negative at seeds 1, 2 and 4.  Every seed now
-    gives the same NegativeWitness, which the Koszul oracle confirms.  The
-    alternating polish alone stopped short at about -3.78e-7; its
-    Newton steps now reach the lifted bound, exactly, at -3.876e-7."""
+    0.0, at seeds 0 and 3 and negative at seeds 1, 2 and 4.  The report,
+    which takes no seed now, is a NegativeWitness that the Koszul oracle
+    confirms.  The alternating polish alone stopped short at about
+    -3.78e-7; its Newton steps now reach the lifted bound, exactly, at
+    -3.876e-7."""
     m = LeftInvariantMetric(g4, s3_action_phi(S3ActionParams(2.0, 0.5, (1.0, 1.40002, 1.0))))
-    reports = [min_curvature(m, seed=seed) for seed in range(5)]
-    assert all(rep == replace(reports[0], seed=seed) for seed, rep in enumerate(reports))
-    rep = reports[0]
+    rep = min_curvature(m)
     assert rep.verdict == VERDICT_NEGATIVE and rep.lower_bound <= rep.min_value
     assert rep.exact and abs(rep.min_value + 3.876e-7) <= 0.001e-7
     assert _koszul_value(m, rep.witness) < -DEFAULT_TOL
@@ -914,7 +913,7 @@ def _noisy_family_members():
 
 
 def test_noisy_family_members_find_their_negative_witnesses(g4):
-    """Of the 40 noisy family members (draw k at seed k), the seeded search
+    """Of the 40 noisy family members, the seeded search
     called draws 4, 6, 8, 20 and 22 nonnegative; the lifted bound closes
     each as an exact NegativeWitness at its listed minimum, whose witness
     the Koszul oracle puts below -tol, with the whole interval [lower_bound,
@@ -922,7 +921,7 @@ def test_noisy_family_members_find_their_negative_witnesses(g4):
     found = {4: -2.25e-9, 6: -2.69e-9, 8: -2.15e-9, 20: -1.26e-9, 22: -6.65e-9}
     negative = {1, 3, 9, 10, 11, 12, 13, 14, 17, 27, 31, 33, 35, 39} | set(found)
     for k, m in enumerate(_noisy_family_members()):
-        rep = min_curvature(m, seed=k)
+        rep = min_curvature(m)
         assert rep.negative == (k in negative)
         if k in found:
             assert rep.exact and abs(rep.min_value - found[k]) <= 0.01e-9
@@ -935,7 +934,7 @@ def test_path_scan_many_mixes_plucker_closed_and_polished_times(g4):
     times close on the lifted bound, a path to a family member plus 1e-8
     noise, whose times the barrier lifts and the polish closes, and a
     random path, whose time is negative: every entry equals
-    ``min_curvature`` on its metric at its derived seed, byte for byte.
+    ``min_curvature`` on its metric, byte for byte.
     The torus times, the random time and the noisy path's second time are
     exact; at its first time the lifted bound stops 1.6e-13 short of the
     flat plane, half a margin, and the report stays open.  The torus times close on the least-squares solve,
@@ -946,15 +945,13 @@ def test_path_scan_many_mixes_plucker_closed_and_polished_times(g4):
     family_scan_cases(rng, "s3-action")
     noisy = _family_member(rng, "quotient") + 1e-8 * random_symmetric(rng, 6)
     psis = [torus, np.eye(6) - np.linalg.inv(noisy), 0.3 * random_symmetric(rng, 6)]
-    grids, seeds = [[0.3, 0.6], [0.5, 1.0], [0.5]], [1, 2, 3]
-    scans, steps = _newton_batches(lambda: path_scan_many(g4, psis, grids, seeds=seeds))
+    grids = [[0.3, 0.6], [0.5, 1.0], [0.5]]
+    scans, steps = _newton_batches(lambda: path_scan_many(g4, psis, grids))
     assert steps and set(steps) == {3}
-    for psi, grid, seed, scan in zip(psis, grids, seeds, scans):
+    for psi, grid, scan in zip(psis, grids, scans):
         path = InverseLinearPath(g4, psi)
-        for i, (t, rep) in enumerate(zip(grid, scan)):
-            alone, steps = _newton_batches(
-                lambda: replace(min_curvature(path.metric_at(t), seed=derived_seed(seed, i)), t=t)
-            )
+        for t, rep in zip(grid, scan):
+            alone, steps = _newton_batches(lambda: replace(min_curvature(path.metric_at(t)), t=t))
             assert json.dumps(rep.to_dict()) == json.dumps(alone.to_dict())
             assert (len(steps) == 0) == (psi is torus)
     exact = [[rep.exact for rep in scan] for scan in scans]
@@ -973,8 +970,8 @@ def test_plane_minimum_is_scale_free(k, exponent):
     threshold once moved draw 4 at c = 1e8 by 1e-12)."""
     c = 10.0**exponent
     phi = _forty_metric_phis()[k]
-    rep = min_curvature(LeftInvariantMetric(so4(), phi), seed=k)
-    scaled = min_curvature(LeftInvariantMetric(so4(), c * phi), seed=k)
+    rep = min_curvature(LeftInvariantMetric(so4(), phi))
+    scaled = min_curvature(LeftInvariantMetric(so4(), c * phi))
     assert abs(c * scaled.min_value - rep.min_value) <= 1e-13 * abs(rep.min_value)
     planes = [np.array(x.witness).T for x in (rep, scaled)]
     projectors = [p @ np.linalg.pinv(p) for p in planes]
@@ -1023,7 +1020,7 @@ def test_polished_verdict_keeps_the_unstopped_verdict(kind, seed):
     where only a step of both vectors at once lowers the value; the damped
     Newton steps leave it."""
     m = LeftInvariantMetric(so4(), _kind_phi(kind, np.random.default_rng(seed)))
-    rep, ref = min_curvature(m, seed=seed % 1000), _unstopped(m, seed % 1000)[0]
+    rep, ref = min_curvature(m), _unstopped(m, seed % 1000)[0]
     delta = _delta(m)
     assert rep.min_value <= ref + delta
     if rep.negative != (ref < -DEFAULT_TOL):
@@ -1034,19 +1031,19 @@ def test_polished_verdict_keeps_the_unstopped_verdict(kind, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(kind=st.sampled_from([*KINDS, "path"]), seed=st.integers(0, 2**31 - 1))
-def test_no_so4_plane_report_depends_on_its_seed(kind, seed):
-    """An so(4) plane report draws no random number: ``min_curvature`` at
-    two seeds, and a ``path_scan`` of a random path at two seeds, give
-    reports that are equal except ``seed``."""
+def test_no_so4_plane_report_draws_a_random_number(kind, seed):
+    """An so(4) plane report draws no random number: ``min_curvature``, and
+    a ``path_scan`` of a random path, run with the generator patched to
+    fail, and a second call gives the same reports."""
     rng = np.random.default_rng(seed)
     with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
         if kind == "path":
             psi = 0.3 * random_symmetric(rng, 6)
-            scans = [path_scan(so4(), psi, [0.25, 0.5], seed=s) for s in (0, 12345)]
+            scans = [path_scan(so4(), psi, [0.25, 0.5]) for _ in range(2)]
         else:
             m = LeftInvariantMetric(so4(), _kind_phi(kind, rng))
-            scans = [[min_curvature(m, seed=s)] for s in (0, 12345)]
-    assert [replace(rep, seed=0) for rep in scans[1]] == [replace(rep, seed=0) for rep in scans[0]]
+            scans = [[min_curvature(m)] for _ in range(2)]
+    assert scans[1] == scans[0]
 
 
 def test_gram_schmidt_matches_qr_planes():
@@ -1075,7 +1072,7 @@ def test_so3_berger_minimum_is_exact(r, s, seed):
     q = random_rotation(rng)
     phi = s * q @ np.diag([r, 1.0, 1.0]) @ q.T
     m = LeftInvariantMetric(so3(), 0.5 * (phi + phi.T))
-    rep = min_curvature(m, seed=seed)
+    rep = min_curvature(m)
     expected = min(r, 4.0 - 3.0 * r) / (4.0 * s)
     assert rep.exact and rep.to_dict()["exact"] is True
     assert abs(rep.min_value - expected) <= 1e-9 * abs(expected)
@@ -1090,7 +1087,7 @@ def test_so3_closed_form_is_below_every_sampled_plane(g3):
     rng = np.random.default_rng(44)
     for _ in range(10):
         m = LeftInvariantMetric(g3, random_spd(rng, 3))
-        rep = min_curvature(m, seed=1)
+        rep = min_curvature(m)
         z = rng.standard_normal((2, 20_000, 3))
         sampled = normalized_curvature_many(m, z[0], z[1])
         assert rep.min_value <= sampled.min() + 1e-12
@@ -1129,7 +1126,7 @@ def test_searches_never_call_the_connection(g3, g4):
         assert min_curvature(LeftInvariantMetric(g3, np.diag([1.5, 1.0, 1.0]))).exact
         assert min_curvature(LeftInvariantMetric(g4, np.diag([1.4, 1, 1, 1, 1, 1.0]))).exact
         assert polish.call_count == 0
-        assert min_curvature(LeftInvariantMetric(g4, _forty_metric_phis()[1]), LIGHT, seed=1).exact
+        assert min_curvature(LeftInvariantMetric(g4, _forty_metric_phis()[1]), LIGHT).exact
         assert polish.call_count == 1
         scan = path_scan(g4, diagonal_subalgebra(g4).projector, [0.1, 0.2], LIGHT)
         assert len(scan) == 2 and all(rep.exact for rep in scan)
@@ -1154,7 +1151,7 @@ def test_berger_excess_minimum_is_exact(r, s, seed, swap):
     auto = random_automorphism(rng, swap)
     phi = auto @ phi @ auto.T
     m = LeftInvariantMetric(so4(), 0.5 * (phi + phi.T))
-    rep = min_curvature(m, seed=seed)
+    rep = min_curvature(m)
     expected = (1.0 - 0.75 * r) / s
     assert rep.exact
     assert rep.verdict == VERDICT_NEGATIVE
@@ -1199,48 +1196,44 @@ def _closing_metric(kind, seed):
 @given(kind=st.sampled_from(["berger", "product", "bi-invariant"]), seed=st.integers(0, 2**31 - 1))
 def test_closed_reports_attain_the_bound(kind, seed):
     """Products of so(3) metrics close on the bound: the report is exact,
-    lower_bound <= min_value <= lower_bound + 2 delta, min_value is the
-    closed form, and the report does not depend on the seed."""
+    lower_bound <= min_value <= lower_bound + 2 delta, and min_value is the
+    closed form."""
     m, expected = _closing_metric(kind, seed)
     lam0, delta = _pencil_bound(m)
-    rep = min_curvature(m, seed=0)
+    rep = min_curvature(m)
     assert rep.exact and rep.to_dict()["exact"] is True
     assert abs(rep.lower_bound - (lam0 - delta)) <= 0.1 * delta
     assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta * (1.0 + 1e-9)
     assert abs(rep.min_value - expected) <= max(1e-12 * abs(expected), delta)
-    other = min_curvature(m, seed=12345).to_dict()
-    assert other.pop("seed") == 12345
-    assert other == {k: v for k, v in rep.to_dict().items() if k != "seed"}
 
 
 def test_product_and_torus_path_times_close(g4):
     """One ``path_scan_many`` at ``LIGHT`` over a product path, whose times
     close on the bound of C, and a torus path, whose times close on the
-    lifted bound: every entry equals ``min_curvature`` on its metric at its
-    derived seed."""
+    lifted bound: every entry equals ``min_curvature`` on its metric."""
     rng = np.random.default_rng(52)
     cases = [family_scan_cases(rng, kind) for kind in ("product", "torus")]
     grid = [0.25, 0.5, 0.75]
-    scans = path_scan_many(g4, [psi for psi, _ in cases], [grid, grid], budget=LIGHT, seeds=[5, 6])
-    for (psi, _), seed, scan in zip(cases, (5, 6), scans):
+    scans = path_scan_many(g4, [psi for psi, _ in cases], [grid, grid], budget=LIGHT)
+    for (psi, _), scan in zip(cases, scans):
         path = InverseLinearPath(g4, psi)
-        for i, (t, rep) in enumerate(zip(grid, scan)):
-            alone = min_curvature(path.metric_at(t), budget=LIGHT, seed=derived_seed(seed, i))
+        for t, rep in zip(grid, scan):
+            alone = min_curvature(path.metric_at(t), budget=LIGHT)
             assert rep.to_dict() == replace(alone, t=t).to_dict()
             assert rep.lower_bound <= rep.min_value
     assert [rep.exact for rep in scans[0] + scans[1]] == [True] * 6
     # a product path stays a product of so(3) metrics: its times close on
-    # the least of 0 and the factors' minima, whatever the seed
+    # the least of 0 and the factors' minima, and the one-path scan agrees
     path = InverseLinearPath(g4, cases[0][0])
-    reseeded = path_scan(g4, cases[0][0], grid, budget=LIGHT, seed=12345)
-    for i, (t, rep, other) in enumerate(zip(grid, scans[0], reseeded)):
+    again = path_scan(g4, cases[0][0], grid, budget=LIGHT)
+    for t, rep, other in zip(grid, scans[0], again):
         m = path.metric_at(t)
         lam0, delta = _pencil_bound(m)
         assert rep.lower_bound <= rep.min_value <= rep.lower_bound + 2.0 * delta * (1.0 + 1e-9)
         factors = (min_curvature(LeftInvariantMetric(so3(), m.phi[b, b])).min_value
                    for b in (slice(0, 3), slice(3, 6)))
         assert abs(rep.min_value - min(0.0, *factors)) <= delta
-        assert replace(other, seed=rep.seed) == rep
+        assert other == rep
 
 
 @settings(max_examples=20, deadline=None)
@@ -1258,8 +1251,8 @@ def test_closure_is_scale_free(kind, seed, log_c):
     else:
         m = _closing_metric(kind, seed)[0]
     c = 10.0**log_c
-    rep = min_curvature(m, LIGHT, seed=1)
-    scaled = min_curvature(LeftInvariantMetric(so4(), c * m.phi), LIGHT, seed=1)
+    rep = min_curvature(m, LIGHT)
+    scaled = min_curvature(LeftInvariantMetric(so4(), c * m.phi), LIGHT)
     assert scaled.exact and rep.exact
     assert abs(c * scaled.lower_bound - rep.lower_bound) <= 100.0 * _pencil_bound(m)[1]
 
@@ -1273,7 +1266,7 @@ def test_lower_bound_is_below_the_minimum(seed, dim):
     rng = np.random.default_rng(seed)
     g = so3() if dim == 3 else so4()
     m = LeftInvariantMetric(g, random_spd(rng, dim))
-    rep = min_curvature(m, LIGHT, seed=seed)
+    rep = min_curvature(m, LIGHT)
     lam0, delta = _pencil_bound(m)
     assert rep.lower_bound <= rep.min_value
     z = rng.standard_normal((2, 2000, dim))
@@ -1285,13 +1278,13 @@ def test_lower_bound_is_below_the_minimum(seed, dim):
 
 
 def test_forty_metric_set_closes_and_detects(g4):
-    """The 40-metric set, each draw k at seed k and the default budget:
+    """The 40-metric set at the default budget:
     every report is exact, on the bound the certificate lifts, and every
     wide draw has a negative minimum, whose witness re-evaluates below -tol
     through the Koszul oracle."""
     for k, phi in enumerate(_forty_metric_phis()):
         m = LeftInvariantMetric(g4, phi)
-        rep = min_curvature(m, seed=k)
+        rep = min_curvature(m)
         assert rep.exact
         assert rep.lower_bound <= rep.min_value
         if k % 2:
@@ -1324,7 +1317,7 @@ def test_near_gate_metrics_close_only_where_the_routes_agree(g4):
             m = LeftInvariantMetric(g4, 0.5 * (phi + phi.T))
         except NotPositiveDefinite:
             continue
-        rep = min_curvature(m, LIGHT, seed=k)
+        rep = min_curvature(m, LIGHT)
         r, h = _reference_operator(m), _gram(m)
         delta = _delta(m)
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
@@ -1360,7 +1353,7 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
             m = LeftInvariantMetric(g4, 0.5 * (phi + phi.T))
         except NotPositiveDefinite:
             continue
-        rep = min_curvature(m, seed=k)
+        rep = min_curvature(m)
         r, h = _reference_operator(m), _gram(m)
         w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > _delta(m):
@@ -1374,7 +1367,7 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
 def test_infinitesimal_torus_flat(g4):
     """A torus derivative is flat on its pairs: the pair report carries a
     lower bound at or below its minimum and is exact."""
-    rep = infinitesimal_check(g4, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6), LIGHT, seed=8)
+    rep = infinitesimal_check(g4, torus_psi(0.9, -0.3, 0.2, 1.4, 0.6), LIGHT)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert abs(rep.min_value) < 1e-9
     assert rep.exact and rep.lower_bound <= rep.min_value
@@ -1384,7 +1377,7 @@ def test_infinitesimal_torus_flat(g4):
 def test_infinitesimal_enlarging_diagonal_negative(g4):
     from liecurv import diagonal_subalgebra
 
-    rep = infinitesimal_check(g4, diagonal_subalgebra(g4).projector, LIGHT, seed=9)
+    rep = infinitesimal_check(g4, diagonal_subalgebra(g4).projector, LIGHT)
     assert rep.verdict == VERDICT_NEGATIVE
     assert abs(rep.min_value + 0.75) < 1e-6  # -6 * max |[x^h, y^h]|^2 = -3/4
     assert rep.small_t is not None
@@ -1395,7 +1388,7 @@ def test_infinitesimal_enlarging_diagonal_negative(g4):
 def test_infinitesimal_diagonal_projector_default_budget(g4):
     # the polish ends at a stationary pair, so the minimum meets -3/4 to
     # rounding, not to a search tolerance
-    rep = infinitesimal_check(g4, diagonal_subalgebra(g4).projector, seed=9)
+    rep = infinitesimal_check(g4, diagonal_subalgebra(g4).projector)
     assert abs(rep.min_value + 0.75) <= 1e-12 * 0.75
 
 
@@ -1468,7 +1461,7 @@ def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
         (diagonal_subalgebra(g4).projector, [1e-4, 1e-3, 1e-2, 5e-2]),
         (20.0 * diagonal_subalgebra(g4).projector, [1e-4, 1e-3, 1e-2]),
     ):
-        rep = infinitesimal_check(g4, psi, LIGHT, seed=9)
+        rep = infinitesimal_check(g4, psi, LIGHT)
         path = InverseLinearPath(g4, psi)
         assert [t for t, _ in rep.small_t] == times
         x, y = (np.array(v) for v in rep.witness)
@@ -1478,7 +1471,7 @@ def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
 
 def test_infinitesimal_quotient_family_nonnegative(g4):
     psi = s3_action_psi(0.0, 0.0, np.array([1.0, 1.0, 4.0 / 3.0]))
-    rep = infinitesimal_check(g4, psi, LIGHT, seed=10)
+    rep = infinitesimal_check(g4, psi, LIGHT)
     assert rep.verdict == VERDICT_NONNEGATIVE
     assert rep.min_value >= -1e-9
 
@@ -1494,7 +1487,7 @@ def test_infinitesimal_quotient_family_random_parameters(g4):
         psi = s3_action_psi(
             rng.uniform(-1.0, 0.9), rng.uniform(-1.0, 0.9), berger_triple(rng)
         )
-        rep = infinitesimal_check(g4, psi, Budget(512, 8, 60), seed=31)
+        rep = infinitesimal_check(g4, psi, Budget(512, 8, 60))
         assert rep.min_value >= -1e-9
 
 
@@ -1512,7 +1505,7 @@ def test_quotient_eigenvalue_paths_nonnegative_on_so3(g3):
         for t in (0.3, 0.9):
             eigs = inverse_linear_eigs_s3(alpha, lam, t)
             m = LeftInvariantMetric(g3, np.diag(eigs))
-            rep = min_curvature(m, Budget(256, 6, 50), seed=33)
+            rep = min_curvature(m, Budget(256, 6, 50))
             assert rep.verdict == VERDICT_NONNEGATIVE
             assert rep.min_value >= -1e-9
 
@@ -1521,7 +1514,7 @@ def test_infinitesimal_witness_reproduces(g4):
     from liecurv import diagonal_subalgebra
 
     psi = diagonal_subalgebra(g4).projector
-    rep = infinitesimal_check(g4, psi, LIGHT, seed=11)
+    rep = infinitesimal_check(g4, psi, LIGHT)
     w = np.array(rep.witness)
     assert abs(kappa_third_deriv(g4, psi, w[0], w[1]) - rep.min_value) < 1e-12
 
@@ -1670,18 +1663,20 @@ def test_pair_minimum_is_a_stationary_lower_envelope(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), swap=st.booleans())
-def test_pair_minimum_is_automorphism_invariant_and_seed_free(seed, swap):
+def test_pair_minimum_is_automorphism_invariant_and_draws_nothing(seed, swap):
     """The minimum is unchanged under psi -> S psi S^T for an automorphism
     S = diag(Q1, Q2), optionally with the factor swap, and the search draws
-    no random number: reports at two seeds differ only in ``seed``."""
+    no random number: it runs with the generator patched to fail, and a
+    second call gives the same report."""
     g = so4()
     rng = np.random.default_rng(seed)
     psi = random_symmetric(rng, 6, unit_norm=False)
     s = random_automorphism(rng, swap)
-    rep = infinitesimal_check(g, psi, seed=0)
-    moved = infinitesimal_check(g, s @ psi @ s.T, seed=0)
+    with mock.patch("numpy.random.default_rng", side_effect=AssertionError):
+        rep = infinitesimal_check(g, psi)
+        moved = infinitesimal_check(g, s @ psi @ s.T)
+        assert infinitesimal_check(g, psi) == rep
     assert abs(moved.min_value - rep.min_value) <= 1e-12 * np.linalg.norm(psi, 2) ** 3
-    assert infinitesimal_check(g, psi, seed=12345) == replace(rep, seed=12345)
 
 
 def _grid_pair_reference(form, budget=Budget()):
@@ -1765,26 +1760,30 @@ def test_choi_form_stays_open_and_searches_the_grid(g4, monkeypatch):
     assert rep.lower_bound < rep.min_value - 1e-3
 
 
+def _clustered(psi) -> EigenStructure:
+    return EigenStructure.from_eigh(*np.linalg.eigh(psi))
+
+
 def test_eigenstructure_clustering():
-    es = eigenstructure(np.eye(6))
+    es = _clustered(np.eye(6))
     assert len(es.eigenspaces) == 1
     assert abs(es.eigenvalues[0] - 1.0) < 1e-15
     assert es.smallest.shape == (6, 6)
 
     m = torus_psi(0.2, 3.0, 1.0, 2.0, 0.0)
-    es = eigenstructure(m)
+    es = _clustered(m)
     assert abs(es.eigenvalues[0] - 0.2) < 1e-15
     assert es.smallest.shape == (6, 2)
 
     near = np.diag([1.0, 1.0 + 1e-12, 2.0, 2.0, 2.0, 3.0])
-    es = eigenstructure(near)
+    es = _clustered(near)
     assert [s.shape[1] for s in es.eigenspaces] == [2, 3, 1]
 
 
 def test_eigenstructure_spaces_orthogonal_and_invariant(g4):
     rng = np.random.default_rng(12)
     psi = random_symmetric(rng, 6)
-    es = eigenstructure(psi)
+    es = _clustered(psi)
     for i, space in enumerate(es.eigenspaces):
         resid = psi @ space - es.eigenvalues[i] * space
         assert np.abs(resid).max() < 1e-8
@@ -1812,19 +1811,6 @@ def test_eigenstructure_clusters_match_split_and_mean():
         ]
 
 
-def test_eigenstructure_rejects_non_symmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        eigenstructure([[0.0, 1.0], [0.0, 0.0]])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_eigenstructure_rejects_non_finite(bad):
-    psi = np.eye(6)
-    psi[2, 4] = psi[4, 2] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        eigenstructure(psi)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_lemma_k_rejects_non_finite(g4, bad):
     psi = torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4)
@@ -1834,9 +1820,9 @@ def test_lemma_k_rejects_non_finite(g4, bad):
 
 
 def test_lemma_k_torus_and_scalar_pass(g4):
-    rep = lemma_k_check(g4, torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4), seed=13)
+    rep = lemma_k_check(g4, torus_psi(-0.5, 0.8, 0.1, 0.9, 0.4))
     assert rep.passed
-    rep = lemma_k_check(g4, 0.7 * np.eye(6), seed=14)
+    rep = lemma_k_check(g4, 0.7 * np.eye(6))
     assert rep.passed
     assert rep.max_residual < 1e-12
 
@@ -1849,8 +1835,8 @@ def test_lemma_k_projection_passes_despite_negative_variation(g4):
     from liecurv import diagonal_subalgebra
 
     proj = diagonal_subalgebra(g4).projector
-    assert lemma_k_check(g4, proj, seed=23).passed
-    assert infinitesimal_check(g4, proj, LIGHT, seed=23).verdict == VERDICT_NEGATIVE
+    assert lemma_k_check(g4, proj).passed
+    assert infinitesimal_check(g4, proj, LIGHT).verdict == VERDICT_NEGATIVE
 
 
 def _constructed_failure(case):
@@ -1869,11 +1855,11 @@ def _constructed_failure(case):
 @pytest.mark.parametrize("case", ["factor", "generic-1d", "generic-2d"])
 def test_lemma_k_detects_constructed_failure(g4, case):
     psi = _constructed_failure(case)
-    rep = lemma_k_check(g4, psi, seed=15)
+    rep = lemma_k_check(g4, psi)
     assert not rep.passed
     assert rep.max_residual > 1e-3
     # and consistently, the variation fails the infinitesimal test
-    inf = infinitesimal_check(g4, psi, LIGHT, seed=15)
+    inf = infinitesimal_check(g4, psi, LIGHT)
     assert inf.verdict == VERDICT_NEGATIVE
 
 
@@ -1894,17 +1880,11 @@ def test_lemma_k_fails_on_a_factor_stratum_at_every_seed(g4, seed):
     has a negative pair."""
     psi = _stratum_failure()
     assert _sampled_lemma_k(g4, psi, seed=seed) == (0.0, True)
-    rep = lemma_k_check(g4, psi, seed=seed)
+    rep = lemma_k_check(g4, psi)
     assert not rep.passed
     assert rep.max_residual > 0.1
     assert rep.max_residual == pytest.approx(2.0 / (5.0 + np.sqrt(5.0)), rel=1e-12)
-    assert infinitesimal_check(g4, psi, seed=seed).verdict == VERDICT_NEGATIVE
-
-
-def test_lemma_k_does_not_depend_on_its_seed(g4):
-    psi = _constructed_failure("generic-2d")
-    assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=3)
-    assert lemma_k_check(g4, psi, seed=3) == lemma_k_check(g4, psi, seed=4)
+    assert infinitesimal_check(g4, psi).verdict == VERDICT_NEGATIVE
 
 
 @pytest.mark.parametrize("case", ["torus", "projector", "generic"])
@@ -1942,7 +1922,7 @@ def _sampled_lemma_k(g, psi, n=200, seed=0):
     ad(x), and the component of [x, psi y] off that eigenspace relative to
     psi's spectral radius."""
     psi = np.asarray(psi, dtype=float)
-    basis = eigenstructure(psi).smallest
+    basis = _clustered(psi).smallest
     scale = max(np.abs(np.linalg.eigvalsh(psi)).max(), 1e-300)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, basis.shape[1])) @ basis.T
@@ -2050,30 +2030,29 @@ def test_infinitesimal_pass_implies_lemma_k_pass(g4):
     checked = 0
     for _ in range(40):
         psi = random_symmetric(rng, 6)
-        rep = infinitesimal_check(g4, psi, Budget(256, 6, 40), seed=17)
+        rep = infinitesimal_check(g4, psi, Budget(256, 6, 40))
         if rep.verdict == VERDICT_NONNEGATIVE:
-            assert lemma_k_check(g4, psi, seed=18).passed
+            assert lemma_k_check(g4, psi).passed
             checked += 1
     for psi in (
         torus_psi(0.3, 0.6, 0.2, 0.5, 0.3),
         s3_action_psi(0.2, -0.4, np.array([0.7, 1.0, 1.3])),
     ):
-        assert lemma_k_check(g4, psi, seed=19).passed
+        assert lemma_k_check(g4, psi).passed
         checked += 1
     assert checked >= 2
 
 
 def test_path_scan_family_and_failure(g4):
     psi = s3_action_psi(0.0, 0.0, np.array([1.0, 1.0, 1.25]))
-    reports = path_scan(g4, psi, [0.25, 0.75, 1.5], budget=LIGHT, seed=20)
+    reports = path_scan(g4, psi, [0.25, 0.75, 1.5], budget=LIGHT)
     assert all(r.verdict == VERDICT_NONNEGATIVE for r in reports)
     assert [r.t for r in reports] == [0.25, 0.75, 1.5]
-    assert len({r.seed for r in reports}) == 3  # derived per-time seeds
 
     from liecurv import diagonal_subalgebra
 
     proj = diagonal_subalgebra(g4).projector
-    reports = path_scan(g4, proj, [0.05, 0.2], budget=LIGHT, seed=21)
+    reports = path_scan(g4, proj, [0.05, 0.2], budget=LIGHT)
     assert any(r.verdict == VERDICT_NEGATIVE for r in reports)
 
 
@@ -2082,8 +2061,7 @@ def test_path_scan_family_and_failure(g4):
 )
 def test_path_scan_entries_match_standalone_min_curvature(g3, g4, case):
     """A scan polishes every open time at once, yet entry i is byte for byte
-    the report of ``min_curvature`` on the metric at t_i with the derived
-    seed, with ``t`` set."""
+    the report of ``min_curvature`` on the metric at t_i, with ``t`` set."""
     from liecurv import diagonal_subalgebra
 
     budget = None if case == "so4-default-budget" else LIGHT
@@ -2094,10 +2072,10 @@ def test_path_scan_entries_match_standalone_min_curvature(g3, g4, case):
         "so4-default-budget": (g4, torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), [0.2, 0.6]),
     }[case]
     path = InverseLinearPath(g, psi)
-    scan = path_scan(g, psi, grid, budget=budget, seed=23)
+    scan = path_scan(g, psi, grid, budget=budget)
     assert [r.t for r in scan] == grid
-    for i, (t, rep) in enumerate(zip(grid, scan)):
-        alone = min_curvature(path.metric_at(t), budget=budget, seed=derived_seed(23, i))
+    for t, rep in zip(grid, scan):
+        alone = min_curvature(path.metric_at(t), budget=budget)
         assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(
             replace(alone, t=t).to_dict(), sort_keys=True
         )
@@ -2110,13 +2088,7 @@ def test_path_scan_rejects_out_of_horizon(g4):
     # the error names the first grid time outside the window, as the
     # curves' horizon error does
     with pytest.raises(HorizonExceeded, match=re.escape("t=1.0 ")):
-        path_scan(g4, proj, [0.5, 1.0, 2.0], budget=LIGHT, seed=22)
-
-
-def test_derived_seeds_are_stable():
-    assert derived_seed(7, 0) == derived_seed(7, 0)
-    assert derived_seed(7, 0) != derived_seed(7, 1)
-    assert derived_seed(7, 3) == derived_seed(7, 3)
+        path_scan(g4, proj, [0.5, 1.0, 2.0], budget=LIGHT)
 
 
 def _draw_by_draw_pairs(g, n, seed):
@@ -2161,7 +2133,7 @@ def test_chunked_sampler_is_the_draw_by_draw_loop(g4, n):
 
 
 def test_path_scan_many_entries_are_single_path_scans(g3, g4):
-    """Entry k is ``path_scan`` of path k at seed k, byte for byte, for
+    """Entry k is ``path_scan`` of path k, byte for byte, for
     grids of different lengths, an empty one included, on both algebras."""
     cases = [
         (
@@ -2173,13 +2145,12 @@ def test_path_scan_many_entries_are_single_path_scans(g3, g4):
         (g3, [np.diag([0.4, -0.3, 0.9]), np.diag([0.1, 0.2, 0.3])], [[0.5], [0.1, 1.0]]),
     ]
     for g, psis, grids in cases:
-        seeds = list(range(30, 30 + len(psis)))
-        scans = path_scan_many(g, psis, grids, budget=LIGHT, seeds=seeds)
+        scans = path_scan_many(g, psis, grids, budget=LIGHT)
         assert len(scans) == len(psis)
-        for psi, grid, seed, scan in zip(psis, grids, seeds, scans):
-            alone = path_scan(g, psi, grid, budget=LIGHT, seed=seed)
+        for psi, grid, scan in zip(psis, grids, scans):
+            alone = path_scan(g, psi, grid, budget=LIGHT)
             assert [r.to_dict() for r in scan] == [r.to_dict() for r in alone]
-    assert path_scan_many(g4, [np.eye(6)], [[]], seeds=[0]) == [[]]
+    assert path_scan_many(g4, [np.eye(6)], [[]]) == [[]]
 
 
 def test_path_scan_many_refuses_a_time_before_drawing(g4, monkeypatch):
@@ -2191,13 +2162,11 @@ def test_path_scan_many_refuses_a_time_before_drawing(g4, monkeypatch):
     # the first refused time is in the second path; no search starts
     with pytest.raises(HorizonExceeded, match=re.escape("t=1.0 ")):
         path_scan_many(g4, [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), proj],
-                       [[0.2, 0.4], [0.5, 1.0, 2.0]], budget=LIGHT, seeds=[1, 2])
+                       [[0.2, 0.4], [0.5, 1.0, 2.0]], budget=LIGHT)
     assert searches == []
 
 
-@pytest.mark.parametrize("psis, grids, seeds", [
-    (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1),
-])
-def test_path_scan_many_needs_one_entry_per_path(g4, psis, grids, seeds):
-    with pytest.raises(ValueError, match="one psi, t_grid and seed per path"):
-        path_scan_many(g4, [np.eye(6)] * psis, [[0.1]] * grids, budget=LIGHT, seeds=[0] * seeds)
+@pytest.mark.parametrize("psis, grids", [(2, 1), (1, 2)])
+def test_path_scan_many_needs_one_entry_per_path(g4, psis, grids):
+    with pytest.raises(ValueError, match="one psi and t_grid per path"):
+        path_scan_many(g4, [np.eye(6)] * psis, [[0.1]] * grids, budget=LIGHT)
