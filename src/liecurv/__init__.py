@@ -69,7 +69,6 @@ from .variation import (
     refined_derivative,
 )
 from .verify import (
-    Budget,
     CommutingPair,
     CurvatureReport,
     EigenStructure,

@@ -14,7 +14,8 @@ Exit codes: 0 when every verdict is nonnegative and every residual passes,
 1 when a negative witness or failed residual appears, 2 on invalid input
 (a bad ``reproduce`` seed or ``LIECURV_SEED``, an unwritable output path, a
 missing ``--family``, a family flag the chosen family does not take, and
-``--seed`` on a command that draws nothing included).
+``--seed``, ``--samples``, ``--restarts`` or ``--iters`` on a verdict
+command included).
 
 Only ``reproduce`` draws random numbers, from ``--seed`` or, when that is
 not given, ``LIECURV_SEED`` (default 0); the verdict commands take no seed.
@@ -31,7 +32,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -39,9 +39,9 @@ from . import __version__, families, suites
 from .algebra import so3, so4
 from .errors import LieCurvError
 from .metric import LeftInvariantMetric
-from .verify import DEFAULT_TOL, Budget, infinitesimal_check, min_curvature, path_scan
+from .verify import DEFAULT_TOL, infinitesimal_check, min_curvature, path_scan
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 _SYMMETRY_INPUT_TOL = 1e-10
 
 
@@ -184,17 +184,13 @@ def _source(args, flag: str, kind: str, dims) -> tuple[np.ndarray, dict]:
     raise ValueError(f"a {noun} is required: --{flag} or --family")
 
 
-def _budget(args) -> Budget:
-    return Budget(samples=args.samples, restarts=args.restarts, iters=args.iters)
-
-
 def _verdicts(args, command: str, source: dict, reports, **extra) -> tuple[dict, bool]:
     """The payload of ``check``, ``infinitesimal`` and ``path``.
 
     The output destination is an execution detail, not part of the semantic
     configuration, so it stays out of the report.
     """
-    config = {**asdict(_budget(args)), "tol": args.tol, **source, **extra}
+    config = {"tol": args.tol, **source, **extra}
     payload = {"command": command, "config": config, "results": [r.to_dict() for r in reports]}
     return payload, any(r.negative for r in reports)
 
@@ -205,13 +201,13 @@ def _verdicts(args, command: str, source: dict, reports, **extra) -> tuple[dict,
 def _cmd_check(args) -> tuple[dict, bool]:
     mat, source = _source(args, "phi", "metric", (3, 6))
     metric = LeftInvariantMetric(_algebra_for(mat.shape[0]), mat)
-    report = min_curvature(metric, budget=_budget(args), tol=args.tol)
+    report = min_curvature(metric, tol=args.tol)
     return _verdicts(args, "check", source, [report])
 
 
 def _cmd_infinitesimal(args) -> tuple[dict, bool]:
     psi, source = _source(args, "psi", "derivative", (6,))
-    report = infinitesimal_check(so4(), psi, budget=_budget(args), tol=args.tol)
+    report = infinitesimal_check(so4(), psi, tol=args.tol)
     return _verdicts(args, "infinitesimal", source, [report])
 
 
@@ -221,7 +217,7 @@ def _cmd_path(args) -> tuple[dict, bool]:
     if not grid:
         raise ValueError("--t-grid must list at least one time")
     g = _algebra_for(psi.shape[0])
-    reports = path_scan(g, psi, grid, budget=_budget(args), tol=args.tol)
+    reports = path_scan(g, psi, grid, tol=args.tol)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,min_value,verdict\n")
@@ -279,13 +275,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--samples", type=int, default=Budget().samples)
-    p.add_argument("--restarts", type=int, default=Budget().restarts)
-    p.add_argument("--iters", type=int, default=Budget().iters)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-
-
 def _add_family_flags(p: argparse.ArgumentParser, *kinds: str):
     """Declare ``--family`` and each flag of these kinds' families once.
 
@@ -312,13 +301,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p = sub.add_parser("check", help="search a metric for negative curvature")
     p.add_argument("--phi", help="diag:d1,..., row-major list, or @file.json")
     _add_family_flags(p, "metric")
-    _add_budget_flags(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("infinitesimal", help="check a variation derivative")
     p.add_argument("--psi", help="diag:d1,..., row-major list, or @file.json")
     _add_family_flags(p, "derivative")
-    _add_budget_flags(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_infinitesimal)
 
     p = sub.add_parser("path", help="scan an inverse-linear path over a time grid")
@@ -326,7 +315,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     _add_family_flags(p, "derivative")
     p.add_argument("--t-grid", required=True, help="comma-separated times")
     p.add_argument("--csv", help="also write t,min_value,verdict rows here")
-    _add_budget_flags(p)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=_cmd_path)
 
     p = sub.add_parser("family", help="emit a generated family matrix")

@@ -67,7 +67,9 @@ the fallback ``_least_pair``: it scores a deterministic Fibonacci grid on
 the upper hemisphere (a and -a give one value, so the grid covers RP^2) by
 the closed-form smallest eigenvalue of each G_a, the minimum over b for
 that a, and polishes the best grid points by ``_alternate``, then
-``_newton_pairs``.  Neither draws a random number.
+``_newton_pairs``.  Neither draws a random number.  The grid's 4096
+points, its 64 polished ones and the cap of 200 rounds and 200 Newton
+steps on every polish are fixed constants, not options.
 
 ``_alternate`` works on (T, n, d) stacks of starts for T forms and stops
 each row on its own, so a row's rounds depend on its own form alone.
@@ -115,7 +117,6 @@ from .variation import InverseLinearPath, kappa_of_t_many, kappa_third_deriv_man
 __all__ = [
     "VERDICT_NONNEGATIVE",
     "VERDICT_NEGATIVE",
-    "Budget",
     "CommutingPair",
     "CurvatureReport",
     "EigenStructure",
@@ -151,31 +152,13 @@ _CERT_SHRINK = 100.0
 _CERT_STEPS = 50
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Search budget: grid samples, polished grid points, refinement iterations.
-
-    ``samples`` and ``restarts`` have one use, the pair fallback
-    ``_least_pair``: a pair the certificate leaves open scores ``samples``
-    points of the RP^2 grid and polishes the ``restarts`` best for at most
-    ``iters`` rounds and ``iters`` damped Newton steps.  Elsewhere they are
-    only recorded.  ``iters`` bounds the alternating rounds of the pair
-    certificate's witness and of the so(4) plane polish, and the plane
-    polish's damped Newton steps where the rounds end above the lifted
-    bound.  On so(3) planes, and on so(4) metrics that close before the
-    polish, the budget is only recorded.
-    """
-
-    samples: int = 4096
-    restarts: int = 64
-    iters: int = 200
-
-    def __post_init__(self):
-        for name in ("samples", "restarts", "iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
-                raise ValueError(f"budget field {name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers are not JSON values
+# the pair fallback ``_least_pair`` scores this many points of the RP^2 grid
+# and polishes this many of the lowest
+_GRID_POINTS = 4096
+_GRID_STARTS = 64
+# the most alternating rounds, and the most damped Newton steps, of any
+# polish: a guard that ends a polish still creeping down a flat valley
+_MAX_ROUNDS = 200
 
 
 def _check_tol(tol) -> float:
@@ -232,8 +215,6 @@ class CurvatureReport:
     verdict: str
     min_value: float
     witness: tuple[tuple[float, ...], ...] | None
-    samples: int
-    restarts: int
     exact: bool = False
     lower_bound: float | None = None
     t: float | None = None
@@ -248,8 +229,6 @@ class CurvatureReport:
             "verdict": self.verdict,
             "min_value": self.min_value,
             "witness": None if self.witness is None else [list(v) for v in self.witness],
-            "samples": self.samples,
-            "restarts": self.restarts,
             "exact": self.exact,
         }
         if self.lower_bound is not None:
@@ -261,15 +240,13 @@ class CurvatureReport:
         return out
 
 
-def _report(final: float, witness, tol: float, budget: Budget, **extra) -> CurvatureReport:
+def _report(final: float, witness, tol: float, **extra) -> CurvatureReport:
     """The report on a minimum ``final`` attained at ``witness`` (two
     vectors): negative exactly when final < -tol."""
     return CurvatureReport(
         verdict=VERDICT_NEGATIVE if final < -tol else VERDICT_NONNEGATIVE,
         min_value=final,
         witness=tuple(tuple(v) for v in witness),
-        samples=budget.samples,
-        restarts=budget.restarts,
         **extra,
     )
 
@@ -823,7 +800,7 @@ def _polish_starts(frames: np.ndarray, c: np.ndarray, lifted: np.ndarray) -> np.
     return np.concatenate([coords, np.broadcast_to(planes[0].T, coords.shape), tops], axis=1)
 
 
-def _plane_reports(metrics, budget: Budget, tol: float) -> list[CurvatureReport]:
+def _plane_reports(metrics, tol: float) -> list[CurvatureReport]:
     """``min_curvature`` of each metric (all on one algebra).
 
     On so(3) the least curved plane is the metric-eigenvector plane lowest
@@ -855,7 +832,7 @@ def _plane_reports(metrics, budget: Budget, tol: float) -> list[CurvatureReport]
         m = metrics[k]
         final = float(normalized_curvature_many(m, witness[None, :, 0], witness[None, :, 1])[0])
         exact = d == 3 or (settled and _closes(quotient, final, bound, margin))
-        return _report(final, witness.T, tol, budget, exact=exact,
+        return _report(final, witness.T, tol, exact=exact,
                        lower_bound=float(bound - margin))
 
     if d == 3:
@@ -902,8 +879,8 @@ def _plane_reports(metrics, budget: Budget, tol: float) -> list[CurvatureReport]
         starts = _polish_starts(frames[ks], c[ks], c[ks] + weights[rest])
         forms, stop = _plane_forms(c[ks], delta[ks], d), 1e-3 * delta[ks]
         reach = (bound + margin)[rest]
-        rounds = _alternate(forms, starts, budget.iters, stop, reach)
-        vals, x1, x2 = _newton_pairs(forms, *rounds, budget.iters, stop, reach)
+        rounds = _alternate(forms, starts, _MAX_ROUNDS, stop, reach)
+        vals, x1, x2 = _newton_pairs(forms, *rounds, _MAX_ROUNDS, stop, reach)
         # each frame mapped back by z = V Lambda^-1/2 x, orthonormal in z
         back = np.stack([metrics[k].eigenvectors / np.sqrt(metrics[k].eigenvalues) for k in ks])
         frames = _gram_schmidt(back[:, None] @ np.stack([x1, x2], axis=1)[..., None])[..., 0]
@@ -914,7 +891,6 @@ def _plane_reports(metrics, budget: Budget, tol: float) -> list[CurvatureReport]
 
 def min_curvature(
     m: LeftInvariantMetric,
-    budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     *,
     seed=None,
@@ -924,10 +900,10 @@ def min_curvature(
     On a 3-dimensional algebra Milnor's formula in phi's eigenvalues gives
     the least curved metric-eigenvector plane, and the report is ``exact``,
     with ``lower_bound`` the minimum less delta = max |K| (1e-12 + 4 eps
-    kappa(phi)); the budget is only recorded.  On so(4) every
-    search runs on C = ``m.curvature_operator()``: in the coordinates x =
-    Lambda^1/2 V^T z of m's eigenframe a plane's curvature is the Rayleigh
-    quotient of C at x1 ^ x2.  The smallest eigenvalue of C less a rounding
+    kappa(phi)).  On so(4) every search runs on C =
+    ``m.curvature_operator()``: in the coordinates x = Lambda^1/2 V^T z of
+    m's eigenframe a plane's curvature is the Rayleigh quotient of C at
+    x1 ^ x2.  The smallest eigenvalue of C less a rounding
     margin delta (1e-12 times C's spectral norm) is a lower bound: no plane
     lies below it.  When the lowest coordinate or metric-eigenvector plane,
     scored in x, attains the bound, that plane is reported with ``exact``
@@ -939,19 +915,20 @@ def min_curvature(
     S^3-action quotient family members, then, where that falls short, by
     log-barrier Newton steps from W = 0.  ``lower_bound`` is then the lifted
     bound less its margin.  If the lowest basis plane attains it, that
-    plane is reported the same way; else at most ``budget.iters`` rounds of
-    exact alternating minimization polish fixed starts (the basis planes
-    and the planes nearest the lowest eigenvectors of C + W and of C), then
-    at most ``budget.iters`` damped Newton steps where the rounds end above
-    the bound, and the same rule decides ``exact`` on the plane they reach.
-    A closure on a lifted bound needs that bound, within its margin, on one
-    side of -floor, floor = min(tol, 1e-8 times C's norm).  The reported witness is
-    the minimizing plane mapped back by z = V Lambda^-1/2 x and
+    plane is reported the same way; else at most 200 rounds of exact
+    alternating minimization polish fixed starts (the basis planes and the
+    planes nearest the lowest eigenvectors of C + W and of C), then at most
+    200 damped Newton steps where the rounds end above the bound, and the
+    same rule decides ``exact`` on the plane they reach.  The 200 caps are
+    a guard against a polish creeping down a flat valley, not a setting.  A
+    closure on a lifted bound needs that bound, within its margin, on one
+    side of -floor, floor = min(tol, 1e-8 times C's norm).  The reported
+    witness is the minimizing plane mapped back by z = V Lambda^-1/2 x and
     canonicalized, and ``min_value`` is the closed-form curvature
     re-evaluated on it, so a negative verdict is reproducible in isolation.
     ``seed`` is accepted and ignored, only because verdictbench still passes it.
     """
-    return _plane_reports([m], budget or Budget(), _check_tol(tol))[0]
+    return _plane_reports([m], _check_tol(tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1034,29 +1011,29 @@ def _biquadratic(form: np.ndarray) -> np.ndarray:
     return form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
 
 
-def _least_pair(form: np.ndarray, budget: Budget, stop: float):
+def _least_pair(form: np.ndarray, stop: float):
     """The lowest value found on (a (x) b).G(a (x) b) for the 9x9
     ``_pair_form`` G, over unit a and b, and its (a, b).
 
     For fixed a the minimum over unit b is the smallest eigenvalue of G_a =
     (a^T (x) I) G (a (x) I), with vec(G_a) = vec(a a^T) M for M the form's
     entries T_ijkl as a 9x9 matrix over (ij, kl); for fixed b, G^b reads M
-    the other way.  Every point of ``_hemisphere_grid(budget.samples)`` is
+    the other way.  Every point of ``_hemisphere_grid(_GRID_POINTS)`` is
     scored by the closed-form smallest eigenvalue of its G_a, and the
-    ``budget.restarts`` lowest, in a stable order, are polished together by
+    ``_GRID_STARTS`` lowest, in a stable order, are polished together by
     exact alternating minimization (``_alternate``): each round takes every
     start's b as the lowest eigenvector of G_a, then its a as the lowest
-    eigenvector of G^b.  The rounds stop after ``budget.iters``, or once the
+    eigenvector of G^b.  The rounds stop after ``_MAX_ROUNDS``, or once the
     best value falls by no more than ``stop`` in a round, and the best pair
     then goes on with the damped Newton steps of ``_newton_pairs`` (no
     reach stops them early).
     """
     m = _biquadratic(form)
-    grid = _hemisphere_grid(budget.samples)
+    grid = _hemisphere_grid(_GRID_POINTS)
     order = np.argsort(_smallest_eigenvalues(_outer_rows(grid) @ m), kind="stable")
     stop, reach = np.array([stop]), np.array([-np.inf])
-    rounds = _alternate(m[None], grid[None, order[: budget.restarts]], budget.iters, stop, reach)
-    val, a, b = _newton_pairs(m[None], *rounds, budget.iters, stop, reach)
+    rounds = _alternate(m[None], grid[None, order[:_GRID_STARTS]], _MAX_ROUNDS, stop, reach)
+    val, a, b = _newton_pairs(m[None], *rounds, _MAX_ROUNDS, stop, reach)
     return float(val[0]), a[0], b[0]
 
 
@@ -1075,7 +1052,7 @@ def _segre_forms() -> np.ndarray:
     return forms
 
 
-def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float):
+def _certified_pair(form: np.ndarray, stop: float, scale: float):
     """The lowest pair value the certificate finds on the 9x9 ``_pair_form``
     G, its unit (a, b), and the best lower bound on every pair with its
     rounding margin delta = 1e-12 max(||G + W||_2, scale), scale = ||psi||^3
@@ -1084,7 +1061,7 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
 
     The starts are the top singular vectors of the three lowest eigenvectors
     of G read as 3x3 matrices X, w[3i + k] = X_ik, each polished alone by
-    the rounds of ``_alternate`` (at most ``budget.iters``, a row stopping
+    the rounds of ``_alternate`` (at most ``_MAX_ROUNDS``, a row stopping
     once its value falls by no more than ``stop`` in a round or reaches the
     bound of W = 0, lambda_min(G), plus its margin).  The Segre quadrics
     vanish on every a (x) b, so ``_certify`` lifts lambda_min(G + W) towards
@@ -1101,7 +1078,7 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
     delta = np.maximum(delta, floor)
     starts = np.linalg.svd(vecs[:, :3].T.reshape(3, 3, 3))[0][..., 0]
     vals, a, b = _alternate(np.broadcast_to(_biquadratic(form), (3, 9, 9)), starts[:, None],
-                            budget.iters, np.full(3, stop), np.full(3, lam0[0] + delta[0]))
+                            _MAX_ROUNDS, np.full(3, stop), np.full(3, lam0[0] + delta[0]))
     points = (a[:, :, None] * b[:, None, :]).reshape(-1, 9).T
     bound, margin, _ = _certify(form[None], _segre_forms()[None], lam0, delta, points[None],
                                 vals[None], floor=floor)
@@ -1112,7 +1089,6 @@ def _certified_pair(form: np.ndarray, budget: Budget, stop: float, scale: float)
 def infinitesimal_check(
     g: LieAlgebra,
     psi,
-    budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     *,
     seed=None,
@@ -1123,7 +1099,7 @@ def infinitesimal_check(
     plane, and kappa'''(0) on them is the biquadratic form (a (x) b).G(a (x)
     b) of the 9x9 ``_pair_form`` G, built in closed form.
     ``_certified_pair`` first polishes three pairs read off G's lowest
-    eigenvectors by at most ``budget.iters`` rounds of exact alternating
+    eigenvectors by at most 200 rounds of exact alternating
     minimization, and bounds every pair from below by lambda_min(G + W), W
     a combination of the Segre quadrics (the 2x2 minors of a b^T), less a
     margin delta = 1e-12 max(||G + W||_2, ||psi||_2^3): at W = 0, else with
@@ -1132,10 +1108,9 @@ def infinitesimal_check(
     ``lower_bound`` is that bound, and the report is ``exact`` when the
     witness's re-evaluated kappa''' meets it (``_closes``: min_value -
     lower_bound <= 2 delta).  Otherwise a deterministic Fibonacci grid of
-    ``budget.samples`` points on the upper hemisphere (a and -a give one
-    value) is scored by each point's exact minimum over b, its
-    ``budget.restarts`` best points are polished for at most
-    ``budget.iters`` rounds, then Newton steps (``_least_pair``), and the
+    4096 points on the upper hemisphere (a and -a give one value) is scored
+    by each point's exact minimum over b, its 64 best points are polished
+    for at most 200 rounds, then Newton steps (``_least_pair``), and the
     lower of the two pairs is reported, tried again on the same rule.
     kappa''' itself is evaluated only on these witness pairs.  No random
     number is drawn.  ``seed`` is accepted and ignored, only because
@@ -1151,7 +1126,6 @@ def infinitesimal_check(
     """
     tol = _check_tol(tol)
     g._require_split()
-    budget = budget or Budget()
     path = InverseLinearPath(g, psi)  # validates symmetry and shape
     psi = path.psi
     form = _pair_form(g, psi)
@@ -1165,18 +1139,18 @@ def infinitesimal_check(
         bv = g.embed_factor(_sign_normalized(b), 2)
         return av, bv, float(kappa_third_deriv_many(g, psi, av[None], bv[None])[0])
 
-    value, a, b, bound, margin = _certified_pair(form, budget, stop, scale)
+    value, a, b, bound, margin = _certified_pair(form, stop, scale)
     av, bv, final = evaluated(a, b)
     exact = _closes(value, final, bound, margin)
     if not exact:
-        grid_value, a, b = _least_pair(form, budget, stop)
+        grid_value, a, b = _least_pair(form, stop)
         if grid_value < value:
             value, (av, bv, final) = grid_value, evaluated(a, b)
             exact = _closes(value, final, bound, margin)
     small = np.array([1e-4, 1e-3, 1e-2, 5e-2])
     times = small[path.admissible_many(small) & (small < 0.5 * path.t_max)].tolist()
     small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
-    return _report(final, (av, bv), tol, budget, exact=exact,
+    return _report(final, (av, bv), tol, exact=exact,
                    lower_bound=bound - margin, small_t=small_t)
 
 
@@ -1296,7 +1270,6 @@ def path_scan(
     g: LieAlgebra,
     psi,
     t_grid,
-    budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
     *,
     seed=None,
@@ -1312,19 +1285,18 @@ def path_scan(
     reproducible entry by entry.  ``seed`` is accepted and ignored, only
     because verdictbench still passes it.
     """
-    return path_scan_many(g, [psi], [t_grid], budget, tol)[0]
+    return path_scan_many(g, [psi], [t_grid], tol)[0]
 
 
 def path_scan_many(
     g: LieAlgebra,
     psis,
     t_grids,
-    budget: Budget | None = None,
     tol: float = DEFAULT_TOL,
 ) -> list[list[CurvatureReport]]:
     """``path_scan`` of several paths on one algebra, in one batch.
 
-    Entry k is ``path_scan(g, psis[k], t_grids[k], budget, tol)``.
+    Entry k is ``path_scan(g, psis[k], t_grids[k], tol)``.
     Every path and every grid time's metric is built before any search
     starts, so the first refused time, path by path, raises HorizonExceeded
     naming it; then every time of every path goes through the bound, the
@@ -1340,5 +1312,5 @@ def path_scan_many(
         raise ValueError(f"one psi and t_grid per path, got {len(psis)} and {len(t_grids)}")
     paths = [InverseLinearPath(g, psi) for psi in psis]
     metrics = [path.metric_at(t) for path, grid in zip(paths, t_grids) for t in grid]
-    reports = iter(_plane_reports(metrics, budget or Budget(), tol) if metrics else [])
+    reports = iter(_plane_reports(metrics, tol) if metrics else [])
     return [[replace(next(reports), t=t) for t in grid] for grid in t_grids]

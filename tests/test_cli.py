@@ -10,8 +10,8 @@ import pytest
 
 import liecurv
 from liecurv import families
-from liecurv.cli import build_parser, main, parse_matrix
-from liecurv.verify import DEFAULT_TOL, Budget
+from liecurv.cli import main, parse_matrix
+from liecurv.verify import DEFAULT_TOL
 
 from test_verify import _certificate
 
@@ -20,9 +20,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
-
-
-LIGHT = ["--samples", "256", "--restarts", "6", "--iters", "40"]
 
 
 def test_parse_matrix_forms(tmp_path):
@@ -45,15 +42,15 @@ def test_parse_matrix_forms(tmp_path):
 
 
 def test_check_family_exits_zero(capsys):
-    """A quotient member closes on the lifted Pluecker bound even at the
-    small budget: exact, with lower_bound <= min_value <= lower_bound + 2
-    delta for the margin delta of that bound."""
+    """A quotient member closes on the lifted Pluecker bound: exact, with
+    lower_bound <= min_value <= lower_bound + 2 delta for the margin delta
+    of that bound."""
     code, payload = run_cli(
         capsys, "check", "--family", "s3-action", "--a", "1", "--b", "1",
-        "--lambda", "1,1,1", *LIGHT,
+        "--lambda", "1,1,1",
     )
     assert code == 0
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     result = payload["results"][0]
     assert result["verdict"] == "NonnegativeWithinBudget"
     assert result["exact"] is True
@@ -63,9 +60,7 @@ def test_check_family_exits_zero(capsys):
 
 
 def test_check_negative_metric_exits_one(capsys):
-    code, payload = run_cli(
-        capsys, "check", "--phi", "diag:1.4,1,1,1,1,1", *LIGHT,
-    )
+    code, payload = run_cli(capsys, "check", "--phi", "diag:1.4,1,1,1,1,1")
     assert code == 1
     result = payload["results"][0]
     assert result["verdict"] == "NegativeWitness"
@@ -73,7 +68,7 @@ def test_check_negative_metric_exits_one(capsys):
 
 
 def test_check_three_dimensional_metric(capsys):
-    code, payload = run_cli(capsys, "check", "--phi", "diag:1.2,1,1", *LIGHT)
+    code, payload = run_cli(capsys, "check", "--phi", "diag:1.2,1,1")
     assert code == 0
     assert payload["results"][0]["min_value"] >= -1e-9
     assert payload["results"][0]["exact"] is True
@@ -98,7 +93,7 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         for argv in (["check", "--phi", f"@{path}"], ["infinitesimal", "--psi", f"@{path}"]):
-            assert main(argv + LIGHT) == 2, (name, argv)
+            assert main(argv) == 2, (name, argv)
             captured = capsys.readouterr()
             assert captured.out == "", (name, argv)
             expected = "number array" if name == "object" else str(np.shape(data))
@@ -119,7 +114,7 @@ def test_non_finite_inputs_exit_two(capsys, bad):
         ["path", "--family", "torus", "--c", "0.5", "--t-grid", "0.5", "--tol", bad],
     ]
     for argv in argvs:
-        assert main(argv + LIGHT) == 2, argv
+        assert main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
 
 
@@ -132,7 +127,7 @@ def test_unknown_subcommand_exits_two():
 def test_infinitesimal_family_flags(capsys):
     code, payload = run_cli(
         capsys, "infinitesimal", "--family", "torus", "--c", "0.5", "--d", "-0.2",
-        "--a1", "0.3", "--a2", "0.9", "--a3", "0.4", *LIGHT,
+        "--a1", "0.3", "--a2", "0.9", "--a3", "0.4",
     )
     assert code == 0
     assert abs(payload["results"][0]["min_value"]) < 1e-9
@@ -142,7 +137,7 @@ def test_path_scan_with_csv(capsys, tmp_path):
     csv = tmp_path / "scan.csv"
     code, payload = run_cli(
         capsys, "path", "--family", "s3-action", "--alpha", "0", "--beta", "0",
-        "--lambda", "1,1,1.2", "--t-grid", "0.3,0.6", "--csv", str(csv), *LIGHT,
+        "--lambda", "1,1,1.2", "--t-grid", "0.3,0.6", "--csv", str(csv),
     )
     assert code == 0
     lines = csv.read_text().strip().splitlines()
@@ -202,7 +197,7 @@ def test_output_file_and_seed_env(tmp_path, capsys, monkeypatch):
     """``reproduce`` records LIECURV_SEED; ``check`` draws nothing, so its
     report holds no seed."""
     monkeypatch.setenv("LIECURV_SEED", "123")
-    for argv in (["check", "--phi", "diag:1,1,1,1,1,1", *LIGHT], ["reproduce", "--suite", "eq-yy"]):
+    for argv in (["check", "--phi", "diag:1,1,1,1,1,1"], ["reproduce", "--suite", "eq-yy"]):
         out = tmp_path / "report.json"
         code = main([*argv, "-o", str(out)])
         capsys.readouterr()
@@ -212,7 +207,7 @@ def test_output_file_and_seed_env(tmp_path, capsys, monkeypatch):
 
 
 def test_reports_roundtrip_and_are_deterministic(tmp_path, capsys):
-    argv = ["check", "--phi", "diag:1.4,1,1,1,1,1", *LIGHT]
+    argv = ["check", "--phi", "diag:1.4,1,1,1,1,1"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(argv + ["-o", str(out1)])
     main(argv + ["-o", str(out2)])
@@ -250,18 +245,25 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
         ["check", "--phi", "diag:1,1,1,1,1,1", "--seed", "7"],
         ["infinitesimal", "--family", "torus", "--seed", "7"],
         ["path", "--family", "torus", "--t-grid", "0.1", "--seed", "7"],
+        # the search bounds are fixed, so no verdict command takes them
+        *([*command, flag, "9"] for command in (
+            ["check", "--phi", "diag:1,1,1,1,1,1"],
+            ["infinitesimal", "--family", "torus"],
+            ["path", "--family", "torus", "--t-grid", "0.1"],
+        ) for flag in ("--samples", "--restarts", "--iters")),
     ],
 )
-def test_bad_or_removed_seed_exits_two(capsys, argv):
-    """A bad seed, and a seed given to a command that draws nothing, exit 2:
-    a removed flag is refused, never ignored."""
+def test_bad_or_removed_flag_exits_two(capsys, argv):
+    """A bad seed, a seed given to a command that draws nothing, and a
+    removed search-budget flag exit 2: a removed flag is refused, never
+    ignored."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     if argv[0] != "reproduce":
-        assert "unrecognized arguments: --seed" in captured.err
+        assert f"unrecognized arguments: {argv[-2]}" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "-3"])
@@ -284,13 +286,15 @@ def test_bad_seed_env_exits_two(capsys, monkeypatch, value):
     ["infinitesimal", "--family", "torus", "--c", "0.5", "--a1", "0.3"],
     ["path", "--family", "torus", "--c", "0.5", "--t-grid", "0.1,0.2"],
 ])
-def test_verdict_payloads_hold_no_seed(capsys, argv):
-    """The verdict commands draw nothing: neither the config nor any result
-    of their schema-2 payload holds a seed."""
-    _, payload = run_cli(capsys, *argv, *LIGHT)
-    assert payload["schema_version"] == 2
-    assert "seed" not in payload["config"]
-    assert payload["results"] and all("seed" not in r for r in payload["results"])
+def test_verdict_payloads_hold_no_seed_or_budget(capsys, argv):
+    """The verdict commands draw nothing and run fixed search bounds: neither
+    the config nor any result of their schema-3 payload holds a seed or a
+    budget field."""
+    _, payload = run_cli(capsys, *argv)
+    assert payload["schema_version"] == 3
+    assert payload["results"]
+    for fields in (payload["config"], *payload["results"]):
+        assert not {"seed", "samples", "restarts", "iters"} & set(fields)
 
 
 # (kind, family, flags without a default, the builder's matrix at the
@@ -327,17 +331,8 @@ def test_family_defaults_agree_across_commands(capsys, kind, family, required, e
     assert np.array_equal(np.array(payload["results"][0]["matrix"]), expected())
     source = {k: v for k, v in payload["config"].items() if k != "kind"}
     command = "check" if kind == "metric" else "infinitesimal"
-    _, report = run_cli(capsys, command, "--family", family, *required, *LIGHT)
-    budget = {"samples", "restarts", "iters", "tol"}
-    assert {k: v for k, v in report["config"].items() if k not in budget} == source
-
-
-@pytest.mark.parametrize("argv", [["check"], ["infinitesimal"], ["path", "--t-grid", "0.1"]])
-def test_budget_flag_defaults_are_the_library_defaults(argv):
-    args = build_parser().parse_args(argv)
-    budget = Budget()
-    flags = (args.samples, args.restarts, args.iters, args.tol)
-    assert flags == (budget.samples, budget.restarts, budget.iters, DEFAULT_TOL)
+    _, report = run_cli(capsys, command, "--family", family, *required)
+    assert {k: v for k, v in report["config"].items() if k != "tol"} == source
 
 
 @pytest.mark.parametrize(
@@ -383,10 +378,10 @@ def test_seed_env_is_read_on_every_call(monkeypatch, capsys):
 
 def test_no_flag_leaks_into_the_next_call(monkeypatch, capsys):
     monkeypatch.delenv("LIECURV_SEED", raising=False)
-    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1", "--samples", "9")
-    assert payload["config"]["samples"] == 9
+    _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1", "--tol", "1e-3")
+    assert payload["config"]["tol"] == 1e-3
     _, payload = run_cli(capsys, "check", "--phi", "diag:1,1,1")
-    assert payload["config"]["samples"] == Budget().samples
+    assert payload["config"]["tol"] == DEFAULT_TOL
     _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy", "--seed", "5")
     assert payload["config"]["seed"] == 5
     _, payload = run_cli(capsys, "reproduce", "--suite", "eq-yy")

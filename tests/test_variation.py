@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv import (
-    Budget,
     DimensionMismatch,
     HorizonExceeded,
     InverseLinearPath,
@@ -130,7 +129,7 @@ def _accepts(path, pair, t) -> dict:
         "k_of_t": lambda: k_of_t(path, pair.x, pair.y, t),
         "kappa_of_t": lambda: kappa_of_t(path, pair.x, pair.y, t),
         "metric_at": lambda: path.metric_at(t),
-        "path_scan": lambda: path_scan(path.algebra, path.psi, [t], Budget(8, 1, 1)),
+        "path_scan": lambda: path_scan(path.algebra, path.psi, [t]),
     }
     # one row of a stack of times decides on its own time alone
     alone, stacked = path.admissible_many([t]), path.admissible_many([0.0, t, -t])
