@@ -391,9 +391,9 @@ _TORUS_PLANES.setflags(write=False)
 _S3_PLANES.setflags(write=False)
 
 
-def torus_invariant_planes(p: TorusParams) -> np.ndarray:
+def torus_invariant_planes() -> np.ndarray:
     """tau = span{A1, B1} plus pairings of the complementary eigenvectors:
-    the same read-only (3, 6, 2) planes for every torus metric p."""
+    the same read-only (3, 6, 2) planes for every torus metric."""
     return _TORUS_PLANES
 
 

@@ -336,7 +336,8 @@ def _suite_invariant_planes(seed: int) -> list[SuiteRow]:
     cases = (
         ("product", random_product_params, families.product_phi,
          families.product_invariant_planes),
-        ("torus", random_torus_params, families.torus_phi, families.torus_invariant_planes),
+        ("torus", random_torus_params, families.torus_phi,
+         lambda p: families.torus_invariant_planes()),
         ("quotient", random_s3_action_params, families.s3_action_phi,
          lambda p: families.s3_action_invariant_planes()),
     )

@@ -8,6 +8,7 @@ module owns; the shared piece belongs in that module's public interface.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -116,15 +117,20 @@ DELETED = [
     "verify.derived_seed",
     "verify.eigenstructure",
     "verify._CERT_COST",
+    "verify._GRID_POINTS",
+    "verify._GRID_STARTS",
     "verify._STEP_INIT",
     "verify._STEP_STOP",
     "verify._STALL_FLOOR",
     "verify._STALL_STEPS",
     "verify._best_starts",
     "verify._descend",
+    "verify._hemisphere_grid",
+    "verify._least_pair",
     "verify._least_curved_plane_3d",
     "verify._quotient_value_and_gradient",
     "verify._search",
+    "verify._smallest_eigenvalues",
     "verify._unit_columns",
     "verify._whitened_operators",
 ]
@@ -140,6 +146,28 @@ def test_deleted_name_is_gone(dotted):
     if not owners:
         assert not hasattr(liecurv, name)
         assert name not in getattr(owner, "__all__", ())  # cli has no __all__
+
+
+def stale_mentions(text: str, names) -> list[str]:
+    """The names that appear in text as a whole word."""
+    return [name for name in names if re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text)]
+
+
+def test_stale_mention_checker_sees_whole_words():
+    text = "polished by ``_least_pair``, not by _searching or plane_descend: verify._search"
+    names = ["_least_pair", "_search", "_descend", "_GRID_POINTS"]
+    assert stale_mentions(text, names) == ["_least_pair", "_search"]
+
+
+def test_no_deleted_private_name_is_mentioned():
+    # a docstring or README line naming a deleted helper describes a route
+    # the code no longer takes
+    names = [dotted.rsplit(".", 1)[1] for dotted in DELETED]
+    names = [name for name in names if _private(name)]
+    paths = [*sorted(PACKAGE.glob("*.py")), Path(__file__).resolve().parents[1] / "README.md"]
+    texts = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    found = {name: hits for name, text in texts.items() if (hits := stale_mentions(text, names))}
+    assert found == {}
 
 
 def test_every_all_entry_exists():
@@ -215,8 +243,6 @@ UNREAD_PARAMETERS = {
     "verify.infinitesimal_check.seed": "verdictbench passes seed=",
     "verify.lemma_k_check.seed": "verdictbench passes seed=",
     "verify.path_scan.seed": "verdictbench passes seed=",
-    # the family table calls every planes builder with its params
-    "families.torus_invariant_planes.p": "the shared family-table signature",
 }
 
 

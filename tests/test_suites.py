@@ -330,7 +330,8 @@ def _draw_by_draw_planes(seed):
     rng = np.random.default_rng(seed)
     cases = (
         (suites.random_product_params, families.product_phi, families.product_invariant_planes),
-        (suites.random_torus_params, families.torus_phi, families.torus_invariant_planes),
+        (suites.random_torus_params, families.torus_phi,
+         lambda p: families.torus_invariant_planes()),
         (suites.random_s3_action_params, families.s3_action_phi,
          lambda p: families.s3_action_invariant_planes()),
     )

@@ -53,7 +53,6 @@ from liecurv.verify import (
     _certified_pair,
     _cluster_cuts,
     _gram_schmidt,
-    _hemisphere_grid,
     _incidence,
     _lower_bound,
     _newton_pairs,
@@ -64,7 +63,6 @@ from liecurv.verify import (
     _quotient_values,
     _milnor_curvatures,
     _scored_basis,
-    _smallest_eigenvalues,
     _to_orthonormal,
 )
 
@@ -1374,11 +1372,12 @@ def test_infinitesimal_torus_stops_on_rounding_noise(g4, monkeypatch):
     """A torus psi has a pair form made of rounding noise.  The margin of
     its bound scales with psi, not with that noise, so the cheap witness
     closes on lambda_min(G) at W = 0: no Segre solve, no barrier and no
-    grid runs."""
+    open polish runs (in the pair route only that polish takes Newton
+    steps)."""
     psi = torus_psi(0.5, -0.2, 0.3, 0.9, 0.4)
     form = _pair_form(g4, psi)
     assert np.abs(form).max() < 1e-12
-    for name in ("_plucker_weights", "_barrier", "_hemisphere_grid"):
+    for name in ("_plucker_weights", "_barrier", "_newton_pairs"):
         monkeypatch.setattr(verify, name, mock.Mock(side_effect=AssertionError(name)))
     rep = infinitesimal_check(g4, psi)
     assert rep.verdict == VERDICT_NONNEGATIVE and rep.exact
@@ -1391,9 +1390,9 @@ def test_infinitesimal_torus_stops_on_rounding_noise(g4, monkeypatch):
 def test_shrink_projector_closes_on_the_segre_solve_alone(g4, swap):
     """-c S P S^T, P the diagonal projector under an automorphism S, has
     minimum 0 on commuting pairs, but lambda_min(G) lies below it, so W = 0
-    does not close.  The Segre solve on the rounds' pairs does: no Newton
-    step is built, no grid runs, and kappa''' is evaluated on one row, the
-    witness's, as G comes in closed form."""
+    does not close.  The Segre solve on the rounds' pairs does: no open
+    polish runs (no Newton step is built), and kappa''' is evaluated on
+    one row, the witness's, as G comes in closed form."""
     rng = np.random.default_rng(62)
     s = random_automorphism(rng, swap)
     psi = -rng.uniform(0.5, 1.5) * s @ diagonal_subalgebra(g4).projector @ s.T
@@ -1405,7 +1404,6 @@ def test_shrink_projector_closes_on_the_segre_solve_alone(g4, swap):
         return kappa_third_deriv_many(g, psi, xs, ys)
 
     with mock.patch.object(verify, "_newton_pairs", side_effect=AssertionError("_newton_pairs")), \
-            mock.patch.object(verify, "_least_pair", side_effect=AssertionError("_least_pair")), \
             mock.patch.object(verify, "_barrier", side_effect=AssertionError("_barrier")), \
             mock.patch.object(verify, "kappa_third_deriv_many", third), \
             mock.patch.object(verify, "_plucker_weights", wraps=verify._plucker_weights) as solve:
@@ -1420,10 +1418,9 @@ def test_axis_aligned_projector_closes_on_the_certificate(g4, monkeypatch, c):
     """c times the diagonal projector, unconjugated: eigh's basis of G's
     repeated lowest eigenspace is aligned with the axes, so at c = 1 its
     three polished pairs leave the Segre weights free, the solve falls
-    short and the barrier closes.  The certificate takes no Newton step
-    and polishes no grid, and the report is exact at min(-3/4 c^3, 0)."""
-    for name in ("_newton_pairs", "_hemisphere_grid", "_least_pair"):
-        monkeypatch.setattr(verify, name, mock.Mock(side_effect=AssertionError(name)))
+    short and the barrier closes.  No open polish runs (no Newton step is
+    built), and the report is exact at min(-3/4 c^3, 0)."""
+    monkeypatch.setattr(verify, "_newton_pairs", mock.Mock(side_effect=AssertionError("open")))
     barrier = mock.Mock(wraps=verify._barrier)
     monkeypatch.setattr(verify, "_barrier", barrier)
     rep = infinitesimal_check(g4, c * diagonal_subalgebra(g4).projector)
@@ -1588,36 +1585,6 @@ def test_mixing_angles_are_gauge(seed, p, q):
     assert abs(mixed - np.cos(p - q) ** 2 * plain) <= 1e-12 * max(1.0, abs(plain))
 
 
-def test_hemisphere_grid_is_fixed_unit_upper_points():
-    grid = _hemisphere_grid(257)
-    assert grid.shape == (257, 3) and not grid.flags.writeable
-    assert np.abs(np.linalg.norm(grid, axis=1) - 1.0).max() < 1e-15
-    assert grid[:, 2].min() > 0.0
-    assert _hemisphere_grid(257) is grid  # built once per size
-
-
-def test_smallest_eigenvalues_closed_form():
-    rng = np.random.default_rng(48)
-    mats = [random_symmetric(rng, 3, unit_norm=False) for _ in range(200)]
-    got = _smallest_eigenvalues(np.reshape(mats, (-1, 9)))
-    ref = np.linalg.eigvalsh(mats)[:, 0]
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(mats).max()
-    q = random_rotation(rng)
-    special = [
-        np.zeros((3, 3)),
-        -2.5 * np.eye(3),
-        q @ np.diag([-1.0, 3.0, 3.0]) @ q.T,  # double largest eigenvalue
-        q @ np.diag([-1.0, -1.0, 3.0]) @ q.T,  # double smallest eigenvalue
-        1e-16 * (q @ np.diag([-1.0, 0.5, 2.0]) @ q.T),  # rounding-noise scale
-    ]
-    got = _smallest_eigenvalues(np.reshape(special, (-1, 9)))
-    assert got[0] == 0.0 and got[1] == -2.5
-    assert abs(got[2] + 1.0) <= 1e-13 * 3.0
-    # a double smallest eigenvalue costs the arccos about half its digits
-    assert abs(got[3] + 1.0) <= 1e-7 * 3.0
-    assert abs(got[4] + 1e-16) <= 1e-13 * 2e-16
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_pair_minimum_is_a_stationary_lower_envelope(seed):
@@ -1659,18 +1626,23 @@ def test_pair_minimum_is_automorphism_invariant_and_draws_nothing(seed, swap):
 
 def _grid_pair_reference(form):
     """The pair search that ``infinitesimal_check`` ran alone before the
-    Segre certificate, kept as the reference: the 4096 points of the RP^2
-    grid scored by the smallest eigenvalue of G_a, the 64 lowest polished
-    by 200 alternating rounds with no stop.  Returns the lowest value
-    reached."""
+    Segre certificate, kept as the reference: 4096 Fibonacci points on the
+    upper hemisphere (a and -a give one value, so they cover RP^2) scored
+    by the smallest eigenvalue of G_a, the 64 lowest polished by 200
+    alternating rounds with no stop.  Returns the lowest value reached."""
     samples, restarts, rounds = 4096, 64, 200
     m = form.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
-    grid = _hemisphere_grid(samples)
+    k = np.arange(samples)
+    z = (k + 0.5) / samples
+    lon = np.pi * (3.0 - np.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    grid = np.stack([r * np.cos(lon), r * np.sin(lon), z], axis=1)
 
     def outer(v):
         return (v[:, :, None] * v[:, None, :]).reshape(len(v), 9)
 
-    a = grid[np.argsort(_smallest_eigenvalues(outer(grid) @ m), kind="stable")[:restarts]]
+    scores = np.linalg.eigvalsh((outer(grid) @ m).reshape(-1, 3, 3))[:, 0]
+    a = grid[np.argsort(scores, kind="stable")[:restarts]]
     for _ in range(rounds):
         b = np.linalg.eigh((outer(a) @ m).reshape(-1, 3, 3))[1][..., 0]
         low, vec = np.linalg.eigh((outer(b) @ m.T).reshape(-1, 3, 3))
@@ -1694,7 +1666,7 @@ def test_pair_lower_bound_holds_and_closes_on_the_reference(kind, seed):
         psi = _pair_verdict_psis(rng, 4)[seed % 4]
     rep = infinitesimal_check(g, psi)
     form, scale = _pair_form(g, psi), np.linalg.norm(psi, 2) ** 3
-    *_, bound, margin = _certified_pair(form, 1e-15 * scale, scale)
+    *_, bound, margin, _ = _certified_pair(form, 1e-15 * scale, scale)
     assert rep.lower_bound == bound - margin
     xs, ys = _pair_rows(g, _unit_columns(rng.standard_normal((1, 2, 3, 2000))))
     assert rep.lower_bound <= kappa_third_deriv_many(g, psi, xs, ys).min()
@@ -1718,10 +1690,11 @@ def _choi_form():
     return t.transpose(0, 2, 1, 3).reshape(9, 9)
 
 
-def test_choi_form_stays_open_and_searches_the_grid(g4, monkeypatch):
+def test_choi_form_stays_open_and_runs_the_open_polish(g4, monkeypatch):
     """Choi's nonnegative form has no Segre certificate.  Fed in as the pair
     form, and as kappa''' itself, its lifted bound stays below the minimum
-    0, the report is open, and the grid fallback runs and finds 0."""
+    0, the report is open, and the open polish runs its Newton steps and
+    finds 0."""
     form = _choi_form()
 
     def choi(g, psi, xs, ys):
@@ -1730,13 +1703,34 @@ def test_choi_form_stays_open_and_searches_the_grid(g4, monkeypatch):
 
     monkeypatch.setattr(verify, "_pair_form", lambda g, psi: form)
     monkeypatch.setattr(verify, "kappa_third_deriv_many", choi)
-    grid = mock.Mock(wraps=_hemisphere_grid)
-    monkeypatch.setattr(verify, "_hemisphere_grid", grid)
+    newton = mock.Mock(wraps=_newton_pairs)
+    monkeypatch.setattr(verify, "_newton_pairs", newton)
     rep = infinitesimal_check(g4, np.eye(6))
-    grid.assert_called_with(verify._GRID_POINTS)
+    assert newton.call_count == 1
     assert not rep.exact and rep.verdict == VERDICT_NONNEGATIVE
     assert abs(rep.min_value) <= 1e-12
     assert rep.lower_bound < rep.min_value - 1e-3
+
+
+@pytest.mark.parametrize("seed, index", [(100, 227), (102, 301), (102, 374), (102, 523),
+                                         (102, 724), (102, 788)])
+def test_open_pair_polishes_to_the_grid_minimum(g4, seed, index):
+    """Draw ``index`` of psi = m + m^T, m standard normal from
+    ``default_rng(seed)``: six of 3000 such draws leave the Segre
+    certificate open, and on each its three polished pairs end in the wrong
+    basin, up to 4.7% of ||psi||^3 above the minimum.  The open polish from
+    every eigenvector of G + W and of G reaches the grid reference's
+    minimum, and the report closes exact there."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        m = rng.standard_normal((6, 6))
+    psi = m + m.T
+    form, scale = _pair_form(g4, psi), np.linalg.norm(psi, 2) ** 3
+    value, *_, bound, margin, _ = _certified_pair(form, 1e-15 * scale, scale)
+    assert value > bound + margin  # the certificate alone leaves it open
+    rep = infinitesimal_check(g4, psi)
+    assert rep.exact and rep.verdict == VERDICT_NEGATIVE
+    assert abs(rep.min_value - _grid_pair_reference(form)) <= margin
 
 
 def _clustered(psi) -> EigenStructure:
