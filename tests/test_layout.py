@@ -124,10 +124,13 @@ DELETED = [
     "verify._STALL_FLOOR",
     "verify._STALL_STEPS",
     "verify._best_starts",
+    "verify._certified_above",
+    "verify._certified_pair",
     "verify._descend",
     "verify._hemisphere_grid",
     "verify._least_pair",
     "verify._least_curved_plane_3d",
+    "verify._polish_starts",
     "verify._quotient_value_and_gradient",
     "verify._search",
     "verify._smallest_eigenvalues",
@@ -233,6 +236,59 @@ def test_orphan_checker_sees_definitions_and_uses():
     assert _module_private_names(tree) == ["_A", "_b", "_f", "_C"]
     assert {"_A", "_C"} <= _referenced_names(tree)
     assert not {"_b", "_f"} & _referenced_names(tree)
+
+
+# Public names that no code in src/ reads, each with the use that keeps it,
+# written module.name.
+KEPT_PUBLIC = {
+    "metric.puttmann_curvature": "the paper's closed-form curvature, one of the two routes kept",
+    "metric.koszul_oracle": "the independent Koszul oracle, one of the two routes kept",
+    "families.inverse_linear_eigs_s3": "the closed-form reference that test_acceptance checks",
+    "verify.lemma_k_check": "ROADMAP item 7: the rigidity block of liecurv infinitesimal",
+    "normalform.psi_normal_form": "ROADMAP item 7: the rigidity block of liecurv infinitesimal",
+    "metric.normalized_curvature": "pending item 14: one-row door of normalized_curvature_many",
+    "metric.wedge_many": "pending item 14: called by tests only",
+    "variation.k_of_t": "pending item 14: one-row door of k_of_t_many",
+    "variation.kappa_of_t": "pending item 14: one-row door of kappa_of_t_many",
+    "variation.k_second_deriv": "pending item 14: one-row door of its stacked pair formula",
+    "variation.kappa_third_deriv": "pending item 14: one-row door of kappa_third_deriv_many",
+    "normalform.normal_form_kappa3": "pending item 14: called by tests only",
+}
+
+
+def unread_public_names(trees: dict[str, ast.Module], exports: dict[str, list[str]]) -> list[str]:
+    """module.name for each name in a module's ``__all__`` that no module
+    reads, as a bare name or an attribute; a read inside the name's own
+    top-level definition does not count, and an import is no read."""
+    def reads(tree, own):
+        found = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and node.name == own:
+                continue
+            found |= _referenced_names(ast.Module(body=[node], type_ignores=[]))
+        return found
+
+    return [f"{stem}.{name}" for stem, names in exports.items() for name in names
+            if not any(name in reads(tree, name if other == stem else None)
+                       for other, tree in trees.items())]
+
+
+def test_unread_public_checker_skips_own_definition_and_imports():
+    trees = {"a": ast.parse("__all__ = ['f', 'g', 'h']\ndef f():\n    return f()\n"
+                            "def g():\n    return 1\nh = 2\n"),
+             "b": ast.parse("from .a import f, h\nx = h + 1\n")}
+    assert unread_public_names(trees, {"a": ["f", "g", "h"]}) == ["a.f", "a.g"]
+
+
+def test_every_public_name_is_read_or_kept():
+    # a public name that nothing in the package calls is dead surface,
+    # unless a stated use keeps it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    exports = {stem: list(getattr(importlib.import_module(f"liecurv.{stem}"), "__all__", ()))
+               for stem in trees if stem != "__init__"}
+    assert sorted(unread_public_names(trees, exports)) == sorted(KEPT_PUBLIC)
 
 
 # Parameters that no body reads, each kept for a caller outside the

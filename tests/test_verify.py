@@ -49,8 +49,8 @@ from liecurv.verify import (
     DEFAULT_TOL,
     _alternate,
     _basis_planes,
-    _certified_above,
-    _certified_pair,
+    _biquadratic,
+    _certify,
     _cluster_cuts,
     _gram_schmidt,
     _incidence,
@@ -62,8 +62,9 @@ from liecurv.verify import (
     _plucker_forms,
     _quotient_values,
     _milnor_curvatures,
-    _scored_basis,
+    _segre_forms,
     _to_orthonormal,
+    _verdicts,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
@@ -625,19 +626,34 @@ def _outside_quotient(rng):
     return 0.5 * (phi + phi.T)
 
 
+def _driver_inputs(call):
+    """call()'s result and the arguments of its one call of ``_verdicts``."""
+    with mock.patch.object(verify, "_verdicts", wraps=_verdicts) as drive:
+        out = call()
+    assert drive.call_count == 1
+    return out, drive.call_args.args
+
+
+def _certified_row(args):
+    """``_certify`` on row 0 of the ``_verdicts`` arguments args, as the
+    driver runs it, whether or not the row closes at W = 0 first: the bound
+    lambda_min(C + W) and its margin."""
+    c, lam0, delta, values, certificate = args[:5]
+    bound, margin, _ = _certify(c, lam0, delta, values, *certificate(np.array([0])))
+    return float(bound[0]), float(margin[0])
+
+
 def _certificate(m, tol=DEFAULT_TOL):
-    """``_certified_above`` on m as ``min_curvature`` runs it: whether its
-    lifted bound less its margin proves every plane above the certificate
-    floor min(tol, 1e4 delta), the bound lambda_min(C + W) and its margin,
-    lifted towards the lowest coordinate or metric-eigenvector plane from
-    the flat ones, and how many are flat."""
-    c = m.curvature_operator()[None]
-    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    basis, coords, _ = _scored_basis([m], c)
-    floor = min(tol, 1e4 * delta[0])
-    bound, margin, _ = _certified_above(c, lam0, delta, m.eigenvalues[None], basis, coords)
-    flats = np.count_nonzero(basis[0] <= basis[0].min() + delta[0])
-    return bool(bound[0] - margin[0] >= -floor), float(bound[0]), float(margin[0]), flats
+    """The Pluecker certificate on m as ``min_curvature`` feeds it to
+    ``_verdicts``: whether its lifted bound less its margin proves every
+    plane above the certificate floor min(tol, 1e4 delta), the bound
+    lambda_min(C + W) and its margin, lifted towards the lowest coordinate
+    or metric-eigenvector plane from the flat ones, and how many are flat."""
+    args = _driver_inputs(lambda: min_curvature(m))[1]
+    delta, values = args[2][0], args[3][0]
+    bound, margin = _certified_row(args)
+    flats = np.count_nonzero(values <= values.min() + delta)
+    return bound - margin >= -min(tol, 1e4 * delta), bound, margin, flats
 
 
 def _newton_batches(call):
@@ -650,7 +666,7 @@ def _newton_batches(call):
 
 
 def _certified(m, tol=DEFAULT_TOL):
-    """Whether ``_certified_above`` proves every plane of m above the
+    """Whether the Pluecker certificate proves every plane of m above the
     certificate floor min(tol, 1e4 delta) that ``min_curvature`` uses."""
     return _certificate(m, tol)[0]
 
@@ -1664,9 +1680,9 @@ def test_pair_lower_bound_holds_and_closes_on_the_reference(kind, seed):
         psi = random_symmetric(rng, 6, unit_norm=False)
     else:
         psi = _pair_verdict_psis(rng, 4)[seed % 4]
-    rep = infinitesimal_check(g, psi)
-    form, scale = _pair_form(g, psi), np.linalg.norm(psi, 2) ** 3
-    *_, bound, margin, _ = _certified_pair(form, 1e-15 * scale, scale)
+    rep, args = _driver_inputs(lambda: infinitesimal_check(g, psi))
+    form = _pair_form(g, psi)
+    bound, margin = _certified_row(args)
     assert rep.lower_bound == bound - margin
     xs, ys = _pair_rows(g, _unit_columns(rng.standard_normal((1, 2, 3, 2000))))
     assert rep.lower_bound <= kappa_third_deriv_many(g, psi, xs, ys).min()
@@ -1712,6 +1728,15 @@ def test_choi_form_stays_open_and_runs_the_open_polish(g4, monkeypatch):
     assert rep.lower_bound < rep.min_value - 1e-3
 
 
+def _symmetric_draw(seed, index):
+    """psi = m + m^T for draw ``index`` of m, standard normal 6x6 from
+    ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        m = rng.standard_normal((6, 6))
+    return m + m.T
+
+
 @pytest.mark.parametrize("seed, index", [(100, 227), (102, 301), (102, 374), (102, 523),
                                          (102, 724), (102, 788)])
 def test_open_pair_polishes_to_the_grid_minimum(g4, seed, index):
@@ -1721,16 +1746,94 @@ def test_open_pair_polishes_to_the_grid_minimum(g4, seed, index):
     basin, up to 4.7% of ||psi||^3 above the minimum.  The open polish from
     every eigenvector of G + W and of G reaches the grid reference's
     minimum, and the report closes exact there."""
-    rng = np.random.default_rng(seed)
-    for _ in range(index + 1):
-        m = rng.standard_normal((6, 6))
-    psi = m + m.T
-    form, scale = _pair_form(g4, psi), np.linalg.norm(psi, 2) ** 3
-    value, *_, bound, margin, _ = _certified_pair(form, 1e-15 * scale, scale)
-    assert value > bound + margin  # the certificate alone leaves it open
-    rep = infinitesimal_check(g4, psi)
+    psi = _symmetric_draw(seed, index)
+    form = _pair_form(g4, psi)
+    rep, args = _driver_inputs(lambda: infinitesimal_check(g4, psi))
+    bound, margin = _certified_row(args)
+    assert args[3].min() > bound + margin  # the certificate alone leaves it open
     assert rep.exact and rep.verdict == VERDICT_NEGATIVE
     assert abs(rep.min_value - _grid_pair_reference(form)) <= margin
+
+
+def _entry_bytes(entry):
+    """A ``_verdicts`` pair entry as bytes: witness, value, exact, bound."""
+    (av, bv), value, exact, lower = entry
+    return av.tobytes(), bv.tobytes(), value.hex(), exact, lower.hex()
+
+
+def test_stacked_pair_rows_equal_single_runs(g4):
+    """``_verdicts`` on a stack of pair rows gives each row what it gets
+    alone, byte for byte, as ``path_scan_many`` does for planes.  The rows
+    close at W = 0 (a torus psi), on the Segre solve (draw 1 of psi = m +
+    m^T from ``default_rng(16)``), on the barrier (its draw 0) and after the
+    open polish (draws 227 of ``default_rng(100)`` and 301 of
+    ``default_rng(102)``, polished together)."""
+    psis = [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), _symmetric_draw(16, 1), _symmetric_draw(16, 0),
+            _symmetric_draw(100, 227), _symmetric_draw(102, 301)]
+    inputs, routes = [], []
+    for psi in psis:
+        spies = [mock.patch.object(verify, name, wraps=getattr(verify, name))
+                 for name in ("_plucker_weights", "_barrier", "_newton_pairs")]
+        with spies[0] as solve, spies[1] as barrier, spies[2] as polish:
+            rep, args = _driver_inputs(lambda: infinitesimal_check(g4, psi))
+        routes.append((solve.call_count, barrier.call_count, polish.call_count))
+        single = _verdicts(*args)[0]
+        assert (rep.min_value, rep.exact, rep.lower_bound) == single[1:]
+        inputs.append((args, _entry_bytes(single)))
+    assert routes == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)]
+
+    def stacked(k):
+        return np.concatenate([args[k] for args, _ in inputs])
+
+    def joined(k, per_row):
+        """The stage callable k over the stacked rows: the entries at
+        per_row joined row by row, the others shared."""
+        def call(rows):
+            parts = zip(*(inputs[r][0][k](np.array([0])) for r in rows))
+            return tuple(np.concatenate(p) if j in per_row else p[0] for j, p in enumerate(parts))
+        return call
+
+    entries = _verdicts(*map(stacked, range(4)), joined(4, (0, 1, 3)), joined(5, (0, 1, 2)),
+                        DEFAULT_TOL, lambda r, point: inputs[r][0][7](0, point))
+    assert [_entry_bytes(entry) for entry in entries] == [single for _, single in inputs]
+
+
+def _lifted_row(shape, lam):
+    """The ``_verdicts`` inputs of one row C = diag(lam, 1, ..., 1) + K, K
+    the first quadric, as a plane operator (15x15, Pluecker quadrics) or as a
+    pair form (9x9, Segre quadrics).  The search set is the basis vectors,
+    all decomposable, on which K vanishes.  K puts lambda_min(C) below lam,
+    so W = 0 does not close, and the solve at the one flat point e_0 takes W
+    = -K, which lifts the bound to lam."""
+    forms, d, read, lowest = ((_plucker_forms(6), 6, _incidence(6).T, 3) if shape == "plane"
+                              else (_segre_forms(), 3, np.eye(9), 9))
+    k = forms.shape[1]
+    c = (np.diag([lam] + [1.0] * (k - 1)) + forms[0])[None]
+    lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
+    polish = _plane_forms(c, delta, d) if shape == "plane" else _biquadratic(c[0])[None]
+
+    def witness(r, point):
+        w = np.eye(k)[point] if isinstance(point, int) else read.T @ np.outer(*point).ravel()
+        return point, float(w @ c[r] @ w / (w @ w))
+
+    return (c, lam0, delta, np.diag(c[0])[None],
+            lambda rows: (forms[None], np.eye(k)[None], None, np.zeros(1)),
+            lambda rows: (polish, np.zeros((1, 0, d)), 1e-3 * delta, read, lowest), DEFAULT_TOL,
+            witness)
+
+
+@pytest.mark.parametrize("shape", ["plane", "pair"])
+def test_one_floor_rule_for_planes_and_pairs(shape):
+    """A lifted bound that, within its margin, straddles -floor = -tol
+    decides nothing, for a plane row and a pair row alike: at lam = -tol
+    the point e_0 attains the lifted bound lam, but the row stays open.  At
+    lam = -1e-6 the same row closes exact on the lifted bound."""
+    for lam, closes in ((-DEFAULT_TOL, False), (-1e-6, True)):
+        args = _lifted_row(shape, lam)
+        [(_, value, exact, lower)] = _verdicts(*args)
+        assert exact == closes
+        assert args[1][0] < -0.1 and abs(value - lam) <= 1e-15
+        assert lower < lam < lower + 1e-11
 
 
 def _clustered(psi) -> EigenStructure:
