@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "NormalFormParams",
     "psi_normal_form",
     "normal_form_psi",
+    "normal_form_psi_many",
     "normal_form_kappa3",
 ]
 
@@ -289,14 +290,39 @@ class NormalFormParams:
             raise ValueError(f"NormalFormParams has non-finite fields: {', '.join(bad)}")
 
 
-def normal_form_psi(p: NormalFormParams) -> np.ndarray:
-    """The normal-form matrix in the algebra basis (A1, A2, A3, B1, B2, B3)."""
-    m = np.zeros((6, 6))
-    m[:3, :3] = [[p.a1, 0.0, 0.0], [0.0, p.b1, p.lam], [0.0, p.lam, p.c1]]
-    m[3:, 3:] = [[p.a2, 0.0, 0.0], [0.0, p.b2, p.mu], [0.0, p.mu, p.c2]]
-    m[:3, 3:] = np.diag([p.a3, p.b3, p.c3])
-    m[3:, :3] = m[:3, 3:].T
+# the NormalFormParams field at each entry of the normal-form matrix in the
+# algebra basis (A1, A2, A3, B1, B2, B3); an empty name marks a zero
+_LAYOUT = (
+    ("a1", "", "", "a3", "", ""),
+    ("", "b1", "lam", "", "b3", ""),
+    ("", "lam", "c1", "", "", "c3"),
+    ("a3", "", "", "a2", "", ""),
+    ("", "b3", "", "", "b2", "mu"),
+    ("", "", "c3", "", "mu", "c2"),
+)
+_FIELDS = [f.name for f in fields(NormalFormParams)]
+# the row, column and field position of each nonzero entry of _LAYOUT
+_ROWS, _COLS, _SOURCES = np.array([
+    (i, j, _FIELDS.index(name))
+    for i, row in enumerate(_LAYOUT) for j, name in enumerate(row) if name
+]).T
+
+
+def normal_form_psi_many(values) -> np.ndarray:
+    """The normal-form matrices of the rows of an (n, 11) array of
+    ``NormalFormParams`` fields in field order, as an (n, 6, 6) stack in the
+    algebra basis (A1, A2, A3, B1, B2, B3): one scatter of the columns
+    into ``_LAYOUT``.  No validation."""
+    values = np.asarray(values, dtype=float)
+    m = np.zeros((len(values), 6, 6))
+    m[:, _ROWS, _COLS] = values[:, _SOURCES]
     return m
+
+
+def normal_form_psi(p: NormalFormParams) -> np.ndarray:
+    """The normal-form matrix in the algebra basis (A1, A2, A3, B1, B2, B3):
+    the one-row case of ``normal_form_psi_many``."""
+    return normal_form_psi_many([[getattr(p, name) for name in _FIELDS]])[0]
 
 
 def normal_form_kappa3(g: LieAlgebra, p: NormalFormParams, x_coeffs, y_coeffs) -> float:

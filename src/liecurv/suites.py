@@ -18,10 +18,15 @@ one draw function, ``_fd_draws``: the 60 psis are one (60, 6, 6) block of
 the stream, their paths are built by ``InverseLinearPath.many``, and every
 stencil time of every path is a row of one ``variation.stencil_curves``
 call (the refined stencils at 0 of orders 1 to 3 share the times 0, +-h/2,
-+-h and +-2h).  ``eq-yy`` draws its 200 rows one by one and checks them in
-one call; ``obs-3.1-planes`` draws 20 members of each family in turn and
-checks all 60 in one call.  The six family paths of ``obs-3.2-paths`` are
-scanned in one ``path_scan_many`` call.
++-h and +-2h).  ``eq-yy`` draws its 200 rows as one (200, 6) block of
+uniforms and checks them in one call; ``obs-3.1-planes`` draws 20 members
+of each family in turn and checks all 60 in one call.  The six family paths
+of ``obs-3.2-paths`` are scanned in one ``path_scan_many`` call.
+
+The Eschenburg draws of ``example-2.3`` take their unit triples in chunks
+and score them in one ``bracket_many`` call, and the normal forms of
+``th1-identities`` are two blocks of the stream whose psis are one
+``normal_form_psi_many`` scatter.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from . import families
 from .algebra import diagonal_subalgebra, factor_subalgebra, so4
 from .metric import normalized_curvature_many
-from .normalform import NormalFormParams, normal_form_psi
+from .normalform import NormalFormParams, normal_form_psi_many
 from .variation import (
     InverseLinearPath,
     k_second_deriv_many,
@@ -42,7 +47,7 @@ from .variation import (
     refined_derivative,
     stencil_curves,
 )
-from .verify import infinitesimal_check, path_scan_many, sample_commuting_pairs
+from .verify import infinitesimal_check, path_scan_many, row_norms, sample_commuting_pairs
 
 __all__ = ["SuiteRow", "SuiteResult", "SUITES", "run_suite", "list_suites"]
 
@@ -171,35 +176,46 @@ def _eschenburg_draws(g, sub, seed: int):
     other draw, as (200, dim) stacks, and whether each twisted plane is
     expected to be flat.
 
-    Whether a draw takes a second vector depends on how many draws were
-    kept before it, so the draws stay sequential.  Each draw is written
-    into its row of the result stacks and tested there with a one-row
-    ``bracket_many``, bitwise ``bracket``; a rejected draw's row is
-    overwritten by the next draw.
+    The stream holds only unit triples.  A draw takes one, a, for x; after
+    an even number of kept draws y's triple b is a again, which forces the
+    subalgebra parts to commute, and otherwise the next triple.  Triples
+    are drawn in chunks of as many as the missing draws take when none is
+    rejected (a (k, 3) block is the same numbers as k draws of 3) and
+    normalized as one stack by ``row_norms``.  One ``bracket_many`` scores
+    every triple q as the start of either kind of draw, (q, q) and
+    (q, q + 1); a plain walk then takes the draws in stream order.  A
+    triple that a two-triple draw leaves at the end of a chunk starts the
+    next chunk.
     """
     proj = sub.projector
-    idx1, idx2 = (np.array(ix) for ix in g.factor_split)
+    idx1, idx2 = (list(ix) for ix in g.factor_split)
     rng = np.random.default_rng(seed)
-    xs, ys = np.zeros((2, 200, g.dim))
-    flat = np.zeros(200, dtype=bool)
-    kept = 0
-    while kept < 200:
-        a = rng.standard_normal(3)
-        a /= np.linalg.norm(a)
-        if kept % 2 == 0:
-            b = a  # forces the subalgebra parts to commute
-        else:
-            b = rng.standard_normal(3)
-            b /= np.linalg.norm(b)
-        x, y = xs[kept], ys[kept]
-        x[idx1] = a
-        y[idx2] = b
-        lie = np.linalg.norm(g.bracket_many((proj @ x)[None], (proj @ y)[None])[0])
-        if lie >= 1e-8 and lie < 0.05:
-            continue  # keep the nonzero class well separated
-        flat[kept] = lie < 1e-8
-        kept += 1
-    return xs, ys, flat
+    xs, ys, flat = [], [], []
+    triples = np.zeros((0, 3))
+    while len(flat) < 200:
+        need = sum(1 + k % 2 for k in range(len(flat), 200)) - len(triples)
+        triples = np.concatenate([triples, rng.standard_normal((need, 3))])
+        # each unit triple in factor 1 (x) and in factor 2 (y)
+        x, y = np.zeros((2, len(triples), g.dim))
+        x[:, idx1] = y[:, idx2] = triples / row_norms(triples)[:, None]
+        px, py = (np.matmul(proj, v[:, :, None])[:, :, 0] for v in (x, y))
+        lies = row_norms(g.bracket_many(np.concatenate([px, px[:-1]]),
+                                        np.concatenate([py, py[1:]]))).tolist()
+        scores = lies[:len(x)], lies[len(x):]  # (q, q) and (q, q + 1)
+        q, kept_x, kept_y = 0, [], []
+        while len(flat) < 200 and q + len(flat) % 2 < len(x):
+            odd = len(flat) % 2
+            b = q + odd
+            lie = scores[odd][q]
+            if not 1e-8 <= lie < 0.05:  # keep the nonzero class well separated
+                kept_x.append(q)
+                kept_y.append(b)
+                flat.append(lie < 1e-8)
+            q = b + 1
+        xs.append(x[kept_x])
+        ys.append(y[kept_y])
+        triples = triples[q:]
+    return np.concatenate(xs), np.concatenate(ys), np.array(flat)
 
 
 def _eschenburg_row(g, sub, name: str, seed: int) -> SuiteRow:
@@ -249,25 +265,27 @@ def _suite_enlarge_subalgebra(seed: int) -> list[SuiteRow]:
 # ---------------------------------------------------------------------------
 # family suites
 
-def _s3_action_horizon(alpha, beta) -> float:
-    """Time cap for an s3-action path: 1 - alpha t and 1 - beta t stay
-    positive below it, and it is at most 2."""
-    return min(
-        1.0 / alpha if alpha > 0 else np.inf,
-        1.0 / beta if beta > 0 else np.inf,
-        2.0,
-    )
+def _s3_action_horizon(alpha, beta):
+    """Time cap for an s3-action path, elementwise: 1 - alpha t and
+    1 - beta t stay positive below it, and it is at most 2.
+
+    Below 1 / max(alpha, beta) both stay positive, and a largest rate of
+    at most 1/2 gives the cap 2.  For positive rates 1 / max is bitwise the
+    smaller of the two reciprocals."""
+    return 1.0 / np.maximum(np.maximum(alpha, beta), 0.5)
 
 
 def _suite_family_consistency(seed: int) -> list[SuiteRow]:
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(200):
-        alpha, beta = rng.uniform(-1.5, 0.9, size=2)
-        lam = rng.uniform(0.3, 3.0, size=3)
-        t = rng.uniform(0.05, 0.95) * _s3_action_horizon(alpha, beta)
-        draws.append((alpha, beta, lam, t))
-    residuals = families.s3_action_path_residual_many(*map(np.array, zip(*draws)))
+    # a draw is alpha, beta, the three lam and t's fraction of the horizon:
+    # one (200, 6) block of the stream, each column mapped as uniform(low,
+    # high) maps its draw, so bitwise the draw-by-draw uniform calls
+    low = np.array([-1.5, -1.5, 0.3, 0.3, 0.3, 0.05])
+    high = np.array([0.9, 0.9, 3.0, 3.0, 3.0, 0.95])
+    u = low + (high - low) * np.random.default_rng(seed).random((200, 6))
+    alpha, beta, lam, frac = u[:, 0], u[:, 1], u[:, 2:5], u[:, 5]
+    residuals = families.s3_action_path_residual_many(
+        alpha, beta, lam, frac * _s3_action_horizon(alpha, beta)
+    )
     return [SuiteRow("path-equals-family-member", residuals.max(), 1e-10)]
 
 
@@ -413,41 +431,43 @@ _ELIMINATION_CASES = [
 ]
 
 
-def _random_normal_form(rng) -> NormalFormParams:
-    v = rng.uniform(-1.0, 1.0, size=10)
-    return NormalFormParams(
-        a1=v[0], a2=v[1], a3=v[2], b1=v[3], b2=v[4], b3=0.0,
-        c1=v[5], c2=v[6], c3=v[7], lam=v[8], mu=v[9],
-    )
-
-
-def _constrained_normal_form(rng) -> NormalFormParams:
-    p, q, a3, c3 = rng.uniform(-1.0, 1.0, size=4)
-    return NormalFormParams(
-        a1=p, a2=q, a3=a3, b1=p, b2=q, b3=0.0, c1=p, c2=q, c3=c3, lam=0.0, mu=0.0
-    )
+def _normal_form_draws(rng) -> np.ndarray:
+    """The fields of 100 random normal forms, then of 100 with equal a, b
+    and c entries in each factor and no lam or mu coupling, as (200, 11)
+    rows in ``NormalFormParams`` field order; b3 is 0 throughout.  The two
+    blocks are drawn as (100, 10) and (100, 4): the same numbers as a draw
+    of 10 or of 4 per normal form."""
+    values = np.zeros((200, 11))
+    values[:100, [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]] = rng.uniform(-1.0, 1.0, size=(100, 10))
+    p, q, a3, c3 = rng.uniform(-1.0, 1.0, size=(100, 4)).T
+    values[100:, [0, 3, 6]] = p[:, None]
+    values[100:, [1, 4, 7]] = q[:, None]
+    values[100:, 2], values[100:, 8] = a3, c3
+    return values
 
 
 def _normal_form_tables(g, blocks) -> list[np.ndarray]:
-    """For each block (params, coeffs), kappa'''(0) of each draw's normal
-    form (rows) on each factor pair of coefficients (columns).  Every entry
-    of every block is one row of a single ``kappa_third_deriv_many`` call
-    with one psi per row, so entry (i, j) of a block is bitwise
-    ``normal_form_kappa3(g, params[i], *coeffs[j])``."""
-    psis, xs, ys = [], [], []
-    for params, coeffs in blocks:
-        x = [g.embed_factor(np.asarray(xc, dtype=float), 1) for xc, _ in coeffs]
-        y = [g.embed_factor(np.asarray(yc, dtype=float), 2) for _, yc in coeffs]
-        for psi in map(normal_form_psi, params):
-            psis += [psi] * len(coeffs)
-            xs += x
-            ys += y
-    values = kappa_third_deriv_many(g, np.array(psis), np.array(xs), np.array(ys))
-    ends = np.cumsum([len(params) * len(coeffs) for params, coeffs in blocks])
-    return [
-        v.reshape(len(params), len(coeffs))
-        for v, (params, coeffs) in zip(np.split(values, ends[:-1]), blocks)
-    ]
+    """For each block (values, coeffs), kappa'''(0) of the normal form of
+    each row of values, (n, 11) fields in ``NormalFormParams`` order
+    (rows), on each factor pair of coefficients (columns).
+
+    The psis of all blocks are one ``normal_form_psi_many`` scatter, each
+    repeated once per column of its block into the input of a single
+    ``kappa_third_deriv_many`` call with one psi per row, so entry (i, j)
+    of a block is bitwise ``normal_form_kappa3(g, NormalFormParams(
+    *values[i]), *coeffs[j])``."""
+    sizes = [(len(values), len(coeffs)) for values, coeffs in blocks]
+    coeffs = [pair for _, block in blocks for pair in block]
+    xs = np.array([g.embed_factor(np.asarray(xc, dtype=float), 1) for xc, _ in coeffs])
+    ys = np.array([g.embed_factor(np.asarray(yc, dtype=float), 2) for _, yc in coeffs])
+    # row after row of each block, every entry's psi and coefficient pair
+    psis = np.repeat(normal_form_psi_many(np.concatenate([values for values, _ in blocks])),
+                     [m for n, m in sizes for _ in range(n)], axis=0)
+    firsts = np.cumsum([0] + [m for _, m in sizes])
+    pairs = np.concatenate([np.tile(np.arange(f, f + m), n) for (n, m), f in zip(sizes, firsts)])
+    entries = kappa_third_deriv_many(g, psis, xs[pairs], ys[pairs])
+    ends = np.cumsum([n * m for n, m in sizes])
+    return [v.reshape(size) for v, size in zip(np.split(entries, ends[:-1]), sizes)]
 
 
 def _worst_fit(params, lhs, const: float, closed) -> float:
@@ -467,19 +487,20 @@ def bracket_identity_rows(seed: int) -> list[SuiteRow]:
     tabulated closed forms.
     """
     g = so4()
-    rng = np.random.default_rng(seed)
-    params = [_random_normal_form(rng) for _ in range(100)]
-    stratum = [_constrained_normal_form(rng) for _ in range(100)]
+    values = _normal_form_draws(np.random.default_rng(seed))
     # columns: each identity case, then the two terms of each sum case
     n_id = len(_IDENTITY_CASES)
     table, elimination = _normal_form_tables(g, [
         (
-            params,
+            values[:100],
             [(xc, yc) for _, xc, yc, _ in _IDENTITY_CASES]
             + [term for _, *terms, _ in _SUM_CASES for term in terms],
         ),
-        (stratum, [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]),
+        (values[100:], [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]),
     ])
+    # the closed forms take each draw's fields as numpy scalars
+    params = [NormalFormParams(*row) for row in values[:100]]
+    stratum = [NormalFormParams(*row) for row in values[100:]]
 
     num = den = 0.0
     closed0 = _IDENTITY_CASES[0][3]

@@ -113,6 +113,7 @@ __all__ = [
     "EigenStructure",
     "LemmaKReport",
     "null_space",
+    "row_norms",
     "sample_commuting_pairs",
     "min_curvature",
     "infinitesimal_check",
@@ -241,6 +242,14 @@ def _report(final: float, witness, tol: float, **extra) -> CurvatureReport:
 # ---------------------------------------------------------------------------
 # commuting pairs
 
+def row_norms(vs: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of an (n, d) stack, each bitwise the row's own
+    1-d ``np.linalg.norm``: the sqrt of a batched (1, d) @ (d, 1) product,
+    which takes the dot routine of that norm.  A row-wise
+    ``np.linalg.norm(vs, axis=1)`` can differ from it by an ulp."""
+    return np.sqrt(np.matmul(vs[:, None, :], vs[:, :, None])[:, 0, 0])
+
+
 def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPair]:
     """Seeded commuting pairs of the form x = cos(p) (A, 0) + sin(p) (0, B),
     y = -sin(q) (A, 0) + cos(q) (0, B) with unit A, B and mixing angles
@@ -259,11 +268,11 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
     nonnegative integers (ValueError), on so(3) too.
 
     Attempts run in chunks: each attempt draws a, b and the two angles, in
-    that order, and the rejection tests and the construction then run on
-    the whole chunk at once, keeping the first n accepted attempts.  Each
-    kept pair is bitwise the one a draw-by-draw loop over the same stream
-    accepts; the stream is local, so the attempts drawn past the n-th
-    acceptance change nothing.
+    that order, and the rejection tests, the normalization of a and b
+    (``row_norms``) and the construction then run on the whole chunk at
+    once, keeping the first n accepted attempts.  Each kept pair is bitwise
+    the one a draw-by-draw loop over the same stream accepts; the stream is
+    local, so the attempts drawn past the n-th acceptance change nothing.
     """
     n, seed = _check_count(n), _check_count(seed, "seed")
     if g.factor_split is None:
@@ -283,9 +292,8 @@ def sample_commuting_pairs(g: LieAlgebra, n: int, seed: int) -> list[CommutingPa
         c, s, sq, cq = c[keep, None], s[keep, None], sq[keep, None], cq[keep, None]
         m1 = -np.copysign(np.ldexp(1.0, np.rint(np.log2(abs(sq / c))).astype(int)), sq / c)
         m2 = np.copysign(np.ldexp(1.0, np.rint(np.log2(abs(cq / s))).astype(int)), cq / s)
-        # each draw normalized on its own: a row-wise norm can differ by an ulp
-        unit = np.reshape([[v / np.linalg.norm(v) for v in draws[i][:2]] for i in keep],
-                          (len(keep), 2, len(idx1)))
+        raw = np.reshape([draws[i][:2] for i in keep], (2 * len(keep), len(idx1)))
+        unit = (raw / row_norms(raw)[:, None]).reshape(len(keep), 2, len(idx1))
         ab = np.zeros((2, len(keep), g.dim))
         ab[0][:, idx1], ab[1][:, idx2] = unit[:, 0], unit[:, 1]
         x = c * ab[0] + s * ab[1]

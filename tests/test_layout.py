@@ -107,6 +107,8 @@ DELETED = [
     "metric._DEFINITENESS_GATE",
     "normalform._kernel",
     "normalform.invariant_plane_residual",
+    "suites._constrained_normal_form",
+    "suites._random_normal_form",
     "variation.DerivativeReport",
     "variation.InverseLinearPath.admissible",
     "variation.derivative_report",

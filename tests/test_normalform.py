@@ -125,6 +125,15 @@ def test_normal_form_psi_layout(g4):
     assert nf.off_pattern_residual() < 1e-8
 
 
+def test_normal_form_psi_is_the_one_row_case_of_the_stack():
+    values = np.random.default_rng(8).uniform(-1, 1, size=(5, 11))
+    values[1] = -0.0  # a signed zero lands where the layout puts it
+    stack = normalform.normal_form_psi_many(values)
+    assert stack.shape == (5, 6, 6)
+    for row, m in zip(values, stack):
+        assert normal_form_psi(NormalFormParams(*row)).tobytes() == m.tobytes()
+
+
 def test_normal_form_kappa3_matches_direct_evaluation(g4):
     rng = np.random.default_rng(3)
     v = rng.uniform(-1, 1, size=11)

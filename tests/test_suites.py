@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from liecurv import (
     DegeneratePlane,
     InverseLinearPath,
+    NormalFormParams,
     diagonal_subalgebra,
     factor_subalgebra,
     families,
@@ -22,6 +23,7 @@ from liecurv import (
     kappa_of_t_many,
     kappa_third_deriv,
     normal_form_kappa3,
+    normal_form_psi,
     normalized_curvature,
     s3_action_path_residual_many,
     sample_commuting_pairs,
@@ -165,18 +167,18 @@ def test_degenerate_row_raises_through_batched_path(g4):
 
 
 def test_normal_form_table_matches_per_pair_calls(g4):
-    rng = np.random.default_rng(5)
-    params = [suites._random_normal_form(rng) for _ in range(10)]
-    params += [suites._constrained_normal_form(rng) for _ in range(10)]
+    values = suites._normal_form_draws(np.random.default_rng(5))
+    values = np.concatenate([values[:10], values[100:110]])
     coeffs = [(xc, yc) for _, xc, yc, _ in suites._IDENTITY_CASES]
     coeffs += [term for _, *terms, _ in suites._SUM_CASES for term in terms]
     coeffs += [((1, 1, 1), signs) for _, signs, _ in suites._ELIMINATION_CASES]
     # one block, and the same entries split over two blocks of one call
-    (table,) = suites._normal_form_tables(g4, [(params, coeffs)])
-    head, tail = suites._normal_form_tables(g4, [(params[:7], coeffs[:5]), (params[7:], coeffs)])
+    (table,) = suites._normal_form_tables(g4, [(values, coeffs)])
+    head, tail = suites._normal_form_tables(g4, [(values[:7], coeffs[:5]), (values[7:], coeffs)])
     assert table.shape == (20, 16) and head.shape == (7, 5) and tail.shape == (13, 16)
     assert np.array_equal(head, table[:7, :5]) and np.array_equal(tail, table[7:])
-    for i, p in enumerate(params):
+    for i, row in enumerate(values):
+        p = NormalFormParams(*row)
         assert table[i].tolist() == [normal_form_kappa3(g4, p, xc, yc) for xc, yc in coeffs]
 
 
@@ -187,6 +189,7 @@ def _draw_by_draw_eschenburg(g, sub, seed):
     proj = sub.projector
     rng = np.random.default_rng(seed)
     xs, ys, flat = [], [], []
+    rejected = 0
     while len(flat) < 200:
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
@@ -199,19 +202,27 @@ def _draw_by_draw_eschenburg(g, sub, seed):
         y = g.embed_factor(b, 2)
         lie = np.linalg.norm(g.bracket(proj @ x, proj @ y))
         if lie >= 1e-8 and lie < 0.05:
+            rejected += 1
             continue
         xs.append(x)
         ys.append(y)
         flat.append(lie < 1e-8)
-    return np.stack(xs), np.stack(ys), np.array(flat)
+    return np.stack(xs), np.stack(ys), np.array(flat), rejected
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(100))
 def test_eschenburg_draws_are_the_draw_by_draw_loop(g4, seed):
     for sub in (factor_subalgebra(g4, 1), diagonal_subalgebra(g4)):
         got = suites._eschenburg_draws(g4, sub, seed)
         for a, b in zip(got, _draw_by_draw_eschenburg(g4, sub, seed)):
             assert np.array_equal(a, b)
+
+
+def test_some_tested_eschenburg_seed_draws_a_second_chunk(g4):
+    # the first chunk holds the triples of 200 draws with no rejection, so
+    # a seed whose loop rejects a draw takes the refill path
+    sub = diagonal_subalgebra(g4)
+    assert any(_draw_by_draw_eschenburg(g4, sub, seed)[3] for seed in range(100))
 
 
 @pytest.mark.parametrize("suite, kernel", [
@@ -300,15 +311,90 @@ def _loop_path_residual(alpha, beta, lam, t):
     return np.abs(np.linalg.inv(np.eye(6) - t * psi) - rhs).max()
 
 
+def _loop_horizon(alpha, beta):
+    """The s3-action time cap of one draw, rate by rate."""
+    return min(
+        1.0 / alpha if alpha > 0 else np.inf,
+        1.0 / beta if beta > 0 else np.inf,
+        2.0,
+    )
+
+
 def _draw_by_draw_eq_yy(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
         alpha, beta = rng.uniform(-1.5, 0.9, size=2)
         lam = rng.uniform(0.3, 3.0, size=3)
-        t = rng.uniform(0.05, 0.95) * suites._s3_action_horizon(alpha, beta)
+        t = rng.uniform(0.05, 0.95) * _loop_horizon(alpha, beta)
         worst = max(worst, _loop_path_residual(alpha, beta, lam, t))
     return [worst]
+
+
+def test_s3_action_horizon_is_the_rate_by_rate_cap():
+    rates = np.concatenate([
+        [-1.0, -0.0, 0.0, 1e-300, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.9, 4.0],
+        np.random.default_rng(2).uniform(-1.5, 0.9, size=200),
+    ])
+    alpha, beta = np.meshgrid(rates, rates[::-1])
+    caps = suites._s3_action_horizon(alpha, beta)
+    want = [[_loop_horizon(a, b) for a, b in zip(*rows)] for rows in zip(alpha, beta)]
+    assert caps.tolist() == want
+    assert suites._s3_action_horizon(0.75, -1.0) == 1.0 / 0.75
+
+
+def _draw_by_draw_identities(seed):
+    """The th1-identities suite's per-draw loop: each normal form drawn on
+    its own and its psi built alone by ``normal_form_psi``, every entry of
+    the table one row of a ``kappa_third_deriv_many`` call, then the
+    constant fit and each identity's worst fit."""
+    g = so4()
+    rng = np.random.default_rng(seed)
+    params, stratum = [], []
+    for _ in range(100):
+        v = rng.uniform(-1.0, 1.0, size=10)
+        params.append(NormalFormParams(
+            a1=v[0], a2=v[1], a3=v[2], b1=v[3], b2=v[4], b3=0.0,
+            c1=v[5], c2=v[6], c3=v[7], lam=v[8], mu=v[9],
+        ))
+    for _ in range(100):
+        p, q, a3, c3 = rng.uniform(-1.0, 1.0, size=4)
+        stratum.append(NormalFormParams(
+            a1=p, a2=q, a3=a3, b1=p, b2=q, b3=0.0, c1=p, c2=q, c3=c3, lam=0.0, mu=0.0
+        ))
+
+    def table(draws, coeffs):
+        rows = [(normal_form_psi(p), g.embed_factor(np.asarray(xc, dtype=float), 1),
+                 g.embed_factor(np.asarray(yc, dtype=float), 2))
+                for p in draws for xc, yc in coeffs]
+        psis, xs, ys = map(np.array, zip(*rows))
+        return kappa_third_deriv_many(g, psis, xs, ys).reshape(len(draws), len(coeffs))
+
+    def worst_fit(draws, lhs, closed):
+        worst = 0.0
+        for p, value in zip(draws, lhs):
+            worst = max(worst, abs(value - const * closed(p)) / max(1.0, abs(value)))
+        return worst
+
+    identities = table(params, [(xc, yc) for _, xc, yc, _ in suites._IDENTITY_CASES]
+                       + [term for _, *terms, _ in suites._SUM_CASES for term in terms])
+    eliminations = table(stratum, [((1, 1, 1), s) for _, s, _ in suites._ELIMINATION_CASES])
+    num = den = 0.0
+    for p, lhs in zip(params, identities[:, 0]):
+        rhs = suites._IDENTITY_CASES[0][3](p)
+        num += lhs * rhs
+        den += rhs * rhs
+    const = float(num / den)
+    n_id = len(suites._IDENTITY_CASES)
+    return [
+        max(0.0, -const),
+        *(worst_fit(params, identities[:, k], case[3])
+          for k, case in enumerate(suites._IDENTITY_CASES)),
+        *(worst_fit(params, identities[:, n_id + 2 * k] + identities[:, n_id + 2 * k + 1], case[3])
+          for k, case in enumerate(suites._SUM_CASES)),
+        *(worst_fit(stratum, eliminations[:, k], case[2])
+          for k, case in enumerate(suites._ELIMINATION_CASES)),
+    ]
 
 
 def _loop_abelian_residual(g, phi, planes):
@@ -350,6 +436,7 @@ def _draw_by_draw_planes(seed):
     ("lemma-2.1-fd", _draw_by_draw_k),
     ("lemma-2.2-fd", _draw_by_draw_kappa),
     ("eq-yy", _draw_by_draw_eq_yy),
+    ("th1-identities", _draw_by_draw_identities),
     ("obs-3.1-planes", _draw_by_draw_planes),
 ])
 def test_batched_suite_rows_are_the_draw_by_draw_loop(suite, reference, seed):

@@ -2165,10 +2165,13 @@ def test_path_scan_rejects_out_of_horizon(g4):
 
 def _draw_by_draw_pairs(g, n, seed):
     """The one-attempt-at-a-time loop that ``sample_commuting_pairs`` now
-    runs in chunks, kept as its reference."""
+    runs in chunks, kept as its reference, and the number of attempts it
+    took."""
     rng = np.random.default_rng(seed)
     pairs = []
+    attempts = 0
     while len(pairs) < n:
+        attempts += 1
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
         a /= np.linalg.norm(a)
@@ -2191,17 +2194,22 @@ def _draw_by_draw_pairs(g, n, seed):
         if gram < 1e-2 * (x @ x) * (y @ y):
             continue
         pairs.append((x, y))
-    return pairs
+    return pairs, attempts
 
 
 @pytest.mark.parametrize("n", [0, 1, 60, 100])
 def test_chunked_sampler_is_the_draw_by_draw_loop(g4, n):
-    for seed in range(10):
+    refills = 0
+    for seed in range(100):
         got = sample_commuting_pairs(g4, n, seed)
-        want = _draw_by_draw_pairs(g4, n, seed)
+        want, attempts = _draw_by_draw_pairs(g4, n, seed)
         assert len(got) == len(want) == n
         for pair, (x, y) in zip(got, want):
             assert np.array_equal(pair.x, x) and np.array_equal(pair.y, y)
+        # the first chunk holds n + n // 4 + 1 attempts
+        refills += attempts > n + n // 4 + 1
+    # some tested seed rejects enough attempts to draw a second chunk
+    assert refills > 0 or n == 0
 
 
 def test_path_scan_many_entries_are_single_path_scans(g3, g4):
