@@ -16,12 +16,16 @@ plane, so that the value depends only on span{z1, z2}; it is the one
 plane-curvature evaluator, with the one degeneracy rule, and the scalar
 ``normalized_curvature`` is its single-row case.
 
-For searches, ``LeftInvariantMetric.curvature_operator`` assembles the
-curvature tensor once per metric as a quadratic form C on bivectors, in the
+For searches, ``MetricStack.curvature_operators`` assembles the curvature
+tensor once per metric of a stack as a quadratic form C on bivectors, in the
 coordinates x = Lambda^1/2 V^T z of the metric's h-orthonormal eigenframe
 (phi = V Lambda V^T), where a plane's h-Gram determinant is the plain Gram
 determinant of its frame: w.Cw / w.w at w = x1 ^ x2 is the normalized
-curvature of span{z1, z2}.  It is the only operator a metric carries.
+curvature of span{z1, z2}.  It is the only operator a metric carries, and
+``LeftInvariantMetric.curvature_operator`` is its one-row case.  A
+``MetricStack`` holds T metrics of one algebra as stacks of phis and
+eigenpairs; ``puttmann_curvature_many`` and ``normalized_curvature_many``
+read it as they read one metric, each row bitwise that metric's own value.
 """
 
 from __future__ import annotations
@@ -30,18 +34,18 @@ import functools
 
 import numpy as np
 
-from .algebra import LieAlgebra, symmetric_matrix
+from .algebra import LieAlgebra, symmetric_matrices, symmetric_matrix
 from .errors import DegeneratePlane, NotPositiveDefinite
 
 __all__ = [
     "DEFINITENESS_GATE",
     "LeftInvariantMetric",
+    "MetricStack",
     "puttmann_curvature",
     "puttmann_curvature_many",
     "koszul_oracle",
     "normalized_curvature",
     "normalized_curvature_many",
-    "wedge_many",
     "wedge_pairs",
 ]
 
@@ -68,10 +72,7 @@ class LeftInvariantMetric:
     def __init__(self, algebra: LieAlgebra, phi):
         phi = symmetric_matrix(phi, "phi", algebra.dim)
         w, v = np.linalg.eigh(phi)
-        if w[-1] <= 0.0 or w[0] <= DEFINITENESS_GATE * w[-1]:
-            raise NotPositiveDefinite(
-                f"phi eigenvalues span [{w[0]:.3e}, {w[-1]:.3e}]"
-            )
+        _require_definite(w[None], lambda n: "")
         self.algebra = algebra
         self.phi = phi
         self.eigenvalues = w
@@ -114,34 +115,110 @@ class LeftInvariantMetric:
         return self._gamma
 
     def curvature_operator(self) -> np.ndarray:
-        """Curvature operator C on bivectors, in the metric's own frame.
-
-        C is a symmetric d(d-1)/2 square matrix in the ``wedge_many``
-        coordinates of x = Lambda^1/2 V^T z, so w = x1 ^ x2 gives w.Cw =
-        <R(z1, z2) z2, z1>_h.  It is built in the h-orthonormal eigenframe f
-        = V Lambda^-1/2, by the Koszul formula with the identity metric, and
-        shares neither ``connection()`` nor a solve with the Koszul oracle.
-        Cached after first use.
-        """
+        """Curvature operator C on bivectors, in the metric's own frame: the
+        one-row case of ``MetricStack.curvature_operators``.  Cached after
+        first use."""
         if self._operator is None:
-            f = self.eigenvectors / np.sqrt(self.eigenvalues)
-            # c[a, b, c]: f_c coefficient of [f_a, f_b]; f^-1 = Lambda^1/2 V^T
-            back = self.eigenvectors * np.sqrt(self.eigenvalues)
-            c = np.einsum("ia,ijc,jb->abc", f, self.algebra.structure @ back, f)
-            # gamma[a, b, c] with D_{f_a} f_b = gamma[a, b, c] f_c
-            gamma = 0.5 * (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0))
-            # r[a, b, e, m]: f_m coefficient of R(f_a, f_b) f_e, where
-            # R(x, y) = D_x D_y - D_y D_x - D_[x,y]
-            dd = np.tensordot(gamma, gamma, (2, 1)).transpose(2, 0, 1, 3)
-            r = dd - dd.transpose(1, 0, 2, 3) - np.tensordot(c, gamma, (2, 0))
-            i, j = wedge_pairs(self.algebra.dim)
-            # entry (p, q) is <R(f_a, f_b) f_e, f_g>_h = r[a, b, e, g] for the
-            # p-th pair (a, b) and the q-th pair (g, e)
-            op = r[i, j][:, j, i]
-            op = 0.5 * (op + op.T)
+            op = MetricStack.of(self).curvature_operators()[0]
             op.setflags(write=False)
             self._operator = op
         return self._operator
+
+
+def _require_definite(w: np.ndarray, label) -> None:
+    """The definiteness gate on the (n, d) ascending eigenvalues w of n
+    phis: NotPositiveDefinite for the first row that fails, its message led
+    by ``label(n)``."""
+    refused = (w[:, -1] <= 0.0) | (w[:, 0] <= DEFINITENESS_GATE * w[:, -1])
+    if refused.any():
+        n = int(np.argmax(refused))
+        raise NotPositiveDefinite(
+            f"{label(n)}phi eigenvalues span [{w[n, 0]:.3e}, {w[n, -1]:.3e}]"
+        )
+
+
+class MetricStack:
+    """T left-invariant metrics on one algebra, as the (T, d, d) stack
+    ``phis`` with their ascending (T, d) ``eigenvalues`` and (T, d, d)
+    ``eigenvectors``.
+
+    It reads as one metric to ``puttmann_curvature_many`` and
+    ``normalized_curvature_many``, with one metric per row: row n of
+    ``apply_rows`` applies phi_n, and row n of ``inv_apply_rows`` V_n
+    diag(1/lambda_n) V_n^T.  Each takes a batched (1, d) @ (d, d) product,
+    the routine of a one-row call on ``LeftInvariantMetric``, so each row is
+    bitwise its metric's own value.
+    """
+
+    def __init__(self, algebra: LieAlgebra, phis: np.ndarray, eigenvalues: np.ndarray,
+                 eigenvectors: np.ndarray):
+        self.algebra = algebra
+        self.phis = phis
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
+
+    @classmethod
+    def of(cls, metric: LeftInvariantMetric) -> MetricStack:
+        """The one-row stack of a metric."""
+        return cls(metric.algebra, metric.phi[None], metric.eigenvalues[None],
+                   metric.eigenvectors[None])
+
+    @classmethod
+    def validated(cls, algebra: LieAlgebra, phis, label) -> MetricStack:
+        """The metrics of an (n, d, d) stack of phis, each validated as
+        ``LeftInvariantMetric`` validates its phi, by one
+        ``symmetric_matrices`` and one batched ``eigh``, so row n is bitwise
+        ``LeftInvariantMetric(algebra, phis[n])``.  The first row that fails
+        the definiteness gate raises NotPositiveDefinite, its message led by
+        ``label(n)``."""
+        phis = symmetric_matrices(phis, "phi", algebra.dim)
+        w, v = np.linalg.eigh(phis)
+        _require_definite(w, label)
+        return cls(algebra, phis, w, v)
+
+    def take(self, rows) -> MetricStack:
+        """The stack of the given rows."""
+        return MetricStack(self.algebra, self.phis[rows], self.eigenvalues[rows],
+                           self.eigenvectors[rows])
+
+    def apply_rows(self, x: np.ndarray) -> np.ndarray:
+        return np.matmul(x[:, None], self.phis)[:, 0]
+
+    def inv_apply_rows(self, x: np.ndarray) -> np.ndarray:
+        v = self.eigenvectors
+        scaled = np.matmul(x[:, None], v) / self.eigenvalues[:, None]
+        return np.matmul(scaled, v.transpose(0, 2, 1))[:, 0]
+
+    def curvature_operators(self) -> np.ndarray:
+        """The (T, k, k) curvature operators C on bivectors, one per metric,
+        each in its metric's own frame.
+
+        C is a symmetric d(d-1)/2 square matrix in the bivector coordinates
+        of ``wedge_pairs`` of x = Lambda^1/2 V^T z, so w = x1 ^ x2 gives w.Cw
+        = <R(z1, z2) z2, z1>_h.  It is built in the h-orthonormal eigenframe
+        f = V Lambda^-1/2, by the Koszul formula with the identity metric,
+        and shares neither ``connection()`` nor a solve with the Koszul
+        oracle.  Every product is batched over the metrics, so row n is
+        bitwise the operator its metric gets alone.
+        """
+        t, d = self.eigenvalues.shape
+        root = np.sqrt(self.eigenvalues)[:, None, :]
+        # c[a, b, c]: f_c coefficient of [f_a, f_b]; f^-1 = Lambda^1/2 V^T
+        f, back = self.eigenvectors / root, self.eigenvectors * root
+        c = np.einsum("tia,tijc,tjb->tabc", f, self.algebra.structure @ back[:, None], f)
+        # gamma[a, b, c] with D_{f_a} f_b = gamma[a, b, c] f_c
+        gamma = 0.5 * (c - c.transpose(0, 3, 1, 2) + c.transpose(0, 2, 3, 1))
+        # r[a, b, e, m]: f_m coefficient of R(f_a, f_b) f_e, where
+        # R(x, y) = D_x D_y - D_y D_x - D_[x,y]
+        dd = gamma.reshape(t, d * d, d) @ gamma.transpose(0, 2, 1, 3).reshape(t, d, d * d)
+        dd = dd.reshape(t, d, d, d, d).transpose(0, 3, 1, 2, 4)
+        cg = (c.reshape(t, d * d, d) @ gamma.reshape(t, d, d * d)).reshape(t, d, d, d, d)
+        r = dd - dd.transpose(0, 2, 1, 3, 4) - cg
+        i, j = wedge_pairs(d)
+        # entry (p, q) is <R(f_a, f_b) f_e, f_g>_h = r[a, b, e, g] for the
+        # p-th pair (a, b) and the q-th pair (g, e)
+        op = r[:, i, j][:, :, j, i]
+        return 0.5 * (op + op.transpose(0, 2, 1))
 
 
 def puttmann_curvature_many(m: LeftInvariantMetric, z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
@@ -228,16 +305,6 @@ def wedge_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     i.setflags(write=False)
     j.setflags(write=False)
     return i, j
-
-
-def wedge_many(z1s: np.ndarray, z2s: np.ndarray) -> np.ndarray:
-    """Row-wise bivector coordinates of z1 ^ z2 on (n, dim) stacks.
-
-    Coordinate k is z1[i] z2[j] - z1[j] z2[i] for the k-th pair (i, j) of
-    ``wedge_pairs(dim)``.
-    """
-    i, j = wedge_pairs(z1s.shape[1])
-    return z1s[:, i] * z2s[:, j] - z1s[:, j] * z2s[:, i]
 
 
 def normalized_curvature(m: LeftInvariantMetric, z1, z2) -> float:

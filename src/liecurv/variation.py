@@ -9,12 +9,15 @@ made when the path is built, in the resolvent form
     phi_t = I + V diag(t lam / (1 - t lam)) V^T,
 
 which is exactly I at t = 0, while its inverse is the exact I - t psi.
-One rule decides which times the path admits: phi_t has eigenvalues
+The path's window decides which times it admits: phi_t has eigenvalues
 1 / (1 - t lam), so ``LeftInvariantMetric``'s definiteness gate reads
 min(1 - t lam) > DEFINITENESS_GATE * max(1 - t lam), which also requires
-every 1 - t lam > 0.  ``admissible_many``, the curves, ``phi_at``,
-``metric_at`` and ``verify.path_scan`` all read it, and a time that fails
-it raises HorizonExceeded naming that time.
+every 1 - t lam > 0.  ``admissible_many``, the curves and ``phi_at`` read
+it, and a time that fails it raises HorizonExceeded naming that time.  A
+metric built at an admitted time (``metric_at``, ``path_metrics``) passes
+the metric's own gate too, which decides on phi_t's own ``eigh``: within a
+few ulps of the horizon that gate can still refuse the time, and raises
+NotPositiveDefinite (``path_metrics`` names the time).
 
 Two curvature curves are tracked for a commuting pair (x, y):
 
@@ -45,7 +48,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrices, symmetric_matrix
 from .errors import DimensionMismatch, HorizonExceeded, NotCommuting
-from .metric import DEFINITENESS_GATE, LeftInvariantMetric, puttmann_curvature_many
+from .metric import DEFINITENESS_GATE, LeftInvariantMetric, MetricStack, puttmann_curvature_many
 
 __all__ = [
     "InverseLinearPath",
@@ -53,6 +56,7 @@ __all__ = [
     "k_of_t_many",
     "kappa_of_t",
     "kappa_of_t_many",
+    "path_metrics",
     "k_second_deriv",
     "k_second_deriv_many",
     "kappa_third_deriv",
@@ -157,6 +161,40 @@ class InverseLinearPath:
         return LeftInvariantMetric(self.algebra, self.phi_at(t))
 
 
+def path_metrics(paths, grids) -> MetricStack:
+    """The metric at each time of grids[k] on paths[k], path after path, as
+    one ``MetricStack``: each path's phis from its ``_PathRows``, then one
+    ``symmetric_matrices`` and one batched ``eigh`` through
+    ``MetricStack.validated``, so row n is bitwise ``path.metric_at(t)`` at
+    its time.  The first time refused in path order raises its own error
+    naming it: HorizonExceeded where its path's window refuses it, and
+    NotPositiveDefinite where the metric's gate does."""
+    phis, times, refused = [], [], None
+    for path, grid in zip(paths, grids):
+        grid = np.asarray(grid, dtype=float)
+        admitted = path.admissible_many(grid)
+        cut = len(grid) if admitted.all() else int(np.argmin(admitted))
+        phis.append(_PathRows([path], [grid[:cut]]).phis)
+        times += grid[:cut].tolist()
+        if cut < len(grid):
+            refused = _outside_window(path, float(grid[cut]))
+            break
+    # the times before a window's refusal are gated first
+    stack = MetricStack.validated(paths[0].algebra, np.concatenate(phis),
+                                  lambda n: f"t={times[n]}: ")
+    if refused is not None:
+        raise refused
+    return stack
+
+
+def _outside_window(path: InverseLinearPath, t: float) -> HorizonExceeded:
+    """The error for a time t that the path's window refuses."""
+    return HorizonExceeded(
+        f"t={t} outside the path's window: phi_t fails the "
+        f"definiteness gate (horizons {path.t_min:.6g}, {path.t_max:.6g})"
+    )
+
+
 def _admitted(s: np.ndarray) -> np.ndarray:
     """Whether each row's phi passes the gate, from s = t lam, one row of
     the path's eigenvalues times its time per row."""
@@ -199,10 +237,7 @@ class _PathRows:
         admitted = _admitted(s.reshape(-1, d))
         if not admitted.all():
             path, t = divmod(int(np.argmin(admitted)), self.times.shape[1])
-            raise HorizonExceeded(
-                f"t={float(self.times[path, t])} outside the path's window: phi_t fails the "
-                f"definiteness gate (horizons {paths[path].t_min:.6g}, {paths[path].t_max:.6g})"
-            )
+            raise _outside_window(paths[path], float(self.times[path, t]))
         c = s / (1.0 - s)
         outers = np.array([path._outer for path in paths])[:, None]
         self.phis = (np.eye(d) + (outers * c[:, :, None, None, :]).sum(axis=-1)).reshape(-1, d, d)

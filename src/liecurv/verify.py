@@ -14,8 +14,9 @@ is ``exact``, with ``lower_bound`` the minimum less delta = max |K| (1e-12 +
 
 Every other verdict minimizes w.Cw over decomposable unit vectors w.  An
 so(4) plane's curvature is the Rayleigh quotient of the curvature operator
-C (``curvature_operator()``, in the coordinates x = Lambda^1/2 V^T z of phi
-= V Lambda V^T) at w = x1 ^ x2; a commuting pair's kappa'''(0) is (a (x)
+C (``MetricStack.curvature_operators``, one call for a stack of metrics,
+in the coordinates x = Lambda^1/2 V^T z of phi = V Lambda V^T) at w = x1 ^
+x2; a commuting pair's kappa'''(0) is (a (x)
 b).G(a (x) b), with G the 9x9 ``_pair_form``.  Both run one driver,
 ``_verdicts``, on (T, ...) stacks of operators:
 
@@ -52,7 +53,8 @@ carries the lifted bound less its margin.  What each route passes in:
   misses, as its further flat points; the 30 planes' first columns as
   extra starts, and the 3 lowest eigenvectors; no margin floor.  The
   witness is mapped back by z = V Lambda^-1/2 x and re-evaluated in closed
-  form.
+  form, the witnesses of one stage in one ``normalized_curvature_many``
+  call on their rows of the metric stack.
 * pairs: G; the 9 Segre quadrics, the 2x2 minors of a b^T; three pairs,
   the top singular vectors of G's three lowest eigenvectors read as 3x3
   matrices and polished by ``_alternate``, as the search set, with no
@@ -64,11 +66,12 @@ carries the lifted bound less its margin.  What each route passes in:
 The cap of 200 rounds and 200 Newton steps on every polish is a fixed
 constant, not an option.  ``_alternate`` stops each row of its (T, n, d)
 stacks of starts on its own, so a row's rounds depend on its own form
-alone.  ``path_scan`` uses this: the times of a scan still open after the
-certificate are polished together, and each entry still equals its
-standalone ``min_curvature`` report byte for byte, so the scan stays
-reproducible entry by entry.  ``path_scan_many`` does the same for the
-times of several paths at once, and ``path_scan`` is its one-path case.
+alone.  ``path_scan_many`` uses this: the metrics of every time of
+several paths are built as one ``MetricStack``, their operators in one
+call, the times still open after the certificate are polished together,
+and each entry still equals its standalone ``min_curvature`` report byte
+for byte, so a scan stays reproducible entry by entry.  ``path_scan`` is
+its one-path case.
 
 Both verdicts come from one rule,
 ``_report``: negative exactly when the minimum lies below -tol.  A
@@ -100,10 +103,11 @@ import numpy as np
 from .algebra import LieAlgebra, symmetric_matrix
 from .metric import (
     LeftInvariantMetric,
+    MetricStack,
     normalized_curvature_many,
     wedge_pairs,
 )
-from .variation import InverseLinearPath, kappa_of_t_many, kappa_third_deriv_many
+from .variation import InverseLinearPath, kappa_of_t_many, kappa_third_deriv_many, path_metrics
 
 __all__ = [
     "VERDICT_NONNEGATIVE",
@@ -689,10 +693,11 @@ def _verdicts(c, lam0, delta, values, certificate, polish, tol: float, witness) 
       extra starts, the (R,) gains that end their rounds, and the (d*d, k)
       map that reads an eigenvector as a d x d matrix, for the ``lowest``
       lowest eigenvectors of C + W and of C that start the polish too;
-    * ``witness(t, point)``: row t's point mapped back to a witness and its
-      re-evaluated value, where point is the index of a search point or a
-      polished pair (x1, x2).  The best search point is mapped at most
-      once.
+    * ``witness(rows, points)``: for each row of the list rows, its point
+      mapped back to a witness and its re-evaluated value, where a point is
+      the index of a search point or a polished pair (x1, x2).  Each stage
+      (W = 0, the certificate, the polish) makes at most one call, for the
+      rows that reach it, and maps a row's best search point at most once.
 
     The W = 0 bound needs no -floor rule, and has none: a bi-invariant
     metric scaled by 1e-4 has flat planes on a bound whose margin, 2.5e-9,
@@ -713,29 +718,36 @@ def _verdicts(c, lam0, delta, values, certificate, polish, tol: float, witness) 
     def settled(r, bound, margin):
         return bound - margin >= -settle[r] or bound + margin < -settle[r]
 
-    def best_point(r):
-        if r not in mapped:
-            mapped[r] = witness(r, int(values[r].argmin()))
-        return mapped[r]
+    def map_best(rows, polished=()):
+        """Map, in one witness call, the best search points of those rows
+        not mapped yet and the (row, pair) points of ``polished``; returns
+        the witnesses of ``polished``."""
+        new = [r for r in rows if r not in mapped]
+        if not new and not polished:
+            return []
+        found = witness(new + [r for r, _ in polished],
+                        [int(values[r].argmin()) for r in new] + [pair for _, pair in polished])
+        mapped.update(zip(new, found))
+        return found[len(new):]
 
-    def on_best(r, bound, margin, floor_rule=True):
-        """Row r's entry from its best search point if that closes on
-        bound - margin, else None."""
-        if target[r] > bound + margin or (floor_rule and not settled(r, bound, margin)):
-            return None
-        found = best_point(r)
-        if _closes(target[r], found[1], bound, margin):
-            return (*found, True, bound - margin)
-        return None
+    def close_on_best(bounds, floor_rule=True):
+        """Close each (row, bound, margin) of bounds whose best search point
+        attains bound - margin."""
+        near = [(r, b, m) for r, b, m in bounds
+                if not target[r] > b + m and (not floor_rule or settled(r, b, m))]
+        map_best([r for r, _, _ in near])
+        for r, b, m in near:
+            if _closes(target[r], mapped[r][1], b, m):
+                out[r] = (*mapped[r], True, b - m)
 
-    out = [on_best(r, *bm, floor_rule=False) for r, bm in enumerate(zip(lam0s, deltas))]
+    out = [None] * len(target)
+    close_on_best(zip(range(len(target)), lam0s, deltas), floor_rule=False)
     rows = np.array([r for r, entry in enumerate(out) if entry is None], dtype=int)
     if not len(rows):
         return out
     bound, margin, weights = _certify(c[rows], lam0[rows], delta[rows], values[rows],
                                       *certificate(rows))
-    for r, *bm in zip(rows.tolist(), bound.tolist(), margin.tolist()):
-        out[r] = on_best(r, *bm)
+    close_on_best(zip(rows.tolist(), bound.tolist(), margin.tolist()))
     keep = [out[r] is None for r in rows]
     if not any(keep):
         return out
@@ -748,12 +760,16 @@ def _verdicts(c, lam0, delta, values, certificate, polish, tol: float, witness) 
     reach = bound + margin
     rounds = _alternate(forms, np.concatenate([starts, tops], axis=1), _MAX_ROUNDS, stop, reach)
     vals, x1, x2 = _newton_pairs(forms, *rounds, _MAX_ROUNDS, stop, reach)
-    for i, (r, b, m) in enumerate(zip(rest.tolist(), bound.tolist(), margin.tolist())):
-        if vals[i] < target[r]:
-            found, quotient = witness(r, (x1[i], x2[i])), vals[i]
-        else:
-            found, quotient = best_point(r), target[r]
-        out[r] = (*found, settled(r, b, m) and _closes(quotient, found[1], b, m), b - m)
+    # a polished point below the best search point is the witness; else
+    # the best search point is
+    rest = rest.tolist()
+    below = [vals[i] < target[r] for i, r in enumerate(rest)]
+    polished = [(r, (x1[i], x2[i])) for i, r in enumerate(rest) if below[i]]
+    searched = [r for i, r in enumerate(rest) if not below[i]]
+    found = dict(zip([r for r, _ in polished], map_best(searched, polished)))
+    for i, (r, b, m) in enumerate(zip(rest, bound.tolist(), margin.tolist())):
+        entry, quotient = (found[r], vals[i]) if r in found else (mapped[r], target[r])
+        out[r] = (*entry, settled(r, b, m) and _closes(quotient, entry[1], b, m), b - m)
     return out
 
 
@@ -805,26 +821,24 @@ def _milnor_curvatures(k: float, lam: np.ndarray) -> np.ndarray:
     metrics on Lie groups*, Adv. Math. 1976): with mu_i = k sqrt(lambda_i /
     (lambda_j lambda_k)) and m_i = sum(mu)/2 - mu_i, the plane (v_i, v_j) has
     m_i m_k + m_j m_k - m_i m_j.  They are the eigenvalues of C."""
-    mu = k * np.sqrt(lam / (np.roll(lam, -1, axis=1) * np.roll(lam, -2, axis=1)))
+    mu = k * np.sqrt(lam / (lam[:, [1, 2, 0]] * lam[:, [2, 0, 1]]))
     m = 0.5 * mu.sum(axis=1, keepdims=True) - mu
     i, j = wedge_pairs(3)
     o = 3 - i - j
     return m[:, i] * m[:, o] + m[:, j] * m[:, o] - m[:, i] * m[:, j]
 
 
-def _to_orthonormal(m: LeftInvariantMetric, frames: np.ndarray) -> np.ndarray:
-    """The (2, d, n) frames z mapped to x = Lambda^1/2 V^T z, orthonormal there: (1, 2, d, n)."""
-    return _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ frames)[None])
-
-
-def _scored_basis(metrics, c: np.ndarray):
+def _scored_basis(stack: MetricStack, c: np.ndarray):
     """The quotients of the (T, k, k) operators c at each metric's basis
     planes, (T, 2n): the coordinate planes, scored in x as the polish
-    scores them, then the metric-eigenvector planes, the coordinate planes of x (C's
-    diagonal).  With them the (T, k, n) unit bivectors in x of the
-    coordinate planes, and their (T, 2, d, n) orthonormal frames in x."""
-    d = metrics[0].algebra.dim
-    coords = np.concatenate([_to_orthonormal(m, _basis_planes(np.eye(d))) for m in metrics])
+    scores them, then the metric-eigenvector planes, the coordinate planes
+    of x (C's diagonal).  With them the (T, k, n) unit bivectors in x of the
+    coordinate planes, and their (T, 2, d, n) orthonormal frames in x, every
+    metric's frames mapped to x = Lambda^1/2 V^T z and orthonormalized in
+    one call."""
+    d = stack.algebra.dim
+    to_x = np.sqrt(stack.eigenvalues)[:, :, None] * stack.eigenvectors.transpose(0, 2, 1)
+    coords = _gram_schmidt(to_x[:, None] @ _basis_planes(np.eye(d)))
     values, w, ww = _quotient_values((c, _incidence(d)), coords)
     return np.concatenate([values, c.diagonal(axis1=1, axis2=2)], 1), w / np.sqrt(ww)[:, None], coords
 
@@ -842,48 +856,47 @@ def _plane_forms(c: np.ndarray, delta: np.ndarray, d: int) -> np.ndarray:
     return form.reshape(len(c), d * d, d * d) + s[:, None, None] * np.eye(d * d)
 
 
-def _plane_reports(metrics, tol: float) -> list[CurvatureReport]:
-    """``min_curvature`` of each metric (all on one algebra).
+def _plane_reports(stack: MetricStack, tol: float) -> list[CurvatureReport]:
+    """``min_curvature`` of each metric of a stack.
 
     On so(3) the least curved plane is the metric-eigenvector plane lowest
     on ``_milnor_curvatures``.  On so(4) each metric's row of ``_verdicts``
-    runs on its ``curvature_operator()`` C, in its orthonormal coordinates
-    x = Lambda^1/2 V^T z, with the Pluecker quadrics scaled to x by
-    1/sqrt(lambda_i lambda_j) per bivector coordinate (i, j).  The search
-    set is the coordinate and metric-eigenvector planes of
-    ``_scored_basis``, and the further flat points are the
-    ``_partner_planes`` inside phi's repeated eigenspaces, which eigh's
-    basis misses.  The polish form is ``_plane_forms``, and its starts are
-    the first columns of the 30 basis planes in x.  A polished plane is
-    mapped back by z = V Lambda^-1/2 x, and every witness is canonicalized
-    and re-evaluated in closed form.  A metric's route depends on that
-    metric alone, so each report equals the one its metric gets alone,
-    byte for byte.
+    runs on its curvature operator C (``MetricStack.curvature_operators``),
+    in its orthonormal coordinates x = Lambda^1/2 V^T z, with the Pluecker
+    quadrics scaled to x by 1/sqrt(lambda_i lambda_j) per bivector
+    coordinate (i, j).  The search set is the coordinate and
+    metric-eigenvector planes of ``_scored_basis``, and the further flat
+    points are the ``_partner_planes`` inside phi's repeated eigenspaces,
+    which eigh's basis misses.  The polish form is ``_plane_forms``, and its
+    starts are the first columns of the 30 basis planes in x.  A polished
+    plane is mapped back by z = V Lambda^-1/2 x, and every witness is
+    canonicalized and re-evaluated in closed form, the witnesses of one
+    stage in one ``normalized_curvature_many`` call on their rows of the
+    stack.  A metric's route depends on that metric alone, so each report
+    equals the one its metric gets alone, byte for byte.
     """
-    d = metrics[0].algebra.dim
+    d = stack.algebra.dim
+    lam, vecs = stack.eigenvalues, stack.eigenvectors
 
-    def evaluated(m, frame):
-        """The canonical plane of the (2, d) frame, as two rows, and m's
-        curvature there."""
-        w = _canonical_plane(frame.T)
-        return w.T, float(normalized_curvature_many(m, w[None, :, 0], w[None, :, 1])[0])
+    def evaluated(metrics, frames):
+        """The canonical plane of each (d, 2) frame, as two rows, and the
+        curvature there of its metric, its row of the stack ``metrics``."""
+        w = np.array([_canonical_plane(frame) for frame in frames])
+        values = normalized_curvature_many(metrics, w[:, :, 0], w[:, :, 1]).tolist()
+        return list(zip(w.transpose(0, 2, 1), values))
 
     if d == 3:
         # phi's eigenvalues, and so the curvatures, carry eps kappa(phi) errors
-        lam = np.stack([m.eigenvalues for m in metrics])
-        curv = _milnor_curvatures(metrics[0].algebra.structure[0, 1, 2], lam)
+        curv = _milnor_curvatures(stack.algebra.structure[0, 1, 2], lam)
         delta = np.abs(curv).max(axis=1) * (_BOUND_MARGIN + _EIGH_ERROR * lam[:, -1] / lam[:, 0])
         low = np.argmin(curv, axis=1)
         i, j = wedge_pairs(3)
-        reports = []
-        for k, (m, b) in enumerate(zip(metrics, low)):
-            witness, final = evaluated(m, m.eigenvectors[:, [i[b], j[b]]].T)
-            reports.append(_report(final, witness, tol, exact=True,
-                                   lower_bound=float(curv[k, b] - delta[k])))
-        return reports
-    c = np.stack([m.curvature_operator() for m in metrics])
+        found = evaluated(stack, [v[:, [i[b], j[b]]] for v, b in zip(vecs, low)])
+        return [_report(final, witness, tol, exact=True, lower_bound=float(curv[k, b] - delta[k]))
+                for k, ((witness, final), b) in enumerate(zip(found, low))]
+    c = stack.curvature_operators()
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
-    basis, coords, frames = _scored_basis(metrics, c)
+    basis, coords, frames = _scored_basis(stack, c)
     n = coords.shape[2]
     i, j = wedge_pairs(d)
 
@@ -892,12 +905,11 @@ def _plane_reports(metrics, tol: float) -> list[CurvatureReport]:
         per bivector coordinate (i, j); the basis planes' unit bivectors in
         x (the metric-eigenvector planes' are the unit vectors); the partner
         planes; no margin floor."""
-        lam = np.stack([metrics[r].eigenvalues for r in rows])
-        s = 1.0 / np.sqrt(lam[:, i] * lam[:, j])
+        s = 1.0 / np.sqrt(lam[rows][:, i] * lam[rows][:, j])
         eye = np.broadcast_to(np.eye(n), (len(rows), n, n))
         return (s[:, None, :, None] * _plucker_forms(d) * s[:, None, None, :],
                 np.concatenate([coords[rows], eye], axis=2),
-                lambda k, top: _partner_planes(c[rows[k]], lam[k], top), np.zeros(len(rows)))
+                lambda k, top: _partner_planes(c[rows[k]], lam[rows[k]], top), np.zeros(len(rows)))
 
     def polish(rows):
         """The plane forms; the first columns of the basis planes in x; a
@@ -908,15 +920,21 @@ def _plane_reports(metrics, tol: float) -> list[CurvatureReport]:
                 np.concatenate([frames[rows, 0].transpose(0, 2, 1), first], axis=1),
                 1e-3 * delta[rows], _incidence(d).T, 3)
 
-    def witness(r, point):
-        m = metrics[r]
-        if isinstance(point, tuple):
-            # mapped back by z = V Lambda^-1/2 x, orthonormal in z
-            x = np.stack(point)[None, :, :, None]
-            frame = _gram_schmidt((m.eigenvectors / np.sqrt(m.eigenvalues)) @ x)[0, :, :, 0]
-        else:
-            frame = _basis_planes(np.eye(d) if point < n else m.eigenvectors)[:, :, point % n]
-        return evaluated(m, frame)
+    def witness(rows, points):
+        """Each point's (2, d) frame in z: a basis plane's columns, or a
+        polished pair mapped back by z = V Lambda^-1/2 x, orthonormal in z,
+        all of them in one call; then evaluated."""
+        frames = [None if isinstance(point, tuple)
+                  else _basis_planes(np.eye(d) if point < n else vecs[r])[:, :, point % n]
+                  for r, point in zip(rows, points)]
+        moved = [k for k, frame in enumerate(frames) if frame is None]
+        if moved:
+            own = [rows[k] for k in moved]
+            back = vecs[own] / np.sqrt(lam[own])[:, None, :]
+            x = np.array([points[k] for k in moved])[:, :, :, None]
+            for k, frame in zip(moved, _gram_schmidt(back[:, None] @ x)[:, :, :, 0]):
+                frames[k] = frame
+        return evaluated(stack.take(rows), [frame.T for frame in frames])
 
     entries = _verdicts(c, lam0, delta, basis, certificate, polish, tol, witness)
     return [_report(final, w, tol, exact=exact, lower_bound=lower)
@@ -950,7 +968,7 @@ def min_curvature(
     isolation.  ``seed`` is accepted and ignored, only because verdictbench
     still passes it.
     """
-    return _plane_reports([m], _check_tol(tol))[0]
+    return _plane_reports(MetricStack.of(m), _check_tol(tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1095,7 @@ def infinitesimal_check(
         form[None], lam0, delta, vals[None],
         lambda rows: (_segre_forms()[None], points[None], None, floor),
         lambda rows: (m[None], np.zeros((1, 0, 3)), stop, np.eye(9), 9), tol,
-        lambda r, point: witness(point))
+        lambda rows, points: [witness(point) for point in points])
     small = np.array([1e-4, 1e-3, 1e-2, 5e-2])
     times = small[path.admissible_many(small) & (small < 0.5 * path.t_max)].tolist()
     small_t = tuple(zip(times, kappa_of_t_many(path, av, bv, times).tolist()))
@@ -1207,13 +1225,13 @@ def path_scan(
     """``min_curvature`` of the path metric at each grid time: the one-path
     case of ``path_scan_many``.
 
-    Every grid time's metric is built by ``path.metric_at`` before any work
-    starts, so the first time outside the path's window raises the path's
-    HorizonExceeded, naming that time.  The times still open after the
-    certificate are polished together as one stack.  Entry i equals
-    ``min_curvature(path.metric_at(t_i))`` with ``t`` set, so the scan is
-    reproducible entry by entry.  ``seed`` is accepted and ignored, only
-    because verdictbench still passes it.
+    Every grid time's metric is built before any work starts, so the first
+    refused time raises its error naming it: HorizonExceeded outside the
+    path's window, NotPositiveDefinite where the metric's own gate refuses
+    it.  The times still open after the certificate are polished together
+    as one stack.  Entry i equals ``min_curvature(path.metric_at(t_i))``
+    with ``t`` set, so the scan is reproducible entry by entry.  ``seed`` is
+    accepted and ignored, only because verdictbench still passes it.
     """
     return path_scan_many(g, [psi], [t_grid], tol)[0]
 
@@ -1227,20 +1245,23 @@ def path_scan_many(
     """``path_scan`` of several paths on one algebra, in one batch.
 
     Entry k is ``path_scan(g, psis[k], t_grids[k], tol)``.
-    Every path and every grid time's metric is built before any search
-    starts, so the first refused time, path by path, raises HorizonExceeded
-    naming it; then every time of every path goes through the bound, the
-    certificate and the polish together.  Each time's rows depend on its
-    own metric alone, so entries stay byte for byte those of
-    ``min_curvature``.  ``psis`` and ``t_grids`` must have one entry per
-    path, each grid a 1-d sequence of real numbers, checked before any path
-    is built (ValueError); a NaN time raises the path's HorizonExceeded.
+    Every grid time's metric of every path is built before any search
+    starts, as one ``MetricStack`` (``path_metrics``: one batched ``eigh``),
+    so the first refused time, path by path, raises its error naming it;
+    then the stack goes through the bound, the certificate and the polish
+    together, with one curvature-operator call and one re-evaluation of
+    witnesses per stage.  Each time's rows depend on its own metric alone,
+    so entries stay byte for byte those of ``min_curvature``.  ``psis`` and
+    ``t_grids`` must have one entry per path, each grid a 1-d sequence of
+    real numbers, checked before any path is built (ValueError); a NaN time
+    raises the path's HorizonExceeded.
     """
     tol = _check_tol(tol)
     psis, t_grids = list(psis), [_grid_times(grid) for grid in t_grids]
     if len(psis) != len(t_grids):
         raise ValueError(f"one psi and t_grid per path, got {len(psis)} and {len(t_grids)}")
     paths = [InverseLinearPath(g, psi) for psi in psis]
-    metrics = [path.metric_at(t) for path, grid in zip(paths, t_grids) for t in grid]
-    reports = iter(_plane_reports(metrics, tol) if metrics else [])
+    if not any(t_grids):
+        return [[] for _ in t_grids]
+    reports = iter(_plane_reports(path_metrics(paths, t_grids), tol))
     return [[replace(next(reports), t=t) for t in grid] for grid in t_grids]

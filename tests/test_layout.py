@@ -105,6 +105,7 @@ DELETED = [
     "families.s3_action_phi_at_time",
     "metric.b_term",
     "metric._DEFINITENESS_GATE",
+    "metric.wedge_many",
     "normalform._kernel",
     "normalform.invariant_plane_residual",
     "suites._constrained_normal_form",
@@ -136,6 +137,7 @@ DELETED = [
     "verify._quotient_value_and_gradient",
     "verify._search",
     "verify._smallest_eigenvalues",
+    "verify._to_orthonormal",
     "verify._unit_columns",
     "verify._whitened_operators",
 ]
@@ -248,8 +250,7 @@ KEPT_PUBLIC = {
     "families.inverse_linear_eigs_s3": "the closed-form reference that test_acceptance checks",
     "verify.lemma_k_check": "ROADMAP item 7: the rigidity block of liecurv infinitesimal",
     "normalform.psi_normal_form": "ROADMAP item 7: the rigidity block of liecurv infinitesimal",
-    "metric.normalized_curvature": "pending item 14: one-row door of normalized_curvature_many",
-    "metric.wedge_many": "pending item 14: called by tests only",
+    "metric.normalized_curvature": "the validated one-plane door: checks both vectors, returns a float",
     "variation.k_of_t": "pending item 14: one-row door of k_of_t_many",
     "variation.kappa_of_t": "pending item 14: one-row door of kappa_of_t_many",
     "variation.k_second_deriv": "pending item 14: one-row door of its stacked pair formula",

@@ -42,14 +42,15 @@ from liecurv import (
 )
 from liecurv import verify
 from liecurv.cli import main as cli_main
-from liecurv.metric import normalized_curvature_many, wedge_many, wedge_pairs
+from liecurv.metric import MetricStack, normalized_curvature_many, wedge_pairs
 from liecurv.suites import family_scan_cases
-from liecurv.variation import kappa_third_deriv_many
+from liecurv.variation import kappa_third_deriv_many, path_metrics
 from liecurv.verify import (
     DEFAULT_TOL,
     _alternate,
     _basis_planes,
     _biquadratic,
+    _canonical_plane,
     _certify,
     _cluster_cuts,
     _gram_schmidt,
@@ -59,15 +60,22 @@ from liecurv.verify import (
     _outer_rows,
     _pair_form,
     _plane_forms,
+    _plane_reports,
     _plucker_forms,
     _quotient_values,
     _milnor_curvatures,
     _segre_forms,
-    _to_orthonormal,
     _verdicts,
 )
 
 from conftest import random_automorphism, random_rotation, random_spd, random_symmetric
+
+
+def _wedge(z1s, z2s):
+    """Row-wise bivector coordinates of z1 ^ z2 on (n, dim) stacks, in the
+    order of ``wedge_pairs``."""
+    i, j = wedge_pairs(z1s.shape[1])
+    return z1s[:, i] * z2s[:, j] - z1s[:, j] * z2s[:, i]
 
 
 def _unit_columns(ab):
@@ -329,12 +337,12 @@ def test_basis_planes_follow_wedge_coordinates(g3, g4):
     rng = np.random.default_rng(44)
     for g in (g3, g4):
         frames = _basis_planes(np.eye(g.dim))
-        w = wedge_many(frames[0].T, frames[1].T)
+        w = _wedge(frames[0].T, frames[1].T)
         assert np.array_equal(w, np.eye(len(w)))
         # B = _incidence(d) takes z1 (x) z2 to the same coordinates
         z = rng.standard_normal((2, g.dim, 50))
         outer = np.einsum("in,jn->ijn", z[0], z[1]).reshape(-1, 50)
-        assert np.array_equal((_incidence(g.dim) @ outer).T, wedge_many(z[0].T, z[1].T))
+        assert np.array_equal((_incidence(g.dim) @ outer).T, _wedge(z[0].T, z[1].T))
 
 
 def _quotient_gradient(op, x):
@@ -566,7 +574,7 @@ def _unstopped(m, seed):
     op = (m.curvature_operator(), _incidence(6))
     raw = np.random.default_rng(seed).standard_normal((samples, 6, 2))
     pool = np.concatenate([raw.T, _basis_planes(np.eye(6)), _basis_planes(m.eigenvectors)], axis=2)
-    x = _to_orthonormal(m, pool)
+    x = _gram_schmidt((np.sqrt(m.eigenvalues)[:, None] * m.eigenvectors.T @ pool)[None])
     starts = x[..., np.argsort(_quotient_values(op, x)[0][0], kind="stable")[:restarts]]
     val, x = _unstopped_descend(lambda s: _quotient_gradient(op, s), _gram_schmidt, starts, steps)
     frame = np.linalg.qr(_to_reference(m, x[0, :, :, np.argmin(val[0])].T))[0]
@@ -738,7 +746,7 @@ def test_plucker_forms_vanish_on_planes_only():
     forms = _plucker_forms(6)
     assert forms.shape == (15, 15, 15) and np.array_equal(forms, forms.transpose(0, 2, 1))
     rng = np.random.default_rng(71)
-    w = wedge_many(rng.standard_normal((50, 6)), rng.standard_normal((50, 6)))
+    w = _wedge(rng.standard_normal((50, 6)), rng.standard_normal((50, 6)))
     values = np.einsum("nk,qkl,nl->nq", w, forms, w)
     assert np.abs(values).max() <= 1e-14 * np.einsum("nk,nk->n", w, w).max()
     v = np.zeros(15)
@@ -1317,7 +1325,7 @@ def test_near_gate_metrics_close_only_where_the_routes_agree(g4):
         rep = min_curvature(m)
         r, h = _reference_operator(m), _gram(m)
         delta = _delta(m)
-        w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
+        w = _wedge(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > delta:
             assert not rep.exact
         closed += rep.exact
@@ -1352,7 +1360,7 @@ def test_near_gate_family_members_close_only_where_the_routes_agree(g4):
             continue
         rep = min_curvature(m)
         r, h = _reference_operator(m), _gram(m)
-        w = wedge_many(*(np.array(v)[None] for v in rep.witness))[0]
+        w = _wedge(*(np.array(v)[None] for v in rep.witness))[0]
         if abs(rep.min_value - (w @ r @ w) / (w @ h @ w)) > _delta(m):
             assert not rep.exact
             disagree += 1
@@ -1793,8 +1801,11 @@ def test_stacked_pair_rows_equal_single_runs(g4):
             return tuple(np.concatenate(p) if j in per_row else p[0] for j, p in enumerate(parts))
         return call
 
+    def witness(rows, points):
+        return [inputs[r][0][7]([0], [point])[0] for r, point in zip(rows, points)]
+
     entries = _verdicts(*map(stacked, range(4)), joined(4, (0, 1, 3)), joined(5, (0, 1, 2)),
-                        DEFAULT_TOL, lambda r, point: inputs[r][0][7](0, point))
+                        DEFAULT_TOL, witness)
     assert [_entry_bytes(entry) for entry in entries] == [single for _, single in inputs]
 
 
@@ -1812,9 +1823,12 @@ def _lifted_row(shape, lam):
     lam0, delta = _lower_bound(np.linalg.eigvalsh(c))
     polish = _plane_forms(c, delta, d) if shape == "plane" else _biquadratic(c[0])[None]
 
-    def witness(r, point):
-        w = np.eye(k)[point] if isinstance(point, int) else read.T @ np.outer(*point).ravel()
-        return point, float(w @ c[r] @ w / (w @ w))
+    def witness(rows, points):
+        out = []
+        for r, point in zip(rows, points):
+            w = np.eye(k)[point] if isinstance(point, int) else read.T @ np.outer(*point).ravel()
+            out.append((point, float(w @ c[r] @ w / (w @ w))))
+        return out
 
     return (c, lam0, delta, np.diag(c[0])[None],
             lambda rows: (forms[None], np.eye(k)[None], None, np.zeros(1)),
@@ -2250,6 +2264,195 @@ def test_path_scan_many_refuses_a_time_before_drawing(g4, monkeypatch):
 def test_path_scan_many_needs_one_entry_per_path(g4, psis, grids):
     with pytest.raises(ValueError, match="one psi and t_grid per path"):
         path_scan_many(g4, [np.eye(6)] * psis, [[0.1]] * grids)
+
+
+def _gate_probe():
+    """The boundary probe of ``default_rng(14)``: 20 draws of psi = m + m^T,
+    each with the 13 times within 6 ulps of t* = (1 - 1e-12) / (lambda_max -
+    1e-12 lambda_min), where the window's gate changes its answer."""
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        m = rng.standard_normal((6, 6))
+        psi = m + m.T
+        lam = np.linalg.eigvalsh(psi)
+        t = (1.0 - 1e-12) / (lam[-1] - 1e-12 * lam[0])
+        times = [t]
+        up = down = t
+        for _ in range(6):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            times += [up, down]
+        yield psi, [float(t) for t in times]
+
+
+def test_path_scan_names_a_time_the_metric_gate_refuses(g4):
+    """On the boundary probe, a time the window refuses raises
+    HorizonExceeded and a time it admits either scans or, at 6 of the 260
+    times, fails the metric's own gate on phi_t's ``eigh``: that raises
+    NotPositiveDefinite naming the time, in ``path_scan`` as in
+    ``path_metrics``."""
+    refused = []
+    for psi, times in _gate_probe():
+        path = InverseLinearPath(g4, psi)
+        for t, admitted in zip(times, path.admissible_many(times)):
+            if not admitted:
+                with pytest.raises(HorizonExceeded, match=re.escape(f"t={t} ")):
+                    path_scan(g4, psi, [0.0, t])
+                continue
+            try:
+                path.metric_at(t)
+            except NotPositiveDefinite:
+                for call in (lambda: path_scan(g4, psi, [0.0, t]),
+                             lambda: path_metrics([path], [[0.0, t]])):
+                    with pytest.raises(NotPositiveDefinite, match=re.escape(f"t={t}: phi eigenvalues")):
+                        call()
+                refused.append((psi, t))
+    assert len(refused) == 6
+
+
+def test_first_refused_time_in_path_order_raises(g4):
+    """The window's refusals and the metric gate's are ordered together:
+    whichever refused time comes first, path after path and time after time,
+    raises its own error."""
+    (psi, t), beyond = next((psi, t) for psi, times in _gate_probe() for t in times
+                           if InverseLinearPath(g4, psi).admissible_many([t])[0]
+                           and not _builds(g4, psi, t)), [0.2, 1e3]
+    torus = torus_psi(0.5, -0.2, 0.3, 0.9, 0.4)
+    with pytest.raises(NotPositiveDefinite, match=re.escape(f"t={t}: ")):
+        path_scan_many(g4, [psi, torus], [[0.0, t, 1e3], beyond])
+    with pytest.raises(HorizonExceeded, match=re.escape("t=1000.0 ")):
+        path_scan_many(g4, [torus, psi], [beyond, [t]])
+    with pytest.raises(HorizonExceeded, match=re.escape("t=1000.0 ")):
+        path_scan_many(g4, [psi], [[1e3, t]])
+
+
+def _builds(g, psi, t) -> bool:
+    try:
+        InverseLinearPath(g, psi).metric_at(t)
+    except NotPositiveDefinite:
+        return False
+    return True
+
+
+def _obs_paths(seed):
+    """The paths and grids that obs-3.2-paths scans at a suite seed."""
+    rng = np.random.default_rng(seed)
+    cases = [family_scan_cases(rng, kind) for kind in ("product", "torus", "s3-action")
+             for _ in range(2)]
+    paths = InverseLinearPath.many(so4(), [psi for psi, _ in cases])
+    return paths, [np.array([0.25, 0.5, 0.75]) * cap for _, cap in cases]
+
+
+def _metric_sets():
+    """(name, metrics, stack) for the 40-metric set, 200 ``random_spd``
+    draws at floors 0.3 and 1e-3, and the path metrics of obs-3.2-paths at
+    seeds 0-9 (18 a seed)."""
+    g = so4()
+    for name, phis in (("forty", _forty_metric_phis()),
+                       *((f"spd {floor}", [random_spd(rng, 6, floor) for _ in range(200)])
+                         for floor in (0.3, 1e-3) for rng in [np.random.default_rng(11)])):
+        yield name, [LeftInvariantMetric(g, phi) for phi in phis], \
+            MetricStack.validated(g, phis, lambda n: "")
+    for seed in range(10):
+        paths, grids = _obs_paths(seed)
+        metrics = [path.metric_at(t) for path, grid in zip(paths, grids) for t in grid]
+        yield f"obs paths {seed}", metrics, path_metrics(paths, grids)
+
+
+def test_stacked_operators_and_values_are_the_per_metric_ones():
+    """``MetricStack`` rows are bitwise their metrics: phi and its
+    eigenpairs, the curvature operator, and ``normalized_curvature_many`` at
+    canonical planes (strided rows, as the search passes them) and at
+    contiguous rows, on stacks of T = 0, 1 and 18 rows and on whole sets."""
+    rng = np.random.default_rng(8)
+    for name, metrics, stack in _metric_sets():
+        for rows in (np.arange(0), np.arange(1), np.arange(18), np.arange(len(metrics))):
+            sub = stack.take(rows)
+            ops = sub.curvature_operators()
+            assert ops.shape == (len(rows), 15, 15), name
+            frames = [np.linalg.qr(rng.standard_normal((6, 2)))[0] for _ in rows]
+            w = np.array([_canonical_plane(f) for f in frames]).reshape(len(rows), 6, 2)
+            z = rng.standard_normal((2, len(rows), 6))
+            strided = normalized_curvature_many(sub, w[:, :, 0], w[:, :, 1])
+            contiguous = normalized_curvature_many(sub, z[0], z[1])
+            for k, r in enumerate(rows):
+                m = metrics[r]
+                assert np.array_equal(sub.phis[k], m.phi), name
+                assert np.array_equal(sub.eigenvalues[k], m.eigenvalues), name
+                assert np.array_equal(sub.eigenvectors[k], m.eigenvectors), name
+                assert np.array_equal(ops[k], m.curvature_operator()), name
+                one = normalized_curvature_many(m, w[k, None, :, 0], w[k, None, :, 1])[0]
+                assert strided[k] == one, name
+                assert contiguous[k] == normalized_curvature_many(m, z[0, k, None], z[1, k, None])[0]
+
+
+def _routes(call):
+    """call()'s result and which stages of ``_verdicts`` ran: the
+    least-squares solve, the barrier, the Newton polish."""
+    spies = [mock.patch.object(verify, name, wraps=getattr(verify, name))
+             for name in ("_plucker_weights", "_barrier", "_newton_pairs")]
+    with spies[0] as solve, spies[1] as barrier, spies[2] as polish:
+        out = call()
+    return out, (solve.called, barrier.called, polish.called)
+
+
+def test_stacked_plane_rows_equal_single_runs(g3, g4):
+    """``_plane_reports`` on one stack with a row of every route gives each
+    metric its ``min_curvature`` report alone, byte for byte: the
+    bi-invariant metric closes at W = 0, two torus members on the solve,
+    two draws of the 40-metric set after the barrier, and the quotient
+    S3ActionParams(2, 0.5, (1, 1.40002, 1)) after the polish.  An so(3)
+    stack does the same on Milnor's closed form."""
+    rng = np.random.default_rng(62)
+    phis = [np.eye(6), _family_member(rng, "torus"), _family_member(rng, "torus"),
+            *_forty_metric_phis()[:2],
+            s3_action_phi(S3ActionParams(2.0, 0.5, (1.0, 1.40002, 1.0)))]
+    alone, routes = [], []
+    for phi in phis:
+        rep, route = _routes(lambda: min_curvature(LeftInvariantMetric(g4, phi)))
+        alone.append(json.dumps(rep.to_dict()))
+        routes.append(route)
+    assert routes == [(False, False, False), (True, False, False), (True, False, False),
+                      (True, True, True), (True, True, True), (True, True, True)]
+    stack = MetricStack.validated(g4, phis, lambda n: "")
+    assert [json.dumps(rep.to_dict()) for rep in _plane_reports(stack, DEFAULT_TOL)] == alone
+    phis3 = [random_spd(rng, 3) for _ in range(5)] + [np.diag([1.0, 2.0, 2.0])]
+    stack3 = MetricStack.validated(g3, phis3, lambda n: "")
+    assert [json.dumps(rep.to_dict()) for rep in _plane_reports(stack3, DEFAULT_TOL)] == \
+        [json.dumps(min_curvature(LeftInvariantMetric(g3, phi)).to_dict()) for phi in phis3]
+
+
+def test_path_scan_many_does_no_per_row_work(g4):
+    """``path_scan_many`` builds its metrics and operators as stacks, with no
+    ``metric_at``, ``LeftInvariantMetric`` or ``curvature_operator()`` call,
+    and re-evaluates witnesses with at most one ``normalized_curvature_many``
+    call per stage of ``_verdicts``: here W = 0 (the psi = 0 path), the
+    certificate and the polish each make one."""
+    rng = np.random.default_rng(91)
+    torus = family_scan_cases(rng, "torus")[0]
+    family_scan_cases(rng, "s3-action")
+    noisy = _family_member(rng, "quotient") + 1e-8 * random_symmetric(rng, 6)
+    psis = [np.zeros((6, 6)), torus, np.eye(6) - np.linalg.inv(noisy), 0.3 * random_symmetric(rng, 6)]
+    grids = [[0.5], [0.3, 0.6], [0.5, 1.0], [0.5]]
+    want = path_scan_many(g4, psis, grids)
+    log = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    refuse = mock.Mock(side_effect=AssertionError("per-row work"))
+    with mock.patch.object(InverseLinearPath, "metric_at", refuse), \
+            mock.patch.object(LeftInvariantMetric, "curvature_operator", refuse), \
+            mock.patch.object(LeftInvariantMetric, "__init__", refuse), \
+            mock.patch.object(verify, "normalized_curvature_many",
+                              logged("values", normalized_curvature_many)), \
+            mock.patch.object(verify, "_certify", logged("certify", verify._certify)), \
+            mock.patch.object(verify, "_newton_pairs", logged("polish", verify._newton_pairs)):
+        scans = path_scan_many(g4, psis, grids)
+    assert scans == want
+    assert log == ["values", "certify", "values", "polish", "values"]
 
 
 # Wrong verdicts that ROADMAP lists as open defects.  Each test is a strict
