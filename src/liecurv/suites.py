@@ -498,26 +498,28 @@ def bracket_identity_rows(seed: int) -> list[SuiteRow]:
         ),
         (values[100:], [((1, 1, 1), signs) for _, signs, _ in _ELIMINATION_CASES]),
     ])
-    # the closed forms take each draw's fields as numpy scalars
-    params = [NormalFormParams(*row) for row in values[:100]]
-    stratum = [NormalFormParams(*row) for row in values[100:]]
+    # the closed forms, the fit and _worst_fit run on Python floats: an
+    # array's x**2 is x*x, which is not always the scalar x**2 (libm pow)
+    params = [NormalFormParams(*row) for row in values[:100].tolist()]
+    stratum = [NormalFormParams(*row) for row in values[100:].tolist()]
 
     num = den = 0.0
     closed0 = _IDENTITY_CASES[0][3]
-    for p, lhs in zip(params, table[:, 0]):
+    for p, lhs in zip(params, table[:, 0].tolist()):
         rhs = closed0(p)
         num += lhs * rhs
         den += rhs * rhs
-    const = float(num / den)
+    const = num / den
 
     rows = [SuiteRow("constant-positive", max(0.0, -const), 0.0)]
     for k, (name, _, _, closed) in enumerate(_IDENTITY_CASES):
-        rows.append(SuiteRow(name, _worst_fit(params, table[:, k], const, closed), 1e-10))
+        rows.append(SuiteRow(name, _worst_fit(params, table[:, k].tolist(), const, closed), 1e-10))
     for k, (name, _, _, closed) in enumerate(_SUM_CASES):
-        lhs = table[:, n_id + 2 * k] + table[:, n_id + 2 * k + 1]
+        lhs = (table[:, n_id + 2 * k] + table[:, n_id + 2 * k + 1]).tolist()
         rows.append(SuiteRow(name, _worst_fit(params, lhs, const, closed), 1e-10))
     for k, (name, _, closed) in enumerate(_ELIMINATION_CASES):
-        rows.append(SuiteRow(name, _worst_fit(stratum, elimination[:, k], const, closed), 1e-10))
+        rows.append(SuiteRow(name, _worst_fit(stratum, elimination[:, k].tolist(), const, closed),
+                             1e-10))
     return rows
 
 

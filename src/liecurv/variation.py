@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import LieAlgebra, symmetric_matrices, symmetric_matrix
-from .errors import DimensionMismatch, HorizonExceeded, NotCommuting
+from .errors import DimensionMismatch, HorizonExceeded, NotCommuting, NotPositiveDefinite
 from .metric import DEFINITENESS_GATE, LeftInvariantMetric, MetricStack, puttmann_curvature_many
 
 __all__ = [
@@ -158,7 +158,14 @@ class InverseLinearPath:
         return _PathRows([self], [[t]]).phis[0]
 
     def metric_at(self, t: float) -> LeftInvariantMetric:
-        return LeftInvariantMetric(self.algebra, self.phi_at(t))
+        """The metric at time t.  A refused time raises its error naming it,
+        as ``path_metrics`` names it: HorizonExceeded outside the window,
+        NotPositiveDefinite where the metric's own gate refuses phi_t."""
+        phi = self.phi_at(t)
+        try:
+            return LeftInvariantMetric(self.algebra, phi)
+        except NotPositiveDefinite as err:
+            raise NotPositiveDefinite(f"t={float(t)}: {err}") from None
 
 
 def path_metrics(paths, grids) -> MetricStack:

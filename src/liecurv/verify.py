@@ -31,9 +31,10 @@ b).G(a (x) b), with G the 9x9 ``_pair_form``.  Both run one driver,
    nonnegative curvature operators*, J. Diff. Geom. 1972).  Where C + W - t
    I is semidefinite, a point with w.(C + W - t I)w = 0 has (C + W - t I)w
    = 0, so at t = the best search value each flat search point gives
-   linear equations in W, and one least-squares solve takes W from them
-   (from further flat points too, where they leave W free).  A row that
-   solve leaves short takes a log-barrier Newton method's bound instead.
+   linear equations in W, and one least-squares solve takes W from them.
+   A row that solve leaves short asks its route for further flat points,
+   given the solve's C + W, and solves once more where it gets any; a row
+   still short takes a log-barrier Newton method's bound instead.
 3. The best search point is tried again on the lifted bound.
 4. The open polish: where the lifted bound is tight, the witness lies in
    the lowest eigenspace of C + W, so exact alternating minimization
@@ -57,11 +58,13 @@ carries the lifted bound less its margin.  What each route passes in:
   call on their rows of the metric stack.
 * pairs: G; the 9 Segre quadrics, the 2x2 minors of a b^T; three pairs,
   the top singular vectors of G's three lowest eigenvectors read as 3x3
-  matrices and polished by ``_alternate``, as the search set, with no
-  further points; no extra starts, and all 9 eigenvectors; a margin floor
-  of 1e-12 ||psi||_2^3, as G carries rounding at that scale.  A
-  nonnegative biquadratic form need not be a sum of squares, so a pair can
-  stay open.
+  matrices and polished by ``_alternate``, as the search set, and as its
+  further flat points the rank-one a b^T of the top singular pair of each
+  eigenvector of the short solve's G + W within its margin of lambda_min,
+  read the same way, where flat; no extra starts, and all 9 eigenvectors;
+  a margin floor of 1e-12 ||psi||_2^3, as G carries rounding at that
+  scale.  A nonnegative biquadratic form need not be a sum of squares, so
+  a pair can stay open.
 
 The cap of 200 rounds and 200 Newton steps on every polish is a fixed
 constant, not an option.  ``_alternate`` stops each row of its (T, n, d)
@@ -540,13 +543,12 @@ def _partner_planes(c: np.ndarray, eigenvalues: np.ndarray, top: float) -> np.nd
     return np.concatenate(planes, axis=1)
 
 
-def _plucker_weights(forms: np.ndarray, c: np.ndarray, t: float, w: np.ndarray):
+def _plucker_weights(forms: np.ndarray, c: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
     """The least-squares weights y of the (q, k, k) quadrics ``forms`` with
     sum_a y_a K_a w = (t I - c) w for each column w of the (k, n) planes w,
-    one block of k equations each, and the rank of that system."""
+    one block of k equations each."""
     lhs = (forms @ w).transpose(2, 1, 0).reshape(-1, len(forms))
-    y, _, rank, _ = np.linalg.lstsq(lhs, (t * w - c @ w).T.reshape(-1), rcond=None)
-    return y, rank
+    return np.linalg.lstsq(lhs, (t * w - c @ w).T.reshape(-1), rcond=None)[0]
 
 
 def _certify(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, values: np.ndarray,
@@ -570,26 +572,32 @@ def _certify(c: np.ndarray, lam0: np.ndarray, delta: np.ndarray, values: np.ndar
     (C + W - t I)w = 0.  So at t = target each flat point w (one within
     delta of the target) gives k linear equations in the weights of W, and
     each row not yet done takes W from them by one least-squares solve, a
-    row at a time.  Where those equations leave W free (their rank is below
-    the number of quadrics), ``more(r, top)``, if given, adds row r's
-    further flat points with value at most top = target + delta, and the
-    row solves once more.  Any W gives a valid bound, so the choice of
-    points decides only how high it reaches.  A row whose solve does not
-    reach its target takes the bound of ``_barrier`` from W = 0 instead.
+    row at a time.  Only a row whose solve falls short of its target calls
+    ``more(r, top, lifted)``, with that solve's lifted operator C + W, for
+    row r's further flat points with value at most top = target + delta;
+    where it returns any, the row solves once more from all its points.
+    Any W gives a valid bound, so the choice of points decides only how
+    high it reaches.  A row still short takes the bound of ``_barrier``
+    from W = 0 instead.
     """
     target = values.min(axis=1)
     bound, margin, weights = lam0.copy(), delta.copy(), np.zeros_like(c)
     live = bound + margin < target
+
+    def solve(r, w):
+        """Row r's weights W from the flat points w, its bound and margin."""
+        lifted = np.tensordot(_plucker_weights(forms[r], c[r], target[r], w), forms[r], 1)
+        lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + lifted))
+        return lifted, lw0, max(dw, floor[r])
+
     for r in np.flatnonzero(live):
         top = target[r] + delta[r]
         w = points[r][:, values[r] <= top]
-        y, rank = _plucker_weights(forms[r], c[r], target[r], w)
-        if rank < len(forms[r]) and more is not None:
-            w = np.concatenate([w, more(r, top)], axis=1)
-            y = _plucker_weights(forms[r], c[r], target[r], w)[0]
-        lifted = np.tensordot(y, forms[r], 1)
-        lw0, dw = _lower_bound(np.linalg.eigvalsh(c[r] + lifted))
-        dw = max(dw, floor[r])
+        lifted, lw0, dw = solve(r, w)
+        if lw0 + dw < target[r]:
+            extra = more(r, top, c[r] + lifted)
+            if extra.shape[1]:
+                lifted, lw0, dw = solve(r, np.concatenate([w, extra], axis=1))
         if lw0 + dw >= target[r]:
             bound[r], margin[r], weights[r], live[r] = lw0, dw, lifted, False
     rows = np.flatnonzero(live)
@@ -685,9 +693,9 @@ def _verdicts(c, lam0, delta, values, certificate, polish, tol: float, witness) 
       ``values``: the (T, n) values of each row's search set;
     * ``certificate(rows)``: what ``_certify`` takes for those rows, their
       (R, q, k, k) quadrics, which vanish on every decomposable w, the (R,
-      k, n) unit points of their search sets, ``more(i, top)`` (row i's
-      further flat points for the solve) or None, and their (R,) margin
-      floors;
+      k, n) unit points of their search sets, ``more(i, top, lifted)``
+      (row i's further flat points, asked for only once its first solve
+      falls short, given that solve's C + W), and their (R,) margin floors;
     * ``polish(rows)``: what the open polish takes for those rows, their
       (R, d*d, d*d) biquadratic forms of ``_alternate``, their (R, s, d)
       extra starts, the (R,) gains that end their rounds, and the (d*d, k)
@@ -909,7 +917,8 @@ def _plane_reports(stack: MetricStack, tol: float) -> list[CurvatureReport]:
         eye = np.broadcast_to(np.eye(n), (len(rows), n, n))
         return (s[:, None, :, None] * _plucker_forms(d) * s[:, None, None, :],
                 np.concatenate([coords[rows], eye], axis=2),
-                lambda k, top: _partner_planes(c[rows[k]], lam[rows[k]], top), np.zeros(len(rows)))
+                lambda k, top, lifted: _partner_planes(c[rows[k]], lam[rows[k]], top),
+                np.zeros(len(rows)))
 
     def polish(rows):
         """The plane forms; the first columns of the basis planes in x; a
@@ -1050,14 +1059,19 @@ def infinitesimal_check(
     eigenvectors read as 3x3 matrices X, w[3i + k] = X_ik, each polished
     alone by at most 200 rounds of ``_alternate``; they give the Segre solve
     its points (one pair alone leaves W too free to close a symmetric
-    form).  The open polish has no further starts.  ``lower_bound`` is the
-    bound less its margin, and the report is ``exact`` when the witness's
-    re-evaluated kappa''' meets it (min_value - lower_bound <= 2 delta).  A
-    nonnegative biquadratic form need not be a sum of squares (Choi,
-    *Positive semidefinite biquadratic forms*, Linear Algebra Appl. 1975),
-    so a report can stay open.  kappa''' itself is evaluated only on
-    witness pairs.  No random number is drawn.  ``seed`` is accepted and
-    ignored, only because verdictbench still passes it.
+    form).  Where that solve falls short, the top singular pair a, b of
+    each eigenvector of its G + W within its margin of lambda_min, read as
+    a 3x3 matrix, gives the rank-one point a (x) b, and the flat ones join
+    a second solve: the diagonal projector, whose three pairs leave W
+    free, closes there.  The open polish has no extra starts.
+    ``lower_bound`` is the bound less its margin, and the report is
+    ``exact`` when the witness's re-evaluated kappa''' meets it (min_value
+    - lower_bound <= 2 delta).  A nonnegative biquadratic form need not be
+    a sum of squares (Choi, *Positive semidefinite biquadratic forms*,
+    Linear Algebra Appl. 1975), so a report can stay open.  kappa''' itself
+    is evaluated only on witness pairs.  No random number is drawn.
+    ``seed`` is accepted and ignored, only because verdictbench still
+    passes it.
 
     A negative minimum refutes infinitesimal nonnegativity of the variation;
     a nonnegative minimum is proven when the report is ``exact`` and is a
@@ -1086,6 +1100,16 @@ def infinitesimal_check(
                             np.repeat(stop, 3), np.repeat(lam0 + delta, 3))
     points = (a[:, :, None] * b[:, None, :]).reshape(-1, 9).T
 
+    def kernel_points(row, top, lifted):
+        """The (9, n) unit a (x) b of the top singular pair of each
+        eigenvector of G + W within its margin (floored as the bound's) of
+        lambda_min, read as a 3x3 matrix, kept where w.Gw <= top."""
+        eigs, vecs = np.linalg.eigh(lifted)
+        low, margin = _lower_bound(eigs)
+        u, _, vt = np.linalg.svd(vecs[:, eigs <= low + max(margin, floor[row])].T.reshape(-1, 3, 3))
+        w = (u[:, :, 0, None] * vt[:, None, 0]).reshape(-1, 9).T
+        return w[:, np.einsum("kn,kl,ln->n", w, form, w) <= top]
+
     def witness(point):
         x, y = point if isinstance(point, tuple) else (a[point], b[point])
         av, bv = g.embed_factor(_sign_normalized(x), 1), g.embed_factor(_sign_normalized(y), 2)
@@ -1093,7 +1117,7 @@ def infinitesimal_check(
 
     [((av, bv), final, exact, lower)] = _verdicts(
         form[None], lam0, delta, vals[None],
-        lambda rows: (_segre_forms()[None], points[None], None, floor),
+        lambda rows: (_segre_forms()[None], points[None], kernel_points, floor),
         lambda rows: (m[None], np.zeros((1, 0, 3)), stop, np.eye(9), 9), tol,
         lambda rows, points: [witness(point) for point in points])
     small = np.array([1e-4, 1e-3, 1e-2, 5e-2])

@@ -30,7 +30,7 @@ from liecurv import (
     so4,
     variation,
 )
-from liecurv import suites
+from liecurv import suites, verify
 from liecurv.metric import normalized_curvature_many
 from liecurv.variation import (
     default_step,
@@ -246,6 +246,20 @@ def test_suite_takes_its_closed_forms_or_scans_in_one_call(monkeypatch, suite, k
     monkeypatch.setattr(owner, name, counting)
     assert suites.run_suite(suite, seed=3).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_no_suite_takes_the_barrier_bound(monkeypatch, seed):
+    """Every verdict of every suite closes at W = 0, on a certificate solve
+    or in the polish: none takes the log-barrier bound.  example-2.4's
+    unrotated diagonal projector, whose three pairs leave the Segre
+    weights free, closes on the second solve with its kernel point."""
+    def refused(*args):
+        raise AssertionError("_barrier")
+
+    monkeypatch.setattr(verify, "_barrier", refused)
+    for name in suites.SUITES:
+        assert suites.run_suite(name, seed=seed).passed, name
 
 
 # ---------------------------------------------------------------------------

@@ -1441,16 +1441,63 @@ def test_shrink_projector_closes_on_the_segre_solve_alone(g4, swap):
 def test_axis_aligned_projector_closes_on_the_certificate(g4, monkeypatch, c):
     """c times the diagonal projector, unconjugated: eigh's basis of G's
     repeated lowest eigenspace is aligned with the axes, so at c = 1 its
-    three polished pairs leave the Segre weights free, the solve falls
-    short and the barrier closes.  No open polish runs (no Newton step is
-    built), and the report is exact at min(-3/4 c^3, 0)."""
+    three polished pairs leave the Segre weights free and the first solve
+    falls short.  The rank-one point nearest the lowest eigenvector of that
+    solve's G + W is flat, and the second solve closes: no barrier runs.
+    At the other c the first solve closes.  No open polish runs (no Newton
+    step is built), and the report is exact at min(-3/4 c^3, 0)."""
     monkeypatch.setattr(verify, "_newton_pairs", mock.Mock(side_effect=AssertionError("open")))
-    barrier = mock.Mock(wraps=verify._barrier)
-    monkeypatch.setattr(verify, "_barrier", barrier)
+    monkeypatch.setattr(verify, "_barrier", mock.Mock(side_effect=AssertionError("_barrier")))
+    solve = mock.Mock(wraps=verify._plucker_weights)
+    monkeypatch.setattr(verify, "_plucker_weights", solve)
     rep = infinitesimal_check(g4, c * diagonal_subalgebra(g4).projector)
     assert rep.exact and rep.lower_bound <= rep.min_value
     assert abs(rep.min_value - min(-0.75 * c**3, 0.0)) <= 1e-12
-    assert barrier.call_count == (c == 1.0)
+    assert solve.call_count == (2 if c == 1.0 else 1)
+
+
+@pytest.mark.parametrize("draw, events", [
+    (1, ["solve"]),
+    (0, ["solve", ("more", 0), "barrier"]),
+    (None, ["solve", ("more", 1), "solve"]),
+])
+def test_further_points_follow_a_first_solve_that_falls_short(g4, draw, events):
+    """``_certify`` consults ``more`` only after a row's first solve falls
+    short, on that solve's lifted operator C + W, and solves again only
+    where ``more`` adds a point.  Draw 1 of psi = m + m^T from
+    ``default_rng(16)`` closes on its first solve and never consults it;
+    draw 0 falls short, gets no point, and goes from its one solve to the
+    barrier; the diagonal projector gets one point and closes on the second
+    solve."""
+    psi = diagonal_subalgebra(g4).projector if draw is None else _symmetric_draw(16, draw)
+    log, last = [], []
+    certify, solve, barrier = verify._certify, verify._plucker_weights, verify._barrier
+
+    def spied_solve(forms, c, t, w):
+        last[:] = [forms, c, solve(forms, c, t, w)]
+        log.append("solve")
+        return last[2]
+
+    def spied_barrier(*args):
+        log.append("barrier")
+        return barrier(*args)
+
+    def spied_certify(c, lam0, delta, values, forms, points, more, floor):
+        def spied_more(r, top, lifted):
+            forms_r, c_r, y = last
+            assert np.array_equal(lifted, c_r + np.tensordot(y, forms_r, 1))
+            low, margin = _lower_bound(np.linalg.eigvalsh(lifted))
+            assert low + max(margin, floor[r]) < values[r].min()
+            extra = more(r, top, lifted)
+            log.append(("more", extra.shape[1]))
+            return extra
+        return certify(c, lam0, delta, values, forms, points, spied_more, floor)
+
+    with mock.patch.object(verify, "_plucker_weights", spied_solve), \
+            mock.patch.object(verify, "_barrier", spied_barrier), \
+            mock.patch.object(verify, "_certify", spied_certify):
+        rep = infinitesimal_check(g4, psi)
+    assert log == events and rep.exact
 
 
 def test_infinitesimal_small_t_entries_are_one_time_curves(g4):
@@ -1773,10 +1820,13 @@ def test_stacked_pair_rows_equal_single_runs(g4):
     """``_verdicts`` on a stack of pair rows gives each row what it gets
     alone, byte for byte, as ``path_scan_many`` does for planes.  The rows
     close at W = 0 (a torus psi), on the Segre solve (draw 1 of psi = m +
-    m^T from ``default_rng(16)``), on the barrier (its draw 0) and after the
+    m^T from ``default_rng(16)``), on the second solve with the kernel
+    points (the diagonal projector), on the barrier (draw 0) and after the
     open polish (draws 227 of ``default_rng(100)`` and 301 of
-    ``default_rng(102)``, polished together)."""
-    psis = [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), _symmetric_draw(16, 1), _symmetric_draw(16, 0),
+    ``default_rng(102)``, polished together).  Each row's further points
+    come from its own ``more``."""
+    psis = [torus_psi(0.5, -0.2, 0.3, 0.9, 0.4), _symmetric_draw(16, 1),
+            diagonal_subalgebra(g4).projector, _symmetric_draw(16, 0),
             _symmetric_draw(100, 227), _symmetric_draw(102, 301)]
     inputs, routes = [], []
     for psi in psis:
@@ -1788,24 +1838,30 @@ def test_stacked_pair_rows_equal_single_runs(g4):
         single = _verdicts(*args)[0]
         assert (rep.min_value, rep.exact, rep.lower_bound) == single[1:]
         inputs.append((args, _entry_bytes(single)))
-    assert routes == [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)]
+    assert routes == [(0, 0, 0), (1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 1)]
 
     def stacked(k):
         return np.concatenate([args[k] for args, _ in inputs])
 
-    def joined(k, per_row):
+    def dispatched(calls):
+        """One callable of the stacked rows: row i's call, as its row 0."""
+        return lambda i, *rest: calls[i](0, *rest)
+
+    def joined(k, per_row, per_call=()):
         """The stage callable k over the stacked rows: the entries at
-        per_row joined row by row, the others shared."""
+        per_row joined row by row, those at per_call dispatched row by row,
+        the others shared."""
         def call(rows):
             parts = zip(*(inputs[r][0][k](np.array([0])) for r in rows))
-            return tuple(np.concatenate(p) if j in per_row else p[0] for j, p in enumerate(parts))
+            return tuple(np.concatenate(p) if j in per_row else dispatched(p) if j in per_call
+                         else p[0] for j, p in enumerate(parts))
         return call
 
     def witness(rows, points):
         return [inputs[r][0][7]([0], [point])[0] for r, point in zip(rows, points)]
 
-    entries = _verdicts(*map(stacked, range(4)), joined(4, (0, 1, 3)), joined(5, (0, 1, 2)),
-                        DEFAULT_TOL, witness)
+    entries = _verdicts(*map(stacked, range(4)), joined(4, (0, 1, 3), (2,)),
+                        joined(5, (0, 1, 2)), DEFAULT_TOL, witness)
     assert [_entry_bytes(entry) for entry in entries] == [single for _, single in inputs]
 
 
@@ -1831,7 +1887,8 @@ def _lifted_row(shape, lam):
         return out
 
     return (c, lam0, delta, np.diag(c[0])[None],
-            lambda rows: (forms[None], np.eye(k)[None], None, np.zeros(1)),
+            lambda rows: (forms[None], np.eye(k)[None], lambda r, top, lifted: np.zeros((k, 0)),
+                          np.zeros(1)),
             lambda rows: (polish, np.zeros((1, 0, d)), 1e-3 * delta, read, lowest), DEFAULT_TOL,
             witness)
 
@@ -2289,7 +2346,7 @@ def test_path_scan_names_a_time_the_metric_gate_refuses(g4):
     HorizonExceeded and a time it admits either scans or, at 6 of the 260
     times, fails the metric's own gate on phi_t's ``eigh``: that raises
     NotPositiveDefinite naming the time, in ``path_scan`` as in
-    ``path_metrics``."""
+    ``path_metrics`` and ``InverseLinearPath.metric_at``."""
     refused = []
     for psi, times in _gate_probe():
         path = InverseLinearPath(g4, psi)
@@ -2299,10 +2356,11 @@ def test_path_scan_names_a_time_the_metric_gate_refuses(g4):
                     path_scan(g4, psi, [0.0, t])
                 continue
             try:
-                path.metric_at(t)
+                LeftInvariantMetric(g4, path.phi_at(t))
             except NotPositiveDefinite:
                 for call in (lambda: path_scan(g4, psi, [0.0, t]),
-                             lambda: path_metrics([path], [[0.0, t]])):
+                             lambda: path_metrics([path], [[0.0, t]]),
+                             lambda: path.metric_at(t)):
                     with pytest.raises(NotPositiveDefinite, match=re.escape(f"t={t}: phi eigenvalues")):
                         call()
                 refused.append((psi, t))
